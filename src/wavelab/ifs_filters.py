@@ -6,9 +6,12 @@ of isometries with orthogonal ranges summing to the identity.  The two
 defining conditions are checked exactly on cylinder functions:
 
   (1) orthonormality   S*(conj(m_j) m_k) = delta_jk
-  (2) completeness     f = sum_n m_n E(conj(m_n) f) on the full indicator
-                       basis of a probe depth, which spans every cylinder
-                       function of that depth
+  (2) completeness     f = sum_n m_n E(conj(m_n) f) for every cylinder f
+
+Completeness holds iff R_ab(t) = sum_n m_n(a t) p_b conj(m_n(b t)) equals
+delta_ab for all first symbols a, b and tails t of the bank's depth L.
+Every indicator probe only picks out entries of this per-tail array, so
+one O(N**2 N**L) pass checks every probe depth at once.
 
 Built-in constructions: the roots-of-unity bank (values eps**(n*l) on the
 depth-1 cylinders, eps = exp(2 pi i / N), uniform weights only) and the
@@ -47,6 +50,7 @@ from .code_space import (
     sup_distance,
     weighted_adjoint,
     weighted_compose,
+    _check_cells,
     _lift_values,
 )
 
@@ -225,27 +229,30 @@ def build_indicator(spec: IfsSpec) -> FilterBank:
     return FilterBank(spec, tuple(filters))
 
 
-def _completeness_residual(bank: FilterBank, probe_depth: int) -> float:
-    # Reconstruction residual over the full indicator basis at probe_depth,
-    # batched: columns of F are the (lifted) basis functions.
-    spec = bank.spec
-    n = spec.N
-    depth = max(probe_depth, bank.max_depth)
-    m_probe = n**probe_depth
-    reps = n ** (depth - probe_depth)
-    f = np.repeat(np.eye(m_probe, dtype=complex), reps, axis=0)
-    p = spec.weight_array()
-    recon = np.zeros_like(f)
+def _tail_residual(bank: FilterBank, depth: int, f: CylinderFn | None = None) -> float:
+    """max |sum_n m_n(a t) (f(t) p_b conj(m_n(b t))) - f(t) delta_ab| over a, b
+    and tails t of length depth - 1, summed in bank order; f defaults to 1."""
+    n = bank.spec.N
+    _check_cells(n ** (depth + 1))
+    p = bank.spec.weight_array()[:, None]
+    fv = 1.0 if f is None else _lift_values(f, depth - 1)
+    out = np.zeros((n, n, n ** (depth - 1)), dtype=complex)
     for m in bank.filters:
-        mv = _lift_values(m, depth)
-        g = np.conj(mv)[:, None] * f
-        low = np.tensordot(p, g.reshape(n, -1, m_probe), axes=1)
-        recon += mv[:, None] * np.tile(low, (n, 1))
-    return float(np.max(np.abs(recon - f)))
+        mv = _lift_values(m, depth).reshape(n, -1)
+        low = fv * (p * np.conj(mv))
+        out += mv[:, None, :] * low[None, :, :]
+    diag = np.arange(n)
+    out[diag, diag] -= fv
+    return float(np.max(np.abs(out)))
 
 
 def verify_filter(bank: FilterBank, probe_depth: int = 3, tol: float = 1e-12) -> FilterReport:
-    """Check both filter conditions and report residuals (never raises)."""
+    """Check both filter conditions and report residuals.
+
+    Completeness is max |R - delta| over the bank's per-tail array (module
+    docstring), so ``probe_depth`` changes neither the result nor the cost.
+    The array's N**(L+1) cells count against the cell cap (CapacityError).
+    """
     if probe_depth < 1:
         raise InputError("probe depth must be >= 1")
     n = bank.spec.N
@@ -255,7 +262,7 @@ def verify_filter(bank: FilterBank, probe_depth: int = 3, tol: float = 1e-12) ->
             r = adjoint_sigma(multiply(bank.filters[j].conj(), bank.filters[k]))
             delta = 1.0 if j == k else 0.0
             orth[j, k] = float(np.max(np.abs(r.values - delta)))
-    comp = _completeness_residual(bank, probe_depth)
+    comp = _tail_residual(bank, max(bank.max_depth, 1))
     passed = bool(orth.max() < tol and comp < tol)
     return FilterReport(orth, comp, passed, tol, probe_depth)
 
@@ -455,42 +462,26 @@ def apply_loop_group(bank: FilterBank, field: MatrixField) -> FilterBank:
 
 
 def matrix_field(bank: FilterBank) -> MatrixField:
-    """The branch-sample matrix M_jk = m_j(tau_k .) / sqrt(N)."""
-    n = bank.spec.N
-    scale = 1.0 / np.sqrt(n)
+    """Modulation matrix M_jk = sqrt(p_k) m_j(tau_k .), unitary iff the bank is a filter."""
+    scale = np.sqrt(bank.spec.weight_array())
     rows = tuple(
-        tuple(scale * precompose_branch(m, k) for k in range(1, n + 1))
+        tuple(precompose_branch(m, k + 1) * s for k, s in enumerate(scale))
         for m in bank.filters
     )
     return MatrixField(bank.spec, rows)
 
 
-def unitarity_report(field: MatrixField) -> float:
-    return field.unitarity_residual()
-
-
 def endomorphism_check(bank: FilterBank, f: CylinderFn, probe_depth: int = 2) -> float:
-    """Residual of sum_n S_n (f . S_n* g) = (f o sigma) g on indicator probes.
+    """Residual of sum_n S_n (f . S_n* g) = (f o sigma) g over all g.
 
     Zero for verified banks: conjugation by the bank's isometries carries
-    multiplication by f to multiplication by f o sigma.
+    multiplication by f to multiplication by f o sigma.  The residual is
+    max |sum_n m_n(a t) f(t) p_b conj(m_n(b t)) - f(t) delta_ab| over words
+    a t of depth max(bank depth, f.depth + 1); ``probe_depth`` changes
+    neither the result nor the cost.
     """
     if f.spec != bank.spec:
         raise SpecMismatchError("function spec differs from bank spec")
     if probe_depth < 1:
         raise InputError("probe depth must be >= 1")
-    spec = bank.spec
-    worst = 0.0
-    for i in range(spec.N**probe_depth):
-        g = CylinderFn(
-            spec,
-            probe_depth,
-            np.eye(spec.N**probe_depth, dtype=complex)[i],
-        )
-        lhs = None
-        for m in bank.filters:
-            term = weighted_compose(m, multiply(f, weighted_adjoint(m, g)))
-            lhs = term if lhs is None else lhs + term
-        rhs = multiply(compose_sigma(f), g)
-        worst = max(worst, sup_distance(lhs, rhs))
-    return worst
+    return _tail_residual(bank, max(bank.max_depth, f.depth + 1), f)

@@ -2,7 +2,10 @@
 
 Everything here works on dictionaries mapping symbol tuples to values,
 with plain Python loops: slow, obviously correct, and structurally
-independent of the array indexing used by the package.
+independent of the array indexing used by the package.  The two
+probe-block checks at the end are the exception: they are the package's
+former filter-bank residuals, which test every indicator probe of a
+given depth, kept as the judge of the per-tail closed forms.
 """
 
 import itertools
@@ -11,6 +14,7 @@ from math import prod
 
 import numpy as np
 
+from wavelab import code_space as cs
 from wavelab.code_space import CylinderFn, Word
 
 
@@ -134,3 +138,49 @@ def dyadic_values(taps, dilation: int, resolution: int) -> np.ndarray:
 
     length = (len(c) - 1) * resolution // (n - 1) + 1
     return np.array([phi.get(Fraction(m, resolution), 0.0) for m in range(length)])
+
+
+def probe_block_completeness(bank, probe_depth: int) -> float:
+    """max |sum_n m_n E(conj(m_n) e_i) - e_i| over the indicator basis e_i.
+
+    Builds the N**p x N**p block of all depth-p indicator probes at once
+    (columns of F), so time and memory grow as N**(2p).
+    """
+    spec = bank.spec
+    n = spec.N
+    depth = max(probe_depth, bank.max_depth)
+    m_probe = n**probe_depth
+    reps = n ** (depth - probe_depth)
+    f = np.repeat(np.eye(m_probe, dtype=complex), reps, axis=0)
+    p = spec.weight_array()
+    recon = np.zeros_like(f)
+    for m in bank.filters:
+        mv = cs._lift_values(m, depth)
+        g = np.conj(mv)[:, None] * f
+        low = np.tensordot(p, g.reshape(n, -1, m_probe), axes=1)
+        recon += mv[:, None] * np.tile(low, (n, 1))
+    return float(np.max(np.abs(recon - f)))
+
+
+def probe_endomorphism(bank, f: CylinderFn, probe_depth: int) -> float:
+    """max |sum_n S_n (f . S_n* g) - (f o sigma) g| over depth-p indicators g.
+
+    One probe at a time.  The former package loop reduced the probes with
+    Python's ``max``, which drops a NaN probe; here a NaN in any probe
+    makes the result NaN.
+    """
+    spec = bank.spec
+    worst = []
+    for i in range(spec.N**probe_depth):
+        g = CylinderFn(
+            spec,
+            probe_depth,
+            np.eye(spec.N**probe_depth, dtype=complex)[i],
+        )
+        lhs = None
+        for m in bank.filters:
+            term = cs.weighted_compose(m, cs.multiply(f, cs.weighted_adjoint(m, g)))
+            lhs = term if lhs is None else lhs + term
+        rhs = cs.multiply(cs.compose_sigma(f), g)
+        worst.append(cs.sup_distance(lhs, rhs))
+    return float(np.max(worst))

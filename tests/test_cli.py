@@ -121,6 +121,26 @@ def test_decompose_and_endo(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_over_cell_cap_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "1000")
+    spec = IfsSpec(2)
+    deep = CylinderFn(spec, 9, np.ones(512))  # 2**9 values fit, 2**10 do not
+    path = write(tmp_path / "deep.json", {"spec": spec.to_json(), "filters": [deep.to_json()] * 2})
+    assert run(["ifs", "verify-filter", "--bank", path]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_endo_check_fails_on_nan_bank(tmp_path, capsys):
+    spec = IfsSpec(2)
+    bank = build_indicator(spec).to_json()
+    bank["filters"][0]["values"][0] = [float("nan"), 0.0]
+    bank_path = write(tmp_path / "nan.json", bank)
+    fn_path = write(tmp_path / "fn.json", CylinderFn(spec, 1, [1.0, 2.0]).to_json())
+    code, result = run_json(capsys, ["ifs", "endo-check", "--bank", bank_path, "--fn", fn_path])
+    assert code == 1 and result["pass"] is False
+    assert np.isnan(result["residuals"]["endomorphism"])
+
+
 # ---------------------------------------------------------------------------
 # circle group
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from wavelab.code_space import (
     sup_distance,
 )
 from wavelab.errors import (
+    CapacityError,
     InputError,
     ModuleBasisError,
     PreconditionError,
@@ -35,7 +38,6 @@ from wavelab.ifs_filters import (
     multires_decompose,
     multires_reconstruct,
     synthesis,
-    unitarity_report,
     verify_filter,
 )
 
@@ -132,6 +134,84 @@ def test_completeness_against_oracle(rng, spec2):
             recon = recon + multiply(m, conditional_expectation(multiply(m.conj(), probe)))
         worst = max(worst, sup_distance(recon, probe))
     assert report.completeness == pytest.approx(worst, abs=1e-15)
+
+
+def _oracle_bank(rng, spec, kind, depth):
+    """A verified bank of the given depth, a random one, or one with a NaN."""
+    if kind == "verified":
+        field = _random_unitary_field(rng, spec, depth - 1)
+        return apply_loop_group(build_indicator(spec), field)
+    filters = [random_cylinder(rng, spec, depth) for _ in range(spec.N)]
+    if kind == "nan":
+        values = filters[0].values.copy()
+        values[-1] = np.nan
+        filters[0] = CylinderFn(spec, depth, values)
+    return FilterBank(spec, tuple(filters))
+
+
+def _same(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+ORACLE_SPECS = [
+    IfsSpec(2), IfsSpec(2, (0.25, 0.75)),
+    IfsSpec(3), IfsSpec(3, (0.5, 0.125, 0.375)),
+    IfsSpec(4), IfsSpec(4, (0.1, 0.2, 0.3, 0.4)),
+]
+
+
+@pytest.mark.parametrize("kind", ["verified", "random", "nan"])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"N{s.N}-{'u' if s.uniform else 'w'}")
+def test_closed_forms_equal_probe_oracle(spec, kind):
+    """Both residuals equal the probe-by-probe oracle exactly, at every probe depth."""
+    rng = np.random.default_rng(spec.N + 10 * len(kind))
+    for bank_depth in (1, 2):
+        bank = _oracle_bank(rng, spec, kind, bank_depth)
+        for probe in (1, 2, 3):
+            if spec.N ** (2 * probe) > 4096:
+                continue
+            report = verify_filter(bank, probe_depth=probe)
+            assert _same(report.completeness, oracle.probe_block_completeness(bank, probe))
+            assert report.passed == (kind == "verified")
+            for f_depth in (0, bank_depth, bank_depth + 1):
+                f = random_cylinder(rng, spec, f_depth)
+                got = endomorphism_check(bank, f, probe)
+                assert _same(got, oracle.probe_endomorphism(bank, f, probe))
+                assert (got < 1e-13) == (kind == "verified")
+
+
+def test_residuals_flat_in_probe_depth(rng, spec3):
+    """Probe depth 20 would need 3**40 probe cells; the per-tail array needs 3**3."""
+    bank = _oracle_bank(rng, spec3, "random", 2)
+    f = random_cylinder(rng, spec3, 1)
+    shallow, deep = verify_filter(bank, 3), verify_filter(bank, 20)
+    assert deep.completeness == shallow.completeness
+    assert np.array_equal(deep.orthonormality, shallow.orthonormality)
+    assert deep.probe_depth == 20
+    assert endomorphism_check(bank, f, 20) == endomorphism_check(bank, f, 3)
+
+
+def test_verify_respects_cell_cap(monkeypatch, spec2):
+    bank = build_indicator(spec2)
+    free = verify_filter(bank, 9)
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "1000")
+    tracemalloc.start()
+    capped = verify_filter(bank, 9)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert capped.completeness == free.completeness
+    assert np.array_equal(capped.orthonormality, free.orthonormality)
+    assert peak < 1000 * 16  # bytes of 1000 complex cells
+
+
+def test_tail_array_counts_against_cell_cap(monkeypatch, spec2):
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "1000")
+    # 2**9 filter values fit, the (2, 2, 2**8) per-tail array does not
+    bank = FilterBank(spec2, tuple(CylinderFn(spec2, 9, np.ones(512)) for _ in range(2)))
+    with pytest.raises(CapacityError):
+        verify_filter(bank, 1)
+    with pytest.raises(CapacityError):
+        endomorphism_check(bank, CylinderFn.ones(spec2), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +342,7 @@ def test_gram_schmidt_random_generators(rng, spec2, spec3):
 def test_connecting_unitary_identity(spec2):
     bank = build_indicator(spec2)
     field = connecting_unitary(bank, bank)
-    assert unitarity_report(field) < 1e-14
+    assert field.unitarity_residual() < 1e-14
     eye = MatrixField.identity(spec2)
     for row_a, row_b in zip(field.entries, eye.entries):
         for a, b in zip(row_a, row_b):
@@ -374,22 +454,36 @@ def test_branch_orthogonality_implies_l2(rng, spec3):
 
 def test_matrix_field_examples(spec2):
     ind = matrix_field(build_indicator(spec2))
-    assert unitarity_report(ind) < 1e-14
+    assert ind.unitarity_residual() < 1e-14
     stacked = ind.stacked()
     assert np.allclose(stacked[:, :, 0], np.eye(2))
     roots = matrix_field(build_roots_of_unity(spec2))
     eps = -1.0
     expected = np.array([[eps, eps**2], [eps**2, eps**4]]) / np.sqrt(2)
     assert np.allclose(roots.stacked()[:, :, 0], expected)
-    assert unitarity_report(roots) < 1e-14
+    assert roots.unitarity_residual() < 1e-14
     broken = matrix_field(broken_bank(spec2))
-    assert unitarity_report(broken) > 0.99
+    assert broken.unitarity_residual() > 0.99
+
+
+def test_matrix_field_weighted(rng, spec_weighted):
+    """sqrt(p_k) weighting makes M unitary for verified weighted banks."""
+    ind = matrix_field(build_indicator(spec_weighted))
+    assert ind.unitarity_residual() < 1e-14
+    for depth in (1, 2):
+        acted = apply_loop_group(
+            build_indicator(spec_weighted), _random_unitary_field(rng, spec_weighted, depth)
+        )
+        assert verify_filter(acted, 3).passed
+        assert matrix_field(acted).unitarity_residual() < 1e-14
+    spec = IfsSpec(3, (0.5, 0.125, 0.375))
+    assert matrix_field(build_indicator(spec)).unitarity_residual() < 1e-14
 
 
 def test_matrix_field_json_roundtrip(spec3):
     field = matrix_field(build_roots_of_unity(spec3))
     back = MatrixField.from_json(field.to_json())
-    assert unitarity_report(back) < 1e-13
+    assert back.unitarity_residual() < 1e-13
 
 
 def test_endomorphism_check(rng, spec2):
