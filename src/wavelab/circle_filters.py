@@ -3,13 +3,13 @@
 The dilation z -> z**N turns composition into coefficient upsampling and
 its adjoint into decimation, both exact on finite coefficient maps:
 
-    upsample(f, N)     sum f_n z**(nN)
-    downsample(f, N)   sum f_(nN) z**n    (the 1/N root average in
+    f.upsample(N)      sum f_n z**(nN)
+    f.downsample(N)    sum f_(nN) z**n    (the 1/N root average in
                        function form; pure extraction in coefficients)
 
 Filter conditions are therefore checked without any grid: the bank
 (m_1..m_N) satisfies the averaged convention when
-downsample(conj_reflect(m_j) * m_k, N) equals delta_jk.  The unit-sum
+(m_j.conj_reflect() * m_k).downsample(N) equals delta_jk.  The unit-sum
 convention differs by a factor N and is exposed through a flag.
 
 Grid scans back the coefficient checks up: the banded matrix
@@ -17,6 +17,10 @@ M(z) = (1/sqrt N) (m_j(eps**k z)) is unitary on |z| = 1 exactly when the
 coefficient residuals vanish, and column rotation under z -> eps z holds
 identically.  Matrix Blaschke factors V (I - P + phi_a(z**N) P) supply
 unitary-on-the-circle rational functions of the quotient variable z**N.
+
+Every matrix evaluator takes z of any shape and returns a stack of shape
+z.shape + (n, n), so a grid scan is one array evaluation; a scalar z
+gives a single n x n matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ class LaurentPoly:
 
     Coefficients with modulus at most PRUNE_TOL are dropped on
     construction, so identities that cancel to rounding noise compare
-    equal to the zero polynomial.
+    equal to the zero polynomial.  Non-finite coefficients are kept, so
+    they reach every residual.
     """
 
     __slots__ = ("_coeffs",)
@@ -46,7 +51,7 @@ class LaurentPoly:
         pruned = {}
         for k, c in (coeffs or {}).items():
             c = complex(c)
-            if abs(c) > PRUNE_TOL:
+            if not abs(c) <= PRUNE_TOL:
                 pruned[int(k)] = c
         self._coeffs = pruned
 
@@ -91,7 +96,7 @@ class LaurentPoly:
     def max_abs(self) -> float:
         if not self._coeffs:
             return 0.0
-        return max(abs(c) for c in self._coeffs.values())
+        return float(np.max([abs(c) for c in self._coeffs.values()]))
 
     def __repr__(self) -> str:
         if not self._coeffs:
@@ -182,14 +187,6 @@ def _as_poly(x) -> LaurentPoly:
     raise InputError(f"cannot coerce {type(x).__name__} to a Laurent polynomial")
 
 
-def upsample(f: LaurentPoly, n: int) -> LaurentPoly:
-    return f.upsample(n)
-
-
-def downsample(f: LaurentPoly, n: int) -> LaurentPoly:
-    return f.downsample(n)
-
-
 def weighted_compose_circle(m: LaurentPoly, f: LaurentPoly, n: int) -> LaurentPoly:
     """m(z) f(z**N): coefficients (S_m f)_k = sum over u + N v = k of m_u f_v."""
     return m * f.upsample(n)
@@ -210,17 +207,6 @@ class CuntzReport:
     completeness: float
     convention: str
 
-    def passed(self, tol: float = 0.0) -> bool:
-        return self.orthonormality <= tol and self.completeness <= tol
-
-    def to_json(self) -> dict:
-        return {
-            "orthonormality_residual": float(self.orthonormality),
-            "completeness_residual": float(self.completeness),
-            "convention": self.convention,
-            "gram_residuals": [[q.to_json() for q in row] for row in self.gram],
-        }
-
 
 def _convention_scale(convention: str, n: int) -> float:
     if convention == "averaged":
@@ -235,32 +221,28 @@ def cuntz_residuals(
 ) -> CuntzReport:
     """Filter-condition residuals computed exactly in coefficients.
 
-    Orthonormality: scale * downsample(conj_reflect(m_j) m_k, N) - delta.
+    Orthonormality: scale * (m_j.conj_reflect() m_k).downsample(N) - delta.
     Completeness: reconstruction of the monomial probes z**t, t < N, which
     generate all of L2 under the band structure.
     """
     filters = list(filters)
     scale = _convention_scale(convention, n)
     gram_rows = []
-    worst = 0.0
     for j, mj in enumerate(filters):
-        row = []
-        for k, mk in enumerate(filters):
-            q = scale * (mj.conj_reflect() * mk).downsample(n)
-            if j == k:
-                q = q - LaurentPoly.one()
-            row.append(q)
-            worst = max(worst, q.max_abs())
+        row = [scale * (mj.conj_reflect() * mk).downsample(n) for mk in filters]
+        row[j] = row[j] - LaurentPoly.one()
         gram_rows.append(tuple(row))
-    comp = 0.0
+    comp = []
     for t in range(n):
         probe = LaurentPoly.monomial(t)
         recon = LaurentPoly.zero()
         for m in filters:
             low = (m.conj_reflect() * probe).downsample(n)
             recon = recon + m * low.upsample(n)
-        comp = max(comp, (scale * recon - probe).max_abs())
-    return CuntzReport(tuple(gram_rows), worst, comp, convention)
+        comp.append((scale * recon - probe).max_abs())
+    # np.max, unlike max(), keeps a NaN residual
+    worst = float(np.max([q.max_abs() for row in gram_rows for q in row], initial=0.0))
+    return CuntzReport(tuple(gram_rows), worst, float(np.max(comp)), convention)
 
 
 def cqf_complete(m0: LaurentPoly, convention: str = "unit-sum") -> list[list[LaurentPoly]]:
@@ -288,17 +270,34 @@ def power_sum_residual(m0: LaurentPoly, convention: str = "unit-sum") -> float:
     return total.max_abs()
 
 
-def matrix_grid_unitarity(
-    evaluate: Callable[[complex], np.ndarray],
-    n_grid: int = 256,
-    scale: float = 1.0,
-) -> float:
+def evaluate_rows(rows: Sequence[Sequence[LaurentPoly]], z) -> np.ndarray:
+    """A matrix of Laurent entries at z, shape z.shape + (rows, cols)."""
+    values = np.array([[e(z) for e in row] for row in rows], dtype=complex)
+    return np.moveaxis(values, (0, 1), (-2, -1))
+
+
+def grid_residuals(stack: np.ndarray) -> np.ndarray:
+    """Max-abs entry of each matrix in a (..., n, n) stack, one per point.
+
+    np.max propagates NaN, so a non-finite point never looks small.
+    """
+    return np.max(np.abs(stack), axis=(-2, -1))
+
+
+def unitarity_residuals(evaluate: Callable, n_grid: int = 256, scale: float = 1.0) -> np.ndarray:
+    """Per grid point, the max-abs entry of M(z) M(z)* - scale * I.
+
+    ``evaluate`` maps the whole grid to a (G, n, n) stack (or to one n x n
+    matrix when M is constant).
+    """
+    m = np.asarray(evaluate(unit_circle_grid(n_grid)), dtype=complex)
+    gram = m @ np.conj(np.swapaxes(m, -1, -2))
+    return grid_residuals(gram - scale * np.eye(m.shape[-1]))
+
+
+def matrix_grid_unitarity(evaluate: Callable, n_grid: int = 256, scale: float = 1.0) -> float:
     """max over the grid of max-abs entries of M(z) M(z)* - scale * I."""
-    worst = 0.0
-    for z in unit_circle_grid(n_grid):
-        m = np.asarray(evaluate(z), dtype=complex)
-        worst = max(worst, float(np.max(np.abs(m @ m.conj().T - scale * np.eye(m.shape[0])))))
-    return worst
+    return float(np.max(unitarity_residuals(evaluate, n_grid, scale)))
 
 
 class MultibandMatrix:
@@ -309,31 +308,22 @@ class MultibandMatrix:
             raise InputError(f"expected {n} filters, got {len(filters)}")
         self.filters = list(filters)
         self.n = n
-        self._eps = np.exp(2j * np.pi / n)
+        eps = np.exp(2j * np.pi / n)
+        self._rotations = np.array([eps**k for k in range(n)])
 
-    def eval(self, z: complex) -> np.ndarray:
-        cols = [self._eps**k * z for k in range(self.n)]
-        return np.array(
-            [[m(c) for c in cols] for m in self.filters], dtype=complex
-        ) / np.sqrt(self.n)
+    def eval(self, z) -> np.ndarray:
+        cols = np.asarray(z, dtype=complex)[..., None] * self._rotations
+        return np.stack([m(cols) for m in self.filters], axis=-2) / np.sqrt(self.n)
 
     __call__ = eval
-
-
-def build_M_matrix(filters: Sequence[LaurentPoly], n: int) -> MultibandMatrix:
-    return MultibandMatrix(filters, n)
 
 
 def shift_relation_residual(matrix: MultibandMatrix, n_grid: int = 256) -> float:
     """max over the grid of |M(eps z) - M(z) Pi| with Pi the column rotation."""
     eps = np.exp(2j * np.pi / matrix.n)
-    order = list(range(1, matrix.n)) + [0]
-    worst = 0.0
-    for z in unit_circle_grid(n_grid):
-        lhs = matrix.eval(eps * z)
-        rhs = matrix.eval(z)[:, order]
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    z = unit_circle_grid(n_grid)
+    rotated = np.roll(matrix.eval(z), -1, axis=-1)
+    return float(np.max(grid_residuals(matrix.eval(eps * z) - rotated)))
 
 
 @dataclass(frozen=True)
@@ -353,14 +343,15 @@ class BlaschkeFactor:
         p = np.array(self.projection, dtype=complex)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise InputError("projection must be a square matrix")
-        if np.max(np.abs(p - p.conj().T)) > 1e-13 or np.max(np.abs(p @ p - p)) > 1e-13:
+        # written so that a non-finite P fails
+        if not (np.max(np.abs(p - p.conj().T)) <= 1e-13 and np.max(np.abs(p @ p - p)) <= 1e-13):
             raise InputError("projection must satisfy P = P* = P^2")
         p.setflags(write=False)
         object.__setattr__(self, "projection", p)
         if self.a is not None:
             a = complex(self.a)
-            if abs(abs(a) - 1.0) < 1e-12:
-                raise InputError("Moebius parameter must satisfy |a| != 1")
+            if not (np.isfinite(a) and abs(abs(a) - 1.0) >= 1e-12):
+                raise InputError("Moebius parameter must be finite with |a| != 1")
             object.__setattr__(self, "a", a)
         if self.power < 2:
             raise InputError("factor power must be >= 2")
@@ -369,15 +360,10 @@ class BlaschkeFactor:
     def size(self) -> int:
         return self.projection.shape[0]
 
-    def mobius(self, w: complex) -> complex:
-        if self.a is None:
-            return 1.0 / w
-        return (w - self.a) / (1.0 - w * np.conj(self.a))
-
-    def eval(self, z: complex) -> np.ndarray:
-        w = complex(z) ** self.power
-        eye = np.eye(self.size, dtype=complex)
-        return eye - self.projection + self.mobius(w) * self.projection
+    def eval(self, z) -> np.ndarray:
+        w = np.asarray(z, dtype=complex) ** self.power
+        phi = 1.0 / w if self.a is None else (w - self.a) / (1.0 - w * np.conj(self.a))
+        return np.eye(self.size) - self.projection + phi[..., None, None] * self.projection
 
     def to_json(self) -> dict:
         return {
@@ -407,7 +393,7 @@ class BlaschkeProduct:
         v = np.array(self.left_unitary, dtype=complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InputError("left unitary must be a square matrix")
-        if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) > 1e-12:
+        if not np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) <= 1e-12:
             raise InputError("left factor must be unitary")
         v.setflags(write=False)
         object.__setattr__(self, "left_unitary", v)
@@ -420,8 +406,9 @@ class BlaschkeProduct:
     def size(self) -> int:
         return self.left_unitary.shape[0]
 
-    def eval(self, z: complex) -> np.ndarray:
-        out = np.array(self.left_unitary)
+    def eval(self, z) -> np.ndarray:
+        v = self.left_unitary
+        out = np.array(np.broadcast_to(v, np.shape(z) + v.shape))
         for f in self.factors:
             out = out @ f.eval(z)
         return out
@@ -434,10 +421,8 @@ class BlaschkeProduct:
     def periodicity_residual(self, band: int, n_grid: int = 256) -> float:
         """max |U(eps z) - U(z)|; zero up to rounding since only z**N enters."""
         eps = np.exp(2j * np.pi / band)
-        worst = 0.0
-        for z in unit_circle_grid(n_grid):
-            worst = max(worst, float(np.max(np.abs(self.eval(eps * z) - self.eval(z)))))
-        return worst
+        z = unit_circle_grid(n_grid)
+        return float(np.max(grid_residuals(self.eval(eps * z) - self.eval(z))))
 
     def to_json(self) -> dict:
         return {
@@ -468,40 +453,30 @@ def blaschke_product(
 class LoopActionResult:
     """A loop-acted evaluator plus the unitarity diagnosis of the acting map."""
 
-    evaluate: Callable[[complex], np.ndarray]
+    eval: Callable[[np.ndarray], np.ndarray]
     g_unitarity_residual: float
     non_unitary_warning: bool
 
-    def eval(self, z: complex) -> np.ndarray:
-        return self.evaluate(z)
-
-    __call__ = eval
-
 
 def loop_action_circle(
-    g: Callable[[complex], np.ndarray],
-    u: Callable[[complex], np.ndarray],
-    band: int,
-    n_grid: int = 256,
-    tol: float = 1e-12,
+    g: Callable, u: Callable, band: int, n_grid: int = 256, tol: float = 1e-12
 ) -> LoopActionResult:
     """Act by the quotient-variable map: z -> G(z**N) U(z).
 
-    G is sampled at the grid's N-th powers; exceeding ``tol`` in unitarity
-    only sets a warning flag, the action itself is still returned.
+    G and U take arrays of points.  G is sampled at the grid's N-th
+    powers; exceeding ``tol`` in unitarity (or a NaN residual) only sets a
+    warning flag, the action itself is still returned.
     """
-    resid = 0.0
-    for z in unit_circle_grid(n_grid):
-        w = z**band
-        m = np.asarray(g(w), dtype=complex)
-        resid = max(resid, float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))))
 
-    def evaluate(z: complex) -> np.ndarray:
-        return np.asarray(g(complex(z) ** band), dtype=complex) @ np.asarray(
-            u(z), dtype=complex
-        )
+    def g_of_power(z) -> np.ndarray:
+        return np.asarray(g(np.asarray(z, dtype=complex) ** band), dtype=complex)
 
-    return LoopActionResult(evaluate, resid, resid > tol)
+    resid = matrix_grid_unitarity(g_of_power, n_grid)
+
+    def evaluate(z) -> np.ndarray:
+        return g_of_power(z) @ np.asarray(u(z), dtype=complex)
+
+    return LoopActionResult(evaluate, resid, not resid <= tol)
 
 
 def haar_pair() -> list[LaurentPoly]:

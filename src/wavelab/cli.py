@@ -73,6 +73,19 @@ def _emit(command: str, payload: dict, passed: bool, timing_ms: float | None) ->
     return 0 if passed else 1
 
 
+def _all_below(tol: float, *residuals: float) -> bool:
+    """True when every residual is below tol; a NaN residual is never below."""
+    return all(r < tol for r in residuals)
+
+
+def _write_grid_csv(path: str, n_grid: int, residuals: np.ndarray) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["angle", "residual"])
+        for z, r in zip(circ.unit_circle_grid(n_grid), residuals):
+            writer.writerow([f"{np.angle(z):.17g}", f"{r:.17g}"])
+
+
 def _load_bank(path: str) -> ifsf.FilterBank:
     return ifsf.FilterBank.from_json(jsonio.load_file(path))
 
@@ -264,9 +277,7 @@ def _cmd_circle_cqf(args, timing) -> int:
     matrix = circ.cqf_complete(m0, convention=args.convention)
     scale = 1.0 if args.convention == "unit-sum" else 2.0
     unitarity = circ.matrix_grid_unitarity(
-        lambda z: np.array([[e(z) for e in row] for row in matrix]),
-        n_grid=args.grid,
-        scale=scale,
+        lambda z: circ.evaluate_rows(matrix, z), n_grid=args.grid, scale=scale
     )
     power_sum = circ.power_sum_residual(m0, convention=args.convention)
     if args.out:
@@ -284,47 +295,37 @@ def _cmd_circle_cqf(args, timing) -> int:
 
 def _cmd_circle_matrix(args, timing) -> int:
     filters = _load_circle_filters(args.filters)
-    matrix = circ.build_M_matrix(filters, args.N)
-    unitarity = circ.matrix_grid_unitarity(matrix.eval, n_grid=args.grid)
+    matrix = circ.MultibandMatrix(filters, args.N)
+    per_point = circ.unitarity_residuals(matrix.eval, n_grid=args.grid)
+    unitarity = float(np.max(per_point))
     shift = circ.shift_relation_residual(matrix, n_grid=args.grid)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["angle", "residual"])
-            for z in circ.unit_circle_grid(args.grid):
-                m = matrix.eval(z)
-                r = float(np.max(np.abs(m @ m.conj().T - np.eye(args.N))))
-                writer.writerow([f"{np.angle(z):.17g}", f"{r:.17g}"])
+        _write_grid_csv(args.csv, args.grid, per_point)
     payload = {
         "results": {"band": args.N, "grid": args.grid},
         "residuals": {"grid_unitarity": unitarity, "shift_relation": shift},
         "tolerances": {"tol": args.tol},
     }
     return _emit(
-        "circle matrix", payload, max(unitarity, shift) < args.tol, timing()
+        "circle matrix", payload, _all_below(args.tol, unitarity, shift), timing()
     )
 
 
 def _cmd_circle_blaschke(args, timing) -> int:
     product = circ.BlaschkeProduct.from_json(jsonio.load_file(args.factors))
     band = args.band or (product.factors[0].power if product.factors else 2)
-    unitarity = product.unitarity_residual(args.grid)
+    per_point = circ.unitarity_residuals(product.eval, n_grid=args.grid)
+    unitarity = float(np.max(per_point))
     periodicity = product.periodicity_residual(band, args.grid)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["angle", "residual"])
-            for z in circ.unit_circle_grid(args.grid):
-                m = product.eval(z)
-                r = float(np.max(np.abs(m @ m.conj().T - np.eye(product.size))))
-                writer.writerow([f"{np.angle(z):.17g}", f"{r:.17g}"])
+        _write_grid_csv(args.csv, args.grid, per_point)
     payload = {
         "results": {"factor_count": len(product.factors), "band": band},
         "residuals": {"grid_unitarity": unitarity, "periodicity": periodicity},
         "tolerances": {"tol": args.tol},
     }
     return _emit(
-        "circle blaschke", payload, max(unitarity, periodicity) < args.tol, timing()
+        "circle blaschke", payload, _all_below(args.tol, unitarity, periodicity), timing()
     )
 
 
@@ -557,7 +558,7 @@ def _cmd_rkhs_check(args, timing) -> int:
         "tolerances": {"tol": args.tol},
     }
     return _emit(
-        "rkhs check", payload, max(residuals.values()) < args.tol, timing()
+        "rkhs check", payload, _all_below(args.tol, *residuals.values()), timing()
     )
 
 
@@ -599,7 +600,7 @@ def _cmd_examples_logistic(args, timing) -> int:
     return _emit(
         "examples logistic",
         payload,
-        max(invariance, quadrature) < args.tol,
+        _all_below(args.tol, invariance, quadrature),
         timing(),
     )
 

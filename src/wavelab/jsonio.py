@@ -2,7 +2,10 @@
 
 Every file format in this package serializes a complex number as a
 two-element ``[re, im]`` list.  ``dumps`` sorts keys so that identical
-inputs produce byte-identical output.
+inputs produce byte-identical output.  A vector made only of numeric
+pairs is decoded as one array (a matrix row by row); anything else is
+decoded entry by entry by ``decode_complex``, which judges malformed
+input.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ def decode_complex(obj: Any) -> complex:
     if isinstance(obj, (int, float)):
         return complex(obj)
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
+        try:
+            return complex(float(obj[0]), float(obj[1]))
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise InputError(f"expected [re, im] pair, got {obj!r}")
 
 
@@ -35,6 +41,13 @@ def encode_cvector(values) -> list[list[float]]:
 def decode_cvector(obj) -> np.ndarray:
     if not isinstance(obj, (list, tuple)):
         raise InputError("expected a list of [re, im] pairs")
+    try:
+        block = np.array(obj)
+    except (TypeError, ValueError, OverflowError):  # ragged or out of range
+        block = np.empty(0)
+    if block.ndim == 2 and block.shape[1] == 2 and block.dtype.kind in "biuf":
+        # the (re, im) floats bit for bit: re + 1j * im would make 1j * inf a NaN real part
+        return np.ascontiguousarray(block, dtype=np.float64).view(np.complex128)[:, 0]
     return np.array([decode_complex(z) for z in obj], dtype=np.complex128)
 
 
@@ -46,7 +59,11 @@ def encode_cmatrix(m) -> list[list[list[float]]]:
 def decode_cmatrix(obj) -> np.ndarray:
     if not isinstance(obj, (list, tuple)) or not obj:
         raise InputError("expected a nested list of [re, im] pairs")
-    return np.array([decode_cvector(row) for row in obj], dtype=np.complex128)
+    # row by row: one block for the whole matrix would double its peak memory
+    rows = [decode_cvector(row) for row in obj]
+    if len({row.shape for row in rows}) > 1:
+        raise InputError("matrix rows differ in length")
+    return np.array(rows, dtype=np.complex128)
 
 
 def dumps(obj: Any) -> str:

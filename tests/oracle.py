@@ -3,9 +3,12 @@
 Everything here works on dictionaries mapping symbol tuples to values,
 with plain Python loops: slow, obviously correct, and structurally
 independent of the array indexing used by the package.  The two
-probe-block checks at the end are the exception: they are the package's
-former filter-bank residuals, which test every indicator probe of a
-given depth, kept as the judge of the per-tail closed forms.
+probe-block checks are the exception: they are the package's former
+filter-bank residuals, which test every indicator probe of a given
+depth, kept as the judge of the per-tail closed forms.  The circle grid
+scans at the end are likewise the package's former per-point loops, kept
+as the judge of the stacked evaluators; they reduce with ``np.max`` so
+that a NaN point gives a NaN residual.
 """
 
 import itertools
@@ -15,6 +18,7 @@ from math import prod
 import numpy as np
 
 from wavelab import code_space as cs
+from wavelab.circle_filters import unit_circle_grid
 from wavelab.code_space import CylinderFn, Word
 
 
@@ -184,3 +188,66 @@ def probe_endomorphism(bank, f: CylinderFn, probe_depth: int) -> float:
         rhs = cs.multiply(cs.compose_sigma(f), g)
         worst.append(cs.sup_distance(lhs, rhs))
     return float(np.max(worst))
+
+
+# ---------------------------------------------------------------------------
+# circle grid scans, one point at a time
+# ---------------------------------------------------------------------------
+
+
+def multiband_point(filters, n: int, z: complex) -> np.ndarray:
+    """(1/sqrt N) (m_j(eps**k z)) at one point, entry by entry."""
+    eps = np.exp(2j * np.pi / n)
+    cols = [eps**k * z for k in range(n)]
+    return np.array([[m(c) for c in cols] for m in filters], dtype=complex) / np.sqrt(n)
+
+
+def rows_point(rows, z: complex) -> np.ndarray:
+    return np.array([[e(z) for e in row] for row in rows], dtype=complex)
+
+
+def blaschke_point(product, z: complex) -> np.ndarray:
+    """V prod (I - P + phi_a(z**power) P) at one point."""
+    out = np.array(product.left_unitary)
+    for f in product.factors:
+        w = complex(z) ** f.power
+        phi = 1.0 / w if f.a is None else (w - f.a) / (1.0 - w * np.conj(f.a))
+        out = out @ (np.eye(f.size, dtype=complex) - f.projection + phi * f.projection)
+    return out
+
+
+def unitarity_points(evaluate_point, n_grid: int, scale: float = 1.0) -> np.ndarray:
+    """max-abs entry of M(z) M(z)* - scale I at each grid point."""
+    out = []
+    for z in unit_circle_grid(n_grid):
+        m = np.asarray(evaluate_point(z), dtype=complex)
+        out.append(np.max(np.abs(m @ m.conj().T - scale * np.eye(m.shape[0]))))
+    return np.array(out)
+
+
+def grid_unitarity(evaluate_point, n_grid: int, scale: float = 1.0) -> float:
+    return float(np.max(unitarity_points(evaluate_point, n_grid, scale)))
+
+
+def shift_relation(filters, n: int, n_grid: int) -> float:
+    """max |M(eps z) - M(z) Pi| over the grid, Pi the column rotation."""
+    eps = np.exp(2j * np.pi / n)
+    order = list(range(1, n)) + [0]
+    return float(np.max([
+        np.max(np.abs(multiband_point(filters, n, eps * z) - multiband_point(filters, n, z)[:, order]))
+        for z in unit_circle_grid(n_grid)
+    ]))
+
+
+def periodicity(product, band: int, n_grid: int) -> float:
+    """max |U(eps z) - U(z)| over the grid."""
+    eps = np.exp(2j * np.pi / band)
+    return float(np.max([
+        np.max(np.abs(blaschke_point(product, eps * z) - blaschke_point(product, z)))
+        for z in unit_circle_grid(n_grid)
+    ]))
+
+
+def loop_g_unitarity(g_point, band: int, n_grid: int) -> float:
+    """Unitarity of G at the band-th powers of the grid."""
+    return grid_unitarity(lambda z: g_point(z**band), n_grid)

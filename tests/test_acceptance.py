@@ -14,10 +14,11 @@ from conftest import random_cylinder
 from wavelab.circle_filters import (
     BlaschkeFactor,
     LaurentPoly,
+    MultibandMatrix,
     blaschke_product,
-    build_M_matrix,
     cqf_complete,
     cuntz_residuals,
+    evaluate_rows,
     haar_pair,
     matrix_grid_unitarity,
     shift_relation_residual,
@@ -243,13 +244,11 @@ def test_criterion_04_circle_case():
     haar = haar_pair()
     report = cuntz_residuals(haar, 2)
     coeff_exact = max(report.orthonormality, report.completeness)
-    banded = build_M_matrix(haar, 2)
+    banded = MultibandMatrix(haar, 2)
     unitarity = matrix_grid_unitarity(banded.eval, 256)
     shift = shift_relation_residual(banded, 256)
     matrix = cqf_complete(LaurentPoly.from_coefficients(0, [0.5, 0.5]))
-    cqf_unitarity = matrix_grid_unitarity(
-        lambda z: np.array([[e(z) for e in row] for row in matrix]), 256
-    )
+    cqf_unitarity = matrix_grid_unitarity(lambda z: evaluate_rows(matrix, z), 256)
     elapsed = time.perf_counter() - start
     checks = [
         ("coefficient_residuals", coeff_exact == 0.0, coeff_exact),

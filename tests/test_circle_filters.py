@@ -2,22 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from wavelab.circle_filters import (
     BlaschkeFactor,
     BlaschkeProduct,
     LaurentPoly,
+    MultibandMatrix,
     blaschke_product,
-    build_M_matrix,
     cqf_complete,
     cuntz_residuals,
-    downsample,
+    evaluate_rows,
+    grid_residuals,
     haar_pair,
     loop_action_circle,
     matrix_grid_unitarity,
     power_sum_residual,
     shift_relation_residual,
     unit_circle_grid,
-    upsample,
+    unitarity_residuals,
     weighted_compose_circle,
 )
 from wavelab.errors import InputError
@@ -27,8 +29,10 @@ def poly(*coeffs, start=0):
     return LaurentPoly.from_coefficients(start, coeffs)
 
 
-def as_matrix_fn(rows):
-    return lambda z: np.array([[e(z) for e in row] for row in rows])
+def diag_w_one(w):
+    """diag(w, 1) at every point of an array w."""
+    return evaluate_rows([[LaurentPoly.monomial(1), LaurentPoly.zero()],
+                          [LaurentPoly.zero(), LaurentPoly.one()]], w)
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +78,12 @@ def test_ring_laws(avals, bvals, shift):
 
 def test_upsample_downsample_examples():
     z = LaurentPoly.monomial(1)
-    assert upsample(z, 2).distance(LaurentPoly.monomial(2)) == 0
-    assert downsample(LaurentPoly.monomial(2), 2).distance(z) == 0
-    assert not downsample(z, 2)
+    assert z.upsample(2).distance(LaurentPoly.monomial(2)) == 0
+    assert LaurentPoly.monomial(2).downsample(2).distance(z) == 0
+    assert not z.downsample(2)
     one = LaurentPoly.one()
-    assert upsample(one, 3).distance(one) == 0
-    assert downsample(one, 3).distance(one) == 0
+    assert one.upsample(3).distance(one) == 0
+    assert one.downsample(3).distance(one) == 0
 
 
 @given(
@@ -89,7 +93,7 @@ def test_upsample_downsample_examples():
 @settings(max_examples=60, deadline=None)
 def test_down_after_up_is_identity(vals, n):
     f = LaurentPoly.from_coefficients(-2, vals)
-    assert downsample(upsample(f, n), n).distance(f) == 0.0
+    assert f.upsample(n).downsample(n).distance(f) == 0.0
 
 
 def test_weighted_compose_examples():
@@ -98,7 +102,7 @@ def test_weighted_compose_examples():
     m = poly(s, s)
     out = weighted_compose_circle(m, z, 2)
     assert out.distance(poly(s, s, start=2)) == 0
-    assert weighted_compose_circle(LaurentPoly.one(), z, 2).distance(upsample(z, 2)) == 0
+    assert weighted_compose_circle(LaurentPoly.one(), z, 2).distance(z.upsample(2)) == 0
     zi = LaurentPoly.monomial(-1)
     assert weighted_compose_circle(zi, LaurentPoly.one(), 2).distance(zi) == 0
 
@@ -158,12 +162,12 @@ def test_cqf_example():
     at_i = np.array([[e(1j) for e in row] for row in matrix])
     expected = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
     assert np.allclose(at_i, expected)
-    assert matrix_grid_unitarity(as_matrix_fn(matrix), 256) < 1e-13
+    assert matrix_grid_unitarity(lambda z: evaluate_rows(matrix, z), 256) < 1e-13
 
 
 def test_cqf_averaged_convention():
     matrix = cqf_complete(haar_pair()[0], convention="averaged")
-    assert matrix_grid_unitarity(as_matrix_fn(matrix), 128, scale=2.0) < 1e-13
+    assert matrix_grid_unitarity(lambda z: evaluate_rows(matrix, z), 128, scale=2.0) < 1e-13
 
 
 def test_power_sum_residuals():
@@ -177,7 +181,7 @@ def test_power_sum_residuals():
 # ---------------------------------------------------------------------------
 
 def test_banded_matrix_haar():
-    matrix = build_M_matrix(haar_pair(), 2)
+    matrix = MultibandMatrix(haar_pair(), 2)
     assert matrix_grid_unitarity(matrix.eval, 256) < 1e-13
     assert shift_relation_residual(matrix, 256) < 1e-13
 
@@ -189,14 +193,14 @@ def test_shift_relation_holds_for_any_filters():
         LaurentPoly.from_coefficients(0, rng.normal(size=2)),
         LaurentPoly.from_coefficients(1, rng.normal(size=3)),
     ]
-    matrix = build_M_matrix(junk, 3)
+    matrix = MultibandMatrix(junk, 3)
     assert shift_relation_residual(matrix, 64) < 1e-13
     assert matrix_grid_unitarity(matrix.eval, 64) > 0.1
 
 
 def test_coefficient_grid_equivalence():
     # zero coefficient residuals iff grid unitarity vanishes
-    good = build_M_matrix(haar_pair(), 2)
+    good = MultibandMatrix(haar_pair(), 2)
     assert cuntz_residuals(haar_pair(), 2).orthonormality == 0.0
     assert matrix_grid_unitarity(good.eval, 128) < 1e-12
 
@@ -215,8 +219,8 @@ def test_parseval_coefficients_vs_grid():
 
 def test_quotient_of_banks_is_band_periodic():
     s = 1 / np.sqrt(2)
-    bank_a = build_M_matrix(haar_pair(), 2)
-    bank_b = build_M_matrix([poly(s, s, start=1), poly(s, -s, start=1)], 2)
+    bank_a = MultibandMatrix(haar_pair(), 2)
+    bank_b = MultibandMatrix([poly(s, s, start=1), poly(s, -s, start=1)], 2)
     eps = -1.0
     worst = 0.0
     for z in unit_circle_grid(64):
@@ -248,6 +252,17 @@ def test_blaschke_validation():
         BlaschkeFactor(np.array([[0.5, 0.5], [0.0, 0.5]]), 0.0, 2)  # not a projection
     with pytest.raises(InputError):
         BlaschkeProduct(np.diag([2.0, 1.0]), ())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_blaschke_validation_fails_closed(bad):
+    with pytest.raises(InputError):
+        BlaschkeFactor(np.diag([1.0, bad]), 0.0, 2)
+    with pytest.raises(InputError):
+        BlaschkeFactor(np.diag([1.0, 0.0]), complex(bad, 0.0), 2)
+    with pytest.raises(InputError):
+        BlaschkeProduct(np.diag([1.0, bad]), ())
 
 
 def _random_projection(rng, n):
@@ -295,7 +310,7 @@ def test_loop_action_identity():
 def test_loop_action_substitution():
     p = np.diag([1.0, 0.0])
     u = blaschke_product([BlaschkeFactor(p, 0.0, 2)])  # diag(z^2, 1)
-    acted = loop_action_circle(lambda w: np.diag([w, 1.0]), u.eval, 2, n_grid=64)
+    acted = loop_action_circle(diag_w_one, u.eval, 2, n_grid=64)
     z = 0.77 * np.exp(1.1j)
     assert np.allclose(acted.eval(z), np.diag([z**4, 1.0]))
 
@@ -304,7 +319,7 @@ def test_loop_action_preserves_unitarity_and_warns():
     p = np.diag([1.0, 0.0])
     u = blaschke_product([BlaschkeFactor(p, 0.5, 2)])
     before = u.unitarity_residual(128)
-    acted = loop_action_circle(lambda w: np.diag([w, 1.0]), u.eval, 2, n_grid=128)
+    acted = loop_action_circle(diag_w_one, u.eval, 2, n_grid=128)
     after = matrix_grid_unitarity(acted.eval, 128)
     assert after <= before + 1e-13
     bad = loop_action_circle(lambda w: np.diag([2.0, 1.0]), u.eval, 2, n_grid=16)
@@ -315,3 +330,153 @@ def test_poly_json_roundtrip():
     p = LaurentPoly.from_coefficients(-2, [1 + 2j, 0.0, 3.5])
     back = LaurentPoly.from_json(p.to_json())
     assert back.distance(p) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# stacked grid scans against the per-point oracle
+# ---------------------------------------------------------------------------
+
+def assert_matches_oracle(got, want):
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (got, want)
+
+
+def random_filters(rng, n, min_degree, length):
+    return [
+        LaurentPoly.from_coefficients(
+            min_degree + j, rng.normal(size=length) + 1j * rng.normal(size=length)
+        )
+        for j in range(n)
+    ]
+
+
+def random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("min_degree", [-3, 0, 2])
+@pytest.mark.parametrize("n_grid", [1, 7, 129])
+def test_multiband_scans_match_oracle(n, min_degree, n_grid):
+    rng = np.random.default_rng(10 * n + min_degree + 1000 * n_grid)
+    delayed = [m * LaurentPoly.monomial(min_degree) for m in haar_pair()]
+    banks = [random_filters(rng, n, min_degree, 5)]
+    if n == 2:
+        banks.append(delayed)  # a bank, so its residuals are rounding noise
+    for filters in banks:
+        matrix = MultibandMatrix(filters, n)
+        point = lambda z: oracle.multiband_point(filters, n, z)
+        per_point = unitarity_residuals(matrix.eval, n_grid)
+        want = oracle.unitarity_points(point, n_grid)
+        assert per_point.shape == (n_grid,)
+        for got, ref in zip(per_point, want):
+            assert_matches_oracle(got, ref)
+        assert_matches_oracle(matrix_grid_unitarity(matrix.eval, n_grid), oracle.grid_unitarity(point, n_grid))
+        assert_matches_oracle(
+            shift_relation_residual(matrix, n_grid), oracle.shift_relation(filters, n, n_grid)
+        )
+
+
+@pytest.mark.parametrize("n_grid", [1, 9, 255])
+def test_cqf_scan_matches_oracle(n_grid):
+    rng = np.random.default_rng(n_grid)
+    m0 = LaurentPoly.from_coefficients(-2, rng.normal(size=5) + 1j * rng.normal(size=5))
+    for m in (m0, haar_pair()[0]):
+        rows = cqf_complete(m, convention="averaged")
+        got = matrix_grid_unitarity(lambda z: evaluate_rows(rows, z), n_grid, scale=2.0)
+        want = oracle.grid_unitarity(lambda z: oracle.rows_point(rows, z), n_grid, scale=2.0)
+        assert_matches_oracle(got, want)
+
+
+def blaschke_cases(rng, n, power):
+    """Products with a in {None, 0, inside, outside}, alone and together."""
+    params = (None, 0.0, 0.4 - 0.3j, 1.7 + 0.5j)
+    factors = [BlaschkeFactor(_random_projection(rng, n), a, power) for a in params]
+    v = random_unitary(rng, n)
+    return [blaschke_product([f]) for f in factors] + [blaschke_product(factors, left_unitary=v)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("power", [2, 3])
+@pytest.mark.parametrize("n_grid", [5, 63])
+def test_blaschke_scans_match_oracle(n, power, n_grid):
+    rng = np.random.default_rng(100 * n + 10 * power + n_grid)
+    for product in blaschke_cases(rng, n, power):
+        point = lambda z: oracle.blaschke_point(product, z)
+        assert_matches_oracle(product.unitarity_residual(n_grid), oracle.grid_unitarity(point, n_grid))
+        # at band = power the product is periodic; at another band it is not
+        for band in (power, power + 1):
+            assert_matches_oracle(
+                product.periodicity_residual(band, n_grid),
+                oracle.periodicity(product, band, n_grid),
+            )
+
+
+@pytest.mark.parametrize("band", [2, 3])
+@pytest.mark.parametrize("n_grid", [3, 65])
+def test_loop_action_matches_oracle(band, n_grid):
+    rng = np.random.default_rng(band + n_grid)
+    g, u = blaschke_cases(rng, 2, 2)[-1], blaschke_cases(rng, 2, band)[-1]
+    skewed = blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)], np.eye(2))
+    stretch = np.diag([2.0, 1.0])  # makes G non-unitary
+    cases = [
+        (g.eval, lambda w: oracle.blaschke_point(g, w)),
+        (lambda w: stretch @ skewed.eval(w), lambda w: stretch @ oracle.blaschke_point(skewed, w)),
+    ]
+    for g_eval, g_point in cases:
+        acted = loop_action_circle(g_eval, u.eval, band, n_grid=n_grid)
+        g_want = oracle.loop_g_unitarity(g_point, band, n_grid)
+        assert_matches_oracle(acted.g_unitarity_residual, g_want)
+        assert acted.non_unitary_warning == (g_want > 1e-12)
+        point = lambda z: g_point(z**band) @ oracle.blaschke_point(u, z)
+        assert_matches_oracle(
+            matrix_grid_unitarity(acted.eval, n_grid), oracle.grid_unitarity(point, n_grid)
+        )
+
+
+def test_scalar_z_gives_one_matrix():
+    rng = np.random.default_rng(8)
+    z = np.exp(0.61j)
+    grid = unit_circle_grid(6)
+    filters = random_filters(rng, 3, -1, 4)
+    matrix = MultibandMatrix(filters, 3)
+    rows = cqf_complete(filters[0])
+    product = blaschke_cases(rng, 3, 2)[-1]
+    factor = product.factors[2]
+    acted = loop_action_circle(product.eval, product.eval, 2, n_grid=8)
+    evaluators = [
+        (matrix.eval, lambda p: oracle.multiband_point(filters, 3, p)),
+        (lambda p: evaluate_rows(rows, p), lambda p: oracle.rows_point(rows, p)),
+        (product.eval, lambda p: oracle.blaschke_point(product, p)),
+        (factor.eval, lambda p: oracle.blaschke_point(blaschke_product([factor]), p)),
+        (acted.eval, lambda p: oracle.blaschke_point(product, p**2) @ oracle.blaschke_point(product, p)),
+    ]
+    for evaluate, point in evaluators:
+        one = evaluate(z)
+        assert one.shape == point(z).shape and one.ndim == 2
+        assert np.allclose(one, point(z), rtol=1e-13, atol=1e-13)
+        stack = evaluate(grid)
+        assert stack.shape == grid.shape + one.shape
+        for k, p in enumerate(grid):
+            assert np.allclose(stack[k], point(p), rtol=1e-13, atol=1e-13)
+    # a grid of any shape gives a stack of that shape
+    assert product.eval(grid.reshape(2, 3)).shape == (2, 3, 3, 3)
+    assert blaschke_product([], left_unitary=np.eye(2)).eval(grid).shape == (6, 2, 2)
+
+
+def test_nan_entry_gives_nan_residual():
+    s = 1 / np.sqrt(2)
+    nan_bank = [poly(s, s, np.nan), poly(s, -s)]  # a NaN tap is kept, not pruned
+    matrix = MultibandMatrix(nan_bank, 2)
+    assert np.isnan(matrix_grid_unitarity(matrix.eval, 16))
+    assert np.isnan(shift_relation_residual(matrix, 16))
+    assert np.isnan(oracle.grid_unitarity(lambda z: oracle.multiband_point(nan_bank, 2, z), 16))
+    assert np.isnan(cuntz_residuals(nan_bank, 2).orthonormality)
+    # one NaN point among finite ones
+    stack = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
+    stack[5, 1, 0] = np.nan
+    per_point = grid_residuals(stack - np.eye(2))
+    assert np.isnan(per_point[5]) and np.all(per_point[np.arange(8) != 5] == 0.0)
+    assert np.isnan(matrix_grid_unitarity(lambda z: stack, 8))
+    nan_g = loop_action_circle(lambda w: stack, lambda z: np.eye(2), 2, n_grid=8)
+    assert np.isnan(nan_g.g_unitarity_residual) and nan_g.non_unitary_warning

@@ -5,8 +5,16 @@ import sys
 import numpy as np
 
 from wavelab import jsonio
-from wavelab.cli import run
-from wavelab.circle_filters import BlaschkeFactor, LaurentPoly, blaschke_product, haar_pair
+from wavelab.cli import _all_below, run
+from wavelab.circle_filters import (
+    BlaschkeFactor,
+    LaurentPoly,
+    MultibandMatrix,
+    blaschke_product,
+    haar_pair,
+    unit_circle_grid,
+    unitarity_residuals,
+)
 from wavelab.classic_mra import d4_taps, haar_taps
 from wavelab.code_space import CylinderFn, IfsSpec
 from wavelab.examples_geometry import sierpinski_ifs
@@ -197,6 +205,64 @@ def test_circle_blaschke_and_loop(tmp_path, capsys):
     )
     assert code == 0
     assert result["results"]["non_unitary_warning"] is False
+
+
+def test_circle_csv_holds_the_per_point_residuals(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    filters = [LaurentPoly.from_coefficients(-1, rng.normal(size=3)) for _ in range(2)]
+    path = write(tmp_path / "junk.json", [m.to_json() for m in filters])
+    csv_path = tmp_path / "grid.csv"
+    code, result = run_json(
+        capsys,
+        ["circle", "matrix", "--filters", path, "--N", "2", "--grid", "9", "--csv", str(csv_path)],
+    )
+    assert code == 1
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    grid = unit_circle_grid(9)
+    want = unitarity_residuals(MultibandMatrix(filters, 2).eval, 9)
+    assert [float(a) for a, _ in rows] == [float(np.angle(z)) for z in grid]
+    assert [float(r) for _, r in rows] == want.tolist()
+    assert max(want) == result["residuals"]["grid_unitarity"]
+
+
+def test_verdict_is_false_on_any_nan():
+    nan = float("nan")
+    # max(0.0, nan) is 0.0, so the former max(a, b) < tol passed here
+    assert not _all_below(1.0, 0.0, nan)
+    assert not _all_below(1.0, nan, 0.0)
+    assert _all_below(1.0, 0.0, 0.5) and not _all_below(1.0, 0.0, 1.0)
+
+
+def _nan_blaschke(tmp_path, key):
+    obj = blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)]).to_json()
+    if key == "P":
+        obj["factors"][0]["P"][0][1][0] = float("nan")
+    else:
+        obj["V"][1][1][1] = float("nan")
+    return write(tmp_path / f"nan_{key}.json", obj)
+
+
+def test_circle_blaschke_fails_closed_on_nan(tmp_path, capsys):
+    for key in ("P", "V"):
+        path = _nan_blaschke(tmp_path, key)
+        for argv in (
+            ["circle", "blaschke", "--factors", path],
+            ["circle", "loop-act", "--g-factors", path, "--u-factors", path, "--N", "2"],
+        ):
+            code = run(argv)
+            out = capsys.readouterr().out
+            assert code in (1, 2) and '"pass": true' not in out, (key, argv)
+
+
+def test_circle_matrix_and_verify_fail_closed_on_nan_tap(tmp_path, capsys):
+    # without the NaN tap this is the Haar bank, which passes both commands
+    s = 1 / np.sqrt(2)
+    filters = [LaurentPoly.from_coefficients(0, [s, s, np.nan]), haar_pair()[1]]
+    path = write(tmp_path / "nan.json", {"filters": [m.to_json() for m in filters]})
+    for argv in (["circle", "matrix"], ["circle", "verify"]):
+        code = run(argv + ["--filters", path, "--N", "2"])
+        out = capsys.readouterr().out
+        assert code in (1, 2) and '"pass": true' not in out, argv
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Golden default-JSON output of the six ``ifs`` subcommands.
+"""Golden default-JSON output of the ``ifs``, ``circle verify`` and ``rkhs``
+subcommands.
 
 Each case runs one subcommand without ``--timing`` on small canonical
-inputs and compares exit code and stdout byte for byte with
-``golden/ifs_default.json``.  The inputs use exact values (small dyadic
+inputs and compares exit code and stdout byte for byte with a file in
+``golden/``: ``ifs_default.json`` for the six ``ifs`` subcommands and
+``circle_rkhs_default.json`` for ``circle verify``, ``rkhs check`` and
+``rkhs product-kernel``.  The inputs use exact values (small dyadic
 fractions, 0, +-1, +-i and 1/sqrt(2)), so they are the same on every
-platform.  To rewrite the golden file after a deliberate output change,
+platform.  To rewrite the golden files after a deliberate output change,
 run ``PYTHONPATH=src python tests/test_golden_cli.py`` and say why in
 CHANGES.md.
 """
@@ -29,7 +32,7 @@ from wavelab.ifs_filters import (
     build_roots_of_unity,
 )
 
-GOLDEN = Path(__file__).parent / "golden" / "ifs_default.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 S = 1.0 / np.sqrt(2.0)
 
@@ -56,7 +59,7 @@ def _field2(spec: IfsSpec) -> MatrixField:
     )
 
 
-def _inputs() -> dict:
+def _ifs_inputs() -> dict:
     w2 = IfsSpec(2, (0.25, 0.75))
     u2, u3 = IfsSpec(2), IfsSpec(3)
     nan_vals = np.array([np.nan, 0.0])
@@ -87,7 +90,7 @@ def _inputs() -> dict:
     }
 
 
-CASES = {
+IFS_CASES = {
     "build indicator weighted": [
         "ifs", "build-filter", "--kind", "indicator", "--N", "2",
         "--weights", "0.25,0.75", "--depth", "3",
@@ -123,9 +126,120 @@ CASES = {
 }
 
 
-def run_case(argv: list[str], directory: Path) -> dict:
+def _laurent(min_degree: int, coeffs) -> dict:
+    return {"min_degree": min_degree, "coeffs": jsonio.encode_cvector(coeffs)}
+
+
+def _circle_rkhs_inputs() -> dict:
+    roots4 = np.array([1, -1, 1j, -1j])
+    haar = np.array([(1 + roots4) / 2, (1 - roots4) / 2])  # unit-sum Haar values
+    sigma = [0, 0, 1, 1]  # z -> z**2 on the 4th roots of unity
+    # product of the Haar Gram sums along sigma-orbits, 3 terms, plain numpy
+    kernel = np.ones((4, 4), dtype=complex)
+    idx = np.arange(4)
+    for _ in range(3):
+        v = haar[:, idx]
+        kernel = kernel * (v.T @ v.conj())
+        idx = np.array(sigma)[idx]
+    return {
+        "haar": {"filters": [_laurent(0, [S, S]), _laurent(0, [S, -S])]},
+        "haar_list": [_laurent(0, [S, S]), _laurent(0, [S, -S])],
+        "haar_unit": [_laurent(0, [0.5, 0.5]), _laurent(-2, [-0.5, 0.5])],
+        "delayed": [_laurent(1, [S, S]), _laurent(1, [S, -S])],
+        "phased": [_laurent(-1, [0.5j, 0.5j]), _laurent(-1, [0.5, -0.5])],
+        "monomials3": [_laurent(-1, [1]), _laurent(0, [1]), _laurent(1, [1])],
+        "shift3": [_laurent(0, [1, 0, 0]), _laurent(2, [-1j]), _laurent(4, [1])],
+        "broken": [_laurent(0, [0.5, 0.5]), _laurent(0, [0.5, -0.5])],
+        "skewed": [_laurent(-1, [0.375 + 0.625j, 0.25, -0.125j]), _laurent(0, [0.5, -0.75 + 0.5j])],
+        "short": [_laurent(0, [S, S])],
+        "bare_numbers": [
+            {"min_degree": 0, "coeffs": [S, S]},
+            {"min_degree": 0, "coeffs": [[S, 0], [-S, 0.0]]},
+        ],
+        "int_pairs": [
+            {"min_degree": -1, "coeffs": [[1, 0]]},
+            {"min_degree": 0, "coeffs": [[0, 1], [0, False]]},
+        ],
+        "triple": [{"min_degree": 0, "coeffs": [[S, 0, 0], [S, 0]]}],
+        "word": [{"min_degree": 0, "coeffs": ["half", [S, 0]]}],
+        "points": {"points": jsonio.encode_cvector(roots4), "sigma": sigma},
+        "points_cycle": {"points": jsonio.encode_cvector(roots4), "sigma": [1, 0, 3, 2]},
+        "haar_values": {"filters": [jsonio.encode_cvector(m) for m in haar]},
+        "one_filter": {"filters": [jsonio.encode_cvector(haar[0])]},
+        "kernel": {"matrix": jsonio.encode_cmatrix(kernel)},
+        "kernel_eye": {"matrix": jsonio.encode_cmatrix(np.eye(4))},
+        "kernel_ragged": {"matrix": jsonio.encode_cmatrix(np.eye(4))[:3] + [[[1, 0]]]},
+    }
+
+
+CIRCLE_RKHS_CASES = {
+    "circle verify haar": ["circle", "verify", "--filters", "{haar}", "--N", "2"],
+    "circle verify haar list": ["circle", "verify", "--filters", "{haar_list}", "--N", "2"],
+    "circle verify unit-sum": [
+        "circle", "verify", "--filters", "{haar_unit}", "--N", "2", "--convention", "unit-sum",
+    ],
+    "circle verify unit-sum as averaged": [
+        "circle", "verify", "--filters", "{haar_unit}", "--N", "2",
+    ],
+    "circle verify delayed": ["circle", "verify", "--filters", "{delayed}", "--N", "2"],
+    "circle verify phased": ["circle", "verify", "--filters", "{phased}", "--N", "2"],
+    "circle verify monomials N=3": ["circle", "verify", "--filters", "{monomials3}", "--N", "3"],
+    "circle verify shifts N=3": ["circle", "verify", "--filters", "{shift3}", "--N", "3"],
+    "circle verify broken": ["circle", "verify", "--filters", "{broken}", "--N", "2"],
+    "circle verify skewed N=2": ["circle", "verify", "--filters", "{skewed}", "--N", "2"],
+    "circle verify skewed N=3": [
+        "circle", "verify", "--filters", "{skewed}", "--N", "3", "--convention", "unit-sum",
+    ],
+    "circle verify short": ["circle", "verify", "--filters", "{short}", "--N", "2"],
+    "circle verify bare numbers": ["circle", "verify", "--filters", "{bare_numbers}", "--N", "2"],
+    "circle verify int pairs": ["circle", "verify", "--filters", "{int_pairs}", "--N", "2"],
+    "circle verify 3-element row": ["circle", "verify", "--filters", "{triple}", "--N", "2"],
+    "circle verify word": ["circle", "verify", "--filters", "{word}", "--N", "2"],
+    "rkhs check product kernel": [
+        "rkhs", "check", "--points", "{points}", "--kernel", "{kernel}",
+        "--filters", "{haar_values}",
+    ],
+    "rkhs check preimage": [
+        "rkhs", "check", "--points", "{points}", "--kernel", "{kernel}",
+        "--filters", "{haar_values}", "--require-preimage",
+    ],
+    "rkhs check identity kernel": [
+        "rkhs", "check", "--points", "{points}", "--kernel", "{kernel_eye}",
+        "--filters", "{haar_values}",
+    ],
+    "rkhs check cycle": [
+        "rkhs", "check", "--points", "{points_cycle}", "--kernel", "{kernel}",
+        "--filters", "{haar_values}",
+    ],
+    "rkhs check ragged kernel": [
+        "rkhs", "check", "--points", "{points}", "--kernel", "{kernel_ragged}",
+        "--filters", "{haar_values}",
+    ],
+    "rkhs product 3 terms": [
+        "rkhs", "product-kernel", "--points", "{points}", "--filters", "{haar_values}",
+        "--terms", "3",
+    ],
+    "rkhs product 30 terms": [
+        "rkhs", "product-kernel", "--points", "{points}", "--filters", "{haar_values}",
+    ],
+    "rkhs product one filter": [
+        "rkhs", "product-kernel", "--points", "{points}", "--filters", "{one_filter}",
+        "--terms", "4",
+    ],
+    "rkhs product cycle": [
+        "rkhs", "product-kernel", "--points", "{points_cycle}", "--filters", "{haar_values}",
+    ],
+}
+
+SUITES = {
+    "ifs_default": (IFS_CASES, _ifs_inputs),
+    "circle_rkhs_default": (CIRCLE_RKHS_CASES, _circle_rkhs_inputs),
+}
+
+
+def run_case(argv: list[str], directory: Path, inputs: dict) -> dict:
     files = {}
-    for name, obj in _inputs().items():
+    for name, obj in inputs.items():
         files[name] = str(directory / f"{name}.json")
         jsonio.dump_file(files[name], obj)
     buf = StringIO()
@@ -134,14 +248,23 @@ def run_case(argv: list[str], directory: Path) -> dict:
     return {"code": code, "stdout": buf.getvalue()}
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def _golden(suite: str) -> dict:
+    return json.loads((GOLDEN_DIR / f"{suite}.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(IFS_CASES))
 def test_ifs_default_output_is_golden(name, tmp_path):
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert run_case(CASES[name], tmp_path) == golden[name]
+    assert run_case(IFS_CASES[name], tmp_path, _ifs_inputs()) == _golden("ifs_default")[name]
+
+
+@pytest.mark.parametrize("name", sorted(CIRCLE_RKHS_CASES))
+def test_circle_rkhs_default_output_is_golden(name, tmp_path):
+    got = run_case(CIRCLE_RKHS_CASES[name], tmp_path, _circle_rkhs_inputs())
+    assert got == _golden("circle_rkhs_default")[name]
 
 
 def test_golden_covers_every_ifs_subcommand():
-    assert {argv[1] for argv in CASES.values()} == {
+    assert {argv[1] for argv in IFS_CASES.values()} == {
         "build-filter", "verify-filter", "connect", "apply-unitary", "decompose", "endo-check",
     }
 
@@ -149,8 +272,10 @@ def test_golden_covers_every_ifs_subcommand():
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        out = {name: run_case(argv, Path(tmp)) for name, argv in sorted(CASES.items())}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    sys.stdout.write(f"wrote {len(out)} cases to {GOLDEN}\n")
+    for suite, (cases, inputs) in SUITES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            out = {name: run_case(argv, Path(tmp), inputs()) for name, argv in sorted(cases.items())}
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        path = GOLDEN_DIR / f"{suite}.json"
+        path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        sys.stdout.write(f"wrote {len(out)} cases to {path}\n")
