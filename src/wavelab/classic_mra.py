@@ -72,6 +72,15 @@ def _refine(values: np.ndarray, out_len: int, taps: np.ndarray, n: int, res: int
     return out
 
 
+def _tail_bound(d: Sequence[float]) -> float:
+    """d_j r / (1 - r), r = d_j / d_(j-1): the distance left if the ratio holds;
+    d_j after one step or at an exact fixed point, inf for r >= 1, NaN for no step."""
+    if len(d) < 2 or d[-1] == 0.0:
+        return d[-1] if d else float("nan")
+    r = d[-1] / d[-2]
+    return d[-1] * r / (1.0 - r) if r < 1.0 else float("inf")
+
+
 def cascade(
     taps: Sequence[complex],
     dilation: int = 2,
@@ -85,12 +94,15 @@ def cascade(
     (otherwise no integrable fixed point with unit mass exists).  The
     iteration stops early at an exact fixed point, and flags divergence
     when the sup-difference grows for DIVERGENCE_RUN consecutive steps.
+    It has converged when the geometric tail bound d_j r / (1 - r), with
+    r = d_j / d_(j-1) the last ratio of sup-differences, is below tol.
 
     The box seed sets a floor on the rate: only c_0 reaches x = 0, so
     samples[0] after j steps is (sqrt(N) c_0)^j and
     sup_diffs[j - 1] >= |sqrt(N) c_0|^(j - 1) |1 - sqrt(N) c_0|.  For D4,
     sqrt(2) c_0 = (1 + sqrt 3) / 4 ~ 2^-0.55, so the default 20 iterations
-    leave a sup-difference of about 4.5e-4 and tol = 1e-6 needs about 37.
+    leave a sup-difference of about 4.5e-4, and tol = 1e-6 needs 39 steps
+    (tail bound 7.0e-7; 1.5e-6 at 37 steps, where the true error is 1.5e-6).
     """
     taps = np.asarray(taps, dtype=complex)
     n = int(dilation)
@@ -112,13 +124,11 @@ def cascade(
     sup_diffs: list[float] = []
     growing = 0
     diverged = False
-    done = 0
-    for it in range(iterations):
+    for _ in range(iterations):
         nxt = _refine(phi, out_len, taps, n, resolution)
         diff = float(np.max(np.abs(nxt - phi)))
         sup_diffs.append(diff)
         phi = nxt
-        done = it + 1
         if diff == 0.0:
             break
         if len(sup_diffs) > 1 and diff > sup_diffs[-2]:
@@ -128,14 +138,14 @@ def cascade(
                 break
         else:
             growing = 0
-    converged = bool(sup_diffs and sup_diffs[-1] < tol and not diverged)
+    converged = not diverged and _tail_bound(sup_diffs) < tol
     phi.setflags(write=False)
     return ScalingProfile(
         taps=taps,
         dilation=n,
         resolution=resolution,
         samples=phi,
-        iterations=done,
+        iterations=len(sup_diffs),
         sup_diffs=tuple(sup_diffs),
         converged=converged,
         diverged=diverged,
@@ -251,13 +261,10 @@ def shift_orthonormality(profile: ScalingProfile) -> tuple[np.ndarray, float]:
     g = shift_autocorrelation(profile)
     k = g.shape[0] - 1
     size = 2 * k + 1
-    gram = np.zeros((size, size), dtype=complex)
-    for a in range(size):
-        for b in range(size):
-            m = a - b
-            if abs(m) > k:
-                continue  # shifts further apart than the support: no overlap
-            gram[a, b] = g[m] if m >= 0 else np.conj(g[-m])
+    # g at the lags a - b = -2k..2k; shifts further apart than the support do not overlap
+    zeros = np.zeros(k, dtype=complex)
+    by_lag = np.concatenate((zeros, np.conj(g[:0:-1]), g, zeros))
+    gram = by_lag[np.subtract.outer(np.arange(size), np.arange(size)) + 2 * k]
     deviation = float(np.max(np.abs(gram - np.eye(size))))
     return gram, deviation
 

@@ -67,10 +67,7 @@ def logistic_invariance(max_degree: int = 8, nodes: int = 64) -> float:
     rule = ChebyshevRule(nodes)
     x = rule.nodes()
     s = 4.0 * x * (1.0 - x)
-    worst = 0.0
-    for k in range(max_degree + 1):
-        worst = max(worst, abs(np.mean(s**k) - np.mean(x**k)))
-    return float(worst)
+    return float(max(abs(np.mean(s**k) - np.mean(x**k)) for k in range(max_degree + 1)))
 
 
 @dataclass(frozen=True)
@@ -247,19 +244,29 @@ def chaos_game(
     if seed is None:
         raise InputError("a seed is required; there is no entropy default")
     rng = np.random.default_rng(int(seed))
-    picks = rng.choice(ifs.branch_count, size=samples + burn_in, p=ifs.weights)
-    inv = ifs.inverse_matrix().tolist()
-    shifts = [(ifs.inverse_matrix() @ b).tolist() for b in ifs.digits.astype(float)]
-    d = ifs.dimension
-    out = np.empty((samples, d))
-    x = [0.0] * d
-    rows = range(d)
-    for i, pick in enumerate(picks):
-        sh = shifts[pick]
-        x = [sum(inv[r][c] * x[c] for c in rows) + sh[r] for r in rows]
-        if i >= burn_in:
-            out[i - burn_in] = x
-    return out
+    inv = ifs.inverse_matrix()
+    shifts = ifs.digits.astype(float) @ inv.T
+    x = shifts[rng.choice(ifs.branch_count, size=samples + burn_in, p=ifs.weights)]
+    _affine_scan(x, inv)
+    return x[burn_in:]
+
+
+def _affine_scan(x: np.ndarray, m: np.ndarray) -> int:
+    """Turn rows s_i of x into x_i = M x_{i-1} + s_i = sum_k M^k s_{i-k} in place.
+
+    Pass j adds M^j times the row j back, so every row then holds its last
+    2j terms.  The passes stop when every row holds all its terms, or when
+    the max-abs row sum of the actual power M^j (not a bound from the
+    spectrum: a non-normal M can grow first) is at most eps/2, so that a
+    further pass would move no value by more than half an ulp of the
+    largest coordinate.  Returns the number of passes.
+    """
+    power, j, passes = m, 1, 0
+    while j < x.shape[0] and np.max(np.sum(np.abs(power), axis=1)) > np.finfo(float).eps / 2:
+        # einsum, not @: matmul on a tall (n, d) block is an order slower here
+        x[j:] += np.einsum("nc,rc->nr", x[:-j], power)
+        power, j, passes = power @ power, 2 * j, passes + 1
+    return passes
 
 
 @dataclass(frozen=True)
@@ -342,14 +349,8 @@ def strong_invariance_check(
             (r, s) for r in range(ifs.dimension) for s in range(r, ifs.dimension)
         ]
     for mono in monomials:
-        def evaluate(arr: np.ndarray) -> np.ndarray:
-            out = np.ones(arr.shape[0])
-            for axis in mono:
-                out = out * arr[:, axis]
-            return out
-
-        diff = evaluate(pts) - sum(
-            p[n] * evaluate(branch_pts[n]) for n in range(ifs.branch_count)
+        diff = math.prod(pts[:, a] for a in mono) - sum(
+            p[n] * math.prod(branch_pts[n][:, a] for a in mono) for n in range(ifs.branch_count)
         )
         stat, z = _z_score(diff, 0.0)
         name = "self_similarity[" + ",".join(str(a) for a in mono) + "]"

@@ -26,10 +26,12 @@ def encode_complex(z: complex) -> list[float]:
 def decode_complex(obj: Any) -> complex:
     if isinstance(obj, (int, float)):
         return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+    # numbers only: float() would also read the string "1.5"
+    numbers = isinstance(obj, (list, tuple)) and all(isinstance(v, (int, float)) for v in obj)
+    if numbers and len(obj) == 2:
         try:
             return complex(float(obj[0]), float(obj[1]))
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             pass
     raise InputError(f"expected [re, im] pair, got {obj!r}")
 

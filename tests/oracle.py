@@ -6,11 +6,14 @@ independent of the array indexing used by the package.  The two
 probe-block checks are the exception: they are the package's former
 filter-bank residuals, which test every indicator probe of a given
 depth, kept as the judge of the per-tail closed forms.  The circle grid
-scans at the end are likewise the package's former per-point loops, kept
-as the judge of the stacked evaluators; they reduce with ``np.max`` so
-that a NaN point gives a NaN residual.
+scans are likewise the package's former per-point loops, kept as the
+judge of the stacked evaluators; they reduce with ``np.max`` so that a NaN
+point gives a NaN residual.  At the end, the chaos-game loop and the
+row-by-row ``csv`` reader and writer are the package's former code, kept
+as the judge of the prefix scan and of the one-call CSV reader and writer.
 """
 
+import csv
 import itertools
 from fractions import Fraction
 from math import prod
@@ -20,6 +23,7 @@ import numpy as np
 from wavelab import code_space as cs
 from wavelab.circle_filters import unit_circle_grid
 from wavelab.code_space import CylinderFn, Word
+from wavelab.examples_geometry import CHAOS_BURN_IN
 
 
 def words(n: int, length: int):
@@ -251,3 +255,49 @@ def periodicity(product, band: int, n_grid: int) -> float:
 def loop_g_unitarity(g_point, band: int, n_grid: int) -> float:
     """Unitarity of G at the band-th powers of the grid."""
     return grid_unitarity(lambda z: g_point(z**band), n_grid)
+
+
+# ---------------------------------------------------------------------------
+# chaos game and CSV files, one sample and one row at a time
+# ---------------------------------------------------------------------------
+
+
+def chaos_game_loop(ifs, samples: int, seed: int, burn_in: int = CHAOS_BURN_IN) -> np.ndarray:
+    """x <- A^-1 x + A^-1 b_pick, one random branch per step (Barnsley)."""
+    rng = np.random.default_rng(int(seed))
+    picks = rng.choice(ifs.branch_count, size=samples + burn_in, p=ifs.weights)
+    inv = ifs.inverse_matrix().tolist()
+    shifts = [(ifs.inverse_matrix() @ b).tolist() for b in ifs.digits.astype(float)]
+    d = ifs.dimension
+    out = np.empty((samples, d))
+    x = [0.0] * d
+    rows = range(d)
+    for i, pick in enumerate(picks):
+        sh = shifts[pick]
+        x = [sum(inv[r][c] * x[c] for c in rows) + sh[r] for r in rows]
+        if i >= burn_in:
+            out[i - burn_in] = x
+    return out
+
+
+def read_signal_rows(path: str) -> np.ndarray:
+    """re[,im] per row through csv.reader and complex(); blank rows skipped."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for row in csv.reader(fh):
+            if not row:
+                continue
+            re_part = float(row[0])
+            im_part = float(row[1]) if len(row) > 1 else 0.0
+            values.append(complex(re_part, im_part))
+    return np.array(values, dtype=complex)
+
+
+def write_rows(path: str, header, rows) -> None:
+    """csv.writer, one row of f"{v:.17g}" fields at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        if header:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" for v in row])

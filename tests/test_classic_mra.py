@@ -4,6 +4,7 @@ import pytest
 import oracle
 from wavelab.circle_filters import LaurentPoly, cuntz_residuals
 from wavelab.classic_mra import (
+    _tail_bound,
     cascade,
     d4_taps,
     detail_taps,
@@ -77,6 +78,33 @@ def test_cascade_flags_divergence():
     taps = taps / taps.sum() * np.sqrt(2)
     profile = cascade(taps, 2, 60, 128)
     assert profile.diverged and not profile.converged
+
+
+def test_converged_needs_the_tail_bound_below_tol():
+    # D4 contracts at r ~ 0.683, so the distance left is ~2.15 times the last
+    # difference: 37 steps leave 6.9e-7 (bound 1.50e-6), 40 steps 2.2e-7 (4.8e-7)
+    exact = oracle.dyadic_values(d4_taps(), 2, 1024)
+    short = cascade(d4_taps(), 2, 37, 1024, tol=1e-6)
+    assert short.last_sup_diff < 1e-6 and not short.converged
+    assert np.max(np.abs(short.samples - exact)) > 1e-6
+    full = cascade(d4_taps(), 2, 40, 1024, tol=1e-6)
+    assert full.converged
+    assert np.max(np.abs(full.samples - exact)) < 1e-6
+    # Haar reaches an exact fixed point in one step: d = 0 keeps d < tol
+    assert cascade(haar_taps(), 2, 20, 64, tol=1e-6).converged
+    # one step has no ratio: d < tol alone decides
+    one = cascade(d4_taps(), 2, 1, 64, tol=1.0)
+    assert one.converged == (one.sup_diffs[0] < 1.0)
+
+
+def test_tail_bound_cases():
+    assert _tail_bound(()) != _tail_bound(())  # NaN: no step, no verdict
+    assert _tail_bound((0.5,)) == 0.5
+    assert _tail_bound((0.5, 0.0)) == 0.0
+    assert _tail_bound((0.4, 0.1)) == pytest.approx(0.1 * 0.25 / 0.75)
+    assert _tail_bound((0.1, 0.1)) == np.inf  # r >= 1 never converges
+    assert _tail_bound((0.1, 0.2)) == np.inf
+    assert not _tail_bound((0.1, np.nan)) < 1.0
 
 
 def test_box_seed_floor_on_sup_diffs():

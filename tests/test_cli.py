@@ -3,8 +3,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+import oracle
 from wavelab import jsonio
+from wavelab import cli
 from wavelab.cli import _all_below, run
 from wavelab.circle_filters import (
     BlaschkeFactor,
@@ -15,9 +18,9 @@ from wavelab.circle_filters import (
     unit_circle_grid,
     unitarity_residuals,
 )
-from wavelab.classic_mra import d4_taps, haar_taps
+from wavelab.classic_mra import cascade, d4_taps, detail_taps, haar_taps, wavelet_detail
 from wavelab.code_space import CylinderFn, IfsSpec
-from wavelab.examples_geometry import sierpinski_ifs
+from wavelab.examples_geometry import chaos_game, sierpinski_ifs
 from wavelab.ifs_filters import build_indicator
 from wavelab.rkhs_kernels import FinitePointSet, szego_kernel
 
@@ -322,6 +325,148 @@ def test_mra_filterbank(tmp_path, capsys):
     assert code == 0
     assert result["residuals"]["perfect_reconstruction"] < 1e-10
     assert result["residuals"]["energy"] < 1e-10
+
+
+def _d4_bank(tmp_path, scale_detail: float = 1.0) -> str:
+    d = d4_taps()
+    return write(
+        tmp_path / "bank.json",
+        {
+            "analysis": [jsonio.encode_cvector(d), jsonio.encode_cvector(scale_detail * detail_taps(d))],
+            "synthesis": [jsonio.encode_cvector(d), jsonio.encode_cvector(detail_taps(d))],
+        },
+    )
+
+
+def _signal_file(path, values) -> str:
+    path.write_text("".join(f"{z.real!r},{z.imag!r}\n" for z in np.asarray(values).tolist()))
+    return str(path)
+
+
+def test_mra_filterbank_verdict_scales_with_the_signal(tmp_path, capsys):
+    tone = 1e4 * np.exp(2j * np.pi * np.arange(2**12) * 0.01)
+    loud = _signal_file(tmp_path / "loud.csv", tone)
+    code, result = run_json(capsys, ["mra", "filterbank", "--signal", loud, "--taps", _d4_bank(tmp_path)])
+    # rounding alone puts the energy gap above the default 1e-10 ...
+    assert result["residuals"]["energy"] > 1e-10
+    # ... but far below 1e-10 of the signal's energy
+    assert code == 0 and result["pass"] is True
+
+
+def test_mra_filterbank_still_fails_a_broken_bank_or_nan(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=2**12) + 1j * rng.normal(size=2**12)
+    signal = _signal_file(tmp_path / "x.csv", x)
+    scaled = _d4_bank(tmp_path, 1.01)
+    code, result = run_json(capsys, ["mra", "filterbank", "--signal", signal, "--taps", scaled])
+    assert code == 1 and result["residuals"]["perfect_reconstruction"] > 1e-3
+    x[17] = np.nan
+    signal = _signal_file(tmp_path / "nan.csv", x)
+    code, result = run_json(capsys, ["mra", "filterbank", "--signal", signal, "--taps", _d4_bank(tmp_path)])
+    assert code == 1 and result["pass"] is False
+
+
+SIGNAL_FIXTURES = {
+    "blank lines": "\n1.5,-2\n\n\n0.25,3\n\n",
+    "one column": "1.5\n-0\n2.75\n",
+    "three columns": "1,2,3\n4,5,6\n",
+    "spaces after commas": "1.5, -2\n 0.25 , 3e-300\n",
+    "crlf": "1.5,-2\r\n0.1,0.2\r\n\r\n-0.0,5e-324\r\n",
+    "nan and inf": "nan,inf\n-inf,NaN\nInfinity,-0.0\n",
+    "quoted": '"1.5","-2"\n0.5,1\n',
+    "17 digits": "0.10000000000000001,-0.29999999999999999\n1.7976931348623157e308,2.2250738585072014e-308\n",
+}
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and a.view(np.uint64).tobytes() == b.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SIGNAL_FIXTURES))
+def test_read_signal_csv_matches_row_reader(name, tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes(SIGNAL_FIXTURES[name].encode("utf-8"))
+    assert _same_bits(cli._read_signal_csv(str(path)), oracle.read_signal_rows(str(path)))
+
+
+@pytest.mark.parametrize(
+    "text", ["", "\n\n", "1,2\n3\n", "1\n2,3\n", "1,2\nabc,4\n", "#1,2\n"],
+    ids=["empty", "blank", "ragged", "ragged widening", "word", "comment"],
+)
+def test_bad_signal_csv_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    taps = write(tmp_path / "bank.json", {"analysis": [jsonio.encode_cvector(haar_taps())] * 2})
+    assert run(["mra", "filterbank", "--signal", str(path), "--taps", taps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(path) in captured.err
+
+
+def test_signal_csv_reads_back_bit_exactly(tmp_path):
+    rng = np.random.default_rng(9)
+    values = rng.normal(size=3 * cli._CSV_CHUNK_ROWS // 2) * 10.0 ** rng.integers(-300, 300, size=1)
+    values = values + 1j * rng.normal(size=values.shape[0])
+    values[:6] = [complex(-0.0, np.inf), complex(np.nan, -0.0), 5e-324, -1.7976931348623157e308, 0.1, 1j]
+    path = tmp_path / "x.csv"
+    cli._write_csv(str(path), (), values.real, values.imag)
+    assert path.read_bytes().count(b"\r\n") == values.shape[0]
+    back = cli._read_signal_csv(str(path))
+    assert _same_bits(back[6:], values[6:])
+    assert np.array_equal(back[:6], values[:6], equal_nan=True)
+    assert np.signbit(back[0].real) and np.signbit(back[1].imag)
+
+
+def _artifacts():
+    """Every artifact writer, and the csv.writer rows it replaced."""
+    rng = np.random.default_rng(4)
+    signal = rng.normal(size=40) + 1j * rng.normal(size=40)
+    signal[:3] = [complex(-0.0, np.inf), complex(np.nan, -0.0), 1e-320]
+    profile = cascade(d4_taps(), 2, 12, 16)
+    psi = wavelet_detail(profile, detail_taps(d4_taps()))
+    residuals = np.abs(rng.normal(size=9)) * 1e-15
+    residuals[4] = np.nan
+    pts = chaos_game(sierpinski_ifs(), 50, seed=1)
+    grid = unit_circle_grid(9)
+    res = profile.resolution
+    return {
+        "signal": (
+            lambda p: cli._write_csv(p, (), signal.real, signal.imag),
+            (), [(z.real, z.imag) for z in signal],
+        ),
+        "grid": (
+            lambda p: cli._write_grid_csv(p, 9, residuals),
+            ("angle", "residual"), [(np.angle(z), r) for z, r in zip(grid, residuals)],
+        ),
+        "cascade": (
+            lambda p: cli._write_csv(p, ("x", "phi"), profile.grid(), profile.samples.real),
+            ("x", "phi"), [(x, v.real) for x, v in zip(profile.grid(), profile.samples)],
+        ),
+        "wavelet": (
+            lambda p: cli._write_csv(p, ("x", "psi"), np.arange(psi.shape[0]) / res, psi.real),
+            ("x", "psi"), [(i / res, v.real) for i, v in enumerate(psi)],
+        ),
+        "points": (lambda p: cli._write_csv(p, (), *pts.T), (), list(pts)),
+    }
+
+
+@pytest.mark.parametrize("name", ["signal", "grid", "cascade", "wavelet", "points"])
+def test_artifact_writers_match_csv_writer(name, tmp_path):
+    write_new, header, rows = _artifacts()[name]
+    write_new(str(tmp_path / "new.csv"))
+    oracle.write_rows(str(tmp_path / "old.csv"), header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_fractal_points_match_csv_writer(tmp_path, capsys):
+    # the --out artifacts of the mra commands are frozen in tests/golden
+    out = tmp_path / "pts.csv"
+    ifs_path = write(tmp_path / "s.json", sierpinski_ifs().to_json())
+    assert run(["examples", "fractal", "--ifs", ifs_path, "--samples", "10000", "--seed", "2",
+                "--max-points", "2000", "--points-out", str(out)]) == 0
+    capsys.readouterr()
+    oracle.write_rows(str(tmp_path / "old.csv"), (), chaos_game(sierpinski_ifs(), 2000, 2))
+    assert out.read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_mra_product_valid_m0(tmp_path, capsys):

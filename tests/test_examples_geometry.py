@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+import oracle
 from wavelab.errors import InputError
 from wavelab.examples_geometry import (
     AffineIfs,
     ChebyshevRule,
+    _affine_scan,
     arcsine_moment,
     chaos_game,
     code_to_point,
@@ -162,6 +166,43 @@ def test_chaos_game_reproducible_and_seed_required():
     assert not np.array_equal(a, c)
     with pytest.raises(InputError):
         chaos_game(ifs, 100, seed=None)
+
+
+SCAN_IFS = {
+    "sierpinski": sierpinski_ifs(),
+    "binary": AffineIfs(np.array([[2]]), np.array([[0], [1]])),
+    "twin dragon": AffineIfs(np.array([[1, -1], [1, 1]]), np.array([[0, 0], [1, 0]])),
+    # A^-1 = [[1/2, -5/4], [0, 1/2]]: max-abs row sum 1.75, its first powers grow
+    "non-normal": AffineIfs(np.array([[2, 5], [0, 2]]), np.array([[0, 0], [1, 0], [0, 1], [1, 1]])),
+    "weighted 3-d": AffineIfs(
+        np.array([[2, 1, 0], [0, 2, 0], [0, 0, 3]]),
+        np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 2]]),
+        (0.25, 0.125, 0.125, 0.25, 0.25),
+    ),
+    "single branch": AffineIfs(np.array([[3]]), np.array([[1]])),
+}
+
+
+@pytest.mark.parametrize("samples, burn_in", [(1, 64), (1, 0), (7, 0), (3000, 64), (20_000, 0)])
+@pytest.mark.parametrize("name", sorted(SCAN_IFS))
+def test_chaos_game_scan_matches_loop(name, samples, burn_in):
+    ifs = SCAN_IFS[name]
+    got = chaos_game(ifs, samples, seed=samples + burn_in, burn_in=burn_in)
+    want = oracle.chaos_game_loop(ifs, samples, seed=samples + burn_in, burn_in=burn_in)
+    assert got.shape == want.shape == (samples, ifs.dimension)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * scale
+
+
+def test_scan_depth_follows_the_contraction():
+    # Sierpinski: A^-1 = I / 2, so the powers pass eps / 2 at 2^-64, after
+    # six doubling passes, far below the log2(n) passes of a full scan
+    n = 100_000 + 64
+    passes = _affine_scan(np.zeros((n, 2)), sierpinski_ifs().inverse_matrix())
+    assert passes < math.ceil(math.log2(n))
+    assert passes == 6
+    # without contraction the scan runs until every row has all its terms
+    assert _affine_scan(np.zeros((100, 1)), np.ones((1, 1))) == 7
 
 
 def test_single_branch_collapses_to_fixed_point():

@@ -1,14 +1,21 @@
-"""Golden default-JSON output of the ``ifs``, ``circle verify`` and ``rkhs``
-subcommands.
+"""Golden default-JSON output of the ``ifs``, ``circle verify``, ``rkhs``,
+``mra`` and ``examples`` subcommands.
 
 Each case runs one subcommand without ``--timing`` on small canonical
 inputs and compares exit code and stdout byte for byte with a file in
-``golden/``: ``ifs_default.json`` for the six ``ifs`` subcommands and
+``golden/``: ``ifs_default.json`` for the six ``ifs`` subcommands,
 ``circle_rkhs_default.json`` for ``circle verify``, ``rkhs check`` and
-``rkhs product-kernel``.  The inputs use exact values (small dyadic
-fractions, 0, +-1, +-i and 1/sqrt(2)), so they are the same on every
-platform.  To rewrite the golden files after a deliberate output change,
-run ``PYTHONPATH=src python tests/test_golden_cli.py`` and say why in
+``rkhs product-kernel``, and ``mra_examples_default.json`` for the four
+``mra`` subcommands and the two ``examples`` subcommands.  A case whose
+argv names ``{out}`` also freezes the bytes of that artifact.  The inputs
+use exact values (small dyadic fractions, 0, +-1, +-i and 1/sqrt(2)) or
+correctly rounded ones (the D4 taps), so they are the same on every
+platform.  ``examples fractal`` is the exception to byte equality: its
+chaos-game samples are sums of floating-point terms whose grouping is an
+implementation detail, so its statistics are compared within 1e-12
+relative and everything else in its output exactly.  To rewrite the
+golden files after a deliberate output change, run
+``PYTHONPATH=src python tests/test_golden_cli.py`` and say why in
 CHANGES.md.
 """
 
@@ -22,6 +29,7 @@ import numpy as np
 import pytest
 
 from wavelab import jsonio
+from wavelab.classic_mra import d4_taps, detail_taps
 from wavelab.cli import run
 from wavelab.code_space import CylinderFn, IfsSpec
 from wavelab.ifs_filters import (
@@ -231,21 +239,179 @@ CIRCLE_RKHS_CASES = {
     ],
 }
 
+def _signal_text(values, columns: int = 2, blank_every: int = 0) -> str:
+    """A signal CSV with one (re) or two (re,im) columns, blank lines optional."""
+    lines = []
+    for i, z in enumerate(np.asarray(values).tolist()):
+        if blank_every and i % blank_every == 0:
+            lines.append("")
+        lines.append(f"{z.real!r},{z.imag!r}" if columns == 2 else f"{z.real!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _mra_examples_inputs() -> dict:
+    d4 = d4_taps()
+    haar = np.array([S, S])
+    x16 = _values(16, 6)
+    x32 = _values(32, 7)
+    return {
+        "haar_taps": {"taps": jsonio.encode_cvector(haar)},
+        "d4_taps": {"taps": jsonio.encode_cvector(d4)},
+        "d4_list": jsonio.encode_cvector(d4),
+        "d4_detail": {"taps": jsonio.encode_cvector(detail_taps(d4))},
+        "hat_taps": {"taps": jsonio.encode_cvector(np.array([0.5, 1.0, 0.5]) * S)},
+        "box3_taps": {"taps": jsonio.encode_cvector(np.ones(3) / np.sqrt(3.0))},
+        "growing_taps": {"taps": jsonio.encode_cvector(np.array([1.5, -0.5]) * 2 * S)},
+        "bad_taps": {"taps": [[1, 0], [0, 0]]},
+        "haar_bank": {"analysis": [jsonio.encode_cvector(haar), jsonio.encode_cvector([S, -S])]},
+        "d4_bank": {
+            "analysis": [jsonio.encode_cvector(d4), jsonio.encode_cvector(detail_taps(d4))],
+        },
+        "haar_delayed": {
+            "analysis": [jsonio.encode_cvector(haar), jsonio.encode_cvector([S, -S])],
+            "analysis_offsets": [1, 1],
+            "synthesis_offsets": [1, 1],
+        },
+        "haar_scaled": {
+            "analysis": [jsonio.encode_cvector(haar), jsonio.encode_cvector([1.25 * S, -1.25 * S])],
+            "synthesis": [jsonio.encode_cvector(haar), jsonio.encode_cvector([S, -S])],
+        },
+        "lazy3": {"analysis": [[[1, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0], [1, 0]]]},
+        "x16": _signal_text(x16),
+        "x16_real": _signal_text(x16, columns=1),
+        "x32_blank": _signal_text(x32, blank_every=5),
+        "x24": _signal_text(_values(24, 8)),
+        "x15": _signal_text(_values(15, 9)),
+        "haar_m0": _laurent(0, [S, S]),
+        "d4_m0": _laurent(0, d4),
+        "flat_m0": _laurent(0, [0.5, 0.5]),
+        "sierpinski": {"A": [[2, 0], [0, 2]], "digits": [[0, 0], [1, 0], [0, 1]]},
+        "binary": {"A": [[2]], "digits": [[0], [1]]},
+        "twin_dragon": {"A": [[1, -1], [1, 1]], "digits": [[0, 0], [1, 0]]},
+        "skew3": {
+            "A": [[2, 1, 0], [0, 2, 0], [0, 0, 3]],
+            "digits": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 2]],
+            "weights": [0.25, 0.125, 0.125, 0.25, 0.25],
+        },
+    }
+
+
+MRA_EXAMPLES_CASES = {
+    "cascade haar": [
+        "mra", "cascade", "--taps", "{haar_taps}", "--iters", "5", "--resolution", "8",
+        "--out", "{out}",
+    ],
+    "cascade d4 40 steps": [
+        "mra", "cascade", "--taps", "{d4_taps}", "--iters", "40", "--resolution", "16",
+        "--out", "{out}",
+    ],
+    "cascade d4 bare list": [
+        "mra", "cascade", "--taps", "{d4_list}", "--iters", "40", "--resolution", "4",
+    ],
+    "cascade d4 defaults": ["mra", "cascade", "--taps", "{d4_taps}"],
+    "cascade hat 40 steps": [
+        "mra", "cascade", "--taps", "{hat_taps}", "--iters", "40", "--resolution", "16",
+    ],
+    "cascade hat 12 steps": [
+        "mra", "cascade", "--taps", "{hat_taps}", "--iters", "12", "--resolution", "8",
+    ],
+    "cascade box N=3": [
+        "mra", "cascade", "--taps", "{box3_taps}", "--N", "3", "--resolution", "9",
+        "--out", "{out}",
+    ],
+    "cascade growing": ["mra", "cascade", "--taps", "{growing_taps}", "--resolution", "8"],
+    "cascade bad taps": ["mra", "cascade", "--taps", "{bad_taps}", "--resolution", "8"],
+    "cascade dilation 1": ["mra", "cascade", "--taps", "{haar_taps}", "--N", "1"],
+    "wavelet haar": [
+        "mra", "wavelet", "--taps", "{haar_taps}", "--iters", "5", "--resolution", "8",
+        "--out", "{out}",
+    ],
+    "wavelet d4 40 steps": [
+        "mra", "wavelet", "--taps", "{d4_taps}", "--iters", "40", "--resolution", "8",
+        "--out", "{out}",
+    ],
+    "wavelet d4 given detail": [
+        "mra", "wavelet", "--taps", "{d4_taps}", "--detail-taps", "{d4_detail}",
+        "--iters", "40", "--resolution", "4",
+    ],
+    "wavelet d4 defaults": ["mra", "wavelet", "--taps", "{d4_taps}", "--resolution", "16"],
+    "filterbank haar": [
+        "mra", "filterbank", "--signal", "{x16}", "--taps", "{haar_bank}", "--out", "{out}",
+    ],
+    "filterbank haar one column": [
+        "mra", "filterbank", "--signal", "{x16_real}", "--taps", "{haar_bank}", "--out", "{out}",
+    ],
+    "filterbank d4 blank lines": [
+        "mra", "filterbank", "--signal", "{x32_blank}", "--taps", "{d4_bank}", "--out", "{out}",
+    ],
+    "filterbank haar offsets": [
+        "mra", "filterbank", "--signal", "{x16}", "--taps", "{haar_delayed}",
+    ],
+    "filterbank scaled analysis": [
+        "mra", "filterbank", "--signal", "{x16}", "--taps", "{haar_scaled}",
+    ],
+    "filterbank lazy N=3": [
+        "mra", "filterbank", "--signal", "{x24}", "--taps", "{lazy3}", "--N", "3",
+        "--out", "{out}",
+    ],
+    "filterbank length 15": ["mra", "filterbank", "--signal", "{x15}", "--taps", "{haar_bank}"],
+    "product haar t=0": ["mra", "product", "--m0", "{haar_m0}", "--t", "0"],
+    "product haar t=1": ["mra", "product", "--m0", "{haar_m0}", "--t", "1", "--terms", "10"],
+    "product d4 t=0.5": ["mra", "product", "--m0", "{d4_m0}", "--t", "0.5"],
+    "product no terms": ["mra", "product", "--m0", "{d4_m0}", "--t", "2", "--terms", "0"],
+    "product flat m0": ["mra", "product", "--m0", "{flat_m0}", "--t", "1"],
+    "logistic defaults": ["examples", "logistic"],
+    "logistic degree 4": ["examples", "logistic", "--degree", "4", "--nodes", "16"],
+    "logistic degree 20": ["examples", "logistic", "--degree", "20", "--nodes", "256"],
+    "logistic too few nodes": ["examples", "logistic", "--degree", "8", "--nodes", "8"],
+    "fractal sierpinski": [
+        "examples", "fractal", "--ifs", "{sierpinski}", "--samples", "10000", "--seed", "7",
+    ],
+    "fractal binary": [
+        "examples", "fractal", "--ifs", "{binary}", "--samples", "10000", "--seed", "3",
+    ],
+    "fractal twin dragon": [
+        "examples", "fractal", "--ifs", "{twin_dragon}", "--samples", "10000", "--seed", "5",
+        "--moment-order", "1",
+    ],
+    "fractal weighted 3-d": [
+        "examples", "fractal", "--ifs", "{skew3}", "--samples", "10000", "--seed", "11",
+    ],
+    "fractal tight bound": [
+        "examples", "fractal", "--ifs", "{sierpinski}", "--samples", "10000", "--seed", "7",
+        "--z-bound", "0.5",
+    ],
+    "fractal too few samples": [
+        "examples", "fractal", "--ifs", "{sierpinski}", "--samples", "100", "--seed", "7",
+    ],
+}
+
 SUITES = {
     "ifs_default": (IFS_CASES, _ifs_inputs),
     "circle_rkhs_default": (CIRCLE_RKHS_CASES, _circle_rkhs_inputs),
+    "mra_examples_default": (MRA_EXAMPLES_CASES, _mra_examples_inputs),
 }
 
 
 def run_case(argv: list[str], directory: Path, inputs: dict) -> dict:
-    files = {}
+    """Exit code and stdout of one case; text inputs are written as .csv files."""
+    files = {"out": str(directory / "artifact.csv")}
     for name, obj in inputs.items():
-        files[name] = str(directory / f"{name}.json")
-        jsonio.dump_file(files[name], obj)
+        if isinstance(obj, str):
+            files[name] = str(directory / f"{name}.csv")
+            Path(files[name]).write_bytes(obj.encode("utf-8"))
+        else:
+            files[name] = str(directory / f"{name}.json")
+            jsonio.dump_file(files[name], obj)
+    out = Path(files["out"])
+    out.unlink(missing_ok=True)
     buf = StringIO()
     with redirect_stdout(buf):
         code = run([a.format(**files) for a in argv])
-    return {"code": code, "stdout": buf.getvalue()}
+    result = {"code": code, "stdout": buf.getvalue()}
+    if "{out}" in argv:
+        result["artifact"] = out.read_bytes().decode("utf-8") if out.exists() else None
+    return result
 
 
 def _golden(suite: str) -> dict:
@@ -263,9 +429,38 @@ def test_circle_rkhs_default_output_is_golden(name, tmp_path):
     assert got == _golden("circle_rkhs_default")[name]
 
 
+def _floats_close(got, want) -> bool:
+    """Equal structure and exact non-floats; floats within 1e-12 relative."""
+    if isinstance(want, float):
+        return isinstance(got, float) and got == pytest.approx(want, rel=1e-12)
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_floats_close(got[k], want[k]) for k in want)
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_floats_close, got, want))
+    return got == want
+
+
+@pytest.mark.parametrize("name", sorted(MRA_EXAMPLES_CASES))
+def test_mra_examples_default_output_is_golden(name, tmp_path):
+    got = run_case(MRA_EXAMPLES_CASES[name], tmp_path, _mra_examples_inputs())
+    want = _golden("mra_examples_default")[name]
+    if MRA_EXAMPLES_CASES[name][1] == "fractal" and want["stdout"]:
+        assert got["code"] == want["code"]
+        assert _floats_close(json.loads(got["stdout"]), json.loads(want["stdout"]))
+    else:
+        assert got == want
+
+
 def test_golden_covers_every_ifs_subcommand():
     assert {argv[1] for argv in IFS_CASES.values()} == {
         "build-filter", "verify-filter", "connect", "apply-unitary", "decompose", "endo-check",
+    }
+
+
+def test_golden_covers_every_mra_and_examples_subcommand():
+    assert {tuple(argv[:2]) for argv in MRA_EXAMPLES_CASES.values()} == {
+        ("mra", "cascade"), ("mra", "wavelet"), ("mra", "filterbank"), ("mra", "product"),
+        ("examples", "logistic"), ("examples", "fractal"),
     }
 
 

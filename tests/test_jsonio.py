@@ -71,6 +71,8 @@ def test_mixed_forms_take_the_per_entry_path():
 BAD_VECTORS = {
     "string entry": ["abc", [1, 2]],
     "string in pair": [["abc", 1.0]],
+    "numeric strings in pair": [["1.5", "2"]],
+    "nan string in pair": [["nan", 0]],
     "3-element row": [[1.0, 2.0, 3.0]],
     "3-element rows": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
     "ragged rows": [[1.0, 2.0], [3.0]],
@@ -88,6 +90,14 @@ def test_malformed_vector_raises(name):
         jsonio.decode_cvector(obj)
     with pytest.raises(InputError):
         jsonio.decode_cmatrix([obj, obj])
+
+
+def test_pair_takes_numbers_not_numeric_strings():
+    assert jsonio.decode_complex([1.5, 2]) == 1.5 + 2j
+    assert jsonio.decode_complex([True, 0]) == 1.0
+    for obj in (["1.5", "2"], [1.5, "2"], ["nan", 0], ["inf", 1.0]):
+        with pytest.raises(InputError):
+            jsonio.decode_complex(obj)
 
 
 def test_malformed_matrix_raises():
