@@ -171,7 +171,7 @@ def fourier_product(m0: LaurentPoly, t: float, terms: int) -> tuple[complex, flo
     """
     if terms < 0:
         raise InputError("term count must be >= 0")
-    if abs(m0(1.0) - np.sqrt(2.0)) > 1e-12:
+    if not abs(m0(1.0) - np.sqrt(2.0)) <= 1e-12:  # written so that NaN fails
         raise PreconditionError("m0(1) must equal sqrt(2) for the product to converge")
     value = 1.0 + 0.0j
     prev = value

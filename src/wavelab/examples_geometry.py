@@ -18,7 +18,7 @@ self-similarity identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +62,8 @@ def arcsine_moment(k: int) -> float:
 
 def logistic_invariance(max_degree: int = 8, nodes: int = 64) -> float:
     """max_k |int (4x(1-x))**k dmu - int x**k dmu| over k <= max_degree."""
+    if max_degree < 0:
+        raise InputError("degree must be >= 0")
     if nodes <= max_degree:
         raise InputError("need more quadrature nodes than the top degree")
     rule = ChebyshevRule(nodes)
@@ -243,6 +245,8 @@ def chaos_game(
         raise InputError("need at least one sample")
     if seed is None:
         raise InputError("a seed is required; there is no entropy default")
+    if seed < 0:
+        raise InputError("seed must be >= 0")
     rng = np.random.default_rng(int(seed))
     inv = ifs.inverse_matrix()
     shifts = ifs.digits.astype(float) @ inv.T
@@ -290,10 +294,12 @@ class InvarianceReport:
     checks: tuple[MomentCheck, ...]
     samples: int
     seed: int
+    points: np.ndarray = field(repr=False, compare=False)  # the chaos-game sample
 
     @property
     def max_abs_z(self) -> float:
-        return max(abs(c.z) for c in self.checks)
+        """Largest |z|; NaN when any z is NaN (Python's max() would skip it)."""
+        return float(np.max(np.abs([c.z for c in self.checks])))
 
     def passed(self, z_bound: float = 4.0) -> bool:
         return self.max_abs_z < z_bound
@@ -355,4 +361,4 @@ def strong_invariance_check(
         stat, z = _z_score(diff, 0.0)
         name = "self_similarity[" + ",".join(str(a) for a in mono) + "]"
         checks.append(MomentCheck(name, stat, 0.0, z))
-    return InvarianceReport(tuple(checks), samples, int(seed))
+    return InvarianceReport(tuple(checks), samples, int(seed), pts)

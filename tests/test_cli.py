@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -627,3 +628,193 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+# ---------------------------------------------------------------------------
+# input errors, internal errors and the command table
+# ---------------------------------------------------------------------------
+
+def _input_files(tmp_path) -> dict:
+    spec = IfsSpec(2)
+    bank = build_indicator(spec)
+    haar = [jsonio.encode_cvector(haar_taps()), jsonio.encode_cvector([2**-0.5, -(2**-0.5)])]
+    roots3 = np.exp(2j * np.pi * np.arange(3) / 3)
+    return {
+        "bank": write(tmp_path / "bank.json", bank.to_json()),
+        "ifs": write(tmp_path / "sierpinski.json", sierpinski_ifs().to_json()),
+        "signal": _signal_file(tmp_path / "x.csv", np.arange(8.0)),
+        "haar_bank": write(tmp_path / "haar.json", {"analysis": haar}),
+        "x_offsets": write(tmp_path / "offsets.json", {"analysis": haar[:1], "analysis_offsets": "x"}),
+        "list": write(tmp_path / "list.json", [1, 2]),
+        "string": write(tmp_path / "string.json", "x"),
+        "points3": write(
+            tmp_path / "points3.json", {"points": jsonio.encode_cvector(roots3), "sigma": [0, 0, 0]}
+        ),
+        "filters3": write(
+            tmp_path / "filters3.json", {"filters": [jsonio.encode_cvector(np.ones(3) / 3**0.5)]}
+        ),
+        "kernel4": write(tmp_path / "kernel4.json", {"matrix": jsonio.encode_cmatrix(np.eye(4))}),
+        "blaschke2": write(tmp_path / "blaschke2.json", {"V": jsonio.encode_cmatrix(np.eye(2))}),
+        "blaschke3": write(tmp_path / "blaschke3.json", {"V": jsonio.encode_cmatrix(np.eye(3))}),
+    }
+
+
+MALFORMED = {
+    "bank is a list": ["ifs", "verify-filter", "--bank", "{list}"],
+    "bank is a string": ["ifs", "verify-filter", "--bank", "{string}"],
+    "unitary is a list": ["ifs", "apply-unitary", "--bank", "{bank}", "--unitary", "{list}"],
+    "unitary is a string": ["ifs", "apply-unitary", "--bank", "{bank}", "--unitary", "{string}"],
+    "factors is a list": ["circle", "blaschke", "--factors", "{list}"],
+    "factors is a string": ["circle", "blaschke", "--factors", "{string}"],
+    "filterbank taps is a list": ["mra", "filterbank", "--signal", "{signal}", "--taps", "{list}"],
+    "filterbank taps is a string": ["mra", "filterbank", "--signal", "{signal}", "--taps", "{string}"],
+    "moment file is a list": ["solenoid", "moment", "--file", "{list}"],
+    "moment file is a string": ["solenoid", "moment", "--file", "{string}"],
+    "ifs is a list": ["examples", "fractal", "--ifs", "{list}", "--samples", "10000", "--seed", "1"],
+    "ifs is a string": ["examples", "fractal", "--ifs", "{string}", "--samples", "10000", "--seed", "1"],
+    "points is a list": [
+        "rkhs", "check", "--points", "{list}", "--kernel", "{list}", "--filters", "{list}",
+    ],
+    "offsets are a string": [
+        "mra", "filterbank", "--signal", "{signal}", "--taps", "{x_offsets}",
+    ],
+    "weights are words": ["ifs", "build-filter", "--kind", "indicator", "--N", "2", "--weights", "a,b"],
+    "negative degree": ["examples", "logistic", "--degree", "-1"],
+    "negative seed": ["examples", "fractal", "--ifs", "{ifs}", "--samples", "10000", "--seed", "-1"],
+    # each file is well formed, but their sizes do not fit together
+    "kernel does not fit the points": [
+        "rkhs", "check", "--points", "{points3}", "--kernel", "{kernel4}", "--filters", "{filters3}",
+    ],
+    "loop factors differ in size": [
+        "circle", "loop-act", "--g-factors", "{blaschke2}", "--u-factors", "{blaschke3}", "--N", "2",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_2(name, tmp_path, capsys):
+    files = _input_files(tmp_path)
+    argv = [a.format(**files) for a in MALFORMED[name]]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err
+    bad_file = next((a for a in argv if a in (files["list"], files["string"])), None)
+    if bad_file:
+        assert bad_file in captured.err
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError, TypeError])
+def test_internal_error_in_compute_is_not_a_usage_error(error, tmp_path, monkeypatch, capsys):
+    path = write(tmp_path / "bank.json", build_indicator(IfsSpec(2)).to_json())
+
+    def broken(*args, **kwargs):
+        raise error("internal")
+
+    monkeypatch.setattr(cli.ifsf, "verify_filter", broken)
+    with pytest.raises(error):
+        run(["ifs", "verify-filter", "--bank", path])
+    assert capsys.readouterr().out == ""
+
+
+def test_usage_errors_do_not_include_bare_python_errors():
+    assert not set(cli._USAGE_ERRORS) & {KeyError, ValueError, json.JSONDecodeError}
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_mra_product_rejects_a_non_finite_t(t, tmp_path, capsys):
+    path = write(tmp_path / "m0.json", LaurentPoly.from_coefficients(0, haar_taps()).to_json())
+    assert run(["mra", "product", "--m0", path, "--t", t]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_mra_product_fails_closed_on_a_nan_coefficient(tmp_path, capsys):
+    path = write(tmp_path / "m0.json", {"min_degree": 0, "coeffs": [[2**-0.5, 0.0], [np.nan, 0.0]]})
+    code, result = run_json(capsys, ["mra", "product", "--m0", path, "--t", "1"])
+    assert code == 1 and result["pass"] is False and "sqrt(2)" in result["error"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_float_options_exit_2(value, tmp_path, capsys):
+    ifs_path = write(tmp_path / "s.json", sierpinski_ifs().to_json())
+    fractal = ["examples", "fractal", "--ifs", ifs_path, "--samples", "10000", "--seed", "1"]
+    for argv in (["examples", "logistic", f"--tol={value}"], fractal + [f"--z-bound={value}"]):
+        assert run(argv) == 2
+        assert "not a finite number" in capsys.readouterr().err
+
+
+def test_fractal_points_are_the_checked_sample(tmp_path, capsys):
+    # fewer samples than --max-points: the file holds the whole sample
+    out = tmp_path / "pts.csv"
+    ifs_path = write(tmp_path / "s.json", sierpinski_ifs().to_json())
+    assert run(["examples", "fractal", "--ifs", ifs_path, "--samples", "10000", "--seed", "4",
+                "--points-out", str(out)]) == 0
+    capsys.readouterr()
+    oracle.write_rows(str(tmp_path / "old.csv"), (), chaos_game(sierpinski_ifs(), 10000, 4))
+    assert out.read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_parser_is_built_once_and_not_at_import():
+    probe = (
+        "from wavelab import cli\n"
+        "assert cli._parser.cache_info().currsize == 0\n"
+        "for _ in range(3):\n"
+        "    cli.run(['examples', 'logistic', '--degree', '2', '--nodes', '4'])\n"
+        "assert cli._parser.cache_info().misses == 1\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _docstring_listing() -> dict[str, set[str]]:
+    block = cli.__doc__.split("per module:\n\n", 1)[1].split("\n\n", 1)[0]
+    listing: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        words = line.replace(",", " ").split()
+        if not line.startswith("     "):  # continuation lines are indented further
+            group = words.pop(0)
+        listing.setdefault(group, set()).update(words)
+    return listing
+
+
+def _readme_listing() -> dict[str, set[str]]:
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    listing: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("wavelab "):
+            group, command = line.split()[1:3]
+            listing.setdefault(group, set()).add(command)
+    return listing
+
+
+def test_docs_list_exactly_the_command_table():
+    table = {group: set(commands) for group, commands in cli.COMMANDS.items()}
+    assert _docstring_listing() == table
+    assert _readme_listing() == table
+
+
+def _path_file(tmp_path, g_values, **extra) -> str:
+    spec = IfsSpec(2)
+    obj = {
+        "m": build_indicator(spec).filters[0].to_json(),
+        "f": CylinderFn(spec, 1, [1.0, 2.0]).to_json(),
+        "g": CylinderFn(spec, 1, g_values).to_json(),
+        **extra,
+    }
+    return write(tmp_path / "path.json", obj)
+
+
+def test_solenoid_axioms_fail_closed_on_nan(tmp_path, capsys):
+    # covariance and scaling stay 0.0 while the isometry residual is NaN:
+    # max(0.0, 0.0, nan, 0.0) is 0.0, so a max(...) < tol verdict passed here
+    code, result = run_json(capsys, ["solenoid", "axioms", "--file", _path_file(tmp_path, [np.nan, 1.0])])
+    assert result["residuals"]["covariance"] == 0.0 and np.isnan(result["residuals"]["isometry"])
+    assert code == 1 and result["pass"] is False
+
+
+def test_solenoid_dilation_fails_closed_on_one_nan_order(tmp_path, capsys, monkeypatch):
+    path = _path_file(tmp_path, [1.0, 2.0], orders=[0, 1])
+    monkeypatch.setattr(cli.sol, "dilation_check", lambda m, f, g, n: float("nan") if n else 0.0)
+    code, result = run_json(capsys, ["solenoid", "dilation", "--file", path])
+    assert result["residuals"]["order_0"] == 0.0 and np.isnan(result["residuals"]["order_1"])
+    assert code == 1 and result["pass"] is False

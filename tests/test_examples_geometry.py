@@ -8,6 +8,8 @@ from wavelab.errors import InputError
 from wavelab.examples_geometry import (
     AffineIfs,
     ChebyshevRule,
+    InvarianceReport,
+    MomentCheck,
     _affine_scan,
     arcsine_moment,
     chaos_game,
@@ -236,6 +238,26 @@ def test_strong_invariance_uniform_binary():
     assert abs(z1) < 4 and abs(z2) < 4
     report = strong_invariance_check(ifs, 100_000, seed=12)
     assert report.passed(4.0)
+
+
+def test_strong_invariance_report_keeps_its_sample():
+    report = strong_invariance_check(sierpinski_ifs(), 10_000, seed=3)
+    assert np.array_equal(report.points, chaos_game(sierpinski_ifs(), 10_000, seed=3))
+
+
+def test_invariance_verdict_fails_closed_on_a_nan_z():
+    # max(1.0, nan) is 1.0, so a max(|z|) < bound verdict passed here
+    checks = (MomentCheck("mean[0]", 0.5, 0.5, 1.0), MomentCheck("mean[1]", 0.5, 0.5, math.nan))
+    report = InvarianceReport(checks, 10_000, 1, np.empty((0, 2)))
+    assert not report.passed(4.0)
+    assert math.isnan(report.max_abs_z)  # the reported residual agrees with the verdict
+
+
+def test_negative_seed_and_degree_are_input_errors():
+    with pytest.raises(InputError):
+        chaos_game(sierpinski_ifs(), 10, seed=-1)
+    with pytest.raises(InputError):
+        logistic_invariance(-1, 4)
 
 
 def test_strong_invariance_rejects_small_samples():

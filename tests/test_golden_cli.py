@@ -1,24 +1,28 @@
-"""Golden default-JSON output of the ``ifs``, ``circle verify``, ``rkhs``,
-``mra`` and ``examples`` subcommands.
+"""Golden default-JSON output of every subcommand, and the CLI surface.
 
 Each case runs one subcommand without ``--timing`` on small canonical
 inputs and compares exit code and stdout byte for byte with a file in
 ``golden/``: ``ifs_default.json`` for the six ``ifs`` subcommands,
 ``circle_rkhs_default.json`` for ``circle verify``, ``rkhs check`` and
-``rkhs product-kernel``, and ``mra_examples_default.json`` for the four
-``mra`` subcommands and the two ``examples`` subcommands.  A case whose
-argv names ``{out}`` also freezes the bytes of that artifact.  The inputs
-use exact values (small dyadic fractions, 0, +-1, +-i and 1/sqrt(2)) or
-correctly rounded ones (the D4 taps), so they are the same on every
-platform.  ``examples fractal`` is the exception to byte equality: its
-chaos-game samples are sums of floating-point terms whose grouping is an
-implementation detail, so its statistics are compared within 1e-12
-relative and everything else in its output exactly.  To rewrite the
-golden files after a deliberate output change, run
-``PYTHONPATH=src python tests/test_golden_cli.py`` and say why in
-CHANGES.md.
+``rkhs product-kernel``, ``mra_examples_default.json`` for the four
+``mra`` subcommands and the two ``examples`` subcommands, and
+``circle_solenoid_default.json`` for the other four ``circle``
+subcommands, the three ``solenoid`` subcommands and ``examples fractal
+--points-out``.  A case whose argv names ``{out}`` also freezes the bytes
+of that artifact.  The inputs use exact values (small dyadic fractions,
+0, +-1, +-i and 1/sqrt(2)) or correctly rounded ones (the D4 taps), so
+they are the same on every platform.  ``examples fractal`` is the
+exception to byte equality: its chaos-game samples are sums of
+floating-point terms whose grouping is an implementation detail, so its
+statistics are compared within 1e-12 relative and everything else in its
+output (the points file included) exactly.  ``cli_surface.json`` freezes
+every flag of every subcommand: its kind, default, ``required`` and
+``choices``.  To rewrite the golden files after a deliberate output
+change, run ``PYTHONPATH=src python tests/test_golden_cli.py`` and say
+why in CHANGES.md.
 """
 
+import argparse
 import json
 import sys
 from contextlib import redirect_stdout
@@ -28,7 +32,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavelab import jsonio
+from wavelab import cli, jsonio
+from wavelab.circle_filters import BlaschkeFactor, blaschke_product
 from wavelab.classic_mra import d4_taps, detail_taps
 from wavelab.cli import run
 from wavelab.code_space import CylinderFn, IfsSpec
@@ -386,11 +391,189 @@ MRA_EXAMPLES_CASES = {
     ],
 }
 
+
+def _blaschke(projection, a, power: int = 2, left=None) -> dict:
+    return blaschke_product([BlaschkeFactor(np.array(projection), a, power)], left).to_json()
+
+
+def _circle_solenoid_inputs() -> dict:
+    d4 = d4_taps()
+    u2, w2 = IfsSpec(2), IfsSpec(2, (0.25, 0.75))
+    m2, m2w = build_indicator(u2).filters[0], build_indicator(w2).filters[0]
+    roots = build_roots_of_unity(u2).filters[1]
+    f, g = CylinderFn(u2, 1, _values(2, 1)), CylinderFn(u2, 1, _values(2, 2))
+    f_deep = CylinderFn(u2, 2, _values(4, 3))
+    fw, gw = CylinderFn(w2, 1, _values(2, 4)), CylinderFn(w2, 2, _values(4, 5))
+    half = [[0.5, 0.5], [0.5, 0.5]]
+    return {
+        "haar_m0": _laurent(0, [S, S]),
+        "haar_m0_unit": _laurent(0, [0.5, 0.5]),
+        "d4_m0": _laurent(0, d4),
+        "shifted_m0_unit": _laurent(-1, [0.25, 0.5, 0.25]),
+        "broken_m0_unit": _laurent(0, [0.5, 0.25]),
+        "haar": {"filters": [_laurent(0, [S, S]), _laurent(0, [S, -S])]},
+        "monomials3": [_laurent(-1, [1]), _laurent(0, [1]), _laurent(1, [1])],
+        "skewed": [_laurent(-1, [0.375 + 0.625j, 0.25, -0.125j]), _laurent(0, [0.5, -0.75 + 0.5j])],
+        "short": [_laurent(0, [S, S])],
+        "bl_zero": _blaschke(np.diag([1.0, 0.0]), 0.0),
+        "bl_half": _blaschke(half, 0.5),
+        "bl_inf": _blaschke(np.diag([0.0, 1.0]), None),
+        "bl_cube": _blaschke(np.diag([1.0, 0.0]), -0.5j, 3),
+        "bl_phased": _blaschke(half, 0.25 + 0.5j, 2, np.array([[0, 1j], [1, 0]])),
+        "bl_empty": {"V": jsonio.encode_cmatrix([[S, S], [S, -S]]), "factors": []},
+        "bl_not_projection": {
+            "V": jsonio.encode_cmatrix(np.eye(2)),
+            "factors": [{"P": jsonio.encode_cmatrix([[1, 1], [0, 0]]), "a": [0, 0], "power": 2}],
+        },
+        "moment_indicator": {
+            "spec": u2.to_json(), "W": m2.abs2().to_json(), "h": "auto",
+            "coords": [f.to_json(), g.to_json()],
+        },
+        "moment_weighted": {
+            "spec": w2.to_json(), "W": m2w.abs2().to_json(), "h": "auto",
+            "coords": [fw.to_json(), gw.to_json(), fw.to_json()],
+        },
+        "moment_roots_explicit_h": {
+            "spec": u2.to_json(), "W": roots.abs2().to_json(),
+            "h": CylinderFn.ones(u2).to_json(), "coords": [f_deep.to_json()],
+        },
+        "moment_no_coords": {"spec": u2.to_json(), "W": m2.abs2().to_json(), "coords": []},
+        "moment_no_weight": {"spec": u2.to_json(), "coords": [f.to_json()]},
+        "dilation_indicator": {
+            "m": m2.to_json(), "f": f.to_json(), "g": g.to_json(), "orders": [-3, -2, -1, 0, 1, 2],
+        },
+        "dilation_weighted": {"m": m2w.to_json(), "f": fw.to_json(), "g": gw.to_json(), "n": -1},
+        "dilation_roots": {
+            "m": roots.to_json(), "f": f_deep.to_json(), "g": g.to_json(), "orders": [-2, 3],
+        },
+        "dilation_default_order": {"m": m2.to_json(), "f": f_deep.to_json(), "g": f.to_json()},
+        "axioms_indicator": {"m": m2.to_json(), "f": f.to_json(), "g": g.to_json()},
+        "axioms_weighted": {"m": m2w.to_json(), "f": fw.to_json(), "g": gw.to_json()},
+        "axioms_roots": {"m": roots.to_json(), "f": f_deep.to_json(), "g": g.to_json()},
+        "axioms_no_g": {"m": m2.to_json(), "f": f.to_json()},
+        "sierpinski": {"A": [[2, 0], [0, 2]], "digits": [[0, 0], [1, 0], [0, 1]]},
+        "binary": {"A": [[2]], "digits": [[0], [1]], "weights": [0.25, 0.75]},
+    }
+
+
+CIRCLE_SOLENOID_CASES = {
+    "cqf haar unit-sum": ["circle", "cqf-complete", "--m0", "{haar_m0_unit}", "--grid", "8"],
+    "cqf haar unit-sum out": [
+        "circle", "cqf-complete", "--m0", "{haar_m0_unit}", "--out", "{out}",
+    ],
+    "cqf haar averaged": [
+        "circle", "cqf-complete", "--m0", "{haar_m0}", "--convention", "averaged", "--grid", "8",
+    ],
+    "cqf d4 averaged": [
+        "circle", "cqf-complete", "--m0", "{d4_m0}", "--convention", "averaged",
+        "--grid", "16", "--out", "{out}",
+    ],
+    "cqf d4 as unit-sum": ["circle", "cqf-complete", "--m0", "{d4_m0}", "--grid", "16"],
+    "cqf shifted unit-sum": ["circle", "cqf-complete", "--m0", "{shifted_m0_unit}", "--grid", "12"],
+    "cqf broken unit-sum": ["circle", "cqf-complete", "--m0", "{broken_m0_unit}", "--grid", "8"],
+    "matrix haar": [
+        "circle", "matrix", "--filters", "{haar}", "--N", "2", "--grid", "8", "--csv", "{out}",
+    ],
+    "matrix haar defaults": ["circle", "matrix", "--filters", "{haar}", "--N", "2"],
+    "matrix monomials N=3": [
+        "circle", "matrix", "--filters", "{monomials3}", "--N", "3", "--grid", "9",
+        "--csv", "{out}",
+    ],
+    "matrix skewed": [
+        "circle", "matrix", "--filters", "{skewed}", "--N", "2", "--grid", "6", "--csv", "{out}",
+    ],
+    "matrix short": ["circle", "matrix", "--filters", "{short}", "--N", "2", "--grid", "4"],
+    "blaschke a=0": ["circle", "blaschke", "--factors", "{bl_zero}", "--grid", "8", "--csv", "{out}"],
+    "blaschke half projection": [
+        "circle", "blaschke", "--factors", "{bl_half}", "--grid", "8", "--csv", "{out}",
+    ],
+    "blaschke infinity": ["circle", "blaschke", "--factors", "{bl_inf}"],
+    "blaschke cube band 3": [
+        "circle", "blaschke", "--factors", "{bl_cube}", "--grid", "12", "--csv", "{out}",
+    ],
+    "blaschke cube band 2": ["circle", "blaschke", "--factors", "{bl_cube}", "--band", "2"],
+    "blaschke phased": ["circle", "blaschke", "--factors", "{bl_phased}", "--grid", "16"],
+    "blaschke no factors": ["circle", "blaschke", "--factors", "{bl_empty}", "--grid", "4"],
+    "blaschke not a projection": ["circle", "blaschke", "--factors", "{bl_not_projection}"],
+    "loop-act zero on half": [
+        "circle", "loop-act", "--g-factors", "{bl_zero}", "--u-factors", "{bl_half}",
+        "--N", "2", "--grid", "8",
+    ],
+    "loop-act phased on infinity": [
+        "circle", "loop-act", "--g-factors", "{bl_phased}", "--u-factors", "{bl_inf}", "--N", "2",
+    ],
+    "loop-act cube on zero": [
+        "circle", "loop-act", "--g-factors", "{bl_cube}", "--u-factors", "{bl_zero}",
+        "--N", "2", "--grid", "12",
+    ],
+    "loop-act N=3": [
+        "circle", "loop-act", "--g-factors", "{bl_zero}", "--u-factors", "{bl_half}", "--N", "3",
+    ],
+    "moment indicator": ["solenoid", "moment", "--file", "{moment_indicator}"],
+    "moment weighted order 2": ["solenoid", "moment", "--file", "{moment_weighted}"],
+    "moment roots explicit h": ["solenoid", "moment", "--file", "{moment_roots_explicit_h}"],
+    "moment no coords": ["solenoid", "moment", "--file", "{moment_no_coords}"],
+    "moment no weight": ["solenoid", "moment", "--file", "{moment_no_weight}"],
+    "dilation indicator": ["solenoid", "dilation", "--file", "{dilation_indicator}"],
+    "dilation weighted n=-1": ["solenoid", "dilation", "--file", "{dilation_weighted}"],
+    "dilation roots": ["solenoid", "dilation", "--file", "{dilation_roots}", "--tol", "1e-14"],
+    "dilation default order": ["solenoid", "dilation", "--file", "{dilation_default_order}"],
+    "axioms indicator": ["solenoid", "axioms", "--file", "{axioms_indicator}"],
+    "axioms weighted": ["solenoid", "axioms", "--file", "{axioms_weighted}"],
+    "axioms roots": ["solenoid", "axioms", "--file", "{axioms_roots}"],
+    "axioms no g": ["solenoid", "axioms", "--file", "{axioms_no_g}"],
+    "fractal sierpinski points": [
+        "examples", "fractal", "--ifs", "{sierpinski}", "--samples", "10000", "--seed", "7",
+        "--max-points", "200", "--points-out", "{out}",
+    ],
+    "fractal weighted binary points": [
+        "examples", "fractal", "--ifs", "{binary}", "--samples", "10000", "--seed", "3",
+        "--max-points", "64", "--points-out", "{out}",
+    ],
+    "fractal no points": [
+        "examples", "fractal", "--ifs", "{binary}", "--samples", "10000", "--seed", "3",
+        "--max-points", "0", "--points-out", "{out}",
+    ],
+}
+
 SUITES = {
     "ifs_default": (IFS_CASES, _ifs_inputs),
     "circle_rkhs_default": (CIRCLE_RKHS_CASES, _circle_rkhs_inputs),
     "mra_examples_default": (MRA_EXAMPLES_CASES, _mra_examples_inputs),
+    "circle_solenoid_default": (CIRCLE_SOLENOID_CASES, _circle_solenoid_inputs),
 }
+
+
+def _kind(action: argparse.Action) -> str:
+    """flag for a switch, int or float for a number, str for any other text."""
+    if action.nargs == 0:
+        return "flag"
+    value = action.type("1") if action.type else "1"
+    return type(value).__name__ if type(value) in (int, float) else "str"
+
+
+def _flags(parser: argparse.ArgumentParser) -> dict:
+    return {
+        action.option_strings[0]: {
+            "kind": _kind(action),
+            "default": action.default,
+            "required": action.required,
+            "choices": None if action.choices is None else list(action.choices),
+        }
+        for action in parser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    }
+
+
+def surface(parser: argparse.ArgumentParser) -> str:
+    """Every flag of the parser and of each "group command" subparser, as JSON text."""
+    out = {"": _flags(parser)}
+    (groups,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for group, group_parser in groups.choices.items():
+        (commands,) = [a for a in group_parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for command, command_parser in commands.choices.items():
+            out[f"{group} {command}"] = _flags(command_parser)
+    return json.dumps(out, indent=1, sort_keys=True) + "\n"
 
 
 def run_case(argv: list[str], directory: Path, inputs: dict) -> dict:
@@ -440,20 +623,43 @@ def _floats_close(got, want) -> bool:
     return got == want
 
 
+def _assert_golden(argv: list[str], got: dict, want: dict) -> None:
+    if argv[1] == "fractal" and want["stdout"]:
+        assert got["code"] == want["code"]
+        assert _floats_close(json.loads(got["stdout"]), json.loads(want["stdout"]))
+        assert got.get("artifact") == want.get("artifact")
+    else:
+        assert got == want
+
+
 @pytest.mark.parametrize("name", sorted(MRA_EXAMPLES_CASES))
 def test_mra_examples_default_output_is_golden(name, tmp_path):
     got = run_case(MRA_EXAMPLES_CASES[name], tmp_path, _mra_examples_inputs())
-    want = _golden("mra_examples_default")[name]
-    if MRA_EXAMPLES_CASES[name][1] == "fractal" and want["stdout"]:
-        assert got["code"] == want["code"]
-        assert _floats_close(json.loads(got["stdout"]), json.loads(want["stdout"]))
-    else:
-        assert got == want
+    _assert_golden(MRA_EXAMPLES_CASES[name], got, _golden("mra_examples_default")[name])
+
+
+@pytest.mark.parametrize("name", sorted(CIRCLE_SOLENOID_CASES))
+def test_circle_solenoid_default_output_is_golden(name, tmp_path):
+    got = run_case(CIRCLE_SOLENOID_CASES[name], tmp_path, _circle_solenoid_inputs())
+    _assert_golden(CIRCLE_SOLENOID_CASES[name], got, _golden("circle_solenoid_default")[name])
+
+
+def test_cli_surface_is_golden():
+    assert surface(cli._parser()) == (GOLDEN_DIR / "cli_surface.json").read_text(encoding="utf-8")
 
 
 def test_golden_covers_every_ifs_subcommand():
     assert {argv[1] for argv in IFS_CASES.values()} == {
         "build-filter", "verify-filter", "connect", "apply-unitary", "decompose", "endo-check",
+    }
+
+
+def test_golden_covers_the_circle_and_solenoid_subcommands():
+    covered = {tuple(argv[:2]) for argv in CIRCLE_SOLENOID_CASES.values()}
+    assert covered == {
+        ("circle", "cqf-complete"), ("circle", "matrix"), ("circle", "blaschke"),
+        ("circle", "loop-act"), ("solenoid", "moment"), ("solenoid", "dilation"),
+        ("solenoid", "axioms"), ("examples", "fractal"),
     }
 
 
@@ -474,3 +680,4 @@ if __name__ == "__main__":
         path = GOLDEN_DIR / f"{suite}.json"
         path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         sys.stdout.write(f"wrote {len(out)} cases to {path}\n")
+    (GOLDEN_DIR / "cli_surface.json").write_text(surface(cli._parser()), encoding="utf-8")
