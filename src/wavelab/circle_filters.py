@@ -420,6 +420,8 @@ class BlaschkeProduct:
 
     def periodicity_residual(self, band: int, n_grid: int = 256) -> float:
         """max |U(eps z) - U(z)|; zero up to rounding since only z**N enters."""
+        if band < 2:
+            raise InputError("band count must be >= 2")
         eps = np.exp(2j * np.pi / band)
         z = unit_circle_grid(n_grid)
         return float(np.max(grid_residuals(self.eval(eps * z) - self.eval(z))))
@@ -467,6 +469,8 @@ def loop_action_circle(
     powers; exceeding ``tol`` in unitarity (or a NaN residual) only sets a
     warning flag, the action itself is still returned.
     """
+    if band < 2:
+        raise InputError("band count must be >= 2")
 
     def g_of_power(z) -> np.ndarray:
         return np.asarray(g(np.asarray(z, dtype=complex) ** band), dtype=complex)

@@ -99,7 +99,7 @@ def _load(path: str, decode: Callable[[Any], Any]) -> Any:
     """The JSON file at path, decoded; a malformed file is an InputError naming it."""
     try:
         return decode(jsonio.load_file(path))
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (InputError, KeyError, TypeError, AttributeError, ValueError) as exc:
         raise InputError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
 
 
@@ -347,10 +347,12 @@ def _circle_matrix(args) -> tuple[dict, bool]:
 
 def _circle_blaschke(args) -> tuple[dict, bool]:
     product = _load(args.factors, circ.BlaschkeProduct.from_json)
-    band = args.band or (product.factors[0].power if product.factors else 2)
+    band = args.band
+    if band is None:
+        band = product.factors[0].power if product.factors else 2
+    periodicity = product.periodicity_residual(band, args.grid)
     per_point = circ.unitarity_residuals(product.eval, n_grid=args.grid)
     unitarity = float(np.max(per_point))
-    periodicity = product.periodicity_residual(band, args.grid)
     if args.csv:
         _write_grid_csv(args.csv, args.grid, per_point)
     return {

@@ -2,8 +2,11 @@
 
 A bank is an N-tuple of cylinder functions (m_1..m_N) whose weighted
 composition operators S_{m_j} f = m_j (f o sigma) are meant to be a family
-of isometries with orthogonal ranges summing to the identity.  The two
-defining conditions are checked exactly on cylinder functions:
+of isometries with orthogonal ranges summing to the identity.  In memory a
+bank is one read-only (N, N**L) array at its common depth L and a matrix
+field one (N, N, N**D) array; the JSON keeps one cylinder per filter or
+entry, lifted to the common depth on loading.  The two defining
+conditions are checked exactly on cylinder functions:
 
   (1) orthonormality   S*(conj(m_j) m_k) = delta_jk
   (2) completeness     f = sum_n m_n E(conj(m_n) f) for every cylinder f
@@ -13,17 +16,16 @@ delta_ab for all first symbols a, b and tails t of the bank's depth L.
 Every indicator probe only picks out entries of this per-tail array, so
 one O(N**2 N**L) pass checks every probe depth at once.
 
-Built-in constructions: the roots-of-unity bank (values eps**(n*l) on the
-depth-1 cylinders, eps = exp(2 pi i / N), uniform weights only) and the
-indicator bank m_n = 1_[n] / sqrt(p_n), which works for any weights.
-
 Two verified banks are connected by the matrix field U_jk = S*(conj(m_j)
 m~_k), pointwise unitary, and the group of pointwise-unitary matrix
-fields acts on banks by m~_k = sum_j m_j (U_jk o sigma).
+fields acts on banks by m~_k = sum_j m_j (U_jk o sigma).  Orthonormality,
+the connecting field and analysis are the Gram array S*(conj(a_j) b_k);
+sums over the filter axis run in bank order, bit for bit as filter by filter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,16 +42,9 @@ from .errors import (
 from .code_space import (
     CylinderFn,
     IfsSpec,
-    adjoint_sigma,
-    compose_sigma,
     conditional_expectation,
     integrate,
-    lift,
     multiply,
-    precompose_branch,
-    sup_distance,
-    weighted_adjoint,
-    weighted_compose,
     _check_cells,
     _lift_values,
 )
@@ -58,26 +53,61 @@ GRAM_SCHMIDT_SUPPORT_EPS = 1e-12
 GRAM_SCHMIDT_RESIDUAL_EPS = 1e-10
 
 
-@dataclass(frozen=True)
-class FilterBank:
-    """An ordered N-tuple of candidate filters over a common spec."""
+def _lift(values: np.ndarray, n: int, depth: int) -> np.ndarray:
+    """Functions stored along the last axis, as functions of the first depth symbols."""
+    reps = n**depth // values.shape[-1]
+    if reps == 1:
+        return values
+    _check_cells(values.shape[-1] * reps)
+    return np.repeat(values, reps, axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class _FunctionArray:
+    """Cylinder functions of one depth, stored read-only with shape
+    (N,) * AXES + (N**depth,)."""
 
     spec: IfsSpec
-    filters: tuple[CylinderFn, ...]
+    values: np.ndarray
+    AXES = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "filters", tuple(self.filters))
-        if len(self.filters) != self.spec.N:
-            raise InputError(
-                f"bank needs exactly {self.spec.N} filters, got {len(self.filters)}"
-            )
-        for m in self.filters:
-            if m.spec != self.spec:
-                raise SpecMismatchError("filter spec differs from bank spec")
+        n = self.spec.N
+        vals = np.array(self.values, dtype=np.complex128)
+        size = vals.shape[-1] if vals.ndim else 0
+        if size < 1 or vals.shape != (n,) * self.AXES + (n ** round(math.log(size, n)),):
+            raise InputError(f"expected shape {(n,) * self.AXES} + (N**depth,), got {vals.shape}")
+        _check_cells(size)
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     @property
-    def max_depth(self) -> int:
-        return max(m.depth for m in self.filters)
+    def depth(self) -> int:
+        return round(math.log(self.values.shape[-1], self.spec.N))
+
+    @classmethod
+    def from_cylinders(cls, spec: IfsSpec, fns: Sequence[CylinderFn]):
+        """N**AXES cylinder functions in row-major order, lifted to their common depth."""
+        if len(fns) != spec.N**cls.AXES:
+            raise InputError(f"expected {spec.N**cls.AXES} functions, got {len(fns)}")
+        if any(f.spec != spec for f in fns):
+            raise SpecMismatchError("function spec differs from the bank or field spec")
+        depth = max(f.depth for f in fns)
+        values = np.array([_lift_values(f, depth) for f in fns])
+        return cls(spec, values.reshape((spec.N,) * cls.AXES + (-1,)))
+
+
+class FilterBank(_FunctionArray):
+    """An ordered N-tuple of candidate filters: row n of ``values`` is m_n."""
+
+    @property
+    def filters(self) -> tuple[CylinderFn, ...]:
+        """The rows as cylinder functions, for callers that take single filters."""
+        return tuple(CylinderFn(self.spec, self.depth, m) for m in self.values)
+
+    def _by_symbol(self, depth: int) -> np.ndarray:
+        """(filter, first symbol, tail) view of the bank lifted to depth >= 1."""
+        return _lift(self.values, self.spec.N, depth).reshape(self.spec.N, self.spec.N, -1)
 
     def to_json(self) -> dict:
         return {
@@ -88,59 +118,25 @@ class FilterBank:
     @classmethod
     def from_json(cls, obj: dict) -> "FilterBank":
         spec = IfsSpec.from_json(obj["spec"])
-        filters = tuple(CylinderFn.from_json(f) for f in obj["filters"])
-        return cls(spec, filters)
+        return cls.from_cylinders(spec, [CylinderFn.from_json(f) for f in obj["filters"]])
 
 
-@dataclass(frozen=True)
-class MatrixField:
-    """An N x N matrix of cylinder functions, one matrix per point."""
+class MatrixField(_FunctionArray):
+    """An N x N matrix of cylinder functions, one matrix per point: values[j, k] is U_jk."""
 
-    spec: IfsSpec
-    entries: tuple[tuple[CylinderFn, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
-        n = self.spec.N
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise InputError(f"matrix field must be {n} x {n}")
-        for row in rows:
-            for e in row:
-                if e.spec != self.spec:
-                    raise SpecMismatchError("entry spec differs from field spec")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def max_depth(self) -> int:
-        return max(e.depth for row in self.entries for e in row)
+    AXES = 2
 
     @classmethod
     def from_matrix(cls, spec: IfsSpec, matrix) -> "MatrixField":
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (spec.N, spec.N):
-            raise InputError(f"expected a {spec.N} x {spec.N} matrix")
-        return cls(
-            spec,
-            tuple(
-                tuple(CylinderFn.constant(spec, z) for z in row) for row in matrix
-            ),
-        )
+        return cls(spec, np.asarray(matrix, dtype=complex)[..., None])
 
     @classmethod
     def identity(cls, spec: IfsSpec) -> "MatrixField":
         return cls.from_matrix(spec, np.eye(spec.N))
 
-    def stacked(self) -> np.ndarray:
-        """Entries lifted to a common depth, shape (N, N, N**depth)."""
-        depth = self.max_depth
-        n = self.spec.N
-        return np.array(
-            [[_lift_values(e, depth) for e in row] for row in self.entries]
-        ).reshape(n, n, -1)
-
     def unitarity_residual(self) -> float:
         """max over words of max-abs entries of M(x)* M(x) - I."""
-        m = self.stacked()
+        m = self.values
         gram = np.einsum("jkw,jlw->klw", np.conj(m), m)
         gram[np.arange(self.spec.N), np.arange(self.spec.N), :] -= 1.0
         return float(np.max(np.abs(gram)))
@@ -148,31 +144,22 @@ class MatrixField:
     def matmul(self, other: "MatrixField") -> "MatrixField":
         if self.spec != other.spec:
             raise SpecMismatchError("matrix fields over different systems")
-        n = self.spec.N
-        rows = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                acc = multiply(self.entries[j][0], other.entries[0][k])
-                for l in range(1, n):
-                    acc = acc + multiply(self.entries[j][l], other.entries[l][k])
-                row.append(acc)
-            rows.append(tuple(row))
-        return MatrixField(self.spec, tuple(rows))
+        n, depth = self.spec.N, max(self.depth, other.depth)
+        a, b = _lift(self.values, n, depth), _lift(other.values, n, depth)
+        return MatrixField(self.spec, (a[:, :, None] * b[None]).sum(axis=1))
 
     def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "entries": [[e.to_json() for e in row] for row in self.entries],
-        }
+        depth = self.depth
+        rows = [[CylinderFn(self.spec, depth, e).to_json() for e in row] for row in self.values]
+        return {"spec": self.spec.to_json(), "entries": rows}
 
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixField":
         spec = IfsSpec.from_json(obj["spec"])
-        entries = tuple(
-            tuple(CylinderFn.from_json(e) for e in row) for row in obj["entries"]
-        )
-        return cls(spec, entries)
+        rows = obj["entries"]
+        if any(len(row) != spec.N for row in rows):
+            raise InputError(f"matrix field must be {spec.N} x {spec.N}")
+        return cls.from_cylinders(spec, [CylinderFn.from_json(e) for row in rows for e in row])
 
 
 @dataclass(frozen=True)
@@ -210,39 +197,43 @@ def build_roots_of_unity(spec: IfsSpec) -> FilterBank:
         raise UnsupportedConstructionError(
             "the roots-of-unity bank is orthonormal only for uniform weights"
         )
-    n = spec.N
-    eps = np.exp(2j * np.pi / n)
-    filters = []
-    for row in range(1, n + 1):
-        vals = eps ** (row * np.arange(1, n + 1))
-        filters.append(CylinderFn(spec, 1, vals))
-    return FilterBank(spec, tuple(filters))
+    symbols = np.arange(1, spec.N + 1)
+    return FilterBank(spec, np.exp(2j * np.pi / spec.N) ** np.outer(symbols, symbols))
 
 
 def build_indicator(spec: IfsSpec) -> FilterBank:
     """Disjoint-support depth-1 bank m_n = 1_[n] / sqrt(p_n)."""
-    filters = []
-    for branch in range(1, spec.N + 1):
-        vals = np.zeros(spec.N, dtype=complex)
-        vals[branch - 1] = 1.0 / np.sqrt(spec.weights[branch - 1])
-        filters.append(CylinderFn(spec, 1, vals))
-    return FilterBank(spec, tuple(filters))
+    return FilterBank(spec, np.diag(1.0 / np.sqrt(spec.weight_array())))
+
+
+def _gram(spec: IfsSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """S*(conj(a_j) b_k), shape (J, K, T), from (function, first symbol, tail) views."""
+    _check_cells(len(a) * b.size)
+    prod = np.conj(a)[:, None] * b[None]
+    gram = spec.weight_array() @ prod.reshape(-1, spec.N, a.shape[-1])
+    return gram.reshape(len(a), len(b), -1)
+
+
+def _act(bank: FilterBank, x: np.ndarray) -> tuple[int, np.ndarray]:
+    """Depth and values of sum_j m_j (x_jk o sigma), in bank order, for x of shape (N, K, N**D)."""
+    n = bank.spec.N
+    depth = max(bank.depth, round(math.log(x.shape[-1], n)) + 1)
+    _check_cells(n**depth)
+    m = _lift(bank.values, n, depth)[:, None]
+    return depth, (m * _lift(np.tile(x, n), n, depth)).sum(axis=0)
 
 
 def _tail_residual(bank: FilterBank, depth: int, f: CylinderFn | None = None) -> float:
     """max |sum_n m_n(a t) (f(t) p_b conj(m_n(b t))) - f(t) delta_ab| over a, b
     and tails t of length depth - 1, summed in bank order; f defaults to 1."""
     n = bank.spec.N
-    _check_cells(n ** (depth + 1))
+    _check_cells(n ** (depth + 2))
     p = bank.spec.weight_array()[:, None]
     fv = 1.0 if f is None else _lift_values(f, depth - 1)
-    out = np.zeros((n, n, n ** (depth - 1)), dtype=complex)
-    for m in bank.filters:
-        mv = _lift_values(m, depth).reshape(n, -1)
-        low = fv * (p * np.conj(mv))
-        out += mv[:, None, :] * low[None, :, :]
-    diag = np.arange(n)
-    out[diag, diag] -= fv
+    m = bank._by_symbol(depth)
+    low = fv * (p * np.conj(m))
+    out = (m[:, :, None] * low[:, None]).sum(axis=0)
+    out[np.diag_indices(n)] -= fv
     return float(np.max(np.abs(out)))
 
 
@@ -251,18 +242,15 @@ def verify_filter(bank: FilterBank, probe_depth: int = 3, tol: float = 1e-12) ->
 
     Completeness is max |R - delta| over the bank's per-tail array (module
     docstring), so ``probe_depth`` changes neither the result nor the cost.
-    The array's N**(L+1) cells count against the cell cap (CapacityError).
+    The N**(L+2) cells of the products behind either residual count
+    against the cell cap (CapacityError).
     """
     if probe_depth < 1:
         raise InputError("probe depth must be >= 1")
-    n = bank.spec.N
-    orth = np.zeros((n, n))
-    for j in range(n):
-        for k in range(n):
-            r = adjoint_sigma(multiply(bank.filters[j].conj(), bank.filters[k]))
-            delta = 1.0 if j == k else 0.0
-            orth[j, k] = float(np.max(np.abs(r.values - delta)))
-    comp = _tail_residual(bank, max(bank.max_depth, 1))
+    n, depth = bank.spec.N, max(bank.depth, 1)
+    gram = _gram(bank.spec, bank._by_symbol(depth), bank._by_symbol(depth))
+    orth = np.max(np.abs(gram - np.eye(n)[:, :, None]), axis=2)
+    comp = _tail_residual(bank, depth)
     passed = bool(orth.max() < tol and comp < tol)
     return FilterReport(orth, comp, passed, tol, probe_depth)
 
@@ -273,18 +261,17 @@ def analysis(bank: FilterBank, f: CylinderFn) -> tuple[CylinderFn, ...]:
         raise SpecMismatchError("function spec differs from bank spec")
     if f.depth < 1:
         raise InputError("analysis needs depth >= 1")
-    return tuple(weighted_adjoint(m, f) for m in bank.filters)
+    depth = max(bank.depth, f.depth)
+    fv = _lift_values(f, depth).reshape(1, bank.spec.N, -1)
+    parts = _gram(bank.spec, bank._by_symbol(depth), fv)[:, 0]
+    return tuple(CylinderFn(bank.spec, depth - 1, part) for part in parts)
 
 
 def synthesis(bank: FilterBank, parts: Sequence[CylinderFn]) -> CylinderFn:
     """Recombine subbands: sum_n m_n (part_n o sigma)."""
-    parts = tuple(parts)
-    if len(parts) != bank.spec.N:
-        raise InputError(f"expected {bank.spec.N} subbands, got {len(parts)}")
-    acc = weighted_compose(bank.filters[0], parts[0])
-    for m, part in zip(bank.filters[1:], parts[1:]):
-        acc = acc + weighted_compose(m, part)
-    return acc
+    subbands = FilterBank.from_cylinders(bank.spec, list(parts))
+    depth, out = _act(bank, subbands.values[:, None])
+    return CylinderFn(bank.spec, depth, out[0])
 
 
 @dataclass(frozen=True)
@@ -382,24 +369,11 @@ def gram_schmidt_module(generators: Sequence[CylinderFn]) -> FilterBank:
             raise ModuleBasisError(
                 f"generator {k + 1} lies in the module span of its predecessors"
             )
-        d = conditional_expectation(r.abs2())
-        rv, dv, depth = _lift_values(r, max(r.depth, d.depth)), _lift_values(d, max(r.depth, d.depth)), max(r.depth, d.depth)
-        mask = dv.real > GRAM_SCHMIDT_SUPPORT_EPS
-        vals = np.where(mask, rv / np.sqrt(np.where(mask, dv.real, 1.0)), 1.0)
-        accepted.append(CylinderFn(spec, depth, vals))
-    return FilterBank(spec, tuple(accepted))
-
-
-def _require_verified(bank: FilterBank, tol: float, probe_depth: int | None = None) -> None:
-    if probe_depth is None:
-        probe_depth = max(1, bank.max_depth)
-    report = verify_filter(bank, probe_depth=probe_depth, tol=tol)
-    if not report.passed:
-        raise PreconditionError(
-            "bank fails filter verification "
-            f"(orthonormality {report.orthonormality_residual:.3e}, "
-            f"completeness {report.completeness:.3e})"
-        )
+        dv = conditional_expectation(r.abs2()).values.real  # at the depth of r
+        mask = dv > GRAM_SCHMIDT_SUPPORT_EPS
+        vals = np.where(mask, r.values / np.sqrt(np.where(mask, dv, 1.0)), 1.0)
+        accepted.append(CylinderFn(spec, r.depth, vals))
+    return FilterBank.from_cylinders(spec, accepted)
 
 
 def connecting_unitary(
@@ -416,24 +390,23 @@ def connecting_unitary(
     """
     if bank.spec != target.spec:
         raise SpecMismatchError("banks over different systems")
-    _require_verified(bank, tol)
-    _require_verified(target, tol)
-    n = bank.spec.N
-    rows = tuple(
-        tuple(
-            adjoint_sigma(multiply(bank.filters[j].conj(), target.filters[k]))
-            for k in range(n)
-        )
-        for j in range(n)
-    )
-    field = MatrixField(bank.spec, rows)
+    for b in (bank, target):
+        report = verify_filter(b, probe_depth=max(1, b.depth), tol=tol)
+        if not report.passed:
+            raise PreconditionError(
+                "bank fails filter verification "
+                f"(orthonormality {report.orthonormality_residual:.3e}, "
+                f"completeness {report.completeness:.3e})"
+            )
+    depth = max(bank.depth, target.depth, 1)
+    gram = _gram(bank.spec, bank._by_symbol(depth), target._by_symbol(depth))
+    field = MatrixField(bank.spec, gram)
     resid = field.unitarity_residual()
     if resid > unitarity_tol:
         raise VerificationError(f"connecting field not pointwise unitary: {resid:.3e}")
-    recombined = apply_loop_group(bank, field)
-    recomb = max(
-        sup_distance(a, b) for a, b in zip(recombined.filters, target.filters)
-    )
+    recombined = apply_loop_group(bank, field)  # at depth max(L, L~)
+    lifted = _lift(target.values, bank.spec.N, recombined.depth)
+    recomb = float(np.max(np.abs(recombined.values - lifted)))
     if recomb > recombination_tol:
         raise VerificationError(f"connecting field fails to recombine target: {recomb:.3e}")
     return field
@@ -447,28 +420,15 @@ def apply_loop_group(bank: FilterBank, field: MatrixField) -> FilterBank:
     """
     if bank.spec != field.spec:
         raise SpecMismatchError("field spec differs from bank spec")
-    for row in field.entries:
-        for e in row:
-            if not np.all(np.isfinite(e.values.view(float))):
-                raise InputError("matrix field entries must be finite")
-    n = bank.spec.N
-    new_filters = []
-    for k in range(n):
-        acc = multiply(bank.filters[0], compose_sigma(field.entries[0][k]))
-        for j in range(1, n):
-            acc = acc + multiply(bank.filters[j], compose_sigma(field.entries[j][k]))
-        new_filters.append(acc)
-    return FilterBank(bank.spec, tuple(new_filters))
+    if not np.all(np.isfinite(field.values)):
+        raise InputError("matrix field entries must be finite")
+    return FilterBank(bank.spec, _act(bank, field.values)[1])
 
 
 def matrix_field(bank: FilterBank) -> MatrixField:
     """Modulation matrix M_jk = sqrt(p_k) m_j(tau_k .), unitary iff the bank is a filter."""
-    scale = np.sqrt(bank.spec.weight_array())
-    rows = tuple(
-        tuple(precompose_branch(m, k + 1) * s for k, s in enumerate(scale))
-        for m in bank.filters
-    )
-    return MatrixField(bank.spec, rows)
+    scale = np.sqrt(bank.spec.weight_array())[:, None]
+    return MatrixField(bank.spec, bank._by_symbol(max(bank.depth, 1)) * scale)
 
 
 def endomorphism_check(bank: FilterBank, f: CylinderFn, probe_depth: int = 2) -> float:
@@ -484,4 +444,4 @@ def endomorphism_check(bank: FilterBank, f: CylinderFn, probe_depth: int = 2) ->
         raise SpecMismatchError("function spec differs from bank spec")
     if probe_depth < 1:
         raise InputError("probe depth must be >= 1")
-    return _tail_residual(bank, max(bank.max_depth, f.depth + 1), f)
+    return _tail_residual(bank, max(bank.depth, f.depth + 1), f)

@@ -8,9 +8,12 @@ filter-bank residuals, which test every indicator probe of a given
 depth, kept as the judge of the per-tail closed forms.  The circle grid
 scans are likewise the package's former per-point loops, kept as the
 judge of the stacked evaluators; they reduce with ``np.max`` so that a NaN
-point gives a NaN residual.  At the end, the chaos-game loop and the
-row-by-row ``csv`` reader and writer are the package's former code, kept
-as the judge of the prefix scan and of the one-call CSV reader and writer.
+point gives a NaN residual.  The bank and matrix-field operations on
+tuples of cylinder functions are the package's former filter-by-filter
+code, kept as the judge of the one-array forms.  At the end, the
+chaos-game loop and the row-by-row ``csv`` reader and writer are the
+package's former code, kept as the judge of the prefix scan and of the
+one-call CSV reader and writer.
 """
 
 import csv
@@ -156,7 +159,7 @@ def probe_block_completeness(bank, probe_depth: int) -> float:
     """
     spec = bank.spec
     n = spec.N
-    depth = max(probe_depth, bank.max_depth)
+    depth = max(probe_depth, bank.depth)
     m_probe = n**probe_depth
     reps = n ** (depth - probe_depth)
     f = np.repeat(np.eye(m_probe, dtype=complex), reps, axis=0)
@@ -192,6 +195,108 @@ def probe_endomorphism(bank, f: CylinderFn, probe_depth: int) -> float:
         rhs = cs.multiply(cs.compose_sigma(f), g)
         worst.append(cs.sup_distance(lhs, rhs))
     return float(np.max(worst))
+
+
+# ---------------------------------------------------------------------------
+# filter banks and matrix fields as tuples of cylinder functions, one
+# multiply or adjoint per filter or entry
+# ---------------------------------------------------------------------------
+
+
+def stacked(fns) -> np.ndarray:
+    """A tuple, or an N x N tuple, of cylinder functions lifted to their common depth."""
+    nested = isinstance(fns[0], (tuple, list))
+    flat = [f for row in fns for f in row] if nested else list(fns)
+    depth = max(f.depth for f in flat)
+    values = np.array([cs._lift_values(f, depth) for f in flat])
+    return values.reshape(len(fns), -1, values.shape[-1]) if nested else values
+
+
+def entries_of(field) -> tuple:
+    """A matrix field as an N x N tuple of cylinder functions."""
+    return tuple(
+        tuple(CylinderFn(field.spec, field.depth, e) for e in row) for row in field.values
+    )
+
+
+def tuple_orthonormality(filters) -> np.ndarray:
+    n = len(filters)
+    orth = np.zeros((n, n))
+    for j in range(n):
+        for k in range(n):
+            r = cs.adjoint_sigma(cs.multiply(filters[j].conj(), filters[k]))
+            delta = 1.0 if j == k else 0.0
+            orth[j, k] = float(np.max(np.abs(r.values - delta)))
+    return orth
+
+
+def tuple_tail_residual(filters, depth: int, f=None) -> float:
+    """The per-tail completeness (f = None) or endomorphism residual."""
+    spec = filters[0].spec
+    n = spec.N
+    p = spec.weight_array()[:, None]
+    fv = 1.0 if f is None else cs._lift_values(f, depth - 1)
+    out = np.zeros((n, n, n ** (depth - 1)), dtype=complex)
+    for m in filters:
+        mv = cs._lift_values(m, depth).reshape(n, -1)
+        low = fv * (p * np.conj(mv))
+        out += mv[:, None, :] * low[None, :, :]
+    diag = np.arange(n)
+    out[diag, diag] -= fv
+    return float(np.max(np.abs(out)))
+
+
+def tuple_connecting(filters, targets) -> tuple:
+    """U_jk = S*(conj(m_j) m~_k), entry by entry."""
+    return tuple(
+        tuple(cs.adjoint_sigma(cs.multiply(m.conj(), t)) for t in targets) for m in filters
+    )
+
+
+def tuple_apply(filters, entries) -> tuple:
+    """m~_k = sum_j m_j (U_jk o sigma), summed in bank order."""
+    n = len(filters)
+    out = []
+    for k in range(n):
+        acc = cs.multiply(filters[0], cs.compose_sigma(entries[0][k]))
+        for j in range(1, n):
+            acc = acc + cs.multiply(filters[j], cs.compose_sigma(entries[j][k]))
+        out.append(acc)
+    return tuple(out)
+
+
+def tuple_matmul(a, b) -> tuple:
+    n = len(a)
+    rows = []
+    for j in range(n):
+        row = []
+        for k in range(n):
+            acc = cs.multiply(a[j][0], b[0][k])
+            for l in range(1, n):
+                acc = acc + cs.multiply(a[j][l], b[l][k])
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def tuple_matrix_field(filters) -> tuple:
+    """M_jk = sqrt(p_k) m_j(tau_k .)."""
+    scale = np.sqrt(filters[0].spec.weight_array())
+    return tuple(
+        tuple(cs.precompose_branch(m, k + 1) * s for k, s in enumerate(scale))
+        for m in filters
+    )
+
+
+def tuple_analysis(filters, f) -> tuple:
+    return tuple(cs.weighted_adjoint(m, f) for m in filters)
+
+
+def tuple_synthesis(filters, parts):
+    acc = cs.weighted_compose(filters[0], parts[0])
+    for m, part in zip(filters[1:], parts[1:]):
+        acc = acc + cs.weighted_compose(m, part)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -703,6 +703,36 @@ def test_malformed_input_exits_2(name, tmp_path, capsys):
         assert bad_file in captured.err
 
 
+def test_decoder_error_names_its_file(tmp_path, capsys):
+    """A bad [re, im] pair in the second of three input files names that file."""
+    pset = FinitePointSet.squaring_chain(0.9 * np.exp(0.7j), 12)
+    kernel = szego_kernel(pset.points).to_json()
+    kernel["matrix"][3][5] = ["0.5", 0.0]
+    paths = {
+        "points": write(tmp_path / "p.json", pset.to_json()),
+        "kernel": write(tmp_path / "k.json", kernel),
+        "filters": write(tmp_path / "m.json", {"filters": [jsonio.encode_cvector(np.ones(12))]}),
+    }
+    argv = ["rkhs", "check"] + [a for key, path in paths.items() for a in (f"--{key}", path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert paths["kernel"] in captured.err and "[re, im] pair" in captured.err
+    assert paths["points"] not in captured.err and paths["filters"] not in captured.err
+
+
+@pytest.mark.parametrize("band", ["-1", "0", "1"])
+def test_dilations_below_2_exit_2(band, tmp_path, capsys):
+    path = _input_files(tmp_path)["blaschke2"]
+    for argv in (
+        ["circle", "blaschke", "--factors", path, "--band", band],
+        ["circle", "loop-act", "--g-factors", path, "--u-factors", path, "--N", band],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "band count must be >= 2" in captured.err
+
+
 @pytest.mark.parametrize("error", [KeyError, ValueError, TypeError])
 def test_internal_error_in_compute_is_not_a_usage_error(error, tmp_path, monkeypatch, capsys):
     path = write(tmp_path / "bank.json", build_indicator(IfsSpec(2)).to_json())

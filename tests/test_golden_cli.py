@@ -63,13 +63,7 @@ def _field2(spec: IfsSpec) -> MatrixField:
     entries = np.zeros((2, 2, 2), dtype=complex)
     entries[:, :, 0] = [[S, S], [S, -S]]
     entries[:, :, 1] = [[0, 1j], [1, 0]]
-    return MatrixField(
-        spec,
-        tuple(
-            tuple(CylinderFn(spec, 1, entries[j, k]) for k in range(2))
-            for j in range(2)
-        ),
-    )
+    return MatrixField(spec, entries)
 
 
 def _ifs_inputs() -> dict:
@@ -83,15 +77,9 @@ def _ifs_inputs() -> dict:
         "roots2": build_roots_of_unity(u2).to_json(),
         "roots3": build_roots_of_unity(u3).to_json(),
         "acted2w": apply_loop_group(build_indicator(w2), _field2(w2)).to_json(),
-        "rand3": FilterBank(
-            u3, tuple(CylinderFn(u3, 2, _values(9, s)) for s in range(3))
-        ).to_json(),
-        "broken2": FilterBank(
-            u2, (CylinderFn(u2, 1, [1.0, 1.0]),) * 2
-        ).to_json(),
-        "nan2": FilterBank(
-            u2, (CylinderFn(u2, 1, nan_vals), build_indicator(u2).filters[1])
-        ).to_json(),
+        "rand3": FilterBank(u3, [_values(9, s) for s in range(3)]).to_json(),
+        "broken2": FilterBank(u2, [[1.0, 1.0]] * 2).to_json(),
+        "nan2": FilterBank(u2, [nan_vals, build_indicator(u2).values[1]]).to_json(),
         "field2w": _field2(w2).to_json(),
         "hadamard": {"matrix": jsonio.encode_cmatrix([[S, S], [S, -S]])},
         "nonunitary": {"matrix": jsonio.encode_cmatrix([[2, 0], [0, 1]])},

@@ -44,7 +44,7 @@ from wavelab.ifs_filters import (
 
 def broken_bank(spec):
     ones = compose_sigma(CylinderFn.ones(spec))
-    return FilterBank(spec, (ones,) * spec.N)
+    return FilterBank.from_cylinders(spec, (ones,) * spec.N)
 
 
 def fourier_matrix(n):
@@ -146,7 +146,7 @@ def _oracle_bank(rng, spec, kind, depth):
         values = filters[0].values.copy()
         values[-1] = np.nan
         filters[0] = CylinderFn(spec, depth, values)
-    return FilterBank(spec, tuple(filters))
+    return FilterBank.from_cylinders(spec, filters)
 
 
 def _same(a, b):
@@ -206,8 +206,8 @@ def test_verify_respects_cell_cap(monkeypatch, spec2):
 
 def test_tail_array_counts_against_cell_cap(monkeypatch, spec2):
     monkeypatch.setenv("WAVELAB_MAX_CELLS", "1000")
-    # 2**9 filter values fit, the (2, 2, 2**8) per-tail array does not
-    bank = FilterBank(spec2, tuple(CylinderFn(spec2, 9, np.ones(512)) for _ in range(2)))
+    # 2**9 filter values fit, the 2**11 products behind the residuals do not
+    bank = FilterBank(spec2, np.ones((2, 512)))
     with pytest.raises(CapacityError):
         verify_filter(bank, 1)
     with pytest.raises(CapacityError):
@@ -344,17 +344,15 @@ def test_connecting_unitary_identity(spec2):
     field = connecting_unitary(bank, bank)
     assert field.unitarity_residual() < 1e-14
     eye = MatrixField.identity(spec2)
-    for row_a, row_b in zip(field.entries, eye.entries):
-        for a, b in zip(row_a, row_b):
-            assert sup_distance(a, b) < 1e-14
+    assert field.depth == eye.depth == 0
+    assert np.max(np.abs(field.values - eye.values)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_connecting_unitary_is_fourier_matrix(n):
     spec = IfsSpec(n)
     field = connecting_unitary(build_indicator(spec), build_roots_of_unity(spec))
-    got = np.array([[e.values[0] for e in row] for row in field.entries])
-    assert np.max(np.abs(got - fourier_matrix(n))) < 1e-13
+    assert np.max(np.abs(field.values[:, :, 0] - fourier_matrix(n))) < 1e-13
 
 
 def test_connecting_unitary_requires_verified_banks(spec2):
@@ -393,13 +391,7 @@ def _random_unitary_field(rng, spec, depth):
         q, r = np.linalg.qr(a)
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         entries[:, :, w] = q
-    return MatrixField(
-        spec,
-        tuple(
-            tuple(CylinderFn(spec, depth, entries[j, k]) for k in range(spec.N))
-            for j in range(spec.N)
-        ),
-    )
+    return MatrixField(spec, entries)
 
 
 def test_loop_group_group_law(rng, spec2):
@@ -419,9 +411,98 @@ def test_connect_recovers_applied_unitary(rng, spec2, spec3):
         acted = apply_loop_group(bank, u)
         assert verify_filter(acted, 3, 1e-12).passed
         recovered = connecting_unitary(bank, acted)
-        for j in range(spec.N):
-            for k in range(spec.N):
-                assert sup_distance(recovered.entries[j][k], u.entries[j][k]) < 1e-13
+        assert recovered.depth == u.depth
+        assert np.max(np.abs(recovered.values - u.values)) < 1e-13
+
+
+def _star(u):
+    """The pointwise inverse U* of a unitary field."""
+    return MatrixField(u.spec, np.conj(u.values.transpose(1, 0, 2)))
+
+
+def _max_diff(a, b):
+    return max(sup_distance(x, y) for x, y in zip(a.filters, b.filters))
+
+
+@pytest.mark.parametrize("spec", [s for s in ORACLE_SPECS if not s.uniform], ids=lambda s: f"N{s.N}")
+def test_loop_group_laws_on_verified_banks(spec):
+    """(U V).m = V.(U.m), U*.(U.m) = m and connect(m, U.m) = U for depth-2 fields."""
+    rng = np.random.default_rng(spec.N)
+    for _ in range(3):
+        bank = apply_loop_group(build_indicator(spec), _random_unitary_field(rng, spec, 1))
+        assert verify_filter(bank).passed
+        u, v = _random_unitary_field(rng, spec, 2), _random_unitary_field(rng, spec, 2)
+        acted = apply_loop_group(bank, u)
+        assert _max_diff(apply_loop_group(bank, u.matmul(v)), apply_loop_group(acted, v)) < 1e-12
+        assert _max_diff(apply_loop_group(acted, _star(u)), bank) < 1e-12
+        recovered = connecting_unitary(bank, acted)
+        assert recovered.depth == u.depth == 2
+        assert np.max(np.abs(recovered.values - u.values)) < 1e-12
+
+
+def _random_bank(rng, spec, depth):
+    size = (spec.N, spec.N**depth)
+    return FilterBank(spec, rng.normal(size=size) + 1j * rng.normal(size=size))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"N{s.N}-{'u' if s.uniform else 'w'}")
+def test_array_forms_equal_tuple_oracle(spec, depth):
+    """Every bank and field operation equals its former filter-by-filter form bit for bit."""
+    rng = np.random.default_rng(10 * spec.N + depth + (0 if spec.uniform else 5))
+    for _ in range(5):
+        verified = apply_loop_group(
+            build_indicator(spec), _random_unitary_field(rng, spec, depth - 1)
+        )
+        for bank in (verified, _random_bank(rng, spec, depth)):
+            m = bank.filters
+            report = verify_filter(bank)
+            assert np.array_equal(report.orthonormality, oracle.tuple_orthonormality(m))
+            assert report.completeness == oracle.tuple_tail_residual(m, depth)
+            f = random_cylinder(rng, spec, depth + 1)
+            assert endomorphism_check(bank, f) == oracle.tuple_tail_residual(m, depth + 2, f)
+            want = oracle.stacked(oracle.tuple_matrix_field(m))
+            assert np.array_equal(matrix_field(bank).values, want)
+            u = _random_unitary_field(rng, spec, depth)
+            v = _random_unitary_field(rng, spec, depth - 1)
+            want = oracle.stacked(oracle.tuple_apply(m, oracle.entries_of(u)))
+            assert np.array_equal(apply_loop_group(bank, u).values, want)
+            want = oracle.stacked(oracle.tuple_matmul(oracle.entries_of(u), oracle.entries_of(v)))
+            assert np.array_equal(u.matmul(v).values, want)
+            parts = analysis(bank, f)
+            assert np.array_equal(oracle.stacked(parts), oracle.stacked(oracle.tuple_analysis(m, f)))
+            got, want = synthesis(bank, parts), oracle.tuple_synthesis(m, parts)
+            assert got.depth == want.depth and np.array_equal(got.values, want.values)
+        target = apply_loop_group(verified, _random_unitary_field(rng, spec, depth))
+        want = oracle.stacked(oracle.tuple_connecting(verified.filters, target.filters))
+        assert np.array_equal(connecting_unitary(verified, target).values, want)
+
+
+def test_mixed_depth_bank_loads_at_common_depth(spec_weighted):
+    """A bank file whose filters differ in depth is lifted to the deepest one.
+
+    Completeness was already computed at the common depth, so it is
+    unchanged to the bit.  Each orthonormality entry used to be averaged at
+    the depth of its own pair; at the common depth the same sum can round
+    differently, so it agrees to a few units in the last place.
+    """
+    spec = spec_weighted
+    m1, m2 = build_indicator(spec).filters
+    phase = CylinderFn(spec, 1, np.exp([0.3j, -1.1j]))
+    mixed = (m1, multiply(m2, compose_sigma(phase)))  # depths 1 and 2
+    obj = {"spec": spec.to_json(), "filters": [m.to_json() for m in mixed]}
+    bank = FilterBank.from_json(obj)
+    assert bank.depth == 2 and [m.depth for m in mixed] == [1, 2]
+    for got, m in zip(bank.filters, mixed):
+        assert got.depth == 2 and sup_distance(got, m) == 0
+    report = verify_filter(bank)
+    assert report.passed
+    assert report.completeness == oracle.tuple_tail_residual(mixed, 2)
+    assert np.allclose(report.orthonormality, oracle.tuple_orthonormality(mixed), rtol=0, atol=1e-15)
+    # written back at one depth, the bank reads back to the same residuals
+    again = verify_filter(FilterBank.from_json(bank.to_json()))
+    assert again.to_json() == report.to_json()
+    assert {f["depth"] for f in bank.to_json()["filters"]} == {2}
 
 
 def test_module_inner_product_identity(rng, spec2):
@@ -455,12 +536,11 @@ def test_branch_orthogonality_implies_l2(rng, spec3):
 def test_matrix_field_examples(spec2):
     ind = matrix_field(build_indicator(spec2))
     assert ind.unitarity_residual() < 1e-14
-    stacked = ind.stacked()
-    assert np.allclose(stacked[:, :, 0], np.eye(2))
+    assert np.allclose(ind.values[:, :, 0], np.eye(2))
     roots = matrix_field(build_roots_of_unity(spec2))
     eps = -1.0
     expected = np.array([[eps, eps**2], [eps**2, eps**4]]) / np.sqrt(2)
-    assert np.allclose(roots.stacked()[:, :, 0], expected)
+    assert np.allclose(roots.values[:, :, 0], expected)
     assert roots.unitarity_residual() < 1e-14
     broken = matrix_field(broken_bank(spec2))
     assert broken.unitarity_residual() > 0.99
