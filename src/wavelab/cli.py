@@ -187,7 +187,7 @@ def _path_triple(obj) -> tuple[CylinderFn, CylinderFn, CylinderFn]:
 def _dilation_file(obj) -> tuple[tuple[CylinderFn, ...], dict[str, int]]:
     """(m, f, g) and residual name -> order, from "orders", else "n", else order 1."""
     orders = obj.get("orders", [obj.get("n", 1)])
-    return _path_triple(obj), {f"order_{n}": int(n) for n in orders}
+    return _path_triple(obj), {f"order_{n}": jsonio.decode_int(n, "order") for n in orders}
 
 
 def _finite_float(text: str) -> float:
@@ -477,7 +477,7 @@ def _solenoid_moment(args) -> tuple[dict, bool]:
 
 def _solenoid_dilation(args) -> tuple[dict, bool]:
     (m, f, g), orders = _load(args.file, _dilation_file)
-    residuals = {name: sol.dilation_check(m, f, g, n) for name, n in orders.items()}
+    residuals = dict(zip(orders, sol.dilation_residuals(m, f, g, list(orders.values()))))
     return {
         "residuals": residuals,
         "tolerances": {"dilation": args.tol},

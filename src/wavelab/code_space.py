@@ -27,6 +27,7 @@ accidental blowup.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -38,6 +39,7 @@ from . import jsonio
 
 DEFAULT_MAX_CELLS = 2**24
 _CELLS_ENV = "WAVELAB_MAX_CELLS"
+DENSE_SOLVE_WORDS = 512  # beyond, harmonic_solve's O(size**3) LU outcosts 200 power steps
 
 WEIGHT_SUM_TOL = 1e-14
 
@@ -105,7 +107,7 @@ class IfsSpec:
     def from_json(cls, obj: dict) -> "IfsSpec":
         if "N" not in obj:
             raise InputError("spec JSON needs an 'N' field")
-        return cls(int(obj["N"]), tuple(obj.get("weights") or ()))
+        return cls(jsonio.decode_int(obj["N"], "N"), tuple(obj.get("weights") or ()))
 
 
 @dataclass(frozen=True)
@@ -150,12 +152,20 @@ def all_words(n_branches: int, length: int) -> Iterator[Word]:
         yield Word.from_index(n_branches, length, i)
 
 
+class _Fresh(tuple):
+    """(array,): the new array of a code-space operation, adopted without a copy."""
+
+
+def _new(spec: IfsSpec, depth: int, values: np.ndarray) -> "CylinderFn":
+    return CylinderFn(spec, depth, _Fresh((values,)))
+
+
 @dataclass(frozen=True, eq=False)
 class CylinderFn:
     """A complex function of the first ``depth`` symbols.
 
     ``values`` holds one entry per word of length ``depth`` in canonical
-    order; the array is copied and frozen on construction.
+    order.  An array handed in is copied and frozen; an operation's own is frozen.
     """
 
     spec: IfsSpec
@@ -163,11 +173,14 @@ class CylinderFn:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise InputError(f"depth must be >= 0, got {self.depth}")
         size = self.spec.N**self.depth
-        _check_cells(size)
-        vals = np.array(self.values, dtype=np.complex128).ravel()
+        if isinstance(self.values, _Fresh):  # its operation checked the cap already
+            vals = self.values[0]
+        else:
+            if self.depth < 0:
+                raise InputError(f"depth must be >= 0, got {self.depth}")
+            _check_cells(size)
+            vals = np.array(self.values, dtype=np.complex128).ravel()
         if vals.shape != (size,):
             raise InputError(
                 f"depth {self.depth} over {self.spec.N} branches needs "
@@ -198,8 +211,8 @@ class CylinderFn:
     def _binary(self, other, op):
         if isinstance(other, CylinderFn):
             a, b, depth = _align(self, other)
-            return CylinderFn(self.spec, depth, op(a, b))
-        return CylinderFn(self.spec, self.depth, op(self.values, complex(other)))
+            return _new(self.spec, depth, op(a, b))
+        return _new(self.spec, self.depth, op(self.values, complex(other)))
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -218,16 +231,16 @@ class CylinderFn:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return CylinderFn(self.spec, self.depth, self.values / complex(other))
+        return self._binary(other, lambda a, b: a / b)
 
     def __neg__(self):
-        return CylinderFn(self.spec, self.depth, -self.values)
+        return _new(self.spec, self.depth, -self.values)
 
     def conj(self) -> "CylinderFn":
-        return CylinderFn(self.spec, self.depth, np.conj(self.values))
+        return _new(self.spec, self.depth, np.conj(self.values))
 
     def abs2(self) -> "CylinderFn":
-        return CylinderFn(self.spec, self.depth, np.abs(self.values) ** 2 + 0j)
+        return _new(self.spec, self.depth, np.abs(self.values) ** 2 + 0j)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -245,7 +258,8 @@ class CylinderFn:
         spec = IfsSpec.from_json(obj)
         if "depth" not in obj or "values" not in obj:
             raise InputError("cylinder JSON needs 'depth' and 'values'")
-        return cls(spec, int(obj["depth"]), jsonio.decode_cvector(obj["values"]))
+        depth = jsonio.decode_int(obj["depth"], "depth")
+        return cls(spec, depth, jsonio.decode_cvector(obj["values"]))
 
 
 def _require_same_spec(f: CylinderFn, g: CylinderFn) -> None:
@@ -273,7 +287,7 @@ def _lift_values(f: CylinderFn, depth: int) -> np.ndarray:
 
 def lift(f: CylinderFn, depth: int) -> CylinderFn:
     """View ``f`` as a function of the first ``depth`` >= f.depth symbols."""
-    return CylinderFn(f.spec, depth, _lift_values(f, depth))
+    return _new(f.spec, depth, _lift_values(f, depth))
 
 
 def restrict(f: CylinderFn, depth: int) -> CylinderFn:
@@ -284,7 +298,7 @@ def restrict(f: CylinderFn, depth: int) -> CylinderFn:
     p = f.spec.weight_array()
     for _ in range(f.depth - depth):
         vals = vals.reshape(-1, f.spec.N) @ p
-    return CylinderFn(f.spec, depth, vals)
+    return _new(f.spec, depth, vals)
 
 
 def integrate(f: CylinderFn) -> complex:
@@ -299,7 +313,7 @@ def integrate(f: CylinderFn) -> complex:
 def multiply(f: CylinderFn, g: CylinderFn) -> CylinderFn:
     """Pointwise product at the common lifted depth."""
     a, b, depth = _align(f, g)
-    return CylinderFn(f.spec, depth, a * b)
+    return _new(f.spec, depth, a * b)
 
 
 def inner_product(f: CylinderFn, g: CylinderFn) -> complex:
@@ -319,7 +333,7 @@ def sup_distance(f: CylinderFn, g: CylinderFn) -> float:
 def compose_sigma(f: CylinderFn) -> CylinderFn:
     """The isometry S: precompose with the shift, raising depth by one."""
     _check_cells(f.values.shape[0] * f.spec.N)
-    return CylinderFn(f.spec, f.depth + 1, np.tile(f.values, f.spec.N))
+    return _new(f.spec, f.depth + 1, np.tile(f.values, f.spec.N))
 
 
 def adjoint_sigma(f: CylinderFn) -> CylinderFn:
@@ -327,7 +341,7 @@ def adjoint_sigma(f: CylinderFn) -> CylinderFn:
     if f.depth == 0:
         return f
     p = f.spec.weight_array()
-    return CylinderFn(f.spec, f.depth - 1, p @ f.values.reshape(f.spec.N, -1))
+    return _new(f.spec, f.depth - 1, p @ f.values.reshape(f.spec.N, -1))
 
 
 def conditional_expectation(f: CylinderFn) -> CylinderFn:
@@ -343,9 +357,7 @@ def precompose_branch(f: CylinderFn, branch: int) -> CylinderFn:
         raise InputError(f"branch {branch} outside 1..{f.spec.N}")
     if f.depth == 0:
         return f
-    return CylinderFn(
-        f.spec, f.depth - 1, f.values.reshape(f.spec.N, -1)[branch - 1]
-    )
+    return _new(f.spec, f.depth - 1, f.values.reshape(f.spec.N, -1)[branch - 1])
 
 
 def shift_iterate(f: CylinderFn, k: int) -> CylinderFn:
@@ -359,13 +371,11 @@ def shift_iterate(f: CylinderFn, k: int) -> CylinderFn:
 
 def weighted_compose(m: CylinderFn, f: CylinderFn) -> CylinderFn:
     """S_m f = m * (f o sigma)."""
-    _require_same_spec(m, f)
     return multiply(m, compose_sigma(f))
 
 
 def weighted_adjoint(m: CylinderFn, f: CylinderFn) -> CylinderFn:
     """S_m* f = S*(conj(m) * f)."""
-    _require_same_spec(m, f)
     return adjoint_sigma(multiply(m.conj(), f))
 
 
@@ -388,36 +398,61 @@ def harmonic_solve(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> CylinderFn:
-    """Power-iterate R_W from the constant function until R_W h = h.
+    """The density h with R_W h = h and integrate(h) = 1, by default at W.depth - 1.
 
-    The natural depth of a transfer fixed point is W.depth - 1, which is
-    the default.  The returned h is normalized to integrate(h) = 1 and
-    certified to satisfy sup|R_W h - h| < tol; otherwise a
-    ConvergenceError carrying the last residual is raised.
+    R_W is a nonnegative N**depth-square matrix, mat[v, (n v)[:depth]] +=
+    p_n W(n v); h solves (R_W - I + 1 mu^T) h = 1, mu the cylinder masses, or
+    is power-iterated above DENSE_SOLVE_WORDS words or the cell cap.  Unless
+    sup|R_W h - h| < tol and h >= -tol (so 1 is the Perron eigenvalue of an
+    irreducible R_W), a ConvergenceError names the residual and spectrum.
     """
     _require_weight(W)
-    if depth is None:
-        depth = max(W.depth - 1, 0)
+    depth = max(W.depth - 1, 0) if depth is None else depth
     if W.depth > depth + 1:
         raise InputError(
             f"iteration depth {depth} cannot hold a fixed point of a "
             f"depth-{W.depth} weight; need depth >= {W.depth - 1}"
         )
-    h = lift(CylinderFn.ones(W.spec), depth)
-    residual = None
+    n, size = W.spec.N, W.spec.N**depth
+    if size > DENSE_SOLVE_WORDS or size * size > max_cells():
+        return _power_solve(W, depth, tol, max_iter)
+    p, word = W.spec.weight_array(), np.arange(n * size)  # the words n v
+    mat = np.zeros((size, size))
+    weighted = np.repeat(p, size) * _lift_values(W, depth + 1).real
+    np.add.at(mat, (word % size, word // n), weighted)
+    masses = functools.reduce(np.kron, [p] * depth, np.ones(1))
+    try:
+        vals = np.linalg.solve(mat - np.eye(size) + masses, np.ones(size))
+    except np.linalg.LinAlgError:  # a ValueError, which the CLI reads as bad input
+        vals = np.full(size, np.nan)
+    h = _new(W.spec, depth, vals + 0j)
+    residual = sup_distance(ruelle_apply(W, h), h)
+    if residual < tol and h.values.real.min() >= -tol:
+        return h
+    spectrum = "the weight is not finite"
+    if np.isfinite(mat).all():
+        eigs = np.sort(np.abs(np.linalg.eigvals(mat)))[::-1]
+        ratio = eigs[1] / eigs[0] if size > 1 and eigs[0] > 0 else 0.0
+        spectrum = f"Perron eigenvalue {eigs[0]:.6g}, |lambda_2/lambda_1| {ratio:.3g}"
+    msg = f"no nonnegative transfer fixed point (residual {residual:.3e}; {spectrum})"
+    raise ConvergenceError(msg, residual=residual)
+
+
+def _power_solve(W: CylinderFn, depth: int, tol: float, max_iter: int) -> CylinderFn:
+    """harmonic_solve by power iteration, for matrices over the cell cap."""
+    h, residual = lift(CylinderFn.ones(W.spec), depth), None
+    rh = lift(ruelle_apply(W, h), depth)
     for _ in range(max_iter):
-        nxt = lift(ruelle_apply(W, h), depth)
-        total = integrate(nxt)
+        total = integrate(rh)
         if abs(total) < 1e-300:
             raise ConvergenceError("transfer iterate vanished", residual=residual)
-        nxt = nxt / total
-        residual = sup_distance(lift(ruelle_apply(W, nxt), depth), nxt)
-        h = nxt
+        h = rh / total
+        rh = lift(ruelle_apply(W, h), depth)
+        residual = sup_distance(rh, h)
         if residual < tol:
             return h
     raise ConvergenceError(
-        f"no transfer fixed point after {max_iter} iterations "
-        f"(last residual {residual:.3e})",
+        f"no transfer fixed point after {max_iter} iterations (last residual {residual:.3e})",
         residual=residual,
     )
 

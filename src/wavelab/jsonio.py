@@ -36,6 +36,12 @@ def decode_complex(obj: Any) -> complex:
     raise InputError(f"expected [re, im] pair, got {obj!r}")
 
 
+def decode_int(obj: Any, name: str) -> int:
+    if type(obj) is not int:  # not int(), which truncates 2.9, parses "2" and reads true
+        raise InputError(f"{name} must be an integer, got {obj!r}")
+    return obj
+
+
 def encode_cvector(values) -> list[list[float]]:
     return [encode_complex(z) for z in np.asarray(values).ravel()]
 

@@ -22,6 +22,7 @@ and therefore requires m bounded away from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +44,7 @@ from .code_space import (
     weighted_compose,
 )
 
-HARMONIC_TOL = 1e-10
+HARMONIC_TOL = 1e-12
 NONVANISHING_TOL = 1e-12
 
 
@@ -210,15 +211,13 @@ def expectation(f: PathCylinderFn, weight: CylinderFn, h: CylinderFn) -> complex
     """E_P[F] by the nested transfer formula, term by term."""
     if weight.spec != f.spec or h.spec != f.spec:
         raise SpecMismatchError("weight or density spec differs from path spec")
-    total = 0.0 + 0.0j
+    total, one = 0.0 + 0.0j, CylinderFn.ones(f.spec)
     for term in f.terms:
-        top = max((n for n, _ in term.factors), default=0)
-        slots: list[CylinderFn] = [CylinderFn.ones(f.spec) for _ in range(top + 1)]
-        for n, g in term.factors:
-            slots[n] = multiply(slots[n], g)
-        acc = multiply(slots[top], h)
+        slots = dict(term.factors)  # at most one factor per coordinate
+        top = max(slots, default=0)
+        acc = multiply(slots.get(top, one), h)
         for n in range(top - 1, -1, -1):
-            acc = multiply(slots[n], ruelle_apply(weight, acc))
+            acc = multiply(slots.get(n, one), ruelle_apply(weight, acc))
         total += term.coeff * integrate(acc)
     return complex(total)
 
@@ -254,15 +253,9 @@ class MomentSpec:
                 raise SpecMismatchError("moment component spec mismatch")
 
     def validate(self, tol: float = HARMONIC_TOL) -> None:
-        w = self.weight.values
-        if float(np.max(np.abs(w.imag))) > 1e-12 or float(np.min(w.real)) < -1e-12:
-            raise InputError("weight must be real and nonnegative")
         if abs(integrate(self.h) - 1.0) > tol:
             raise InputError("harmonic density must integrate to 1")
-        resid = sup_distance(
-            lift(ruelle_apply(self.weight, self.h), max(self.h.depth, self.weight.depth - 1)),
-            lift(self.h, max(self.h.depth, self.weight.depth - 1)),
-        )
+        resid = sup_distance(ruelle_apply(self.weight, self.h), self.h)  # at the deeper depth
         if resid >= tol:
             raise InputError(f"density is not transfer-harmonic (residual {resid:.3e})")
 
@@ -293,36 +286,37 @@ def moment(ms: MomentSpec) -> complex:
     return integrate(acc)
 
 
-def dilation_check(
-    m: CylinderFn, f: CylinderFn, g: CylinderFn, n: int, h: CylinderFn | None = None
-) -> float:
-    """Residual of the dilation identities between base and path space.
+def _walk(step, x, wanted: set[int]):
+    """(k, step^k(x)) for every k in wanted, in order, from one pass of step."""
+    for k in range(max(wanted, default=0) + 1):
+        if k:
+            x = step(x)
+        if k in wanted:
+            yield k, x
+
+
+def dilation_residuals(
+    m: CylinderFn, f: CylinderFn, g: CylinderFn, orders: Sequence[int], h: CylinderFn | None = None
+) -> list[float]:
+    """Residuals of the dilation identities between base and path space.
 
     n >= 0 compares <S_m^n f, g> with <U^n (f o pi_0), g o pi_0>_P; n < 0
-    compares the adjoint power against <f o pi_0, U^{|n|} (g o pi_0)>_P,
-    the unitary pairing, which never divides by m.
+    compares the power of the L2(h dmu) adjoint S*(conj(m) h f) / h against
+    <f o pi_0, U^{|n|} (g o pi_0)>_P, the unitary pairing, which never
+    divides by m.  Each of the four powers is walked once, to its largest order.
     """
     weight = m.abs2()
-    if h is None:
-        h = harmonic_for(weight)
-    lhs_fn = f
-    if n >= 0:
-        for _ in range(n):
-            lhs_fn = weighted_compose(m, lhs_fn)
-        lhs = integrate(multiply(lhs_fn, multiply(g.conj(), h)))
-        pf = PathCylinderFn.coordinate(0, f)
-        for _ in range(n):
-            pf = weighted_shift(pf, m)
-        rhs = pairing(pf, PathCylinderFn.coordinate(0, g), weight, h)
-    else:
-        for _ in range(-n):
-            lhs_fn = weighted_adjoint(m, lhs_fn)
-        lhs = integrate(multiply(lhs_fn, multiply(g.conj(), h)))
-        pg = PathCylinderFn.coordinate(0, g)
-        for _ in range(-n):
-            pg = weighted_shift(pg, m)
-        rhs = pairing(PathCylinderFn.coordinate(0, f), pg, weight, h)
-    return abs(lhs - rhs)
+    h = harmonic_for(weight) if h is None else h
+    gh = multiply(g.conj(), h)
+    pf, pg = PathCylinderFn.coordinate(0, f), PathCylinderFn.coordinate(0, g)
+    up, down = {n for n in orders if n >= 0}, {-n for n in orders if n < 0}
+    compose, shift = partial(weighted_compose, m), partial(weighted_shift, m=m)
+    lhs = {k: integrate(multiply(x, gh)) for k, x in _walk(compose, f, up)}
+    adjoints = _walk(lambda x: weighted_adjoint(m, multiply(h, x)) / h, f, down)
+    lhs.update({-k: integrate(multiply(x, gh)) for k, x in adjoints})
+    rhs = {k: pairing(F, pg, weight, h) for k, F in _walk(shift, pf, up)}
+    rhs.update({-k: pairing(pf, G, weight, h) for k, G in _walk(shift, pg, down)})
+    return [abs(lhs[n] - rhs[n]) for n in orders]
 
 
 @dataclass(frozen=True)
@@ -359,8 +353,7 @@ def w0_isometry_residual(
     f: CylinderFn, g: CylinderFn, weight: CylinderFn, h: CylinderFn | None = None
 ) -> float:
     """|<f o pi_0, g o pi_0>_P - int f conj(g) h dmu|; zero by the marginal law."""
-    if h is None:
-        h = harmonic_for(weight)
+    h = harmonic_for(weight) if h is None else h
     lhs = pairing(
         PathCylinderFn.coordinate(0, f), PathCylinderFn.coordinate(0, g), weight, h
     )
@@ -372,8 +365,7 @@ def measure_change_residual(
     f: PathCylinderFn, weight: CylinderFn, h: CylinderFn | None = None
 ) -> float:
     """Residual of E[(W o pi_0) F] = E[F o shift^{-1}], the density of P o shift."""
-    if h is None:
-        h = harmonic_for(weight)
+    h = harmonic_for(weight) if h is None else h
     lhs = expectation(PathCylinderFn.coordinate(0, weight) * f, weight, h)
     rhs = expectation(f.compose_shift_inverse(), weight, h)
     return abs(lhs - rhs)
@@ -383,8 +375,7 @@ def marginal_residual(
     f0: CylinderFn, order: int, weight: CylinderFn, h: CylinderFn | None = None
 ) -> float:
     """Moment with trailing all-ones coordinates minus int f_0 h dmu."""
-    if h is None:
-        h = harmonic_for(weight)
+    h = harmonic_for(weight) if h is None else h
     coords = (f0,) + tuple(CylinderFn.ones(f0.spec) for _ in range(order))
     val = moment(MomentSpec(f0.spec, weight, h, coords))
     return abs(val - integrate(multiply(f0, h)))
@@ -395,8 +386,7 @@ def probability_residual(
 ) -> float:
     """All-ones moment minus 1: P is a probability measure."""
     spec = weight.spec
-    if h is None:
-        h = harmonic_for(weight)
+    h = harmonic_for(weight) if h is None else h
     coords = tuple(CylinderFn.ones(spec) for _ in range(order + 1))
     return abs(moment(MomentSpec(spec, weight, h, coords)) - 1.0)
 
@@ -419,6 +409,5 @@ def state_moment(
     Equals <(f o pi_0) U^k 1, 1>_P, the mixed moment of the multiplication
     operator and the weighted shift in the path space.
     """
-    if h is None:
-        h = harmonic_for(m.abs2())
+    h = harmonic_for(m.abs2()) if h is None else h
     return integrate(multiply(multiply(cocycle_weight(m, k), f), h))

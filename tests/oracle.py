@@ -13,7 +13,10 @@ tuples of cylinder functions are the package's former filter-by-filter
 code, kept as the judge of the one-array forms.  At the end, the
 chaos-game loop and the row-by-row ``csv`` reader and writer are the
 package's former code, kept as the judge of the prefix scan and of the
-one-call CSV reader and writer.
+one-call CSV reader and writer.  Last, the power iteration and the
+order-by-order dilation residual are the package's former path-space
+code, kept as the judge of the direct Perron solve and of the one-walk
+dilation residuals.
 """
 
 import csv
@@ -26,6 +29,8 @@ import numpy as np
 from wavelab import code_space as cs
 from wavelab.circle_filters import unit_circle_grid
 from wavelab.code_space import CylinderFn, Word
+from wavelab.errors import ConvergenceError
+from wavelab.solenoid import PathCylinderFn, pairing, weighted_shift
 from wavelab.examples_geometry import CHAOS_BURN_IN
 
 
@@ -406,3 +411,72 @@ def write_rows(path: str, header, rows) -> None:
             writer.writerow(header)
         for row in rows:
             writer.writerow([f"{v:.17g}" for v in row])
+
+
+# ---------------------------------------------------------------------------
+# path space: R_W word by word, the transfer fixed point by power iteration,
+# and the dilation identities one order at a time
+# ---------------------------------------------------------------------------
+
+
+def transfer_matrix(W: CylinderFn) -> np.ndarray:
+    """R_W on depth (L - 1) functions, word by word, mat[v, (n v)[:L-1]] = p_n W(n v)."""
+    n, depth = W.spec.N, W.depth - 1
+    mat = np.zeros((n**depth, n**depth))
+    for word in words(n, depth + 1):
+        v, head = Word(word[1:]).index(n), Word(word[:depth]).index(n)
+        mat[v, head] += W.spec.weights[word[0] - 1] * W.values[Word(word).index(n)].real
+    return mat
+
+
+def perron_normalised(W: CylinderFn) -> tuple[CylinderFn, CylinderFn]:
+    """W divided by the Perron eigenvalue of R_W, and its density h by np.linalg.eig."""
+    vals, vecs = np.linalg.eig(transfer_matrix(W))
+    top = int(np.argmax(vals.real))
+    h = CylinderFn(W.spec, W.depth - 1, vecs[:, top].real)
+    return W / vals[top].real, h / cs.integrate(h)
+
+
+def power_harmonic(W: CylinderFn, depth=None, tol: float = 1e-10, max_iter: int = 200) -> CylinderFn:
+    """Power-iterate R_W from the constant function until R_W h = h."""
+    if depth is None:
+        depth = max(W.depth - 1, 0)
+    h = cs.lift(CylinderFn.ones(W.spec), depth)
+    residual = None
+    for _ in range(max_iter):
+        nxt = cs.lift(cs.ruelle_apply(W, h), depth)
+        total = cs.integrate(nxt)
+        if abs(total) < 1e-300:
+            raise ConvergenceError("transfer iterate vanished", residual=residual)
+        nxt = nxt / total
+        residual = cs.sup_distance(cs.lift(cs.ruelle_apply(W, nxt), depth), nxt)
+        h = nxt
+        if residual < tol:
+            return h
+    raise ConvergenceError(f"no fixed point after {max_iter} iterations", residual=residual)
+
+
+def dilation_check(m: CylinderFn, f: CylinderFn, g: CylinderFn, n: int, h: CylinderFn) -> float:
+    """One order of the dilation identities, each power recomputed from order 0.
+
+    n < 0 uses the L2(h dmu) adjoint S*(conj(m) h f) / h.
+    """
+    weight = m.abs2()
+    lhs_fn = f
+    if n >= 0:
+        for _ in range(n):
+            lhs_fn = cs.weighted_compose(m, lhs_fn)
+        lhs = cs.integrate(cs.multiply(lhs_fn, cs.multiply(g.conj(), h)))
+        pf = PathCylinderFn.coordinate(0, f)
+        for _ in range(n):
+            pf = weighted_shift(pf, m)
+        rhs = pairing(pf, PathCylinderFn.coordinate(0, g), weight, h)
+    else:
+        for _ in range(-n):
+            lhs_fn = cs.weighted_adjoint(m, cs.multiply(h, lhs_fn)) / h
+        lhs = cs.integrate(cs.multiply(lhs_fn, cs.multiply(g.conj(), h)))
+        pg = PathCylinderFn.coordinate(0, g)
+        for _ in range(-n):
+            pg = weighted_shift(pg, m)
+        rhs = pairing(PathCylinderFn.coordinate(0, f), pg, weight, h)
+    return abs(lhs - rhs)

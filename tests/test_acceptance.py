@@ -69,7 +69,7 @@ from wavelab.rkhs_kernels import (
 )
 from wavelab.solenoid import (
     PathCylinderFn,
-    dilation_check,
+    dilation_residuals,
     harmonic_for,
     marginal_residual,
     measure_change_residual,
@@ -349,8 +349,7 @@ def test_criterion_08_solenoid_moments():
         probe = PathCylinderFn.coordinate(0, f) * PathCylinderFn.coordinate(1, g)
         worst = max(worst, measure_change_residual(probe, weight, h))
         worst = max(worst, w0_isometry_residual(f, g, weight, h))
-        for n in (-2, -1, 0, 1, 2):
-            worst = max(worst, dilation_check(m, f, g, n, h))
+        worst = max(worst, *dilation_residuals(m, f, g, (-2, -1, 0, 1, 2), h))
     elapsed = time.perf_counter() - start
     checks = [
         ("max_residual", worst < 1e-12, worst),

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -844,7 +845,85 @@ def test_solenoid_axioms_fail_closed_on_nan(tmp_path, capsys):
 
 def test_solenoid_dilation_fails_closed_on_one_nan_order(tmp_path, capsys, monkeypatch):
     path = _path_file(tmp_path, [1.0, 2.0], orders=[0, 1])
-    monkeypatch.setattr(cli.sol, "dilation_check", lambda m, f, g, n: float("nan") if n else 0.0)
+    monkeypatch.setattr(
+        cli.sol, "dilation_residuals",
+        lambda m, f, g, orders: [float("nan") if n else 0.0 for n in orders],
+    )
     code, result = run_json(capsys, ["solenoid", "dilation", "--file", path])
     assert result["residuals"]["order_0"] == 0.0 and np.isnan(result["residuals"]["order_1"])
     assert code == 1 and result["pass"] is False
+
+
+@pytest.mark.parametrize("bad", [2.9, "2", True])
+def test_branch_count_must_be_a_json_integer(tmp_path, capsys, bad):
+    bank = build_indicator(IfsSpec(2)).to_json()
+    bank["spec"]["N"] = bad  # int() read 2.9 as 2 and "2" as 2
+    code = run(["ifs", "verify-filter", "--bank", write(tmp_path / "bank.json", bank)])
+    assert code == 2 and "N must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [1.7, "1", True])
+def test_cylinder_depth_must_be_a_json_integer(tmp_path, capsys, bad):
+    obj = json.loads(Path(_path_file(tmp_path, [1.0, 2.0])).read_text())
+    obj["f"]["depth"] = bad  # int() read 1.7 as depth 1
+    code = run(["solenoid", "axioms", "--file", write(tmp_path / "path.json", obj)])
+    assert code == 2 and "depth must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["orders", "n"])
+@pytest.mark.parametrize("bad", [0.5, "1", True])
+def test_dilation_orders_must_be_json_integers(tmp_path, capsys, key, bad):
+    path = _path_file(tmp_path, [1.0, 2.0], **{key: [0, bad] if key == "orders" else bad})
+    code = run(["solenoid", "dilation", "--file", path])
+    assert code == 2 and "order must be an integer" in capsys.readouterr().err
+
+
+def _perron_normalised(rng, spec, depth):
+    """A random positive weight divided by the Perron eigenvalue of R_W."""
+    raw = CylinderFn(spec, depth, rng.uniform(0.2, 1.8, spec.N**depth))
+    return oracle.perron_normalised(raw)[0].values.real
+
+
+def _moment_file(tmp_path, spec, weight, coords):
+    return write(tmp_path / "moment.json", {
+        "spec": spec.to_json(), "W": CylinderFn(spec, 8, weight).to_json(), "h": "auto",
+        "coords": [CylinderFn(spec, 1, c).to_json() for c in coords],
+    })
+
+
+def test_solenoid_moment_names_the_perron_eigenvalue(tmp_path, capsys):
+    # 1.3 times a normalised weight: R_W has Perron eigenvalue 1.3, so no h
+    spec, rng = IfsSpec(2, (0.375, 0.625)), np.random.default_rng(3)
+    weight = 1.3 * _perron_normalised(rng, spec, 8)
+    path = _moment_file(tmp_path, spec, weight, [[1.0, 2.0], [0.5, 1j], [1.0, 1.0]])
+    code, result = run_json(capsys, ["solenoid", "moment", "--file", path])
+    assert code == 1 and result["pass"] is False
+    eigenvalue = re.search(r"Perron eigenvalue ([0-9.e+-]+),", result["error"]).group(1)
+    ratio = re.search(r"\|lambda_2/lambda_1\| ([0-9.e+-]+)\)", result["error"]).group(1)
+    assert abs(float(eigenvalue) - 1.3) < 1e-5 and 0.0 < float(ratio) < 1.0
+
+
+def test_solenoid_moment_rejects_a_signed_auto_h(tmp_path, capsys):
+    # R_W has eigenvalues 1.3 and 1, and its eigenvalue-1 vector changes sign
+    spec = IfsSpec(2)
+    path = write(tmp_path / "moment.json", {
+        "spec": spec.to_json(), "W": CylinderFn(spec, 2, [2.4, 1.0, 0.08, 2.2]).to_json(),
+        "h": "auto", "coords": [CylinderFn(spec, 1, [1.0, 2.0]).to_json()] * 2,
+    })
+    code, result = run_json(capsys, ["solenoid", "moment", "--file", path])
+    assert code == 1 and result["pass"] is False
+    assert "Perron eigenvalue 1.3," in result["error"]
+
+
+@pytest.mark.parametrize("seed", [8, 195])
+def test_solenoid_moment_auto_h_meets_the_default_tolerance(tmp_path, capsys, seed):
+    # power iteration stopped at 1e-10 (seed 8) or gave up after 200 steps
+    # (seed 195, |lambda_2/lambda_1| = 0.91) on these weights
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.5, 1.5, 2)
+    head = round(float(raw[0] / raw.sum()), 4)
+    spec = IfsSpec(2, (head, 1.0 - head))
+    weight = _perron_normalised(rng, spec, 8)
+    path = _moment_file(tmp_path, spec, weight, [[1.0, 1.0]] * 4)
+    code, result = run_json(capsys, ["solenoid", "moment", "--file", path])
+    assert code == 0 and result["residuals"]["probability_normalization"] < 1e-12

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import random_cylinder
+from wavelab import code_space
 from wavelab.code_space import (
     CylinderFn,
     IfsSpec,
@@ -323,6 +324,86 @@ def test_harmonic_solve_failure_reports_residual(spec2):
     assert err.value.residual is not None and err.value.residual > 0.1
 
 
+@pytest.mark.parametrize("n_branches", [2, 3])
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_harmonic_solve_matches_power_loop_and_eig(n_branches, uniform, depth):
+    rng = np.random.default_rng(1000 * n_branches + 10 * depth + uniform)
+    p = rng.uniform(0.5, 1.5, n_branches)
+    spec = IfsSpec(n_branches) if uniform else IfsSpec(n_branches, tuple(p / p.sum()))
+    raw = CylinderFn(spec, depth, rng.uniform(0.2, 1.8, spec.N**depth))
+    W, h_eig = oracle.perron_normalised(raw)
+    h = harmonic_solve(W, tol=1e-13)
+    assert h.depth == depth - 1
+    assert sup_distance(h, h_eig) < 1e-12
+    assert sup_distance(h, oracle.power_harmonic(W, tol=1e-13, max_iter=2000)) < 1e-12
+    assert sup_distance(ruelle_apply(W, h), h) < 1e-13
+
+
+def test_harmonic_solve_on_slowly_mixing_weight(spec2):
+    # R_W = [[0.97, 0.07], [0.03, 0.93]] on depth-1 functions: eigenvalues 1
+    # and 0.9, h = (1.4, 0.6); 200 power steps leave a residual of 2.8e-11
+    W = CylinderFn(spec2, 2, [1.94, 0.06, 0.14, 1.86])
+    with pytest.raises(ConvergenceError):
+        oracle.power_harmonic(W, tol=1e-12)
+    h = harmonic_solve(W, tol=1e-12)
+    assert np.max(np.abs(h.values - [1.4, 0.6])) < 1e-14
+
+
+def test_harmonic_solve_iterates_only_over_the_cell_cap(monkeypatch, rng):
+    raw = CylinderFn(IfsSpec(2, (0.3, 0.7)), 4, rng.uniform(0.2, 1.8, 16))
+    W, _ = oracle.perron_normalised(raw)  # an 8 x 8 matrix: 64 cells
+    applies = []
+
+    def counting(weight, f):
+        applies.append(1)
+        return ruelle_apply(weight, f)
+
+    monkeypatch.setattr(code_space, "ruelle_apply", counting)
+    direct = harmonic_solve(W, tol=1e-12)
+    assert len(applies) == 1  # the certificate only
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "63")
+    fallback = harmonic_solve(W, tol=1e-12)
+    assert len(applies) > 3
+    assert np.array_equal(fallback.values, oracle.power_harmonic(W, tol=1e-12).values)
+    assert sup_distance(fallback, direct) < 1e-11
+
+
+def test_harmonic_solve_iterates_above_the_dense_word_limit(monkeypatch, rng):
+    # an LU of an N**D-square matrix costs O(N**(3D)); past DENSE_SOLVE_WORDS
+    # words the power loop is cheaper, so it runs instead
+    raw = CylinderFn(IfsSpec(2, (0.3, 0.7)), 4, rng.uniform(0.2, 1.8, 16))
+    W, h_eig = oracle.perron_normalised(raw)
+    monkeypatch.setattr(code_space, "DENSE_SOLVE_WORDS", 7)
+    h = harmonic_solve(W, tol=1e-12)
+    assert np.array_equal(h.values, oracle.power_harmonic(W, tol=1e-12).values)
+    assert sup_distance(h, h_eig) < 1e-11
+
+
+def test_harmonic_solve_rejects_a_signed_eigenvector(spec2):
+    # R_W = [[1.2, 0.04], [0.5, 1.1]] has eigenvalues 1.3 and 1; the
+    # eigenvalue-1 vector (-0.5, 2.5) solves the bordered system to 1e-16
+    # but is no density
+    with pytest.raises(ConvergenceError) as err:
+        harmonic_solve(CylinderFn(spec2, 2, [2.4, 1.0, 0.08, 2.2]), tol=1e-12)
+    assert "Perron eigenvalue 1.3," in str(err.value)
+
+
+def test_harmonic_solve_failure_names_the_spectrum(spec2):
+    W = CylinderFn(spec2, 2, [1.94, 0.06, 0.14, 1.86]) * 1.3
+    with pytest.raises(ConvergenceError) as err:
+        harmonic_solve(W)
+    assert "Perron eigenvalue 1.3," in str(err.value) and "|lambda_2/lambda_1| 0.9" in str(err.value)
+    assert err.value.residual > 0.1
+
+
+def test_harmonic_solve_singular_system_is_a_convergence_error(spec2):
+    # R_W = 0, so the bordered matrix is singular: numpy's LinAlgError is a
+    # ValueError, which the CLI would report as a malformed file
+    with pytest.raises(ConvergenceError):
+        harmonic_solve(CylinderFn(spec2, 1, [0.0, 0.0]))
+
+
 def test_density_check_examples(spec2):
     m = CylinderFn(spec2, 1, [np.sqrt(2), 0])
     w = m.abs2()
@@ -369,6 +450,18 @@ def test_values_are_frozen(spec2):
     f = CylinderFn.ones(spec2)
     with pytest.raises(ValueError):
         f.values[0] = 2.0
+
+
+def test_operation_results_are_frozen_and_inputs_copied(spec2):
+    raw = np.array([1.0, 2.0])
+    f = CylinderFn(spec2, 1, raw)
+    raw[0] = 5.0
+    assert f.values[0] == 1.0
+    results = (f + f, f * 2.0, f / f, -f, f.conj(), f.abs2(), compose_sigma(f),
+               adjoint_sigma(f), lift(f, 2), restrict(f, 0), precompose_branch(f, 1))
+    for g in results:
+        with pytest.raises(ValueError):
+            g.values[0] = 0.0
 
 
 @given(

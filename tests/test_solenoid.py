@@ -10,6 +10,7 @@ from wavelab.code_space import (
     integrate,
     lift,
     multiply,
+    weighted_adjoint,
     weighted_compose,
 )
 from wavelab.errors import InputError, PreconditionError, SpecMismatchError
@@ -18,7 +19,7 @@ from wavelab.solenoid import (
     MomentSpec,
     PathCylinderFn,
     cocycle_weight,
-    dilation_check,
+    dilation_residuals,
     harmonic_for,
     marginal_residual,
     measure_change_residual,
@@ -238,7 +239,7 @@ def test_dilation_zero_order_is_plain_pairing(spec2, rng):
     m = build_indicator(spec2).filters[0]
     f = random_cylinder(rng, spec2, 1)
     g = random_cylinder(rng, spec2, 1)
-    assert dilation_check(m, f, g, 0) < 1e-14
+    assert dilation_residuals(m, f, g, [0])[0] < 1e-14
 
 
 def test_dilation_expands_weighted_composition(spec2, rng):
@@ -255,7 +256,7 @@ def test_dilation_expands_weighted_composition(spec2, rng):
         h,
     )
     assert abs(lhs - rhs) < 1e-13
-    assert dilation_check(m, f, g, 1) < 1e-13
+    assert dilation_residuals(m, f, g, [1])[0] < 1e-13
 
 
 def test_dilation_negative_order_with_trivial_weight(spec2, rng):
@@ -265,7 +266,7 @@ def test_dilation_negative_order_with_trivial_weight(spec2, rng):
     # m = 1: the adjoint power is the plain transfer average
     lhs = integrate(multiply(adjoint_sigma(f), g.conj()))
     assert abs(lhs - integrate(multiply(f, compose_sigma(g).conj()))) < 1e-13
-    assert dilation_check(one, f, g, -1) < 1e-13
+    assert dilation_residuals(one, f, g, [-1])[0] < 1e-13
 
 
 def test_dilation_orders_both_signs(spec2, spec3, rng):
@@ -275,7 +276,7 @@ def test_dilation_orders_both_signs(spec2, spec3, rng):
         for n in (-2, -1, 0, 1, 2):
             f = random_cylinder(rng, spec, 2)
             g = random_cylinder(rng, spec, 2)
-            assert dilation_check(m, f, g, n) < 1e-12
+            assert dilation_residuals(m, f, g, [n])[0] < 1e-12
 
 
 def test_dilation_with_roots_weights(spec3, rng):
@@ -283,7 +284,46 @@ def test_dilation_with_roots_weights(spec3, rng):
     for n in (-2, 1):
         f = random_cylinder(rng, spec3, 1)
         g = random_cylinder(rng, spec3, 1)
-        assert dilation_check(m, f, g, n) < 1e-12
+        assert dilation_residuals(m, f, g, [n])[0] < 1e-12
+
+
+def _dilation_multiplier(rng, spec, admissible: bool) -> CylinderFn:
+    """A depth-2 multiplier m: admissible (h = 1), or with |m|^2 a positive
+    weight divided by the Perron eigenvalue of R_W (non-constant h)."""
+    phases = np.exp(2j * np.pi * rng.uniform(size=spec.N**2))
+    raw = rng.uniform(0.2, 1.8, size=(spec.N, spec.N))  # raw[n, v] = |m(n v)|^2 before scaling
+    p = spec.weight_array()
+    if admissible:  # sum_n p_n |m(n v)|^2 = 1 at every tail v
+        scale = p @ raw
+    else:  # the Perron eigenvalue of R_W
+        mat = oracle.transfer_matrix(CylinderFn(spec, 2, raw.ravel()))
+        scale = np.max(np.linalg.eigvals(mat).real)
+    return CylinderFn(spec, 2, np.sqrt(raw / scale).ravel() * phases)
+
+
+@pytest.mark.parametrize("admissible", [True, False])
+def test_dilation_walk_equals_order_by_order_oracle(spec2, spec_weighted, rng, admissible):
+    for spec in (spec2, spec_weighted):
+        m = _dilation_multiplier(rng, spec, admissible)
+        h = harmonic_for(m.abs2())
+        assert (h.depth == 0) == admissible
+        f, g = random_cylinder(rng, spec, 1), random_cylinder(rng, spec, 2)
+        orders = list(range(-5, 6))
+        walk = dilation_residuals(m, f, g, orders, h)
+        assert walk == [oracle.dilation_check(m, f, g, n, h) for n in orders]
+
+
+def test_dilation_negative_orders_use_the_h_adjoint(spec_weighted, rng):
+    m = _dilation_multiplier(rng, spec_weighted, admissible=False)
+    f, g = random_cylinder(rng, spec_weighted, 1), random_cylinder(rng, spec_weighted, 1)
+    h = harmonic_for(m.abs2())
+    assert h.depth == 1 and abs(h.values[0] - h.values[1]) > 0.01
+    assert max(dilation_residuals(m, f, g, [-1, -2, -3])) < 1e-15
+    # the L2(mu) adjoint S*(conj(m) f) misses the L2(h dmu) pairing at n = -1
+    lhs = integrate(multiply(weighted_adjoint(m, f), multiply(g.conj(), h)))
+    pf, pg = PathCylinderFn.coordinate(0, f), PathCylinderFn.coordinate(0, g)
+    rhs = pairing(pf, weighted_shift(pg, m), m.abs2(), h)
+    assert abs(lhs - rhs) > 1e-3
 
 
 # ---------------------------------------------------------------------------
