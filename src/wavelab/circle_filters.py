@@ -39,21 +39,25 @@ PRUNE_TOL = 1e-15
 class LaurentPoly:
     """Finite Laurent polynomial sum c_k z**k with complex coefficients.
 
-    Coefficients with modulus at most PRUNE_TOL are dropped on
-    construction, so identities that cancel to rounding noise compare
-    equal to the zero polynomial.  Non-finite coefficients are kept, so
-    they reach every residual.
+    Stored as its lowest degree plus one read-only coefficient array.
+    Coefficients with modulus at most PRUNE_TOL become zero on
+    construction and are trimmed from both ends, so identities that cancel
+    to rounding noise compare equal to the zero polynomial (0, empty).
+    Non-finite coefficients are kept, so they reach every residual.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_lo", "_coeffs")
 
-    def __init__(self, coeffs: dict[int, complex] | None = None):
-        pruned = {}
-        for k, c in (coeffs or {}).items():
-            c = complex(c)
-            if not abs(c) <= PRUNE_TOL:
-                pruned[int(k)] = c
-        self._coeffs = pruned
+    def __init__(self, min_degree: int = 0, coeffs: Sequence[complex] = ()):
+        c = np.array(coeffs, dtype=complex).ravel()
+        c[np.abs(c) <= PRUNE_TOL] = 0.0
+        kept = np.flatnonzero(c)  # NaN counts as nonzero
+        if kept.size:
+            min_degree, c = int(min_degree) + int(kept[0]), c[kept[0] : kept[-1] + 1]
+        else:
+            min_degree, c = 0, c[:0]
+        c.setflags(write=False)
+        self._lo, self._coeffs = min_degree, c
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -62,55 +66,46 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1.0})
+        return cls(0, [1.0])
 
     @classmethod
     def monomial(cls, degree: int, coeff: complex = 1.0) -> "LaurentPoly":
-        return cls({degree: coeff})
+        return cls(degree, [coeff])
 
     @classmethod
     def from_coefficients(cls, min_degree: int, coeffs: Sequence[complex]) -> "LaurentPoly":
-        return cls({min_degree + i: c for i, c in enumerate(coeffs)})
+        return cls(min_degree, coeffs)
 
     # -- inspection -----------------------------------------------------------
-    def items(self) -> list[tuple[int, complex]]:
-        return sorted(self._coeffs.items())
-
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._coeffs.size)
 
     def coefficient(self, degree: int) -> complex:
-        return self._coeffs.get(degree, 0.0 + 0.0j)
+        i = degree - self._lo
+        return complex(self._coeffs[i]) if 0 <= i < self._coeffs.size else 0.0 + 0.0j
 
     def coefficients(self) -> tuple[int, np.ndarray]:
-        """Contiguous coefficient block (min_degree, values)."""
-        if not self._coeffs:
-            return 0, np.zeros(0, dtype=complex)
-        lo = min(self._coeffs)
-        hi = max(self._coeffs)
-        out = np.zeros(hi - lo + 1, dtype=complex)
-        for k, c in self._coeffs.items():
-            out[k - lo] = c
-        return lo, out
+        """Contiguous coefficient block (min_degree, values), read-only."""
+        return self._lo, self._coeffs
 
     def max_abs(self) -> float:
-        if not self._coeffs:
-            return 0.0
-        return float(np.max([abs(c) for c in self._coeffs.values()]))
+        # Python's abs: np.abs differs from it in the last place
+        return float(np.max([abs(c) for c in self._coeffs.tolist()], initial=0.0))
 
     def __repr__(self) -> str:
-        if not self._coeffs:
-            return "LaurentPoly(0)"
-        terms = " + ".join(f"({c:.4g})z^{k}" for k, c in self.items())
-        return f"LaurentPoly({terms})"
+        return f"LaurentPoly({self._lo}, {self._coeffs.tolist()})"
 
     # -- ring operations --------------------------------------------------------
     def __add__(self, other):
         other = _as_poly(other)
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            out[k] = out.get(k, 0.0) + c
-        return LaurentPoly(out)
+        if not (self and other):
+            return self or other
+        lo = min(self._lo, other._lo)
+        hi = max(self._lo + self._coeffs.size, other._lo + other._coeffs.size)
+        out = np.zeros(hi - lo, dtype=complex)
+        out[self._lo - lo : self._lo - lo + self._coeffs.size] = self._coeffs
+        out[other._lo - lo : other._lo - lo + other._coeffs.size] += other._coeffs
+        return LaurentPoly(lo, out)
 
     __radd__ = __add__
 
@@ -121,35 +116,38 @@ class LaurentPoly:
         return _as_poly(other) + (-self)
 
     def __neg__(self):
-        return LaurentPoly({k: -c for k, c in self._coeffs.items()})
+        return LaurentPoly(self._lo, -self._coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return LaurentPoly({k: c * other for k, c in self._coeffs.items()})
-        out: dict[int, complex] = {}
-        for k1, c1 in self._coeffs.items():
-            for k2, c2 in other._coeffs.items():
-                out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
-        return LaurentPoly(out)
+            # Python's complex product term by term; numpy's may fuse a multiply-add
+            s, c = complex(other), self._coeffs
+            out = np.empty_like(c)
+            out.real = c.real * s.real - c.imag * s.imag
+            out.imag = c.real * s.imag + c.imag * s.real
+            return LaurentPoly(self._lo, out)
+        if not (self and other):
+            return LaurentPoly()
+        return LaurentPoly(self._lo + other._lo, np.convolve(self._coeffs, other._coeffs))
 
     __rmul__ = __mul__
 
     def conj_reflect(self) -> "LaurentPoly":
         """Coefficientwise boundary conjugate: c_k z**k -> conj(c_k) z**-k."""
-        return LaurentPoly({-k: np.conj(c) for k, c in self._coeffs.items()})
+        return LaurentPoly(1 - self._lo - self._coeffs.size, np.conj(self._coeffs[::-1]))
 
     def alternate(self) -> "LaurentPoly":
         """f(-z): flip the sign of odd coefficients."""
-        return LaurentPoly({k: c * (-1) ** (k % 2) for k, c in self._coeffs.items()})
+        signs = (-1) ** (np.arange(self._lo, self._lo + self._coeffs.size) % 2)
+        return LaurentPoly(self._lo, self._coeffs * signs)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         out = np.zeros_like(z)
-        for k, c in self._coeffs.items():
-            out = out + c * z**k
-        if out.ndim == 0:
-            return complex(out)
-        return out
+        for k, c in enumerate(self._coeffs.tolist(), self._lo):
+            if c != 0:
+                out = out + c * z**k
+        return complex(out) if out.ndim == 0 else out
 
     def distance(self, other: "LaurentPoly") -> float:
         return (self - other).max_abs()
@@ -158,32 +156,33 @@ class LaurentPoly:
     def upsample(self, n: int) -> "LaurentPoly":
         if n < 2:
             raise InputError("band count must be >= 2")
-        return LaurentPoly({k * n: c for k, c in self._coeffs.items()})
+        out = np.zeros(n * self._coeffs.size, dtype=complex)  # trailing zeros are trimmed
+        out[::n] = self._coeffs
+        return LaurentPoly(n * self._lo, out)
 
     def downsample(self, n: int) -> "LaurentPoly":
         if n < 2:
             raise InputError("band count must be >= 2")
-        return LaurentPoly({k // n: c for k, c in self._coeffs.items() if k % n == 0})
+        skip = -self._lo % n  # index of the first degree divisible by n
+        return LaurentPoly((self._lo + skip) // n, self._coeffs[skip::n])
 
     # -- files ---------------------------------------------------------------
     def to_json(self) -> dict:
-        lo, coeffs = self.coefficients()
-        return {"min_degree": lo, "coeffs": jsonio.encode_cvector(coeffs)}
+        return {"min_degree": self._lo, "coeffs": jsonio.encode_cvector(self._coeffs)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "LaurentPoly":
         if not isinstance(obj, dict) or "coeffs" not in obj:
             raise InputError("Laurent JSON needs 'min_degree' and 'coeffs'")
-        return cls.from_coefficients(
-            int(obj.get("min_degree", 0)), jsonio.decode_cvector(obj["coeffs"])
-        )
+        min_degree = jsonio.decode_int(obj.get("min_degree", 0), "min_degree")
+        return cls(min_degree, jsonio.decode_cvector(obj["coeffs"]))
 
 
 def _as_poly(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
     if isinstance(x, (int, float, complex)):
-        return LaurentPoly({0: x})
+        return LaurentPoly(0, [x])
     raise InputError(f"cannot coerce {type(x).__name__} to a Laurent polynomial")
 
 
@@ -235,10 +234,8 @@ def cuntz_residuals(
     comp = []
     for t in range(n):
         probe = LaurentPoly.monomial(t)
-        recon = LaurentPoly.zero()
-        for m in filters:
-            low = (m.conj_reflect() * probe).downsample(n)
-            recon = recon + m * low.upsample(n)
+        lows = [(m.conj_reflect() * probe).downsample(n) for m in filters]
+        recon = sum((m * low.upsample(n) for m, low in zip(filters, lows)), LaurentPoly.zero())
         comp.append((scale * recon - probe).max_abs())
     # np.max, unlike max(), keeps a NaN residual
     worst = float(np.max([q.max_abs() for row in gram_rows for q in row], initial=0.0))
@@ -254,20 +251,18 @@ def cqf_complete(m0: LaurentPoly, convention: str = "unit-sum") -> list[list[Lau
     power-sum condition.
     """
     _convention_scale(convention, 2)
-    m1 = LaurentPoly(
-        {-k - 1: np.conj(c) * (-1) ** (k % 2) for k, c in m0.items()}
-    )
-    row2_col2 = LaurentPoly({-k - 1: -np.conj(c) for k, c in m0.items()})
+    lo, c = m0.coefficients()
+    partner = np.conj(c) * (-1) ** (np.arange(lo, lo + c.size) % 2)
+    m1 = LaurentPoly(-lo - c.size, partner[::-1])
+    row2_col2 = LaurentPoly(-lo - c.size, -np.conj(c[::-1]))
     return [[m0, m1], [m0.alternate(), row2_col2]]
 
 
 def power_sum_residual(m0: LaurentPoly, convention: str = "unit-sum") -> float:
     """Exact residual of |m0(z)|**2 + |m0(-z)|**2 = 1 (or 2 when averaged)."""
-    target = 1.0 if convention == "unit-sum" else 2.0
-    _convention_scale(convention, 2)
+    target = 2.0 / _convention_scale(convention, 2)
     sq = m0.conj_reflect() * m0
-    total = sq + sq.alternate() - LaurentPoly({0: target})
-    return total.max_abs()
+    return (sq + sq.alternate() - target).max_abs()
 
 
 def evaluate_rows(rows: Sequence[Sequence[LaurentPoly]], z) -> np.ndarray:
@@ -378,7 +373,7 @@ class BlaschkeFactor:
         return cls(
             jsonio.decode_cmatrix(obj["P"]),
             None if a == "inf" else jsonio.decode_complex(a),
-            int(obj.get("power", 2)),
+            jsonio.decode_int(obj.get("power", 2), "power"),
         )
 
 

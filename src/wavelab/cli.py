@@ -135,9 +135,9 @@ def _taps(obj) -> np.ndarray:
 
 def _offsets(obj):
     """Integer tap offsets, or a false value for none."""
-    if obj and not (isinstance(obj, list) and all(isinstance(o, int) for o in obj)):
+    if obj and not isinstance(obj, list):
         raise InputError(f"offsets must be a list of integers, got {obj!r}")
-    return obj
+    return [jsonio.decode_int(o, "offset") for o in obj] if obj else obj
 
 
 def _filterbank_spec(obj) -> dict:

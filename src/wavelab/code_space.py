@@ -39,7 +39,8 @@ from . import jsonio
 
 DEFAULT_MAX_CELLS = 2**24
 _CELLS_ENV = "WAVELAB_MAX_CELLS"
-DENSE_SOLVE_WORDS = 512  # beyond, harmonic_solve's O(size**3) LU outcosts 200 power steps
+POWER_STEPS = 200  # harmonic_solve's step limit where it power-iterates
+DENSE_SOLVE_WORDS = 512  # beyond, harmonic_solve's O(size**3) LU outcosts POWER_STEPS steps
 
 WEIGHT_SUM_TOL = 1e-14
 
@@ -107,7 +108,8 @@ class IfsSpec:
     def from_json(cls, obj: dict) -> "IfsSpec":
         if "N" not in obj:
             raise InputError("spec JSON needs an 'N' field")
-        return cls(jsonio.decode_int(obj["N"], "N"), tuple(obj.get("weights") or ()))
+        weights = tuple(jsonio.decode_real(p, "weight") for p in obj.get("weights") or ())
+        return cls(jsonio.decode_int(obj["N"], "N"), weights)
 
 
 @dataclass(frozen=True)
@@ -392,13 +394,8 @@ def ruelle_apply(W: CylinderFn, f: CylinderFn) -> CylinderFn:
     return adjoint_sigma(multiply(W, f))
 
 
-def harmonic_solve(
-    W: CylinderFn,
-    depth: int | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> CylinderFn:
-    """The density h with R_W h = h and integrate(h) = 1, by default at W.depth - 1.
+def harmonic_solve(W: CylinderFn, tol: float = 1e-12) -> CylinderFn:
+    """The density h with R_W h = h and integrate(h) = 1, at depth W.depth - 1.
 
     R_W is a nonnegative N**depth-square matrix, mat[v, (n v)[:depth]] +=
     p_n W(n v); h solves (R_W - I + 1 mu^T) h = 1, mu the cylinder masses, or
@@ -407,15 +404,10 @@ def harmonic_solve(
     irreducible R_W), a ConvergenceError names the residual and spectrum.
     """
     _require_weight(W)
-    depth = max(W.depth - 1, 0) if depth is None else depth
-    if W.depth > depth + 1:
-        raise InputError(
-            f"iteration depth {depth} cannot hold a fixed point of a "
-            f"depth-{W.depth} weight; need depth >= {W.depth - 1}"
-        )
+    depth = max(W.depth - 1, 0)
     n, size = W.spec.N, W.spec.N**depth
     if size > DENSE_SOLVE_WORDS or size * size > max_cells():
-        return _power_solve(W, depth, tol, max_iter)
+        return _power_solve(W, depth, tol)
     p, word = W.spec.weight_array(), np.arange(n * size)  # the words n v
     mat = np.zeros((size, size))
     weighted = np.repeat(p, size) * _lift_values(W, depth + 1).real
@@ -438,11 +430,11 @@ def harmonic_solve(
     raise ConvergenceError(msg, residual=residual)
 
 
-def _power_solve(W: CylinderFn, depth: int, tol: float, max_iter: int) -> CylinderFn:
+def _power_solve(W: CylinderFn, depth: int, tol: float) -> CylinderFn:
     """harmonic_solve by power iteration, for matrices over the cell cap."""
     h, residual = lift(CylinderFn.ones(W.spec), depth), None
     rh = lift(ruelle_apply(W, h), depth)
-    for _ in range(max_iter):
+    for _ in range(POWER_STEPS):
         total = integrate(rh)
         if abs(total) < 1e-300:
             raise ConvergenceError("transfer iterate vanished", residual=residual)
@@ -452,7 +444,7 @@ def _power_solve(W: CylinderFn, depth: int, tol: float, max_iter: int) -> Cylind
         if residual < tol:
             return h
     raise ConvergenceError(
-        f"no transfer fixed point after {max_iter} iterations (last residual {residual:.3e})",
+        f"no transfer fixed point after {POWER_STEPS} iterations (last residual {residual:.3e})",
         residual=residual,
     )
 

@@ -212,9 +212,9 @@ class AffineIfs:
     @classmethod
     def from_json(cls, obj: dict) -> "AffineIfs":
         return cls(
-            np.array(obj["A"], dtype=int),
-            np.array(obj["digits"], dtype=int),
-            tuple(obj.get("weights") or ()),
+            jsonio.decode_ints(obj["A"], "A"),
+            jsonio.decode_ints(obj["digits"], "digits"),
+            tuple(jsonio.decode_real(p, "weight") for p in obj.get("weights") or ()),
         )
 
 

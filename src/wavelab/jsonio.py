@@ -42,6 +42,24 @@ def decode_int(obj: Any, name: str) -> int:
     return obj
 
 
+def decode_ints(obj: Any, name: str) -> np.ndarray:
+    """A list, or regular nested lists, of JSON integers as one int64 array."""
+    cells = np.array(obj, dtype=object) if isinstance(obj, list) else None
+    # a ragged list leaves lists among the cells
+    if cells is None or not all(type(v) is int and -(2**63) <= v < 2**63 for v in cells.flat):
+        raise InputError(f"{name} must be a regular list of integers, got {obj!r}")
+    return cells.astype(np.int64)
+
+
+def decode_real(obj: Any, name: str) -> float:
+    if type(obj) in (int, float):  # not float(), which parses "0.5" and reads true
+        try:
+            return float(obj)
+        except OverflowError:
+            pass
+    raise InputError(f"{name} must be a number, got {obj!r}")
+
+
 def encode_cvector(values) -> list[list[float]]:
     return [encode_complex(z) for z in np.asarray(values).ravel()]
 

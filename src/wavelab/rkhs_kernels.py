@@ -32,7 +32,11 @@ PSD_EIG_TOL = -1e-10
 
 @dataclass(frozen=True)
 class FinitePointSet:
-    """Point labels with coordinates plus the index form of the self-map."""
+    """Point labels with coordinates plus the index form of the self-map.
+
+    The fibers sigma^-1(x) are indexed by sigma itself: np.bincount gives
+    their sizes and a scatter-add over sigma sums over each of them.
+    """
 
     points: np.ndarray
     sigma: np.ndarray
@@ -50,37 +54,20 @@ class FinitePointSet:
         sig.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "sigma", sig)
-        pre: list[list[int]] = [[] for _ in range(pts.shape[0])]
-        for y, x in enumerate(sig):
-            pre[x].append(y)
-        object.__setattr__(
-            self, "_preimages", tuple(tuple(p) for p in pre)
-        )
 
     @property
     def size(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def preimages(self) -> tuple[tuple[int, ...], ...]:
-        return self._preimages
-
     def preimage_counts(self) -> np.ndarray:
-        return np.array([len(p) for p in self._preimages])
+        return np.bincount(self.sigma, minlength=self.size)
 
     def orbits_reach_fixed_point(self) -> bool:
-        sig = self.sigma
-        for start in range(self.size):
-            i = int(start)
-            for _ in range(self.size + 1):
-                if sig[i] == i:
-                    break
-                i = int(sig[i])
-            else:
-                return False
-            if sig[i] != i:
-                return False
-        return True
+        """Whether sigma**M x is a fixed point for every x, with M > size."""
+        far = self.sigma
+        for _ in range(self.size.bit_length()):  # far = sigma**(2**k)
+            far = far[far]
+        return bool(np.all(self.sigma[far] == far))
 
     @classmethod
     def squaring_chain(cls, z0: complex, length: int) -> "FinitePointSet":
@@ -116,12 +103,15 @@ class FinitePointSet:
         if not isinstance(raw, list) or not raw:
             raise InputError("point set JSON needs a nonempty 'points' list")
         pts = jsonio.decode_cvector(raw)
-        return cls(pts, np.array(obj.get("sigma", []), dtype=int))
+        return cls(pts, jsonio.decode_ints(obj.get("sigma", []), "sigma"))
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """A Hermitian kernel over the point set, with its comparison tolerance."""
+    """A Hermitian kernel over the point set, with its comparison tolerance.
+
+    Symmetry is judged at the kernel's scale: max|K - K*| <= tol max(1, max|K|).
+    """
 
     matrix: np.ndarray
     tol: float = HERMITIAN_TOL
@@ -130,7 +120,7 @@ class KernelMatrix:
         k = np.array(self.matrix, dtype=complex)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise InputError("kernel must be a square matrix")
-        if np.max(np.abs(k - k.conj().T)) > self.tol:
+        if np.max(np.abs(k - k.conj().T)) > self.tol * max(1.0, float(np.max(np.abs(k)))):
             raise InputError("kernel must be Hermitian")
         k.setflags(write=False)
         object.__setattr__(self, "matrix", k)
@@ -154,16 +144,24 @@ class KernelMatrix:
         return cls(jsonio.decode_cmatrix(obj["matrix"]))
 
 
-def _filter_values(m_list: Sequence[Sequence[complex]], size: int) -> list[np.ndarray]:
-    out = []
-    for m in m_list:
-        v = np.asarray(m, dtype=complex).ravel()
-        if v.shape != (size,):
-            raise InputError(f"filter values must have length {size}")
-        out.append(v)
-    if not out:
+def _filter_values(m_list: Sequence[Sequence[complex]], size: int) -> np.ndarray:
+    """The filters' values as one (filter, point) array."""
+    values = [np.asarray(m, dtype=complex).ravel() for m in m_list]
+    if not values:
         raise InputError("need at least one filter")
-    return out
+    if any(v.shape != (size,) for v in values):
+        raise InputError(f"filter values must have length {size}")
+    return np.array(values)
+
+
+def _gram_sum(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """sum_n m_n(x) conj(m_n(y)) over the points idx: one outer product per
+    filter, in filter order (a broadcast over the filter axis is slower)."""
+    gram = np.zeros((idx.size, idx.size), dtype=complex)
+    for v in values:
+        pulled = v[idx]
+        gram += np.outer(pulled, np.conj(pulled))
+    return gram
 
 
 def contraction_check(
@@ -185,10 +183,7 @@ def refinement_residual(
     kernel: KernelMatrix, m_list: Sequence[Sequence[complex]], pset: FinitePointSet
 ) -> float:
     """max |K(x,y) - (sum_n m_n(x) conj(m_n(y))) K(sigma x, sigma y)|."""
-    values = _filter_values(m_list, pset.size)
-    gram = np.zeros((pset.size, pset.size), dtype=complex)
-    for v in values:
-        gram += np.outer(v, np.conj(v))
+    gram = _gram_sum(_filter_values(m_list, pset.size), np.arange(pset.size))
     pulled = kernel.matrix[np.ix_(pset.sigma, pset.sigma)]
     return float(np.max(np.abs(kernel.matrix - gram * pulled)))
 
@@ -214,17 +209,11 @@ def product_kernel(
     if terms < 0:
         raise InputError("term count must be >= 0")
     values = _filter_values(m_list, pset.size)
-    size = pset.size
-    out = np.ones((size, size), dtype=complex)
-    prev = out
-    idx = np.arange(size)
+    out = prev = np.ones((pset.size, pset.size), dtype=complex)
+    idx = np.arange(pset.size)
     for _ in range(terms):
-        gram = np.zeros((size, size), dtype=complex)
-        for v in values:
-            pulled = v[idx]
-            gram += np.outer(pulled, np.conj(pulled))
         prev = out
-        out = out * gram
+        out = out * _gram_sum(values, idx)
         idx = pset.sigma[idx]
     tail = float(np.max(np.abs(out - prev))) if terms > 0 else 0.0
     return ProductKernelResult(
@@ -241,21 +230,14 @@ def preimage_orthogonality(
     conj(m_j(y)) - delta_ij| over points x with nonempty fibers; points
     without preimages are skipped and reported.
     """
-    values = _filter_values(m_list, pset.size)
-    n_filters = len(values)
-    residual = np.zeros((n_filters, n_filters))
-    skipped = []
-    for x, fiber in enumerate(pset.preimages):
-        if not fiber:
-            skipped.append(x)
-            continue
-        fiber = np.array(fiber)
-        for i in range(n_filters):
-            for j in range(n_filters):
-                avg = np.sum(values[i][fiber] * np.conj(values[j][fiber])) / fiber.shape[0]
-                target = 1.0 if i == j else 0.0
-                residual[i, j] = max(residual[i, j], abs(avg - target))
-    return residual, tuple(skipped)
+    values = _filter_values(m_list, pset.size).T  # (point, filter)
+    n_filters, counts = values.shape[1], pset.preimage_counts()
+    sums = np.zeros((pset.size, n_filters, n_filters), dtype=complex)
+    np.add.at(sums, pset.sigma, values[:, :, None] * np.conj(values[:, None, :]))
+    rows = counts > 0
+    avg = sums[rows] / counts[rows, None, None]
+    residual = np.max(np.abs(avg - np.eye(n_filters)), axis=0, initial=0.0)
+    return residual, tuple(np.flatnonzero(~rows).tolist())
 
 
 def discrete_cuntz_residual(
@@ -269,31 +251,14 @@ def discrete_cuntz_residual(
     points without preimages are outside the fiber system and skipped.
     """
     values = _filter_values(m_list, pset.size)
-    size = pset.size
-    t_mats = []
-    for v in values:
-        t = np.zeros((size, size), dtype=complex)
-        t[np.arange(size), pset.sigma] = v
-        t_mats.append(t)
-    a_mats = []
-    counts = pset.preimage_counts()
-    for v in values:
-        a = np.zeros((size, size), dtype=complex)
-        for x, fiber in enumerate(pset.preimages):
-            for y in fiber:
-                a[x, y] = np.conj(v[y]) / counts[x]
-        a_mats.append(a)
-    rows = np.array([x for x, fiber in enumerate(pset.preimages) if fiber])
-    if rows.size == 0:
-        raise InputError("no point has preimages; the fiber system is empty")
-    worst = 0.0
-    eye = np.eye(size)
-    for i, a in enumerate(a_mats):
-        for j, t in enumerate(t_mats):
-            target = eye if i == j else np.zeros((size, size))
-            diff = (a @ t - target)[rows]
-            worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+    counts, sigma, points = pset.preimage_counts(), pset.sigma, np.arange(pset.size)
+    rows = counts > 0  # never empty: sigma(y) has the preimage y
+    t = np.zeros((len(values), pset.size, pset.size), dtype=complex)
+    t[:, points, sigma] = values
+    a = np.zeros_like(t)
+    a[:, sigma, points] = np.conj(values) / counts[sigma]
+    delta = np.eye(len(values))[:, :, None, None] * np.eye(pset.size)[rows]
+    return float(np.max(np.abs((a[:, None] @ t[None])[:, :, rows] - delta)))
 
 
 def szego_kernel(points: Sequence[complex]) -> KernelMatrix:

@@ -480,3 +480,193 @@ def dilation_check(m: CylinderFn, f: CylinderFn, g: CylinderFn, n: int, h: Cylin
             pg = weighted_shift(pg, m)
         rhs = pairing(PathCylinderFn.coordinate(0, f), pg, weight, h)
     return abs(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials as {degree: coeff} dictionaries
+# ---------------------------------------------------------------------------
+
+
+class DictLaurent:
+    """The package's former Laurent polynomial: a pruned {degree: coeff} dict."""
+
+    PRUNE_TOL = 1e-15
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {
+            int(k): complex(c) for k, c in (coeffs or {}).items() if not abs(complex(c)) <= self.PRUNE_TOL
+        }
+
+    @classmethod
+    def of(cls, poly) -> "DictLaurent":
+        """The same polynomial as a package LaurentPoly."""
+        lo, values = poly.coefficients()
+        return cls({lo + i: c for i, c in enumerate(values)})
+
+    def items(self):
+        return sorted(self.coeffs.items())
+
+    def max_abs(self) -> float:
+        return float(np.max([abs(c) for c in self.coeffs.values()], initial=0.0))
+
+    def to_json(self) -> dict:
+        """The package's file form: a contiguous block from the lowest degree."""
+        if not self.coeffs:
+            return {"min_degree": 0, "coeffs": []}
+        lo = min(self.coeffs)
+        out = np.zeros(max(self.coeffs) - lo + 1, dtype=complex)
+        for k, c in self.coeffs.items():
+            out[k - lo] = c
+        return {"min_degree": lo, "coeffs": [[float(c.real), float(c.imag)] for c in out]}
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0.0) + c
+        return DictLaurent(out)
+
+    def __neg__(self):
+        return DictLaurent({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return DictLaurent({k: c * other for k, c in self.coeffs.items()})
+        out = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
+        return DictLaurent(out)
+
+    __rmul__ = __mul__
+
+    def conj_reflect(self):
+        return DictLaurent({-k: np.conj(c) for k, c in self.coeffs.items()})
+
+    def alternate(self):
+        return DictLaurent({k: c * (-1) ** (k % 2) for k, c in self.coeffs.items()})
+
+    def upsample(self, n: int):
+        return DictLaurent({k * n: c for k, c in self.coeffs.items()})
+
+    def downsample(self, n: int):
+        return DictLaurent({k // n: c for k, c in self.coeffs.items() if k % n == 0})
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=complex)
+        out = np.zeros_like(z)
+        for k, c in self.coeffs.items():
+            out = out + c * z**k
+        return out
+
+
+def dict_cuntz_residuals(filters, n: int, scale: float = 1.0) -> tuple[float, float]:
+    """(orthonormality, completeness) of a bank of DictLaurent filters."""
+    one = DictLaurent({0: 1.0})
+    gram = []
+    for j, mj in enumerate(filters):
+        for k, mk in enumerate(filters):
+            entry = scale * (mj.conj_reflect() * mk).downsample(n)
+            gram.append((entry - one if j == k else entry).max_abs())
+    comp = []
+    for t in range(n):
+        probe = DictLaurent({t: 1.0})
+        recon = DictLaurent()
+        for m in filters:
+            recon = recon + m * (m.conj_reflect() * probe).downsample(n).upsample(n)
+        comp.append((scale * recon - probe).max_abs())
+    return float(np.max(gram, initial=0.0)), float(np.max(comp))
+
+
+def dict_cqf_complete(m0: DictLaurent) -> list:
+    m1 = DictLaurent({-k - 1: np.conj(c) * (-1) ** (k % 2) for k, c in m0.items()})
+    corner = DictLaurent({-k - 1: -np.conj(c) for k, c in m0.items()})
+    return [[m0, m1], [m0.alternate(), corner]]
+
+
+def dict_power_sum_residual(m0: DictLaurent, target: float = 1.0) -> float:
+    sq = m0.conj_reflect() * m0
+    return (sq + sq.alternate() - DictLaurent({0: target})).max_abs()
+
+
+# ---------------------------------------------------------------------------
+# finite point sets, one point, fiber and filter pair at a time
+# ---------------------------------------------------------------------------
+
+
+def fibers(sigma) -> list[list[int]]:
+    """sigma^-1(x) for each point x, as lists of point indices."""
+    pre = [[] for _ in range(len(sigma))]
+    for y, x in enumerate(sigma):
+        pre[x].append(y)
+    return pre
+
+
+def orbits_reach_fixed_point(sigma) -> bool:
+    for start in range(len(sigma)):
+        i = start
+        for _ in range(len(sigma) + 1):
+            if sigma[i] == i:
+                break
+            i = int(sigma[i])
+        else:
+            return False
+    return True
+
+
+def refinement_residual(kernel: np.ndarray, values, sigma) -> float:
+    gram = np.zeros(kernel.shape, dtype=complex)
+    for v in values:
+        gram += np.outer(v, np.conj(v))
+    return float(np.max(np.abs(kernel - gram * kernel[np.ix_(sigma, sigma)])))
+
+
+def product_kernel(values, sigma, terms: int) -> np.ndarray:
+    size = len(sigma)
+    out = np.ones((size, size), dtype=complex)
+    idx = np.arange(size)
+    for _ in range(terms):
+        gram = np.zeros((size, size), dtype=complex)
+        for v in values:
+            gram += np.outer(v[idx], np.conj(v[idx]))
+        out = out * gram
+        idx = np.asarray(sigma)[idx]
+    return out
+
+
+def preimage_orthogonality(values, sigma) -> tuple[np.ndarray, tuple[int, ...]]:
+    residual = np.zeros((len(values), len(values)))
+    skipped = []
+    for x, fiber in enumerate(fibers(sigma)):
+        if not fiber:
+            skipped.append(x)
+            continue
+        for i in range(len(values)):
+            for j in range(len(values)):
+                avg = np.sum(values[i][fiber] * np.conj(values[j][fiber])) / len(fiber)
+                residual[i, j] = max(residual[i, j], abs(avg - (1.0 if i == j else 0.0)))
+    return residual, tuple(skipped)
+
+
+def discrete_cuntz_residual(values, sigma) -> float:
+    size = len(sigma)
+    pre = fibers(sigma)
+    t_mats, a_mats = [], []
+    for v in values:
+        t = np.zeros((size, size), dtype=complex)
+        t[np.arange(size), sigma] = v
+        t_mats.append(t)
+        a = np.zeros((size, size), dtype=complex)
+        for x, fiber in enumerate(pre):
+            for y in fiber:
+                a[x, y] = np.conj(v[y]) / len(fiber)
+        a_mats.append(a)
+    rows = np.array([x for x, fiber in enumerate(pre) if fiber])
+    worst = 0.0
+    for i, a in enumerate(a_mats):
+        for j, t in enumerate(t_mats):
+            target = np.eye(size) if i == j else np.zeros((size, size))
+            worst = max(worst, float(np.max(np.abs((a @ t - target)[rows]))))
+    return worst

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -480,3 +482,137 @@ def test_nan_entry_gives_nan_residual():
     assert np.isnan(matrix_grid_unitarity(lambda z: stack, 8))
     nan_g = loop_action_circle(lambda w: stack, lambda z: np.eye(2), 2, n_grid=8)
     assert np.isnan(nan_g.g_unitarity_residual) and nan_g.non_unitary_warning
+
+
+# ---------------------------------------------------------------------------
+# one coefficient array against the {degree: coeff} dictionaries
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def same_file(p, d) -> bool:
+    """Equal JSON bytes, so equal bits, signed zeros and NaNs included."""
+    return json.dumps(p.to_json()) == json.dumps(d.to_json())
+
+
+def close(got, want) -> bool:
+    """Within 1e-13 max(1, |oracle|), with NaN only where the oracle has NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return bool(np.array_equal(np.isnan(got), nan)
+                and np.all(np.abs(got - want)[~nan] <= 1e-13 * np.maximum(1.0, np.abs(want[~nan]))))
+
+
+def laurent_cases(rng, lengths=(1, 2, 50, 400), min_degrees=(-3, 0, 2)):
+    """(name, coefficients, lowest degree) over lengths and lowest degrees, plus
+    the zero polynomial, a polynomial scaled to 1e-16 and one with a NaN tap."""
+    for length in lengths:
+        for lo in min_degrees:
+            v = rng.normal(size=length) + 1j * rng.normal(size=length)
+            v[rng.integers(length)] = -0.0 + 0.5j * (length > 1)  # a signed zero
+            yield f"{length}@{lo}", v, lo
+    yield "zero", np.zeros(0), 0
+    yield "1e-16", 1e-16 * rng.normal(size=5), -1
+    yield "nan tap", np.array([0.5, np.nan, -0.25j]), 1
+
+
+def dense(p, degrees) -> np.ndarray:
+    """Coefficients of a LaurentPoly or a DictLaurent at the given degrees."""
+    if isinstance(p, oracle.DictLaurent):
+        return np.array([p.coeffs.get(k, 0j) for k in degrees])
+    return np.array([p.coefficient(k) for k in degrees])
+
+
+def as_pair(values, lo):
+    return LaurentPoly.from_coefficients(lo, values), oracle.DictLaurent(
+        {lo + i: c for i, c in enumerate(values)}
+    )
+
+
+UNARY = {
+    "neg": lambda p: -p,
+    "real scalar": lambda p: 0.37 * p,
+    "complex scalar": lambda p: p * (0.3 - 1.7j),
+    "int scalar": lambda p: 3 * p,
+    "conj_reflect": lambda p: p.conj_reflect(),
+    "alternate": lambda p: p.alternate(),
+    **{f"upsample {n}": (lambda p, n=n: p.upsample(n)) for n in (2, 3, 4)},
+    **{f"downsample {n}": (lambda p, n=n: p.downsample(n)) for n in (2, 3, 4)},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("op", sorted(UNARY))
+def test_array_ops_equal_dict_oracle(op):
+    rng = np.random.default_rng(len(op))
+    for name, values, lo in laurent_cases(rng):
+        p, d = as_pair(values, lo)
+        assert same_file(p, d), name
+        assert same_file(UNARY[op](p), UNARY[op](d)), (op, name)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lo_b", [-3, 0, 2])
+def test_products_and_sums_within_rounding(lo_b):
+    rng = np.random.default_rng(20 + lo_b)
+    others = list(laurent_cases(rng, lengths=(1, 50, 400), min_degrees=(lo_b,)))
+    for name, values, lo in laurent_cases(rng, lengths=(1, 2, 50)):
+        a, da = as_pair(values, lo)
+        for other, w, lo_w in others:
+            b, db = as_pair(w, lo_w)
+            degrees = range(min(lo, lo_w) - 1, max(lo + len(values), lo_w + len(w)) + 1)
+            for got, want in ((a + b, da + db), (a - b, da - db)):  # one rounding each: equal
+                assert np.array_equal(dense(got, degrees), dense(want, degrees), equal_nan=True)
+            got, want = a * b, da * db
+            if not (a and b):
+                assert not got and not want.coeffs
+                continue
+            base = a.coefficients()[0] + b.coefficients()[0]
+            scale = np.convolve(np.abs(a.coefficients()[1]), np.abs(b.coefficients()[1]))
+            degrees = range(base, base + scale.size)
+            diff = np.abs(dense(got, degrees) - dense(want, degrees))
+            nan = np.isnan(dense(want, degrees))
+            assert np.array_equal(np.isnan(diff), nan), (name, other)
+            assert np.all(diff[~nan] <= 4 * EPS * scale[~nan]), (name, other)
+
+
+def test_product_of_long_filters_is_a_convolution():
+    rng = np.random.default_rng(9)
+    a, b = (rng.normal(size=400) + 1j * rng.normal(size=400) for _ in range(2))
+    lo, coeffs = (LaurentPoly.from_coefficients(-3, a) * LaurentPoly.from_coefficients(2, b)).coefficients()
+    assert lo == -1 and np.array_equal(coeffs, np.convolve(a, b))
+    assert not coeffs.flags.writeable
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("length", [1, 2, 50, 400])
+def test_filter_residuals_match_dict_oracle(n, length):
+    rng = np.random.default_rng(100 * n + length)
+    min_degrees = (-3, 0, 2)
+    banks = {
+        "random": [rng.normal(size=length) + 1j * rng.normal(size=length) for _ in range(n)],
+        "1e-16": [1e-16 * rng.normal(size=length) for _ in range(n)],
+    }
+    if n == 2:
+        banks["haar"] = [np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)]
+        banks["nan tap"] = [np.array([0.5, 0.5, np.nan]), np.array([0.5, -0.5])]
+    z = unit_circle_grid(33)
+    for name, bank in banks.items():
+        pairs = [as_pair(v, min_degrees[j % 3]) for j, v in enumerate(bank)]
+        filters, dicts = [p for p, _ in pairs], [d for _, d in pairs]
+        for convention, scale in (("averaged", 1.0), ("unit-sum", float(n))):
+            report = cuntz_residuals(filters, n, convention)
+            orth, comp = oracle.dict_cuntz_residuals(dicts, n, scale)
+            assert close(report.orthonormality, orth) and close(report.completeness, comp), name
+        for p, d in pairs:
+            assert close(p(z), d(z)) and close(p(z[5]), d(z[5])), name
+            for convention, target in (("unit-sum", 1.0), ("averaged", 2.0)):
+                assert close(power_sum_residual(p, convention), oracle.dict_power_sum_residual(d, target))
+            rows, want_rows = cqf_complete(p), oracle.dict_cqf_complete(d)
+            assert all(same_file(e, f) for r, s in zip(rows, want_rows) for e, f in zip(r, s)), name
+            assert close(
+                matrix_grid_unitarity(lambda w: evaluate_rows(rows, w), 17),
+                oracle.grid_unitarity(lambda w: oracle.rows_point(want_rows, w), 17),
+            ), name

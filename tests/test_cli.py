@@ -523,6 +523,76 @@ def test_solenoid_commands(tmp_path, capsys):
     assert result["residuals"]["covariance"] < 1e-12
 
 
+def _numeric_field_inputs(tmp_path) -> dict:
+    """command -> (argv with {file} for the file to edit, that file's valid content)."""
+    pset = FinitePointSet.squaring_chain(0.9 * np.exp(0.7j), 4)
+    filters = write(tmp_path / "m.json", {"filters": [jsonio.encode_cvector(np.ones(4))]})
+    haar = [jsonio.encode_cvector(haar_taps()), jsonio.encode_cvector([2**-0.5, -(2**-0.5)])]
+    signal = _signal_file(tmp_path / "x.csv", np.arange(8.0))
+    blaschke = blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)])
+    return {
+        "circle verify": (
+            ["circle", "verify", "--filters", "{file}", "--N", "2"],
+            {"filters": [m.to_json() for m in haar_pair()]},
+        ),
+        "circle blaschke": (["circle", "blaschke", "--factors", "{file}"], blaschke.to_json()),
+        "examples fractal": (
+            ["examples", "fractal", "--ifs", "{file}", "--samples", "10000", "--seed", "1"],
+            sierpinski_ifs().to_json(),
+        ),
+        "ifs verify-filter": (["ifs", "verify-filter", "--bank", "{file}"], build_indicator(IfsSpec(2)).to_json()),
+        "rkhs product-kernel": (
+            ["rkhs", "product-kernel", "--points", "{file}", "--filters", filters, "--terms", "3"],
+            pset.to_json(),
+        ),
+        "mra filterbank": (
+            ["mra", "filterbank", "--signal", signal, "--taps", "{file}", "--N", "2"],
+            {"analysis": haar},
+        ),
+    }
+
+
+def _set(*path_and_value):
+    """An edit that sets obj[k1][k2]... = value."""
+    *path, key, value = path_and_value
+
+    def edit(obj):
+        for k in path:
+            obj = obj[k]
+        obj[key] = value
+
+    return edit
+
+
+# each edited file ran before: int() truncated 2.9 and parsed "0", float() parsed
+# "0.5", np.array(..., dtype=int) read true as 1
+BAD_NUMERIC_FIELDS = {
+    "min_degree 0.7": ("circle verify", _set("filters", 0, "min_degree", 0.7)),
+    "min_degree string": ("circle verify", _set("filters", 0, "min_degree", "0")),
+    "power 2.9": ("circle blaschke", _set("factors", 0, "power", 2.9)),
+    "matrix entries": ("examples fractal", _set("A", [[2.9, 0], [0, "2"]])),
+    "digit true": ("examples fractal", _set("digits", 1, 0, True)),
+    "weight string": ("examples fractal", _set("weights", [0.25, "0.25", 0.5])),
+    "spec weights strings": ("ifs verify-filter", _set("spec", "weights", ["0.5", "0.5"])),
+    "sigma entries": ("rkhs product-kernel", _set("sigma", [0, 2.9, "0", True])),
+    "offset true": ("mra filterbank", _set("analysis_offsets", [True, 0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_NUMERIC_FIELDS))
+def test_numeric_fields_must_be_json_numbers(name, tmp_path, capsys):
+    command, edit = BAD_NUMERIC_FIELDS[name]
+    argv, obj = _numeric_field_inputs(tmp_path)[command]
+    path = write(tmp_path / "valid.json", obj)
+    assert run([a.format(file=path) for a in argv]) in (0, 1)  # the unedited file runs
+    capsys.readouterr()
+    edit(obj)
+    path = write(tmp_path / "edited.json", obj)
+    assert run([a.format(file=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and path in captured.err
+
+
 # ---------------------------------------------------------------------------
 # rkhs group
 # ---------------------------------------------------------------------------
@@ -555,6 +625,21 @@ def test_rkhs_commands(tmp_path, capsys):
         ["rkhs", "check", "--points", points, "--kernel", str(out), "--filters", filters],
     )
     assert code == 0
+
+
+def test_rkhs_product_kernel_with_large_entries_is_not_a_usage_error(tmp_path, capsys):
+    # large entries, whose rounding leaves imaginary parts over an absolute
+    # 1e-10 on the diagonal where numpy fuses multiply-adds (as with seed 35
+    # on an x86-64 host with FMA); the kernel is Hermitian at its own scale
+    rng = np.random.default_rng(35)
+    pset = FinitePointSet(rng.normal(size=25) + 0j, rng.integers(0, 25, size=25))
+    values = rng.normal(size=(4, 25)) + 1j * rng.normal(size=(4, 25))
+    points = write(tmp_path / "p.json", pset.to_json())
+    filters = write(tmp_path / "m.json", {"filters": [jsonio.encode_cvector(v) for v in values]})
+    code, result = run_json(
+        capsys, ["rkhs", "product-kernel", "--points", points, "--filters", filters, "--terms", "5"]
+    )
+    assert code in (0, 1) and result["results"]["terms"] == 5
 
 
 # ---------------------------------------------------------------------------

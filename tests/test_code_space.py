@@ -320,7 +320,7 @@ def test_harmonic_solve_depth_two_weight(spec2, rng):
 def test_harmonic_solve_failure_reports_residual(spec2):
     w = CylinderFn(spec2, 1, [1.0, 0.0])  # S* W = 1/2: no fixed constant
     with pytest.raises(ConvergenceError) as err:
-        harmonic_solve(w, max_iter=10)
+        harmonic_solve(w)
     assert err.value.residual is not None and err.value.residual > 0.1
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from wavelab.errors import InputError
 from wavelab.rkhs_kernels import (
     FinitePointSet,
@@ -44,6 +45,18 @@ def test_kernel_matrix_validation():
     k = KernelMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert k.min_eigenvalue() == pytest.approx(1.0)
     assert k.is_positive()
+
+
+def test_hermitian_check_is_at_the_kernel_scale():
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    big = 1e7 * (a + a.conj().T)
+    big[0, 1] += 1e-9  # rounding-sized at this scale, over an absolute 1e-13
+    assert KernelMatrix(big).size == 6
+    with pytest.raises(InputError):
+        KernelMatrix(1e7 * a)  # not Hermitian at any scale
+    with pytest.raises(InputError):
+        KernelMatrix(np.array([[0.0, 1e-9], [0.0, 0.0]]))  # small kernels keep tol absolute
 
 
 # ---------------------------------------------------------------------------
@@ -184,3 +197,51 @@ def test_json_roundtrips(disk_chain):
     k = szego_kernel(disk_chain.points)
     back_k = KernelMatrix.from_json(k.to_json())
     assert np.allclose(back_k.matrix, k.matrix)
+
+
+# ---------------------------------------------------------------------------
+# fibers as one index against the point-by-point loops
+# ---------------------------------------------------------------------------
+
+def fiber_sizes_map(rng) -> np.ndarray:
+    """A self-map of 16 points with fibers of 5, 3, 2 and 1 points and
+    points without preimages, relabelled at random; every orbit ends on one
+    of its two fixed points."""
+    sigma = np.array([0] * 5 + [1] * 3 + [2] * 2 + [3, 4, 12, 12, 13, 14])
+    perm = rng.permutation(16)  # point i is called perm[i]
+    out = np.empty(16, dtype=int)
+    out[perm] = perm[sigma]
+    return out
+
+
+def point_sets(rng):
+    yield FinitePointSet(np.arange(16.0), fiber_sizes_map(rng))
+    yield FinitePointSet(np.arange(9.0), rng.integers(0, 9, size=9))  # cycles, most likely
+    yield FinitePointSet(np.arange(2.0), np.array([1, 0]))  # a two-cycle
+    yield FinitePointSet.squaring_chain(0.9 * np.exp(0.7j), 12)
+
+
+@pytest.mark.parametrize("n_filters", [1, 2, 3, 4])
+def test_fiber_index_matches_loops(n_filters):
+    rng = np.random.default_rng(n_filters)
+    eps = np.finfo(float).eps
+    for pset in point_sets(rng):
+        sigma = pset.sigma
+        values = rng.normal(size=(n_filters, pset.size)) + 1j * rng.normal(size=(n_filters, pset.size))
+        assert pset.orbits_reach_fixed_point() == oracle.orbits_reach_fixed_point(sigma)
+        assert np.array_equal(pset.preimage_counts(), [len(f) for f in oracle.fibers(sigma)])
+        kernel = szego_kernel(0.5 * np.exp(1j * np.arange(pset.size)))
+        assert refinement_residual(kernel, values, pset) == oracle.refinement_residual(
+            kernel.matrix, values, sigma
+        )
+        for terms in (0, 1, 4):
+            got = product_kernel(values, pset, terms).kernel.matrix
+            assert np.array_equal(got, oracle.product_kernel(values, sigma, terms))
+        got, skipped = preimage_orthogonality(values, pset)
+        want, want_skipped = oracle.preimage_orthogonality(values, sigma)
+        assert skipped == want_skipped
+        # fibers of 3 or more points are summed in another order
+        scale = 1.0 + np.max(np.abs(values)) ** 2
+        assert np.all(np.abs(got - want) <= 4 * eps * scale)
+        if want_skipped != tuple(range(pset.size)):
+            assert discrete_cuntz_residual(values, pset) == oracle.discrete_cuntz_residual(values, sigma)
