@@ -236,8 +236,8 @@ def _ifs_connect(args) -> tuple[dict, bool]:
     return {
         "results": {"unitary": field.to_json()},
         "residuals": {"unitarity": resid},
-        "tolerances": {"unitarity": 1e-13},
-    }, _all_below(1e-13, resid)
+        "tolerances": {"unitarity": ifsf.UNITARITY_TOL},
+    }, _all_below(ifsf.UNITARITY_TOL, resid)
 
 
 def _ifs_apply(args) -> tuple[dict, bool]:

@@ -43,6 +43,7 @@ POWER_STEPS = 200  # harmonic_solve's step limit where it power-iterates
 DENSE_SOLVE_WORDS = 512  # beyond, harmonic_solve's O(size**3) LU outcosts POWER_STEPS steps
 
 WEIGHT_SUM_TOL = 1e-14
+TRANSFER_WEIGHT_TOL = 1e-12  # how far a transfer weight may stray from real and >= 0
 
 
 def max_cells() -> int:
@@ -73,7 +74,7 @@ class IfsSpec:
     """Branch count and branch weights of the symbol system.
 
     ``weights`` defaults to the uniform distribution; they must be positive
-    and sum to one within 1e-14.
+    and sum to one within 1e-14, so NaN weights fail.
     """
 
     N: int
@@ -88,9 +89,9 @@ class IfsSpec:
         w = tuple(float(p) for p in w)
         if len(w) != self.N:
             raise InputError(f"expected {self.N} weights, got {len(w)}")
-        if any(p <= 0 for p in w):
-            raise InputError("branch weights must be positive")
-        if abs(sum(w) - 1.0) >= WEIGHT_SUM_TOL:
+        if not all(p > 0 for p in w):
+            raise InputError(f"branch weights must be positive, got {w}")
+        if not abs(sum(w) - 1.0) < WEIGHT_SUM_TOL:
             raise InputError(f"branch weights must sum to 1, got {sum(w)!r}")
         object.__setattr__(self, "weights", w)
 
@@ -363,12 +364,12 @@ def precompose_branch(f: CylinderFn, branch: int) -> CylinderFn:
 
 
 def shift_iterate(f: CylinderFn, k: int) -> CylinderFn:
-    """f o sigma^k."""
+    """f o sigma^k, raising depth by k."""
     if k < 0:
         raise InputError("shift power must be >= 0")
-    for _ in range(k):
-        f = compose_sigma(f)
-    return f
+    reps = f.spec.N**k
+    _check_cells(f.values.shape[0] * reps)
+    return _new(f.spec, f.depth + k, np.tile(f.values, reps))
 
 
 def weighted_compose(m: CylinderFn, f: CylinderFn) -> CylinderFn:
@@ -381,10 +382,10 @@ def weighted_adjoint(m: CylinderFn, f: CylinderFn) -> CylinderFn:
     return adjoint_sigma(multiply(m.conj(), f))
 
 
-def _require_weight(W: CylinderFn, tol: float = 1e-12) -> None:
-    if float(np.max(np.abs(W.values.imag))) > tol:
+def _require_weight(W: CylinderFn) -> None:
+    if float(np.max(np.abs(W.values.imag))) > TRANSFER_WEIGHT_TOL:
         raise InputError("transfer weight must be real")
-    if float(np.min(W.values.real)) < -tol:
+    if float(np.min(W.values.real)) < -TRANSFER_WEIGHT_TOL:
         raise InputError("transfer weight must be nonnegative")
 
 
@@ -394,14 +395,31 @@ def ruelle_apply(W: CylinderFn, f: CylinderFn) -> CylinderFn:
     return adjoint_sigma(multiply(W, f))
 
 
+def density_defect(W: CylinderFn, h: CylinderFn, tol: float) -> tuple[float, str]:
+    """(sup|R_W h - h|, why h is no transfer-harmonic density of W, or "").
+
+    h is one when R_W h = h, int h dmu = 1 and h >= 0 (Im h = 0), each
+    within tol; a NaN anywhere fails.
+    """
+    residual = sup_distance(ruelle_apply(W, h), h)  # at the deeper depth
+    deviation = abs(integrate(h) - 1.0)
+    low, imag = float(h.values.real.min()), float(np.abs(h.values.imag).max())
+    if residual < tol and deviation < tol and low >= -tol and imag <= tol:
+        return residual, ""
+    return residual, (
+        f"sup|R_W h - h| {residual:.3e}, min Re h {low:.3e}, max |Im h| {imag:.3e}, "
+        f"|int h - 1| {deviation:.3e} (tolerance {tol:.0e})"
+    )
+
+
 def harmonic_solve(W: CylinderFn, tol: float = 1e-12) -> CylinderFn:
     """The density h with R_W h = h and integrate(h) = 1, at depth W.depth - 1.
 
     R_W is a nonnegative N**depth-square matrix, mat[v, (n v)[:depth]] +=
     p_n W(n v); h solves (R_W - I + 1 mu^T) h = 1, mu the cylinder masses, or
     is power-iterated above DENSE_SOLVE_WORDS words or the cell cap.  Unless
-    sup|R_W h - h| < tol and h >= -tol (so 1 is the Perron eigenvalue of an
-    irreducible R_W), a ConvergenceError names the residual and spectrum.
+    density_defect passes h (so 1 is the Perron eigenvalue of an irreducible
+    R_W), a ConvergenceError names its numbers and the spectrum.
     """
     _require_weight(W)
     depth = max(W.depth - 1, 0)
@@ -418,15 +436,15 @@ def harmonic_solve(W: CylinderFn, tol: float = 1e-12) -> CylinderFn:
     except np.linalg.LinAlgError:  # a ValueError, which the CLI reads as bad input
         vals = np.full(size, np.nan)
     h = _new(W.spec, depth, vals + 0j)
-    residual = sup_distance(ruelle_apply(W, h), h)
-    if residual < tol and h.values.real.min() >= -tol:
+    residual, defect = density_defect(W, h, tol)
+    if not defect:
         return h
     spectrum = "the weight is not finite"
     if np.isfinite(mat).all():
         eigs = np.sort(np.abs(np.linalg.eigvals(mat)))[::-1]
         ratio = eigs[1] / eigs[0] if size > 1 and eigs[0] > 0 else 0.0
         spectrum = f"Perron eigenvalue {eigs[0]:.6g}, |lambda_2/lambda_1| {ratio:.3g}"
-    msg = f"no nonnegative transfer fixed point (residual {residual:.3e}; {spectrum})"
+    msg = f"no transfer-harmonic density ({defect}; {spectrum})"
     raise ConvergenceError(msg, residual=residual)
 
 

@@ -163,7 +163,7 @@ class AffineIfs:
         w = tuple(float(p) for p in w)
         if len(w) != b.shape[0]:
             raise InputError("one weight per digit required")
-        if any(p <= 0 for p in w) or abs(sum(w) - 1.0) > 1e-12:
+        if not (all(p > 0 for p in w) and abs(sum(w) - 1.0) <= 1e-12):  # NaN fails
             raise InputError("weights must be positive and sum to 1")
         a.setflags(write=False)
         b.setflags(write=False)

@@ -51,6 +51,8 @@ from .code_space import (
 
 GRAM_SCHMIDT_SUPPORT_EPS = 1e-12
 GRAM_SCHMIDT_RESIDUAL_EPS = 1e-10
+UNITARITY_TOL = 1e-13  # connecting_unitary: sup |U*U - I| of its field
+RECOMBINATION_TOL = 1e-12  # connecting_unitary: sup |U . bank - target|
 
 
 def _lift(values: np.ndarray, n: int, depth: int) -> np.ndarray:
@@ -376,13 +378,7 @@ def gram_schmidt_module(generators: Sequence[CylinderFn]) -> FilterBank:
     return FilterBank.from_cylinders(spec, accepted)
 
 
-def connecting_unitary(
-    bank: FilterBank,
-    target: FilterBank,
-    tol: float = 1e-10,
-    unitarity_tol: float = 1e-13,
-    recombination_tol: float = 1e-12,
-) -> MatrixField:
+def connecting_unitary(bank: FilterBank, target: FilterBank, tol: float = 1e-10) -> MatrixField:
     """The matrix field U_jk = S*(conj(m_j) m~_k) carrying bank onto target.
 
     Both banks must verify; the result is checked to be pointwise unitary
@@ -402,12 +398,12 @@ def connecting_unitary(
     gram = _gram(bank.spec, bank._by_symbol(depth), target._by_symbol(depth))
     field = MatrixField(bank.spec, gram)
     resid = field.unitarity_residual()
-    if resid > unitarity_tol:
+    if resid > UNITARITY_TOL:
         raise VerificationError(f"connecting field not pointwise unitary: {resid:.3e}")
     recombined = apply_loop_group(bank, field)  # at depth max(L, L~)
     lifted = _lift(target.values, bank.spec.N, recombined.depth)
     recomb = float(np.max(np.abs(recombined.values - lifted)))
-    if recomb > recombination_tol:
+    if recomb > RECOMBINATION_TOL:
         raise VerificationError(f"connecting field fails to recombine target: {recomb:.3e}")
     return field
 

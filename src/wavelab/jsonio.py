@@ -24,8 +24,8 @@ def encode_complex(z: complex) -> list[float]:
 
 
 def decode_complex(obj: Any) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
+    if isinstance(obj, (int, float)):  # a bare real number, read as decode_real reads it
+        return complex(decode_real(obj, "bare complex entry"))
     # numbers only: float() would also read the string "1.5"
     numbers = isinstance(obj, (list, tuple)) and all(isinstance(v, (int, float)) for v in obj)
     if numbers and len(obj) == 2:

@@ -32,14 +32,12 @@ from .code_space import (
     CylinderFn,
     IfsSpec,
     compose_sigma,
-    conditional_expectation,
+    density_defect,
     harmonic_solve,
     integrate,
-    lift,
     multiply,
     ruelle_apply,
     shift_iterate,
-    sup_distance,
     weighted_adjoint,
     weighted_compose,
 )
@@ -49,43 +47,22 @@ NONVANISHING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class PathTerm:
-    """One product coeff * prod (g_n o pi_n), at most one factor per index."""
-
-    coeff: complex
-    factors: tuple[tuple[int, CylinderFn], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "factors", tuple(self.factors))
-        indices = [n for n, _ in self.factors]
-        if indices != sorted(set(indices)):
-            raise InputError("factors must be sorted with unique coordinates")
-        if indices and indices[0] < 0:
-            raise InputError("coordinate indices must be >= 0")
-
-
-def _merge_factors(
-    factors: Sequence[tuple[int, CylinderFn]],
-) -> tuple[tuple[int, CylinderFn], ...]:
-    by_index: dict[int, CylinderFn] = {}
-    for n, g in factors:
-        by_index[n] = multiply(by_index[n], g) if n in by_index else g
-    return tuple(sorted(by_index.items()))
-
-
-@dataclass(frozen=True)
 class PathCylinderFn:
-    """Finite sum of coordinate products, the observables of the path space."""
+    """Finite sum of coordinate products, the observables of the path space.
+
+    A term is ``(coeff, slots)``: ``slots[n]`` is the factor g_n pulled
+    through coordinate n, None stands for the constant 1, and trailing
+    Nones are trimmed, so a constant term has ``slots == ()``.
+    """
 
     spec: IfsSpec
-    terms: tuple[PathTerm, ...]
+    terms: tuple[tuple[complex, tuple[CylinderFn | None, ...]], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        for t in self.terms:
-            for _, g in t.factors:
-                if g.spec != self.spec:
+        for _, slots in self.terms:
+            for g in slots:
+                if g is not None and g.spec != self.spec:
                     raise SpecMismatchError("factor spec differs from path spec")
 
     # -- constructors ------------------------------------------------------
@@ -94,11 +71,11 @@ class PathCylinderFn:
         """The pull g o pi_n of a base function through coordinate n."""
         if n < 0:
             raise InputError("coordinate index must be >= 0")
-        return cls(g.spec, (PathTerm(1.0, ((n, g),)),))
+        return cls(g.spec, ((1 + 0j, (None,) * n + (g,)),))
 
     @classmethod
     def constant(cls, spec: IfsSpec, value: complex) -> "PathCylinderFn":
-        return cls(spec, (PathTerm(value, ()),))
+        return cls(spec, ((complex(value), ()),))
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "PathCylinderFn") -> "PathCylinderFn":
@@ -111,50 +88,41 @@ class PathCylinderFn:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return PathCylinderFn(
-                self.spec,
-                tuple(PathTerm(t.coeff * other, t.factors) for t in self.terms),
-            )
+            terms = tuple((complex(c * other), s) for c, s in self.terms)
+            return PathCylinderFn(self.spec, terms)
         if self.spec != other.spec:
             raise SpecMismatchError("path functions over different systems")
-        terms = []
-        for s in self.terms:
-            for t in other.terms:
-                terms.append(
-                    PathTerm(s.coeff * t.coeff, _merge_factors(s.factors + t.factors))
-                )
-        return PathCylinderFn(self.spec, tuple(terms))
+        terms = tuple(
+            (c * d, tuple(map(_times, s, t)) + s[len(t) :] + t[len(s) :])
+            for c, s in self.terms
+            for d, t in other.terms
+        )
+        return PathCylinderFn(self.spec, terms)
 
     __rmul__ = __mul__
 
     def conj(self) -> "PathCylinderFn":
-        return PathCylinderFn(
-            self.spec,
-            tuple(
-                PathTerm(np.conj(t.coeff), tuple((n, g.conj()) for n, g in t.factors))
-                for t in self.terms
-            ),
+        terms = tuple(
+            (c.conjugate(), tuple(None if g is None else g.conj() for g in s))
+            for c, s in self.terms
         )
+        return PathCylinderFn(self.spec, terms)
 
     # -- shift actions -------------------------------------------------------
     def compose_shift(self) -> "PathCylinderFn":
         """F o shift: indices drop by one, coordinate 0 picks up sigma."""
         terms = []
-        for t in self.terms:
-            factors = [
-                (0, compose_sigma(g)) if n == 0 else (n - 1, g)
-                for n, g in t.factors
-            ]
-            terms.append(PathTerm(t.coeff, _merge_factors(factors)))
+        for c, s in self.terms:
+            if s:
+                head = None if s[0] is None else compose_sigma(s[0])
+                s = (_times(head, s[1]),) + s[2:] if len(s) > 1 else (head,)
+            terms.append((c, s))
         return PathCylinderFn(self.spec, tuple(terms))
 
     def compose_shift_inverse(self) -> "PathCylinderFn":
         """F o shift^{-1}: every coordinate index rises by one."""
-        terms = [
-            PathTerm(t.coeff, tuple((n + 1, g) for n, g in t.factors))
-            for t in self.terms
-        ]
-        return PathCylinderFn(self.spec, tuple(terms))
+        terms = tuple((c, (None,) + s if s else s) for c, s in self.terms)
+        return PathCylinderFn(self.spec, terms)
 
     # -- normal form -----------------------------------------------------------
     def collapse(self) -> tuple[int, CylinderFn]:
@@ -163,17 +131,22 @@ class PathCylinderFn:
         Uses g o pi_n = (g o sigma^(M-n)) o pi_M, which is faithful because
         the top coordinate determines all lower ones.
         """
-        top = 0
-        for t in self.terms:
-            for n, _ in t.factors:
-                top = max(top, n)
+        top = max([len(s) - 1 for _, s in self.terms] + [0])
         total = CylinderFn.constant(self.spec, 0.0)
-        for t in self.terms:
-            acc = CylinderFn.constant(self.spec, t.coeff)
-            for n, g in t.factors:
-                acc = multiply(acc, shift_iterate(g, top - n))
+        for c, s in self.terms:
+            acc = CylinderFn.constant(self.spec, c)
+            for n, g in enumerate(s):
+                if g is not None:
+                    acc = multiply(acc, shift_iterate(g, top - n))
             total = total + acc
         return top, total
+
+
+def _times(a: CylinderFn | None, b: CylinderFn | None) -> CylinderFn | None:
+    """The product of two slots, the left factor first; None is 1."""
+    if a is None or b is None:
+        return b if a is None else a
+    return multiply(a, b)
 
 
 def path_sup_distance(f: PathCylinderFn, g: PathCylinderFn) -> float:
@@ -207,18 +180,21 @@ def weighted_shift_inverse(f: PathCylinderFn, m: CylinderFn) -> PathCylinderFn:
     return PathCylinderFn.coordinate(1, recip) * f.compose_shift_inverse()
 
 
+def _chain(fs: Sequence[CylinderFn], weight: CylinderFn, h: CylinderFn) -> complex:
+    """int f_0 R_W(f_1 R_W(... R_W(f_K h))) dmu, evaluated innermost first."""
+    acc = multiply(fs[-1], h)
+    for g in reversed(fs[:-1]):
+        acc = multiply(g, ruelle_apply(weight, acc))
+    return integrate(acc)
+
+
 def expectation(f: PathCylinderFn, weight: CylinderFn, h: CylinderFn) -> complex:
     """E_P[F] by the nested transfer formula, term by term."""
     if weight.spec != f.spec or h.spec != f.spec:
         raise SpecMismatchError("weight or density spec differs from path spec")
     total, one = 0.0 + 0.0j, CylinderFn.ones(f.spec)
-    for term in f.terms:
-        slots = dict(term.factors)  # at most one factor per coordinate
-        top = max(slots, default=0)
-        acc = multiply(slots.get(top, one), h)
-        for n in range(top - 1, -1, -1):
-            acc = multiply(slots.get(n, one), ruelle_apply(weight, acc))
-        total += term.coeff * integrate(acc)
+    for c, s in f.terms:
+        total += c * _chain([one if g is None else g for g in s] or [one], weight, h)
     return complex(total)
 
 
@@ -227,17 +203,20 @@ def pairing(f: PathCylinderFn, g: PathCylinderFn, weight: CylinderFn, h: Cylinde
     return expectation(f * g.conj(), weight, h)
 
 
-def harmonic_for(weight: CylinderFn, tol: float = HARMONIC_TOL) -> CylinderFn:
+def harmonic_for(weight: CylinderFn) -> CylinderFn:
     """The default transfer-harmonic density: 1 when admissible, else solved."""
     ones = CylinderFn.ones(weight.spec)
-    if sup_distance(conditional_expectation(lift(weight, max(weight.depth, 1))), lift(ones, 1)) < tol:
+    if not density_defect(weight, ones, HARMONIC_TOL)[1]:
         return ones
-    return harmonic_solve(weight, tol=tol)
+    return harmonic_solve(weight, tol=HARMONIC_TOL)
 
 
 @dataclass(frozen=True)
 class MomentSpec:
-    """Everything a path moment needs: weight, harmonic density, coordinates."""
+    """Everything a path moment needs: weight, harmonic density, coordinates.
+
+    Construction certifies h as a transfer-harmonic density of the weight.
+    """
 
     spec: IfsSpec
     weight: CylinderFn
@@ -251,13 +230,9 @@ class MomentSpec:
         for g in (self.weight, self.h, *self.coords):
             if g.spec != self.spec:
                 raise SpecMismatchError("moment component spec mismatch")
-
-    def validate(self, tol: float = HARMONIC_TOL) -> None:
-        if abs(integrate(self.h) - 1.0) > tol:
-            raise InputError("harmonic density must integrate to 1")
-        resid = sup_distance(ruelle_apply(self.weight, self.h), self.h)  # at the deeper depth
-        if resid >= tol:
-            raise InputError(f"density is not transfer-harmonic (residual {resid:.3e})")
+        defect = density_defect(self.weight, self.h, HARMONIC_TOL)[1]
+        if defect:
+            raise InputError(f"h is not a transfer-harmonic density: {defect}")
 
     def to_json(self) -> dict:
         return {
@@ -279,11 +254,7 @@ class MomentSpec:
 
 def moment(ms: MomentSpec) -> complex:
     """int f_0 R_W(f_1 R_W(... R_W(f_K h))) dmu, evaluated innermost first."""
-    ms.validate()
-    acc = multiply(ms.coords[-1], ms.h)
-    for g in reversed(ms.coords[:-1]):
-        acc = multiply(g, ruelle_apply(ms.weight, acc))
-    return integrate(acc)
+    return _chain(ms.coords, ms.weight, ms.h)
 
 
 def _walk(step, x, wanted: set[int]):
@@ -376,8 +347,7 @@ def marginal_residual(
 ) -> float:
     """Moment with trailing all-ones coordinates minus int f_0 h dmu."""
     h = harmonic_for(weight) if h is None else h
-    coords = (f0,) + tuple(CylinderFn.ones(f0.spec) for _ in range(order))
-    val = moment(MomentSpec(f0.spec, weight, h, coords))
+    val = _chain([f0] + [CylinderFn.ones(f0.spec)] * order, weight, h)
     return abs(val - integrate(multiply(f0, h)))
 
 
@@ -385,10 +355,8 @@ def probability_residual(
     order: int, weight: CylinderFn, h: CylinderFn | None = None
 ) -> float:
     """All-ones moment minus 1: P is a probability measure."""
-    spec = weight.spec
     h = harmonic_for(weight) if h is None else h
-    coords = tuple(CylinderFn.ones(spec) for _ in range(order + 1))
-    return abs(moment(MomentSpec(spec, weight, h, coords)) - 1.0)
+    return abs(_chain([CylinderFn.ones(weight.spec)] * (order + 1), weight, h) - 1.0)
 
 
 def cocycle_weight(m: CylinderFn, k: int) -> CylinderFn:

@@ -21,10 +21,16 @@ from wavelab.circle_filters import (
     unitarity_residuals,
 )
 from wavelab.classic_mra import cascade, d4_taps, detail_taps, haar_taps, wavelet_detail
-from wavelab.code_space import CylinderFn, IfsSpec
+from wavelab.code_space import CylinderFn, IfsSpec, sup_distance
 from wavelab.examples_geometry import chaos_game, sierpinski_ifs
-from wavelab.ifs_filters import build_indicator
-from wavelab.rkhs_kernels import FinitePointSet, szego_kernel
+from wavelab.ifs_filters import (
+    CoefficientTree,
+    FilterBank,
+    build_indicator,
+    build_roots_of_unity,
+    multires_reconstruct,
+)
+from wavelab.rkhs_kernels import FinitePointSet, contraction_check, szego_kernel
 
 
 def run_json(capsys, argv):
@@ -132,6 +138,38 @@ def test_decompose_and_endo(tmp_path, capsys):
         ["ifs", "endo-check", "--bank", str(bank_path), "--fn", fn_path, "--depth", "2"],
     )
     assert code == 0
+
+
+def test_decompose_writes_a_tree_that_reconstructs(tmp_path, capsys):
+    bank_path = tmp_path / "bank.json"
+    run(["ifs", "build-filter", "--kind", "roots", "--N", "2", "--out", str(bank_path)])
+    fn = CylinderFn(IfsSpec(2), 3, np.random.default_rng(4).normal(size=8))
+    fn_path, tree_path = write(tmp_path / "fn.json", fn.to_json()), tmp_path / "tree.json"
+    capsys.readouterr()
+    argv = ["ifs", "decompose", "--bank", str(bank_path), "--fn", fn_path, "--levels", "2"]
+    code, result = run_json(capsys, argv + ["--out", str(tree_path)])
+    assert code == 0
+    tree = CoefficientTree.from_json(jsonio.load_file(str(tree_path)))
+    assert sum(1 for _ in tree.leaves()) == result["results"]["leaf_count"]
+    bank = FilterBank.from_json(jsonio.load_file(str(bank_path)))
+    assert sup_distance(multires_reconstruct(bank, tree), fn) < 1e-13
+
+
+def test_connect_fails_on_banks_that_verify_but_do_not_connect_unitarily(tmp_path, capsys):
+    # both banks pass verification at 1e-10; scaling one by 1 + 1e-11 leaves
+    # the connecting field that far from unitary, over its 1e-13 bound
+    spec = IfsSpec(2)
+    bank = write(tmp_path / "ind.json", build_indicator(spec).to_json())
+    scaled = build_roots_of_unity(spec).to_json()
+    for filt in scaled["filters"]:
+        filt["values"] = jsonio.encode_cvector(jsonio.decode_cvector(filt["values"]) * (1 + 1e-11))
+    target = write(tmp_path / "scaled.json", scaled)
+    for path in (bank, target):
+        assert run(["ifs", "verify-filter", "--bank", path, "--tol", "1e-10"]) == 0
+    capsys.readouterr()
+    code, result = run_json(capsys, ["ifs", "connect", "--bank", bank, "--target", target])
+    assert code == 1 and result["pass"] is False
+    assert "connecting field not pointwise unitary" in result["error"]
 
 
 def test_verify_over_cell_cap_exits_2(tmp_path, capsys, monkeypatch):
@@ -564,8 +602,19 @@ def _set(*path_and_value):
     return edit
 
 
+def _all_weights(value):
+    """An edit that sets the weights of a bank's spec and of each of its filters."""
+
+    def edit(obj):
+        for part in [obj["spec"]] + obj["filters"]:
+            part["weights"] = value
+
+    return edit
+
+
 # each edited file ran before: int() truncated 2.9 and parsed "0", float() parsed
-# "0.5", np.array(..., dtype=int) read true as 1
+# "0.5", np.array(..., dtype=int) and complex() read true as 1, complex() raised
+# OverflowError on 10**400, and NaN weights passed the weight checks
 BAD_NUMERIC_FIELDS = {
     "min_degree 0.7": ("circle verify", _set("filters", 0, "min_degree", 0.7)),
     "min_degree string": ("circle verify", _set("filters", 0, "min_degree", "0")),
@@ -576,6 +625,10 @@ BAD_NUMERIC_FIELDS = {
     "spec weights strings": ("ifs verify-filter", _set("spec", "weights", ["0.5", "0.5"])),
     "sigma entries": ("rkhs product-kernel", _set("sigma", [0, 2.9, "0", True])),
     "offset true": ("mra filterbank", _set("analysis_offsets", [True, 0])),
+    "bare coefficient 10**400": ("circle verify", _set("filters", 0, "coeffs", 0, 10**400)),
+    "bare coefficient true": ("circle verify", _set("filters", 0, "coeffs", 0, True)),
+    "NaN bank weights": ("ifs verify-filter", _all_weights([float("nan")] * 2)),
+    "NaN digit weight": ("examples fractal", _set("weights", [float("nan"), 0.5, 0.5])),
 }
 
 
@@ -625,6 +678,21 @@ def test_rkhs_commands(tmp_path, capsys):
         ["rkhs", "check", "--points", points, "--kernel", str(out), "--filters", filters],
     )
     assert code == 0
+
+
+def test_rkhs_check_with_one_filter_reports_the_contraction(tmp_path, capsys):
+    pset = FinitePointSet.squaring_chain(0.9 * np.exp(0.7j), 12)
+    kernel = szego_kernel(pset.points)
+    points = write(tmp_path / "p.json", pset.to_json())
+    kernel_path = write(tmp_path / "k.json", kernel.to_json())
+    filters = write(tmp_path / "m.json", {"filters": [jsonio.encode_cvector(pset.points)]})
+    code, result = run_json(
+        capsys, ["rkhs", "check", "--points", points, "--kernel", kernel_path, "--filters", filters]
+    )
+    # m(z) = z alone leaves K(x, y) - x conj(y) K(x^2, y^2) = K(x^2, y^2): no refinement
+    assert code == 1 and result["results"]["filter_count"] == 1
+    expected = contraction_check(kernel, pset.points, pset)
+    assert result["results"]["contraction_min_eigenvalue"] == expected
 
 
 def test_rkhs_product_kernel_with_large_entries_is_not_a_usage_error(tmp_path, capsys):
@@ -1012,3 +1080,25 @@ def test_solenoid_moment_auto_h_meets_the_default_tolerance(tmp_path, capsys, se
     path = _moment_file(tmp_path, spec, weight, [[1.0, 1.0]] * 4)
     code, result = run_json(capsys, ["solenoid", "moment", "--file", path])
     assert code == 0 and result["residuals"]["probability_normalization"] < 1e-12
+
+
+@pytest.mark.parametrize("name", ["signed", "nan", "complex"])
+def test_solenoid_moment_rejects_an_explicit_h_that_is_no_density(name, tmp_path, capsys):
+    # signed: the eigenvalue-1 vector of R_W = [[1.2, 0.04], [0.5, 1.1]], which
+    # integrates to 1 but is negative on [1]; complex: R_W = I fixes every h,
+    # and this one integrates to 1; all three files passed the former check
+    spec, nan = IfsSpec(2), float("nan")
+    depth, weight, h, numbers = {
+        "signed": (2, [2.4, 1.0, 0.08, 2.2], [-0.5, 2.5], "min Re h -5.000e-01"),
+        "nan": (0, [1.0], [nan, 1.0], "sup|R_W h - h| nan, min Re h nan"),
+        "complex": (2, [2.0, 0.0, 0.0, 2.0], [1 + 1j, 1 - 1j], "max |Im h| 1.000e+00"),
+    }[name]
+    path = write(tmp_path / "moment.json", {
+        "spec": spec.to_json(), "W": CylinderFn(spec, depth, weight).to_json(),
+        "h": CylinderFn(spec, 1, h).to_json(),
+        "coords": [CylinderFn.indicator(spec, [1]).to_json()] * 2,
+    })
+    assert run(["solenoid", "moment", "--file", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and path in captured.err
+    assert "not a transfer-harmonic density" in captured.err and numbers in captured.err

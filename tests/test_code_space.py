@@ -380,6 +380,23 @@ def test_harmonic_solve_iterates_above_the_dense_word_limit(monkeypatch, rng):
     assert sup_distance(h, h_eig) < 1e-11
 
 
+def test_power_solve_reports_a_vanishing_iterate(monkeypatch, spec2):
+    # 8 words need 64 matrix cells, over a cap of 63: the power loop runs,
+    # and R_W = 0 sends its first iterate to 0
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "63")
+    with pytest.raises(ConvergenceError, match="transfer iterate vanished"):
+        harmonic_solve(CylinderFn(spec2, 4, np.zeros(16)))
+
+
+def test_power_solve_gives_up_after_its_step_limit(monkeypatch, spec2):
+    # the weight of test_harmonic_solve_on_slowly_mixing_weight, |lambda_2/lambda_1| = 0.9
+    monkeypatch.setattr(code_space, "DENSE_SOLVE_WORDS", 1)
+    W = CylinderFn(spec2, 2, [1.94, 0.06, 0.14, 1.86])
+    with pytest.raises(ConvergenceError, match=f"after {code_space.POWER_STEPS} iterations") as err:
+        harmonic_solve(W, tol=1e-12)
+    assert 1e-12 < err.value.residual < 1e-10
+
+
 def test_harmonic_solve_rejects_a_signed_eigenvector(spec2):
     # R_W = [[1.2, 0.04], [0.5, 1.1]] has eigenvalues 1.3 and 1; the
     # eigenvalue-1 vector (-0.5, 2.5) solves the bordered system to 1e-16
