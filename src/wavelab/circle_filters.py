@@ -72,10 +72,6 @@ class LaurentPoly:
     def monomial(cls, degree: int, coeff: complex = 1.0) -> "LaurentPoly":
         return cls(degree, [coeff])
 
-    @classmethod
-    def from_coefficients(cls, min_degree: int, coeffs: Sequence[complex]) -> "LaurentPoly":
-        return cls(min_degree, coeffs)
-
     # -- inspection -----------------------------------------------------------
     def __bool__(self) -> bool:
         return bool(self._coeffs.size)
@@ -184,11 +180,6 @@ def _as_poly(x) -> LaurentPoly:
     if isinstance(x, (int, float, complex)):
         return LaurentPoly(0, [x])
     raise InputError(f"cannot coerce {type(x).__name__} to a Laurent polynomial")
-
-
-def weighted_compose_circle(m: LaurentPoly, f: LaurentPoly, n: int) -> LaurentPoly:
-    """m(z) f(z**N): coefficients (S_m f)_k = sum over u + N v = k of m_u f_v."""
-    return m * f.upsample(n)
 
 
 def unit_circle_grid(n_points: int) -> np.ndarray:
@@ -435,17 +426,6 @@ class BlaschkeProduct:
         )
 
 
-def blaschke_product(
-    factors: Sequence[BlaschkeFactor], left_unitary: np.ndarray | None = None
-) -> BlaschkeProduct:
-    factors = tuple(factors)
-    if left_unitary is None:
-        if not factors:
-            raise InputError("an empty product needs an explicit left unitary")
-        left_unitary = np.eye(factors[0].size)
-    return BlaschkeProduct(left_unitary, factors)
-
-
 @dataclass(frozen=True)
 class LoopActionResult:
     """A loop-acted evaluator plus the unitarity diagnosis of the acting map."""
@@ -476,12 +456,3 @@ def loop_action_circle(
         return g_of_power(z) @ np.asarray(u(z), dtype=complex)
 
     return LoopActionResult(evaluate, resid, not resid <= tol)
-
-
-def haar_pair() -> list[LaurentPoly]:
-    """The averaged-convention prototype pair ((1+z)/sqrt2, (1-z)/sqrt2)."""
-    s = 1.0 / np.sqrt(2.0)
-    return [
-        LaurentPoly.from_coefficients(0, [s, s]),
-        LaurentPoly.from_coefficients(0, [s, -s]),
-    ]

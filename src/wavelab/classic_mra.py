@@ -269,21 +269,6 @@ def shift_orthonormality(profile: ScalingProfile) -> tuple[np.ndarray, float]:
     return gram, deviation
 
 
-def harmonic_profile(profile: ScalingProfile, t_values: Sequence[float]) -> np.ndarray:
-    """Samples of the shift symbol sum_m <phi, phi(. - m)> e^{-i m t}.
-
-    By Poisson summation this equals the periodized squared Fourier
-    transform of phi; it is identically 1 exactly when the integer shifts
-    are orthonormal.
-    """
-    g = shift_autocorrelation(profile)
-    t = np.asarray(t_values, dtype=float)
-    out = np.full(t.shape, g[0], dtype=complex)
-    for m in range(1, g.shape[0]):
-        out += g[m] * np.exp(-1j * m * t) + np.conj(g[m]) * np.exp(1j * m * t)
-    return out
-
-
 def haar_taps() -> np.ndarray:
     return np.array([1.0, 1.0]) / np.sqrt(2.0)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,21 +138,6 @@ class Word:
         for s in self.symbols:
             i = i * n_branches + (s - 1)
         return i
-
-    @classmethod
-    def from_index(cls, n_branches: int, length: int, index: int) -> "Word":
-        if not 0 <= index < n_branches**length:
-            raise InputError(f"index {index} out of range for length {length}")
-        symbols = []
-        for _ in range(length):
-            symbols.append(index % n_branches + 1)
-            index //= n_branches
-        return cls(tuple(reversed(symbols)))
-
-
-def all_words(n_branches: int, length: int) -> Iterator[Word]:
-    for i in range(n_branches**length):
-        yield Word.from_index(n_branches, length, i)
 
 
 class _Fresh(tuple):
@@ -293,17 +278,6 @@ def lift(f: CylinderFn, depth: int) -> CylinderFn:
     return _new(f.spec, depth, _lift_values(f, depth))
 
 
-def restrict(f: CylinderFn, depth: int) -> CylinderFn:
-    """Average out trailing symbols, the inverse of ``lift`` on its range."""
-    if depth > f.depth:
-        raise InputError(f"cannot restrict depth {f.depth} up to {depth}")
-    vals = f.values
-    p = f.spec.weight_array()
-    for _ in range(f.depth - depth):
-        vals = vals.reshape(-1, f.spec.N) @ p
-    return _new(f.spec, depth, vals)
-
-
 def integrate(f: CylinderFn) -> complex:
     """Integral against the product measure: sum_w p_{w_1}..p_{w_L} f(w)."""
     vals = f.values
@@ -317,15 +291,6 @@ def multiply(f: CylinderFn, g: CylinderFn) -> CylinderFn:
     """Pointwise product at the common lifted depth."""
     a, b, depth = _align(f, g)
     return _new(f.spec, depth, a * b)
-
-
-def inner_product(f: CylinderFn, g: CylinderFn) -> complex:
-    """L2 pairing int f conj(g) dmu."""
-    return integrate(multiply(f, g.conj()))
-
-
-def l2_norm(f: CylinderFn) -> float:
-    return float(np.sqrt(max(integrate(f.abs2()).real, 0.0)))
 
 
 def sup_distance(f: CylinderFn, g: CylinderFn) -> float:
@@ -352,15 +317,6 @@ def conditional_expectation(f: CylinderFn) -> CylinderFn:
     if f.depth == 0:
         return f
     return compose_sigma(adjoint_sigma(f))
-
-
-def precompose_branch(f: CylinderFn, branch: int) -> CylinderFn:
-    """f o tau_branch: pin the first symbol, lowering depth by one."""
-    if not 1 <= branch <= f.spec.N:
-        raise InputError(f"branch {branch} outside 1..{f.spec.N}")
-    if f.depth == 0:
-        return f
-    return _new(f.spec, f.depth - 1, f.values.reshape(f.spec.N, -1)[branch - 1])
 
 
 def shift_iterate(f: CylinderFn, k: int) -> CylinderFn:
@@ -465,11 +421,3 @@ def _power_solve(W: CylinderFn, depth: int, tol: float) -> CylinderFn:
         f"no transfer fixed point after {POWER_STEPS} iterations (last residual {residual:.3e})",
         residual=residual,
     )
-
-
-def density_check(W: CylinderFn, word: Word | Sequence[int]) -> tuple[complex, complex]:
-    """Both sides of int R_W(1_A) dmu = int_A W dmu for a cylinder A."""
-    ind = CylinderFn.indicator(W.spec, word)
-    lhs = integrate(ruelle_apply(W, ind))
-    rhs = integrate(multiply(W, ind))
-    return lhs, rhs

@@ -3,15 +3,11 @@
 The quadratic map 4x(1-x) preserves the arcsine density on [0, 1]; its
 moments are the scaled central binomials C(2k, k) / 4**k, reproduced
 exactly (for polynomial degree < 2n) by the n-point Chebyshev rule with
-equal weights.  The branch-average operator and the integral form of the
-shift adjoint are exposed side by side as a three-way diagnostic; the
-operation reports all pairings and asserts nothing about which candidate
-is the adjoint.
+equal weights.
 
 Affine fractals are attractors of tau_n(x) = A^{-1}(x + b_n) for an
-expanding integer matrix A and digit vectors b_n.  Truncated digit sums
-give the code-to-point map; a seeded chaos game samples the invariant
-measure, whose exact first and second moments follow from the affine
+expanding integer matrix A and digit vectors b_n.  A seeded chaos game
+samples the invariant measure, whose exact mean follows from the affine
 self-similarity identity.
 """
 
@@ -19,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -70,68 +65,6 @@ def logistic_invariance(max_degree: int = 8, nodes: int = 64) -> float:
     x = rule.nodes()
     s = 4.0 * x * (1.0 - x)
     return float(max(abs(np.mean(s**k) - np.mean(x**k)) for k in range(max_degree + 1)))
-
-
-@dataclass(frozen=True)
-class AdjointComparison:
-    """Three pairings, reported verbatim; interpretation is the caller's."""
-
-    branch_average: complex  # <(f o tau_+ + f o tau_-)/2, g>
-    composition: complex  # <f, g o sigma>
-    integral_adjoint: complex  # <averaged-primitive form of f, g>
-
-    def to_json(self) -> dict:
-        return {
-            "branch_average_pairing": jsonio.encode_complex(self.branch_average),
-            "composition_pairing": jsonio.encode_complex(self.composition),
-            "integral_adjoint_pairing": jsonio.encode_complex(self.integral_adjoint),
-        }
-
-
-def _polyval(coeffs: Sequence[complex], x: np.ndarray) -> np.ndarray:
-    return np.polynomial.polynomial.polyval(x, np.asarray(coeffs, dtype=complex))
-
-
-def _integral_adjoint_coeffs(coeffs: Sequence[complex]) -> np.ndarray:
-    # (1/2) [ (1/x) int_0^x f + (1/(1-x)) int_x^1 f ], both closed-form
-    # polynomials: term a_k x**k contributes a_k x**k/(k+1) to the first
-    # part, and the second is (F(1) - F(x)) / (1 - x) by exact division.
-    a = np.asarray(coeffs, dtype=complex)
-    part1 = a / (np.arange(a.shape[0]) + 1.0)
-    primitive = np.concatenate(([0.0], a / (np.arange(a.shape[0]) + 1.0)))
-    g = -primitive
-    g[0] += primitive.sum()  # F(1) - F(x)
-    quotient, remainder = np.polynomial.polynomial.polydiv(g, [1.0, -1.0])
-    if np.max(np.abs(remainder)) > 1e-10:
-        raise InputError("division by (1 - x) left an unexpected remainder")
-    out = np.zeros(max(part1.shape[0], quotient.shape[0]), dtype=complex)
-    out[: part1.shape[0]] += part1
-    out[: quotient.shape[0]] += quotient
-    return out / 2.0
-
-
-def logistic_adjoint_compare(
-    f_coeffs: Sequence[complex], g_coeffs: Sequence[complex], nodes: int | None = None
-) -> AdjointComparison:
-    """Pair three adjoint candidates against g under the arcsine measure.
-
-    All integrands are polynomials, so the quadrature below is exact; the
-    branch averages use tau_pm(x) = (1 +- sqrt(1 - x)) / 2 pointwise.
-    """
-    f = np.asarray(f_coeffs, dtype=complex)
-    g = np.asarray(g_coeffs, dtype=complex)
-    if nodes is None:
-        nodes = f.shape[0] + 2 * g.shape[0] + 4
-    rule = ChebyshevRule(nodes)
-    x = rule.nodes()
-    root = np.sqrt(1.0 - x)
-    tau_plus = (1.0 + root) / 2.0
-    tau_minus = (1.0 - root) / 2.0
-    gx = _polyval(g, x)
-    branch = np.mean((_polyval(f, tau_plus) + _polyval(f, tau_minus)) / 2.0 * np.conj(gx))
-    comp = np.mean(_polyval(f, x) * np.conj(_polyval(g, 4.0 * x * (1.0 - x))))
-    integral = np.mean(_polyval(_integral_adjoint_coeffs(f), x) * np.conj(gx))
-    return AdjointComparison(complex(branch), complex(comp), complex(integral))
 
 
 @dataclass(frozen=True)
@@ -189,19 +122,6 @@ class AffineIfs:
             self.matrix.astype(float) - np.eye(self.dimension), b_bar
         )
 
-    def second_moment(self) -> np.ndarray:
-        """E[x x^T] solved from the affine fixed-point equation."""
-        d = self.dimension
-        inv = self.inverse_matrix()
-        p = np.asarray(self.weights)
-        b = self.digits.astype(float)
-        mean = self.mean_fixed_point()
-        b_bar = p @ b
-        b2 = np.einsum("n,ni,nj->ij", p, b, b)
-        rhs = inv @ (np.outer(mean, b_bar) + np.outer(b_bar, mean) + b2) @ inv.T
-        op = np.eye(d * d) - np.kron(inv, inv)
-        return np.linalg.solve(op, rhs.ravel()).reshape(d, d)
-
     def to_json(self) -> dict:
         return {
             "A": [[int(v) for v in row] for row in self.matrix],
@@ -220,21 +140,6 @@ class AffineIfs:
 
 def sierpinski_ifs() -> AffineIfs:
     return AffineIfs(2 * np.eye(2, dtype=int), np.array([[0, 0], [1, 0], [0, 1]]))
-
-
-def code_to_point(ifs: AffineIfs, word: Sequence[int]) -> np.ndarray:
-    """Truncated digit sum sum_k A^{-k} b_{w_k} of a symbol word."""
-    word = [int(s) for s in word]
-    if not word:
-        raise InputError("word must have length >= 1")
-    for s in word:
-        if not 1 <= s <= ifs.branch_count:
-            raise InputError(f"symbol {s} outside 1..{ifs.branch_count}")
-    inv = ifs.inverse_matrix()
-    x = np.zeros(ifs.dimension)
-    for s in reversed(word):
-        x = inv @ (x + ifs.digits[s - 1])
-    return x
 
 
 def chaos_game(

@@ -421,12 +421,6 @@ def apply_loop_group(bank: FilterBank, field: MatrixField) -> FilterBank:
     return FilterBank(bank.spec, _act(bank, field.values)[1])
 
 
-def matrix_field(bank: FilterBank) -> MatrixField:
-    """Modulation matrix M_jk = sqrt(p_k) m_j(tau_k .), unitary iff the bank is a filter."""
-    scale = np.sqrt(bank.spec.weight_array())[:, None]
-    return MatrixField(bank.spec, bank._by_symbol(max(bank.depth, 1)) * scale)
-
-
 def endomorphism_check(bank: FilterBank, f: CylinderFn, probe_depth: int = 2) -> float:
     """Residual of sum_n S_n (f . S_n* g) = (f o sigma) g over all g.
 

@@ -27,7 +27,6 @@ from .errors import InputError
 from . import jsonio
 
 HERMITIAN_TOL = 1e-13
-PSD_EIG_TOL = -1e-10
 
 
 @dataclass(frozen=True)
@@ -133,9 +132,6 @@ class KernelMatrix:
         herm = (self.matrix + self.matrix.conj().T) / 2.0
         return float(np.min(np.linalg.eigvalsh(herm)))
 
-    def is_positive(self, eig_tol: float = PSD_EIG_TOL) -> bool:
-        return self.min_eigenvalue() >= eig_tol
-
     def to_json(self) -> dict:
         return {"matrix": jsonio.encode_cmatrix(self.matrix)}
 
@@ -238,32 +234,3 @@ def preimage_orthogonality(
     avg = sums[rows] / counts[rows, None, None]
     residual = np.max(np.abs(avg - np.eye(n_filters)), axis=0, initial=0.0)
     return residual, tuple(np.flatnonzero(~rows).tolist())
-
-
-def discrete_cuntz_residual(
-    m_list: Sequence[Sequence[complex]], pset: FinitePointSet
-) -> float:
-    """max |A_i T_j - delta_ij I| for the finite weighted-composition pair.
-
-    T_j f = m_j (f o sigma); A_i is the fiber-average adjoint candidate
-    carrying conj(m_i)/n(x).  Their products collapse to the preimage
-    Gram identity, so the residual vanishes together with it.  Rows of
-    points without preimages are outside the fiber system and skipped.
-    """
-    values = _filter_values(m_list, pset.size)
-    counts, sigma, points = pset.preimage_counts(), pset.sigma, np.arange(pset.size)
-    rows = counts > 0  # never empty: sigma(y) has the preimage y
-    t = np.zeros((len(values), pset.size, pset.size), dtype=complex)
-    t[:, points, sigma] = values
-    a = np.zeros_like(t)
-    a[:, sigma, points] = np.conj(values) / counts[sigma]
-    delta = np.eye(len(values))[:, :, None, None] * np.eye(pset.size)[rows]
-    return float(np.max(np.abs((a[:, None] @ t[None])[:, :, rows] - delta)))
-
-
-def szego_kernel(points: Sequence[complex]) -> KernelMatrix:
-    """K(z, w) = 1 / (1 - z conj(w)) on points inside the unit disk."""
-    z = np.asarray(points, dtype=complex)
-    if np.any(np.abs(z) >= 1.0):
-        raise InputError("Szego kernel needs points strictly inside the disk")
-    return KernelMatrix(1.0 / (1.0 - np.outer(z, np.conj(z))))

@@ -295,10 +295,6 @@ class CovarianceReport:
     conjugation: float
     scaling: float
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.conjugation, self.scaling)
-
 
 def shift_covariance_check(m: CylinderFn, f: CylinderFn, g: CylinderFn) -> CovarianceReport:
     """Covariance of the weighted shift with multiplication operators.
@@ -309,15 +305,15 @@ def shift_covariance_check(m: CylinderFn, f: CylinderFn, g: CylinderFn) -> Covar
     meaningful when m vanishes somewhere.  The scaling residual checks
     U 1 = m o pi_0.
     """
-    worst = 0.0
+    distances = []
     for k in range(3):
         probe = PathCylinderFn.coordinate(k, g)
         lhs = weighted_shift(PathCylinderFn.coordinate(0, f) * probe, m)
         rhs = PathCylinderFn.coordinate(0, compose_sigma(f)) * weighted_shift(probe, m)
-        worst = max(worst, path_sup_distance(lhs, rhs))
+        distances.append(path_sup_distance(lhs, rhs))
     one = PathCylinderFn.constant(m.spec, 1.0)
     scaling = path_sup_distance(weighted_shift(one, m), PathCylinderFn.coordinate(0, m))
-    return CovarianceReport(worst, scaling)
+    return CovarianceReport(float(np.max(distances)), scaling)  # NaN propagates
 
 
 def w0_isometry_residual(
@@ -342,40 +338,9 @@ def measure_change_residual(
     return abs(lhs - rhs)
 
 
-def marginal_residual(
-    f0: CylinderFn, order: int, weight: CylinderFn, h: CylinderFn | None = None
-) -> float:
-    """Moment with trailing all-ones coordinates minus int f_0 h dmu."""
-    h = harmonic_for(weight) if h is None else h
-    val = _chain([f0] + [CylinderFn.ones(f0.spec)] * order, weight, h)
-    return abs(val - integrate(multiply(f0, h)))
-
-
 def probability_residual(
     order: int, weight: CylinderFn, h: CylinderFn | None = None
 ) -> float:
     """All-ones moment minus 1: P is a probability measure."""
     h = harmonic_for(weight) if h is None else h
     return abs(_chain([CylinderFn.ones(weight.spec)] * (order + 1), weight, h) - 1.0)
-
-
-def cocycle_weight(m: CylinderFn, k: int) -> CylinderFn:
-    """The k-step product m (m o sigma) ... (m o sigma^(k-1))."""
-    if k < 0:
-        raise InputError("cocycle order must be >= 0")
-    acc = CylinderFn.ones(m.spec)
-    for i in range(k):
-        acc = multiply(acc, shift_iterate(m, i))
-    return acc
-
-
-def state_moment(
-    m: CylinderFn, f: CylinderFn, k: int, h: CylinderFn | None = None
-) -> complex:
-    """The functional int m^(k) f h dmu exposed by the path representation.
-
-    Equals <(f o pi_0) U^k 1, 1>_P, the mixed moment of the multiplication
-    operator and the weighted shift in the path space.
-    """
-    h = harmonic_for(m.abs2()) if h is None else h
-    return integrate(multiply(multiply(cocycle_weight(m, k), f), h))

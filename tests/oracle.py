@@ -16,7 +16,8 @@ package's former code, kept as the judge of the prefix scan and of the
 one-call CSV reader and writer.  Last, the power iteration and the
 order-by-order dilation residual are the package's former path-space
 code, kept as the judge of the direct Perron solve and of the one-walk
-dilation residuals.
+dilation residuals.  The final section holds the input builders and
+judges that only the tests use, moved out of the package.
 """
 
 import csv
@@ -27,10 +28,12 @@ from math import prod
 import numpy as np
 
 from wavelab import code_space as cs
-from wavelab.circle_filters import unit_circle_grid
+from wavelab.circle_filters import BlaschkeProduct, LaurentPoly, unit_circle_grid
 from wavelab.code_space import CylinderFn, Word
-from wavelab.errors import ConvergenceError
-from wavelab.solenoid import PathCylinderFn, pairing, weighted_shift
+from wavelab.errors import ConvergenceError, InputError
+from wavelab.ifs_filters import MatrixField
+from wavelab.rkhs_kernels import KernelMatrix
+from wavelab.solenoid import MomentSpec, PathCylinderFn, harmonic_for, moment, pairing, weighted_shift
 from wavelab.examples_geometry import CHAOS_BURN_IN
 
 
@@ -39,11 +42,7 @@ def words(n: int, length: int):
 
 
 def table_of(f: CylinderFn) -> dict:
-    n, depth = f.spec.N, f.depth
-    return {
-        tuple(Word.from_index(n, depth, i).symbols): f.values[i]
-        for i in range(len(f.values))
-    }
+    return dict(zip(words(f.spec.N, f.depth), f.values))
 
 
 def cylinder_of(spec, table: dict) -> CylinderFn:
@@ -288,7 +287,7 @@ def tuple_matrix_field(filters) -> tuple:
     """M_jk = sqrt(p_k) m_j(tau_k .)."""
     scale = np.sqrt(filters[0].spec.weight_array())
     return tuple(
-        tuple(cs.precompose_branch(m, k + 1) * s for k, s in enumerate(scale))
+        tuple(precompose_branch(m, k + 1) * s for k, s in enumerate(scale))
         for m in filters
     )
 
@@ -664,9 +663,76 @@ def discrete_cuntz_residual(values, sigma) -> float:
                 a[x, y] = np.conj(v[y]) / len(fiber)
         a_mats.append(a)
     rows = np.array([x for x, fiber in enumerate(pre) if fiber])
-    worst = 0.0
-    for i, a in enumerate(a_mats):
-        for j, t in enumerate(t_mats):
-            target = np.eye(size) if i == j else np.zeros((size, size))
-            worst = max(worst, float(np.max(np.abs((a @ t - target)[rows]))))
-    return worst
+    gaps = [
+        np.max(np.abs((a @ t - (np.eye(size) if i == j else 0.0))[rows]))
+        for i, a in enumerate(a_mats)
+        for j, t in enumerate(t_mats)
+    ]
+    return float(np.max(gaps))  # NaN propagates
+
+
+# ---------------------------------------------------------------------------
+# input builders and judges that only the tests use
+# ---------------------------------------------------------------------------
+
+
+def inner_product(f: CylinderFn, g: CylinderFn) -> complex:
+    """L2 pairing int f conj(g) dmu."""
+    return cs.integrate(cs.multiply(f, g.conj()))
+
+
+def l2_norm(f: CylinderFn) -> float:
+    return float(np.sqrt(max(cs.integrate(f.abs2()).real, 0.0)))
+
+
+def precompose_branch(f: CylinderFn, branch: int) -> CylinderFn:
+    """f o tau_branch: pin the first symbol, lowering depth by one."""
+    if not 1 <= branch <= f.spec.N:
+        raise InputError(f"branch {branch} outside 1..{f.spec.N}")
+    if f.depth == 0:
+        return f
+    return CylinderFn(f.spec, f.depth - 1, f.values.reshape(f.spec.N, -1)[branch - 1])
+
+
+def restrict(f: CylinderFn, depth: int) -> CylinderFn:
+    """Average out trailing symbols, the inverse of ``lift`` on its range."""
+    assert depth <= f.depth, f"cannot restrict depth {f.depth} up to {depth}"
+    vals = f.values
+    for _ in range(f.depth - depth):
+        vals = vals.reshape(-1, f.spec.N) @ f.spec.weight_array()
+    return CylinderFn(f.spec, depth, vals)
+
+
+def matrix_field(bank) -> MatrixField:
+    """Modulation matrix M_jk = sqrt(p_k) m_j(tau_k .), unitary iff the bank is a filter."""
+    filters = [cs.lift(m, max(bank.depth, 1)) for m in bank.filters]
+    return MatrixField(bank.spec, stacked(tuple_matrix_field(filters)))
+
+
+def marginal_residual(f0: CylinderFn, order: int, weight: CylinderFn, h=None) -> float:
+    """Moment with trailing all-ones coordinates minus int f_0 h dmu."""
+    h = harmonic_for(weight) if h is None else h
+    ones = CylinderFn.ones(f0.spec)
+    val = moment(MomentSpec(f0.spec, weight, h, (f0,) + (ones,) * order))
+    return abs(val - cs.integrate(cs.multiply(f0, h)))
+
+
+def haar_pair() -> list[LaurentPoly]:
+    """The averaged-convention prototype pair ((1+z)/sqrt2, (1-z)/sqrt2)."""
+    s = 1.0 / np.sqrt(2.0)
+    return [LaurentPoly(0, [s, s]), LaurentPoly(0, [s, -s])]
+
+
+def blaschke_product(factors, left_unitary=None) -> BlaschkeProduct:
+    """V times the factors, with V = I of the factors' size by default."""
+    factors = tuple(factors)
+    if left_unitary is None:
+        left_unitary = np.eye(factors[0].size)
+    return BlaschkeProduct(left_unitary, factors)
+
+
+def szego_kernel(points) -> KernelMatrix:
+    """K(z, w) = 1 / (1 - z conj(w)) on points inside the unit disk."""
+    z = np.asarray(points, dtype=complex)
+    assert np.all(np.abs(z) < 1.0), "Szego kernel needs points strictly inside the disk"
+    return KernelMatrix(1.0 / (1.0 - np.outer(z, np.conj(z))))

@@ -10,25 +10,22 @@ from wavelab.circle_filters import (
     BlaschkeProduct,
     LaurentPoly,
     MultibandMatrix,
-    blaschke_product,
     cqf_complete,
     cuntz_residuals,
     evaluate_rows,
     grid_residuals,
-    haar_pair,
     loop_action_circle,
     matrix_grid_unitarity,
     power_sum_residual,
     shift_relation_residual,
     unit_circle_grid,
     unitarity_residuals,
-    weighted_compose_circle,
 )
 from wavelab.errors import InputError
 
 
 def poly(*coeffs, start=0):
-    return LaurentPoly.from_coefficients(start, coeffs)
+    return LaurentPoly(start, coeffs)
 
 
 def diag_w_one(w):
@@ -67,8 +64,8 @@ def test_prune_tolerance():
 )
 @settings(max_examples=60, deadline=None)
 def test_ring_laws(avals, bvals, shift):
-    a = LaurentPoly.from_coefficients(shift, avals)
-    b = LaurentPoly.from_coefficients(0, bvals)
+    a = LaurentPoly(shift, avals)
+    b = LaurentPoly(0, bvals)
     # products accumulate in different orders, so only rounding-level slack
     scale = 1.0 + a.max_abs() * b.max_abs()
     assert (a * b).distance(b * a) < 1e-13 * scale
@@ -94,7 +91,7 @@ def test_upsample_downsample_examples():
 )
 @settings(max_examples=60, deadline=None)
 def test_down_after_up_is_identity(vals, n):
-    f = LaurentPoly.from_coefficients(-2, vals)
+    f = LaurentPoly(-2, vals)
     assert f.upsample(n).downsample(n).distance(f) == 0.0
 
 
@@ -102,11 +99,11 @@ def test_weighted_compose_examples():
     z = LaurentPoly.monomial(1)
     s = 1 / np.sqrt(2)
     m = poly(s, s)
-    out = weighted_compose_circle(m, z, 2)
+    out = m * z.upsample(2)
     assert out.distance(poly(s, s, start=2)) == 0
-    assert weighted_compose_circle(LaurentPoly.one(), z, 2).distance(z.upsample(2)) == 0
+    assert (LaurentPoly.one() * z.upsample(2)).distance(z.upsample(2)) == 0
     zi = LaurentPoly.monomial(-1)
-    assert weighted_compose_circle(zi, LaurentPoly.one(), 2).distance(zi) == 0
+    assert (zi * LaurentPoly.one().upsample(2)).distance(zi) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +111,7 @@ def test_weighted_compose_examples():
 # ---------------------------------------------------------------------------
 
 def test_haar_residuals_exactly_zero():
-    report = cuntz_residuals(haar_pair(), 2)
+    report = cuntz_residuals(oracle.haar_pair(), 2)
     assert report.orthonormality == 0.0
     assert report.completeness == 0.0
 
@@ -143,8 +140,8 @@ def test_delayed_haar_is_valid_bank():
 def test_random_entries_fail():
     rng = np.random.default_rng(5)
     junk = [
-        LaurentPoly.from_coefficients(0, rng.normal(size=3)),
-        LaurentPoly.from_coefficients(0, rng.normal(size=3)),
+        LaurentPoly(0, rng.normal(size=3)),
+        LaurentPoly(0, rng.normal(size=3)),
     ]
     report = cuntz_residuals(junk, 2)
     assert report.orthonormality > 0.1
@@ -168,14 +165,14 @@ def test_cqf_example():
 
 
 def test_cqf_averaged_convention():
-    matrix = cqf_complete(haar_pair()[0], convention="averaged")
+    matrix = cqf_complete(oracle.haar_pair()[0], convention="averaged")
     assert matrix_grid_unitarity(lambda z: evaluate_rows(matrix, z), 128, scale=2.0) < 1e-13
 
 
 def test_power_sum_residuals():
     assert power_sum_residual(poly(0.5, 0.5)) == 0.0
     assert power_sum_residual(LaurentPoly.one()) == pytest.approx(1.0)
-    assert power_sum_residual(haar_pair()[0], convention="averaged") == 0.0
+    assert power_sum_residual(oracle.haar_pair()[0], convention="averaged") == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +180,7 @@ def test_power_sum_residuals():
 # ---------------------------------------------------------------------------
 
 def test_banded_matrix_haar():
-    matrix = MultibandMatrix(haar_pair(), 2)
+    matrix = MultibandMatrix(oracle.haar_pair(), 2)
     assert matrix_grid_unitarity(matrix.eval, 256) < 1e-13
     assert shift_relation_residual(matrix, 256) < 1e-13
 
@@ -191,9 +188,9 @@ def test_banded_matrix_haar():
 def test_shift_relation_holds_for_any_filters():
     rng = np.random.default_rng(11)
     junk = [
-        LaurentPoly.from_coefficients(-1, rng.normal(size=4)),
-        LaurentPoly.from_coefficients(0, rng.normal(size=2)),
-        LaurentPoly.from_coefficients(1, rng.normal(size=3)),
+        LaurentPoly(-1, rng.normal(size=4)),
+        LaurentPoly(0, rng.normal(size=2)),
+        LaurentPoly(1, rng.normal(size=3)),
     ]
     matrix = MultibandMatrix(junk, 3)
     assert shift_relation_residual(matrix, 64) < 1e-13
@@ -202,16 +199,16 @@ def test_shift_relation_holds_for_any_filters():
 
 def test_coefficient_grid_equivalence():
     # zero coefficient residuals iff grid unitarity vanishes
-    good = MultibandMatrix(haar_pair(), 2)
-    assert cuntz_residuals(haar_pair(), 2).orthonormality == 0.0
+    good = MultibandMatrix(oracle.haar_pair(), 2)
+    assert cuntz_residuals(oracle.haar_pair(), 2).orthonormality == 0.0
     assert matrix_grid_unitarity(good.eval, 128) < 1e-12
 
 
 def test_parseval_coefficients_vs_grid():
     rng = np.random.default_rng(3)
-    m = LaurentPoly.from_coefficients(-1, rng.normal(size=4) + 1j * rng.normal(size=4))
-    f = LaurentPoly.from_coefficients(0, rng.normal(size=3) + 1j * rng.normal(size=3))
-    out = weighted_compose_circle(m, f, 2)
+    m = LaurentPoly(-1, rng.normal(size=4) + 1j * rng.normal(size=4))
+    f = LaurentPoly(0, rng.normal(size=3) + 1j * rng.normal(size=3))
+    out = m * f.upsample(2)
     _, coeffs = out.coefficients()
     exact = float(np.sum(np.abs(coeffs) ** 2))
     grid = unit_circle_grid(1024)
@@ -221,15 +218,15 @@ def test_parseval_coefficients_vs_grid():
 
 def test_quotient_of_banks_is_band_periodic():
     s = 1 / np.sqrt(2)
-    bank_a = MultibandMatrix(haar_pair(), 2)
+    bank_a = MultibandMatrix(oracle.haar_pair(), 2)
     bank_b = MultibandMatrix([poly(s, s, start=1), poly(s, -s, start=1)], 2)
     eps = -1.0
-    worst = 0.0
+    gaps = []
     for z in unit_circle_grid(64):
         u = bank_a.eval(z) @ np.linalg.inv(bank_b.eval(z))
         u_eps = bank_a.eval(eps * z) @ np.linalg.inv(bank_b.eval(eps * z))
-        worst = max(worst, float(np.max(np.abs(u - u_eps))))
-    assert worst < 1e-11
+        gaps.append(np.max(np.abs(u - u_eps)))
+    assert np.max(gaps) < 1e-11  # NaN fails
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +236,11 @@ def test_quotient_of_banks_is_band_periodic():
 def test_blaschke_limit_cases():
     p = np.diag([1.0, 0.0])
     z = 0.3 + 0.4j
-    zero_factor = blaschke_product([BlaschkeFactor(p, 0.0, 2)])
+    zero_factor = oracle.blaschke_product([BlaschkeFactor(p, 0.0, 2)])
     assert np.allclose(zero_factor.eval(z), np.diag([z**2, 1.0]))
-    inf_factor = blaschke_product([BlaschkeFactor(p, None, 2)])
+    inf_factor = oracle.blaschke_product([BlaschkeFactor(p, None, 2)])
     assert np.allclose(inf_factor.eval(z), np.diag([z**-2, 1.0]))
-    empty = blaschke_product([], left_unitary=np.eye(3))
+    empty = oracle.blaschke_product([], left_unitary=np.eye(3))
     assert np.allclose(empty.eval(z), np.eye(3))
 
 
@@ -280,14 +277,14 @@ def test_blaschke_unitary_and_periodic(n):
     for a in (0.0, 0.5, 2.0, None):
         factors.append(BlaschkeFactor(_random_projection(rng, n), a, n))
     q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    product = blaschke_product(factors, left_unitary=q)
+    product = oracle.blaschke_product(factors, left_unitary=q)
     assert product.unitarity_residual(256) < 1e-12
     assert product.periodicity_residual(n, 256) < 1e-12
 
 
 def test_blaschke_json_roundtrip():
     rng = np.random.default_rng(4)
-    product = blaschke_product(
+    product = oracle.blaschke_product(
         [BlaschkeFactor(_random_projection(rng, 2), 0.5, 2),
          BlaschkeFactor(_random_projection(rng, 2), None, 2)]
     )
@@ -302,7 +299,7 @@ def test_blaschke_json_roundtrip():
 
 def test_loop_action_identity():
     p = np.diag([1.0, 0.0])
-    u = blaschke_product([BlaschkeFactor(p, 0.0, 2)])
+    u = oracle.blaschke_product([BlaschkeFactor(p, 0.0, 2)])
     acted = loop_action_circle(lambda w: np.eye(2), u.eval, 2, n_grid=64)
     z = np.exp(0.3j)
     assert np.allclose(acted.eval(z), u.eval(z))
@@ -311,7 +308,7 @@ def test_loop_action_identity():
 
 def test_loop_action_substitution():
     p = np.diag([1.0, 0.0])
-    u = blaschke_product([BlaschkeFactor(p, 0.0, 2)])  # diag(z^2, 1)
+    u = oracle.blaschke_product([BlaschkeFactor(p, 0.0, 2)])  # diag(z^2, 1)
     acted = loop_action_circle(diag_w_one, u.eval, 2, n_grid=64)
     z = 0.77 * np.exp(1.1j)
     assert np.allclose(acted.eval(z), np.diag([z**4, 1.0]))
@@ -319,7 +316,7 @@ def test_loop_action_substitution():
 
 def test_loop_action_preserves_unitarity_and_warns():
     p = np.diag([1.0, 0.0])
-    u = blaschke_product([BlaschkeFactor(p, 0.5, 2)])
+    u = oracle.blaschke_product([BlaschkeFactor(p, 0.5, 2)])
     before = u.unitarity_residual(128)
     acted = loop_action_circle(diag_w_one, u.eval, 2, n_grid=128)
     after = matrix_grid_unitarity(acted.eval, 128)
@@ -329,7 +326,7 @@ def test_loop_action_preserves_unitarity_and_warns():
 
 
 def test_poly_json_roundtrip():
-    p = LaurentPoly.from_coefficients(-2, [1 + 2j, 0.0, 3.5])
+    p = LaurentPoly(-2, [1 + 2j, 0.0, 3.5])
     back = LaurentPoly.from_json(p.to_json())
     assert back.distance(p) == 0.0
 
@@ -344,7 +341,7 @@ def assert_matches_oracle(got, want):
 
 def random_filters(rng, n, min_degree, length):
     return [
-        LaurentPoly.from_coefficients(
+        LaurentPoly(
             min_degree + j, rng.normal(size=length) + 1j * rng.normal(size=length)
         )
         for j in range(n)
@@ -361,7 +358,7 @@ def random_unitary(rng, n):
 @pytest.mark.parametrize("n_grid", [1, 7, 129])
 def test_multiband_scans_match_oracle(n, min_degree, n_grid):
     rng = np.random.default_rng(10 * n + min_degree + 1000 * n_grid)
-    delayed = [m * LaurentPoly.monomial(min_degree) for m in haar_pair()]
+    delayed = [m * LaurentPoly.monomial(min_degree) for m in oracle.haar_pair()]
     banks = [random_filters(rng, n, min_degree, 5)]
     if n == 2:
         banks.append(delayed)  # a bank, so its residuals are rounding noise
@@ -382,8 +379,8 @@ def test_multiband_scans_match_oracle(n, min_degree, n_grid):
 @pytest.mark.parametrize("n_grid", [1, 9, 255])
 def test_cqf_scan_matches_oracle(n_grid):
     rng = np.random.default_rng(n_grid)
-    m0 = LaurentPoly.from_coefficients(-2, rng.normal(size=5) + 1j * rng.normal(size=5))
-    for m in (m0, haar_pair()[0]):
+    m0 = LaurentPoly(-2, rng.normal(size=5) + 1j * rng.normal(size=5))
+    for m in (m0, oracle.haar_pair()[0]):
         rows = cqf_complete(m, convention="averaged")
         got = matrix_grid_unitarity(lambda z: evaluate_rows(rows, z), n_grid, scale=2.0)
         want = oracle.grid_unitarity(lambda z: oracle.rows_point(rows, z), n_grid, scale=2.0)
@@ -395,7 +392,7 @@ def blaschke_cases(rng, n, power):
     params = (None, 0.0, 0.4 - 0.3j, 1.7 + 0.5j)
     factors = [BlaschkeFactor(_random_projection(rng, n), a, power) for a in params]
     v = random_unitary(rng, n)
-    return [blaschke_product([f]) for f in factors] + [blaschke_product(factors, left_unitary=v)]
+    return [oracle.blaschke_product([f]) for f in factors] + [oracle.blaschke_product(factors, left_unitary=v)]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -419,7 +416,7 @@ def test_blaschke_scans_match_oracle(n, power, n_grid):
 def test_loop_action_matches_oracle(band, n_grid):
     rng = np.random.default_rng(band + n_grid)
     g, u = blaschke_cases(rng, 2, 2)[-1], blaschke_cases(rng, 2, band)[-1]
-    skewed = blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)], np.eye(2))
+    skewed = oracle.blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)], np.eye(2))
     stretch = np.diag([2.0, 1.0])  # makes G non-unitary
     cases = [
         (g.eval, lambda w: oracle.blaschke_point(g, w)),
@@ -450,7 +447,7 @@ def test_scalar_z_gives_one_matrix():
         (matrix.eval, lambda p: oracle.multiband_point(filters, 3, p)),
         (lambda p: evaluate_rows(rows, p), lambda p: oracle.rows_point(rows, p)),
         (product.eval, lambda p: oracle.blaschke_point(product, p)),
-        (factor.eval, lambda p: oracle.blaschke_point(blaschke_product([factor]), p)),
+        (factor.eval, lambda p: oracle.blaschke_point(oracle.blaschke_product([factor]), p)),
         (acted.eval, lambda p: oracle.blaschke_point(product, p**2) @ oracle.blaschke_point(product, p)),
     ]
     for evaluate, point in evaluators:
@@ -463,7 +460,7 @@ def test_scalar_z_gives_one_matrix():
             assert np.allclose(stack[k], point(p), rtol=1e-13, atol=1e-13)
     # a grid of any shape gives a stack of that shape
     assert product.eval(grid.reshape(2, 3)).shape == (2, 3, 3, 3)
-    assert blaschke_product([], left_unitary=np.eye(2)).eval(grid).shape == (6, 2, 2)
+    assert oracle.blaschke_product([], left_unitary=np.eye(2)).eval(grid).shape == (6, 2, 2)
 
 
 def test_nan_entry_gives_nan_residual():
@@ -525,7 +522,7 @@ def dense(p, degrees) -> np.ndarray:
 
 
 def as_pair(values, lo):
-    return LaurentPoly.from_coefficients(lo, values), oracle.DictLaurent(
+    return LaurentPoly(lo, values), oracle.DictLaurent(
         {lo + i: c for i, c in enumerate(values)}
     )
 
@@ -580,7 +577,7 @@ def test_products_and_sums_within_rounding(lo_b):
 def test_product_of_long_filters_is_a_convolution():
     rng = np.random.default_rng(9)
     a, b = (rng.normal(size=400) + 1j * rng.normal(size=400) for _ in range(2))
-    lo, coeffs = (LaurentPoly.from_coefficients(-3, a) * LaurentPoly.from_coefficients(2, b)).coefficients()
+    lo, coeffs = (LaurentPoly(-3, a) * LaurentPoly(2, b)).coefficients()
     assert lo == -1 and np.array_equal(coeffs, np.convolve(a, b))
     assert not coeffs.flags.writeable
 

@@ -15,8 +15,6 @@ from wavelab.circle_filters import (
     BlaschkeFactor,
     LaurentPoly,
     MultibandMatrix,
-    blaschke_product,
-    haar_pair,
     unit_circle_grid,
     unitarity_residuals,
 )
@@ -30,7 +28,7 @@ from wavelab.ifs_filters import (
     build_roots_of_unity,
     multires_reconstruct,
 )
-from wavelab.rkhs_kernels import FinitePointSet, contraction_check, szego_kernel
+from wavelab.rkhs_kernels import FinitePointSet, contraction_check
 
 
 def run_json(capsys, argv):
@@ -197,7 +195,7 @@ def test_endo_check_fails_on_nan_bank(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_circle_verify_and_matrix(tmp_path, capsys):
-    filters = {"filters": [m.to_json() for m in haar_pair()]}
+    filters = {"filters": [m.to_json() for m in oracle.haar_pair()]}
     path = write(tmp_path / "haar.json", filters)
     code, result = run_json(capsys, ["circle", "verify", "--filters", path, "--N", "2"])
     assert code == 0
@@ -212,7 +210,7 @@ def test_circle_verify_and_matrix(tmp_path, capsys):
 
 
 def test_circle_cqf_roundtrip(tmp_path, capsys):
-    m0 = LaurentPoly.from_coefficients(0, [0.5, 0.5])
+    m0 = LaurentPoly(0, [0.5, 0.5])
     m0_path = write(tmp_path / "m0.json", m0.to_json())
     out = tmp_path / "pair.json"
     code, result = run_json(
@@ -231,7 +229,7 @@ def test_circle_blaschke_and_loop(tmp_path, capsys):
     rng = np.random.default_rng(1)
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     v = v / np.linalg.norm(v)
-    product = blaschke_product(
+    product = oracle.blaschke_product(
         [BlaschkeFactor(np.outer(v, np.conj(v)), 0.5, 2)]
     )
     u_path = write(tmp_path / "u.json", product.to_json())
@@ -240,7 +238,7 @@ def test_circle_blaschke_and_loop(tmp_path, capsys):
     assert result["residuals"]["grid_unitarity"] < 1e-12
     g_path = write(
         tmp_path / "g.json",
-        blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.0, 2)]).to_json(),
+        oracle.blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.0, 2)]).to_json(),
     )
     code, result = run_json(
         capsys,
@@ -252,7 +250,7 @@ def test_circle_blaschke_and_loop(tmp_path, capsys):
 
 def test_circle_csv_holds_the_per_point_residuals(tmp_path, capsys):
     rng = np.random.default_rng(2)
-    filters = [LaurentPoly.from_coefficients(-1, rng.normal(size=3)) for _ in range(2)]
+    filters = [LaurentPoly(-1, rng.normal(size=3)) for _ in range(2)]
     path = write(tmp_path / "junk.json", [m.to_json() for m in filters])
     csv_path = tmp_path / "grid.csv"
     code, result = run_json(
@@ -277,7 +275,7 @@ def test_verdict_is_false_on_any_nan():
 
 
 def _nan_blaschke(tmp_path, key):
-    obj = blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)]).to_json()
+    obj = oracle.blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)]).to_json()
     if key == "P":
         obj["factors"][0]["P"][0][1][0] = float("nan")
     else:
@@ -300,7 +298,7 @@ def test_circle_blaschke_fails_closed_on_nan(tmp_path, capsys):
 def test_circle_matrix_and_verify_fail_closed_on_nan_tap(tmp_path, capsys):
     # without the NaN tap this is the Haar bank, which passes both commands
     s = 1 / np.sqrt(2)
-    filters = [LaurentPoly.from_coefficients(0, [s, s, np.nan]), haar_pair()[1]]
+    filters = [LaurentPoly(0, [s, s, np.nan]), oracle.haar_pair()[1]]
     path = write(tmp_path / "nan.json", {"filters": [m.to_json() for m in filters]})
     for argv in (["circle", "matrix"], ["circle", "verify"]):
         code = run(argv + ["--filters", path, "--N", "2"])
@@ -510,7 +508,7 @@ def test_fractal_points_match_csv_writer(tmp_path, capsys):
 
 
 def test_mra_product_valid_m0(tmp_path, capsys):
-    m0 = LaurentPoly.from_coefficients(0, haar_taps())
+    m0 = LaurentPoly(0, haar_taps())
     path = write(tmp_path / "m0.json", m0.to_json())
     code, result = run_json(
         capsys, ["mra", "product", "--m0", path, "--t", "6.283185307179586", "--terms", "40"]
@@ -567,11 +565,11 @@ def _numeric_field_inputs(tmp_path) -> dict:
     filters = write(tmp_path / "m.json", {"filters": [jsonio.encode_cvector(np.ones(4))]})
     haar = [jsonio.encode_cvector(haar_taps()), jsonio.encode_cvector([2**-0.5, -(2**-0.5)])]
     signal = _signal_file(tmp_path / "x.csv", np.arange(8.0))
-    blaschke = blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)])
+    blaschke = oracle.blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)])
     return {
         "circle verify": (
             ["circle", "verify", "--filters", "{file}", "--N", "2"],
-            {"filters": [m.to_json() for m in haar_pair()]},
+            {"filters": [m.to_json() for m in oracle.haar_pair()]},
         ),
         "circle blaschke": (["circle", "blaschke", "--factors", "{file}"], blaschke.to_json()),
         "examples fractal": (
@@ -653,7 +651,7 @@ def test_numeric_fields_must_be_json_numbers(name, tmp_path, capsys):
 def test_rkhs_commands(tmp_path, capsys):
     pset = FinitePointSet.squaring_chain(0.9 * np.exp(0.7j), 12)
     points = write(tmp_path / "p.json", pset.to_json())
-    kernel = write(tmp_path / "k.json", szego_kernel(pset.points).to_json())
+    kernel = write(tmp_path / "k.json", oracle.szego_kernel(pset.points).to_json())
     filters = write(
         tmp_path / "m.json",
         {"filters": [jsonio.encode_cvector(np.ones(12)),
@@ -682,7 +680,7 @@ def test_rkhs_commands(tmp_path, capsys):
 
 def test_rkhs_check_with_one_filter_reports_the_contraction(tmp_path, capsys):
     pset = FinitePointSet.squaring_chain(0.9 * np.exp(0.7j), 12)
-    kernel = szego_kernel(pset.points)
+    kernel = oracle.szego_kernel(pset.points)
     points = write(tmp_path / "p.json", pset.to_json())
     kernel_path = write(tmp_path / "k.json", kernel.to_json())
     filters = write(tmp_path / "m.json", {"filters": [jsonio.encode_cvector(pset.points)]})
@@ -860,7 +858,7 @@ def test_malformed_input_exits_2(name, tmp_path, capsys):
 def test_decoder_error_names_its_file(tmp_path, capsys):
     """A bad [re, im] pair in the second of three input files names that file."""
     pset = FinitePointSet.squaring_chain(0.9 * np.exp(0.7j), 12)
-    kernel = szego_kernel(pset.points).to_json()
+    kernel = oracle.szego_kernel(pset.points).to_json()
     kernel["matrix"][3][5] = ["0.5", 0.0]
     paths = {
         "points": write(tmp_path / "p.json", pset.to_json()),
@@ -906,7 +904,7 @@ def test_usage_errors_do_not_include_bare_python_errors():
 
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
 def test_mra_product_rejects_a_non_finite_t(t, tmp_path, capsys):
-    path = write(tmp_path / "m0.json", LaurentPoly.from_coefficients(0, haar_taps()).to_json())
+    path = write(tmp_path / "m0.json", LaurentPoly(0, haar_taps()).to_json())
     assert run(["mra", "product", "--m0", path, "--t", t]) == 2
     assert capsys.readouterr().out == ""
 
@@ -989,11 +987,24 @@ def _path_file(tmp_path, g_values, **extra) -> str:
 
 
 def test_solenoid_axioms_fail_closed_on_nan(tmp_path, capsys):
-    # covariance and scaling stay 0.0 while the isometry residual is NaN:
-    # max(0.0, 0.0, nan, 0.0) is 0.0, so a max(...) < tol verdict passed here
+    # scaling stays 0.0 while the isometry residual is NaN: max(0.0, 0.0,
+    # nan, 0.0) is 0.0, so a max(...) < tol verdict passed here
     code, result = run_json(capsys, ["solenoid", "axioms", "--file", _path_file(tmp_path, [np.nan, 1.0])])
-    assert result["residuals"]["covariance"] == 0.0 and np.isnan(result["residuals"]["isometry"])
+    assert result["residuals"]["scaling_identity"] == 0.0 and np.isnan(result["residuals"]["isometry"])
+    assert np.isnan(result["residuals"]["covariance"])
     assert code == 1 and result["pass"] is False
+
+
+def test_solenoid_axioms_covariance_propagates_nan(tmp_path, capsys):
+    # each probe distance is NaN; folding them with max(0.0, ...) printed 0.0
+    spec = IfsSpec(2)
+    m, f = build_indicator(spec).filters[0], CylinderFn(spec, 1, [np.nan, 1.0])
+    g = CylinderFn(spec, 1, [1.0, 2.0])
+    assert np.isnan(cli.sol.shift_covariance_check(m, f, g).conjugation)
+    path = _path_file(tmp_path, [1.0, 2.0], f=f.to_json())
+    code = run(["solenoid", "axioms", "--file", path])
+    assert '"covariance": NaN' in capsys.readouterr().out
+    assert code == 1
 
 
 def test_solenoid_dilation_fails_closed_on_one_nan_order(tmp_path, capsys, monkeypatch):

@@ -32,8 +32,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from wavelab import cli, jsonio
-from wavelab.circle_filters import BlaschkeFactor, blaschke_product
+from wavelab.circle_filters import BlaschkeFactor
 from wavelab.classic_mra import d4_taps, detail_taps
 from wavelab.cli import run
 from wavelab.code_space import CylinderFn, IfsSpec
@@ -381,7 +382,7 @@ MRA_EXAMPLES_CASES = {
 
 
 def _blaschke(projection, a, power: int = 2, left=None) -> dict:
-    return blaschke_product([BlaschkeFactor(np.array(projection), a, power)], left).to_json()
+    return oracle.blaschke_product([BlaschkeFactor(np.array(projection), a, power)], left).to_json()
 
 
 def _circle_solenoid_inputs() -> dict:
