@@ -18,15 +18,16 @@ coefficient residuals vanish, and column rotation under z -> eps z holds
 identically.  Matrix Blaschke factors V (I - P + phi_a(z**N) P) supply
 unitary-on-the-circle rational functions of the quotient variable z**N.
 
-Every matrix evaluator takes z of any shape and returns a stack of shape
-z.shape + (n, n), so a grid scan is one array evaluation; a scalar z
-gives a single n x n matrix.
+Every matrix function takes z of any shape and returns a stack of shape
+z.shape + (n, n), so a grid check evaluates it once on the grid (and once
+more at eps z for a rotation law) and reduces the stacks; a scalar z gives
+a single n x n matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,10 +76,6 @@ class LaurentPoly:
     # -- inspection -----------------------------------------------------------
     def __bool__(self) -> bool:
         return bool(self._coeffs.size)
-
-    def coefficient(self, degree: int) -> complex:
-        i = degree - self._lo
-        return complex(self._coeffs[i]) if 0 <= i < self._coeffs.size else 0.0 + 0.0j
 
     def coefficients(self) -> tuple[int, np.ndarray]:
         """Contiguous coefficient block (min_degree, values), read-only."""
@@ -145,20 +142,15 @@ class LaurentPoly:
                 out = out + c * z**k
         return complex(out) if out.ndim == 0 else out
 
-    def distance(self, other: "LaurentPoly") -> float:
-        return (self - other).max_abs()
-
     # -- multirate -----------------------------------------------------------
     def upsample(self, n: int) -> "LaurentPoly":
-        if n < 2:
-            raise InputError("band count must be >= 2")
+        n = band_count(n)
         out = np.zeros(n * self._coeffs.size, dtype=complex)  # trailing zeros are trimmed
         out[::n] = self._coeffs
         return LaurentPoly(n * self._lo, out)
 
     def downsample(self, n: int) -> "LaurentPoly":
-        if n < 2:
-            raise InputError("band count must be >= 2")
+        n = band_count(n)
         skip = -self._lo % n  # index of the first degree divisible by n
         return LaurentPoly((self._lo + skip) // n, self._coeffs[skip::n])
 
@@ -188,14 +180,16 @@ def unit_circle_grid(n_points: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n_points) / n_points)
 
 
-@dataclass(frozen=True)
-class CuntzReport:
-    """Exact coefficient residuals of the two filter conditions."""
+def band_count(n: int) -> int:
+    """n, once checked: a bank splits into at least two bands."""
+    if n < 2:
+        raise InputError("band count must be >= 2")
+    return n
 
-    gram: tuple[tuple[LaurentPoly, ...], ...]  # scaled decimated Gram minus delta
-    orthonormality: float
-    completeness: float
-    convention: str
+
+def root_of_unity(n: int) -> complex:
+    """eps = exp(2 pi i / N), the rotation z -> eps z of the N bands."""
+    return np.exp(2j * np.pi / band_count(n))
 
 
 def _convention_scale(convention: str, n: int) -> float:
@@ -208,20 +202,19 @@ def _convention_scale(convention: str, n: int) -> float:
 
 def cuntz_residuals(
     filters: Sequence[LaurentPoly], n: int, convention: str = "averaged"
-) -> CuntzReport:
-    """Filter-condition residuals computed exactly in coefficients.
+) -> tuple[float, float]:
+    """(orthonormality, completeness), computed exactly in coefficients.
 
     Orthonormality: scale * (m_j.conj_reflect() m_k).downsample(N) - delta.
     Completeness: reconstruction of the monomial probes z**t, t < N, which
     generate all of L2 under the band structure.
     """
-    filters = list(filters)
-    scale = _convention_scale(convention, n)
-    gram_rows = []
+    scale = _convention_scale(convention, band_count(n))
+    orth = []
     for j, mj in enumerate(filters):
-        row = [scale * (mj.conj_reflect() * mk).downsample(n) for mk in filters]
-        row[j] = row[j] - LaurentPoly.one()
-        gram_rows.append(tuple(row))
+        for k, mk in enumerate(filters):
+            entry = scale * (mj.conj_reflect() * mk).downsample(n)
+            orth.append((entry - 1.0 if j == k else entry).max_abs())
     comp = []
     for t in range(n):
         probe = LaurentPoly.monomial(t)
@@ -229,8 +222,7 @@ def cuntz_residuals(
         recon = sum((m * low.upsample(n) for m, low in zip(filters, lows)), LaurentPoly.zero())
         comp.append((scale * recon - probe).max_abs())
     # np.max, unlike max(), keeps a NaN residual
-    worst = float(np.max([q.max_abs() for row in gram_rows for q in row], initial=0.0))
-    return CuntzReport(tuple(gram_rows), worst, float(np.max(comp)), convention)
+    return float(np.max(orth, initial=0.0)), float(np.max(comp))
 
 
 def cqf_complete(m0: LaurentPoly, convention: str = "unit-sum") -> list[list[LaurentPoly]]:
@@ -262,6 +254,15 @@ def evaluate_rows(rows: Sequence[Sequence[LaurentPoly]], z) -> np.ndarray:
     return np.moveaxis(values, (0, 1), (-2, -1))
 
 
+def banded_matrix(filters: Sequence[LaurentPoly], n: int, z) -> np.ndarray:
+    """The banded matrix (1/sqrt N) (m_j(eps**k z))_j,k at z."""
+    eps = root_of_unity(n)
+    if len(filters) != n:
+        raise InputError(f"expected {n} filters, got {len(filters)}")
+    cols = np.asarray(z, dtype=complex)[..., None] * np.array([eps**k for k in range(n)])
+    return np.stack([m(cols) for m in filters], axis=-2) / np.sqrt(n)
+
+
 def grid_residuals(stack: np.ndarray) -> np.ndarray:
     """Max-abs entry of each matrix in a (..., n, n) stack, one per point.
 
@@ -270,46 +271,19 @@ def grid_residuals(stack: np.ndarray) -> np.ndarray:
     return np.max(np.abs(stack), axis=(-2, -1))
 
 
-def unitarity_residuals(evaluate: Callable, n_grid: int = 256, scale: float = 1.0) -> np.ndarray:
-    """Per grid point, the max-abs entry of M(z) M(z)* - scale * I.
+def unitarity_residuals(stack: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Per point, the max-abs entry of M M* - scale * I over a (..., n, n) stack."""
+    gram = stack @ np.conj(np.swapaxes(stack, -1, -2))
+    return grid_residuals(gram - scale * np.eye(stack.shape[-1]))
 
-    ``evaluate`` maps the whole grid to a (G, n, n) stack (or to one n x n
-    matrix when M is constant).
+
+def rotation_residual(at_z: np.ndarray, at_eps_z: np.ndarray, shift: int = 0) -> float:
+    """max over the grid of |F(eps z) - F(z) Pi**shift|, Pi the column rotation.
+
+    shift = 1 is the band law M(eps z) = M(z) Pi of the banded matrix;
+    shift = 0 is the periodicity U(eps z) = U(z) of a function of z**N.
     """
-    m = np.asarray(evaluate(unit_circle_grid(n_grid)), dtype=complex)
-    gram = m @ np.conj(np.swapaxes(m, -1, -2))
-    return grid_residuals(gram - scale * np.eye(m.shape[-1]))
-
-
-def matrix_grid_unitarity(evaluate: Callable, n_grid: int = 256, scale: float = 1.0) -> float:
-    """max over the grid of max-abs entries of M(z) M(z)* - scale * I."""
-    return float(np.max(unitarity_residuals(evaluate, n_grid, scale)))
-
-
-class MultibandMatrix:
-    """Evaluator for the banded matrix (1/sqrt N) (m_j(eps**k z))_j,k."""
-
-    def __init__(self, filters: Sequence[LaurentPoly], n: int):
-        if len(filters) != n:
-            raise InputError(f"expected {n} filters, got {len(filters)}")
-        self.filters = list(filters)
-        self.n = n
-        eps = np.exp(2j * np.pi / n)
-        self._rotations = np.array([eps**k for k in range(n)])
-
-    def eval(self, z) -> np.ndarray:
-        cols = np.asarray(z, dtype=complex)[..., None] * self._rotations
-        return np.stack([m(cols) for m in self.filters], axis=-2) / np.sqrt(self.n)
-
-    __call__ = eval
-
-
-def shift_relation_residual(matrix: MultibandMatrix, n_grid: int = 256) -> float:
-    """max over the grid of |M(eps z) - M(z) Pi| with Pi the column rotation."""
-    eps = np.exp(2j * np.pi / matrix.n)
-    z = unit_circle_grid(n_grid)
-    rotated = np.roll(matrix.eval(z), -1, axis=-1)
-    return float(np.max(grid_residuals(matrix.eval(eps * z) - rotated)))
+    return float(np.max(grid_residuals(at_eps_z - np.roll(at_z, -shift, axis=-1))))
 
 
 @dataclass(frozen=True)
@@ -350,13 +324,6 @@ class BlaschkeFactor:
         w = np.asarray(z, dtype=complex) ** self.power
         phi = 1.0 / w if self.a is None else (w - self.a) / (1.0 - w * np.conj(self.a))
         return np.eye(self.size) - self.projection + phi[..., None, None] * self.projection
-
-    def to_json(self) -> dict:
-        return {
-            "a": "inf" if self.a is None else jsonio.encode_complex(self.a),
-            "P": jsonio.encode_cmatrix(self.projection),
-            "power": self.power,
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "BlaschkeFactor":
@@ -399,60 +366,9 @@ class BlaschkeProduct:
             out = out @ f.eval(z)
         return out
 
-    __call__ = eval
-
-    def unitarity_residual(self, n_grid: int = 256) -> float:
-        return matrix_grid_unitarity(self.eval, n_grid)
-
-    def periodicity_residual(self, band: int, n_grid: int = 256) -> float:
-        """max |U(eps z) - U(z)|; zero up to rounding since only z**N enters."""
-        if band < 2:
-            raise InputError("band count must be >= 2")
-        eps = np.exp(2j * np.pi / band)
-        z = unit_circle_grid(n_grid)
-        return float(np.max(grid_residuals(self.eval(eps * z) - self.eval(z))))
-
-    def to_json(self) -> dict:
-        return {
-            "V": jsonio.encode_cmatrix(self.left_unitary),
-            "factors": [f.to_json() for f in self.factors],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "BlaschkeProduct":
         return cls(
             jsonio.decode_cmatrix(obj["V"]),
             tuple(BlaschkeFactor.from_json(f) for f in obj.get("factors", [])),
         )
-
-
-@dataclass(frozen=True)
-class LoopActionResult:
-    """A loop-acted evaluator plus the unitarity diagnosis of the acting map."""
-
-    eval: Callable[[np.ndarray], np.ndarray]
-    g_unitarity_residual: float
-    non_unitary_warning: bool
-
-
-def loop_action_circle(
-    g: Callable, u: Callable, band: int, n_grid: int = 256, tol: float = 1e-12
-) -> LoopActionResult:
-    """Act by the quotient-variable map: z -> G(z**N) U(z).
-
-    G and U take arrays of points.  G is sampled at the grid's N-th
-    powers; exceeding ``tol`` in unitarity (or a NaN residual) only sets a
-    warning flag, the action itself is still returned.
-    """
-    if band < 2:
-        raise InputError("band count must be >= 2")
-
-    def g_of_power(z) -> np.ndarray:
-        return np.asarray(g(np.asarray(z, dtype=complex) ** band), dtype=complex)
-
-    resid = matrix_grid_unitarity(g_of_power, n_grid)
-
-    def evaluate(z) -> np.ndarray:
-        return g_of_power(z) @ np.asarray(u(z), dtype=complex)
-
-    return LoopActionResult(evaluate, resid, not resid <= tol)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, VerificationError
 from .circle_filters import LaurentPoly
 
 TAP_SUM_TOL = 1e-12
@@ -114,7 +114,7 @@ def cascade(
         raise InputError("resolution must be a positive integer")
     tap_sum = complex(taps.sum())
     if abs(tap_sum - np.sqrt(n)) > TAP_SUM_TOL:
-        raise PreconditionError(
+        raise VerificationError(
             f"taps must sum to sqrt({n}) = {np.sqrt(n):.15g}, got {tap_sum:.15g}"
         )
     out_len = (taps.shape[0] - 1) * resolution // (n - 1) + 1
@@ -172,7 +172,7 @@ def fourier_product(m0: LaurentPoly, t: float, terms: int) -> tuple[complex, flo
     if terms < 0:
         raise InputError("term count must be >= 0")
     if not abs(m0(1.0) - np.sqrt(2.0)) <= 1e-12:  # written so that NaN fails
-        raise PreconditionError("m0(1) must equal sqrt(2) for the product to converge")
+        raise VerificationError("m0(1) must equal sqrt(2) for the product to converge")
     value = 1.0 + 0.0j
     prev = value
     for k in range(1, terms + 1):

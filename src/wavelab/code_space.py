@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError, InputError, SpecMismatchError
+from .errors import InputError, VerificationError
 from . import jsonio
 
 DEFAULT_MAX_CELLS = 2**24
@@ -63,7 +63,7 @@ def max_cells() -> int:
 def _check_cells(n_values: int) -> None:
     cap = max_cells()
     if n_values > cap:
-        raise CapacityError(
+        raise InputError(
             f"{n_values} cells exceed the cap of {cap}; "
             f"set {_CELLS_ENV} to raise it"
         )
@@ -252,7 +252,7 @@ class CylinderFn:
 
 def _require_same_spec(f: CylinderFn, g: CylinderFn) -> None:
     if f.spec != g.spec:
-        raise SpecMismatchError(
+        raise InputError(
             f"operands live over different systems: {f.spec} vs {g.spec}"
         )
 
@@ -375,7 +375,7 @@ def harmonic_solve(W: CylinderFn, tol: float = 1e-12) -> CylinderFn:
     p_n W(n v); h solves (R_W - I + 1 mu^T) h = 1, mu the cylinder masses, or
     is power-iterated above DENSE_SOLVE_WORDS words or the cell cap.  Unless
     density_defect passes h (so 1 is the Perron eigenvalue of an irreducible
-    R_W), a ConvergenceError names its numbers and the spectrum.
+    R_W), a VerificationError names its numbers and the spectrum.
     """
     _require_weight(W)
     depth = max(W.depth - 1, 0)
@@ -401,7 +401,7 @@ def harmonic_solve(W: CylinderFn, tol: float = 1e-12) -> CylinderFn:
         ratio = eigs[1] / eigs[0] if size > 1 and eigs[0] > 0 else 0.0
         spectrum = f"Perron eigenvalue {eigs[0]:.6g}, |lambda_2/lambda_1| {ratio:.3g}"
     msg = f"no transfer-harmonic density ({defect}; {spectrum})"
-    raise ConvergenceError(msg, residual=residual)
+    raise VerificationError(msg, residual=residual)
 
 
 def _power_solve(W: CylinderFn, depth: int, tol: float) -> CylinderFn:
@@ -411,13 +411,13 @@ def _power_solve(W: CylinderFn, depth: int, tol: float) -> CylinderFn:
     for _ in range(POWER_STEPS):
         total = integrate(rh)
         if abs(total) < 1e-300:
-            raise ConvergenceError("transfer iterate vanished", residual=residual)
+            raise VerificationError("transfer iterate vanished", residual=residual)
         h = rh / total
         rh = lift(ruelle_apply(W, h), depth)
         residual = sup_distance(rh, h)
         if residual < tol:
             return h
-    raise ConvergenceError(
+    raise VerificationError(
         f"no transfer fixed point after {POWER_STEPS} iterations (last residual {residual:.3e})",
         residual=residual,
     )

@@ -1,41 +1,16 @@
-"""Exception types shared across the package."""
+"""The two exception types, one per failing exit code of the CLI."""
 
 
-class WavelabError(Exception):
-    """Base class for all package-specific errors."""
+class InputError(Exception):
+    """Malformed or inconsistent input, a bad option or a size over the cell cap: exit 2."""
 
 
-class InputError(WavelabError):
-    """Malformed or inconsistent input data."""
+class VerificationError(Exception):
+    """A check, a precondition or an iterative solve failed on well-formed input: exit 1.
 
-
-class SpecMismatchError(InputError):
-    """Operands built over different branch systems."""
-
-
-class CapacityError(WavelabError):
-    """A requested depth would exceed the configured cell cap."""
-
-
-class ConvergenceError(WavelabError):
-    """An iterative solve stopped before reaching its tolerance."""
+    ``residual`` carries the last residual of a solve that stopped early.
+    """
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-class UnsupportedConstructionError(WavelabError):
-    """A builder was asked for a construction its hypotheses exclude."""
-
-
-class ModuleBasisError(WavelabError):
-    """Generators fail to span a module basis."""
-
-
-class PreconditionError(WavelabError):
-    """A documented mathematical precondition is violated."""
-
-
-class VerificationError(WavelabError):
-    """A postcondition check failed on supposedly valid inputs."""

@@ -38,15 +38,6 @@ class ChebyshevRule:
         j = np.arange(1, self.n + 1)
         return (1.0 - np.cos((2 * j - 1) * np.pi / (2 * self.n))) / 2.0
 
-    def integrate_values(self, values) -> complex:
-        values = np.asarray(values)
-        if values.shape[-1] != self.n:
-            raise InputError(f"expected {self.n} values")
-        return complex(values.mean(axis=-1))
-
-    def integrate(self, fn) -> complex:
-        return self.integrate_values(fn(self.nodes()))
-
 
 def arcsine_moment(k: int) -> float:
     """int x**k darcsine = C(2k, k) / 4**k."""
@@ -121,13 +112,6 @@ class AffineIfs:
         return np.linalg.solve(
             self.matrix.astype(float) - np.eye(self.dimension), b_bar
         )
-
-    def to_json(self) -> dict:
-        return {
-            "A": [[int(v) for v in row] for row in self.matrix],
-            "digits": [[int(v) for v in row] for row in self.digits],
-            "weights": list(self.weights),
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "AffineIfs":

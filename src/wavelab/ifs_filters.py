@@ -31,14 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InputError,
-    ModuleBasisError,
-    PreconditionError,
-    SpecMismatchError,
-    UnsupportedConstructionError,
-    VerificationError,
-)
+from .errors import InputError, VerificationError
 from .code_space import (
     CylinderFn,
     IfsSpec,
@@ -93,7 +86,7 @@ class _FunctionArray:
         if len(fns) != spec.N**cls.AXES:
             raise InputError(f"expected {spec.N**cls.AXES} functions, got {len(fns)}")
         if any(f.spec != spec for f in fns):
-            raise SpecMismatchError("function spec differs from the bank or field spec")
+            raise InputError("function spec differs from the bank or field spec")
         depth = max(f.depth for f in fns)
         values = np.array([_lift_values(f, depth) for f in fns])
         return cls(spec, values.reshape((spec.N,) * cls.AXES + (-1,)))
@@ -132,23 +125,12 @@ class MatrixField(_FunctionArray):
     def from_matrix(cls, spec: IfsSpec, matrix) -> "MatrixField":
         return cls(spec, np.asarray(matrix, dtype=complex)[..., None])
 
-    @classmethod
-    def identity(cls, spec: IfsSpec) -> "MatrixField":
-        return cls.from_matrix(spec, np.eye(spec.N))
-
     def unitarity_residual(self) -> float:
         """max over words of max-abs entries of M(x)* M(x) - I."""
         m = self.values
         gram = np.einsum("jkw,jlw->klw", np.conj(m), m)
         gram[np.arange(self.spec.N), np.arange(self.spec.N), :] -= 1.0
         return float(np.max(np.abs(gram)))
-
-    def matmul(self, other: "MatrixField") -> "MatrixField":
-        if self.spec != other.spec:
-            raise SpecMismatchError("matrix fields over different systems")
-        n, depth = self.spec.N, max(self.depth, other.depth)
-        a, b = _lift(self.values, n, depth), _lift(other.values, n, depth)
-        return MatrixField(self.spec, (a[:, :, None] * b[None]).sum(axis=1))
 
     def to_json(self) -> dict:
         depth = self.depth
@@ -196,7 +178,7 @@ def build_roots_of_unity(spec: IfsSpec) -> FilterBank:
     nonuniform specs are rejected.
     """
     if not spec.uniform:
-        raise UnsupportedConstructionError(
+        raise InputError(
             "the roots-of-unity bank is orthonormal only for uniform weights"
         )
     symbols = np.arange(1, spec.N + 1)
@@ -245,7 +227,7 @@ def verify_filter(bank: FilterBank, probe_depth: int = 3, tol: float = 1e-12) ->
     Completeness is max |R - delta| over the bank's per-tail array (module
     docstring), so ``probe_depth`` changes neither the result nor the cost.
     The N**(L+2) cells of the products behind either residual count
-    against the cell cap (CapacityError).
+    against the cell cap (InputError).
     """
     if probe_depth < 1:
         raise InputError("probe depth must be >= 1")
@@ -260,7 +242,7 @@ def verify_filter(bank: FilterBank, probe_depth: int = 3, tol: float = 1e-12) ->
 def analysis(bank: FilterBank, f: CylinderFn) -> tuple[CylinderFn, ...]:
     """Subband projections f_n = S*(conj(m_n) f), one depth lower."""
     if f.spec != bank.spec:
-        raise SpecMismatchError("function spec differs from bank spec")
+        raise InputError("function spec differs from bank spec")
     if f.depth < 1:
         raise InputError("analysis needs depth >= 1")
     depth = max(bank.depth, f.depth)
@@ -302,12 +284,6 @@ class CoefficientTree:
         if self.is_leaf:
             return {"leaf": self.leaf.to_json()}
         return {"children": [c.to_json() for c in self.children]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CoefficientTree":
-        if "leaf" in obj:
-            return cls(leaf=CylinderFn.from_json(obj["leaf"]))
-        return cls(children=tuple(cls.from_json(c) for c in obj["children"]))
 
 
 def multires_decompose(
@@ -351,7 +327,7 @@ def gram_schmidt_module(generators: Sequence[CylinderFn]) -> FilterBank:
     sqrt(E|r|^2) on the set where that expectation exceeds
     GRAM_SCHMIDT_SUPPORT_EPS and pads with 1 elsewhere.  A residual with
     L2 norm below GRAM_SCHMIDT_RESIDUAL_EPS means the generators are
-    dependent and raises ModuleBasisError.
+    dependent and raises VerificationError.
     """
     generators = tuple(generators)
     if not generators:
@@ -362,13 +338,13 @@ def gram_schmidt_module(generators: Sequence[CylinderFn]) -> FilterBank:
     accepted: list[CylinderFn] = []
     for k, g in enumerate(generators):
         if g.spec != spec:
-            raise SpecMismatchError("generator spec mismatch")
+            raise InputError("generator spec mismatch")
         r = g
         for m in accepted:
             r = r - multiply(m, conditional_expectation(multiply(m.conj(), g)))
         norm = np.sqrt(max(integrate(r.abs2()).real, 0.0))
         if norm < GRAM_SCHMIDT_RESIDUAL_EPS:
-            raise ModuleBasisError(
+            raise VerificationError(
                 f"generator {k + 1} lies in the module span of its predecessors"
             )
         dv = conditional_expectation(r.abs2()).values.real  # at the depth of r
@@ -385,11 +361,11 @@ def connecting_unitary(bank: FilterBank, target: FilterBank, tol: float = 1e-10)
     and to recombine the target exactly.
     """
     if bank.spec != target.spec:
-        raise SpecMismatchError("banks over different systems")
+        raise InputError("banks over different systems")
     for b in (bank, target):
         report = verify_filter(b, probe_depth=max(1, b.depth), tol=tol)
         if not report.passed:
-            raise PreconditionError(
+            raise VerificationError(
                 "bank fails filter verification "
                 f"(orthonormality {report.orthonormality_residual:.3e}, "
                 f"completeness {report.completeness:.3e})"
@@ -415,7 +391,7 @@ def apply_loop_group(bank: FilterBank, field: MatrixField) -> FilterBank:
     expected to check otherwise.
     """
     if bank.spec != field.spec:
-        raise SpecMismatchError("field spec differs from bank spec")
+        raise InputError("field spec differs from bank spec")
     if not np.all(np.isfinite(field.values)):
         raise InputError("matrix field entries must be finite")
     return FilterBank(bank.spec, _act(bank, field.values)[1])
@@ -431,7 +407,7 @@ def endomorphism_check(bank: FilterBank, f: CylinderFn, probe_depth: int = 2) ->
     neither the result nor the cost.
     """
     if f.spec != bank.spec:
-        raise SpecMismatchError("function spec differs from bank spec")
+        raise InputError("function spec differs from bank spec")
     if probe_depth < 1:
         raise InputError("probe depth must be >= 1")
     return _tail_residual(bank, max(bank.depth, f.depth + 1), f)

@@ -11,9 +11,8 @@ identity:
   product_kernel        truncated product of filter Gram sums along orbits
   preimage_orthogonality  branch-averaged Gram of the filters at each fiber
 
-Grids should be closed under the map; ``squaring_chain`` builds the
-canonical example for z -> z**2 (a geometric chain plus the fixed point,
-with the last hop to 0 accurate to the square of the smallest modulus).
+Grids should be closed under the map: for z -> z**2, a geometric chain
+z0, z0**2, ... plus the fixed point 0.
 """
 
 from __future__ import annotations
@@ -69,34 +68,6 @@ class FinitePointSet:
         return bool(np.all(self.sigma[far] == far))
 
     @classmethod
-    def squaring_chain(cls, z0: complex, length: int) -> "FinitePointSet":
-        """Chain z0, z0**2, z0**4, ... plus the fixed point 0, sigma-closed.
-
-        The last chain element maps to 0; for |z0| < 1 and a dozen points
-        the closure error |z_last|**2 is far below double rounding.
-        """
-        if length < 2:
-            raise InputError("need at least the chain head and the fixed point")
-        if abs(z0) >= 1.0 or z0 == 0:
-            raise InputError("chain head must satisfy 0 < |z0| < 1")
-        pts = []
-        z = complex(z0)
-        for _ in range(length - 1):
-            pts.append(z)
-            z = z * z
-        pts.append(0.0 + 0.0j)
-        sigma = list(range(1, length)) + [length - 1]
-        return cls(np.array(pts, dtype=complex), np.array(sigma))
-
-    def to_json(self) -> dict:
-        pts = self.points
-        if pts.ndim == 1:
-            encoded = jsonio.encode_cvector(pts)
-        else:
-            encoded = [[float(x) for x in row] for row in pts]
-        return {"points": encoded, "sigma": [int(i) for i in self.sigma]}
-
-    @classmethod
     def from_json(cls, obj: dict) -> "FinitePointSet":
         raw = obj.get("points")
         if not isinstance(raw, list) or not raw:
@@ -123,10 +94,6 @@ class KernelMatrix:
             raise InputError("kernel must be Hermitian")
         k.setflags(write=False)
         object.__setattr__(self, "matrix", k)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
     def min_eigenvalue(self) -> float:
         herm = (self.matrix + self.matrix.conj().T) / 2.0

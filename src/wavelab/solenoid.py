@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, PreconditionError, SpecMismatchError
+from .errors import InputError, VerificationError
 from .code_space import (
     CylinderFn,
     IfsSpec,
@@ -63,7 +63,7 @@ class PathCylinderFn:
         for _, slots in self.terms:
             for g in slots:
                 if g is not None and g.spec != self.spec:
-                    raise SpecMismatchError("factor spec differs from path spec")
+                    raise InputError("factor spec differs from path spec")
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -80,7 +80,7 @@ class PathCylinderFn:
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "PathCylinderFn") -> "PathCylinderFn":
         if self.spec != other.spec:
-            raise SpecMismatchError("path functions over different systems")
+            raise InputError("path functions over different systems")
         return PathCylinderFn(self.spec, self.terms + other.terms)
 
     def __sub__(self, other: "PathCylinderFn") -> "PathCylinderFn":
@@ -91,7 +91,7 @@ class PathCylinderFn:
             terms = tuple((complex(c * other), s) for c, s in self.terms)
             return PathCylinderFn(self.spec, terms)
         if self.spec != other.spec:
-            raise SpecMismatchError("path functions over different systems")
+            raise InputError("path functions over different systems")
         terms = tuple(
             (c * d, tuple(map(_times, s, t)) + s[len(t) :] + t[len(s) :])
             for c, s in self.terms
@@ -152,7 +152,7 @@ def _times(a: CylinderFn | None, b: CylinderFn | None) -> CylinderFn | None:
 def path_sup_distance(f: PathCylinderFn, g: PathCylinderFn) -> float:
     """Sup distance of the collapsed normal forms (pointwise, not only a.e.)."""
     if f.spec != g.spec:
-        raise SpecMismatchError("path functions over different systems")
+        raise InputError("path functions over different systems")
     _, a = (f - g).collapse()
     return a.sup_norm()
 
@@ -160,7 +160,7 @@ def path_sup_distance(f: PathCylinderFn, g: PathCylinderFn) -> float:
 def weighted_shift(f: PathCylinderFn, m: CylinderFn) -> PathCylinderFn:
     """The dilation F -> (m o pi_0) (F o shift) of S_m."""
     if m.spec != f.spec:
-        raise SpecMismatchError("weight spec differs from path spec")
+        raise InputError("weight spec differs from path spec")
     return PathCylinderFn.coordinate(0, m) * f.compose_shift()
 
 
@@ -170,10 +170,10 @@ def weighted_shift_inverse(f: PathCylinderFn, m: CylinderFn) -> PathCylinderFn:
     Requires min |m| > 1e-12: the reciprocal enters as a genuine factor.
     """
     if m.spec != f.spec:
-        raise SpecMismatchError("weight spec differs from path spec")
+        raise InputError("weight spec differs from path spec")
     low = float(np.min(np.abs(m.values)))
     if low <= NONVANISHING_TOL:
-        raise PreconditionError(
+        raise VerificationError(
             f"inverse weighted shift needs a nonvanishing weight (min |m| = {low:.3e})"
         )
     recip = CylinderFn(m.spec, m.depth, 1.0 / m.values)
@@ -191,7 +191,7 @@ def _chain(fs: Sequence[CylinderFn], weight: CylinderFn, h: CylinderFn) -> compl
 def expectation(f: PathCylinderFn, weight: CylinderFn, h: CylinderFn) -> complex:
     """E_P[F] by the nested transfer formula, term by term."""
     if weight.spec != f.spec or h.spec != f.spec:
-        raise SpecMismatchError("weight or density spec differs from path spec")
+        raise InputError("weight or density spec differs from path spec")
     total, one = 0.0 + 0.0j, CylinderFn.ones(f.spec)
     for c, s in f.terms:
         total += c * _chain([one if g is None else g for g in s] or [one], weight, h)
@@ -229,18 +229,10 @@ class MomentSpec:
             raise InputError("moment spec needs at least the coordinate-0 function")
         for g in (self.weight, self.h, *self.coords):
             if g.spec != self.spec:
-                raise SpecMismatchError("moment component spec mismatch")
+                raise InputError("moment component spec mismatch")
         defect = density_defect(self.weight, self.h, HARMONIC_TOL)[1]
         if defect:
             raise InputError(f"h is not a transfer-harmonic density: {defect}")
-
-    def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "W": self.weight.to_json(),
-            "h": self.h.to_json(),
-            "coords": [g.to_json() for g in self.coords],
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "MomentSpec":

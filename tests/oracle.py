@@ -27,12 +27,12 @@ from math import prod
 
 import numpy as np
 
-from wavelab import code_space as cs
+from wavelab import code_space as cs, jsonio
 from wavelab.circle_filters import BlaschkeProduct, LaurentPoly, unit_circle_grid
 from wavelab.code_space import CylinderFn, Word
-from wavelab.errors import ConvergenceError, InputError
-from wavelab.ifs_filters import MatrixField
-from wavelab.rkhs_kernels import KernelMatrix
+from wavelab.errors import InputError, VerificationError
+from wavelab.ifs_filters import CoefficientTree, MatrixField
+from wavelab.rkhs_kernels import FinitePointSet, KernelMatrix
 from wavelab.solenoid import MomentSpec, PathCylinderFn, harmonic_for, moment, pairing, weighted_shift
 from wavelab.examples_geometry import CHAOS_BURN_IN
 
@@ -446,13 +446,13 @@ def power_harmonic(W: CylinderFn, depth=None, tol: float = 1e-10, max_iter: int 
         nxt = cs.lift(cs.ruelle_apply(W, h), depth)
         total = cs.integrate(nxt)
         if abs(total) < 1e-300:
-            raise ConvergenceError("transfer iterate vanished", residual=residual)
+            raise VerificationError("transfer iterate vanished", residual=residual)
         nxt = nxt / total
         residual = cs.sup_distance(cs.lift(cs.ruelle_apply(W, nxt), depth), nxt)
         h = nxt
         if residual < tol:
             return h
-    raise ConvergenceError(f"no fixed point after {max_iter} iterations", residual=residual)
+    raise VerificationError(f"no fixed point after {max_iter} iterations", residual=residual)
 
 
 def dilation_check(m: CylinderFn, f: CylinderFn, g: CylinderFn, n: int, h: CylinderFn) -> float:
@@ -736,3 +736,85 @@ def szego_kernel(points) -> KernelMatrix:
     z = np.asarray(points, dtype=complex)
     assert np.all(np.abs(z) < 1.0), "Szego kernel needs points strictly inside the disk"
     return KernelMatrix(1.0 / (1.0 - np.outer(z, np.conj(z))))
+
+
+def coefficient(p: LaurentPoly, degree: int) -> complex:
+    lo, c = p.coefficients()
+    i = degree - lo
+    return complex(c[i]) if 0 <= i < c.size else 0.0 + 0.0j
+
+
+def distance(p: LaurentPoly, q: LaurentPoly) -> float:
+    return (p - q).max_abs()
+
+
+def blaschke_json(product: BlaschkeProduct) -> dict:
+    """The file form that ``BlaschkeProduct.from_json`` reads."""
+    factors = [
+        {
+            "a": "inf" if f.a is None else jsonio.encode_complex(f.a),
+            "P": jsonio.encode_cmatrix(f.projection),
+            "power": f.power,
+        }
+        for f in product.factors
+    ]
+    return {"V": jsonio.encode_cmatrix(product.left_unitary), "factors": factors}
+
+
+def moment_spec_json(ms: MomentSpec) -> dict:
+    return {
+        "spec": ms.spec.to_json(),
+        "W": ms.weight.to_json(),
+        "h": ms.h.to_json(),
+        "coords": [g.to_json() for g in ms.coords],
+    }
+
+
+def affine_ifs_json(ifs) -> dict:
+    return {
+        "A": [[int(v) for v in row] for row in ifs.matrix],
+        "digits": [[int(v) for v in row] for row in ifs.digits],
+        "weights": list(ifs.weights),
+    }
+
+
+def point_set_json(pset: FinitePointSet) -> dict:
+    pts = pset.points
+    encoded = jsonio.encode_cvector(pts) if pts.ndim == 1 else [[float(x) for x in row] for row in pts]
+    return {"points": encoded, "sigma": [int(i) for i in pset.sigma]}
+
+
+def squaring_chain(z0: complex, length: int) -> FinitePointSet:
+    """Chain z0, z0**2, z0**4, ... plus the fixed point 0, sigma-closed.
+
+    The last chain element maps to 0; for |z0| < 1 and a dozen points
+    the closure error |z_last|**2 is far below double rounding.
+    """
+    if length < 2:
+        raise InputError("need at least the chain head and the fixed point")
+    if abs(z0) >= 1.0 or z0 == 0:
+        raise InputError("chain head must satisfy 0 < |z0| < 1")
+    pts = []
+    z = complex(z0)
+    for _ in range(length - 1):
+        pts.append(z)
+        z = z * z
+    pts.append(0.0 + 0.0j)
+    sigma = list(range(1, length)) + [length - 1]
+    return FinitePointSet(np.array(pts, dtype=complex), np.array(sigma))
+
+
+def identity_field(spec) -> MatrixField:
+    return MatrixField.from_matrix(spec, np.eye(spec.N))
+
+
+def field_product(u: MatrixField, v: MatrixField) -> MatrixField:
+    """The pointwise product U V, entry by entry."""
+    return MatrixField(u.spec, stacked(tuple_matmul(entries_of(u), entries_of(v))))
+
+
+def coefficient_tree(obj: dict) -> CoefficientTree:
+    """The tree that ``CoefficientTree.to_json`` wrote."""
+    if "leaf" in obj:
+        return CoefficientTree(leaf=CylinderFn.from_json(obj["leaf"]))
+    return CoefficientTree(children=tuple(coefficient_tree(c) for c in obj["children"]))

@@ -5,33 +5,46 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from wavelab import circle_filters as circ, jsonio
 from wavelab.circle_filters import (
     BlaschkeFactor,
     BlaschkeProduct,
     LaurentPoly,
-    MultibandMatrix,
+    banded_matrix,
     cqf_complete,
     cuntz_residuals,
     evaluate_rows,
     grid_residuals,
-    loop_action_circle,
-    matrix_grid_unitarity,
     power_sum_residual,
-    shift_relation_residual,
+    root_of_unity,
+    rotation_residual,
     unit_circle_grid,
     unitarity_residuals,
 )
+from wavelab.cli import run
 from wavelab.errors import InputError
+from oracle import coefficient, distance
 
 
 def poly(*coeffs, start=0):
     return LaurentPoly(start, coeffs)
 
 
-def diag_w_one(w):
-    """diag(w, 1) at every point of an array w."""
-    return evaluate_rows([[LaurentPoly.monomial(1), LaurentPoly.zero()],
-                          [LaurentPoly.zero(), LaurentPoly.one()]], w)
+def worst_unitarity(stack, scale=1.0) -> float:
+    return float(np.max(unitarity_residuals(stack, scale)))
+
+
+def band_law(filters, n, n_grid) -> float:
+    """M(eps z) = M(z) Pi over the grid, from two evaluations."""
+    z = unit_circle_grid(n_grid)
+    at_eps_z = banded_matrix(filters, n, root_of_unity(n) * z)
+    return rotation_residual(banded_matrix(filters, n, z), at_eps_z, shift=1)
+
+
+def periodicity(product, band, n_grid) -> float:
+    """U(eps z) = U(z) over the grid, from two evaluations."""
+    z = unit_circle_grid(n_grid)
+    return rotation_residual(product.eval(z), product.eval(root_of_unity(band) * z))
 
 
 # ---------------------------------------------------------------------------
@@ -40,10 +53,10 @@ def diag_w_one(w):
 
 def test_poly_basics():
     p = poly(1, 2, 3, start=-1)  # z^-1 + 2 + 3z
-    assert p.coefficient(-1) == 1 and p.coefficient(1) == 3
+    assert coefficient(p, -1) == 1 and coefficient(p, 1) == 3
     assert p(1.0) == pytest.approx(6)
     q = p.conj_reflect()
-    assert q.coefficient(1) == 1 and q.coefficient(-1) == 3
+    assert coefficient(q, 1) == 1 and coefficient(q, -1) == 3
     assert (p - p).max_abs() == 0.0
     lo, coeffs = (p * poly(0, 1)).coefficients()
     assert lo == 0 and np.allclose(coeffs, [1, 2, 3])
@@ -68,21 +81,21 @@ def test_ring_laws(avals, bvals, shift):
     b = LaurentPoly(0, bvals)
     # products accumulate in different orders, so only rounding-level slack
     scale = 1.0 + a.max_abs() * b.max_abs()
-    assert (a * b).distance(b * a) < 1e-13 * scale
-    assert (a + b).distance(b + a) == 0.0
-    assert a.conj_reflect().conj_reflect().distance(a) == 0.0
+    assert distance(a * b, b * a) < 1e-13 * scale
+    assert distance(a + b, b + a) == 0.0
+    assert distance(a.conj_reflect().conj_reflect(), a) == 0.0
     z = np.exp(0.37j)
     assert complex((a * b)(z)) == pytest.approx(complex(a(z)) * complex(b(z)), abs=1e-9 * scale)
 
 
 def test_upsample_downsample_examples():
     z = LaurentPoly.monomial(1)
-    assert z.upsample(2).distance(LaurentPoly.monomial(2)) == 0
-    assert LaurentPoly.monomial(2).downsample(2).distance(z) == 0
+    assert distance(z.upsample(2), LaurentPoly.monomial(2)) == 0
+    assert distance(LaurentPoly.monomial(2).downsample(2), z) == 0
     assert not z.downsample(2)
     one = LaurentPoly.one()
-    assert one.upsample(3).distance(one) == 0
-    assert one.downsample(3).distance(one) == 0
+    assert distance(one.upsample(3), one) == 0
+    assert distance(one.downsample(3), one) == 0
 
 
 @given(
@@ -92,7 +105,7 @@ def test_upsample_downsample_examples():
 @settings(max_examples=60, deadline=None)
 def test_down_after_up_is_identity(vals, n):
     f = LaurentPoly(-2, vals)
-    assert f.upsample(n).downsample(n).distance(f) == 0.0
+    assert distance(f.upsample(n).downsample(n), f) == 0.0
 
 
 def test_weighted_compose_examples():
@@ -100,10 +113,10 @@ def test_weighted_compose_examples():
     s = 1 / np.sqrt(2)
     m = poly(s, s)
     out = m * z.upsample(2)
-    assert out.distance(poly(s, s, start=2)) == 0
-    assert (LaurentPoly.one() * z.upsample(2)).distance(z.upsample(2)) == 0
+    assert distance(out, poly(s, s, start=2)) == 0
+    assert distance(LaurentPoly.one() * z.upsample(2), z.upsample(2)) == 0
     zi = LaurentPoly.monomial(-1)
-    assert (zi * LaurentPoly.one().upsample(2)).distance(zi) == 0
+    assert distance(zi * LaurentPoly.one().upsample(2), zi) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -111,30 +124,41 @@ def test_weighted_compose_examples():
 # ---------------------------------------------------------------------------
 
 def test_haar_residuals_exactly_zero():
-    report = cuntz_residuals(oracle.haar_pair(), 2)
-    assert report.orthonormality == 0.0
-    assert report.completeness == 0.0
+    assert cuntz_residuals(oracle.haar_pair(), 2) == (0.0, 0.0)
 
 
 def test_single_isometry_incomplete():
-    report = cuntz_residuals([LaurentPoly.one()], 2)
-    assert report.orthonormality == 0.0
-    assert report.completeness == pytest.approx(1.0)
+    orthonormality, completeness = cuntz_residuals([LaurentPoly.one()], 2)
+    assert orthonormality == 0.0
+    assert completeness == pytest.approx(1.0)
 
 
 def test_unit_sum_convention_gap():
+    # the averaged Gram of the unit-sum Haar filter is the constant 1/2
     m0 = poly(0.5, 0.5)
-    averaged = cuntz_residuals([m0], 2)
-    assert averaged.gram[0][0].coefficient(0) == pytest.approx(-0.5)
-    unit = cuntz_residuals([m0], 2, convention="unit-sum")
-    assert unit.orthonormality == 0.0
+    assert cuntz_residuals([m0], 2)[0] == pytest.approx(0.5)
+    assert cuntz_residuals([m0], 2, convention="unit-sum")[0] == 0.0
 
 
 def test_delayed_haar_is_valid_bank():
     s = 1 / np.sqrt(2)
     delayed = [poly(s, s, start=1), poly(s, -s, start=1)]
-    report = cuntz_residuals(delayed, 2)
-    assert report.orthonormality == 0.0 and report.completeness < 1e-15
+    orthonormality, completeness = cuntz_residuals(delayed, 2)
+    assert orthonormality == 0.0 and completeness < 1e-15
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_band_count_below_2_is_an_input_error(n):
+    for call in (
+        lambda: circ.band_count(n),
+        lambda: LaurentPoly.one().upsample(n),
+        lambda: LaurentPoly.one().downsample(n),
+        lambda: cuntz_residuals([LaurentPoly.one()] * max(n, 0), n),
+        lambda: banded_matrix([LaurentPoly.one()] * max(n, 0), n, 1.0),
+        lambda: root_of_unity(n),
+    ):
+        with pytest.raises(InputError, match="band count must be >= 2"):
+            call()
 
 
 def test_random_entries_fail():
@@ -143,8 +167,7 @@ def test_random_entries_fail():
         LaurentPoly(0, rng.normal(size=3)),
         LaurentPoly(0, rng.normal(size=3)),
     ]
-    report = cuntz_residuals(junk, 2)
-    assert report.orthonormality > 0.1
+    assert cuntz_residuals(junk, 2)[0] > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +178,18 @@ def test_cqf_example():
     m0 = poly(0.5, 0.5)
     matrix = cqf_complete(m0)
     m1 = matrix[0][1]
-    assert m1.distance(poly(-0.5, 0.5, start=-2)) == 0
+    assert distance(m1, poly(-0.5, 0.5, start=-2)) == 0
     at_one = np.array([[e(1.0) for e in row] for row in matrix])
     assert np.allclose(at_one, [[1, 0], [0, -1]])
     at_i = np.array([[e(1j) for e in row] for row in matrix])
     expected = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
     assert np.allclose(at_i, expected)
-    assert matrix_grid_unitarity(lambda z: evaluate_rows(matrix, z), 256) < 1e-13
+    assert worst_unitarity(evaluate_rows(matrix, unit_circle_grid(256))) < 1e-13
 
 
 def test_cqf_averaged_convention():
     matrix = cqf_complete(oracle.haar_pair()[0], convention="averaged")
-    assert matrix_grid_unitarity(lambda z: evaluate_rows(matrix, z), 128, scale=2.0) < 1e-13
+    assert worst_unitarity(evaluate_rows(matrix, unit_circle_grid(128)), scale=2.0) < 1e-13
 
 
 def test_power_sum_residuals():
@@ -180,9 +203,8 @@ def test_power_sum_residuals():
 # ---------------------------------------------------------------------------
 
 def test_banded_matrix_haar():
-    matrix = MultibandMatrix(oracle.haar_pair(), 2)
-    assert matrix_grid_unitarity(matrix.eval, 256) < 1e-13
-    assert shift_relation_residual(matrix, 256) < 1e-13
+    assert worst_unitarity(banded_matrix(oracle.haar_pair(), 2, unit_circle_grid(256))) < 1e-13
+    assert band_law(oracle.haar_pair(), 2, 256) < 1e-13
 
 
 def test_shift_relation_holds_for_any_filters():
@@ -192,16 +214,14 @@ def test_shift_relation_holds_for_any_filters():
         LaurentPoly(0, rng.normal(size=2)),
         LaurentPoly(1, rng.normal(size=3)),
     ]
-    matrix = MultibandMatrix(junk, 3)
-    assert shift_relation_residual(matrix, 64) < 1e-13
-    assert matrix_grid_unitarity(matrix.eval, 64) > 0.1
+    assert band_law(junk, 3, 64) < 1e-13
+    assert worst_unitarity(banded_matrix(junk, 3, unit_circle_grid(64))) > 0.1
 
 
 def test_coefficient_grid_equivalence():
     # zero coefficient residuals iff grid unitarity vanishes
-    good = MultibandMatrix(oracle.haar_pair(), 2)
-    assert cuntz_residuals(oracle.haar_pair(), 2).orthonormality == 0.0
-    assert matrix_grid_unitarity(good.eval, 128) < 1e-12
+    assert cuntz_residuals(oracle.haar_pair(), 2)[0] == 0.0
+    assert worst_unitarity(banded_matrix(oracle.haar_pair(), 2, unit_circle_grid(128))) < 1e-12
 
 
 def test_parseval_coefficients_vs_grid():
@@ -218,15 +238,13 @@ def test_parseval_coefficients_vs_grid():
 
 def test_quotient_of_banks_is_band_periodic():
     s = 1 / np.sqrt(2)
-    bank_a = MultibandMatrix(oracle.haar_pair(), 2)
-    bank_b = MultibandMatrix([poly(s, s, start=1), poly(s, -s, start=1)], 2)
-    eps = -1.0
-    gaps = []
-    for z in unit_circle_grid(64):
-        u = bank_a.eval(z) @ np.linalg.inv(bank_b.eval(z))
-        u_eps = bank_a.eval(eps * z) @ np.linalg.inv(bank_b.eval(eps * z))
-        gaps.append(np.max(np.abs(u - u_eps)))
-    assert np.max(gaps) < 1e-11  # NaN fails
+    delayed = [poly(s, s, start=1), poly(s, -s, start=1)]
+
+    def quotient(z):
+        return banded_matrix(oracle.haar_pair(), 2, z) @ np.linalg.inv(banded_matrix(delayed, 2, z))
+
+    z = unit_circle_grid(64)
+    assert rotation_residual(quotient(z), quotient(-z)) < 1e-11  # NaN fails
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +296,8 @@ def test_blaschke_unitary_and_periodic(n):
         factors.append(BlaschkeFactor(_random_projection(rng, n), a, n))
     q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     product = oracle.blaschke_product(factors, left_unitary=q)
-    assert product.unitarity_residual(256) < 1e-12
-    assert product.periodicity_residual(n, 256) < 1e-12
+    assert worst_unitarity(product.eval(unit_circle_grid(256))) < 1e-12
+    assert periodicity(product, n, 256) < 1e-12
 
 
 def test_blaschke_json_roundtrip():
@@ -288,47 +306,88 @@ def test_blaschke_json_roundtrip():
         [BlaschkeFactor(_random_projection(rng, 2), 0.5, 2),
          BlaschkeFactor(_random_projection(rng, 2), None, 2)]
     )
-    back = BlaschkeProduct.from_json(product.to_json())
+    back = BlaschkeProduct.from_json(oracle.blaschke_json(product))
     z = np.exp(0.51j)
     assert np.allclose(back.eval(z), product.eval(z))
 
 
 # ---------------------------------------------------------------------------
-# loop action on evaluators
+# the loop action z -> G(z**N) U(z) of ``circle loop-act``
 # ---------------------------------------------------------------------------
 
-def test_loop_action_identity():
-    p = np.diag([1.0, 0.0])
-    u = oracle.blaschke_product([BlaschkeFactor(p, 0.0, 2)])
-    acted = loop_action_circle(lambda w: np.eye(2), u.eval, 2, n_grid=64)
-    z = np.exp(0.3j)
-    assert np.allclose(acted.eval(z), u.eval(z))
-    assert not acted.non_unitary_warning
+def loop_act(tmp_path, capsys, g, u, band, n_grid):
+    """``circle loop-act`` on G and U written to files: (exit code, result)."""
+    paths = [str(tmp_path / "g.json"), str(tmp_path / "u.json")]
+    for path, product in zip(paths, (g, u)):
+        jsonio.dump_file(path, oracle.blaschke_json(product))
+    code = run(["circle", "loop-act", "--g-factors", paths[0], "--u-factors", paths[1],
+                "--N", str(band), "--grid", str(n_grid)])
+    return code, json.loads(capsys.readouterr().out)
 
 
-def test_loop_action_substitution():
-    p = np.diag([1.0, 0.0])
-    u = oracle.blaschke_product([BlaschkeFactor(p, 0.0, 2)])  # diag(z^2, 1)
-    acted = loop_action_circle(diag_w_one, u.eval, 2, n_grid=64)
-    z = 0.77 * np.exp(1.1j)
-    assert np.allclose(acted.eval(z), np.diag([z**4, 1.0]))
+def read_g_as(monkeypatch, g, transform):
+    """Evaluate every product read back from G's file as transform(G(w)).
+
+    A non-unitary or NaN acting map passes no Blaschke file check, so this
+    is how it reaches the command.  G is told apart by its left unitary.
+    """
+    evaluate = BlaschkeProduct.eval
+
+    def patched(self, z):
+        out = evaluate(self, z)
+        return transform(out) if np.array_equal(self.left_unitary, g.left_unitary) else out
+
+    monkeypatch.setattr(BlaschkeProduct, "eval", patched)
 
 
-def test_loop_action_preserves_unitarity_and_warns():
-    p = np.diag([1.0, 0.0])
-    u = oracle.blaschke_product([BlaschkeFactor(p, 0.5, 2)])
-    before = u.unitarity_residual(128)
-    acted = loop_action_circle(diag_w_one, u.eval, 2, n_grid=128)
-    after = matrix_grid_unitarity(acted.eval, 128)
-    assert after <= before + 1e-13
-    bad = loop_action_circle(lambda w: np.diag([2.0, 1.0]), u.eval, 2, n_grid=16)
-    assert bad.non_unitary_warning
+def diag_w_one():
+    """diag(w, 1) as a product in w = z**N."""
+    return oracle.blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.0, 2)])
+
+
+def test_loop_action_identity(tmp_path, capsys):
+    u = oracle.blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)])
+    identity = oracle.blaschke_product([], left_unitary=np.eye(2))
+    code, result = loop_act(tmp_path, capsys, identity, u, 2, 64)
+    # G = I, so the acted loop is U itself
+    assert code == 0 and result["results"]["non_unitary_warning"] is False
+    assert result["residuals"]["acting_map_unitarity"] == 0.0
+    assert result["residuals"]["result_unitarity"] == worst_unitarity(u.eval(unit_circle_grid(64)))
+
+
+def test_loop_action_substitution(tmp_path, capsys, monkeypatch):
+    calls = []
+    evaluate = BlaschkeProduct.eval
+    monkeypatch.setattr(BlaschkeProduct, "eval", lambda self, z: calls.append(z) or evaluate(self, z))
+    grid = unit_circle_grid(64)
+    for band in (2, 3):
+        code, _ = loop_act(tmp_path, capsys, diag_w_one(), diag_w_one(), band, 64)
+        # G at the N-th powers of the grid, then U at the grid
+        assert code == 0 and len(calls) == 2
+        assert np.array_equal(calls[0], grid**band) and np.array_equal(calls[1], grid)
+        calls.clear()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_loop_action_preserves_unitarity_and_warns(tmp_path, capsys, monkeypatch):
+    v = random_unitary(np.random.default_rng(7), 2)  # tells U apart from G
+    u = oracle.blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)], v)
+    g = diag_w_one()
+    before = worst_unitarity(u.eval(unit_circle_grid(128)))
+    code, result = loop_act(tmp_path, capsys, g, u, 2, 128)
+    assert code == 0 and result["residuals"]["result_unitarity"] <= before + 1e-13
+    for bad in (2.0, np.nan):
+        with monkeypatch.context() as m:
+            read_g_as(m, g, lambda w: np.diag([bad, 1.0]) @ w)
+            code, result = loop_act(tmp_path, capsys, g, u, 2, 16)
+        assert code == 1 and result["pass"] is False and result["results"]["non_unitary_warning"]
+        assert not result["residuals"]["acting_map_unitarity"] <= 1.0  # 3.0 or NaN
 
 
 def test_poly_json_roundtrip():
     p = LaurentPoly(-2, [1 + 2j, 0.0, 3.5])
     back = LaurentPoly.from_json(p.to_json())
-    assert back.distance(p) == 0.0
+    assert distance(back, p) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +422,13 @@ def test_multiband_scans_match_oracle(n, min_degree, n_grid):
     if n == 2:
         banks.append(delayed)  # a bank, so its residuals are rounding noise
     for filters in banks:
-        matrix = MultibandMatrix(filters, n)
         point = lambda z: oracle.multiband_point(filters, n, z)
-        per_point = unitarity_residuals(matrix.eval, n_grid)
+        per_point = unitarity_residuals(banded_matrix(filters, n, unit_circle_grid(n_grid)))
         want = oracle.unitarity_points(point, n_grid)
         assert per_point.shape == (n_grid,)
         for got, ref in zip(per_point, want):
             assert_matches_oracle(got, ref)
-        assert_matches_oracle(matrix_grid_unitarity(matrix.eval, n_grid), oracle.grid_unitarity(point, n_grid))
-        assert_matches_oracle(
-            shift_relation_residual(matrix, n_grid), oracle.shift_relation(filters, n, n_grid)
-        )
+        assert_matches_oracle(band_law(filters, n, n_grid), oracle.shift_relation(filters, n, n_grid))
 
 
 @pytest.mark.parametrize("n_grid", [1, 9, 255])
@@ -382,7 +437,7 @@ def test_cqf_scan_matches_oracle(n_grid):
     m0 = LaurentPoly(-2, rng.normal(size=5) + 1j * rng.normal(size=5))
     for m in (m0, oracle.haar_pair()[0]):
         rows = cqf_complete(m, convention="averaged")
-        got = matrix_grid_unitarity(lambda z: evaluate_rows(rows, z), n_grid, scale=2.0)
+        got = worst_unitarity(evaluate_rows(rows, unit_circle_grid(n_grid)), scale=2.0)
         want = oracle.grid_unitarity(lambda z: oracle.rows_point(rows, z), n_grid, scale=2.0)
         assert_matches_oracle(got, want)
 
@@ -402,35 +457,37 @@ def test_blaschke_scans_match_oracle(n, power, n_grid):
     rng = np.random.default_rng(100 * n + 10 * power + n_grid)
     for product in blaschke_cases(rng, n, power):
         point = lambda z: oracle.blaschke_point(product, z)
-        assert_matches_oracle(product.unitarity_residual(n_grid), oracle.grid_unitarity(point, n_grid))
+        got = worst_unitarity(product.eval(unit_circle_grid(n_grid)))
+        assert_matches_oracle(got, oracle.grid_unitarity(point, n_grid))
         # at band = power the product is periodic; at another band it is not
         for band in (power, power + 1):
             assert_matches_oracle(
-                product.periodicity_residual(band, n_grid),
-                oracle.periodicity(product, band, n_grid),
+                periodicity(product, band, n_grid), oracle.periodicity(product, band, n_grid)
             )
 
 
 @pytest.mark.parametrize("band", [2, 3])
 @pytest.mark.parametrize("n_grid", [3, 65])
-def test_loop_action_matches_oracle(band, n_grid):
+def test_loop_action_matches_oracle(band, n_grid, tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(band + n_grid)
     g, u = blaschke_cases(rng, 2, 2)[-1], blaschke_cases(rng, 2, band)[-1]
     skewed = oracle.blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)], np.eye(2))
     stretch = np.diag([2.0, 1.0])  # makes G non-unitary
     cases = [
-        (g.eval, lambda w: oracle.blaschke_point(g, w)),
-        (lambda w: stretch @ skewed.eval(w), lambda w: stretch @ oracle.blaschke_point(skewed, w)),
+        (g, None, lambda w: oracle.blaschke_point(g, w)),
+        (skewed, stretch, lambda w: stretch @ oracle.blaschke_point(skewed, w)),
     ]
-    for g_eval, g_point in cases:
-        acted = loop_action_circle(g_eval, u.eval, band, n_grid=n_grid)
+    for acting, scale, g_point in cases:
+        with monkeypatch.context() as m:
+            if scale is not None:
+                read_g_as(m, acting, lambda w: scale @ w)
+            _, result = loop_act(tmp_path, capsys, acting, u, band, n_grid)
+        residuals = result["residuals"]
         g_want = oracle.loop_g_unitarity(g_point, band, n_grid)
-        assert_matches_oracle(acted.g_unitarity_residual, g_want)
-        assert acted.non_unitary_warning == (g_want > 1e-12)
+        assert_matches_oracle(residuals["acting_map_unitarity"], g_want)
+        assert result["results"]["non_unitary_warning"] == (g_want > 1e-12)
         point = lambda z: g_point(z**band) @ oracle.blaschke_point(u, z)
-        assert_matches_oracle(
-            matrix_grid_unitarity(acted.eval, n_grid), oracle.grid_unitarity(point, n_grid)
-        )
+        assert_matches_oracle(residuals["result_unitarity"], oracle.grid_unitarity(point, n_grid))
 
 
 def test_scalar_z_gives_one_matrix():
@@ -438,17 +495,14 @@ def test_scalar_z_gives_one_matrix():
     z = np.exp(0.61j)
     grid = unit_circle_grid(6)
     filters = random_filters(rng, 3, -1, 4)
-    matrix = MultibandMatrix(filters, 3)
     rows = cqf_complete(filters[0])
     product = blaschke_cases(rng, 3, 2)[-1]
     factor = product.factors[2]
-    acted = loop_action_circle(product.eval, product.eval, 2, n_grid=8)
     evaluators = [
-        (matrix.eval, lambda p: oracle.multiband_point(filters, 3, p)),
+        (lambda p: banded_matrix(filters, 3, p), lambda p: oracle.multiband_point(filters, 3, p)),
         (lambda p: evaluate_rows(rows, p), lambda p: oracle.rows_point(rows, p)),
         (product.eval, lambda p: oracle.blaschke_point(product, p)),
         (factor.eval, lambda p: oracle.blaschke_point(oracle.blaschke_product([factor]), p)),
-        (acted.eval, lambda p: oracle.blaschke_point(product, p**2) @ oracle.blaschke_point(product, p)),
     ]
     for evaluate, point in evaluators:
         one = evaluate(z)
@@ -466,19 +520,17 @@ def test_scalar_z_gives_one_matrix():
 def test_nan_entry_gives_nan_residual():
     s = 1 / np.sqrt(2)
     nan_bank = [poly(s, s, np.nan), poly(s, -s)]  # a NaN tap is kept, not pruned
-    matrix = MultibandMatrix(nan_bank, 2)
-    assert np.isnan(matrix_grid_unitarity(matrix.eval, 16))
-    assert np.isnan(shift_relation_residual(matrix, 16))
+    assert np.isnan(worst_unitarity(banded_matrix(nan_bank, 2, unit_circle_grid(16))))
+    assert np.isnan(band_law(nan_bank, 2, 16))
     assert np.isnan(oracle.grid_unitarity(lambda z: oracle.multiband_point(nan_bank, 2, z), 16))
-    assert np.isnan(cuntz_residuals(nan_bank, 2).orthonormality)
+    assert np.isnan(cuntz_residuals(nan_bank, 2)[0])
     # one NaN point among finite ones
     stack = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
     stack[5, 1, 0] = np.nan
     per_point = grid_residuals(stack - np.eye(2))
     assert np.isnan(per_point[5]) and np.all(per_point[np.arange(8) != 5] == 0.0)
-    assert np.isnan(matrix_grid_unitarity(lambda z: stack, 8))
-    nan_g = loop_action_circle(lambda w: stack, lambda z: np.eye(2), 2, n_grid=8)
-    assert np.isnan(nan_g.g_unitarity_residual) and nan_g.non_unitary_warning
+    assert np.isnan(worst_unitarity(stack))
+    assert np.isnan(rotation_residual(np.eye(2), stack)) and np.isnan(rotation_residual(stack, np.eye(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +570,7 @@ def dense(p, degrees) -> np.ndarray:
     """Coefficients of a LaurentPoly or a DictLaurent at the given degrees."""
     if isinstance(p, oracle.DictLaurent):
         return np.array([p.coeffs.get(k, 0j) for k in degrees])
-    return np.array([p.coefficient(k) for k in degrees])
+    return np.array([coefficient(p, k) for k in degrees])
 
 
 def as_pair(values, lo):
@@ -600,9 +652,9 @@ def test_filter_residuals_match_dict_oracle(n, length):
         pairs = [as_pair(v, min_degrees[j % 3]) for j, v in enumerate(bank)]
         filters, dicts = [p for p, _ in pairs], [d for _, d in pairs]
         for convention, scale in (("averaged", 1.0), ("unit-sum", float(n))):
-            report = cuntz_residuals(filters, n, convention)
+            got_orth, got_comp = cuntz_residuals(filters, n, convention)
             orth, comp = oracle.dict_cuntz_residuals(dicts, n, scale)
-            assert close(report.orthonormality, orth) and close(report.completeness, comp), name
+            assert close(got_orth, orth) and close(got_comp, comp), name
         for p, d in pairs:
             assert close(p(z), d(z)) and close(p(z[5]), d(z[5])), name
             for convention, target in (("unit-sum", 1.0), ("averaged", 2.0)):
@@ -610,6 +662,6 @@ def test_filter_residuals_match_dict_oracle(n, length):
             rows, want_rows = cqf_complete(p), oracle.dict_cqf_complete(d)
             assert all(same_file(e, f) for r, s in zip(rows, want_rows) for e, f in zip(r, s)), name
             assert close(
-                matrix_grid_unitarity(lambda w: evaluate_rows(rows, w), 17),
+                worst_unitarity(evaluate_rows(rows, unit_circle_grid(17))),
                 oracle.grid_unitarity(lambda w: oracle.rows_point(want_rows, w), 17),
             ), name

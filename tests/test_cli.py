@@ -11,10 +11,12 @@ import oracle
 from wavelab import jsonio
 from wavelab import cli
 from wavelab.cli import _all_below, run
+from wavelab import circle_filters as circ
 from wavelab.circle_filters import (
     BlaschkeFactor,
+    BlaschkeProduct,
     LaurentPoly,
-    MultibandMatrix,
+    banded_matrix,
     unit_circle_grid,
     unitarity_residuals,
 )
@@ -22,7 +24,6 @@ from wavelab.classic_mra import cascade, d4_taps, detail_taps, haar_taps, wavele
 from wavelab.code_space import CylinderFn, IfsSpec, sup_distance
 from wavelab.examples_geometry import chaos_game, sierpinski_ifs
 from wavelab.ifs_filters import (
-    CoefficientTree,
     FilterBank,
     build_indicator,
     build_roots_of_unity,
@@ -147,7 +148,7 @@ def test_decompose_writes_a_tree_that_reconstructs(tmp_path, capsys):
     argv = ["ifs", "decompose", "--bank", str(bank_path), "--fn", fn_path, "--levels", "2"]
     code, result = run_json(capsys, argv + ["--out", str(tree_path)])
     assert code == 0
-    tree = CoefficientTree.from_json(jsonio.load_file(str(tree_path)))
+    tree = oracle.coefficient_tree(jsonio.load_file(str(tree_path)))
     assert sum(1 for _ in tree.leaves()) == result["results"]["leaf_count"]
     bank = FilterBank.from_json(jsonio.load_file(str(bank_path)))
     assert sup_distance(multires_reconstruct(bank, tree), fn) < 1e-13
@@ -232,13 +233,13 @@ def test_circle_blaschke_and_loop(tmp_path, capsys):
     product = oracle.blaschke_product(
         [BlaschkeFactor(np.outer(v, np.conj(v)), 0.5, 2)]
     )
-    u_path = write(tmp_path / "u.json", product.to_json())
+    u_path = write(tmp_path / "u.json", oracle.blaschke_json(product))
     code, result = run_json(capsys, ["circle", "blaschke", "--factors", u_path])
     assert code == 0
     assert result["residuals"]["grid_unitarity"] < 1e-12
     g_path = write(
         tmp_path / "g.json",
-        oracle.blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.0, 2)]).to_json(),
+        oracle.blaschke_json(oracle.blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.0, 2)])),
     )
     code, result = run_json(
         capsys,
@@ -260,10 +261,59 @@ def test_circle_csv_holds_the_per_point_residuals(tmp_path, capsys):
     assert code == 1
     rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
     grid = unit_circle_grid(9)
-    want = unitarity_residuals(MultibandMatrix(filters, 2).eval, 9)
+    want = unitarity_residuals(banded_matrix(filters, 2, grid))
     assert [float(a) for a, _ in rows] == [float(np.angle(z)) for z in grid]
     assert [float(r) for _, r in rows] == want.tolist()
     assert max(want) == result["residuals"]["grid_unitarity"]
+
+
+def test_band_count_below_2_exits_2(tmp_path, capsys):
+    empty = write(tmp_path / "empty.json", {"filters": []})
+    one = write(tmp_path / "one.json", {"filters": [LaurentPoly.one().to_json()]})
+    for command, n, path in (("verify", "0", empty), ("matrix", "0", empty),
+                             ("matrix", "1", one), ("verify", "1", one)):
+        assert run(["circle", command, "--filters", path, "--N", n]) == 2, (command, n)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "wavelab: band count must be >= 2\n"
+
+
+def _count_evaluations(monkeypatch) -> list:
+    """Record, per call, which matrix function a command evaluates."""
+    calls = []
+    banded, blaschke = circ.banded_matrix, BlaschkeProduct.eval
+
+    def count_banded(*args):
+        calls.append("M")
+        return banded(*args)
+
+    def count_blaschke(self, z):
+        calls.append(self.factors[0].a if self.factors else None)
+        return blaschke(self, z)
+
+    monkeypatch.setattr(circ, "banded_matrix", count_banded)
+    monkeypatch.setattr(BlaschkeProduct, "eval", count_blaschke)
+    return calls
+
+
+def test_each_grid_check_evaluates_its_matrix_function_once(tmp_path, capsys, monkeypatch):
+    filters = write(tmp_path / "haar.json", {"filters": [m.to_json() for m in oracle.haar_pair()]})
+    g, u = (
+        write(tmp_path / f"{name}.json",
+              oracle.blaschke_json(oracle.blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), a, 2)])))
+        for name, a in (("g", 0.0), ("u", 0.5))
+    )
+    calls = _count_evaluations(monkeypatch)
+    # once on the grid, once at eps z for the rotation law
+    assert run(["circle", "matrix", "--filters", filters, "--N", "2"]) == 0
+    assert calls == ["M", "M"]
+    calls.clear()
+    assert run(["circle", "blaschke", "--factors", u]) == 0
+    assert calls == [0.5, 0.5]
+    calls.clear()
+    # G at the z**N once, U at the z once
+    assert run(["circle", "loop-act", "--g-factors", g, "--u-factors", u, "--N", "2"]) == 0
+    assert calls == [0.0, 0.5]
+    capsys.readouterr()
 
 
 def test_verdict_is_false_on_any_nan():
@@ -275,7 +325,7 @@ def test_verdict_is_false_on_any_nan():
 
 
 def _nan_blaschke(tmp_path, key):
-    obj = oracle.blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)]).to_json()
+    obj = oracle.blaschke_json(oracle.blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)]))
     if key == "P":
         obj["factors"][0]["P"][0][1][0] = float("nan")
     else:
@@ -499,7 +549,7 @@ def test_artifact_writers_match_csv_writer(name, tmp_path):
 def test_fractal_points_match_csv_writer(tmp_path, capsys):
     # the --out artifacts of the mra commands are frozen in tests/golden
     out = tmp_path / "pts.csv"
-    ifs_path = write(tmp_path / "s.json", sierpinski_ifs().to_json())
+    ifs_path = write(tmp_path / "s.json", oracle.affine_ifs_json(sierpinski_ifs()))
     assert run(["examples", "fractal", "--ifs", ifs_path, "--samples", "10000", "--seed", "2",
                 "--max-points", "2000", "--points-out", str(out)]) == 0
     capsys.readouterr()
@@ -561,7 +611,7 @@ def test_solenoid_commands(tmp_path, capsys):
 
 def _numeric_field_inputs(tmp_path) -> dict:
     """command -> (argv with {file} for the file to edit, that file's valid content)."""
-    pset = FinitePointSet.squaring_chain(0.9 * np.exp(0.7j), 4)
+    pset = oracle.squaring_chain(0.9 * np.exp(0.7j), 4)
     filters = write(tmp_path / "m.json", {"filters": [jsonio.encode_cvector(np.ones(4))]})
     haar = [jsonio.encode_cvector(haar_taps()), jsonio.encode_cvector([2**-0.5, -(2**-0.5)])]
     signal = _signal_file(tmp_path / "x.csv", np.arange(8.0))
@@ -571,15 +621,15 @@ def _numeric_field_inputs(tmp_path) -> dict:
             ["circle", "verify", "--filters", "{file}", "--N", "2"],
             {"filters": [m.to_json() for m in oracle.haar_pair()]},
         ),
-        "circle blaschke": (["circle", "blaschke", "--factors", "{file}"], blaschke.to_json()),
+        "circle blaschke": (["circle", "blaschke", "--factors", "{file}"], oracle.blaschke_json(blaschke)),
         "examples fractal": (
             ["examples", "fractal", "--ifs", "{file}", "--samples", "10000", "--seed", "1"],
-            sierpinski_ifs().to_json(),
+            oracle.affine_ifs_json(sierpinski_ifs()),
         ),
         "ifs verify-filter": (["ifs", "verify-filter", "--bank", "{file}"], build_indicator(IfsSpec(2)).to_json()),
         "rkhs product-kernel": (
             ["rkhs", "product-kernel", "--points", "{file}", "--filters", filters, "--terms", "3"],
-            pset.to_json(),
+            oracle.point_set_json(pset),
         ),
         "mra filterbank": (
             ["mra", "filterbank", "--signal", signal, "--taps", "{file}", "--N", "2"],
@@ -649,8 +699,8 @@ def test_numeric_fields_must_be_json_numbers(name, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_rkhs_commands(tmp_path, capsys):
-    pset = FinitePointSet.squaring_chain(0.9 * np.exp(0.7j), 12)
-    points = write(tmp_path / "p.json", pset.to_json())
+    pset = oracle.squaring_chain(0.9 * np.exp(0.7j), 12)
+    points = write(tmp_path / "p.json", oracle.point_set_json(pset))
     kernel = write(tmp_path / "k.json", oracle.szego_kernel(pset.points).to_json())
     filters = write(
         tmp_path / "m.json",
@@ -679,9 +729,9 @@ def test_rkhs_commands(tmp_path, capsys):
 
 
 def test_rkhs_check_with_one_filter_reports_the_contraction(tmp_path, capsys):
-    pset = FinitePointSet.squaring_chain(0.9 * np.exp(0.7j), 12)
+    pset = oracle.squaring_chain(0.9 * np.exp(0.7j), 12)
     kernel = oracle.szego_kernel(pset.points)
-    points = write(tmp_path / "p.json", pset.to_json())
+    points = write(tmp_path / "p.json", oracle.point_set_json(pset))
     kernel_path = write(tmp_path / "k.json", kernel.to_json())
     filters = write(tmp_path / "m.json", {"filters": [jsonio.encode_cvector(pset.points)]})
     code, result = run_json(
@@ -700,7 +750,7 @@ def test_rkhs_product_kernel_with_large_entries_is_not_a_usage_error(tmp_path, c
     rng = np.random.default_rng(35)
     pset = FinitePointSet(rng.normal(size=25) + 0j, rng.integers(0, 25, size=25))
     values = rng.normal(size=(4, 25)) + 1j * rng.normal(size=(4, 25))
-    points = write(tmp_path / "p.json", pset.to_json())
+    points = write(tmp_path / "p.json", oracle.point_set_json(pset))
     filters = write(tmp_path / "m.json", {"filters": [jsonio.encode_cvector(v) for v in values]})
     code, result = run_json(
         capsys, ["rkhs", "product-kernel", "--points", points, "--filters", filters, "--terms", "5"]
@@ -719,7 +769,7 @@ def test_examples_commands(tmp_path, capsys):
     assert code == 0
     assert result["residuals"]["invariance"] < 1e-12
 
-    ifs_path = write(tmp_path / "sierpinski.json", sierpinski_ifs().to_json())
+    ifs_path = write(tmp_path / "sierpinski.json", oracle.affine_ifs_json(sierpinski_ifs()))
     pts_path = tmp_path / "pts.csv"
     code, result = run_json(
         capsys,
@@ -733,7 +783,7 @@ def test_examples_commands(tmp_path, capsys):
 
 
 def test_examples_fractal_requires_seed(tmp_path, capsys):
-    ifs_path = write(tmp_path / "s.json", sierpinski_ifs().to_json())
+    ifs_path = write(tmp_path / "s.json", oracle.affine_ifs_json(sierpinski_ifs()))
     code = run(["examples", "fractal", "--ifs", ifs_path, "--samples", "50000"])
     capsys.readouterr()
     assert code == 2
@@ -793,7 +843,7 @@ def _input_files(tmp_path) -> dict:
     roots3 = np.exp(2j * np.pi * np.arange(3) / 3)
     return {
         "bank": write(tmp_path / "bank.json", bank.to_json()),
-        "ifs": write(tmp_path / "sierpinski.json", sierpinski_ifs().to_json()),
+        "ifs": write(tmp_path / "sierpinski.json", oracle.affine_ifs_json(sierpinski_ifs())),
         "signal": _signal_file(tmp_path / "x.csv", np.arange(8.0)),
         "haar_bank": write(tmp_path / "haar.json", {"analysis": haar}),
         "x_offsets": write(tmp_path / "offsets.json", {"analysis": haar[:1], "analysis_offsets": "x"}),
@@ -857,11 +907,11 @@ def test_malformed_input_exits_2(name, tmp_path, capsys):
 
 def test_decoder_error_names_its_file(tmp_path, capsys):
     """A bad [re, im] pair in the second of three input files names that file."""
-    pset = FinitePointSet.squaring_chain(0.9 * np.exp(0.7j), 12)
+    pset = oracle.squaring_chain(0.9 * np.exp(0.7j), 12)
     kernel = oracle.szego_kernel(pset.points).to_json()
     kernel["matrix"][3][5] = ["0.5", 0.0]
     paths = {
-        "points": write(tmp_path / "p.json", pset.to_json()),
+        "points": write(tmp_path / "p.json", oracle.point_set_json(pset)),
         "kernel": write(tmp_path / "k.json", kernel),
         "filters": write(tmp_path / "m.json", {"filters": [jsonio.encode_cvector(np.ones(12))]}),
     }
@@ -917,7 +967,7 @@ def test_mra_product_fails_closed_on_a_nan_coefficient(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
 def test_non_finite_float_options_exit_2(value, tmp_path, capsys):
-    ifs_path = write(tmp_path / "s.json", sierpinski_ifs().to_json())
+    ifs_path = write(tmp_path / "s.json", oracle.affine_ifs_json(sierpinski_ifs()))
     fractal = ["examples", "fractal", "--ifs", ifs_path, "--samples", "10000", "--seed", "1"]
     for argv in (["examples", "logistic", f"--tol={value}"], fractal + [f"--z-bound={value}"]):
         assert run(argv) == 2
@@ -927,7 +977,7 @@ def test_non_finite_float_options_exit_2(value, tmp_path, capsys):
 def test_fractal_points_are_the_checked_sample(tmp_path, capsys):
     # fewer samples than --max-points: the file holds the whole sample
     out = tmp_path / "pts.csv"
-    ifs_path = write(tmp_path / "s.json", sierpinski_ifs().to_json())
+    ifs_path = write(tmp_path / "s.json", oracle.affine_ifs_json(sierpinski_ifs()))
     assert run(["examples", "fractal", "--ifs", ifs_path, "--samples", "10000", "--seed", "4",
                 "--points-out", str(out)]) == 0
     capsys.readouterr()

@@ -22,12 +22,7 @@ from wavelab.code_space import (
     weighted_adjoint,
     weighted_compose,
 )
-from wavelab.errors import (
-    CapacityError,
-    ConvergenceError,
-    InputError,
-    SpecMismatchError,
-)
+from wavelab.errors import InputError, VerificationError
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +105,7 @@ def test_multiply_matches_oracle(rng, spec2):
 
 
 def test_spec_mismatch_rejected(spec2, spec_weighted):
-    with pytest.raises(SpecMismatchError):
+    with pytest.raises(InputError, match="different systems"):
         multiply(CylinderFn.ones(spec2), CylinderFn.ones(spec_weighted))
 
 
@@ -312,7 +307,7 @@ def test_harmonic_solve_depth_two_weight(spec2, rng):
 
 def test_harmonic_solve_failure_reports_residual(spec2):
     w = CylinderFn(spec2, 1, [1.0, 0.0])  # S* W = 1/2: no fixed constant
-    with pytest.raises(ConvergenceError) as err:
+    with pytest.raises(VerificationError, match="no transfer-harmonic density") as err:
         harmonic_solve(w)
     assert err.value.residual is not None and err.value.residual > 0.1
 
@@ -337,7 +332,7 @@ def test_harmonic_solve_on_slowly_mixing_weight(spec2):
     # R_W = [[0.97, 0.07], [0.03, 0.93]] on depth-1 functions: eigenvalues 1
     # and 0.9, h = (1.4, 0.6); 200 power steps leave a residual of 2.8e-11
     W = CylinderFn(spec2, 2, [1.94, 0.06, 0.14, 1.86])
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(VerificationError, match="no fixed point"):
         oracle.power_harmonic(W, tol=1e-12)
     h = harmonic_solve(W, tol=1e-12)
     assert np.max(np.abs(h.values - [1.4, 0.6])) < 1e-14
@@ -377,7 +372,7 @@ def test_power_solve_reports_a_vanishing_iterate(monkeypatch, spec2):
     # 8 words need 64 matrix cells, over a cap of 63: the power loop runs,
     # and R_W = 0 sends its first iterate to 0
     monkeypatch.setenv("WAVELAB_MAX_CELLS", "63")
-    with pytest.raises(ConvergenceError, match="transfer iterate vanished"):
+    with pytest.raises(VerificationError, match="transfer iterate vanished"):
         harmonic_solve(CylinderFn(spec2, 4, np.zeros(16)))
 
 
@@ -385,7 +380,7 @@ def test_power_solve_gives_up_after_its_step_limit(monkeypatch, spec2):
     # the weight of test_harmonic_solve_on_slowly_mixing_weight, |lambda_2/lambda_1| = 0.9
     monkeypatch.setattr(code_space, "DENSE_SOLVE_WORDS", 1)
     W = CylinderFn(spec2, 2, [1.94, 0.06, 0.14, 1.86])
-    with pytest.raises(ConvergenceError, match=f"after {code_space.POWER_STEPS} iterations") as err:
+    with pytest.raises(VerificationError, match=f"after {code_space.POWER_STEPS} iterations") as err:
         harmonic_solve(W, tol=1e-12)
     assert 1e-12 < err.value.residual < 1e-10
 
@@ -394,14 +389,14 @@ def test_harmonic_solve_rejects_a_signed_eigenvector(spec2):
     # R_W = [[1.2, 0.04], [0.5, 1.1]] has eigenvalues 1.3 and 1; the
     # eigenvalue-1 vector (-0.5, 2.5) solves the bordered system to 1e-16
     # but is no density
-    with pytest.raises(ConvergenceError) as err:
+    with pytest.raises(VerificationError) as err:
         harmonic_solve(CylinderFn(spec2, 2, [2.4, 1.0, 0.08, 2.2]), tol=1e-12)
     assert "Perron eigenvalue 1.3," in str(err.value)
 
 
 def test_harmonic_solve_failure_names_the_spectrum(spec2):
     W = CylinderFn(spec2, 2, [1.94, 0.06, 0.14, 1.86]) * 1.3
-    with pytest.raises(ConvergenceError) as err:
+    with pytest.raises(VerificationError) as err:
         harmonic_solve(W)
     assert "Perron eigenvalue 1.3," in str(err.value) and "|lambda_2/lambda_1| 0.9" in str(err.value)
     assert err.value.residual > 0.1
@@ -410,7 +405,7 @@ def test_harmonic_solve_failure_names_the_spectrum(spec2):
 def test_harmonic_solve_singular_system_is_a_convergence_error(spec2):
     # R_W = 0, so the bordered matrix is singular: numpy's LinAlgError is a
     # ValueError, which the CLI would report as a malformed file
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(VerificationError, match="no transfer-harmonic density"):
         harmonic_solve(CylinderFn(spec2, 1, [0.0, 0.0]))
 
 
@@ -448,7 +443,7 @@ def test_depth_cap(monkeypatch, spec2):
     monkeypatch.setenv("WAVELAB_MAX_CELLS", "8")
     assert max_cells() == 8
     f = CylinderFn(spec2, 3, np.zeros(8))
-    with pytest.raises(CapacityError):
+    with pytest.raises(InputError, match="exceed the cap"):
         compose_sigma(f)
     monkeypatch.setenv("WAVELAB_MAX_CELLS", "not-a-number")
     with pytest.raises(InputError):

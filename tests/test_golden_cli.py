@@ -382,7 +382,7 @@ MRA_EXAMPLES_CASES = {
 
 
 def _blaschke(projection, a, power: int = 2, left=None) -> dict:
-    return oracle.blaschke_product([BlaschkeFactor(np.array(projection), a, power)], left).to_json()
+    return oracle.blaschke_json(oracle.blaschke_product([BlaschkeFactor(np.array(projection), a, power)], left))
 
 
 def _circle_solenoid_inputs() -> dict:

@@ -15,15 +15,8 @@ from wavelab.code_space import (
     multiply,
     sup_distance,
 )
-from wavelab.errors import (
-    CapacityError,
-    InputError,
-    ModuleBasisError,
-    PreconditionError,
-    UnsupportedConstructionError,
-)
+from wavelab.errors import InputError, VerificationError
 from wavelab.ifs_filters import (
-    CoefficientTree,
     FilterBank,
     MatrixField,
     analysis,
@@ -70,7 +63,7 @@ def test_roots_bank_values(spec2, spec3):
 
 
 def test_roots_bank_rejects_nonuniform(spec_weighted):
-    with pytest.raises(UnsupportedConstructionError):
+    with pytest.raises(InputError, match="only for uniform weights"):
         build_roots_of_unity(spec_weighted)
 
 
@@ -206,9 +199,9 @@ def test_tail_array_counts_against_cell_cap(monkeypatch, spec2):
     monkeypatch.setenv("WAVELAB_MAX_CELLS", "1000")
     # 2**9 filter values fit, the 2**11 products behind the residuals do not
     bank = FilterBank(spec2, np.ones((2, 512)))
-    with pytest.raises(CapacityError):
+    with pytest.raises(InputError, match="exceed the cap"):
         verify_filter(bank, 1)
-    with pytest.raises(CapacityError):
+    with pytest.raises(InputError, match="exceed the cap"):
         endomorphism_check(bank, CylinderFn.ones(spec2), 1)
 
 
@@ -287,7 +280,7 @@ def test_tree_json_roundtrip(spec2, rng):
     bank = build_indicator(spec2)
     f = random_cylinder(rng, spec2, 2)
     tree = multires_decompose(bank, f, 1)
-    back = CoefficientTree.from_json(tree.to_json())
+    back = oracle.coefficient_tree(tree.to_json())
     assert sup_distance(multires_reconstruct(bank, back), f) < 1e-13
 
 
@@ -313,7 +306,7 @@ def test_gram_schmidt_example(spec2):
 
 def test_gram_schmidt_dependent_generators(spec2):
     g1 = CylinderFn(spec2, 1, [1, 1])
-    with pytest.raises(ModuleBasisError):
+    with pytest.raises(VerificationError, match="module span"):
         gram_schmidt_module([g1, g1])
 
 
@@ -341,7 +334,7 @@ def test_connecting_unitary_identity(spec2):
     bank = build_indicator(spec2)
     field = connecting_unitary(bank, bank)
     assert field.unitarity_residual() < 1e-14
-    eye = MatrixField.identity(spec2)
+    eye = oracle.identity_field(spec2)
     assert field.depth == eye.depth == 0
     assert np.max(np.abs(field.values - eye.values)) < 1e-14
 
@@ -354,7 +347,7 @@ def test_connecting_unitary_is_fourier_matrix(n):
 
 
 def test_connecting_unitary_requires_verified_banks(spec2):
-    with pytest.raises(PreconditionError):
+    with pytest.raises(VerificationError, match="fails filter verification"):
         connecting_unitary(broken_bank(spec2), build_indicator(spec2))
 
 
@@ -363,7 +356,7 @@ def test_loop_group_identity_and_hadamard(spec2):
     assert all(
         sup_distance(a, b) < 1e-15
         for a, b in zip(
-            apply_loop_group(bank, MatrixField.identity(spec2)).filters, bank.filters
+            apply_loop_group(bank, oracle.identity_field(spec2)).filters, bank.filters
         )
     )
     hadamard = MatrixField.from_matrix(spec2, fourier_matrix(2))
@@ -397,7 +390,7 @@ def test_loop_group_group_law(rng, spec2):
     u = _random_unitary_field(rng, spec2, 1)
     v = _random_unitary_field(rng, spec2, 1)
     lhs = apply_loop_group(apply_loop_group(bank, u), v)
-    rhs = apply_loop_group(bank, u.matmul(v))
+    rhs = apply_loop_group(bank, oracle.field_product(u, v))
     for a, b in zip(lhs.filters, rhs.filters):
         assert sup_distance(a, b) < 1e-12
 
@@ -431,7 +424,8 @@ def test_loop_group_laws_on_verified_banks(spec):
         assert verify_filter(bank).passed
         u, v = _random_unitary_field(rng, spec, 2), _random_unitary_field(rng, spec, 2)
         acted = apply_loop_group(bank, u)
-        assert _max_diff(apply_loop_group(bank, u.matmul(v)), apply_loop_group(acted, v)) < 1e-12
+        product = oracle.field_product(u, v)
+        assert _max_diff(apply_loop_group(bank, product), apply_loop_group(acted, v)) < 1e-12
         assert _max_diff(apply_loop_group(acted, _star(u)), bank) < 1e-12
         recovered = connecting_unitary(bank, acted)
         assert recovered.depth == u.depth == 2
@@ -460,11 +454,8 @@ def test_array_forms_equal_tuple_oracle(spec, depth):
             f = random_cylinder(rng, spec, depth + 1)
             assert endomorphism_check(bank, f) == oracle.tuple_tail_residual(m, depth + 2, f)
             u = _random_unitary_field(rng, spec, depth)
-            v = _random_unitary_field(rng, spec, depth - 1)
             want = oracle.stacked(oracle.tuple_apply(m, oracle.entries_of(u)))
             assert np.array_equal(apply_loop_group(bank, u).values, want)
-            want = oracle.stacked(oracle.tuple_matmul(oracle.entries_of(u), oracle.entries_of(v)))
-            assert np.array_equal(u.matmul(v).values, want)
             parts = analysis(bank, f)
             assert np.array_equal(oracle.stacked(parts), oracle.stacked(oracle.tuple_analysis(m, f)))
             got, want = synthesis(bank, parts), oracle.tuple_synthesis(m, parts)
