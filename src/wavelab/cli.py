@@ -238,18 +238,18 @@ def _ifs_apply(args) -> tuple[dict, bool]:
 def _ifs_decompose(args) -> tuple[dict, bool]:
     bank = _load(args.bank, ifsf.FilterBank.from_json)
     fn = _load(args.fn, CylinderFn.from_json)
-    tree = ifsf.multires_decompose(bank, fn, args.levels, mode=args.mode)
-    recon = ifsf.multires_reconstruct(bank, tree)
+    leaves = ifsf.multires_decompose(bank, fn, args.levels, mode=args.mode)
+    recon = ifsf.multires_reconstruct(bank, leaves)
     roundtrip = sup_distance(recon, fn)
     energy_in = integrate(fn.abs2()).real
-    energy_leaves = sum(integrate(leaf.abs2()).real for leaf in tree.leaves())
+    energy_leaves = sum(ifsf.leaf_energies(bank.spec, leaves))
     if args.out:
-        jsonio.dump_file(args.out, tree.to_json())
+        jsonio.dump_file(args.out, ifsf.tree_json(bank.spec, leaves))
     return {
         "results": {
             "levels": args.levels,
             "mode": args.mode,
-            "leaf_count": sum(1 for _ in tree.leaves()),
+            "leaf_count": sum(len(group) for group in leaves),
             "energy_in": energy_in,
             "energy_leaves": energy_leaves,
         },

@@ -21,6 +21,11 @@ m~_k), pointwise unitary, and the group of pointwise-unitary matrix
 fields acts on banks by m~_k = sum_j m_j (U_jk o sigma).  Orthonormality,
 the connecting field and analysis are the Gram array S*(conj(a_j) b_k);
 sums over the filter axis run in bank order, bit for bit as filter by filter.
+
+A multiresolution level is one (K, N**d) array of K functions in leaf
+order.  Analysis maps it to the (K*N, ...) array of their subbands with
+one Gram product, and synthesis maps it back with one bank action, so an
+L-level packet tree costs L calls each way, not one per node.
 """
 
 from __future__ import annotations
@@ -239,60 +244,43 @@ def verify_filter(bank: FilterBank, probe_depth: int = 3, tol: float = 1e-12) ->
     return FilterReport(orth, comp, passed, tol, probe_depth)
 
 
-def analysis(bank: FilterBank, f: CylinderFn) -> tuple[CylinderFn, ...]:
-    """Subband projections f_n = S*(conj(m_n) f), one depth lower."""
-    if f.spec != bank.spec:
-        raise InputError("function spec differs from bank spec")
-    if f.depth < 1:
-        raise InputError("analysis needs depth >= 1")
-    depth = max(bank.depth, f.depth)
-    fv = _lift_values(f, depth).reshape(1, bank.spec.N, -1)
-    parts = _gram(bank.spec, bank._by_symbol(depth), fv)[:, 0]
-    return tuple(CylinderFn(bank.spec, depth - 1, part) for part in parts)
+def analysis(bank: FilterBank, level: np.ndarray) -> np.ndarray:
+    """Subbands of a level of K functions of one depth, one depth lower.
+
+    Row k*N + n of the (K*N, N**(d-1)) result is S*(conj(m_n) f_k), where
+    f_k is row k of the (K, N**D) level and d = max(bank depth, D): a bank
+    deeper than the level lifts it first.  The lifted level and the Gram
+    product count against the cell cap.
+    """
+    n = bank.spec.N
+    depth = max(bank.depth, round(math.log(level.shape[-1], n)))
+    _check_cells(len(level) * n**depth)
+    lifted = _lift(level, n, depth).reshape(len(level), n, -1)
+    parts = _gram(bank.spec, bank._by_symbol(depth), lifted)  # (N, K, tail)
+    return parts.transpose(1, 0, 2).reshape(-1, parts.shape[-1])
 
 
-def synthesis(bank: FilterBank, parts: Sequence[CylinderFn]) -> CylinderFn:
-    """Recombine subbands: sum_n m_n (part_n o sigma)."""
-    subbands = FilterBank.from_cylinders(bank.spec, list(parts))
-    depth, out = _act(bank, subbands.values[:, None])
-    return CylinderFn(bank.spec, depth, out[0])
+def synthesis(bank: FilterBank, level: np.ndarray) -> np.ndarray:
+    """Recombine a level of K*N subbands: row k is sum_n m_n (level[k*N + n] o sigma).
 
-
-@dataclass(frozen=True)
-class CoefficientTree:
-    """A leaf holds coefficients; an inner node holds one subtree per band."""
-
-    leaf: CylinderFn | None = None
-    children: tuple["CoefficientTree", ...] = ()
-
-    def __post_init__(self):
-        if (self.leaf is None) == (len(self.children) == 0):
-            raise InputError("tree node must hold either a leaf or children")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf is not None
-
-    def leaves(self):
-        if self.is_leaf:
-            yield self.leaf
-        else:
-            for child in self.children:
-                yield from child.leaves()
-
-    def to_json(self) -> dict:
-        if self.is_leaf:
-            return {"leaf": self.leaf.to_json()}
-        return {"children": [c.to_json() for c in self.children]}
+    The K functions made, at depth max(bank depth, d + 1), count against
+    the cell cap together.
+    """
+    n = bank.spec.N
+    _check_cells(len(level) // n * max(n**bank.depth, n * level.shape[-1]))
+    return _act(bank, level.reshape(-1, n, level.shape[-1]).transpose(1, 0, 2))[1]
 
 
 def multires_decompose(
     bank: FilterBank, f: CylinderFn, levels: int, mode: str = "packet"
-) -> CoefficientTree:
-    """Iterated analysis: full packet tree, or cascade on the first band.
+) -> list[np.ndarray]:
+    """Iterated analysis, one ``analysis`` call per level: the leaves in leaf order.
 
-    In packet mode every subband is split again; in single-branch mode only
-    band 1 is, and the other subbands stay as detail leaves.
+    Leaf order is the depth-first order of the tree, band 1 first.  In
+    packet mode every subband is split again, and the list holds one
+    (N**levels, N**d) array.  In single-branch mode only band 1 is: the
+    list holds the (1, N**d) core, then the N - 1 detail rows of each level
+    from the deepest up.
     """
     if mode not in ("packet", "single"):
         raise InputError(f"unknown mode {mode!r}")
@@ -300,23 +288,57 @@ def multires_decompose(
         raise InputError("levels must be >= 0")
     if levels > f.depth:
         raise InputError(f"cannot run {levels} levels on a depth-{f.depth} function")
-    if levels == 0:
-        return CoefficientTree(leaf=f)
-    parts = analysis(bank, f)
-    if mode == "packet":
-        children = tuple(multires_decompose(bank, p, levels - 1, mode) for p in parts)
-    else:
-        children = (multires_decompose(bank, parts[0], levels - 1, mode),) + tuple(
-            CoefficientTree(leaf=p) for p in parts[1:]
-        )
-    return CoefficientTree(children=children)
+    if f.spec != bank.spec:
+        raise InputError("function spec differs from bank spec")
+    level, details = f.values[None], []
+    for _ in range(levels):
+        level = analysis(bank, level)
+        if mode == "single":
+            level, details = level[:1], [level[1:]] + details
+    return [level] + details
 
 
-def multires_reconstruct(bank: FilterBank, tree: CoefficientTree) -> CylinderFn:
-    if tree.is_leaf:
-        return tree.leaf
-    parts = [multires_reconstruct(bank, child) for child in tree.children]
-    return synthesis(bank, parts)
+def multires_reconstruct(bank: FilterBank, leaves: Sequence[np.ndarray]) -> CylinderFn:
+    """Invert ``multires_decompose``: synthesis up the packet levels of the
+    first array, then once per detail level, lifting core and details to
+    their common depth."""
+    n = bank.spec.N
+    level = leaves[0]
+    while len(level) > 1:
+        level = synthesis(bank, level)
+    for detail in leaves[1:]:
+        depth = round(math.log(max(level.shape[-1], detail.shape[-1]), n))
+        level = synthesis(bank, np.concatenate([_lift(level, n, depth), _lift(detail, n, depth)]))
+    return CylinderFn(bank.spec, round(math.log(level.shape[-1], n)), level[0])
+
+
+def leaf_energies(spec: IfsSpec, leaves: Sequence[np.ndarray]) -> list[float]:
+    """int |leaf|^2 dmu of every leaf in leaf order, one stacked weight
+    average per depth step: bit for bit ``integrate(leaf.abs2())`` leaf by leaf."""
+    p, out = spec.weight_array(), []
+    for group in leaves:
+        vals = np.abs(group) ** 2 + 0j
+        while vals.shape[-1] > 1:
+            vals = p @ vals.reshape(len(vals), spec.N, -1)
+        out += vals[:, 0].real.tolist()
+    return out
+
+
+def tree_json(spec: IfsSpec, leaves: Sequence[np.ndarray]) -> dict:
+    """The nested {"children" | "leaf"} JSON of the tree ``multires_decompose`` walks."""
+
+    def leaf(row: np.ndarray) -> dict:
+        return {"leaf": CylinderFn(spec, round(math.log(len(row), spec.N)), row).to_json()}
+
+    def packet(rows: np.ndarray) -> dict:
+        if len(rows) == 1:
+            return leaf(rows[0])
+        return {"children": [packet(part) for part in np.split(rows, spec.N)]}
+
+    tree = packet(leaves[0])
+    for detail in leaves[1:]:
+        tree = {"children": [tree] + [leaf(row) for row in detail]}
+    return tree
 
 
 def gram_schmidt_module(generators: Sequence[CylinderFn]) -> FilterBank:

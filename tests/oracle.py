@@ -10,7 +10,9 @@ scans are likewise the package's former per-point loops, kept as the
 judge of the stacked evaluators; they reduce with ``np.max`` so that a NaN
 point gives a NaN residual.  The bank and matrix-field operations on
 tuples of cylinder functions are the package's former filter-by-filter
-code, kept as the judge of the one-array forms.  At the end, the
+code, kept as the judge of the one-array forms, and the per-node recursion over a
+tree of cylinder functions is the former multiresolution code, kept as
+the judge of the one-array-per-level loop.  At the end, the
 chaos-game loop and the row-by-row ``csv`` reader and writer are the
 package's former code, kept as the judge of the prefix scan and of the
 one-call CSV reader and writer.  Last, the power iteration and the
@@ -22,6 +24,8 @@ judges that only the tests use, moved out of the package.
 
 import csv
 import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -31,7 +35,7 @@ from wavelab import code_space as cs, jsonio
 from wavelab.circle_filters import BlaschkeProduct, LaurentPoly, unit_circle_grid
 from wavelab.code_space import CylinderFn, Word
 from wavelab.errors import InputError, VerificationError
-from wavelab.ifs_filters import CoefficientTree, MatrixField
+from wavelab.ifs_filters import FilterBank, MatrixField, analysis, synthesis
 from wavelab.rkhs_kernels import FinitePointSet, KernelMatrix
 from wavelab.solenoid import MomentSpec, PathCylinderFn, harmonic_for, moment, pairing, weighted_shift
 from wavelab.examples_geometry import CHAOS_BURN_IN
@@ -301,6 +305,79 @@ def tuple_synthesis(filters, parts):
     for m, part in zip(filters[1:], parts[1:]):
         acc = acc + cs.weighted_compose(m, part)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# multiresolution trees, one analysis or synthesis call per node
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CoefficientTree:
+    """A leaf holds coefficients; an inner node holds one subtree per band."""
+
+    leaf: CylinderFn | None = None
+    children: tuple["CoefficientTree", ...] = ()
+
+    def __post_init__(self):
+        if (self.leaf is None) == (len(self.children) == 0):
+            raise InputError("tree node must hold either a leaf or children")
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.leaf is not None
+
+    def leaves(self):
+        if self.is_leaf:
+            yield self.leaf
+        else:
+            for child in self.children:
+                yield from child.leaves()
+
+    def to_json(self) -> dict:
+        if self.is_leaf:
+            return {"leaf": self.leaf.to_json()}
+        return {"children": [c.to_json() for c in self.children]}
+
+
+def coefficient_tree(obj: dict) -> CoefficientTree:
+    """The tree that ``CoefficientTree.to_json`` (or ``ifs decompose --out``) wrote."""
+    if "leaf" in obj:
+        return CoefficientTree(leaf=CylinderFn.from_json(obj["leaf"]))
+    return CoefficientTree(children=tuple(coefficient_tree(c) for c in obj["children"]))
+
+
+def node_analysis(bank, f) -> tuple:
+    """Subband projections f_n = S*(conj(m_n) f) of one function."""
+    parts = analysis(bank, f.values[None])
+    depth = round(math.log(parts.shape[-1], bank.spec.N))
+    return tuple(CylinderFn(bank.spec, depth, part) for part in parts)
+
+
+def node_synthesis(bank, parts) -> CylinderFn:
+    """sum_n m_n (part_n o sigma), the parts lifted to their common depth."""
+    out = synthesis(bank, FilterBank.from_cylinders(bank.spec, list(parts)).values)
+    return CylinderFn(bank.spec, round(math.log(out.shape[-1], bank.spec.N)), out[0])
+
+
+def multires_decompose(bank, f, levels: int, mode: str = "packet") -> CoefficientTree:
+    """Iterated analysis by recursion: full packet tree, or cascade on band 1."""
+    if levels == 0:
+        return CoefficientTree(leaf=f)
+    parts = node_analysis(bank, f)
+    if mode == "packet":
+        children = tuple(multires_decompose(bank, p, levels - 1, mode) for p in parts)
+    else:
+        children = (multires_decompose(bank, parts[0], levels - 1, mode),) + tuple(
+            CoefficientTree(leaf=p) for p in parts[1:]
+        )
+    return CoefficientTree(children=children)
+
+
+def multires_reconstruct(bank, tree: CoefficientTree) -> CylinderFn:
+    if tree.is_leaf:
+        return tree.leaf
+    return node_synthesis(bank, [multires_reconstruct(bank, child) for child in tree.children])
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +890,3 @@ def field_product(u: MatrixField, v: MatrixField) -> MatrixField:
     return MatrixField(u.spec, stacked(tuple_matmul(entries_of(u), entries_of(v))))
 
 
-def coefficient_tree(obj: dict) -> CoefficientTree:
-    """The tree that ``CoefficientTree.to_json`` wrote."""
-    if "leaf" in obj:
-        return CoefficientTree(leaf=CylinderFn.from_json(obj["leaf"]))
-    return CoefficientTree(children=tuple(coefficient_tree(c) for c in obj["children"]))

@@ -25,9 +25,10 @@ from wavelab.code_space import CylinderFn, IfsSpec, sup_distance
 from wavelab.examples_geometry import chaos_game, sierpinski_ifs
 from wavelab.ifs_filters import (
     FilterBank,
+    MatrixField,
+    apply_loop_group,
     build_indicator,
     build_roots_of_unity,
-    multires_reconstruct,
 )
 from wavelab.rkhs_kernels import FinitePointSet, contraction_check
 
@@ -151,7 +152,65 @@ def test_decompose_writes_a_tree_that_reconstructs(tmp_path, capsys):
     tree = oracle.coefficient_tree(jsonio.load_file(str(tree_path)))
     assert sum(1 for _ in tree.leaves()) == result["results"]["leaf_count"]
     bank = FilterBank.from_json(jsonio.load_file(str(bank_path)))
-    assert sup_distance(multires_reconstruct(bank, tree), fn) < 1e-13
+    assert sup_distance(oracle.multires_reconstruct(bank, tree), fn) < 1e-13
+
+
+def test_decompose_tree_file_equals_the_per_node_recursion(tmp_path, capsys):
+    """--out writes, byte for byte, the tree of the per-node recursion."""
+    rng = np.random.default_rng(7)
+    spec = IfsSpec(2, (0.25, 0.75))
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))  # a depth-2 diagonal unitary field
+    acted = apply_loop_group(build_indicator(spec), MatrixField(spec, np.stack([
+        np.stack([phase, 0 * phase]), np.stack([0 * phase, phase[::-1]]),
+    ])))  # depth 3, deeper than the function's nodes
+    cases = [(build_roots_of_unity(IfsSpec(3)), 2), (build_indicator(spec), 3), (acted, 2)]
+    for i, (bank, depth) in enumerate(cases):
+        fn = CylinderFn(bank.spec, depth, rng.normal(size=bank.spec.N**depth))
+        bank_path = write(tmp_path / f"bank{i}.json", bank.to_json())
+        fn_path = write(tmp_path / f"fn{i}.json", fn.to_json())
+        for mode in ("packet", "single"):
+            got, want = tmp_path / "got.json", str(tmp_path / "want.json")
+            argv = ["ifs", "decompose", "--bank", bank_path, "--fn", fn_path,
+                    "--levels", str(depth), "--mode", mode, "--out", str(got)]
+            assert run(argv) == 0
+            tree = oracle.multires_decompose(FilterBank.from_json(bank.to_json()), fn, depth, mode)
+            jsonio.dump_file(want, tree.to_json())
+            assert got.read_bytes() == Path(want).read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("levels", ["0", "1"])
+def test_decompose_rejects_a_function_over_another_system(tmp_path, capsys, levels):
+    pairs = [
+        (build_indicator(IfsSpec(3)), CylinderFn(IfsSpec(2), 2, [1.0, 2.0, 3.0, 4.0])),
+        (build_roots_of_unity(IfsSpec(2)), CylinderFn(IfsSpec(2, (0.25, 0.75)), 1, [1.0, 2.0])),
+    ]
+    for bank, fn in pairs:
+        bank_path = write(tmp_path / "bank.json", bank.to_json())
+        fn_path = write(tmp_path / "fn.json", fn.to_json())
+        argv = ["ifs", "decompose", "--bank", bank_path, "--fn", fn_path, "--levels", levels]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "function spec differs from bank spec" in captured.err
+
+
+def test_decompose_level_over_cell_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # an indicator bank written at depth 5: each node fits the cap of 100
+    # cells, but the Gram product of the second level, two nodes lifted to
+    # the bank's depth, holds 128
+    spec = IfsSpec(2)
+    deep = FilterBank(spec, np.repeat(build_indicator(spec).values, 16, axis=-1))
+    bank_path = write(tmp_path / "bank.json", deep.to_json())
+    fn_path = write(tmp_path / "fn.json", CylinderFn(spec, 5, np.arange(32.0)).to_json())
+    argv = ["ifs", "decompose", "--bank", bank_path, "--fn", fn_path, "--levels", "2"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "100")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wavelab: 128 cells exceed the cap of 100; set WAVELAB_MAX_CELLS to raise it\n"
 
 
 def test_connect_fails_on_banks_that_verify_but_do_not_connect_unitarily(tmp_path, capsys):

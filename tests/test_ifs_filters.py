@@ -5,6 +5,7 @@ import pytest
 
 import oracle
 from conftest import random_cylinder
+from wavelab import jsonio
 from wavelab.code_space import (
     CylinderFn,
     IfsSpec,
@@ -26,9 +27,11 @@ from wavelab.ifs_filters import (
     connecting_unitary,
     endomorphism_check,
     gram_schmidt_module,
+    leaf_energies,
     multires_decompose,
     multires_reconstruct,
     synthesis,
+    tree_json,
     verify_filter,
 )
 
@@ -212,20 +215,18 @@ def test_tail_array_counts_against_cell_cap(monkeypatch, spec2):
 def test_analysis_examples(spec2):
     ind = build_indicator(spec2)
     f = CylinderFn.indicator(spec2, [1])
-    parts = analysis(ind, f)
-    assert parts[0].depth == 0
-    assert parts[0].values[0] == pytest.approx(1 / np.sqrt(2))
-    assert parts[1].sup_norm() == 0
-    assert sup_distance(synthesis(ind, parts), f) < 1e-15
+    parts = analysis(ind, f.values[None])
+    assert parts.shape == (2, 1)  # one function, two subbands of depth 0
+    assert parts[0, 0] == pytest.approx(1 / np.sqrt(2))
+    assert np.all(parts[1] == 0)
+    assert np.max(np.abs(synthesis(ind, parts)[0] - f.values)) < 1e-15
 
     roots = build_roots_of_unity(spec2)
-    one = compose_sigma(CylinderFn.ones(spec2))
-    parts = analysis(roots, one)
-    assert parts[0].sup_norm() < 1e-15  # the constant rides on m_2 = 1
-    assert parts[1].values[0] == pytest.approx(1.0)
+    parts = analysis(roots, np.ones((1, 2)))
+    assert np.max(np.abs(parts[0])) < 1e-15  # the constant rides on m_2 = 1
+    assert parts[1, 0] == pytest.approx(1.0)
 
-    zero = 0.0 * f
-    assert all(p.sup_norm() == 0 for p in analysis(ind, zero))
+    assert np.all(analysis(ind, np.zeros((1, 2))) == 0)
 
 
 def test_roundtrip_random(rng, spec2, spec3):
@@ -233,55 +234,107 @@ def test_roundtrip_random(rng, spec2, spec3):
         for builder in (build_indicator, build_roots_of_unity):
             bank = builder(spec)
             f = random_cylinder(rng, spec, 3)
-            assert sup_distance(synthesis(bank, analysis(bank, f)), f) < 1e-13
+            back = synthesis(bank, analysis(bank, f.values[None]))
+            assert back.shape == (1, spec.N**3)
+            assert np.max(np.abs(back[0] - f.values)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
-# multiresolution trees
+# multiresolution: one array per level
 # ---------------------------------------------------------------------------
 
 def test_multires_level_zero(spec2, rng):
     bank = build_roots_of_unity(spec2)
     f = random_cylinder(rng, spec2, 2)
-    tree = multires_decompose(bank, f, 0)
-    assert tree.is_leaf and tree.leaf is f
+    for mode in ("packet", "single"):
+        (leaves,) = multires_decompose(bank, f, 0, mode)
+        assert np.array_equal(leaves, f.values[None])
+        assert np.array_equal(multires_reconstruct(bank, [leaves]).values, f.values)
 
 
 def test_multires_packet(spec2, rng):
     bank = build_roots_of_unity(spec2)
     f = random_cylinder(rng, spec2, 2)
-    tree = multires_decompose(bank, f, 2)
-    leaves = list(tree.leaves())
-    assert len(leaves) == 4 and all(l.depth == 0 for l in leaves)
-    assert sup_distance(multires_reconstruct(bank, tree), f) < 1e-13
-    energy = sum(integrate(l.abs2()).real for l in leaves)
+    (leaves,) = multires_decompose(bank, f, 2)
+    assert leaves.shape == (4, 1)  # four depth-0 leaves
+    assert sup_distance(multires_reconstruct(bank, [leaves]), f) < 1e-13
+    energy = sum(leaf_energies(spec2, [leaves]))
     assert energy == pytest.approx(integrate(f.abs2()).real, abs=1e-12)
 
 
 def test_multires_single_branch(spec3, rng):
     bank = build_indicator(spec3)
     f = random_cylinder(rng, spec3, 3)
-    tree = multires_decompose(bank, f, 3, mode="single")
+    leaves = multires_decompose(bank, f, 3, mode="single")
     # cascade on branch 1: 3 levels leave 2 details per level plus one core
-    assert len(list(tree.leaves())) == 2 * 3 + 1
-    assert sup_distance(multires_reconstruct(bank, tree), f) < 1e-13
+    assert [g.shape for g in leaves] == [(1, 1), (2, 1), (2, 3), (2, 9)]
+    assert sup_distance(multires_reconstruct(bank, leaves), f) < 1e-13
 
 
 def test_multires_levels_too_large(spec2, rng):
     bank = build_indicator(spec2)
     f = random_cylinder(rng, spec2, 1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="cannot run 2 levels"):
         multires_decompose(bank, f, 2)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="unknown mode"):
         multires_decompose(bank, f, 1, mode="wavelets")
+    with pytest.raises(InputError, match="levels must be"):
+        multires_decompose(bank, f, -1)
+
+
+def test_multires_checks_the_spec_before_the_first_level(spec2, rng):
+    bank = build_indicator(spec2)
+    other = random_cylinder(rng, IfsSpec(2, (0.25, 0.75)), 1)
+    for levels in (0, 1):
+        with pytest.raises(InputError, match="function spec differs from bank spec"):
+            multires_decompose(bank, other, levels)
 
 
 def test_tree_json_roundtrip(spec2, rng):
     bank = build_indicator(spec2)
     f = random_cylinder(rng, spec2, 2)
-    tree = multires_decompose(bank, f, 1)
-    back = oracle.coefficient_tree(tree.to_json())
-    assert sup_distance(multires_reconstruct(bank, back), f) < 1e-13
+    back = oracle.coefficient_tree(tree_json(spec2, multires_decompose(bank, f, 1)))
+    assert sup_distance(oracle.multires_reconstruct(bank, back), f) < 1e-13
+
+
+def _multires_cases():
+    """(bank, function, levels) over N = 2, 3, 4, uniform and nonuniform weights,
+    indicator, roots and acted banks, some deeper than the function."""
+    rng = np.random.default_rng(13)
+    for spec in ORACLE_SPECS:
+        banks = [build_indicator(spec)]
+        if spec.uniform:
+            banks.append(build_roots_of_unity(spec))
+        for field_depth in (1, 2):  # acted banks of depth 2 and 3
+            banks.append(apply_loop_group(banks[0], _random_unitary_field(rng, spec, field_depth)))
+        for bank in banks:
+            for fn_depth in (1, 4 if spec.N == 2 else 2):
+                f = random_cylinder(rng, spec, fn_depth)
+                for levels in range(fn_depth + 1):
+                    yield bank, f, levels
+
+
+def test_level_loop_equals_per_node_recursion():
+    """Leaves, reconstruction, leaf integrals and the tree JSON equal the
+    per-node recursion of tests/oracle.py bit for bit."""
+    cases = 0
+    for bank, f, levels in _multires_cases():
+        for mode in ("packet", "single"):
+            leaves = multires_decompose(bank, f, levels, mode)
+            tree = oracle.multires_decompose(bank, f, levels, mode)
+            want = list(tree.leaves())
+            got = [row for group in leaves for row in group]
+            assert len(got) == len(want)
+            for row, leaf in zip(got, want):
+                assert row.shape == leaf.values.shape and np.array_equal(row, leaf.values)
+            recon, want_recon = multires_reconstruct(bank, leaves), oracle.multires_reconstruct(bank, tree)
+            assert recon.depth == want_recon.depth
+            assert np.array_equal(recon.values, want_recon.values)
+            integrals = [integrate(leaf.abs2()).real for leaf in want]
+            assert np.array_equal(leaf_energies(bank.spec, leaves), integrals)
+            assert jsonio.dumps(tree_json(bank.spec, leaves)) == jsonio.dumps(tree.to_json())
+            cases += 1
+    assert cases > 100
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +509,11 @@ def test_array_forms_equal_tuple_oracle(spec, depth):
             u = _random_unitary_field(rng, spec, depth)
             want = oracle.stacked(oracle.tuple_apply(m, oracle.entries_of(u)))
             assert np.array_equal(apply_loop_group(bank, u).values, want)
-            parts = analysis(bank, f)
-            assert np.array_equal(oracle.stacked(parts), oracle.stacked(oracle.tuple_analysis(m, f)))
-            got, want = synthesis(bank, parts), oracle.tuple_synthesis(m, parts)
-            assert got.depth == want.depth and np.array_equal(got.values, want.values)
+            parts = analysis(bank, f.values[None])  # one function: a level of K = 1
+            assert np.array_equal(parts, oracle.stacked(oracle.tuple_analysis(m, f)))
+            subbands = [CylinderFn(spec, depth, part) for part in parts]
+            got, want = synthesis(bank, parts), oracle.tuple_synthesis(m, subbands)
+            assert got.shape == (1, spec.N**want.depth) and np.array_equal(got[0], want.values)
         target = apply_loop_group(verified, _random_unitary_field(rng, spec, depth))
         want = oracle.stacked(oracle.tuple_connecting(verified.filters, target.filters))
         assert np.array_equal(connecting_unitary(verified, target).values, want)
