@@ -3,7 +3,11 @@
 The cascade iteration phi <- sqrt(N) sum_k c_k phi(N x - k) is run on an
 integer-resolution grid, where N x - k lands exactly on grid points, so
 grid iterates coincide with the function-space iterates pointwise.  The
-seed is the unit box.
+seed is the unit box.  The iterates live in two grid-length buffers,
+phi and nxt: each step refines phi into nxt tap by tap from strided
+slices, overwrites phi with the difference for the sup-norm, and swaps
+the two, so a step allocates nothing.  The grid counts against the cell
+cap of code_space.
 
 The analysis/synthesis pipeline mirrors the circle operators in sequence
 space with periodic boundary: analysis correlates with the conjugate taps
@@ -21,6 +25,7 @@ import numpy as np
 
 from .errors import InputError, VerificationError
 from .circle_filters import LaurentPoly
+from .code_space import _check_cells
 
 TAP_SUM_TOL = 1e-12
 DIVERGENCE_RUN = 5
@@ -55,8 +60,15 @@ class ScalingProfile:
         return self.sup_diffs[-1] if self.sup_diffs else float("nan")
 
 
-def _refine(values: np.ndarray, out_len: int, taps: np.ndarray, n: int, res: int) -> np.ndarray:
-    out = np.zeros(out_len, dtype=complex)
+def _refine(
+    values: np.ndarray, taps: np.ndarray, n: int, res: int, out: np.ndarray, tmp: np.ndarray
+) -> None:
+    """Fill out[i] with sqrt(N) sum_k c_k values[N i - k res], one tap at a time.
+
+    Each tap scales a strided slice of values into the front of tmp (as
+    long as out) and adds it into out, so a step allocates nothing.
+    """
+    out[:] = 0
     scale = np.sqrt(n)
     m = values.shape[0]
     for k, c in enumerate(taps):
@@ -64,12 +76,14 @@ def _refine(values: np.ndarray, out_len: int, taps: np.ndarray, n: int, res: int
             continue
         shift = k * res
         i_min = -(-shift // n)  # ceil(shift / n)
-        i_max = min(out_len - 1, (m - 1 + shift) // n)
+        i_max = min(out.shape[0] - 1, (m - 1 + shift) // n)
         if i_min > i_max:
             continue
-        src = np.arange(i_min, i_max + 1) * n - shift
-        out[i_min : i_max + 1] += scale * c * values[src]
-    return out
+        count, start = i_max - i_min + 1, i_min * n - shift
+        step = values[start : start + (count - 1) * n + 1 : n]
+        # scalar first: with FMA, a complex product's rounding depends on operand order
+        np.multiply(scale * c, step, out=tmp[:count])
+        out[i_min : i_max + 1] += tmp[:count]
 
 
 def _tail_bound(d: Sequence[float]) -> float:
@@ -118,17 +132,19 @@ def cascade(
             f"taps must sum to sqrt({n}) = {np.sqrt(n):.15g}, got {tap_sum:.15g}"
         )
     out_len = (taps.shape[0] - 1) * resolution // (n - 1) + 1
+    _check_cells(out_len)
     phi = np.zeros(out_len, dtype=complex)
     phi[: min(resolution, out_len)] = 1.0  # unit box on [0, 1)
+    nxt, tmp, gap = np.empty_like(phi), np.empty_like(phi), np.empty(out_len)
 
     sup_diffs: list[float] = []
     growing = 0
     diverged = False
     for _ in range(iterations):
-        nxt = _refine(phi, out_len, taps, n, resolution)
-        diff = float(np.max(np.abs(nxt - phi)))
+        _refine(phi, taps, n, resolution, nxt, tmp)
+        diff = float(np.max(np.abs(np.subtract(nxt, phi, out=phi), out=gap)))
         sup_diffs.append(diff)
-        phi = nxt
+        phi, nxt = nxt, phi
         if diff == 0.0:
             break
         if len(sup_diffs) > 1 and diff > sup_diffs[-2]:
@@ -160,7 +176,10 @@ def wavelet_detail(profile: ScalingProfile, detail_taps: Sequence[complex]) -> n
     n = profile.dilation
     res = profile.resolution
     out_len = ((d.shape[0] - 1) * res + profile.samples.shape[0] - 1) // n + 1
-    return _refine(profile.samples, out_len, d, n, res)
+    _check_cells(out_len)
+    psi = np.empty(out_len, dtype=complex)
+    _refine(profile.samples, d, n, res, psi, np.empty_like(psi))
+    return psi
 
 
 def fourier_product(m0: LaurentPoly, t: float, terms: int) -> tuple[complex, float]:

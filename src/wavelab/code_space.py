@@ -20,9 +20,11 @@ identity below is exact up to float rounding at any finite depth:
 
 Depth bookkeeping: compose_sigma raises depth by one, adjoint_sigma
 lowers it by one, and products lift both operands to the larger depth.
-Raising depth allocates N**L cells; the cap (default 2**24, overridable
-through the WAVELAB_MAX_CELLS environment variable) guards against
-accidental blowup.
+A lift inside a product is a broadcast view, not a copy: the shallower
+operand enters as an (N**shallow, 1) column.  The cap on cells (default
+2**24, overridable through the WAVELAB_MAX_CELLS environment variable)
+counts the N**L cells of the product, and of every function that
+raising depth makes, against accidental blowup.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ class CylinderFn:
     def _binary(self, other, op):
         if isinstance(other, CylinderFn):
             a, b, depth = _align(self, other)
-            return _new(self.spec, depth, op(a, b))
+            return _new(self.spec, depth, op(a, b).reshape(-1))
         return _new(self.spec, self.depth, op(self.values, complex(other)))
 
     def __add__(self, other):
@@ -258,9 +260,16 @@ def _require_same_spec(f: CylinderFn, g: CylinderFn) -> None:
 
 
 def _align(f: CylinderFn, g: CylinderFn) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both operands as (N**shallow, -1) views and the deeper depth.
+
+    The shallower one is (N**shallow, 1), so it broadcasts as its lift
+    would; a product of unequal depths checks its N**depth cells."""
     _require_same_spec(f, g)
-    depth = max(f.depth, g.depth)
-    return _lift_values(f, depth), _lift_values(g, depth), depth
+    shallow, depth = sorted((f.depth, g.depth))
+    if shallow != depth:
+        _check_cells(f.spec.N**depth)
+    rows = f.spec.N**shallow
+    return f.values.reshape(rows, -1), g.values.reshape(rows, -1), depth
 
 
 def _lift_values(f: CylinderFn, depth: int) -> np.ndarray:
@@ -290,7 +299,7 @@ def integrate(f: CylinderFn) -> complex:
 def multiply(f: CylinderFn, g: CylinderFn) -> CylinderFn:
     """Pointwise product at the common lifted depth."""
     a, b, depth = _align(f, g)
-    return _new(f.spec, depth, a * b)
+    return _new(f.spec, depth, (a * b).reshape(-1))
 
 
 def sup_distance(f: CylinderFn, g: CylinderFn) -> float:

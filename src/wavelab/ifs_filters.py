@@ -204,12 +204,22 @@ def _gram(spec: IfsSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _act(bank: FilterBank, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Depth and values of sum_j m_j (x_jk o sigma), in bank order, for x of shape (N, K, N**D)."""
-    n = bank.spec.N
+    """Depth and values of sum_j m_j (x_jk o sigma), in bank order, for x of shape (N, K, N**D).
+
+    Each filter enters its product as an (N**L, 1) column, a broadcast
+    view of its lift; the K functions made count against the cell cap."""
+    n, k = bank.spec.N, x.shape[1]
     depth = max(bank.depth, round(math.log(x.shape[-1], n)) + 1)
-    _check_cells(n**depth)
-    m = _lift(bank.values, n, depth)[:, None]
-    return depth, (m * _lift(np.tile(x, n), n, depth)).sum(axis=0)
+    _check_cells(k * n**depth)
+    shape = (k, n**bank.depth, -1)
+    terms = (
+        m_j[:, None] * _lift(np.tile(x_j, n), n, depth).reshape(shape)
+        for m_j, x_j in zip(bank.values, x)
+    )
+    acc = next(terms)
+    for term in terms:
+        acc += term
+    return depth, acc.reshape(k, -1)
 
 
 def _tail_residual(bank: FilterBank, depth: int, f: CylinderFn | None = None) -> float:
@@ -267,7 +277,6 @@ def synthesis(bank: FilterBank, level: np.ndarray) -> np.ndarray:
     the cell cap together.
     """
     n = bank.spec.N
-    _check_cells(len(level) // n * max(n**bank.depth, n * level.shape[-1]))
     return _act(bank, level.reshape(-1, n, level.shape[-1]).transpose(1, 0, 2))[1]
 
 

@@ -15,11 +15,14 @@ tree of cylinder functions is the former multiresolution code, kept as
 the judge of the one-array-per-level loop.  At the end, the
 chaos-game loop and the row-by-row ``csv`` reader and writer are the
 package's former code, kept as the judge of the prefix scan and of the
-one-call CSV reader and writer.  Last, the power iteration and the
+one-call CSV reader and writer.  Then the power iteration and the
 order-by-order dilation residual are the package's former path-space
 code, kept as the judge of the direct Perron solve and of the one-walk
-dilation residuals.  The final section holds the input builders and
-judges that only the tests use, moved out of the package.
+dilation residuals, and the gather-based cascade and the np.repeat
+lifting product are the package's former kernels, kept as the bit-for-bit
+judge of the in-place cascade and of the broadcast products.  The final
+section holds the input builders and judges that only the tests use,
+moved out of the package.
 """
 
 import csv
@@ -39,6 +42,7 @@ from wavelab.ifs_filters import FilterBank, MatrixField, analysis, synthesis
 from wavelab.rkhs_kernels import FinitePointSet, KernelMatrix
 from wavelab.solenoid import MomentSpec, PathCylinderFn, harmonic_for, moment, pairing, weighted_shift
 from wavelab.examples_geometry import CHAOS_BURN_IN
+from wavelab.classic_mra import DIVERGENCE_RUN
 
 
 def words(n: int, length: int):
@@ -746,6 +750,65 @@ def discrete_cuntz_residual(values, sigma) -> float:
         for j, t in enumerate(t_mats)
     ]
     return float(np.max(gaps))  # NaN propagates
+
+
+# ---------------------------------------------------------------------------
+# the cascade and cylinder products with full-length temporaries: an index
+# gather and a fresh array per tap and step, an np.repeat copy per lift
+# ---------------------------------------------------------------------------
+
+
+def refine_gather(values: np.ndarray, out_len: int, taps, n: int, res: int) -> np.ndarray:
+    out = np.zeros(out_len, dtype=complex)
+    scale = np.sqrt(n)
+    m = values.shape[0]
+    for k, c in enumerate(taps):
+        if c == 0:
+            continue
+        shift = k * res
+        i_min = -(-shift // n)  # ceil(shift / n)
+        i_max = min(out_len - 1, (m - 1 + shift) // n)
+        if i_min > i_max:
+            continue
+        src = np.arange(i_min, i_max + 1) * n - shift
+        out[i_min : i_max + 1] += scale * c * values[src]
+    return out
+
+
+def cascade_gather(taps, n: int, iterations: int, res: int) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Samples and sup-differences of the box-seeded cascade, with its stopping rules."""
+    taps = np.asarray(taps, dtype=complex)
+    out_len = (taps.shape[0] - 1) * res // (n - 1) + 1
+    phi = np.zeros(out_len, dtype=complex)
+    phi[: min(res, out_len)] = 1.0
+    diffs: list[float] = []
+    growing = 0
+    for _ in range(iterations):
+        nxt = refine_gather(phi, out_len, taps, n, res)
+        diffs.append(float(np.max(np.abs(nxt - phi))))
+        phi = nxt
+        if diffs[-1] == 0.0:
+            break
+        growing = growing + 1 if len(diffs) > 1 and diffs[-1] > diffs[-2] else 0
+        if growing >= DIVERGENCE_RUN:
+            break
+    return phi, tuple(diffs)
+
+
+def detail_gather(phi: np.ndarray, detail_taps, n: int, res: int) -> np.ndarray:
+    out_len = ((len(detail_taps) - 1) * res + phi.shape[0] - 1) // n + 1
+    return refine_gather(phi, out_len, np.asarray(detail_taps, dtype=complex), n, res)
+
+
+def repeat_binary(f: CylinderFn, g: CylinderFn, op) -> np.ndarray:
+    """op on both operands copied by np.repeat to the deeper depth."""
+    depth = max(f.depth, g.depth)
+    return op(*(np.repeat(x.values, x.spec.N ** (depth - x.depth)) for x in (f, g)))
+
+
+def bits(a) -> np.ndarray:
+    """The int64 words of float or complex values: signed zeros and NaN payloads count."""
+    return np.ascontiguousarray(np.asarray(a)).view(np.int64)
 
 
 # ---------------------------------------------------------------------------

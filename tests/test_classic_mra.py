@@ -73,11 +73,13 @@ def test_cascade_rejects_bad_tap_sum():
         cascade([1.0, 0.0], 2, 5, 64)
 
 
+# valid sum but wildly non-contractive mask: sup-differences blow up
+DIVERGING_TAPS = np.array([4.0, -6.0, 4.0, -0.5857864376269049])
+DIVERGING_TAPS = DIVERGING_TAPS / DIVERGING_TAPS.sum() * np.sqrt(2)
+
+
 def test_cascade_flags_divergence():
-    # valid sum but wildly non-contractive mask: sup-differences blow up
-    taps = np.array([4.0, -6.0, 4.0, -0.5857864376269049])
-    taps = taps / taps.sum() * np.sqrt(2)
-    profile = cascade(taps, 2, 60, 128)
+    profile = cascade(DIVERGING_TAPS, 2, 60, 128)
     assert profile.diverged and not profile.converged
 
 
@@ -115,6 +117,51 @@ def test_box_seed_floor_on_sup_diffs():
     assert profile.samples[0].real == pytest.approx(a**20, rel=1e-12)
     for j, diff in enumerate(profile.sup_diffs, start=1):
         assert diff >= a ** (j - 1) * (1 - a) * (1 - 1e-12)
+
+
+def _complex_taps_n3():
+    rng = np.random.default_rng(7)
+    c = rng.normal(size=5) + 1j * rng.normal(size=5)
+    return c + (np.sqrt(3) - c.sum()) / 5
+
+
+# D4; Haar, which stops at an exact fixed point; complex taps with N = 3;
+# a diverging mask
+REFINE_CASES = [
+    (d4_taps(), 2, 30, 64),
+    (haar_taps(), 2, 20, 64),
+    (_complex_taps_n3(), 3, 12, 27),
+    (DIVERGING_TAPS, 2, 60, 128),
+]
+
+
+@pytest.mark.parametrize("taps, n, iters, res", REFINE_CASES)
+def test_in_place_cascade_matches_the_gather_kernel_bit_for_bit(taps, n, iters, res):
+    profile = cascade(taps, n, iters, res, tol=0.0)
+    samples, diffs = oracle.cascade_gather(taps, n, iters, res)
+    assert np.array_equal(oracle.bits(profile.samples), oracle.bits(samples))
+    assert np.array_equal(oracle.bits(profile.sup_diffs), oracle.bits(diffs))
+    detail = detail_taps(taps)
+    psi = oracle.detail_gather(samples, detail, n, res)
+    assert np.array_equal(oracle.bits(wavelet_detail(profile, detail)), oracle.bits(psi))
+
+
+def test_refine_cases_cover_early_stop_and_divergence():
+    haar, diverging = (cascade(*case) for case in REFINE_CASES[1::2])
+    assert haar.iterations == 1 and haar.sup_diffs == (0.0,)
+    assert diverging.diverged and diverging.iterations < 60
+
+
+def test_cascade_and_detail_grids_count_against_the_cap(monkeypatch):
+    # D4 at resolution 64 samples 3 * 64 + 1 = 193 points, as does its detail
+    profile = cascade(d4_taps(), 2, 3, 64)
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "192")
+    with pytest.raises(InputError, match="193 cells exceed the cap of 192"):
+        cascade(d4_taps(), 2, 3, 64)
+    with pytest.raises(InputError, match="193 cells exceed the cap of 192"):
+        wavelet_detail(profile, detail_taps(d4_taps()))
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "193")
+    assert wavelet_detail(cascade(d4_taps(), 2, 3, 64), detail_taps(d4_taps())).shape == (193,)
 
 
 # ---------------------------------------------------------------------------

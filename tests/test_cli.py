@@ -213,6 +213,29 @@ def test_decompose_level_over_cell_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.err == "wavelab: 128 cells exceed the cap of 100; set WAVELAB_MAX_CELLS to raise it\n"
 
 
+def test_apply_unitary_counts_every_recombined_filter_against_the_cap(tmp_path, capsys, monkeypatch):
+    # a depth-5 identity field makes two depth-6 filters: 2 * 64 = 128 cells,
+    # though each filter alone fits a cap of 64
+    spec = IfsSpec(2)
+    bank_path = write(tmp_path / "bank.json", build_indicator(spec).to_json())
+    field = MatrixField(spec, np.repeat(np.eye(2)[:, :, None], 32, axis=-1))
+    field_path = write(tmp_path / "field.json", field.to_json())
+    argv = ["ifs", "apply-unitary", "--bank", bank_path, "--unitary", field_path]
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "64")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wavelab: 128 cells exceed the cap of 64; set WAVELAB_MAX_CELLS to raise it\n"
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "128")
+    out = apply_loop_group(build_indicator(spec), field)
+    assert np.array_equal(out.values, np.repeat(build_indicator(spec).values, 32, axis=-1))
+    # verifying the image takes the N**(L+2) = 256 cells of its Gram product
+    assert run(argv) == 2 and "256 cells exceed the cap of 128" in capsys.readouterr().err
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "256")
+    code, result = run_json(capsys, argv)
+    assert code == 0 and result["pass"] is True
+
+
 def test_connect_fails_on_banks_that_verify_but_do_not_connect_unitarily(tmp_path, capsys):
     # both banks pass verification at 1e-10; scaling one by 1 + 1e-11 leaves
     # the connecting field that far from unitary, over its 1e-13 bound
@@ -445,6 +468,17 @@ def test_mra_cascade_rejects_bad_taps(tmp_path, capsys):
                  "--resolution", "64"],
     )
     assert code == 1 and result["pass"] is False
+
+
+def test_mra_cascade_grid_over_cell_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # D4 at resolution 4096 samples 3 * 4096 + 1 = 12289 points
+    taps = write(tmp_path / "d4.json", {"taps": jsonio.encode_cvector(d4_taps())})
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "1000")
+    for command in ("cascade", "wavelet"):
+        assert run(["mra", command, "--taps", taps, "--iters", "5", "--resolution", "4096"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "wavelab: 12289 cells exceed the cap of 1000; set WAVELAB_MAX_CELLS to raise it\n"
 
 
 def test_mra_filterbank(tmp_path, capsys):
@@ -1149,6 +1183,18 @@ def test_dilation_orders_must_be_json_integers(tmp_path, capsys, key, bad):
     path = _path_file(tmp_path, [1.0, 2.0], **{key: [0, bad] if key == "orders" else bad})
     code = run(["solenoid", "dilation", "--file", path])
     assert code == 2 and "order must be an integer" in capsys.readouterr().err
+
+
+def test_solenoid_dilation_over_cell_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # order 5 walks f (depth 1) to depth 6: 64 cells
+    argv = ["solenoid", "dilation", "--file", _path_file(tmp_path, [0.5, -1.0], orders=[-2, 0, 5])]
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "63")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wavelab: 64 cells exceed the cap of 63; set WAVELAB_MAX_CELLS to raise it\n"
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "64")
+    assert run(argv) == 0
 
 
 def _perron_normalised(rng, spec, depth):

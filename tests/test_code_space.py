@@ -104,6 +104,56 @@ def test_multiply_matches_oracle(rng, spec2):
     assert got.depth == 3
 
 
+BINARY_OPS = {
+    "+": (lambda f, g: f + g, lambda a, b: a + b),
+    "-": (lambda f, g: f - g, lambda a, b: a - b),
+    "*": (lambda f, g: f * g, lambda a, b: a * b),
+    "/": (lambda f, g: f / g, lambda a, b: a / b),
+    "rsub": (lambda f, g: f.__rsub__(g), lambda a, b: b - a),
+    "multiply": (lambda f, g: multiply(f, g), lambda a, b: a * b),
+}
+
+
+@pytest.mark.parametrize("name", BINARY_OPS)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_broadcast_products_match_repeat_lifts_bit_for_bit(name, n):
+    # mixed depths either way round, with a signed zero, a zero divisor and a NaN
+    rng = np.random.default_rng(100 * n + len(name))
+    spec = IfsSpec(n)
+    op, on_arrays = BINARY_OPS[name]
+    for da, db in [(0, 2), (2, 0), (1, 3), (3, 1), (2, 2)]:
+        a, b = random_cylinder(rng, spec, da).values.copy(), random_cylinder(rng, spec, db).values.copy()
+        a[0], b[-1], a[-1] = -0.0, 0.0, complex(np.nan, 1.0)
+        f, g = CylinderFn(spec, da, a), CylinderFn(spec, db, b)
+        with np.errstate(all="ignore"):
+            got = op(f, g)
+            want = oracle.repeat_binary(f, g, on_arrays)
+        assert got.depth == max(da, db)
+        assert np.array_equal(oracle.bits(got.values), oracle.bits(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sup_distance_matches_repeat_lifts(n):
+    rng = np.random.default_rng(n)
+    spec = IfsSpec(n)
+    for da, db in [(0, 3), (3, 1), (2, 2)]:
+        f, g = random_cylinder(rng, spec, da), random_cylinder(rng, spec, db)
+        want = float(np.max(np.abs(oracle.repeat_binary(f, g, lambda a, b: a - b))))
+        assert oracle.bits(sup_distance(f, g)) == oracle.bits(want)
+
+
+def test_broadcast_product_checks_the_cap(monkeypatch, spec2):
+    # a depth-0 times a depth-6 function: the lift is a broadcast view, but
+    # the product's 64 cells count against the cap
+    one, f = CylinderFn.ones(spec2), CylinderFn(spec2, 6, np.arange(64.0))
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "63")
+    message = "^64 cells exceed the cap of 63; set WAVELAB_MAX_CELLS to raise it$"
+    with pytest.raises(InputError, match=message):
+        multiply(one, f)
+    with pytest.raises(InputError, match=message):
+        f * one
+
+
 def test_spec_mismatch_rejected(spec2, spec_weighted):
     with pytest.raises(InputError, match="different systems"):
         multiply(CylinderFn.ones(spec2), CylinderFn.ones(spec_weighted))
