@@ -10,9 +10,18 @@ Subpackages by theme:
 - ``rkhs_kernels``: positive-definite kernel conditions on finite point sets
 - ``examples_geometry``: logistic-map quadrature and affine fractal sampling
 - ``cli``: the ``wavelab`` command-line front end
-"""
 
-from .code_space import CylinderFn, IfsSpec, Word
+The names in ``__all__`` come from ``code_space``, which is imported on
+their first use, so that ``import wavelab.cli`` does not run it.
+"""
 
 __all__ = ["CylinderFn", "IfsSpec", "Word"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        from . import code_space
+
+        return getattr(code_space, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

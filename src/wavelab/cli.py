@@ -21,15 +21,21 @@ A command is one entry of ``COMMANDS``: its options and a compute function
 from the parsed arguments to ``(payload, passed)`` that reads each input
 file through ``_load``.  ``run`` parses, computes, picks the exit code and
 writes the result line.
+
+A command runs only the modules of its own group: the domain modules are
+bound lazily (``_lazy``), so importing the CLI, ``--help`` and parsing run
+none of them, and each one's code runs when a command first uses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import math
 import sys
 import time
+import types
 import warnings
 from typing import Any, Callable
 
@@ -37,13 +43,33 @@ import numpy as np
 
 from . import jsonio
 from .errors import InputError, VerificationError
-from .code_space import CylinderFn, IfsSpec, integrate, sup_distance
-from . import circle_filters as circ
-from . import classic_mra as mra
-from . import examples_geometry as geo
-from . import ifs_filters as ifsf
-from . import rkhs_kernels as rkhs
-from . import solenoid as sol
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """The module ``wavelab.<name>``, whose code runs on its first attribute access.
+
+    A module already imported is returned as it is: a second module object
+    would hold a second copy of each of its classes.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)  # as an import binds a submodule
+    return module
+
+
+cs = _lazy("code_space")
+circ = _lazy("circle_filters")
+mra = _lazy("classic_mra")
+geo = _lazy("examples_geometry")
+ifsf = _lazy("ifs_filters")
+rkhs = _lazy("rkhs_kernels")
+sol = _lazy("solenoid")
 
 # malformed input files, bad options and sizes over the cell cap: exit 2
 _USAGE_ERRORS = (InputError, OSError)
@@ -132,7 +158,7 @@ def _filterbank_spec(obj) -> dict:
     }
 
 
-def _matrix_field(obj, spec: IfsSpec) -> ifsf.MatrixField:
+def _matrix_field(obj, spec: cs.IfsSpec) -> ifsf.MatrixField:
     if isinstance(obj, dict) and "matrix" in obj:
         return ifsf.MatrixField.from_matrix(spec, jsonio.decode_cmatrix(obj["matrix"]))
     return ifsf.MatrixField.from_json(obj)
@@ -161,11 +187,11 @@ def _kernel(obj, size: int) -> rkhs.KernelMatrix:
     return kernel
 
 
-def _path_triple(obj) -> tuple[CylinderFn, CylinderFn, CylinderFn]:
-    return tuple(CylinderFn.from_json(obj[key]) for key in ("m", "f", "g"))
+def _path_triple(obj) -> tuple[cs.CylinderFn, cs.CylinderFn, cs.CylinderFn]:
+    return tuple(cs.CylinderFn.from_json(obj[key]) for key in ("m", "f", "g"))
 
 
-def _dilation_file(obj) -> tuple[tuple[CylinderFn, ...], dict[str, int]]:
+def _dilation_file(obj) -> tuple[tuple[cs.CylinderFn, ...], dict[str, int]]:
     """(m, f, g) and residual name -> order, from "orders", else "n", else order 1."""
     orders = obj.get("orders", [obj.get("n", 1)])
     return _path_triple(obj), {f"order_{n}": jsonio.decode_int(n, "order") for n in orders}
@@ -183,11 +209,12 @@ def _weights(text: str) -> tuple[float, ...]:
     return tuple(_finite_float(w) for w in text.split(",")) if text else ()
 
 
-_BUILDERS = {"indicator": ifsf.build_indicator, "roots": ifsf.build_roots_of_unity}
+# builder names, looked up in ifs_filters when a bank is built
+_BUILDERS = {"indicator": "build_indicator", "roots": "build_roots_of_unity"}
 
 
 def _ifs_build(args) -> tuple[dict, bool]:
-    bank = _BUILDERS[args.kind](IfsSpec(args.N, args.weights or ()))
+    bank = getattr(ifsf, _BUILDERS[args.kind])(cs.IfsSpec(args.N, args.weights or ()))
     report = ifsf.verify_filter(bank, probe_depth=args.depth, tol=args.tol)
     if args.out:
         jsonio.dump_file(args.out, bank.to_json())
@@ -237,11 +264,11 @@ def _ifs_apply(args) -> tuple[dict, bool]:
 
 def _ifs_decompose(args) -> tuple[dict, bool]:
     bank = _load(args.bank, ifsf.FilterBank.from_json)
-    fn = _load(args.fn, CylinderFn.from_json)
+    fn = _load(args.fn, cs.CylinderFn.from_json)
     leaves = ifsf.multires_decompose(bank, fn, args.levels, mode=args.mode)
     recon = ifsf.multires_reconstruct(bank, leaves)
-    roundtrip = sup_distance(recon, fn)
-    energy_in = integrate(fn.abs2()).real
+    roundtrip = cs.sup_distance(recon, fn)
+    energy_in = cs.integrate(fn.abs2()).real
     energy_leaves = sum(ifsf.leaf_energies(bank.spec, leaves))
     if args.out:
         jsonio.dump_file(args.out, ifsf.tree_json(bank.spec, leaves))
@@ -263,7 +290,7 @@ def _ifs_decompose(args) -> tuple[dict, bool]:
 
 def _ifs_endo(args) -> tuple[dict, bool]:
     bank = _load(args.bank, ifsf.FilterBank.from_json)
-    fn = _load(args.fn, CylinderFn.from_json)
+    fn = _load(args.fn, cs.CylinderFn.from_json)
     resid = ifsf.endomorphism_check(bank, fn, probe_depth=args.depth)
     return {
         "residuals": {"endomorphism": resid},

@@ -43,6 +43,7 @@ from .code_space import (
     conditional_expectation,
     integrate,
     multiply,
+    _Fresh,
     _check_cells,
     _lift_values,
 )
@@ -65,7 +66,8 @@ def _lift(values: np.ndarray, n: int, depth: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _FunctionArray:
     """Cylinder functions of one depth, stored read-only with shape
-    (N,) * AXES + (N**depth,)."""
+    (N,) * AXES + (N**depth,).  An array handed in is copied and frozen; an
+    operation's own, wrapped in ``_Fresh``, is frozen without a copy."""
 
     spec: IfsSpec
     values: np.ndarray
@@ -73,7 +75,10 @@ class _FunctionArray:
 
     def __post_init__(self):
         n = self.spec.N
-        vals = np.array(self.values, dtype=np.complex128)
+        if isinstance(self.values, _Fresh):
+            vals = self.values[0]
+        else:
+            vals = np.array(self.values, dtype=np.complex128)
         size = vals.shape[-1] if vals.ndim else 0
         if size < 1 or vals.shape != (n,) * self.AXES + (n ** round(math.log(size, n)),):
             raise InputError(f"expected shape {(n,) * self.AXES} + (N**depth,), got {vals.shape}")
@@ -206,20 +211,25 @@ def _gram(spec: IfsSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _act(bank: FilterBank, x: np.ndarray) -> tuple[int, np.ndarray]:
     """Depth and values of sum_j m_j (x_jk o sigma), in bank order, for x of shape (N, K, N**D).
 
-    Each filter enters its product as an (N**L, 1) column, a broadcast
-    view of its lift; the K functions made count against the cell cap."""
-    n, k = bank.spec.N, x.shape[1]
-    depth = max(bank.depth, round(math.log(x.shape[-1], n)) + 1)
+    Each term is made in one reused array: x_jk o sigma is copied in from a
+    broadcast view of x_jk, then multiplied in place by m_j, an
+    (N, N**(L-1), 1) broadcast view over the symbols past the filter's
+    depth.  The K functions made count against the cell cap."""
+    n, k, width = bank.spec.N, x.shape[1], x.shape[-1]
+    depth = max(bank.depth, round(math.log(width, n)) + 1)
     _check_cells(k * n**depth)
-    shape = (k, n**bank.depth, -1)
-    terms = (
-        m_j[:, None] * _lift(np.tile(x_j, n), n, depth).reshape(shape)
-        for m_j, x_j in zip(bank.values, x)
-    )
-    acc = next(terms)
-    for term in terms:
-        acc += term
-    return depth, acc.reshape(k, -1)
+    m = bank._by_symbol(max(bank.depth, 1))[..., None]
+    acc = np.empty((k, n**depth), dtype=np.complex128)
+    term = np.empty_like(acc)
+    for j, (m_j, x_j) in enumerate(zip(m, x)):
+        out = term if j else acc
+        # a word is (first symbol, tail of depth D, rest); x_jk o sigma reads the tail
+        np.copyto(out.reshape(k, n, width, -1), x_j[:, None, :, None])
+        by_filter = out.reshape((k,) + m_j.shape[:2] + (-1,))
+        np.multiply(m_j, by_filter, out=by_filter)
+        if j:
+            acc += term
+    return depth, acc
 
 
 def _tail_residual(bank: FilterBank, depth: int, f: CylinderFn | None = None) -> float:
@@ -425,7 +435,7 @@ def apply_loop_group(bank: FilterBank, field: MatrixField) -> FilterBank:
         raise InputError("field spec differs from bank spec")
     if not np.all(np.isfinite(field.values)):
         raise InputError("matrix field entries must be finite")
-    return FilterBank(bank.spec, _act(bank, field.values)[1])
+    return FilterBank(bank.spec, _Fresh((_act(bank, field.values)[1],)))
 
 
 def endomorphism_check(bank: FilterBank, f: CylinderFn, probe_depth: int = 2) -> float:

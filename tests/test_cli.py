@@ -1090,6 +1090,94 @@ def test_parser_is_built_once_and_not_at_import():
     assert proc.returncode == 0, proc.stderr
 
 
+# a fresh interpreter runs argv (or only imports the CLI when there is none)
+# and prints the wavelab modules whose code has run: a module that is bound
+# lazily but never used is still a LazyLoader module
+_RAN_PROBE = (
+    "import contextlib, io, json, sys, types\n"
+    "from wavelab import cli\n"
+    "argv = json.loads(sys.argv[1])\n"
+    "if argv is not None:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = cli.run(argv)\n"
+    "    assert code == 0, code\n"
+    "print(json.dumps(sorted(name for name, module in sys.modules.items()\n"
+    "                        if name.startswith('wavelab.') and type(module) is types.ModuleType)))\n"
+)
+_ALWAYS_RUN = {"cli", "errors", "jsonio"}
+
+
+def _modules_run(argv) -> set[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _RAN_PROBE, json.dumps(argv)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {name.removeprefix("wavelab.") for name in json.loads(proc.stdout)}
+
+
+@pytest.mark.parametrize(
+    "argv", [None, ["--help"], ["circle", "--help"]], ids=["import", "help", "group-help"]
+)
+def test_import_and_help_run_no_domain_module(argv):
+    assert _modules_run(argv) == _ALWAYS_RUN
+
+
+def test_each_group_runs_only_its_own_modules(tmp_path):
+    haar = write(tmp_path / "haar.json", {"filters": [m.to_json() for m in oracle.haar_pair()]})
+    taps = write(tmp_path / "taps.json", {"taps": jsonio.encode_cvector(haar_taps())})
+    pset = oracle.squaring_chain(0.9 * np.exp(0.7j), 12)
+    points = write(tmp_path / "p.json", oracle.point_set_json(pset))
+    filters = write(
+        tmp_path / "m.json",
+        {"filters": [jsonio.encode_cvector(np.ones(12)), jsonio.encode_cvector(pset.points)]},
+    )
+    launches = {
+        ("ifs", "build-filter", "--kind", "indicator", "--N", "2"): {"code_space", "ifs_filters"},
+        ("circle", "verify", "--filters", haar, "--N", "2"): {"circle_filters"},
+        ("mra", "cascade", "--taps", taps, "--iters", "5", "--resolution", "64"):
+            {"classic_mra", "circle_filters", "code_space"},
+        ("solenoid", "axioms", "--file", _path_file(tmp_path, [1.0, -1.0])):
+            {"code_space", "solenoid"},
+        ("rkhs", "product-kernel", "--points", points, "--filters", filters): {"rkhs_kernels"},
+        ("examples", "logistic", "--degree", "2", "--nodes", "4"): {"examples_geometry"},
+    }
+    assert {cmd[0] for cmd in launches} == set(cli.COMMANDS)
+    for argv, own in launches.items():
+        assert _modules_run(list(argv)) == _ALWAYS_RUN | own, argv
+
+
+def test_package_names_load_code_space_on_use():
+    probe = (
+        "import sys, types\n"
+        "import wavelab.cli\n"
+        "assert type(sys.modules['wavelab.code_space']) is not types.ModuleType\n"
+        "from wavelab import CylinderFn, IfsSpec, Word\n"
+        "cs = wavelab.code_space\n"
+        "assert (CylinderFn, IfsSpec, Word) == (cs.CylinderFn, cs.IfsSpec, cs.Word)\n"
+        "assert wavelab.__all__ == ['CylinderFn', 'IfsSpec', 'Word']\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_module_imported_before_the_cli_is_reused(tmp_path):
+    """A second code_space module would make a second IfsSpec class, unequal to the first."""
+    bank = tmp_path / "bank.json"
+    probe = (
+        "import sys\n"
+        "import wavelab.code_space as first\n"
+        "from wavelab import cli\n"
+        f"assert cli.run(['ifs', 'build-filter', '--kind', 'indicator', '--N', '2', '--out', {str(bank)!r}]) == 0\n"
+        f"assert cli.run(['ifs', 'verify-filter', '--bank', {str(bank)!r}]) == 0\n"
+        "assert sys.modules['wavelab.code_space'] is first and cli.cs is first\n"
+        "from wavelab import ifs_filters, jsonio\n"
+        f"loaded = ifs_filters.FilterBank.from_json(jsonio.load_file({str(bank)!r}))\n"
+        "assert loaded.spec == first.IfsSpec(2)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _docstring_listing() -> dict[str, set[str]]:
     block = cli.__doc__.split("per module:\n\n", 1)[1].split("\n\n", 1)[0]
     listing: dict[str, set[str]] = {}

@@ -426,6 +426,33 @@ def test_loop_group_non_unitary_fails_verification(spec2):
     assert not verify_filter(acted, 3, 1e-12).passed
 
 
+def test_loop_group_adopts_its_result_and_copies_a_callers_array(spec2):
+    """The action's sum becomes the bank without a copy, and its terms reuse one array.
+
+    On a depth-8 identity field the result is 2 * 2**9 = 1,024 complex cells.
+    The sum, a tiled input, a product and numpy's buffer for the broadcast
+    filter were live at the peak, 4.17 results; now the sum, one term and
+    that buffer are, 3.16 results.  Above 8,192 cells the buffer stays at
+    that size, so the peak tends to two results.
+    """
+    bank = build_indicator(spec2)
+    field = MatrixField(spec2, np.broadcast_to(np.eye(2)[:, :, None], (2, 2, 2**8)))
+    tracemalloc.start()
+    acted = apply_loop_group(bank, field)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert acted.values.shape == (2, 2**9)
+    assert peak < 3.2 * acted.values.nbytes, peak / acted.values.nbytes
+    assert np.array_equal(acted.values, oracle.stacked(
+        oracle.tuple_apply(bank.filters, oracle.entries_of(field))
+    ))
+    assert not acted.values.flags.writeable
+    mine = np.ones((2, 4), dtype=complex)
+    held = FilterBank(spec2, mine)
+    mine[0, 0] = 5.0
+    assert mine.flags.writeable and held.values[0, 0] == 1.0
+
+
 def _random_unitary_field(rng, spec, depth):
     """Pointwise unitary with genuinely word-dependent entries."""
     size = spec.N**depth
