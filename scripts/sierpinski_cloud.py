@@ -13,7 +13,8 @@ def main() -> None:
     samples = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 7
     ifs = sierpinski_ifs()
-    report = strong_invariance_check(ifs, samples, seed)
+    keep = 100_000 if len(sys.argv) > 3 else 0
+    report = strong_invariance_check(ifs, samples, seed, keep=keep)
     for check in report.checks:
         print(
             f"{check.name:24s} stat={check.statistic:+.6f} "
@@ -21,7 +22,7 @@ def main() -> None:
         )
     print(f"max |z| = {report.max_abs_z:.3f} over {samples} samples (seed {seed})")
     if len(sys.argv) > 3:
-        pts = report.points[:100_000]
+        pts = report.points
         with open(sys.argv[3], "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerows([[f"{v:.8g}" for v in row] for row in pts])

@@ -24,7 +24,8 @@ writes the result line.
 
 A command runs only the modules of its own group: the domain modules are
 bound lazily (``_lazy``), so importing the CLI, ``--help`` and parsing run
-none of them, and each one's code runs when a command first uses it.
+none of them, and each one's code runs when a command first uses it.  The
+parser of a launch fills in only the commands of the group its argv names.
 """
 
 from __future__ import annotations
@@ -577,14 +578,15 @@ def _examples_logistic(args) -> tuple[dict, bool]:
 
 def _examples_fractal(args) -> tuple[dict, bool]:
     ifs = _load(args.ifs, geo.AffineIfs.from_json)
+    if args.points_out and args.max_points < 1:
+        raise InputError("--max-points must be >= 1")
     report = geo.strong_invariance_check(
-        ifs, args.samples, args.seed, moment_order=args.moment_order
+        ifs, args.samples, args.seed, moment_order=args.moment_order,
+        keep=args.max_points if args.points_out else 0,
     )
     if args.points_out:
-        if args.max_points < 1:
-            raise InputError("--max-points must be >= 1")
         # the first rows of a draw are a shorter draw with the same seed
-        _write_csv(args.points_out, (), *report.points[: args.max_points].T)
+        _write_csv(args.points_out, (), *report.points.T)
     return {
         "results": report.to_json(),
         "residuals": {"max_abs_z": report.max_abs_z},
@@ -717,8 +719,9 @@ COMMANDS: dict[str, dict[str, tuple[Callable, list]]] = {
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser for the whole table, built on first use."""
+def _parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The parser, built on first use: every group, with the commands of
+    one group filled in, or of all of them when group is None."""
     parser = argparse.ArgumentParser(
         prog="wavelab",
         description="filter banks, transfer operators, and multiresolution checks",
@@ -727,10 +730,12 @@ def _parser() -> argparse.ArgumentParser:
         "--timing", action="store_true", help="include wall_time_ms in the output"
     )
     groups = parser.add_subparsers(dest="group", required=True)
-    for group, commands in COMMANDS.items():
-        subparsers = groups.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
+    for name, commands in COMMANDS.items():
+        subparsers = groups.add_parser(name, help=_GROUP_HELP[name]).add_subparsers(
             dest="command", required=True
         )
+        if group not in (None, name):
+            continue
         for command, (compute, options) in commands.items():
             p = subparsers.add_parser(command)
             for flag, spec in options:
@@ -739,9 +744,18 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _group(argv: list[str]) -> str | None:
+    """The group that argv names after its leading options, or None."""
+    for arg in argv:
+        if not arg.startswith("-"):
+            return arg if arg in COMMANDS else None
+    return None
+
+
 def run(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(_group(argv)).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     start = time.perf_counter()

@@ -14,6 +14,7 @@ self-similarity identity.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,9 @@ from .errors import InputError
 from . import jsonio
 
 CHAOS_BURN_IN = 64
+# rows per chaos-game block: a block, its branch images and its check
+# values stay in the CPU caches
+CHAOS_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -128,38 +132,72 @@ def sierpinski_ifs() -> AffineIfs:
 
 def chaos_game(
     ifs: AffineIfs, samples: int, seed: int, burn_in: int = CHAOS_BURN_IN
-) -> np.ndarray:
-    """Iterate random branches; a seed is mandatory for reproducibility."""
+) -> Iterator[np.ndarray]:
+    """The sample as consecutive blocks of rows; a seed is mandatory for reproducibility.
+
+    Row i is x_i = A^-1 (x_{i-1} + b_i) from x_{-1} = 0, for a random
+    branch b_i; the first burn_in rows are dropped.  The branches are drawn
+    and scanned CHAOS_BLOCK rows at a time, so memory does not grow with
+    the sample count.  Each block is scanned behind a halo of the 2^p - 1
+    shift rows before it, for the p passes that a scan of the whole run
+    makes: every kept row then goes through exactly the floating-point
+    operations of that whole-run scan.  When the halo would reach the block
+    size, one block covers the run.
+    """
     if samples < 1:
         raise InputError("need at least one sample")
     if seed is None:
         raise InputError("a seed is required; there is no entropy default")
     if seed < 0:
         raise InputError("seed must be >= 0")
-    rng = np.random.default_rng(int(seed))
+    return _chaos_blocks(ifs, samples + burn_in, burn_in, np.random.default_rng(int(seed)))
+
+
+def _chaos_blocks(
+    ifs: AffineIfs, total: int, burn_in: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """The kept rows of each block of a run of total rows (see chaos_game)."""
     inv = ifs.inverse_matrix()
     shifts = ifs.digits.astype(float) @ inv.T
-    x = shifts[rng.choice(ifs.branch_count, size=samples + burn_in, p=ifs.weights)]
-    _affine_scan(x, inv)
-    return x[burn_in:]
+    powers = _scan_powers(inv, total)
+    halo = 2 ** len(powers) - 1
+    step = CHAOS_BLOCK if halo < CHAOS_BLOCK else total
+    front = shifts[:0]  # the shift rows before the block: none, then the halo
+    for start in range(0, total, step):
+        # consecutive draws from one generator continue a single longer draw
+        picks = rng.choice(ifs.branch_count, size=min(step, total - start), p=ifs.weights)
+        x = np.concatenate([front, shifts[picks]])
+        kept = front.shape[0] + max(burn_in - start, 0)
+        if start + step < total:
+            front = x[x.shape[0] - halo:].copy()
+        _affine_scan(x, powers)
+        if kept < x.shape[0]:
+            yield x[kept:]
 
 
-def _affine_scan(x: np.ndarray, m: np.ndarray) -> int:
-    """Turn rows s_i of x into x_i = M x_{i-1} + s_i = sum_k M^k s_{i-k} in place.
+def _scan_powers(m: np.ndarray, n: int) -> list[np.ndarray]:
+    """M, M^2, M^4, ...: the powers that a prefix scan of n rows applies.
 
     Pass j adds M^j times the row j back, so every row then holds its last
     2j terms.  The passes stop when every row holds all its terms, or when
     the max-abs row sum of the actual power M^j (not a bound from the
     spectrum: a non-normal M can grow first) is at most eps/2, so that a
     further pass would move no value by more than half an ulp of the
-    largest coordinate.  Returns the number of passes.
+    largest coordinate.
     """
-    power, j, passes = m, 1, 0
-    while j < x.shape[0] and np.max(np.sum(np.abs(power), axis=1)) > np.finfo(float).eps / 2:
+    powers, j = [], 1
+    while j < n and np.max(np.sum(np.abs(m), axis=1)) > np.finfo(float).eps / 2:
+        powers.append(m)
+        m, j = m @ m, 2 * j
+    return powers
+
+
+def _affine_scan(x: np.ndarray, powers: list[np.ndarray]) -> None:
+    """Turn rows s_i of x into x_i = M x_{i-1} + s_i = sum_k M^k s_{i-k} in place."""
+    for k, power in enumerate(powers):
+        j = 2**k
         # einsum, not @: matmul on a tall (n, d) block is an order slower here
         x[j:] += np.einsum("nc,rc->nr", x[:-j], power)
-        power, j, passes = power @ power, 2 * j, passes + 1
-    return passes
 
 
 @dataclass(frozen=True)
@@ -183,7 +221,7 @@ class InvarianceReport:
     checks: tuple[MomentCheck, ...]
     samples: int
     seed: int
-    points: np.ndarray = field(repr=False, compare=False)  # the chaos-game sample
+    points: np.ndarray = field(repr=False, compare=False)  # the first rows of the sample
 
     @property
     def max_abs_z(self) -> float:
@@ -202,52 +240,76 @@ class InvarianceReport:
         }
 
 
-def _z_score(values: np.ndarray, expected: float) -> tuple[float, float]:
-    n = values.shape[0]
-    mean = float(np.mean(values))
-    spread = float(np.std(values, ddof=1))
+def _block_stats(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean, sum of squared deviations) of each row of values."""
+    mean = np.mean(values, axis=1)
+    return values.shape[1], mean, np.sum((values - mean[:, None]) ** 2, axis=1)
+
+
+def _merge_stats(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    """The (count, mean, M2) of two samples joined (Chan, Golub & LeVeque 1979)."""
+    (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (nb / n), m2_a + m2_b + delta**2 * (na * nb / n)
+
+
+def _z_score(n: int, mean: float, m2: float, expected: float) -> tuple[float, float]:
+    spread = math.sqrt(m2 / (n - 1))
     if spread == 0.0:
         return mean, 0.0 if mean == expected else float("inf")
-    return mean, (mean - expected) / (spread / np.sqrt(n))
+    return mean, (mean - expected) / (spread / math.sqrt(n))
 
 
 def strong_invariance_check(
-    ifs: AffineIfs, samples: int, seed: int, moment_order: int = 2
+    ifs: AffineIfs, samples: int, seed: int, moment_order: int = 2, keep: int = 0
 ) -> InvarianceReport:
     """Monte Carlo z-scores for the self-similarity law of the sampled measure.
 
     Each monomial g of order <= moment_order is tested two ways: the
     per-sample difference g(x) - sum_n p_n g(tau_n x) should have mean
     zero under the invariance law, and the first moments should match the
-    analytic fixed point of the affine recursion.
+    analytic fixed point of the affine recursion.  The sample is scored one
+    chaos-game block at a time, so memory does not grow with samples; the
+    report keeps the first `keep` rows of it.
     """
     if samples < 10_000:
         raise InputError("use at least 1e4 samples for a meaningful z-score")
     if moment_order < 1 or moment_order > 2:
         raise InputError("moment order must be 1 or 2")
-    pts = chaos_game(ifs, samples, seed)
+    if keep < 0:
+        raise InputError("cannot keep a negative number of points")
     inv = ifs.inverse_matrix()
     p = np.asarray(ifs.weights)
-    branch_pts = [
-        (pts + ifs.digits[n].astype(float)) @ inv.T for n in range(ifs.branch_count)
-    ]
-    checks: list[MomentCheck] = []
-
-    mean_target = ifs.mean_fixed_point()
-    for r in range(ifs.dimension):
-        stat, z = _z_score(pts[:, r], float(mean_target[r]))
-        checks.append(MomentCheck(f"mean[{r}]", stat, float(mean_target[r]), z))
-
+    digits = ifs.digits.astype(float)
     monomials: list[tuple[int, ...]] = [(r,) for r in range(ifs.dimension)]
     if moment_order >= 2:
         monomials += [
             (r, s) for r in range(ifs.dimension) for s in range(r, ifs.dimension)
         ]
-    for mono in monomials:
-        diff = math.prod(pts[:, a] for a in mono) - sum(
-            p[n] * math.prod(branch_pts[n][:, a] for a in mono) for n in range(ifs.branch_count)
-        )
-        stat, z = _z_score(diff, 0.0)
-        name = "self_similarity[" + ",".join(str(a) for a in mono) + "]"
-        checks.append(MomentCheck(name, stat, 0.0, z))
-    return InvarianceReport(tuple(checks), samples, int(seed), pts)
+    points = np.empty((min(keep, samples), ifs.dimension))
+    stats = (0, 0.0, 0.0)
+    for pts in chaos_game(ifs, samples, seed):
+        done = stats[0]
+        if done < points.shape[0]:
+            points[done:done + pts.shape[0]] = pts[: points.shape[0] - done]
+        branch_pts = [(pts + digits[n]) @ inv.T for n in range(ifs.branch_count)]
+        values = [pts[:, r] for r in range(ifs.dimension)] + [
+            math.prod(pts[:, a] for a in mono) - sum(
+                p[n] * math.prod(branch_pts[n][:, a] for a in mono)
+                for n in range(ifs.branch_count)
+            )
+            for mono in monomials
+        ]
+        stats = _merge_stats(stats, _block_stats(np.stack(values)))
+    n, means, m2s = stats
+
+    names = [f"mean[{r}]" for r in range(ifs.dimension)] + [
+        "self_similarity[" + ",".join(str(a) for a in mono) + "]" for mono in monomials
+    ]
+    targets = [float(t) for t in ifs.mean_fixed_point()] + [0.0] * len(monomials)
+    checks = []
+    for name, mean, m2, target in zip(names, means, m2s, targets):
+        stat, z = _z_score(n, float(mean), float(m2), target)
+        checks.append(MomentCheck(name, stat, target, z))
+    return InvarianceReport(tuple(checks), samples, int(seed), points)

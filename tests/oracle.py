@@ -15,7 +15,8 @@ tree of cylinder functions is the former multiresolution code, kept as
 the judge of the one-array-per-level loop.  At the end, the
 chaos-game loop and the row-by-row ``csv`` reader and writer are the
 package's former code, kept as the judge of the prefix scan and of the
-one-call CSV reader and writer.  Then the power iteration and the
+one-call CSV reader and writer, and the whole-run prefix scan is the
+former chaos game, kept as the bit-for-bit judge of the blocked one.  Then the power iteration and the
 order-by-order dilation residual are the package's former path-space
 code, kept as the judge of the direct Perron solve and of the one-walk
 dilation residuals, and the gather-based cascade and the np.repeat
@@ -448,7 +449,8 @@ def loop_g_unitarity(g_point, band: int, n_grid: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# chaos game and CSV files, one sample and one row at a time
+# chaos game, one sample at a time and the whole run at once, and CSV files,
+# one row at a time
 # ---------------------------------------------------------------------------
 
 
@@ -468,6 +470,29 @@ def chaos_game_loop(ifs, samples: int, seed: int, burn_in: int = CHAOS_BURN_IN) 
         if i >= burn_in:
             out[i - burn_in] = x
     return out
+
+
+def chaos_game_scan(ifs, samples: int, seed: int, burn_in: int = CHAOS_BURN_IN) -> np.ndarray:
+    """The whole run drawn at once and prefix-scanned in place, then the burn-in dropped."""
+    rng = np.random.default_rng(int(seed))
+    inv = ifs.inverse_matrix()
+    shifts = ifs.digits.astype(float) @ inv.T
+    x = shifts[rng.choice(ifs.branch_count, size=samples + burn_in, p=ifs.weights)]
+    affine_scan(x, inv)
+    return x[burn_in:]
+
+
+def affine_scan(x: np.ndarray, m: np.ndarray) -> int:
+    """Rows s_i of x become x_i = M x_{i-1} + s_i in place, by doubling passes.
+
+    The passes stop when every row holds all its terms or the max-abs row
+    sum of the power is at most eps/2.  Returns the number of passes.
+    """
+    power, j, passes = m, 1, 0
+    while j < x.shape[0] and np.max(np.sum(np.abs(power), axis=1)) > np.finfo(float).eps / 2:
+        x[j:] += np.einsum("nc,rc->nr", x[:-j], power)
+        power, j, passes = power @ power, 2 * j, passes + 1
+    return passes
 
 
 def read_signal_rows(path: str) -> np.ndarray:

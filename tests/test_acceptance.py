@@ -379,7 +379,7 @@ def test_criterion_10_geometry():
     quad = float(np.max([abs(float(np.mean(x**k)) - arcsine_moment(k)) for k in range(64)]))
     sierpinski = strong_invariance_check(sierpinski_ifs(), 1_000_000, seed=7)
     binary = AffineIfs(np.array([[2]]), np.array([[0], [1]]))
-    pts = chaos_game(binary, 1_000_000, seed=11)[:, 0]
+    pts = np.concatenate([block[:, 0] for block in chaos_game(binary, 1_000_000, seed=11)])
     n = pts.shape[0]
     z1 = abs(pts.mean() - 0.5) / (pts.std(ddof=1) / np.sqrt(n))
     sq = pts**2

@@ -22,7 +22,7 @@ from wavelab.circle_filters import (
 )
 from wavelab.classic_mra import cascade, d4_taps, detail_taps, haar_taps, wavelet_detail
 from wavelab.code_space import CylinderFn, IfsSpec, sup_distance
-from wavelab.examples_geometry import chaos_game, sierpinski_ifs
+from wavelab.examples_geometry import sierpinski_ifs
 from wavelab.ifs_filters import (
     FilterBank,
     MatrixField,
@@ -607,7 +607,7 @@ def _artifacts():
     psi = wavelet_detail(profile, detail_taps(d4_taps()))
     residuals = np.abs(rng.normal(size=9)) * 1e-15
     residuals[4] = np.nan
-    pts = chaos_game(sierpinski_ifs(), 50, seed=1)
+    pts = oracle.chaos_game_scan(sierpinski_ifs(), 50, seed=1)
     grid = unit_circle_grid(9)
     res = profile.resolution
     return {
@@ -646,7 +646,7 @@ def test_fractal_points_match_csv_writer(tmp_path, capsys):
     assert run(["examples", "fractal", "--ifs", ifs_path, "--samples", "10000", "--seed", "2",
                 "--max-points", "2000", "--points-out", str(out)]) == 0
     capsys.readouterr()
-    oracle.write_rows(str(tmp_path / "old.csv"), (), chaos_game(sierpinski_ifs(), 2000, 2))
+    oracle.write_rows(str(tmp_path / "old.csv"), (), oracle.chaos_game_scan(sierpinski_ifs(), 2000, 2))
     assert out.read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -1074,7 +1074,7 @@ def test_fractal_points_are_the_checked_sample(tmp_path, capsys):
     assert run(["examples", "fractal", "--ifs", ifs_path, "--samples", "10000", "--seed", "4",
                 "--points-out", str(out)]) == 0
     capsys.readouterr()
-    oracle.write_rows(str(tmp_path / "old.csv"), (), chaos_game(sierpinski_ifs(), 10000, 4))
+    oracle.write_rows(str(tmp_path / "old.csv"), (), oracle.chaos_game_scan(sierpinski_ifs(), 10000, 4))
     assert out.read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -1088,6 +1088,47 @@ def test_parser_is_built_once_and_not_at_import():
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_launch_fills_in_only_its_own_group():
+    probe = (
+        "import argparse, contextlib, io, json\n"
+        "from wavelab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['--timing', 'examples', 'logistic', '--degree', '2', '--nodes', '4']) == 0\n"
+        "assert cli._parser.cache_info().misses == 1\n"
+        "parser = cli._parser('examples')\n"
+        "assert cli._parser.cache_info().misses == 1  # the parser the launch built\n"
+        "def commands(p):\n"
+        "    (sub,) = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]\n"
+        "    return sub.choices\n"
+        "print(json.dumps({g: sorted(commands(p)) for g, p in commands(parser).items()}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    filled = json.loads(proc.stdout)
+    assert filled == {g: (["fractal", "logistic"] if g == "examples" else []) for g in cli.COMMANDS}
+
+
+@pytest.mark.parametrize("argv, group", [
+    ([], None), (["--help"], None), (["--timing"], None), (["nope", "x"], None),
+    (["mra"], "mra"), (["--timing", "examples", "fractal"], "examples"),
+    (["-h", "circle", "--help"], "circle"), (["rkhs", "--timing", "ifs"], "rkhs"),
+])
+def test_the_group_is_the_first_word_after_the_options(argv, group):
+    assert cli._group(argv) == group
+
+
+@pytest.mark.parametrize("group", sorted(cli.COMMANDS))
+def test_a_group_parser_prints_the_help_of_the_whole_parser(group, capsys):
+    # top-level and group --help read the same from the parser of one group
+    for argv in ([], [group], *([group, command] for command in cli.COMMANDS[group])):
+        texts = []
+        for parser in (cli._parser(), cli._parser(group)):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + ["--help"])
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1], argv
 
 
 # a fresh interpreter runs argv (or only imports the CLI when there is none)

@@ -1,22 +1,30 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracle
+from wavelab import examples_geometry
 from wavelab.errors import InputError
 from wavelab.examples_geometry import (
+    CHAOS_BLOCK,
     AffineIfs,
     ChebyshevRule,
     InvarianceReport,
     MomentCheck,
-    _affine_scan,
+    _scan_powers,
     arcsine_moment,
     chaos_game,
     logistic_invariance,
     sierpinski_ifs,
     strong_invariance_check,
 )
+
+
+def sample(ifs, samples, seed, **kwargs):
+    """The chaos-game blocks joined into one array."""
+    return np.concatenate(list(chaos_game(ifs, samples, seed, **kwargs)))
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +92,10 @@ def test_sierpinski_moments():
 
 def test_chaos_game_reproducible_and_seed_required():
     ifs = sierpinski_ifs()
-    a = chaos_game(ifs, 100, seed=3)
-    b = chaos_game(ifs, 100, seed=3)
+    a = sample(ifs, 100, seed=3)
+    b = sample(ifs, 100, seed=3)
     assert np.array_equal(a, b)
-    c = chaos_game(ifs, 100, seed=4)
+    c = sample(ifs, 100, seed=4)
     assert not np.array_equal(a, c)
     with pytest.raises(InputError):
         chaos_game(ifs, 100, seed=None)
@@ -112,7 +120,7 @@ SCAN_IFS = {
 @pytest.mark.parametrize("name", sorted(SCAN_IFS))
 def test_chaos_game_scan_matches_loop(name, samples, burn_in):
     ifs = SCAN_IFS[name]
-    got = chaos_game(ifs, samples, seed=samples + burn_in, burn_in=burn_in)
+    got = sample(ifs, samples, seed=samples + burn_in, burn_in=burn_in)
     want = oracle.chaos_game_loop(ifs, samples, seed=samples + burn_in, burn_in=burn_in)
     assert got.shape == want.shape == (samples, ifs.dimension)
     scale = max(1.0, float(np.max(np.abs(want))))
@@ -123,23 +131,71 @@ def test_scan_depth_follows_the_contraction():
     # Sierpinski: A^-1 = I / 2, so the powers pass eps / 2 at 2^-64, after
     # six doubling passes, far below the log2(n) passes of a full scan
     n = 100_000 + 64
-    passes = _affine_scan(np.zeros((n, 2)), sierpinski_ifs().inverse_matrix())
+    passes = len(_scan_powers(sierpinski_ifs().inverse_matrix(), n))
     assert passes < math.ceil(math.log2(n))
     assert passes == 6
     # without contraction the scan runs until every row has all its terms
-    assert _affine_scan(np.zeros((100, 1)), np.ones((1, 1))) == 7
+    assert len(_scan_powers(np.ones((1, 1)), 100)) == 7
+
+
+# rows of the whole run, burn-in included: below, at and just past one
+# block and several blocks
+_BLOCK_EDGES = (CHAOS_BLOCK - 1, CHAOS_BLOCK, CHAOS_BLOCK + 1, 3 * CHAOS_BLOCK, 3 * CHAOS_BLOCK + 1)
+
+
+@pytest.mark.parametrize("burn_in", [0, 64])
+@pytest.mark.parametrize("name", sorted(SCAN_IFS))
+def test_blocked_chaos_game_equals_the_whole_run_scan(name, burn_in):
+    ifs = SCAN_IFS[name]
+    for rows in _BLOCK_EDGES + (burn_in + 1,):
+        samples = rows - burn_in
+        got = sample(ifs, samples, seed=rows, burn_in=burn_in)
+        want = oracle.chaos_game_scan(ifs, samples, seed=rows, burn_in=burn_in)
+        assert got.shape == want.shape == (samples, ifs.dimension)
+        assert np.array_equal(got, want), rows
+
+
+@pytest.mark.parametrize("burn_in", [64, 150])
+@pytest.mark.parametrize("block", [32, 64, 100])
+@pytest.mark.parametrize("name", sorted(SCAN_IFS))
+def test_small_blocks_and_the_one_block_fallback_equal_the_whole_run_scan(
+    name, block, burn_in, monkeypatch
+):
+    # every system here makes 6 passes, a halo of 63 rows, but the twin
+    # dragon makes 7, a halo of 127: 32 rows fall back to one block for
+    # all of them, 64 and 100 rows for the twin dragon only, and the others
+    # scan blocks just above their halo, with a burn-in over one or more
+    monkeypatch.setattr(examples_geometry, "CHAOS_BLOCK", block)
+    ifs = SCAN_IFS[name]
+    halo = 2 ** len(_scan_powers(ifs.inverse_matrix(), 1000)) - 1
+    blocks = list(chaos_game(ifs, 1000 - burn_in, seed=9, burn_in=burn_in))
+    if halo >= block:
+        assert len(blocks) == 1
+    else:
+        assert len(blocks) > 1 and max(b.shape[0] for b in blocks) <= block
+    want = oracle.chaos_game_scan(ifs, 1000 - burn_in, seed=9, burn_in=burn_in)
+    assert np.array_equal(np.concatenate(blocks), want)
+
+
+def test_block_draws_continue_one_draw():
+    # the chaos game draws its branch picks one block at a time
+    weights = SCAN_IFS["weighted 3-d"].weights
+    one = np.random.default_rng(21).choice(5, size=3 * CHAOS_BLOCK + 5, p=weights)
+    rng = np.random.default_rng(21)
+    parts = [rng.choice(5, size=n, p=weights) for n in (CHAOS_BLOCK, CHAOS_BLOCK, CHAOS_BLOCK, 5)]
+    assert np.array_equal(np.concatenate(parts), one)
 
 
 def test_single_branch_collapses_to_fixed_point():
     ifs = AffineIfs(np.array([[2]]), np.array([[0]]))
-    pts = chaos_game(ifs, 500, seed=2)
+    pts = sample(ifs, 500, seed=2)
     assert np.max(np.abs(pts)) < 1e-15
     assert np.allclose(ifs.mean_fixed_point(), [0.0])
 
 
 def test_chaos_game_stays_on_attractor():
     ifs = sierpinski_ifs()
-    pts = chaos_game(ifs, 2000, seed=5)
+    pts = sample(ifs, 2000, seed=5)
     assert np.all(pts >= -1e-9)
     assert np.all(pts.sum(axis=1) <= 1.0 + 1e-9)
 
@@ -153,7 +209,7 @@ def test_strong_invariance_sierpinski():
 
 def test_strong_invariance_uniform_binary():
     ifs = AffineIfs(np.array([[2]]), np.array([[0], [1]]))
-    pts = chaos_game(ifs, 200_000, seed=11)[:, 0]
+    pts = sample(ifs, 200_000, seed=11)[:, 0]
     n = pts.shape[0]
     z1 = (pts.mean() - 0.5) / (pts.std(ddof=1) / np.sqrt(n))
     sq = pts**2
@@ -164,8 +220,46 @@ def test_strong_invariance_uniform_binary():
 
 
 def test_strong_invariance_report_keeps_its_sample():
-    report = strong_invariance_check(sierpinski_ifs(), 10_000, seed=3)
-    assert np.array_equal(report.points, chaos_game(sierpinski_ifs(), 10_000, seed=3))
+    report = strong_invariance_check(sierpinski_ifs(), 10_000, seed=3, keep=10_000)
+    assert np.array_equal(report.points, oracle.chaos_game_scan(sierpinski_ifs(), 10_000, seed=3))
+
+
+@pytest.mark.parametrize("keep", [0, 1, CHAOS_BLOCK - 64, CHAOS_BLOCK, 12_345, 20_000, 50_000])
+def test_strong_invariance_report_keeps_only_the_rows_asked_for(keep):
+    ifs = SCAN_IFS["twin dragon"]
+    report = strong_invariance_check(ifs, 20_000, seed=6, keep=keep)
+    want = oracle.chaos_game_scan(ifs, 20_000, seed=6)[:keep]
+    assert report.points.shape == want.shape
+    assert np.array_equal(report.points, want)
+
+
+def test_strong_invariance_memory_does_not_grow_with_samples():
+    def peak(samples: int) -> int:
+        tracemalloc.start()
+        try:
+            strong_invariance_check(sierpinski_ifs(), samples, seed=7)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20_000), peak(200_000)
+    assert large <= 1.2 * small, (small, large)
+
+
+def test_blocked_z_scores_match_whole_sample_statistics():
+    # the merged (count, mean, M2) of the blocks against np.mean and np.std
+    # of the whole sample, to rounding
+    ifs = SCAN_IFS["weighted 3-d"]
+    report = strong_invariance_check(ifs, 30_000, seed=4, keep=30_000)
+    pts = report.points
+    n = pts.shape[0]
+    target = ifs.mean_fixed_point()
+    for r in range(ifs.dimension):
+        check = report.checks[r]
+        assert check.name == f"mean[{r}]"
+        z = (np.mean(pts[:, r]) - target[r]) / (np.std(pts[:, r], ddof=1) / np.sqrt(n))
+        assert check.statistic == pytest.approx(np.mean(pts[:, r]), rel=1e-13)
+        assert check.z == pytest.approx(z, rel=1e-9)
 
 
 def test_invariance_verdict_fails_closed_on_a_nan_z():
@@ -186,6 +280,11 @@ def test_negative_seed_and_degree_are_input_errors():
 def test_strong_invariance_rejects_small_samples():
     with pytest.raises(InputError):
         strong_invariance_check(sierpinski_ifs(), 100, seed=1)
+
+
+def test_strong_invariance_rejects_a_negative_keep():
+    with pytest.raises(InputError):
+        strong_invariance_check(sierpinski_ifs(), 10_000, seed=1, keep=-1)
 
 
 def test_ifs_json_roundtrip():

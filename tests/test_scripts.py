@@ -14,7 +14,7 @@ SCRIPTS = {
     "cascade_profiles.py": ["{tmp}"],
     "filterbank_demo.py": ["64"],
     "loop_group_orbit.py": ["2", "1", "0"],
-    "sierpinski_cloud.py": ["10000", "7"],
+    "sierpinski_cloud.py": ["10000", "7", "{tmp}/points.csv"],
 }
 
 
