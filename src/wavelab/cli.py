@@ -481,6 +481,8 @@ def _mra_product(args) -> tuple[dict, bool]:
 
 def _solenoid_moment(args) -> tuple[dict, bool]:
     ms = _load(args.file, sol.MomentSpec.from_json)
+    if ms.h is None:  # "auto", solved once read: a solve over the cell cap is no malformed file
+        ms = sol.MomentSpec(ms.spec, ms.weight, sol.harmonic_for(ms.weight), ms.coords)
     value = sol.moment(ms)
     prob = sol.probability_residual(len(ms.coords) - 1, ms.weight, ms.h)
     return {

@@ -41,8 +41,6 @@ from . import jsonio
 
 DEFAULT_MAX_CELLS = 2**24
 _CELLS_ENV = "WAVELAB_MAX_CELLS"
-POWER_STEPS = 200  # harmonic_solve's step limit where it power-iterates
-DENSE_SOLVE_WORDS = 512  # beyond, harmonic_solve's O(size**3) LU outcosts POWER_STEPS steps
 
 WEIGHT_SUM_TOL = 1e-14
 TRANSFER_WEIGHT_TOL = 1e-12  # how far a transfer weight may stray from real and >= 0
@@ -381,52 +379,55 @@ def harmonic_solve(W: CylinderFn, tol: float = 1e-12) -> CylinderFn:
     """The density h with R_W h = h and integrate(h) = 1, at depth W.depth - 1.
 
     R_W is a nonnegative N**depth-square matrix, mat[v, (n v)[:depth]] +=
-    p_n W(n v); h solves (R_W - I + 1 mu^T) h = 1, mu the cylinder masses, or
-    is power-iterated above DENSE_SOLVE_WORDS words or the cell cap.  Unless
-    density_defect passes h (so 1 is the Perron eigenvalue of an irreducible
-    R_W), a VerificationError names its numbers and the spectrum.
+    p_n W(n v), whose cells count against the cap; h solves
+    (R_W - I + 1 mu^T) h = 1, mu the cylinder masses.  Unless density_defect
+    passes h (so 1 is the Perron eigenvalue of an irreducible R_W), a
+    VerificationError names its numbers and the spectrum.
     """
     _require_weight(W)
     depth = max(W.depth - 1, 0)
     n, size = W.spec.N, W.spec.N**depth
-    if size > DENSE_SOLVE_WORDS or size * size > max_cells():
-        return _power_solve(W, depth, tol)
+    _check_cells(size * size)
     p, word = W.spec.weight_array(), np.arange(n * size)  # the words n v
-    mat = np.zeros((size, size))
+    cells = (word % size, word // n)
     weighted = np.repeat(p, size) * _lift_values(W, depth + 1).real
-    np.add.at(mat, (word % size, word // n), weighted)
-    masses = functools.reduce(np.kron, [p] * depth, np.ones(1))
+    mat = np.zeros((size, size))
+    np.add.at(mat, cells, weighted)
+    mat.flat[:: size + 1] -= 1  # R_W - I + 1 mu^T, in place
+    mat += functools.reduce(np.kron, [p] * depth, np.ones(1))
     try:
-        vals = np.linalg.solve(mat - np.eye(size) + masses, np.ones(size))
+        vals = np.linalg.solve(mat, np.ones(size))
     except np.linalg.LinAlgError:  # a ValueError, which the CLI reads as bad input
         vals = np.full(size, np.nan)
     h = _new(W.spec, depth, vals + 0j)
     residual, defect = density_defect(W, h, tol)
     if not defect:
         return h
+    mat[:] = 0.0  # R_W again, in the same buffer
+    np.add.at(mat, cells, weighted)
     spectrum = "the weight is not finite"
     if np.isfinite(mat).all():
-        eigs = np.sort(np.abs(np.linalg.eigvals(mat)))[::-1]
-        ratio = eigs[1] / eigs[0] if size > 1 and eigs[0] > 0 else 0.0
+        # by size, as it words the message, never the verdict: eigvals takes seconds past 512
+        estimated = size > 512
+        eigs = np.sort(np.abs(np.linalg.eigvals(_arnoldi(mat) if estimated else mat)))[::-1]
+        ratio = eigs[1] / eigs[0] if len(eigs) > 1 and eigs[0] > 0 else 0.0
         spectrum = f"Perron eigenvalue {eigs[0]:.6g}, |lambda_2/lambda_1| {ratio:.3g}"
+        spectrum += " (Arnoldi estimates)" if estimated else ""
     msg = f"no transfer-harmonic density ({defect}; {spectrum})"
     raise VerificationError(msg, residual=residual)
 
 
-def _power_solve(W: CylinderFn, depth: int, tol: float) -> CylinderFn:
-    """harmonic_solve by power iteration, for matrices over the cell cap."""
-    h, residual = lift(CylinderFn.ones(W.spec), depth), None
-    rh = lift(ruelle_apply(W, h), depth)
-    for _ in range(POWER_STEPS):
-        total = integrate(rh)
-        if abs(total) < 1e-300:
-            raise VerificationError("transfer iterate vanished", residual=residual)
-        h = rh / total
-        rh = lift(ruelle_apply(W, h), depth)
-        residual = sup_distance(rh, h)
-        if residual < tol:
-            return h
-    raise VerificationError(
-        f"no transfer fixed point after {POWER_STEPS} iterations (last residual {residual:.3e})",
-        residual=residual,
-    )
+def _arnoldi(mat: np.ndarray, steps: int = 40) -> np.ndarray:
+    """The Hessenberg matrix of up to ``steps`` Arnoldi steps from the constant vector."""
+    basis, hess = [np.full(len(mat), len(mat) ** -0.5)], np.zeros((steps + 1, steps))
+    for k in range(steps):
+        v = mat @ basis[k]
+        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
+            c = np.array(basis) @ v
+            v -= c @ basis
+            hess[: k + 1, k] += c
+        hess[k + 1, k] = np.linalg.norm(v)
+        if hess[k + 1, k] <= 1e-12 * np.linalg.norm(hess[:, k]):  # an invariant subspace
+            return hess[: k + 1, : k + 1]
+        basis.append(v / hess[k + 1, k])
+    return hess[:steps]

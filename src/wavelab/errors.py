@@ -8,7 +8,7 @@ class InputError(Exception):
 class VerificationError(Exception):
     """A check, a precondition or an iterative solve failed on well-formed input: exit 1.
 
-    ``residual`` carries the last residual of a solve that stopped early.
+    ``residual`` carries the residual of a solve whose result failed its check.
     """
 
     def __init__(self, message: str, residual: float | None = None):

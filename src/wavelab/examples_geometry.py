@@ -196,7 +196,7 @@ def _affine_scan(x: np.ndarray, powers: list[np.ndarray]) -> None:
     """Turn rows s_i of x into x_i = M x_{i-1} + s_i = sum_k M^k s_{i-k} in place."""
     for k, power in enumerate(powers):
         j = 2**k
-        # einsum, not @: matmul on a tall (n, d) block is an order slower here
+        # einsum, not @: the --points-out goldens pin its bits, which @ moves at d >= 2
         x[j:] += np.einsum("nc,rc->nr", x[:-j], power)
 
 

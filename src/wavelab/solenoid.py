@@ -40,6 +40,7 @@ from .code_space import (
     shift_iterate,
     weighted_adjoint,
     weighted_compose,
+    _require_weight,
 )
 
 HARMONIC_TOL = 1e-12
@@ -215,12 +216,13 @@ def harmonic_for(weight: CylinderFn) -> CylinderFn:
 class MomentSpec:
     """Everything a path moment needs: weight, harmonic density, coordinates.
 
-    Construction certifies h as a transfer-harmonic density of the weight.
+    Construction certifies h as a transfer-harmonic density of the weight;
+    None ("auto" in JSON) stands for harmonic_for(weight), solved when used.
     """
 
     spec: IfsSpec
     weight: CylinderFn
-    h: CylinderFn
+    h: CylinderFn | None
     coords: tuple[CylinderFn, ...]
 
     def __post_init__(self):
@@ -228,9 +230,9 @@ class MomentSpec:
         if not self.coords:
             raise InputError("moment spec needs at least the coordinate-0 function")
         for g in (self.weight, self.h, *self.coords):
-            if g.spec != self.spec:
+            if g is not None and g.spec != self.spec:
                 raise InputError("moment component spec mismatch")
-        defect = density_defect(self.weight, self.h, HARMONIC_TOL)[1]
+        defect = self.h is not None and density_defect(self.weight, self.h, HARMONIC_TOL)[1]
         if defect:
             raise InputError(f"h is not a transfer-harmonic density: {defect}")
 
@@ -239,14 +241,16 @@ class MomentSpec:
         spec = IfsSpec.from_json(obj["spec"])
         weight = CylinderFn.from_json(obj["W"])
         h_raw = obj.get("h", "auto")
-        h = harmonic_for(weight) if h_raw == "auto" else CylinderFn.from_json(h_raw)
+        if h_raw == "auto":
+            _require_weight(weight)  # a bad weight is a bad file; the solve waits for the caller
+        h = None if h_raw == "auto" else CylinderFn.from_json(h_raw)
         coords = tuple(CylinderFn.from_json(g) for g in obj.get("coords", []))
         return cls(spec, weight, h, coords)
 
 
 def moment(ms: MomentSpec) -> complex:
     """int f_0 R_W(f_1 R_W(... R_W(f_K h))) dmu, evaluated innermost first."""
-    return _chain(ms.coords, ms.weight, ms.h)
+    return _chain(ms.coords, ms.weight, harmonic_for(ms.weight) if ms.h is None else ms.h)
 
 
 def _walk(step, x, wanted: set[int]):

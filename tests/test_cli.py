@@ -21,7 +21,7 @@ from wavelab.circle_filters import (
     unitarity_residuals,
 )
 from wavelab.classic_mra import cascade, d4_taps, detail_taps, haar_taps, wavelet_detail
-from wavelab.code_space import CylinderFn, IfsSpec, sup_distance
+from wavelab.code_space import CylinderFn, IfsSpec, lift, sup_distance
 from wavelab.examples_geometry import sierpinski_ifs
 from wavelab.ifs_filters import (
     FilterBank,
@@ -1363,10 +1363,38 @@ def test_solenoid_moment_rejects_a_signed_auto_h(tmp_path, capsys):
     assert "Perron eigenvalue 1.3," in result["error"]
 
 
+def _slow_mixing_moment_file(tmp_path, depth):
+    """An order-0 moment of the weight [1.94, 0.06, 0.14, 1.86] written at depth."""
+    spec = IfsSpec(2)
+    weight = lift(CylinderFn(spec, 2, [1.94, 0.06, 0.14, 1.86]), depth)
+    return write(tmp_path / "moment.json", {
+        "spec": spec.to_json(), "W": weight.to_json(), "h": "auto",
+        "coords": [CylinderFn.ones(spec).to_json()],
+    })
+
+
+def test_solenoid_moment_solves_a_slowly_mixing_weight_written_deep(tmp_path, capsys):
+    # |lambda_2/lambda_1| = 0.9, written at depth 11: 1024 words
+    path = _slow_mixing_moment_file(tmp_path, 11)
+    code, result = run_json(capsys, ["solenoid", "moment", "--file", path])
+    assert code == 0 and result["results"]["value"] == [1.0, 0.0]
+
+
+def test_solenoid_moment_over_the_cell_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # depth 11 makes R_W a 1024 x 1024 matrix: 1048576 cells
+    argv = ["solenoid", "moment", "--file", _slow_mixing_moment_file(tmp_path, 11)]
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", str(1024**2 - 1))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wavelab: 1048576 cells exceed the cap of 1048575; set WAVELAB_MAX_CELLS to raise it\n"
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", str(1024**2))
+    assert run(argv) == 0
+
+
 @pytest.mark.parametrize("seed", [8, 195])
 def test_solenoid_moment_auto_h_meets_the_default_tolerance(tmp_path, capsys, seed):
-    # power iteration stopped at 1e-10 (seed 8) or gave up after 200 steps
-    # (seed 195, |lambda_2/lambda_1| = 0.91) on these weights
+    # seed 195 mixes slowly: |lambda_2/lambda_1| = 0.91
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.5, 1.5, 2)
     head = round(float(raw[0] / raw.sum()), 4)

@@ -1,10 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import random_cylinder
-from wavelab import code_space
 from wavelab.code_space import (
     CylinderFn,
     IfsSpec,
@@ -378,61 +379,58 @@ def test_harmonic_solve_matches_power_loop_and_eig(n_branches, uniform, depth):
     assert sup_distance(ruelle_apply(W, h), h) < 1e-13
 
 
+SLOW_MIXING = [1.94, 0.06, 0.14, 1.86]  # R_W = [[0.97, 0.07], [0.03, 0.93]] on depth-1 functions
+
+
 def test_harmonic_solve_on_slowly_mixing_weight(spec2):
-    # R_W = [[0.97, 0.07], [0.03, 0.93]] on depth-1 functions: eigenvalues 1
-    # and 0.9, h = (1.4, 0.6); 200 power steps leave a residual of 2.8e-11
-    W = CylinderFn(spec2, 2, [1.94, 0.06, 0.14, 1.86])
+    # R_W has eigenvalues 1 and 0.9, h = (1.4, 0.6)
+    W = CylinderFn(spec2, 2, SLOW_MIXING)
     with pytest.raises(VerificationError, match="no fixed point"):
         oracle.power_harmonic(W, tol=1e-12)
     h = harmonic_solve(W, tol=1e-12)
     assert np.max(np.abs(h.values - [1.4, 0.6])) < 1e-14
 
 
-def test_harmonic_solve_iterates_only_over_the_cell_cap(monkeypatch, rng):
-    raw = CylinderFn(IfsSpec(2, (0.3, 0.7)), 4, rng.uniform(0.2, 1.8, 16))
-    W, _ = oracle.perron_normalised(raw)  # an 8 x 8 matrix: 64 cells
-    applies = []
-
-    def counting(weight, f):
-        applies.append(1)
-        return ruelle_apply(weight, f)
-
-    monkeypatch.setattr(code_space, "ruelle_apply", counting)
-    direct = harmonic_solve(W, tol=1e-12)
-    assert len(applies) == 1  # the certificate only
-    monkeypatch.setenv("WAVELAB_MAX_CELLS", "63")
-    fallback = harmonic_solve(W, tol=1e-12)
-    assert len(applies) > 3
-    assert np.array_equal(fallback.values, oracle.power_harmonic(W, tol=1e-12).values)
-    assert sup_distance(fallback, direct) < 1e-11
-
-
-def test_harmonic_solve_iterates_above_the_dense_word_limit(monkeypatch, rng):
-    # an LU of an N**D-square matrix costs O(N**(3D)); past DENSE_SOLVE_WORDS
-    # words the power loop is cheaper, so it runs instead
-    raw = CylinderFn(IfsSpec(2, (0.3, 0.7)), 4, rng.uniform(0.2, 1.8, 16))
-    W, h_eig = oracle.perron_normalised(raw)
-    monkeypatch.setattr(code_space, "DENSE_SOLVE_WORDS", 7)
+@pytest.mark.parametrize("depth", range(2, 13))
+def test_harmonic_solve_does_not_depend_on_how_deep_a_weight_is_written(spec2, depth):
+    W = lift(CylinderFn(spec2, 2, SLOW_MIXING), depth)
     h = harmonic_solve(W, tol=1e-12)
-    assert np.array_equal(h.values, oracle.power_harmonic(W, tol=1e-12).values)
-    assert sup_distance(h, h_eig) < 1e-11
+    want = lift(CylinderFn(spec2, 1, [1.4, 0.6]), depth - 1)
+    assert h.depth == depth - 1 and np.max(np.abs(h.values - want.values)) < 1e-13
 
 
-def test_power_solve_reports_a_vanishing_iterate(monkeypatch, spec2):
-    # 8 words need 64 matrix cells, over a cap of 63: the power loop runs,
-    # and R_W = 0 sends its first iterate to 0
+def test_harmonic_solve_checks_its_matrix_against_the_cell_cap(monkeypatch, rng):
+    raw = CylinderFn(IfsSpec(2, (0.3, 0.7)), 4, rng.uniform(0.2, 1.8, 16))
+    W, h_eig = oracle.perron_normalised(raw)  # an 8 x 8 matrix: 64 cells
     monkeypatch.setenv("WAVELAB_MAX_CELLS", "63")
-    with pytest.raises(VerificationError, match="transfer iterate vanished"):
-        harmonic_solve(CylinderFn(spec2, 4, np.zeros(16)))
-
-
-def test_power_solve_gives_up_after_its_step_limit(monkeypatch, spec2):
-    # the weight of test_harmonic_solve_on_slowly_mixing_weight, |lambda_2/lambda_1| = 0.9
-    monkeypatch.setattr(code_space, "DENSE_SOLVE_WORDS", 1)
-    W = CylinderFn(spec2, 2, [1.94, 0.06, 0.14, 1.86])
-    with pytest.raises(VerificationError, match=f"after {code_space.POWER_STEPS} iterations") as err:
+    with pytest.raises(InputError, match="^64 cells exceed the cap of 63; set WAVELAB_MAX_CELLS to raise it$"):
         harmonic_solve(W, tol=1e-12)
-    assert 1e-12 < err.value.residual < 1e-10
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "64")
+    assert sup_distance(harmonic_solve(W, tol=1e-12), h_eig) < 1e-12
+
+
+def test_harmonic_solve_builds_its_system_in_place(spec2):
+    # 1024 words: one 1024 x 1024 float matrix is 8 MiB; LAPACK's copy of it
+    # is not allocated through numpy, so only the bordered matrix is traced
+    W = lift(CylinderFn(spec2, 2, SLOW_MIXING), 11)
+    tracemalloc.start()
+    try:
+        harmonic_solve(W, tol=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 1024**2 * 8
+
+
+def test_harmonic_solve_estimates_the_spectrum_of_a_large_matrix(spec2):
+    # 1024 words: past 512 the failure message takes Arnoldi estimates
+    W = lift(CylinderFn(spec2, 2, SLOW_MIXING), 11) * 1.3
+    with pytest.raises(VerificationError) as err:
+        harmonic_solve(W)
+    assert str(err.value).endswith(
+        "; Perron eigenvalue 1.3, |lambda_2/lambda_1| 0.9 (Arnoldi estimates))"
+    )
+    assert err.value.residual > 0.1
 
 
 def test_harmonic_solve_rejects_a_signed_eigenvector(spec2):
@@ -445,7 +443,7 @@ def test_harmonic_solve_rejects_a_signed_eigenvector(spec2):
 
 
 def test_harmonic_solve_failure_names_the_spectrum(spec2):
-    W = CylinderFn(spec2, 2, [1.94, 0.06, 0.14, 1.86]) * 1.3
+    W = CylinderFn(spec2, 2, SLOW_MIXING) * 1.3
     with pytest.raises(VerificationError) as err:
         harmonic_solve(W)
     assert "Perron eigenvalue 1.3," in str(err.value) and "|lambda_2/lambda_1| 0.9" in str(err.value)
