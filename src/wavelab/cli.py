@@ -43,7 +43,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import jsonio
-from .errors import InputError, VerificationError
+from .errors import CellCapError, InputError, VerificationError
 
 
 def _lazy(name: str) -> types.ModuleType:
@@ -107,6 +107,8 @@ def _load(path: str, decode: Callable[[Any], Any]) -> Any:
     """The JSON file at path, decoded; a malformed file is an InputError naming it."""
     try:
         return decode(jsonio.load_file(path))
+    except CellCapError as exc:  # a well-formed file too large for the cap
+        raise InputError(f"{path}: {exc}") from None
     except (InputError, KeyError, TypeError, AttributeError, ValueError) as exc:
         raise InputError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
 

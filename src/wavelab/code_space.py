@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, VerificationError
+from .errors import CellCapError, InputError, VerificationError
 from . import jsonio
 
 DEFAULT_MAX_CELLS = 2**24
@@ -63,7 +63,7 @@ def max_cells() -> int:
 def _check_cells(n_values: int) -> None:
     cap = max_cells()
     if n_values > cap:
-        raise InputError(
+        raise CellCapError(
             f"{n_values} cells exceed the cap of {cap}; "
             f"set {_CELLS_ENV} to raise it"
         )

@@ -2,15 +2,19 @@
 
 Every file format in this package serializes a complex number as a
 two-element ``[re, im]`` list.  ``dumps`` sorts keys so that identical
-inputs produce byte-identical output.  A vector made only of numeric
-pairs is decoded as one array (a matrix row by row); anything else is
-decoded entry by entry by ``decode_complex``, which judges malformed
-input.
+inputs produce byte-identical output.  Arrays are encoded with one
+``tolist``; a vector of numeric pairs, or a regular matrix of them, is
+decoded in one flat pass, and anything else entry by entry by
+``decode_complex``, which judges malformed input.  ``load_file`` parses
+with the cyclic garbage collector paused: a JSON tree holds no cycles.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import struct
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -61,31 +65,33 @@ def decode_real(obj: Any, name: str) -> float:
 
 
 def encode_cvector(values) -> list[list[float]]:
-    return [encode_complex(z) for z in np.asarray(values).ravel()]
+    return np.asarray(values, dtype=np.complex128).ravel().view(np.float64).reshape(-1, 2).tolist()
 
 
 def decode_cvector(obj) -> np.ndarray:
     if not isinstance(obj, (list, tuple)):
         raise InputError("expected a list of [re, im] pairs")
-    try:
-        block = np.array(obj)
-    except (TypeError, ValueError, OverflowError):  # ragged or out of range
-        block = np.empty(0)
-    if block.ndim == 2 and block.shape[1] == 2 and block.dtype.kind in "biuf":
-        # the (re, im) floats bit for bit: re + 1j * im would make 1j * inf a NaN real part
-        return np.ascontiguousarray(block, dtype=np.float64).view(np.complex128)[:, 0]
+    try:  # struct's "d" takes exactly int, float and bool, and keeps the (re, im) bits
+        if set(map(len, obj)) == {2}:
+            out = np.empty(len(obj), dtype=np.complex128)
+            struct.pack_into(f"{2 * len(obj)}d", out, 0, *chain.from_iterable(obj))
+            return out
+    except (TypeError, struct.error):  # a bare number, a string, null or out of range
+        pass
     return np.array([decode_complex(z) for z in obj], dtype=np.complex128)
 
 
 def encode_cmatrix(m) -> list[list[list[float]]]:
-    m = np.asarray(m)
-    return [encode_cvector(row) for row in m]
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    return m.view(np.float64).reshape(m.shape + (2,)).tolist()
 
 
 def decode_cmatrix(obj) -> np.ndarray:
     if not isinstance(obj, (list, tuple)) or not obj:
         raise InputError("expected a nested list of [re, im] pairs")
-    # row by row: one block for the whole matrix would double its peak memory
+    if all(isinstance(row, (list, tuple)) for row in obj) and len(set(map(len, obj))) == 1:
+        # a regular matrix: one vector of its entries in row order
+        return decode_cvector(list(chain.from_iterable(obj))).reshape(len(obj), len(obj[0]))
     rows = [decode_cvector(row) for row in obj]
     if len({row.shape for row in rows}) > 1:
         raise InputError("matrix rows differ in length")
@@ -98,7 +104,14 @@ def dumps(obj: Any) -> str:
 
 def load_file(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    enabled = gc.isenabled()
+    gc.disable()  # a file's many small lists would set off collections that find nothing
+    try:
+        return json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def dump_file(path: str, obj: Any) -> None:

@@ -163,20 +163,22 @@ def product_kernel(
 ) -> ProductKernelResult:
     """Truncated product of filter Gram sums along the orbit of the map.
 
-    Factor k evaluates the Gram sum at sigma**k of each point, k = 0 ..
-    terms - 1; zero terms yield the constant kernel 1.  The tail bound is
-    the entrywise change contributed by the last factor.  When some orbit
-    never settles on a fixed point the truncation cannot stabilize; that
-    is reported through the flag, never hidden.
+    Factor k, k = 0 .. terms - 1, is the one Gram matrix gathered at
+    sigma**k of each point; zero terms yield the constant kernel 1.  The
+    tail bound is the entrywise change contributed by the last factor.
+    When some orbit never settles on a fixed point the truncation cannot
+    stabilize; that is reported through the flag, never hidden.
     """
     if terms < 0:
         raise InputError("term count must be >= 0")
-    values = _filter_values(m_list, pset.size)
-    out = prev = np.ones((pset.size, pset.size), dtype=complex)
     idx = np.arange(pset.size)
+    gram = _gram_sum(_filter_values(m_list, pset.size), idx)
+    out = prev = np.ones((pset.size, pset.size), dtype=complex)
     for _ in range(terms):
         prev = out
-        out = out * _gram_sum(values, idx)
+        # keep a fresh temporary on the right: from 256 KiB numpy multiplies into
+        # it with the operands swapped, and the last bits follow that order
+        out = out * gram[np.ix_(idx, idx)]
         idx = pset.sigma[idx]
     tail = float(np.max(np.abs(out - prev))) if terms > 0 else 0.0
     return ProductKernelResult(

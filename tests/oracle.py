@@ -21,7 +21,10 @@ order-by-order dilation residual are the package's former path-space
 code, kept as the judge of the direct Perron solve and of the one-walk
 dilation residuals, and the gather-based cascade and the np.repeat
 lifting product are the package's former kernels, kept as the bit-for-bit
-judge of the in-place cascade and of the broadcast products.  The final
+judge of the in-place cascade and of the broadcast products.  The per-term
+product kernel and the per-entry complex JSON encoders and numpy-discovery
+decoders are the package's former code, kept as the bit-for-bit judge of
+the gathered Gram matrix and of the flat-pass codecs.  The final
 section holds the input builders and judges that only the tests use,
 moved out of the package.
 """
@@ -741,6 +744,28 @@ def product_kernel(values, sigma, terms: int) -> np.ndarray:
     return out
 
 
+def fresh_gram(values, idx) -> np.ndarray:
+    gram = np.zeros((idx.size, idx.size), dtype=complex)
+    for v in values:
+        gram += np.outer(v[idx], np.conj(v[idx]))
+    return gram
+
+
+def product_kernel_per_term(values, sigma, terms: int) -> np.ndarray:
+    """The package's former loop, one fresh Gram sum per factor.
+
+    The fresh temporary on the right of ``*`` lets numpy multiply in place
+    with the operands swapped once the matrix reaches 256 KiB, so this, not
+    ``product_kernel`` above, is the bit-for-bit judge at 128 points and up.
+    """
+    out = np.ones((len(sigma), len(sigma)), dtype=complex)
+    idx = np.arange(len(sigma))
+    for _ in range(terms):
+        out = out * fresh_gram(values, idx)
+        idx = np.asarray(sigma)[idx]
+    return out
+
+
 def preimage_orthogonality(values, sigma) -> tuple[np.ndarray, tuple[int, ...]]:
     residual = np.zeros((len(values), len(values)))
     skipped = []
@@ -978,3 +1003,41 @@ def field_product(u: MatrixField, v: MatrixField) -> MatrixField:
     return MatrixField(u.spec, stacked(tuple_matmul(entries_of(u), entries_of(v))))
 
 
+
+
+# ---------------------------------------------------------------------------
+# complex JSON: the former per-entry encoders and numpy-discovery decoders
+# ---------------------------------------------------------------------------
+
+def encode_complex(z: complex) -> list[float]:
+    z = complex(z)
+    return [float(z.real), float(z.imag)]
+
+
+def encode_cvector(values) -> list[list[float]]:
+    return [encode_complex(z) for z in np.asarray(values).ravel()]
+
+
+def encode_cmatrix(m) -> list[list[list[float]]]:
+    return [encode_cvector(row) for row in np.asarray(m)]
+
+
+def decode_cvector(obj) -> np.ndarray:
+    if not isinstance(obj, (list, tuple)):
+        raise InputError("expected a list of [re, im] pairs")
+    try:
+        block = np.array(obj)
+    except (TypeError, ValueError, OverflowError):  # ragged or out of range
+        block = np.empty(0)
+    if block.ndim == 2 and block.shape[1] == 2 and block.dtype.kind in "biuf":
+        return np.ascontiguousarray(block, dtype=np.float64).view(np.complex128)[:, 0]
+    return np.array([jsonio.decode_complex(z) for z in obj], dtype=np.complex128)
+
+
+def decode_cmatrix(obj) -> np.ndarray:
+    if not isinstance(obj, (list, tuple)) or not obj:
+        raise InputError("expected a nested list of [re, im] pairs")
+    rows = [decode_cvector(row) for row in obj]
+    if len({row.shape for row in rows}) > 1:
+        raise InputError("matrix rows differ in length")
+    return np.array(rows, dtype=np.complex128)

@@ -262,6 +262,21 @@ def test_verify_over_cell_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert "cap" in capsys.readouterr().err
 
 
+def test_a_file_over_the_cell_cap_gets_the_cap_message_naming_it(tmp_path, capsys, monkeypatch):
+    # a well-formed file too deep for the cap is no malformed file
+    spec = IfsSpec(2)
+    bank_path = write(tmp_path / "b.json", build_indicator(spec).to_json())
+    fn_path = write(tmp_path / "f.json", CylinderFn(spec, 10, np.arange(1024.0) / 1024).to_json())
+    argv = ["ifs", "endo-check", "--bank", bank_path, "--fn", fn_path]
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "512")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"wavelab: {fn_path}: 1024 cells exceed the cap of 512; set WAVELAB_MAX_CELLS to raise it\n"
+    monkeypatch.delenv("WAVELAB_MAX_CELLS")
+    assert run(argv) == 0
+
+
 def test_endo_check_fails_on_nan_bank(tmp_path, capsys):
     spec = IfsSpec(2)
     bank = build_indicator(spec).to_json()

@@ -1,10 +1,14 @@
-"""Array decode of complex JSON against the per-entry path it replaces."""
+"""Array codecs of complex JSON against the per-entry paths and the former
+numpy-discovery decoders they replace."""
 
+import gc
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from wavelab import jsonio
 from wavelab.errors import InputError
 
@@ -104,3 +108,125 @@ def test_malformed_matrix_raises():
     for obj in ([], None, [[[1, 2]], [[3, 4], [5, 6]]], [[[1, 2, 3]]], [["ab"]]):
         with pytest.raises(InputError):
             jsonio.decode_cmatrix(obj)
+
+
+# ---------------------------------------------------------------------------
+# one-tolist encoders against the former per-entry encoders
+# ---------------------------------------------------------------------------
+
+ENCODE_SPECIALS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324, 1.5, -2.0]
+
+
+def encode_inputs():
+    rng = np.random.default_rng(7)
+    yield np.array(ENCODE_SPECIALS)  # real parts only
+    yield np.array([complex(a, b) for a in ENCODE_SPECIALS for b in ENCODE_SPECIALS])
+    yield ENCODE_SPECIALS  # a list of floats
+    yield [True, False, True]
+    yield np.array([True, False])
+    yield [2**60, -(2**60), 2**53 + 1, 7]
+    yield np.array([2**60, 3], dtype=np.int64)
+    yield np.array([1 + 2j, -0.5j], dtype=np.complex64)
+    yield rng.normal(size=40) + 1j * rng.normal(size=40)
+    yield 10.0 ** rng.integers(-300, 300, size=20) * (rng.normal(size=20) + 1j * rng.normal(size=20))
+    yield []
+
+
+def test_vector_encoder_matches_the_per_entry_encoder():
+    for values in encode_inputs():
+        assert jsonio.dumps(jsonio.encode_cvector(values)) == jsonio.dumps(oracle.encode_cvector(values))
+    # one value, and a matrix flattened in row order
+    assert jsonio.encode_cvector(2.5) == oracle.encode_cvector(2.5)
+    m = np.arange(12.0).reshape(3, 4).T - 1j
+    assert jsonio.dumps(jsonio.encode_cvector(m)) == jsonio.dumps(oracle.encode_cvector(m))
+
+
+def test_matrix_encoder_matches_the_per_entry_encoder():
+    rng = np.random.default_rng(8)
+    z = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    specials = np.array([complex(a, b) for a in ENCODE_SPECIALS for b in ENCODE_SPECIALS]).reshape(9, 9)
+    for m in (z, z.T, z[::2, 1:], specials, np.eye(3), [[1, 0], [0, -1]], [[True, False]], np.zeros((0, 3))):
+        assert jsonio.dumps(jsonio.encode_cmatrix(m)) == jsonio.dumps(oracle.encode_cmatrix(m))
+
+
+# ---------------------------------------------------------------------------
+# flat-pass decoders against the former numpy-discovery decoders
+# ---------------------------------------------------------------------------
+
+NUMBERS = st.one_of(
+    st.floats(),  # NaN and +-inf included
+    st.integers(-(2**70), 2**70),  # past int64 and uint64
+    st.sampled_from([2**63 - 1, -(2**63), 2**63, 2**64 - 1, 2**64, 10**400, -(10**400)]),
+    st.booleans(),
+)
+ODD = st.one_of(st.none(), st.sampled_from(["1.5", "2", "nan", "inf", "ab", "12"]))
+GOOD_PAIR = st.lists(NUMBERS, min_size=2, max_size=2)
+ANY_ENTRY = st.one_of(
+    GOOD_PAIR,
+    st.lists(st.one_of(NUMBERS, ODD), max_size=3),  # short, long or with odd members
+    NUMBERS,  # a bare number
+    ODD,
+    st.lists(GOOD_PAIR, min_size=1, max_size=2),  # nested pairs
+)
+VECTORS = st.one_of(st.lists(GOOD_PAIR, max_size=6), st.lists(ANY_ENTRY, max_size=4), NUMBERS, ODD)
+MATRICES = st.one_of(
+    st.integers(0, 4).flatmap(lambda n: st.lists(st.lists(GOOD_PAIR, min_size=n, max_size=n), max_size=4)),
+    st.integers(1, 3).flatmap(lambda n: st.lists(st.lists(ANY_ENTRY, min_size=n, max_size=n), max_size=3)),
+    st.lists(st.lists(GOOD_PAIR, max_size=3), max_size=3),  # ragged most likely
+    st.lists(st.one_of(GOOD_PAIR, NUMBERS, ODD), max_size=3),  # rows that are no lists of pairs
+    NUMBERS,
+    ODD,
+)
+
+
+def same_outcome(decode, former, obj) -> None:
+    """The same bits as the former decoder, or an InputError from both."""
+    try:
+        want = former(obj)
+    except InputError:
+        with pytest.raises(InputError):
+            decode(obj)
+        return
+    assert same_bits(decode(obj), want)
+
+
+@given(VECTORS)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_vector_decoder_matches_the_former_decoder(obj):
+    same_outcome(jsonio.decode_cvector, oracle.decode_cvector, obj)
+
+
+@given(MATRICES)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_matrix_decoder_matches_the_former_decoder(obj):
+    same_outcome(jsonio.decode_cmatrix, oracle.decode_cmatrix, obj)
+
+
+# ---------------------------------------------------------------------------
+# load_file pauses the cyclic collector and restores it
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_file_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"a": [[1, 2.5]]}', encoding="utf-8")
+    bad.write_text('{"a": [[1, 2.5]', encoding="utf-8")
+    seen = []
+    loads = json.loads
+
+    def spy(text):
+        seen.append(gc.isenabled())
+        return loads(text)
+
+    monkeypatch.setattr(jsonio.json, "loads", spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert jsonio.load_file(str(good)) == {"a": [[1, 2.5]]}
+        assert gc.isenabled() is enabled
+        with pytest.raises(json.JSONDecodeError):
+            jsonio.load_file(str(bad))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]  # paused while decoding

@@ -132,6 +132,35 @@ def test_product_kernel_matches_szego(disk_chain):
     )
 
 
+def doubling_roots(size: int, seed: int):
+    """The doubling map on the size-th roots of unity with a Haar pair mixed
+    by a random unitary, as in the circle-grid benchmark."""
+    z = np.exp(2j * np.pi * np.arange(size) / size)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(2, 2)) + 0j)
+    return FinitePointSet(z, (2 * np.arange(size)) % size), q.T @ np.array([(1 + z) / 2, (1 - z) / 2])
+
+
+@pytest.mark.parametrize("size", [128, 256])
+def test_product_kernel_past_the_elision_threshold(size):
+    pset, values = doubling_roots(size, size)
+    assert pset.orbits_reach_fixed_point()  # 30 terms run past every orbit's fixed point
+    got = product_kernel(values, pset, 30).kernel.matrix
+    # From 256 KiB up numpy multiplies `out * <fresh temporary>` in place with
+    # the operands swapped, and its FMA complex multiply then rounds the last
+    # bit differently from the oracle's `out * gram` (a named matrix): the two
+    # agree to rounding here, bit for bit only below 128 points.
+    want = oracle.product_kernel(values, pset.sigma, 30)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def test_gathered_gram_is_bit_equal_to_one_gram_sum_per_term():
+    # the former loop, written the same way, is the bit-for-bit judge
+    pset, values = doubling_roots(256, 3)
+    for terms in (1, 2, 8, 9, 30):
+        got = product_kernel(values, pset, terms).kernel.matrix
+        assert np.array_equal(got, oracle.product_kernel_per_term(values, pset.sigma, terms))
+
+
 def test_product_kernel_reports_wandering_orbits():
     # a two-cycle never reaches a fixed point: flagged, not hidden
     pts = np.array([0.5, -0.5], dtype=complex)
