@@ -6,8 +6,10 @@ grid iterates coincide with the function-space iterates pointwise.  The
 seed is the unit box.  The iterates live in two grid-length buffers,
 phi and nxt: each step refines phi into nxt tap by tap from strided
 slices, overwrites phi with the difference for the sup-norm, and swaps
-the two, so a step allocates nothing.  The grid counts against the cell
-cap of code_space.
+the two, so a step allocates nothing.  Real taps refine in float64: on a
+complex grid their imaginary parts stay exactly +0, so the float64
+iterates, turned into complex128 once at the end, carry the same bits.
+The grid counts against the cell cap of code_space.
 
 The analysis/synthesis pipeline mirrors the circle operators in sequence
 space with periodic boundary: analysis correlates with the conjugate taps
@@ -18,6 +20,7 @@ the input exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,7 +110,8 @@ def cascade(
     Preconditions: at least two taps summing to sqrt(N) within 1e-12
     (otherwise no integrable fixed point with unit mass exists).  The
     iteration stops early at an exact fixed point, and flags divergence
-    when the sup-difference grows for DIVERGENCE_RUN consecutive steps.
+    when the sup-difference grows for DIVERGENCE_RUN consecutive steps or
+    is not finite.
     It has converged when the geometric tail bound d_j r / (1 - r), with
     r = d_j / d_(j-1) the last ratio of sup-differences, is below tol.
 
@@ -127,13 +131,14 @@ def cascade(
     if resolution < 1:
         raise InputError("resolution must be a positive integer")
     tap_sum = complex(taps.sum())
-    if abs(tap_sum - np.sqrt(n)) > TAP_SUM_TOL:
+    if not abs(tap_sum - np.sqrt(n)) <= TAP_SUM_TOL:  # written so that NaN fails
         raise VerificationError(
             f"taps must sum to sqrt({n}) = {np.sqrt(n):.15g}, got {tap_sum:.15g}"
         )
     out_len = (taps.shape[0] - 1) * resolution // (n - 1) + 1
     _check_cells(out_len)
-    phi = np.zeros(out_len, dtype=complex)
+    work = taps if taps.imag.any() else taps.real
+    phi = np.zeros(out_len, dtype=work.dtype)
     phi[: min(resolution, out_len)] = 1.0  # unit box on [0, 1)
     nxt, tmp, gap = np.empty_like(phi), np.empty_like(phi), np.empty(out_len)
 
@@ -141,20 +146,18 @@ def cascade(
     growing = 0
     diverged = False
     for _ in range(iterations):
-        _refine(phi, taps, n, resolution, nxt, tmp)
+        _refine(phi, work, n, resolution, nxt, tmp)
         diff = float(np.max(np.abs(np.subtract(nxt, phi, out=phi), out=gap)))
         sup_diffs.append(diff)
         phi, nxt = nxt, phi
         if diff == 0.0:
             break
-        if len(sup_diffs) > 1 and diff > sup_diffs[-2]:
-            growing += 1
-            if growing >= DIVERGENCE_RUN:
-                diverged = True
-                break
-        else:
-            growing = 0
+        growing = growing + 1 if len(sup_diffs) > 1 and diff > sup_diffs[-2] else 0
+        diverged = growing >= DIVERGENCE_RUN or not math.isfinite(diff)
+        if diverged:
+            break
     converged = not diverged and _tail_bound(sup_diffs) < tol
+    phi = phi.astype(complex, copy=False)
     phi.setflags(write=False)
     return ScalingProfile(
         taps=taps,
@@ -177,9 +180,12 @@ def wavelet_detail(profile: ScalingProfile, detail_taps: Sequence[complex]) -> n
     res = profile.resolution
     out_len = ((d.shape[0] - 1) * res + profile.samples.shape[0] - 1) // n + 1
     _check_cells(out_len)
-    psi = np.empty(out_len, dtype=complex)
-    _refine(profile.samples, d, n, res, psi, np.empty_like(psi))
-    return psi
+    phi = profile.samples
+    if not (d.imag.any() or phi.imag.any()):  # as in cascade: float64 gives the same bits
+        phi, d = phi.real, d.real
+    psi = np.empty(out_len, dtype=d.dtype)
+    _refine(phi, d, n, res, psi, np.empty_like(psi))
+    return psi.astype(complex, copy=False)
 
 
 def fourier_product(m0: LaurentPoly, t: float, terms: int) -> tuple[complex, float]:

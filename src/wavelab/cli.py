@@ -106,7 +106,7 @@ def _write_grid_csv(path: str, n_grid: int, residuals: np.ndarray) -> None:
 def _load(path: str, decode: Callable[[Any], Any]) -> Any:
     """The JSON file at path, decoded; a malformed file is an InputError naming it."""
     try:
-        return decode(jsonio.load_file(path))
+        return jsonio.load_file(path, decode)
     except CellCapError as exc:  # a well-formed file too large for the cap
         raise InputError(f"{path}: {exc}") from None
     except (InputError, KeyError, TypeError, AttributeError, ValueError) as exc:

@@ -6,7 +6,8 @@ inputs produce byte-identical output.  Arrays are encoded with one
 ``tolist``; a vector of numeric pairs, or a regular matrix of them, is
 decoded in one flat pass, and anything else entry by entry by
 ``decode_complex``, which judges malformed input.  ``load_file`` parses
-with the cyclic garbage collector paused: a JSON tree holds no cycles.
+and decodes with the cyclic garbage collector paused: a JSON tree holds
+no cycles.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import gc
 import json
 import struct
 from itertools import chain
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -102,13 +103,16 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def load_file(path: str) -> Any:
+def load_file(path: str, decode: Callable[[Any], Any] = lambda obj: obj) -> Any:
+    """The file's JSON tree, passed through decode; both run with the GC paused."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     enabled = gc.isenabled()
     gc.disable()  # a file's many small lists would set off collections that find nothing
     try:
-        return json.loads(text)
+        tree = json.loads(text)
+        del text  # not held while decode builds its arrays
+        return decode(tree)
     finally:
         if enabled:
             gc.enable()

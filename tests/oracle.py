@@ -840,7 +840,7 @@ def cascade_gather(taps, n: int, iterations: int, res: int) -> tuple[np.ndarray,
         if diffs[-1] == 0.0:
             break
         growing = growing + 1 if len(diffs) > 1 and diffs[-1] > diffs[-2] else 0
-        if growing >= DIVERGENCE_RUN:
+        if growing >= DIVERGENCE_RUN or not np.isfinite(diffs[-1]):
             break
     return phi, tuple(diffs)
 

@@ -135,7 +135,33 @@ REFINE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("taps, n, iters, res", REFINE_CASES)
+def _real_taps(n, length, seed):
+    """Random real taps about the box filter of that length, summing to sqrt N."""
+    c = np.random.default_rng(seed).normal(scale=0.2, size=length) + np.sqrt(n) / length
+    return c + (np.sqrt(n) - c.sum()) / length
+
+
+def _negative_zero_imag(taps):
+    c = np.array(taps, dtype=complex)
+    c.imag = -0.0
+    return c
+
+
+# real taps, which refine in float64: N = 2, 3 and 4 at a few lengths and
+# resolutions, and real taps written with -0.0 imaginary parts
+REAL_REFINE_CASES = [
+    (_real_taps(2, 4, 1), 2, 30, 64),
+    (_real_taps(2, 7, 2), 2, 25, 50),
+    (_real_taps(3, 3, 3), 3, 20, 27),
+    (_real_taps(3, 6, 4), 3, 15, 10),
+    (_real_taps(4, 4, 5), 4, 20, 33),
+    (_real_taps(4, 9, 6), 4, 12, 64),
+    (_negative_zero_imag(d4_taps()), 2, 30, 64),
+    (_negative_zero_imag(_real_taps(3, 5, 7)), 3, 20, 27),
+]
+
+
+@pytest.mark.parametrize("taps, n, iters, res", REFINE_CASES + REAL_REFINE_CASES)
 def test_in_place_cascade_matches_the_gather_kernel_bit_for_bit(taps, n, iters, res):
     profile = cascade(taps, n, iters, res, tol=0.0)
     samples, diffs = oracle.cascade_gather(taps, n, iters, res)
@@ -150,6 +176,25 @@ def test_refine_cases_cover_early_stop_and_divergence():
     haar, diverging = (cascade(*case) for case in REFINE_CASES[1::2])
     assert haar.iterations == 1 and haar.sup_diffs == (0.0,)
     assert diverging.diverged and diverging.iterations < 60
+
+
+@pytest.mark.parametrize("taps, n, iters, res", REFINE_CASES + REAL_REFINE_CASES)
+def test_cascade_and_detail_return_complex128(taps, n, iters, res):
+    profile = cascade(taps, n, iters, res)
+    assert profile.samples.dtype == np.complex128
+    assert wavelet_detail(profile, detail_taps(taps)).dtype == np.complex128
+
+
+@pytest.mark.parametrize("taps, n, res", [(d4_taps(), 2, 64), (_complex_taps_n3(), 3, 27)])
+def test_detail_of_a_mixed_pair_matches_the_gather_kernel_bit_for_bit(taps, n, res):
+    # a complex detail vector on a real profile, and a real one on a complex profile
+    profile = cascade(taps, n, 20, res)
+    rng = np.random.default_rng(11)
+    detail = rng.normal(size=5) + 1j * rng.normal(size=5)
+    if profile.samples.imag.any():
+        detail = detail.real
+    psi = oracle.detail_gather(profile.samples, detail, n, res)
+    assert np.array_equal(oracle.bits(wavelet_detail(profile, detail)), oracle.bits(psi))
 
 
 def test_cascade_and_detail_grids_count_against_the_cap(monkeypatch):

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import subprocess
@@ -30,6 +31,7 @@ from wavelab.ifs_filters import (
     build_indicator,
     build_roots_of_unity,
 )
+from wavelab.errors import InputError
 from wavelab.rkhs_kernels import FinitePointSet, contraction_check
 
 
@@ -494,6 +496,30 @@ def test_mra_cascade_grid_over_cell_cap_exits_2(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "wavelab: 12289 cells exceed the cap of 1000; set WAVELAB_MAX_CELLS to raise it\n"
+
+
+def test_mra_cascade_and_wavelet_reject_a_nan_tap(tmp_path, capsys):
+    # NaN passed a tap-sum test written as abs(sum - sqrt N) > tol and iterated NaN steps
+    taps = write(tmp_path / "nan.json", {"taps": [[float("nan"), 0.0], [0.7, 0.0], [0.7, 0.0]]})
+    for command in ("cascade", "wavelet"):
+        code, result = run_json(capsys, ["mra", command, "--taps", taps])
+        assert code == 1 and result["pass"] is False
+        assert result["error"].startswith("taps must sum to sqrt(2)")
+
+
+def test_mra_cascade_and_wavelet_stop_as_diverged_at_an_overflow(tmp_path, capsys):
+    # the taps sum to sqrt 2, but the first step reaches 1.4e200 and the second overflows
+    taps = write(tmp_path / "big.json", {"taps": [[1e200, 0.0], [-1e200, 0.0], [np.sqrt(2), 0.0]]})
+    results = {}
+    for command in ("cascade", "wavelet"):
+        with np.errstate(all="ignore"):
+            code, result = run_json(capsys, ["mra", command, "--taps", taps])
+        assert code == 1 and result["pass"] is False
+        assert result["results"]["iterations"] == 2 and result["results"]["converged"] is False
+        results[command] = result
+    assert results["cascade"]["results"]["diverged"] is True
+    assert results["cascade"]["results"]["sup_diffs"] == [pytest.approx(np.sqrt(2) * 1e200), np.inf]
+    assert np.isnan(results["wavelet"]["residuals"]["detail_mean"])
 
 
 def test_mra_filterbank(tmp_path, capsys):
@@ -1029,6 +1055,37 @@ def test_decoder_error_names_its_file(tmp_path, capsys):
     assert captured.out == ""
     assert paths["kernel"] in captured.err and "[re, im] pair" in captured.err
     assert paths["points"] not in captured.err and paths["filters"] not in captured.err
+
+
+def test_load_decodes_with_the_collector_paused_and_restores_it(tmp_path):
+    """No cyclic collection while a 256x256 kernel is parsed and decoded; the GC is
+    back on after a file that does not parse and after one that does not decode."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    matrix = a + a.conj().T
+    good = write(tmp_path / "k.json", {"matrix": jsonio.encode_cmatrix(matrix)})
+    unparsed = tmp_path / "unparsed.json"
+    unparsed.write_text('{"matrix": [[[1, 2]]', encoding="utf-8")
+    undecoded = write(tmp_path / "undecoded.json", {"matrix": [[["0.5", 0.0]]]})
+    decode = lambda obj: cli._kernel(obj, 256)  # noqa: E731
+    collections = []
+
+    def seen(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(seen)
+    try:
+        kernel = cli._load(good, decode)
+        assert collections == []
+        for path in (str(unparsed), undecoded):
+            with pytest.raises(InputError, match=f"malformed {re.escape(path)}"):
+                cli._load(path, decode)
+            assert gc.isenabled()
+    finally:
+        gc.callbacks.remove(seen)
+    assert np.array_equal(kernel.matrix, matrix)
 
 
 @pytest.mark.parametrize("band", ["-1", "0", "1"])
