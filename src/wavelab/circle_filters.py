@@ -62,14 +62,6 @@ class LaurentPoly:
 
     # -- constructors ---------------------------------------------------------
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls(0, [1.0])
-
-    @classmethod
     def monomial(cls, degree: int, coeff: complex = 1.0) -> "LaurentPoly":
         return cls(degree, [coeff])
 
@@ -219,7 +211,7 @@ def cuntz_residuals(
     for t in range(n):
         probe = LaurentPoly.monomial(t)
         lows = [(m.conj_reflect() * probe).downsample(n) for m in filters]
-        recon = sum((m * low.upsample(n) for m, low in zip(filters, lows)), LaurentPoly.zero())
+        recon = sum((m * low.upsample(n) for m, low in zip(filters, lows)), LaurentPoly())
         comp.append((scale * recon - probe).max_abs())
     # np.max, unlike max(), keeps a NaN residual
     return float(np.max(orth, initial=0.0)), float(np.max(comp))

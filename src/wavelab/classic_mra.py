@@ -39,10 +39,9 @@ class ScalingProfile:
     """Sampled fixed point of the two-scale equation.
 
     ``samples[i]`` approximates phi(i / resolution) on the support
-    [0, (len(taps) - 1) / (N - 1)].
+    [0, (len(taps) - 1) / (N - 1)] of the refined taps.
     """
 
-    taps: np.ndarray
     dilation: int
     resolution: int
     samples: np.ndarray
@@ -160,7 +159,6 @@ def cascade(
     phi = phi.astype(complex, copy=False)
     phi.setflags(write=False)
     return ScalingProfile(
-        taps=taps,
         dilation=n,
         resolution=resolution,
         samples=phi,

@@ -12,11 +12,10 @@ The shift sigma drops the first symbol and the branches tau_n prepend
 symbol n, so both act by pure index bookkeeping and every operator
 identity below is exact up to float rounding at any finite depth:
 
-    compose_sigma(f)             (S f)(w1 w2 ...) = f(w2 ...)
-    adjoint_sigma(f)             (S* f)(v) = sum_n p_n f(n v)
-    conditional_expectation(f)   S S* f, projection onto shift composites
-    weighted_compose(m, f)       m * (f o sigma)
-    ruelle_apply(W, f)           S*(W f), transfer operator with weight W
+    compose_sigma(f)         (S f)(w1 w2 ...) = f(w2 ...)
+    adjoint_sigma(f)         (S* f)(v) = sum_n p_n f(n v)
+    weighted_compose(m, f)   m * (f o sigma)
+    ruelle_apply(W, f)       S*(W f), transfer operator with weight W
 
 Depth bookkeeping: compose_sigma raises depth by one, adjoint_sigma
 lowers it by one, and products lift both operands to the larger depth.
@@ -32,7 +31,6 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -186,15 +184,6 @@ class CylinderFn:
     def ones(cls, spec: IfsSpec) -> "CylinderFn":
         return cls.constant(spec, 1.0)
 
-    @classmethod
-    def indicator(cls, spec: IfsSpec, word: Word | Sequence[int]) -> "CylinderFn":
-        if not isinstance(word, Word):
-            word = Word(tuple(word))
-        word.validate(spec.N)
-        vals = np.zeros(spec.N ** len(word), dtype=np.complex128)
-        vals[word.index(spec.N)] = 1.0
-        return cls(spec, len(word), vals)
-
     # -- pointwise arithmetic --------------------------------------------------
     def _binary(self, other, op):
         if isinstance(other, CylinderFn):
@@ -270,19 +259,15 @@ def _align(f: CylinderFn, g: CylinderFn) -> tuple[np.ndarray, np.ndarray, int]:
     return f.values.reshape(rows, -1), g.values.reshape(rows, -1), depth
 
 
-def _lift_values(f: CylinderFn, depth: int) -> np.ndarray:
-    if depth < f.depth:
-        raise InputError(f"cannot lift depth {f.depth} down to {depth}")
-    if depth == f.depth:
-        return f.values
-    reps = f.spec.N ** (depth - f.depth)
-    _check_cells(f.values.shape[0] * reps)
-    return np.repeat(f.values, reps)
-
-
-def lift(f: CylinderFn, depth: int) -> CylinderFn:
-    """View ``f`` as a function of the first ``depth`` >= f.depth symbols."""
-    return _new(f.spec, depth, _lift_values(f, depth))
+def _lift(values: np.ndarray, n: int, depth: int) -> np.ndarray:
+    """Functions stored along the last axis, as functions of the first depth symbols."""
+    size, cells = values.shape[-1], n**depth
+    if cells < size:
+        raise InputError(f"cannot lift {size} values down to depth {depth}")
+    if cells == size:
+        return values
+    _check_cells(cells)
+    return np.repeat(values, cells // size, axis=-1)
 
 
 def integrate(f: CylinderFn) -> complex:
@@ -317,13 +302,6 @@ def adjoint_sigma(f: CylinderFn) -> CylinderFn:
         return f
     p = f.spec.weight_array()
     return _new(f.spec, f.depth - 1, p @ f.values.reshape(f.spec.N, -1))
-
-
-def conditional_expectation(f: CylinderFn) -> CylinderFn:
-    """The orthogonal projection S S* onto functions of the shifted tail."""
-    if f.depth == 0:
-        return f
-    return compose_sigma(adjoint_sigma(f))
 
 
 def shift_iterate(f: CylinderFn, k: int) -> CylinderFn:
@@ -390,7 +368,7 @@ def harmonic_solve(W: CylinderFn, tol: float = 1e-12) -> CylinderFn:
     _check_cells(size * size)
     p, word = W.spec.weight_array(), np.arange(n * size)  # the words n v
     cells = (word % size, word // n)
-    weighted = np.repeat(p, size) * _lift_values(W, depth + 1).real
+    weighted = np.repeat(p, size) * _lift(W.values, n, depth + 1).real
     mat = np.zeros((size, size))
     np.add.at(mat, cells, weighted)
     mat.flat[:: size + 1] -= 1  # R_W - I + 1 mu^T, in place

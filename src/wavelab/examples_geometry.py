@@ -28,19 +28,12 @@ CHAOS_BURN_IN = 64
 CHAOS_BLOCK = 2**13
 
 
-@dataclass(frozen=True)
-class ChebyshevRule:
-    """Equal-weight quadrature exact for the arcsine measure on [0, 1]."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InputError("node count must be >= 1")
-
-    def nodes(self) -> np.ndarray:
-        j = np.arange(1, self.n + 1)
-        return (1.0 - np.cos((2 * j - 1) * np.pi / (2 * self.n))) / 2.0
+def chebyshev_nodes(n: int) -> np.ndarray:
+    """Nodes of the n-point equal-weight quadrature exact for the arcsine measure on [0, 1]."""
+    if n < 1:
+        raise InputError("node count must be >= 1")
+    j = np.arange(1, n + 1)
+    return (1.0 - np.cos((2 * j - 1) * np.pi / (2 * n))) / 2.0
 
 
 def arcsine_moment(k: int) -> float:
@@ -56,8 +49,7 @@ def logistic_invariance(max_degree: int = 8, nodes: int = 64) -> float:
         raise InputError("degree must be >= 0")
     if nodes <= max_degree:
         raise InputError("need more quadrature nodes than the top degree")
-    rule = ChebyshevRule(nodes)
-    x = rule.nodes()
+    x = chebyshev_nodes(nodes)
     s = 4.0 * x * (1.0 - x)
     return float(max(abs(np.mean(s**k) - np.mean(x**k)) for k in range(max_degree + 1)))
 

@@ -37,30 +37,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, VerificationError
-from .code_space import (
-    CylinderFn,
-    IfsSpec,
-    conditional_expectation,
-    integrate,
-    multiply,
-    _Fresh,
-    _check_cells,
-    _lift_values,
-)
+from .code_space import CylinderFn, IfsSpec, _Fresh, _check_cells, _lift
+from .code_space import multiply  # noqa: F401, the perfbench tracer test reads it here
 
-GRAM_SCHMIDT_SUPPORT_EPS = 1e-12
-GRAM_SCHMIDT_RESIDUAL_EPS = 1e-10
 UNITARITY_TOL = 1e-13  # connecting_unitary: sup |U*U - I| of its field
 RECOMBINATION_TOL = 1e-12  # connecting_unitary: sup |U . bank - target|
-
-
-def _lift(values: np.ndarray, n: int, depth: int) -> np.ndarray:
-    """Functions stored along the last axis, as functions of the first depth symbols."""
-    reps = n**depth // values.shape[-1]
-    if reps == 1:
-        return values
-    _check_cells(values.shape[-1] * reps)
-    return np.repeat(values, reps, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +79,7 @@ class _FunctionArray:
         if any(f.spec != spec for f in fns):
             raise InputError("function spec differs from the bank or field spec")
         depth = max(f.depth for f in fns)
-        values = np.array([_lift_values(f, depth) for f in fns])
+        values = np.array([_lift(f.values, spec.N, depth) for f in fns])
         return cls(spec, values.reshape((spec.N,) * cls.AXES + (-1,)))
 
 
@@ -238,7 +219,7 @@ def _tail_residual(bank: FilterBank, depth: int, f: CylinderFn | None = None) ->
     n = bank.spec.N
     _check_cells(n ** (depth + 2))
     p = bank.spec.weight_array()[:, None]
-    fv = 1.0 if f is None else _lift_values(f, depth - 1)
+    fv = 1.0 if f is None else _lift(f.values, n, depth - 1)
     m = bank._by_symbol(depth)
     low = fv * (p * np.conj(m))
     out = (m[:, :, None] * low[:, None]).sum(axis=0)
@@ -358,41 +339,6 @@ def tree_json(spec: IfsSpec, leaves: Sequence[np.ndarray]) -> dict:
     for detail in leaves[1:]:
         tree = {"children": [tree] + [leaf(row) for row in detail]}
     return tree
-
-
-def gram_schmidt_module(generators: Sequence[CylinderFn]) -> FilterBank:
-    """Orthonormalize N generators as a module basis over shift composites.
-
-    Step k subtracts the projections m_j E(conj(m_j) g_k) of the already
-    accepted filters, then normalizes the residual r pointwise by
-    sqrt(E|r|^2) on the set where that expectation exceeds
-    GRAM_SCHMIDT_SUPPORT_EPS and pads with 1 elsewhere.  A residual with
-    L2 norm below GRAM_SCHMIDT_RESIDUAL_EPS means the generators are
-    dependent and raises VerificationError.
-    """
-    generators = tuple(generators)
-    if not generators:
-        raise InputError("no generators given")
-    spec = generators[0].spec
-    if len(generators) != spec.N:
-        raise InputError(f"expected {spec.N} generators, got {len(generators)}")
-    accepted: list[CylinderFn] = []
-    for k, g in enumerate(generators):
-        if g.spec != spec:
-            raise InputError("generator spec mismatch")
-        r = g
-        for m in accepted:
-            r = r - multiply(m, conditional_expectation(multiply(m.conj(), g)))
-        norm = np.sqrt(max(integrate(r.abs2()).real, 0.0))
-        if norm < GRAM_SCHMIDT_RESIDUAL_EPS:
-            raise VerificationError(
-                f"generator {k + 1} lies in the module span of its predecessors"
-            )
-        dv = conditional_expectation(r.abs2()).values.real  # at the depth of r
-        mask = dv > GRAM_SCHMIDT_SUPPORT_EPS
-        vals = np.where(mask, r.values / np.sqrt(np.where(mask, dv, 1.0)), 1.0)
-        accepted.append(CylinderFn(spec, r.depth, vals))
-    return FilterBank.from_cylinders(spec, accepted)
 
 
 def connecting_unitary(bank: FilterBank, target: FilterBank, tol: float = 1e-10) -> MatrixField:

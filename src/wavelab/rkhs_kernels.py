@@ -95,10 +95,6 @@ class KernelMatrix:
         k.setflags(write=False)
         object.__setattr__(self, "matrix", k)
 
-    def min_eigenvalue(self) -> float:
-        herm = (self.matrix + self.matrix.conj().T) / 2.0
-        return float(np.min(np.linalg.eigvalsh(herm)))
-
     def to_json(self) -> dict:
         return {"matrix": jsonio.encode_cmatrix(self.matrix)}
 
@@ -139,7 +135,7 @@ def contraction_check(
     k = kernel.matrix
     pulled = k[np.ix_(pset.sigma, pset.sigma)]
     diff = k - np.outer(mv, np.conj(mv)) * pulled
-    return KernelMatrix((diff + diff.conj().T) / 2.0, tol=np.inf).min_eigenvalue()
+    return float(np.min(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)))
 
 
 def refinement_residual(

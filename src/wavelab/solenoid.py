@@ -15,8 +15,7 @@ formula
 The two-sided shift acts by pure index rewriting: pi_n o shift = pi_(n-1)
 for n >= 1 while pi_0 o shift = sigma o pi_0, and the inverse raises all
 indices by one.  The weighted shift F -> (m o pi_0) (F o shift) dilates
-the weighted composition operator S_m; its inverse divides by m o pi_1
-and therefore requires m bounded away from zero.
+the weighted composition operator S_m.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, VerificationError
+from .errors import InputError
 from .code_space import (
     CylinderFn,
     IfsSpec,
@@ -44,7 +43,6 @@ from .code_space import (
 )
 
 HARMONIC_TOL = 1e-12
-NONVANISHING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -165,22 +163,6 @@ def weighted_shift(f: PathCylinderFn, m: CylinderFn) -> PathCylinderFn:
     return PathCylinderFn.coordinate(0, m) * f.compose_shift()
 
 
-def weighted_shift_inverse(f: PathCylinderFn, m: CylinderFn) -> PathCylinderFn:
-    """Inverse dilation F -> (F o shift^{-1}) / (m o pi_1).
-
-    Requires min |m| > 1e-12: the reciprocal enters as a genuine factor.
-    """
-    if m.spec != f.spec:
-        raise InputError("weight spec differs from path spec")
-    low = float(np.min(np.abs(m.values)))
-    if low <= NONVANISHING_TOL:
-        raise VerificationError(
-            f"inverse weighted shift needs a nonvanishing weight (min |m| = {low:.3e})"
-        )
-    recip = CylinderFn(m.spec, m.depth, 1.0 / m.values)
-    return PathCylinderFn.coordinate(1, recip) * f.compose_shift_inverse()
-
-
 def _chain(fs: Sequence[CylinderFn], weight: CylinderFn, h: CylinderFn) -> complex:
     """int f_0 R_W(f_1 R_W(... R_W(f_K h))) dmu, evaluated innermost first."""
     acc = multiply(fs[-1], h)
@@ -286,14 +268,8 @@ def dilation_residuals(
     return [abs(lhs[n] - rhs[n]) for n in orders]
 
 
-@dataclass(frozen=True)
-class CovarianceReport:
-    conjugation: float
-    scaling: float
-
-
-def shift_covariance_check(m: CylinderFn, f: CylinderFn, g: CylinderFn) -> CovarianceReport:
-    """Covariance of the weighted shift with multiplication operators.
+def shift_covariance_check(m: CylinderFn, f: CylinderFn, g: CylinderFn) -> tuple[float, float]:
+    """(conjugation, scaling) residuals of the weighted shift's covariance.
 
     Conjugating multiplication by f o pi_0 through the weighted shift must
     give multiplication by (f o sigma) o pi_0; tested in the multiplied
@@ -309,7 +285,7 @@ def shift_covariance_check(m: CylinderFn, f: CylinderFn, g: CylinderFn) -> Covar
         distances.append(path_sup_distance(lhs, rhs))
     one = PathCylinderFn.constant(m.spec, 1.0)
     scaling = path_sup_distance(weighted_shift(one, m), PathCylinderFn.coordinate(0, m))
-    return CovarianceReport(float(np.max(distances)), scaling)  # NaN propagates
+    return float(np.max(distances)), scaling  # NaN propagates
 
 
 def w0_isometry_residual(

@@ -182,7 +182,7 @@ def probe_block_completeness(bank, probe_depth: int) -> float:
     p = spec.weight_array()
     recon = np.zeros_like(f)
     for m in bank.filters:
-        mv = cs._lift_values(m, depth)
+        mv = cs._lift(m.values, n, depth)
         g = np.conj(mv)[:, None] * f
         low = np.tensordot(p, g.reshape(n, -1, m_probe), axes=1)
         recon += mv[:, None] * np.tile(low, (n, 1))
@@ -224,7 +224,7 @@ def stacked(fns) -> np.ndarray:
     nested = isinstance(fns[0], (tuple, list))
     flat = [f for row in fns for f in row] if nested else list(fns)
     depth = max(f.depth for f in flat)
-    values = np.array([cs._lift_values(f, depth) for f in flat])
+    values = np.array([cs._lift(f.values, f.spec.N, depth) for f in flat])
     return values.reshape(len(fns), -1, values.shape[-1]) if nested else values
 
 
@@ -251,10 +251,10 @@ def tuple_tail_residual(filters, depth: int, f=None) -> float:
     spec = filters[0].spec
     n = spec.N
     p = spec.weight_array()[:, None]
-    fv = 1.0 if f is None else cs._lift_values(f, depth - 1)
+    fv = 1.0 if f is None else cs._lift(f.values, n, depth - 1)
     out = np.zeros((n, n, n ** (depth - 1)), dtype=complex)
     for m in filters:
-        mv = cs._lift_values(m, depth).reshape(n, -1)
+        mv = cs._lift(m.values, n, depth).reshape(n, -1)
         low = fv * (p * np.conj(mv))
         out += mv[:, None, :] * low[None, :, :]
     diag = np.arange(n)
@@ -549,15 +549,15 @@ def power_harmonic(W: CylinderFn, depth=None, tol: float = 1e-10, max_iter: int 
     """Power-iterate R_W from the constant function until R_W h = h."""
     if depth is None:
         depth = max(W.depth - 1, 0)
-    h = cs.lift(CylinderFn.ones(W.spec), depth)
+    h = lift_cylinder(CylinderFn.ones(W.spec), depth)
     residual = None
     for _ in range(max_iter):
-        nxt = cs.lift(cs.ruelle_apply(W, h), depth)
+        nxt = lift_cylinder(cs.ruelle_apply(W, h), depth)
         total = cs.integrate(nxt)
         if abs(total) < 1e-300:
             raise VerificationError("transfer iterate vanished", residual=residual)
         nxt = nxt / total
-        residual = cs.sup_distance(cs.lift(cs.ruelle_apply(W, nxt), depth), nxt)
+        residual = cs.sup_distance(lift_cylinder(cs.ruelle_apply(W, nxt), depth), nxt)
         h = nxt
         if residual < tol:
             return h
@@ -866,6 +866,26 @@ def bits(a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def lift_cylinder(f: CylinderFn, depth: int) -> CylinderFn:
+    """View ``f`` as a function of the first ``depth`` >= f.depth symbols."""
+    return CylinderFn(f.spec, depth, cs._lift(f.values, f.spec.N, depth))
+
+
+def indicator(spec, word) -> CylinderFn:
+    """The indicator of the cylinder of a word (a ``Word`` or a symbol sequence)."""
+    word = word if isinstance(word, Word) else Word(tuple(word))
+    vals = np.zeros(spec.N ** len(word), dtype=np.complex128)
+    vals[word.index(spec.N)] = 1.0
+    return CylinderFn(spec, len(word), vals)
+
+
+def conditional_expectation(f: CylinderFn) -> CylinderFn:
+    """The orthogonal projection S S* onto functions of the shifted tail."""
+    if f.depth == 0:
+        return f
+    return cs.compose_sigma(cs.adjoint_sigma(f))
+
+
 def inner_product(f: CylinderFn, g: CylinderFn) -> complex:
     """L2 pairing int f conj(g) dmu."""
     return cs.integrate(cs.multiply(f, g.conj()))
@@ -885,7 +905,7 @@ def precompose_branch(f: CylinderFn, branch: int) -> CylinderFn:
 
 
 def restrict(f: CylinderFn, depth: int) -> CylinderFn:
-    """Average out trailing symbols, the inverse of ``lift`` on its range."""
+    """Average out trailing symbols, the inverse of ``lift_cylinder`` on its range."""
     assert depth <= f.depth, f"cannot restrict depth {f.depth} up to {depth}"
     vals = f.values
     for _ in range(f.depth - depth):
@@ -895,7 +915,7 @@ def restrict(f: CylinderFn, depth: int) -> CylinderFn:
 
 def matrix_field(bank) -> MatrixField:
     """Modulation matrix M_jk = sqrt(p_k) m_j(tau_k .), unitary iff the bank is a filter."""
-    filters = [cs.lift(m, max(bank.depth, 1)) for m in bank.filters]
+    filters = [lift_cylinder(m, max(bank.depth, 1)) for m in bank.filters]
     return MatrixField(bank.spec, stacked(tuple_matrix_field(filters)))
 
 

@@ -93,7 +93,7 @@ def test_upsample_downsample_examples():
     assert distance(z.upsample(2), LaurentPoly.monomial(2)) == 0
     assert distance(LaurentPoly.monomial(2).downsample(2), z) == 0
     assert not z.downsample(2)
-    one = LaurentPoly.one()
+    one = LaurentPoly(0, [1.0])
     assert distance(one.upsample(3), one) == 0
     assert distance(one.downsample(3), one) == 0
 
@@ -114,9 +114,9 @@ def test_weighted_compose_examples():
     m = poly(s, s)
     out = m * z.upsample(2)
     assert distance(out, poly(s, s, start=2)) == 0
-    assert distance(LaurentPoly.one() * z.upsample(2), z.upsample(2)) == 0
+    assert distance(LaurentPoly(0, [1.0]) * z.upsample(2), z.upsample(2)) == 0
     zi = LaurentPoly.monomial(-1)
-    assert distance(zi * LaurentPoly.one().upsample(2), zi) == 0
+    assert distance(zi * LaurentPoly(0, [1.0]).upsample(2), zi) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_haar_residuals_exactly_zero():
 
 
 def test_single_isometry_incomplete():
-    orthonormality, completeness = cuntz_residuals([LaurentPoly.one()], 2)
+    orthonormality, completeness = cuntz_residuals([LaurentPoly(0, [1.0])], 2)
     assert orthonormality == 0.0
     assert completeness == pytest.approx(1.0)
 
@@ -151,10 +151,10 @@ def test_delayed_haar_is_valid_bank():
 def test_band_count_below_2_is_an_input_error(n):
     for call in (
         lambda: circ.band_count(n),
-        lambda: LaurentPoly.one().upsample(n),
-        lambda: LaurentPoly.one().downsample(n),
-        lambda: cuntz_residuals([LaurentPoly.one()] * max(n, 0), n),
-        lambda: banded_matrix([LaurentPoly.one()] * max(n, 0), n, 1.0),
+        lambda: LaurentPoly(0, [1.0]).upsample(n),
+        lambda: LaurentPoly(0, [1.0]).downsample(n),
+        lambda: cuntz_residuals([LaurentPoly(0, [1.0])] * max(n, 0), n),
+        lambda: banded_matrix([LaurentPoly(0, [1.0])] * max(n, 0), n, 1.0),
         lambda: root_of_unity(n),
     ):
         with pytest.raises(InputError, match="band count must be >= 2"):
@@ -194,7 +194,7 @@ def test_cqf_averaged_convention():
 
 def test_power_sum_residuals():
     assert power_sum_residual(poly(0.5, 0.5)) == 0.0
-    assert power_sum_residual(LaurentPoly.one()) == pytest.approx(1.0)
+    assert power_sum_residual(LaurentPoly(0, [1.0])) == pytest.approx(1.0)
     assert power_sum_residual(oracle.haar_pair()[0], convention="averaged") == 0.0
 
 

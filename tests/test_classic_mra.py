@@ -412,7 +412,6 @@ def test_stretched_box_fails_gram():
     # width-2 box: overlapping shifts, flagged by an O(1) deviation
     profile = cascade(haar_taps(), 2, 3, 128)
     stretched = type(profile)(
-        taps=profile.taps,
         dilation=2,
         resolution=128,
         samples=np.concatenate([profile.samples[:-1], profile.samples]),

@@ -6,16 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import random_cylinder
+from oracle import conditional_expectation, lift_cylinder
 from wavelab.code_space import (
     CylinderFn,
     IfsSpec,
     Word,
     adjoint_sigma,
     compose_sigma,
-    conditional_expectation,
     harmonic_solve,
     integrate,
-    lift,
     max_cells,
     multiply,
     ruelle_apply,
@@ -163,7 +162,7 @@ def test_spec_mismatch_rejected(spec2, spec_weighted):
 def test_lift_restrict_consistency(rng, spec2, spec_weighted):
     for spec in (spec2, spec_weighted):
         f = random_cylinder(rng, spec, 2)
-        lifted = lift(f, 4)
+        lifted = lift_cylinder(f, 4)
         assert sup_distance(oracle.restrict(lifted, 2), f) < 1e-14
 
 
@@ -176,7 +175,7 @@ def test_compose_sigma_examples(spec2):
     s_one = compose_sigma(one)
     assert s_one.depth == 1
     assert np.allclose(s_one.values, 1)
-    ind = CylinderFn.indicator(spec2, [1])
+    ind = oracle.indicator(spec2, [1])
     assert np.allclose(compose_sigma(ind).values, [1, 0, 1, 0])
     f = CylinderFn(spec2, 1, [3, 1])
     assert oracle.l2_norm(compose_sigma(f)) == pytest.approx(np.sqrt(5))
@@ -192,13 +191,13 @@ def test_compose_is_multiplicative(rng, spec3):
 
 
 def test_adjoint_examples(spec2):
-    f = CylinderFn.indicator(spec2, [1, 1])
+    f = oracle.indicator(spec2, [1, 1])
     assert np.allclose(adjoint_sigma(f).values, [0.5, 0])
     one = CylinderFn.ones(spec2)
     assert sup_distance(adjoint_sigma(compose_sigma(one)), one) == 0
     # duality on indicators
-    lhs = oracle.inner_product(compose_sigma(CylinderFn.indicator(spec2, [1])), f)
-    rhs = oracle.inner_product(CylinderFn.indicator(spec2, [1]), adjoint_sigma(f))
+    lhs = oracle.inner_product(compose_sigma(oracle.indicator(spec2, [1])), f)
+    rhs = oracle.inner_product(oracle.indicator(spec2, [1]), adjoint_sigma(f))
     assert lhs == pytest.approx(0.25)
     assert rhs == pytest.approx(0.25)
 
@@ -230,11 +229,11 @@ def test_sstar_s_identity_and_invariance(rng, spec2, spec3):
 
 
 def test_conditional_expectation_examples(spec2):
-    f = CylinderFn.indicator(spec2, [1, 1])
+    f = oracle.indicator(spec2, [1, 1])
     e = conditional_expectation(f)
     assert np.allclose(e.values, [0.5, 0, 0.5, 0])
     one = CylinderFn.ones(spec2)
-    assert sup_distance(conditional_expectation(lift(one, 1)), lift(one, 1)) == 0
+    assert sup_distance(conditional_expectation(lift_cylinder(one, 1)), lift_cylinder(one, 1)) == 0
 
 
 def test_conditional_expectation_is_projection(rng, spec3):
@@ -286,7 +285,7 @@ def test_adjoint_characterization(rng, spec2):
     corrupted = oracle.precompose_branch(f, 1)
     lhs = oracle.precompose_branch(multiply(f, compose_sigma(g)), 1)
     assert sup_distance(lhs, multiply(g, corrupted)) < 1e-13
-    probe = CylinderFn.indicator(spec2, [2])
+    probe = oracle.indicator(spec2, [2])
     assert abs(integrate(oracle.precompose_branch(probe, 1)) - integrate(probe)) > 0.4
 
 
@@ -328,9 +327,9 @@ def test_ruelle_examples(spec2):
     out = ruelle_apply(w, f)
     assert out.depth == 0 and out.values[0] == pytest.approx(3.0)
     one = CylinderFn.ones(spec2)
-    assert sup_distance(ruelle_apply(w, lift(one, 1)), one) < 1e-14
+    assert sup_distance(ruelle_apply(w, lift_cylinder(one, 1)), one) < 1e-14
     f2 = CylinderFn(spec2, 2, [1.0, 2.0, 3.0, 4.0])
-    assert sup_distance(ruelle_apply(lift(one, 1), f2), adjoint_sigma(f2)) == 0
+    assert sup_distance(ruelle_apply(lift_cylinder(one, 1), f2), adjoint_sigma(f2)) == 0
 
 
 def test_ruelle_rejects_bad_weight(spec2):
@@ -393,9 +392,9 @@ def test_harmonic_solve_on_slowly_mixing_weight(spec2):
 
 @pytest.mark.parametrize("depth", range(2, 13))
 def test_harmonic_solve_does_not_depend_on_how_deep_a_weight_is_written(spec2, depth):
-    W = lift(CylinderFn(spec2, 2, SLOW_MIXING), depth)
+    W = lift_cylinder(CylinderFn(spec2, 2, SLOW_MIXING), depth)
     h = harmonic_solve(W, tol=1e-12)
-    want = lift(CylinderFn(spec2, 1, [1.4, 0.6]), depth - 1)
+    want = lift_cylinder(CylinderFn(spec2, 1, [1.4, 0.6]), depth - 1)
     assert h.depth == depth - 1 and np.max(np.abs(h.values - want.values)) < 1e-13
 
 
@@ -412,7 +411,7 @@ def test_harmonic_solve_checks_its_matrix_against_the_cell_cap(monkeypatch, rng)
 def test_harmonic_solve_builds_its_system_in_place(spec2):
     # 1024 words: one 1024 x 1024 float matrix is 8 MiB; LAPACK's copy of it
     # is not allocated through numpy, so only the bordered matrix is traced
-    W = lift(CylinderFn(spec2, 2, SLOW_MIXING), 11)
+    W = lift_cylinder(CylinderFn(spec2, 2, SLOW_MIXING), 11)
     tracemalloc.start()
     try:
         harmonic_solve(W, tol=1e-12)
@@ -424,7 +423,7 @@ def test_harmonic_solve_builds_its_system_in_place(spec2):
 
 def test_harmonic_solve_estimates_the_spectrum_of_a_large_matrix(spec2):
     # 1024 words: past 512 the failure message takes Arnoldi estimates
-    W = lift(CylinderFn(spec2, 2, SLOW_MIXING), 11) * 1.3
+    W = lift_cylinder(CylinderFn(spec2, 2, SLOW_MIXING), 11) * 1.3
     with pytest.raises(VerificationError) as err:
         harmonic_solve(W)
     assert str(err.value).endswith(
@@ -459,7 +458,7 @@ def test_harmonic_solve_singular_system_is_a_convergence_error(spec2):
 
 def density_sides(W, word):
     """Both sides of int R_W(1_A) dmu = int_A W dmu for the cylinder A of word."""
-    ind = CylinderFn.indicator(W.spec, word)
+    ind = oracle.indicator(W.spec, word)
     return integrate(ruelle_apply(W, ind)), integrate(multiply(W, ind))
 
 
@@ -470,7 +469,7 @@ def test_density_check_examples(spec2):
     assert lhs == pytest.approx(1.0) and rhs == pytest.approx(1.0)
     lhs, rhs = density_sides(w, [2])
     assert lhs == pytest.approx(0.0) and rhs == pytest.approx(0.0)
-    one = lift(CylinderFn.ones(spec2), 1)
+    one = lift_cylinder(CylinderFn.ones(spec2), 1)
     lhs, rhs = density_sides(one, [1, 2])
     assert lhs == pytest.approx(0.25) and rhs == pytest.approx(0.25)
 
@@ -517,7 +516,7 @@ def test_operation_results_are_frozen_and_inputs_copied(spec2):
     raw[0] = 5.0
     assert f.values[0] == 1.0
     results = (f + f, f * 2.0, f / f, -f, f.conj(), f.abs2(), compose_sigma(f),
-               adjoint_sigma(f), lift(f, 2))
+               adjoint_sigma(f), lift_cylinder(f, 2))
     for g in results:
         with pytest.raises(ValueError):
             g.values[0] = 0.0

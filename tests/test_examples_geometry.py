@@ -10,12 +10,12 @@ from wavelab.errors import InputError
 from wavelab.examples_geometry import (
     CHAOS_BLOCK,
     AffineIfs,
-    ChebyshevRule,
     InvarianceReport,
     MomentCheck,
     _scan_powers,
     arcsine_moment,
     chaos_game,
+    chebyshev_nodes,
     logistic_invariance,
     sierpinski_ifs,
     strong_invariance_check,
@@ -39,14 +39,14 @@ def test_arcsine_moments_closed_form():
 
 
 def test_chebyshev_rule_reproduces_moments():
-    x = ChebyshevRule(64).nodes()
+    x = chebyshev_nodes(64)
     gaps = [abs(np.mean(x**k) - arcsine_moment(k)) for k in range(64)]
     assert np.max(gaps) < 1e-14  # NaN fails
 
 
 def test_rule_validation():
     with pytest.raises(InputError):
-        ChebyshevRule(0)
+        chebyshev_nodes(0)
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +55,7 @@ def test_rule_validation():
 
 def test_logistic_invariance_small_degrees():
     # k = 1 by hand: int 4x(1-x) dmu = 2 - 4 * 3/8 = 1/2 = int x dmu
-    rule = ChebyshevRule(16)
-    x = rule.nodes()
+    x = chebyshev_nodes(16)
     lhs = np.mean(4 * x * (1 - x))
     assert lhs == pytest.approx(0.5, abs=1e-14)
     assert logistic_invariance(0, 4) < 1e-15

@@ -11,7 +11,6 @@ from wavelab.code_space import (
     IfsSpec,
     adjoint_sigma,
     compose_sigma,
-    conditional_expectation,
     integrate,
     multiply,
     sup_distance,
@@ -26,7 +25,6 @@ from wavelab.ifs_filters import (
     build_roots_of_unity,
     connecting_unitary,
     endomorphism_check,
-    gram_schmidt_module,
     leaf_energies,
     multires_decompose,
     multires_reconstruct,
@@ -122,10 +120,10 @@ def test_completeness_against_oracle(rng, spec2):
     report = verify_filter(bank, probe_depth=3, tol=1e-12)
     distances = []
     for w in oracle.words(2, 3):
-        probe = CylinderFn.indicator(spec2, w)
+        probe = oracle.indicator(spec2, w)
         recon = 0.0 * probe
         for m in bank.filters:
-            recon = recon + multiply(m, conditional_expectation(multiply(m.conj(), probe)))
+            recon = recon + multiply(m, oracle.conditional_expectation(multiply(m.conj(), probe)))
         distances.append(sup_distance(recon, probe))
     assert report.completeness == pytest.approx(np.max(distances), abs=1e-15)  # NaN fails
 
@@ -214,7 +212,7 @@ def test_tail_array_counts_against_cell_cap(monkeypatch, spec2):
 
 def test_analysis_examples(spec2):
     ind = build_indicator(spec2)
-    f = CylinderFn.indicator(spec2, [1])
+    f = oracle.indicator(spec2, [1])
     parts = analysis(ind, f.values[None])
     assert parts.shape == (2, 1)  # one function, two subbands of depth 0
     assert parts[0, 0] == pytest.approx(1 / np.sqrt(2))
@@ -335,48 +333,6 @@ def test_level_loop_equals_per_node_recursion():
             assert jsonio.dumps(tree_json(bank.spec, leaves)) == jsonio.dumps(tree.to_json())
             cases += 1
     assert cases > 100
-
-
-# ---------------------------------------------------------------------------
-# module Gram-Schmidt
-# ---------------------------------------------------------------------------
-
-def test_gram_schmidt_fixes_orthonormal_input(spec2):
-    bank = build_indicator(spec2)
-    out = gram_schmidt_module(bank.filters)
-    for a, b in zip(out.filters, bank.filters):
-        assert sup_distance(a, b) < 1e-13
-
-
-def test_gram_schmidt_example(spec2):
-    g1 = CylinderFn(spec2, 1, [1, 1])
-    g2 = CylinderFn(spec2, 1, [1, -1])
-    out = gram_schmidt_module([g1, g2])
-    assert np.allclose(out.filters[0].values, [1, 1])
-    assert np.allclose(out.filters[1].values, [1, -1])
-    assert verify_filter(out, 3, 1e-12).passed
-
-
-def test_gram_schmidt_dependent_generators(spec2):
-    g1 = CylinderFn(spec2, 1, [1, 1])
-    with pytest.raises(VerificationError, match="module span"):
-        gram_schmidt_module([g1, g1])
-
-
-def test_gram_schmidt_random_generators(rng, spec2, spec3):
-    for spec in (spec2, spec3):
-        gens = [random_cylinder(rng, spec, 2) for _ in range(spec.N)]
-        bank = gram_schmidt_module(gens)
-        report = verify_filter(bank, probe_depth=3, tol=1e-10)
-        assert report.passed
-        # output spans the same module: each generator reconstructs from it
-        for g in gens:
-            recon = 0.0 * g
-            for m in bank.filters:
-                recon = recon + multiply(
-                    m, conditional_expectation(multiply(m.conj(), g))
-                )
-            assert sup_distance(recon, g) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +538,7 @@ def test_module_inner_product_identity(rng, spec2):
     lhs = oracle.inner_product(
         multiply(m, compose_sigma(h)), multiply(n, compose_sigma(g))
     )
-    weight = conditional_expectation(multiply(n.conj(), m))
+    weight = oracle.conditional_expectation(multiply(n.conj(), m))
     rhs = integrate(
         multiply(compose_sigma(g).conj(), multiply(weight, compose_sigma(h)))
     )
@@ -593,7 +549,7 @@ def test_branch_orthogonality_implies_l2(rng, spec3):
     # E(conj(m1) m2) = 0 forces <m1, m2> = 0
     bank = build_roots_of_unity(spec3)
     m1, m2 = bank.filters[0], bank.filters[1]
-    assert conditional_expectation(multiply(m1.conj(), m2)).sup_norm() < 1e-14
+    assert oracle.conditional_expectation(multiply(m1.conj(), m2)).sup_norm() < 1e-14
     assert abs(oracle.inner_product(m2, m1)) < 1e-14
 
 

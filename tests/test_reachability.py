@@ -1,13 +1,23 @@
 """Every public name in ``src/wavelab`` is reached from ``src/`` or ``scripts/``.
 
-A name is reached when it appears as a word outside every definition of that
-name: a call, an import, an attribute access or a reference in another
-definition.  Names that only tests reach belong in ``tests/oracle.py``; the
-few kept on purpose are listed in ``KEPT`` with their reason.
+The guard reads code, not text.  A name is reached when some node of the
+syntax tree outside every definition of that name uses it:
+
+- a ``Name`` (a call, a reference, a base class, a decorator),
+- an ``Attribute`` (``module.name``, ``obj.method``),
+- an import alias (``from .code_space import name``),
+- a string constant that is exactly a module-level name, as in a dispatch
+  table of builder names or ``__all__``.
+
+Comments, docstrings and the literal text of messages (f-strings
+included) are not uses.  A class that only an ``__all__`` list reaches
+(``Word``) is exported for library users as a whole, so its methods count
+as reached with it; the methods of a class that code uses must be used
+themselves.  Names that only tests reach belong in ``tests/oracle.py``;
+the few kept on purpose are listed in ``KEPT`` with their reason.
 """
 
 import ast
-import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -16,35 +26,124 @@ SOURCES = sorted((ROOT / "src" / "wavelab").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 # paper content that a command is yet to expose
-KEPT = {
-    "gram_schmidt_module": "module Gram-Schmidt: a bank from N generators",
-    "weighted_shift_inverse": "the inverse dilation F -> (F o shift^-1) / (m o pi_1)",
-}
+KEPT = {}
 
 
 def public_definitions(tree):
-    """(name, node) of module-level functions, classes, UPPER_CASE constants and class members."""
+    """(name, node, owner) of module-level functions, classes and UPPER_CASE
+    constants (owner None) and of class members (owner the class name)."""
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name) and t.id.isupper())
+            yield from ((t.id, node, None) for t in targets if isinstance(t, ast.Name) and t.id.isupper())
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node, None
             if isinstance(node, ast.ClassDef):
-                yield from ((n.name, n) for n in node.body if isinstance(n, ast.FunctionDef))
+                yield from ((n.name, n, node.name) for n in node.body if isinstance(n, ast.FunctionDef))
+
+
+def _lines(label, node):
+    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+    return {(label, n) for n in range(first, node.end_lineno + 1)}
+
+
+def _docstrings_and_fstring_parts(tree):
+    """ids of string constants that are bare expression statements or f-string text."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            skip.add(id(node.value))
+        elif isinstance(node, ast.JoinedStr):
+            skip.update(id(v) for v in node.values if isinstance(v, ast.Constant))
+    return skip
+
+
+def uses(tree, module_names):
+    """(name, line) of every use in the tree; strings count only as module-level names."""
+    skip = _docstrings_and_fstring_parts(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+        elif isinstance(node, ast.Constant) and id(node) not in skip:
+            if isinstance(node.value, str) and node.value in module_names:
+                yield node.value, node.lineno
+
+
+def unreached(sources, scripts):
+    """Public names of ``sources`` that no code in ``sources`` or ``scripts`` uses.
+
+    Both are {label: text}.  A use counts only outside the lines of every
+    definition of its name, so recursion and self-reference do not reach.
+    """
+    trees = {label: ast.parse(text) for label, text in {**sources, **scripts}.items()}
+    definitions = defaultdict(set)  # name -> (label, line) inside a definition of it
+    owners = defaultdict(set)  # name -> the classes that define it, None at module level
+    exports = set()  # (label, line) of every __all__ list
+    for label in sources:
+        for name, node, owner in public_definitions(trees[label]):
+            if not name.startswith("_"):
+                definitions[name] |= _lines(label, node)
+                owners[name].add(owner)
+        for node in trees[label].body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exports |= _lines(label, node)
+    module_names = {name for name, classes in owners.items() if None in classes}
+    used = defaultdict(set)  # name -> (label, line) of its uses
+    for label, tree in trees.items():
+        for name, line in uses(tree, module_names):
+            used[name].add((label, line))
+    outside = {name: used[name] - inside for name, inside in definitions.items()}
+    library = {name for name, where in outside.items() if where and where <= exports}
+    return {name for name, where in outside.items() if not where and not owners[name] & library}
+
+
+def _texts(paths):
+    return {str(p.relative_to(ROOT)): p.read_text() for p in paths}
 
 
 def test_every_public_name_is_reached_or_kept():
-    uses = defaultdict(set)  # word -> (file, line) where it appears
-    for path in SOURCES + SCRIPTS:
-        for number, line in enumerate(path.read_text().splitlines(), start=1):
-            for word in re.findall(r"\w+", line):
-                uses[word].add((path, number))
-    definitions = defaultdict(set)  # name -> (file, line) inside a definition of it
-    for path in SOURCES:
-        for name, node in public_definitions(ast.parse(path.read_text())):
-            if not name.startswith("_"):
-                first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
-                definitions[name] |= {(path, n) for n in range(first, node.end_lineno + 1)}
-    unreached = {name for name, inside in definitions.items() if uses[name] <= inside}
-    assert unreached == set(KEPT)
+    assert unreached(_texts(SOURCES), _texts(SCRIPTS)) == set(KEPT)
+
+
+def test_comments_docstrings_and_messages_do_not_reach():
+    library = (
+        '__all__ = ["Exported"]\n'
+        "\n"
+        "def orphan():\n"
+        "    return 1\n"
+        "\n"
+        "def called():\n"
+        "    return 2\n"
+        "\n"
+        "def dispatched():\n"
+        "    return 3\n"
+        "\n"
+        "class Holder:\n"
+        "    def member(self):\n"
+        "        return 4\n"
+        "\n"
+        "class Exported:\n"
+        "    def method(self):\n"
+        "        return 5\n"
+    )
+    user = (
+        '"""orphan"""\n'
+        "# orphan() is mentioned only in this comment\n"
+        "\n"
+        "def run(x):\n"
+        '    """Unlike orphan, this calls called."""\n'
+        "    if x is None:\n"
+        '        raise ValueError(f"orphan {x} is gone; see orphan")\n'
+        '    table = {"member": "dispatched"}\n'
+        "    return called(), table, Holder\n"
+    )
+    assert unreached({"library.py": library}, {"user.py": user}) == {"orphan", "member"}
+    # the same names in code reach them
+    reaching = user + "\nrun(orphan)\nHolder().member()\n"
+    assert unreached({"library.py": library}, {"user.py": reaching}) == set()
+    # an exported class that code also uses is no longer reached as a whole
+    assert unreached({"library.py": library}, {"user.py": reaching + "Exported()\n"}) == {"method"}
