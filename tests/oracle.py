@@ -26,7 +26,8 @@ product kernel and the per-entry complex JSON encoders and numpy-discovery
 decoders are the package's former code, kept as the bit-for-bit judge of
 the gathered Gram matrix and of the flat-pass codecs.  The final
 section holds the input builders and judges that only the tests use,
-moved out of the package.
+moved out of the package, among them the module Gram-Schmidt and the
+inverse weighted shift, which no command reaches.
 """
 
 import csv
@@ -884,6 +885,45 @@ def conditional_expectation(f: CylinderFn) -> CylinderFn:
     if f.depth == 0:
         return f
     return cs.compose_sigma(cs.adjoint_sigma(f))
+
+
+def gram_schmidt_module(generators) -> FilterBank:
+    """Orthonormalize N generators as a module basis over shift composites.
+
+    Step k subtracts the projections m_j E(conj(m_j) g_k) of the already
+    accepted filters, then normalizes the residual r pointwise by
+    sqrt(E|r|^2) on the set where that expectation exceeds 1e-12 and pads
+    with 1 elsewhere.  A residual with L2 norm below 1e-10 means the
+    generators are dependent and raises VerificationError.
+    """
+    generators = tuple(generators)
+    spec = generators[0].spec
+    assert len(generators) == spec.N, f"expected {spec.N} generators"
+    accepted: list[CylinderFn] = []
+    for k, g in enumerate(generators):
+        r = g
+        for m in accepted:
+            r = r - cs.multiply(m, conditional_expectation(cs.multiply(m.conj(), g)))
+        if l2_norm(r) < 1e-10:
+            raise VerificationError(
+                f"generator {k + 1} lies in the module span of its predecessors"
+            )
+        dv = conditional_expectation(r.abs2()).values.real  # at the depth of r
+        mask = dv > 1e-12
+        vals = np.where(mask, r.values / np.sqrt(np.where(mask, dv, 1.0)), 1.0)
+        accepted.append(CylinderFn(spec, r.depth, vals))
+    return FilterBank.from_cylinders(spec, accepted)
+
+
+def weighted_shift_inverse(f: PathCylinderFn, m: CylinderFn) -> PathCylinderFn:
+    """Inverse dilation F -> (F o shift^{-1}) / (m o pi_1), for min |m| > 1e-12."""
+    low = float(np.min(np.abs(m.values)))
+    if low <= 1e-12:
+        raise VerificationError(
+            f"inverse weighted shift needs a nonvanishing weight (min |m| = {low:.3e})"
+        )
+    recip = CylinderFn(m.spec, m.depth, 1.0 / m.values)
+    return PathCylinderFn.coordinate(1, recip) * f.compose_shift_inverse()
 
 
 def inner_product(f: CylinderFn, g: CylinderFn) -> complex:

@@ -13,7 +13,7 @@ from wavelab.code_space import (
     weighted_adjoint,
     weighted_compose,
 )
-from wavelab.errors import InputError
+from wavelab.errors import InputError, VerificationError
 from wavelab.ifs_filters import build_indicator, build_roots_of_unity
 from wavelab.solenoid import (
     MomentSpec,
@@ -80,6 +80,32 @@ def test_weighted_shift_dilates_composition(spec2, rng):
         lhs = weighted_shift(PathCylinderFn.coordinate(0, f), m)
         rhs = PathCylinderFn.coordinate(0, weighted_compose(m, f))
         assert path_sup_distance(lhs, rhs) < 1e-15
+
+
+def test_weighted_shift_inverse_pair(spec2, rng):
+    m = build_roots_of_unity(spec2).filters[0]  # |m| = 1 pointwise
+    f = random_cylinder(rng, spec2, 1)
+    for coord in (0, 1, 2):
+        path = PathCylinderFn.coordinate(coord, f)
+        roundtrip = oracle.weighted_shift_inverse(weighted_shift(path, m), m)
+        assert path_sup_distance(roundtrip, path) < 1e-14
+        other = weighted_shift(oracle.weighted_shift_inverse(path, m), m)
+        assert path_sup_distance(other, path) < 1e-14
+
+
+def test_weighted_shift_inverse_formula(spec2, rng):
+    m = build_roots_of_unity(spec2).filters[1]
+    f = random_cylinder(rng, spec2, 1)
+    lhs = oracle.weighted_shift_inverse(PathCylinderFn.coordinate(0, f), m)
+    recip = CylinderFn(spec2, 1, 1.0 / m.values)
+    rhs = PathCylinderFn.coordinate(1, recip) * PathCylinderFn.coordinate(1, f)
+    assert path_sup_distance(lhs, rhs) < 1e-15
+
+
+def test_weighted_shift_inverse_needs_nonvanishing(spec2, indicator_weight, rng):
+    m = build_indicator(spec2).filters[0]
+    with pytest.raises(VerificationError, match="nonvanishing weight"):
+        oracle.weighted_shift_inverse(PathCylinderFn.coordinate(0, CylinderFn.ones(spec2)), m)
 
 
 def test_spec_mismatch(spec2, spec3, rng):
@@ -316,6 +342,19 @@ def test_covariance_random_inputs(spec2, spec3, rng):
             g = random_cylinder(rng, spec, 1)
             conjugation, scaling = shift_covariance_check(m, f, g)
             assert conjugation < 1e-13 and scaling < 1e-13
+
+
+def test_covariance_via_explicit_inverse(spec2, rng):
+    # for an invertible weight the literal conjugation identity holds too
+    m = build_roots_of_unity(spec2).filters[0]
+    f = random_cylinder(rng, spec2, 1)
+    g = random_cylinder(rng, spec2, 1)
+    probe = PathCylinderFn.coordinate(1, g)
+    lhs = weighted_shift(
+        PathCylinderFn.coordinate(0, f) * oracle.weighted_shift_inverse(probe, m), m
+    )
+    rhs = PathCylinderFn.coordinate(0, compose_sigma(f)) * probe
+    assert path_sup_distance(lhs, rhs) < 1e-14
 
 
 # ---------------------------------------------------------------------------
