@@ -62,8 +62,8 @@ class LaurentPoly:
 
     # -- constructors ---------------------------------------------------------
     @classmethod
-    def monomial(cls, degree: int, coeff: complex = 1.0) -> "LaurentPoly":
-        return cls(degree, [coeff])
+    def monomial(cls, degree: int) -> "LaurentPoly":
+        return cls(degree, [1.0])
 
     # -- inspection -----------------------------------------------------------
     def __bool__(self) -> bool:
@@ -92,13 +92,8 @@ class LaurentPoly:
         out[other._lo - lo : other._lo - lo + other._coeffs.size] += other._coeffs
         return LaurentPoly(lo, out)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
 
     def __neg__(self):
         return LaurentPoly(self._lo, -self._coeffs)
@@ -217,15 +212,14 @@ def cuntz_residuals(
     return float(np.max(orth, initial=0.0)), float(np.max(comp))
 
 
-def cqf_complete(m0: LaurentPoly, convention: str = "unit-sum") -> list[list[LaurentPoly]]:
+def cqf_complete(m0: LaurentPoly) -> list[list[LaurentPoly]]:
     """Complete a low-pass filter to the 2 x 2 conjugate quadrature matrix.
 
     The high-pass partner has coefficients conj(c_n) (-1)**n z**(-n-1).
-    The matrix is unitary on |z| = 1 (unit-sum convention) or sqrt(2)
-    times a unitary (averaged) whenever m0 satisfies the corresponding
-    power-sum condition.
+    The matrix is the same under both conventions: it is unitary on |z| = 1
+    when m0 satisfies the unit-sum power-sum condition, and sqrt(2) times a
+    unitary when it satisfies the averaged one.
     """
-    _convention_scale(convention, 2)
     lo, c = m0.coefficients()
     partner = np.conj(c) * (-1) ** (np.arange(lo, lo + c.size) % 2)
     m1 = LaurentPoly(-lo - c.size, partner[::-1])

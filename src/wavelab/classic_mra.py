@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, VerificationError
-from .circle_filters import LaurentPoly
+from .circle_filters import LaurentPoly, band_count
 from .code_space import _check_cells
 
 TAP_SUM_TOL = 1e-12
@@ -122,9 +122,7 @@ def cascade(
     (tail bound 7.0e-7; 1.5e-6 at 37 steps, where the true error is 1.5e-6).
     """
     taps = np.asarray(taps, dtype=complex)
-    n = int(dilation)
-    if n < 2:
-        raise InputError("dilation factor must be >= 2")
+    n = band_count(int(dilation))
     if taps.ndim != 1 or taps.shape[0] < 2:
         raise InputError("need at least two taps")
     if resolution < 1:
@@ -236,9 +234,7 @@ def filterbank_roundtrip(
     if x.ndim != 1 or x.shape[0] < 1:
         raise InputError("signal must be a nonempty 1-d sequence")
     length = x.shape[0]
-    if n < 2:
-        raise InputError("band count must be >= 2")
-    if length % n != 0:
+    if length % band_count(n) != 0:
         raise InputError(f"signal length {length} not divisible by {n}")
     a_banks = [np.asarray(t, dtype=complex) for t in analysis_taps]
     s_banks = [np.asarray(t, dtype=complex) for t in synthesis_taps]

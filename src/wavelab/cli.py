@@ -20,7 +20,7 @@ reported only with --timing so that default output stays byte-identical.
 A command is one entry of ``COMMANDS``: its options and a compute function
 from the parsed arguments to ``(payload, passed)`` that reads each input
 file through ``_load``.  ``run`` parses, computes, picks the exit code and
-writes the result line.
+writes the result line, all with the cyclic garbage collector paused.
 
 A command runs only the modules of its own group: the domain modules are
 bound lazily (``_lazy``), so importing the CLI, ``--help`` and parsing run
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import importlib.util
 import math
 import sys
@@ -322,8 +323,8 @@ def _circle_verify(args) -> tuple[dict, bool]:
 
 def _circle_cqf(args) -> tuple[dict, bool]:
     m0 = _load(args.m0, circ.LaurentPoly.from_json)
-    matrix = circ.cqf_complete(m0, convention=args.convention)
-    scale = 1.0 if args.convention == "unit-sum" else 2.0
+    matrix = circ.cqf_complete(m0)
+    scale = 2.0 / circ._convention_scale(args.convention, 2)  # M M* = 2 I when averaged
     stack = circ.evaluate_rows(matrix, circ.unit_circle_grid(args.grid))
     unitarity = float(np.max(circ.unitarity_residuals(stack, scale)))
     power_sum = circ.power_sum_residual(m0, convention=args.convention)
@@ -336,7 +337,7 @@ def _circle_cqf(args) -> tuple[dict, bool]:
         },
         "residuals": {"grid_unitarity": unitarity, "power_sum": power_sum},
         "tolerances": {"grid_unitarity": args.tol},
-    }, _all_below(args.tol, unitarity)
+    }, _all_below(args.tol, unitarity, power_sum)
 
 
 def _circle_matrix(args) -> tuple[dict, bool]:
@@ -757,24 +758,30 @@ def _group(argv: list[str]) -> str | None:
 
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    enabled = gc.isenabled()
+    gc.disable()  # file trees, arrays and payloads hold no cycles: collections find nothing
     try:
-        args = _parser(_group(argv)).parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    start = time.perf_counter()
-    try:
-        with np.errstate(all="ignore"):  # non-finite values reach the residuals and fail there
-            payload, passed = args.compute(args)
-    except VerificationError as exc:
-        payload, passed = {"error": str(exc)}, False
-    except _USAGE_ERRORS as exc:
-        sys.stderr.write(f"wavelab: {exc}\n")
-        return 2
-    result = {"command": f"{args.group} {args.command}", "pass": bool(passed), **payload}
-    if args.timing:
-        result["wall_time_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
-    sys.stdout.write(jsonio.dumps(result) + "\n")
-    return 0 if passed else 1
+        try:
+            args = _parser(_group(argv)).parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        start = time.perf_counter()
+        try:
+            with np.errstate(all="ignore"):  # non-finite values reach and fail the residuals
+                payload, passed = args.compute(args)
+        except VerificationError as exc:
+            payload, passed = {"error": str(exc)}, False
+        except _USAGE_ERRORS as exc:
+            sys.stderr.write(f"wavelab: {exc}\n")
+            return 2
+        result = {"command": f"{args.group} {args.command}", "pass": bool(passed), **payload}
+        if args.timing:
+            result["wall_time_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
+        sys.stdout.write(jsonio.dumps(result) + "\n")
+        return 0 if passed else 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

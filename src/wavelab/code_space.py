@@ -292,8 +292,7 @@ def sup_distance(f: CylinderFn, g: CylinderFn) -> float:
 
 def compose_sigma(f: CylinderFn) -> CylinderFn:
     """The isometry S: precompose with the shift, raising depth by one."""
-    _check_cells(f.values.shape[0] * f.spec.N)
-    return _new(f.spec, f.depth + 1, np.tile(f.values, f.spec.N))
+    return shift_iterate(f, 1)
 
 
 def adjoint_sigma(f: CylinderFn) -> CylinderFn:

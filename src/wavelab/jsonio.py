@@ -5,14 +5,11 @@ two-element ``[re, im]`` list.  ``dumps`` sorts keys so that identical
 inputs produce byte-identical output.  Arrays are encoded with one
 ``tolist``; a vector of numeric pairs, or a regular matrix of them, is
 decoded in one flat pass, and anything else entry by entry by
-``decode_complex``, which judges malformed input.  ``load_file`` parses
-and decodes with the cyclic garbage collector paused: a JSON tree holds
-no cycles.
+``decode_complex``, which judges malformed input.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import struct
 from itertools import chain
@@ -93,10 +90,9 @@ def decode_cmatrix(obj) -> np.ndarray:
     if all(isinstance(row, (list, tuple)) for row in obj) and len(set(map(len, obj))) == 1:
         # a regular matrix: one vector of its entries in row order
         return decode_cvector(list(chain.from_iterable(obj))).reshape(len(obj), len(obj[0]))
-    rows = [decode_cvector(row) for row in obj]
-    if len({row.shape for row in rows}) > 1:
-        raise InputError("matrix rows differ in length")
-    return np.array(rows, dtype=np.complex128)
+    for row in obj:  # a row that is not a list of [re, im] pairs fails here
+        decode_cvector(row)
+    raise InputError("matrix rows differ in length")
 
 
 def dumps(obj: Any) -> str:
@@ -104,18 +100,12 @@ def dumps(obj: Any) -> str:
 
 
 def load_file(path: str, decode: Callable[[Any], Any] = lambda obj: obj) -> Any:
-    """The file's JSON tree, passed through decode; both run with the GC paused."""
+    """The file's JSON tree, passed through decode."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    enabled = gc.isenabled()
-    gc.disable()  # a file's many small lists would set off collections that find nothing
-    try:
-        tree = json.loads(text)
-        del text  # not held while decode builds its arrays
-        return decode(tree)
-    finally:
-        if enabled:
-            gc.enable()
+    tree = json.loads(text)
+    del text  # not held while decode builds its arrays
+    return decode(tree)
 
 
 def dump_file(path: str, obj: Any) -> None:

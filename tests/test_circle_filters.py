@@ -188,7 +188,7 @@ def test_cqf_example():
 
 
 def test_cqf_averaged_convention():
-    matrix = cqf_complete(oracle.haar_pair()[0], convention="averaged")
+    matrix = cqf_complete(oracle.haar_pair()[0])
     assert worst_unitarity(evaluate_rows(matrix, unit_circle_grid(128)), scale=2.0) < 1e-13
 
 
@@ -436,7 +436,7 @@ def test_cqf_scan_matches_oracle(n_grid):
     rng = np.random.default_rng(n_grid)
     m0 = LaurentPoly(-2, rng.normal(size=5) + 1j * rng.normal(size=5))
     for m in (m0, oracle.haar_pair()[0]):
-        rows = cqf_complete(m, convention="averaged")
+        rows = cqf_complete(m)
         got = worst_unitarity(evaluate_rows(rows, unit_circle_grid(n_grid)), scale=2.0)
         want = oracle.grid_unitarity(lambda z: oracle.rows_point(rows, z), n_grid, scale=2.0)
         assert_matches_oracle(got, want)

@@ -32,7 +32,7 @@ from wavelab.ifs_filters import (
     build_roots_of_unity,
 )
 from wavelab.errors import InputError
-from wavelab.rkhs_kernels import FinitePointSet, contraction_check
+from wavelab.rkhs_kernels import FinitePointSet, KernelMatrix, contraction_check
 
 
 def run_json(capsys, argv):
@@ -323,6 +323,18 @@ def test_circle_cqf_roundtrip(tmp_path, capsys):
         ["circle", "verify", "--filters", str(out), "--N", "2", "--convention", "unit-sum"],
     )
     assert code == 0
+
+
+def test_circle_cqf_judges_the_exact_power_sum(tmp_path, capsys):
+    """A term at degree 512 aliases onto degree 0 on the 256-point grid, so the
+    grid looks unitary; the exact power-sum residual still fails the verdict."""
+    coeffs = np.zeros(513)
+    coeffs[[0, 1, 512]] = [0.2, 0.5, 0.3]
+    m0_path = write(tmp_path / "m0.json", LaurentPoly(0, coeffs).to_json())
+    code, result = run_json(capsys, ["circle", "cqf-complete", "--m0", m0_path])
+    assert code == 1 and result["pass"] is False
+    assert result["residuals"]["grid_unitarity"] < 1e-13
+    assert result["residuals"]["power_sum"] == pytest.approx(0.24)
 
 
 def test_circle_blaschke_and_loop(tmp_path, capsys):
@@ -1072,17 +1084,20 @@ def test_decoder_error_names_its_file(tmp_path, capsys):
     assert paths["points"] not in captured.err and paths["filters"] not in captured.err
 
 
-def test_load_decodes_with_the_collector_paused_and_restores_it(tmp_path):
-    """No cyclic collection while a 256x256 kernel is parsed and decoded; the GC is
-    back on after a file that does not parse and after one that does not decode."""
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
-    matrix = a + a.conj().T
-    good = write(tmp_path / "k.json", {"matrix": jsonio.encode_cmatrix(matrix)})
+def test_run_starts_no_collection_and_restores_the_collector(tmp_path, capsys):
+    """No cyclic collection while rkhs product-kernel encodes its 256x256 kernel to
+    --out, nor while rkhs check decodes it back; the GC is back on after a kernel
+    file that does not parse and after one that does not decode."""
+    z = np.exp(2j * np.pi * np.arange(256) / 256)  # under z -> z**2, with the Haar values
+    sigma = [int(i) for i in 2 * np.arange(256) % 256]
+    pset = {"points": jsonio.encode_cvector(z), "sigma": sigma}
+    points = ["--points", write(tmp_path / "p.json", pset)]
+    haar = {"filters": [jsonio.encode_cvector((1 + z) / 2), jsonio.encode_cvector((1 - z) / 2)]}
+    filters = ["--filters", write(tmp_path / "haar.json", haar)]
+    kernel = str(tmp_path / "kernel.json")
     unparsed = tmp_path / "unparsed.json"
     unparsed.write_text('{"matrix": [[[1, 2]]', encoding="utf-8")
     undecoded = write(tmp_path / "undecoded.json", {"matrix": [[["0.5", 0.0]]]})
-    decode = lambda obj: cli._kernel(obj, 256)  # noqa: E731
     collections = []
 
     def seen(phase, info):
@@ -1092,15 +1107,52 @@ def test_load_decodes_with_the_collector_paused_and_restores_it(tmp_path):
     assert gc.isenabled()
     gc.callbacks.append(seen)
     try:
-        kernel = cli._load(good, decode)
+        assert run(["rkhs", "product-kernel", *points, *filters, "--out", kernel]) == 0
         assert collections == []
+        assert run(["rkhs", "check", *points, "--kernel", kernel, *filters]) == 0
+        assert collections == []
+        assert gc.isenabled()
         for path in (str(unparsed), undecoded):
-            with pytest.raises(InputError, match=f"malformed {re.escape(path)}"):
-                cli._load(path, decode)
+            assert run(["rkhs", "check", *points, "--kernel", path, *filters]) == 2
+            assert f"malformed {path}" in capsys.readouterr().err
             assert gc.isenabled()
     finally:
         gc.callbacks.remove(seen)
-    assert np.array_equal(kernel.matrix, matrix)
+    assert KernelMatrix.from_json(jsonio.load_file(kernel)).matrix.shape == (256, 256)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, enabled):
+    """The state before a command, on or off, is the state after it, for exit
+    0, 1 and 2; files are parsed with the collector off either way."""
+    files = _input_files(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"filters": [', encoding="utf-8")
+    seen = []
+    loads = json.loads
+
+    def spy(text):
+        seen.append(gc.isenabled())
+        return loads(text)
+
+    monkeypatch.setattr(jsonio.json, "loads", spy)
+    commands = {
+        0: ["ifs", "verify-filter", "--bank", files["bank"]],
+        1: ["circle", "cqf-complete", "--m0", write(tmp_path / "m0.json", {"coeffs": [[1, 0]]})],
+        2: ["circle", "verify", "--filters", str(bad), "--N", "2"],
+    }
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for code, argv in commands.items():
+            assert run(argv) == code
+            assert gc.isenabled() is enabled
+        assert run(["circle", "verify"]) == 2  # a missing option: argparse exits
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert seen == [False, False, False]  # paused while parsing
 
 
 @pytest.mark.parametrize("band", ["-1", "0", "1"])
@@ -1115,7 +1167,22 @@ def test_dilations_below_2_exit_2(band, tmp_path, capsys):
         assert captured.out == "" and "band count must be >= 2" in captured.err
 
 
-@pytest.mark.parametrize("error", [KeyError, ValueError, TypeError])
+@pytest.mark.parametrize("band", ["-1", "0", "1"])
+def test_line_band_counts_below_2_exit_2(band, tmp_path, capsys):
+    """The line's commands reject a band count with the circle's one check."""
+    files = _input_files(tmp_path)
+    taps = write(tmp_path / "taps.json", {"taps": jsonio.encode_cvector(haar_taps())})
+    for argv in (
+        ["mra", "cascade", "--taps", taps, "--N", band],
+        ["mra", "wavelet", "--taps", taps, "--N", band],
+        ["mra", "filterbank", "--signal", files["signal"], "--taps", files["haar_bank"], "--N", band],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "wavelab: band count must be >= 2\n"
+
+
+@pytest.mark.parametrize("error",[KeyError, ValueError, TypeError])
 def test_internal_error_in_compute_is_not_a_usage_error(error, tmp_path, monkeypatch, capsys):
     path = write(tmp_path / "bank.json", build_indicator(IfsSpec(2)).to_json())
 

@@ -1,7 +1,6 @@
 """Array codecs of complex JSON against the per-entry paths and the former
 numpy-discovery decoders they replace."""
 
-import gc
 import json
 
 import numpy as np
@@ -200,33 +199,3 @@ def test_vector_decoder_matches_the_former_decoder(obj):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_matrix_decoder_matches_the_former_decoder(obj):
     same_outcome(jsonio.decode_cmatrix, oracle.decode_cmatrix, obj)
-
-
-# ---------------------------------------------------------------------------
-# load_file pauses the cyclic collector and restores it
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_load_file_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled):
-    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-    good.write_text('{"a": [[1, 2.5]]}', encoding="utf-8")
-    bad.write_text('{"a": [[1, 2.5]', encoding="utf-8")
-    seen = []
-    loads = json.loads
-
-    def spy(text):
-        seen.append(gc.isenabled())
-        return loads(text)
-
-    monkeypatch.setattr(jsonio.json, "loads", spy)
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        assert jsonio.load_file(str(good)) == {"a": [[1, 2.5]]}
-        assert gc.isenabled() is enabled
-        with pytest.raises(json.JSONDecodeError):
-            jsonio.load_file(str(bad))
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert seen == [False, False]  # paused while decoding
