@@ -187,9 +187,7 @@ def _convention_scale(convention: str, n: int) -> float:
     raise InputError(f"unknown convention {convention!r}")
 
 
-def cuntz_residuals(
-    filters: Sequence[LaurentPoly], n: int, convention: str = "averaged"
-) -> tuple[float, float]:
+def cuntz_residuals(filters: Sequence[LaurentPoly], n: int, convention: str) -> tuple[float, float]:
     """(orthonormality, completeness), computed exactly in coefficients.
 
     Orthonormality: scale * (m_j.conj_reflect() m_k).downsample(N) - delta.
@@ -227,7 +225,7 @@ def cqf_complete(m0: LaurentPoly) -> list[list[LaurentPoly]]:
     return [[m0, m1], [m0.alternate(), row2_col2]]
 
 
-def power_sum_residual(m0: LaurentPoly, convention: str = "unit-sum") -> float:
+def power_sum_residual(m0: LaurentPoly, convention: str) -> float:
     """Exact residual of |m0(z)|**2 + |m0(-z)|**2 = 1 (or 2 when averaged)."""
     target = 2.0 / _convention_scale(convention, 2)
     sq = m0.conj_reflect() * m0

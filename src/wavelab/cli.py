@@ -95,10 +95,6 @@ def _write_csv(path: str, header: tuple[str, ...], *columns) -> None:
             fh.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
-def _write_grid_csv(path: str, n_grid: int, residuals: np.ndarray) -> None:
-    _write_csv(path, ("angle", "residual"), np.angle(circ.unit_circle_grid(n_grid)), residuals)
-
-
 # ---------------------------------------------------------------------------
 # input (one loader for every file, argparse types for the options), then
 # the compute functions, one per command: parsed arguments -> (payload, passed)
@@ -198,6 +194,8 @@ def _path_triple(obj) -> tuple[cs.CylinderFn, cs.CylinderFn, cs.CylinderFn]:
 def _dilation_file(obj) -> tuple[tuple[cs.CylinderFn, ...], dict[str, int]]:
     """(m, f, g) and residual name -> order, from "orders", else "n", else order 1."""
     orders = obj.get("orders", [obj.get("n", 1)])
+    if not orders:
+        raise InputError("a dilation file needs at least one order")
     return _path_triple(obj), {f"order_{n}": jsonio.decode_int(n, "order") for n in orders}
 
 
@@ -217,25 +215,22 @@ def _weights(text: str) -> tuple[float, ...]:
 _BUILDERS = {"indicator": "build_indicator", "roots": "build_roots_of_unity"}
 
 
+def _verify_report(args, bank: ifsf.FilterBank, results: dict | None = None) -> tuple[dict, bool]:
+    """The verify_filter payload at --depth and --tol, with the bank written to --out."""
+    report = ifsf.verify_filter(bank, probe_depth=args.depth, tol=args.tol)
+    if getattr(args, "out", None):  # verify-filter has no --out
+        jsonio.dump_file(args.out, bank.to_json())
+    payload = {"residuals": report.to_json(), "tolerances": {"tol": args.tol}}
+    return (payload if results is None else {"results": results, **payload}), report.passed
+
+
 def _ifs_build(args) -> tuple[dict, bool]:
     bank = getattr(ifsf, _BUILDERS[args.kind])(cs.IfsSpec(args.N, args.weights or ()))
-    report = ifsf.verify_filter(bank, probe_depth=args.depth, tol=args.tol)
-    if args.out:
-        jsonio.dump_file(args.out, bank.to_json())
-    return {
-        "results": {"bank": bank.to_json(), "kind": args.kind},
-        "residuals": report.to_json(),
-        "tolerances": {"tol": args.tol},
-    }, report.passed
+    return _verify_report(args, bank, {"bank": bank.to_json(), "kind": args.kind})
 
 
 def _ifs_verify(args) -> tuple[dict, bool]:
-    bank = _load(args.bank, ifsf.FilterBank.from_json)
-    report = ifsf.verify_filter(bank, probe_depth=args.depth, tol=args.tol)
-    return {
-        "residuals": report.to_json(),
-        "tolerances": {"tol": args.tol},
-    }, report.passed
+    return _verify_report(args, _load(args.bank, ifsf.FilterBank.from_json))
 
 
 def _ifs_connect(args) -> tuple[dict, bool]:
@@ -256,14 +251,7 @@ def _ifs_apply(args) -> tuple[dict, bool]:
     bank = _load(args.bank, ifsf.FilterBank.from_json)
     field = _load(args.unitary, lambda obj: _matrix_field(obj, bank.spec))
     out = ifsf.apply_loop_group(bank, field)
-    report = ifsf.verify_filter(out, probe_depth=args.depth, tol=args.tol)
-    if args.out:
-        jsonio.dump_file(args.out, out.to_json())
-    return {
-        "results": {"bank": out.to_json()},
-        "residuals": report.to_json(),
-        "tolerances": {"tol": args.tol},
-    }, report.passed
+    return _verify_report(args, out, {"bank": out.to_json()})
 
 
 def _ifs_decompose(args) -> tuple[dict, bool]:
@@ -321,12 +309,22 @@ def _circle_verify(args) -> tuple[dict, bool]:
     }, passed
 
 
+def _grid_scan(args, evaluate: Callable, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray, float]:
+    """(z, evaluate(z), max over z of |M M* - scale I|) on the --grid roots of
+    unity z; a command with --csv writes the per-point residuals there."""
+    z = circ.unit_circle_grid(args.grid)
+    stack = evaluate(z)
+    per_point = circ.unitarity_residuals(stack, scale)
+    if getattr(args, "csv", None):
+        _write_csv(args.csv, ("angle", "residual"), np.angle(z), per_point)
+    return z, stack, float(np.max(per_point))
+
+
 def _circle_cqf(args) -> tuple[dict, bool]:
     m0 = _load(args.m0, circ.LaurentPoly.from_json)
     matrix = circ.cqf_complete(m0)
     scale = 2.0 / circ._convention_scale(args.convention, 2)  # M M* = 2 I when averaged
-    stack = circ.evaluate_rows(matrix, circ.unit_circle_grid(args.grid))
-    unitarity = float(np.max(circ.unitarity_residuals(stack, scale)))
+    unitarity = _grid_scan(args, lambda z: circ.evaluate_rows(matrix, z), scale)[2]
     power_sum = circ.power_sum_residual(m0, convention=args.convention)
     if args.out:
         jsonio.dump_file(args.out, {"filters": [matrix[0][0].to_json(), matrix[0][1].to_json()]})
@@ -343,13 +341,8 @@ def _circle_cqf(args) -> tuple[dict, bool]:
 def _circle_matrix(args) -> tuple[dict, bool]:
     filters = _load(args.filters, _circle_filters)
     eps = circ.root_of_unity(args.N)
-    z = circ.unit_circle_grid(args.grid)
-    stack = circ.banded_matrix(filters, args.N, z)
-    per_point = circ.unitarity_residuals(stack)
-    unitarity = float(np.max(per_point))
+    z, stack, unitarity = _grid_scan(args, lambda z: circ.banded_matrix(filters, args.N, z))
     shift = circ.rotation_residual(stack, circ.banded_matrix(filters, args.N, eps * z), shift=1)
-    if args.csv:
-        _write_grid_csv(args.csv, args.grid, per_point)
     return {
         "results": {"band": args.N, "grid": args.grid},
         "residuals": {"grid_unitarity": unitarity, "shift_relation": shift},
@@ -363,13 +356,8 @@ def _circle_blaschke(args) -> tuple[dict, bool]:
     if band is None:
         band = product.factors[0].power if product.factors else 2
     eps = circ.root_of_unity(band)
-    z = circ.unit_circle_grid(args.grid)
-    stack = product.eval(z)
+    z, stack, unitarity = _grid_scan(args, product.eval)
     periodicity = circ.rotation_residual(stack, product.eval(eps * z))
-    per_point = circ.unitarity_residuals(stack)
-    unitarity = float(np.max(per_point))
-    if args.csv:
-        _write_grid_csv(args.csv, args.grid, per_point)
     return {
         "results": {"factor_count": len(product.factors), "band": band},
         "residuals": {"grid_unitarity": unitarity, "periodicity": periodicity},
@@ -497,7 +485,8 @@ def _solenoid_moment(args) -> tuple[dict, bool]:
 
 def _solenoid_dilation(args) -> tuple[dict, bool]:
     (m, f, g), orders = _load(args.file, _dilation_file)
-    residuals = dict(zip(orders, sol.dilation_residuals(m, f, g, list(orders.values()))))
+    h = sol.harmonic_for(m.abs2())
+    residuals = dict(zip(orders, sol.dilation_residuals(m, f, g, list(orders.values()), h)))
     return {
         "residuals": residuals,
         "tolerances": {"dilation": args.tol},

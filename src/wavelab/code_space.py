@@ -42,6 +42,8 @@ _CELLS_ENV = "WAVELAB_MAX_CELLS"
 
 WEIGHT_SUM_TOL = 1e-14
 TRANSFER_WEIGHT_TOL = 1e-12  # how far a transfer weight may stray from real and >= 0
+HARMONIC_TOL = 1e-12  # density_defect's bound on each of its four tests
+ARNOLDI_STEPS = 40  # harmonic_solve's spectrum estimate past 512 words
 
 
 def max_cells() -> int:
@@ -259,6 +261,20 @@ def _align(f: CylinderFn, g: CylinderFn) -> tuple[np.ndarray, np.ndarray, int]:
     return f.values.reshape(rows, -1), g.values.reshape(rows, -1), depth
 
 
+def _depth(size: int, n: int) -> int:
+    """The depth L of n**L stored values, by exact integer powers; -1 when
+    size is no power of n."""
+    depth, cells = 0, 1
+    while cells < size:
+        depth, cells = depth + 1, cells * n
+    return depth if cells == size else -1
+
+
+def _average(p: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """S* along the last axis: sum_n p_n values[..., n v], one depth lower."""
+    return p @ values.reshape(values.shape[:-1] + (len(p), -1))
+
+
 def _lift(values: np.ndarray, n: int, depth: int) -> np.ndarray:
     """Functions stored along the last axis, as functions of the first depth symbols."""
     size, cells = values.shape[-1], n**depth
@@ -272,10 +288,9 @@ def _lift(values: np.ndarray, n: int, depth: int) -> np.ndarray:
 
 def integrate(f: CylinderFn) -> complex:
     """Integral against the product measure: sum_w p_{w_1}..p_{w_L} f(w)."""
-    vals = f.values
-    p = f.spec.weight_array()
+    vals, p = f.values, f.spec.weight_array()
     for _ in range(f.depth):
-        vals = p @ vals.reshape(f.spec.N, -1)
+        vals = _average(p, vals)
     return complex(vals[0])
 
 
@@ -299,8 +314,7 @@ def adjoint_sigma(f: CylinderFn) -> CylinderFn:
     """S*: weighted average over prepended symbols, lowering depth by one."""
     if f.depth == 0:
         return f
-    p = f.spec.weight_array()
-    return _new(f.spec, f.depth - 1, p @ f.values.reshape(f.spec.N, -1))
+    return _new(f.spec, f.depth - 1, _average(f.spec.weight_array(), f.values))
 
 
 def shift_iterate(f: CylinderFn, k: int) -> CylinderFn:
@@ -335,12 +349,13 @@ def ruelle_apply(W: CylinderFn, f: CylinderFn) -> CylinderFn:
     return adjoint_sigma(multiply(W, f))
 
 
-def density_defect(W: CylinderFn, h: CylinderFn, tol: float) -> tuple[float, str]:
+def density_defect(W: CylinderFn, h: CylinderFn) -> tuple[float, str]:
     """(sup|R_W h - h|, why h is no transfer-harmonic density of W, or "").
 
     h is one when R_W h = h, int h dmu = 1 and h >= 0 (Im h = 0), each
-    within tol; a NaN anywhere fails.
+    within HARMONIC_TOL; a NaN anywhere fails.
     """
+    tol = HARMONIC_TOL
     residual = sup_distance(ruelle_apply(W, h), h)  # at the deeper depth
     deviation = abs(integrate(h) - 1.0)
     low, imag = float(h.values.real.min()), float(np.abs(h.values.imag).max())
@@ -352,7 +367,7 @@ def density_defect(W: CylinderFn, h: CylinderFn, tol: float) -> tuple[float, str
     )
 
 
-def harmonic_solve(W: CylinderFn, tol: float = 1e-12) -> CylinderFn:
+def harmonic_solve(W: CylinderFn) -> CylinderFn:
     """The density h with R_W h = h and integrate(h) = 1, at depth W.depth - 1.
 
     R_W is a nonnegative N**depth-square matrix, mat[v, (n v)[:depth]] +=
@@ -377,7 +392,7 @@ def harmonic_solve(W: CylinderFn, tol: float = 1e-12) -> CylinderFn:
     except np.linalg.LinAlgError:  # a ValueError, which the CLI reads as bad input
         vals = np.full(size, np.nan)
     h = _new(W.spec, depth, vals + 0j)
-    residual, defect = density_defect(W, h, tol)
+    residual, defect = density_defect(W, h)
     if not defect:
         return h
     mat[:] = 0.0  # R_W again, in the same buffer
@@ -394,10 +409,11 @@ def harmonic_solve(W: CylinderFn, tol: float = 1e-12) -> CylinderFn:
     raise VerificationError(msg, residual=residual)
 
 
-def _arnoldi(mat: np.ndarray, steps: int = 40) -> np.ndarray:
-    """The Hessenberg matrix of up to ``steps`` Arnoldi steps from the constant vector."""
-    basis, hess = [np.full(len(mat), len(mat) ** -0.5)], np.zeros((steps + 1, steps))
-    for k in range(steps):
+def _arnoldi(mat: np.ndarray) -> np.ndarray:
+    """The Hessenberg matrix of up to ARNOLDI_STEPS Arnoldi steps from the constant vector."""
+    basis = [np.full(len(mat), len(mat) ** -0.5)]
+    hess = np.zeros((ARNOLDI_STEPS + 1, ARNOLDI_STEPS))
+    for k in range(ARNOLDI_STEPS):
         v = mat @ basis[k]
         for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
             c = np.array(basis) @ v
@@ -407,4 +423,4 @@ def _arnoldi(mat: np.ndarray, steps: int = 40) -> np.ndarray:
         if hess[k + 1, k] <= 1e-12 * np.linalg.norm(hess[:, k]):  # an invariant subspace
             return hess[: k + 1, : k + 1]
         basis.append(v / hess[k + 1, k])
-    return hess[:steps]
+    return hess[:ARNOLDI_STEPS]

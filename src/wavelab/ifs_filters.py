@@ -30,14 +30,13 @@ L-level packet tree costs L calls each way, not one per node.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, VerificationError
-from .code_space import CylinderFn, IfsSpec, _Fresh, _check_cells, _lift
+from .code_space import CylinderFn, IfsSpec, _Fresh, _average, _check_cells, _depth, _lift
 from .code_space import multiply  # noqa: F401, the perfbench tracer test reads it here
 
 UNITARITY_TOL = 1e-13  # connecting_unitary: sup |U*U - I| of its field
@@ -61,7 +60,7 @@ class _FunctionArray:
         else:
             vals = np.array(self.values, dtype=np.complex128)
         size = vals.shape[-1] if vals.ndim else 0
-        if size < 1 or vals.shape != (n,) * self.AXES + (n ** round(math.log(size, n)),):
+        if vals.shape[:-1] != (n,) * self.AXES or _depth(size, n) < 0:
             raise InputError(f"expected shape {(n,) * self.AXES} + (N**depth,), got {vals.shape}")
         _check_cells(size)
         vals.setflags(write=False)
@@ -69,7 +68,7 @@ class _FunctionArray:
 
     @property
     def depth(self) -> int:
-        return round(math.log(self.values.shape[-1], self.spec.N))
+        return _depth(self.values.shape[-1], self.spec.N)
 
     @classmethod
     def from_cylinders(cls, spec: IfsSpec, fns: Sequence[CylinderFn]):
@@ -185,8 +184,7 @@ def _gram(spec: IfsSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """S*(conj(a_j) b_k), shape (J, K, T), from (function, first symbol, tail) views."""
     _check_cells(len(a) * b.size)
     prod = np.conj(a)[:, None] * b[None]
-    gram = spec.weight_array() @ prod.reshape(-1, spec.N, a.shape[-1])
-    return gram.reshape(len(a), len(b), -1)
+    return _average(spec.weight_array(), prod.reshape(len(a), len(b), -1))
 
 
 def _act(bank: FilterBank, x: np.ndarray) -> tuple[int, np.ndarray]:
@@ -197,7 +195,7 @@ def _act(bank: FilterBank, x: np.ndarray) -> tuple[int, np.ndarray]:
     (N, N**(L-1), 1) broadcast view over the symbols past the filter's
     depth.  The K functions made count against the cell cap."""
     n, k, width = bank.spec.N, x.shape[1], x.shape[-1]
-    depth = max(bank.depth, round(math.log(width, n)) + 1)
+    depth = max(bank.depth, _depth(width, n) + 1)
     _check_cells(k * n**depth)
     m = bank._by_symbol(max(bank.depth, 1))[..., None]
     acc = np.empty((k, n**depth), dtype=np.complex128)
@@ -254,7 +252,7 @@ def analysis(bank: FilterBank, level: np.ndarray) -> np.ndarray:
     product count against the cell cap.
     """
     n = bank.spec.N
-    depth = max(bank.depth, round(math.log(level.shape[-1], n)))
+    depth = max(bank.depth, _depth(level.shape[-1], n))
     _check_cells(len(level) * n**depth)
     lifted = _lift(level, n, depth).reshape(len(level), n, -1)
     parts = _gram(bank.spec, bank._by_symbol(depth), lifted)  # (N, K, tail)
@@ -307,9 +305,9 @@ def multires_reconstruct(bank: FilterBank, leaves: Sequence[np.ndarray]) -> Cyli
     while len(level) > 1:
         level = synthesis(bank, level)
     for detail in leaves[1:]:
-        depth = round(math.log(max(level.shape[-1], detail.shape[-1]), n))
+        depth = _depth(max(level.shape[-1], detail.shape[-1]), n)
         level = synthesis(bank, np.concatenate([_lift(level, n, depth), _lift(detail, n, depth)]))
-    return CylinderFn(bank.spec, round(math.log(level.shape[-1], n)), level[0])
+    return CylinderFn(bank.spec, _depth(level.shape[-1], n), level[0])
 
 
 def leaf_energies(spec: IfsSpec, leaves: Sequence[np.ndarray]) -> list[float]:
@@ -319,7 +317,7 @@ def leaf_energies(spec: IfsSpec, leaves: Sequence[np.ndarray]) -> list[float]:
     for group in leaves:
         vals = np.abs(group) ** 2 + 0j
         while vals.shape[-1] > 1:
-            vals = p @ vals.reshape(len(vals), spec.N, -1)
+            vals = _average(p, vals)
         out += vals[:, 0].real.tolist()
     return out
 
@@ -328,7 +326,7 @@ def tree_json(spec: IfsSpec, leaves: Sequence[np.ndarray]) -> dict:
     """The nested {"children" | "leaf"} JSON of the tree ``multires_decompose`` walks."""
 
     def leaf(row: np.ndarray) -> dict:
-        return {"leaf": CylinderFn(spec, round(math.log(len(row), spec.N)), row).to_json()}
+        return {"leaf": CylinderFn(spec, _depth(len(row), spec.N), row).to_json()}
 
     def packet(rows: np.ndarray) -> dict:
         if len(rows) == 1:

@@ -42,8 +42,6 @@ from .code_space import (
     _require_weight,
 )
 
-HARMONIC_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class PathCylinderFn:
@@ -189,9 +187,9 @@ def pairing(f: PathCylinderFn, g: PathCylinderFn, weight: CylinderFn, h: Cylinde
 def harmonic_for(weight: CylinderFn) -> CylinderFn:
     """The default transfer-harmonic density: 1 when admissible, else solved."""
     ones = CylinderFn.ones(weight.spec)
-    if not density_defect(weight, ones, HARMONIC_TOL)[1]:
+    if not density_defect(weight, ones)[1]:
         return ones
-    return harmonic_solve(weight, tol=HARMONIC_TOL)
+    return harmonic_solve(weight)
 
 
 @dataclass(frozen=True)
@@ -214,7 +212,7 @@ class MomentSpec:
         for g in (self.weight, self.h, *self.coords):
             if g is not None and g.spec != self.spec:
                 raise InputError("moment component spec mismatch")
-        defect = self.h is not None and density_defect(self.weight, self.h, HARMONIC_TOL)[1]
+        defect = self.h is not None and density_defect(self.weight, self.h)[1]
         if defect:
             raise InputError(f"h is not a transfer-harmonic density: {defect}")
 
@@ -245,17 +243,17 @@ def _walk(step, x, wanted: set[int]):
 
 
 def dilation_residuals(
-    m: CylinderFn, f: CylinderFn, g: CylinderFn, orders: Sequence[int], h: CylinderFn | None = None
+    m: CylinderFn, f: CylinderFn, g: CylinderFn, orders: Sequence[int], h: CylinderFn
 ) -> list[float]:
     """Residuals of the dilation identities between base and path space.
 
     n >= 0 compares <S_m^n f, g> with <U^n (f o pi_0), g o pi_0>_P; n < 0
     compares the power of the L2(h dmu) adjoint S*(conj(m) h f) / h against
     <f o pi_0, U^{|n|} (g o pi_0)>_P, the unitary pairing, which never
-    divides by m.  Each of the four powers is walked once, to its largest order.
+    divides by m.  h is the density of the weight |m|**2.  Each of the four
+    powers is walked once, to its largest order.
     """
     weight = m.abs2()
-    h = harmonic_for(weight) if h is None else h
     gh = multiply(g.conj(), h)
     pf, pg = PathCylinderFn.coordinate(0, f), PathCylinderFn.coordinate(0, g)
     up, down = {n for n in orders if n >= 0}, {-n for n in orders if n < 0}
@@ -288,11 +286,8 @@ def shift_covariance_check(m: CylinderFn, f: CylinderFn, g: CylinderFn) -> tuple
     return float(np.max(distances)), scaling  # NaN propagates
 
 
-def w0_isometry_residual(
-    f: CylinderFn, g: CylinderFn, weight: CylinderFn, h: CylinderFn | None = None
-) -> float:
+def w0_isometry_residual(f: CylinderFn, g: CylinderFn, weight: CylinderFn, h: CylinderFn) -> float:
     """|<f o pi_0, g o pi_0>_P - int f conj(g) h dmu|; zero by the marginal law."""
-    h = harmonic_for(weight) if h is None else h
     lhs = pairing(
         PathCylinderFn.coordinate(0, f), PathCylinderFn.coordinate(0, g), weight, h
     )
@@ -300,19 +295,13 @@ def w0_isometry_residual(
     return abs(lhs - rhs)
 
 
-def measure_change_residual(
-    f: PathCylinderFn, weight: CylinderFn, h: CylinderFn | None = None
-) -> float:
+def measure_change_residual(f: PathCylinderFn, weight: CylinderFn, h: CylinderFn) -> float:
     """Residual of E[(W o pi_0) F] = E[F o shift^{-1}], the density of P o shift."""
-    h = harmonic_for(weight) if h is None else h
     lhs = expectation(PathCylinderFn.coordinate(0, weight) * f, weight, h)
     rhs = expectation(f.compose_shift_inverse(), weight, h)
     return abs(lhs - rhs)
 
 
-def probability_residual(
-    order: int, weight: CylinderFn, h: CylinderFn | None = None
-) -> float:
+def probability_residual(order: int, weight: CylinderFn, h: CylinderFn) -> float:
     """All-ones moment minus 1: P is a probability measure."""
-    h = harmonic_for(weight) if h is None else h
     return abs(_chain([CylinderFn.ones(weight.spec)] * (order + 1), weight, h) - 1.0)

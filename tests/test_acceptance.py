@@ -212,7 +212,7 @@ def test_criterion_03_loop_group():
 def test_criterion_04_circle_case():
     start = time.perf_counter()
     haar = oracle.haar_pair()
-    coeff_exact = float(np.max(cuntz_residuals(haar, 2)))
+    coeff_exact = float(np.max(cuntz_residuals(haar, 2, "averaged")))
     z = unit_circle_grid(256)
     banded = banded_matrix(haar, 2, z)
     unitarity = float(np.max(unitarity_residuals(banded)))

@@ -124,11 +124,11 @@ def test_weighted_compose_examples():
 # ---------------------------------------------------------------------------
 
 def test_haar_residuals_exactly_zero():
-    assert cuntz_residuals(oracle.haar_pair(), 2) == (0.0, 0.0)
+    assert cuntz_residuals(oracle.haar_pair(), 2, "averaged") == (0.0, 0.0)
 
 
 def test_single_isometry_incomplete():
-    orthonormality, completeness = cuntz_residuals([LaurentPoly(0, [1.0])], 2)
+    orthonormality, completeness = cuntz_residuals([LaurentPoly(0, [1.0])], 2, "averaged")
     assert orthonormality == 0.0
     assert completeness == pytest.approx(1.0)
 
@@ -136,14 +136,14 @@ def test_single_isometry_incomplete():
 def test_unit_sum_convention_gap():
     # the averaged Gram of the unit-sum Haar filter is the constant 1/2
     m0 = poly(0.5, 0.5)
-    assert cuntz_residuals([m0], 2)[0] == pytest.approx(0.5)
-    assert cuntz_residuals([m0], 2, convention="unit-sum")[0] == 0.0
+    assert cuntz_residuals([m0], 2, "averaged")[0] == pytest.approx(0.5)
+    assert cuntz_residuals([m0], 2, "unit-sum")[0] == 0.0
 
 
 def test_delayed_haar_is_valid_bank():
     s = 1 / np.sqrt(2)
     delayed = [poly(s, s, start=1), poly(s, -s, start=1)]
-    orthonormality, completeness = cuntz_residuals(delayed, 2)
+    orthonormality, completeness = cuntz_residuals(delayed, 2, "averaged")
     assert orthonormality == 0.0 and completeness < 1e-15
 
 
@@ -153,7 +153,7 @@ def test_band_count_below_2_is_an_input_error(n):
         lambda: circ.band_count(n),
         lambda: LaurentPoly(0, [1.0]).upsample(n),
         lambda: LaurentPoly(0, [1.0]).downsample(n),
-        lambda: cuntz_residuals([LaurentPoly(0, [1.0])] * max(n, 0), n),
+        lambda: cuntz_residuals([LaurentPoly(0, [1.0])] * max(n, 0), n, "averaged"),
         lambda: banded_matrix([LaurentPoly(0, [1.0])] * max(n, 0), n, 1.0),
         lambda: root_of_unity(n),
     ):
@@ -167,7 +167,7 @@ def test_random_entries_fail():
         LaurentPoly(0, rng.normal(size=3)),
         LaurentPoly(0, rng.normal(size=3)),
     ]
-    assert cuntz_residuals(junk, 2)[0] > 0.1
+    assert cuntz_residuals(junk, 2, "averaged")[0] > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +193,9 @@ def test_cqf_averaged_convention():
 
 
 def test_power_sum_residuals():
-    assert power_sum_residual(poly(0.5, 0.5)) == 0.0
-    assert power_sum_residual(LaurentPoly(0, [1.0])) == pytest.approx(1.0)
-    assert power_sum_residual(oracle.haar_pair()[0], convention="averaged") == 0.0
+    assert power_sum_residual(poly(0.5, 0.5), "unit-sum") == 0.0
+    assert power_sum_residual(LaurentPoly(0, [1.0]), "unit-sum") == pytest.approx(1.0)
+    assert power_sum_residual(oracle.haar_pair()[0], "averaged") == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def test_shift_relation_holds_for_any_filters():
 
 def test_coefficient_grid_equivalence():
     # zero coefficient residuals iff grid unitarity vanishes
-    assert cuntz_residuals(oracle.haar_pair(), 2)[0] == 0.0
+    assert cuntz_residuals(oracle.haar_pair(), 2, "averaged")[0] == 0.0
     assert worst_unitarity(banded_matrix(oracle.haar_pair(), 2, unit_circle_grid(128))) < 1e-12
 
 
@@ -523,7 +523,7 @@ def test_nan_entry_gives_nan_residual():
     assert np.isnan(worst_unitarity(banded_matrix(nan_bank, 2, unit_circle_grid(16))))
     assert np.isnan(band_law(nan_bank, 2, 16))
     assert np.isnan(oracle.grid_unitarity(lambda z: oracle.multiband_point(nan_bank, 2, z), 16))
-    assert np.isnan(cuntz_residuals(nan_bank, 2)[0])
+    assert np.isnan(cuntz_residuals(nan_bank, 2, "averaged")[0])
     # one NaN point among finite ones
     stack = np.broadcast_to(np.eye(2), (8, 2, 2)).copy()
     stack[5, 1, 0] = np.nan

@@ -53,7 +53,7 @@ def test_d4_taps_are_an_orthogonal_pair():
     assert (c * (-1.0) ** np.arange(4)).sum() == pytest.approx(0.0, abs=1e-15)
     assert np.dot(c[:2], c[2:]) == pytest.approx(0.0, abs=1e-15)
     orthonormality, completeness = cuntz_residuals(
-        [taps_as_poly(c), taps_as_poly(detail_taps(c))], 2
+        [taps_as_poly(c), taps_as_poly(detail_taps(c))], 2, "averaged"
     )
     assert orthonormality < 1e-15
     assert completeness < 1e-15
@@ -355,7 +355,7 @@ def test_pr_fails_iff_coefficient_residuals_do():
     junk = [rng.normal(size=4), rng.normal(size=4)]
     x = rng.normal(size=64)
     result = filterbank_roundtrip(x, junk, junk, 2)
-    orthonormality, _ = cuntz_residuals([taps_as_poly(t) for t in junk], 2)
+    orthonormality, _ = cuntz_residuals([taps_as_poly(t) for t in junk], 2, "averaged")
     assert result.pr_error > 1e-3
     assert orthonormality > 1e-3
 

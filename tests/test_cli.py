@@ -378,16 +378,6 @@ def test_circle_csv_holds_the_per_point_residuals(tmp_path, capsys):
     assert max(want) == result["residuals"]["grid_unitarity"]
 
 
-def test_band_count_below_2_exits_2(tmp_path, capsys):
-    empty = write(tmp_path / "empty.json", {"filters": []})
-    one = write(tmp_path / "one.json", {"filters": [LaurentPoly(0, [1.0]).to_json()]})
-    for command, n, path in (("verify", "0", empty), ("matrix", "0", empty),
-                             ("matrix", "1", one), ("verify", "1", one)):
-        assert run(["circle", command, "--filters", path, "--N", n]) == 2, (command, n)
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "wavelab: band count must be >= 2\n"
-
-
 def _count_evaluations(monkeypatch) -> list:
     """Record, per call, which matrix function a command evaluates."""
     calls = []
@@ -684,7 +674,7 @@ def _artifacts():
             (), [(z.real, z.imag) for z in signal],
         ),
         "grid": (
-            lambda p: cli._write_grid_csv(p, 9, residuals),
+            lambda p: cli._write_csv(p, ("angle", "residual"), np.angle(grid), residuals),
             ("angle", "residual"), [(np.angle(z), r) for z, r in zip(grid, residuals)],
         ),
         "cascade": (
@@ -1019,6 +1009,10 @@ def _input_files(tmp_path) -> dict:
         "kernel4": write(tmp_path / "kernel4.json", {"matrix": jsonio.encode_cmatrix(np.eye(4))}),
         "blaschke2": write(tmp_path / "blaschke2.json", {"V": jsonio.encode_cmatrix(np.eye(2))}),
         "blaschke3": write(tmp_path / "blaschke3.json", {"V": jsonio.encode_cmatrix(np.eye(3))}),
+        "no_orders": write(tmp_path / "no_orders.json", {
+            "m": bank.filters[0].to_json(), "f": bank.filters[1].to_json(),
+            "g": bank.filters[1].to_json(), "orders": [],
+        }),
     }
 
 
@@ -1033,6 +1027,8 @@ MALFORMED = {
     "filterbank taps is a string": ["mra", "filterbank", "--signal", "{signal}", "--taps", "{string}"],
     "moment file is a list": ["solenoid", "moment", "--file", "{list}"],
     "moment file is a string": ["solenoid", "moment", "--file", "{string}"],
+    # "orders": [] printed "pass": true over no residuals
+    "dilation orders are empty": ["solenoid", "dilation", "--file", "{no_orders}"],
     "ifs is a list": ["examples", "fractal", "--ifs", "{list}", "--samples", "10000", "--seed", "1"],
     "ifs is a string": ["examples", "fractal", "--ifs", "{string}", "--samples", "10000", "--seed", "1"],
     "points is a list": [
@@ -1061,7 +1057,7 @@ def test_malformed_input_exits_2(name, tmp_path, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err
-    bad_file = next((a for a in argv if a in (files["list"], files["string"])), None)
+    bad_file = next((a for a in argv if a in (files["list"], files["string"], files["no_orders"])), None)
     if bad_file:
         assert bad_file in captured.err
 
@@ -1155,29 +1151,32 @@ def test_run_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, 
     assert seen == [False, False, False]  # paused while parsing
 
 
-@pytest.mark.parametrize("band", ["-1", "0", "1"])
-def test_dilations_below_2_exit_2(band, tmp_path, capsys):
-    path = _input_files(tmp_path)["blaschke2"]
-    for argv in (
-        ["circle", "blaschke", "--factors", path, "--band", band],
-        ["circle", "loop-act", "--g-factors", path, "--u-factors", path, "--N", band],
-    ):
-        assert run(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "band count must be >= 2" in captured.err
+BAND_COUNT_COMMANDS = {
+    "circle verify": ["circle", "verify", "--filters", "{one}", "--N", "{band}"],
+    "circle matrix": ["circle", "matrix", "--filters", "{one}", "--N", "{band}"],
+    "circle blaschke": ["circle", "blaschke", "--factors", "{blaschke2}", "--band", "{band}"],
+    "circle loop-act": [
+        "circle", "loop-act", "--g-factors", "{blaschke2}", "--u-factors", "{blaschke2}",
+        "--N", "{band}",
+    ],
+    "mra cascade": ["mra", "cascade", "--taps", "{taps}", "--N", "{band}"],
+    "mra wavelet": ["mra", "wavelet", "--taps", "{taps}", "--N", "{band}"],
+    "mra filterbank": [
+        "mra", "filterbank", "--signal", "{signal}", "--taps", "{haar_bank}", "--N", "{band}",
+    ],
+}
 
 
-@pytest.mark.parametrize("band", ["-1", "0", "1"])
-def test_line_band_counts_below_2_exit_2(band, tmp_path, capsys):
-    """The line's commands reject a band count with the circle's one check."""
+@pytest.mark.parametrize("name", sorted(BAND_COUNT_COMMANDS))
+def test_band_counts_below_2_exit_2(name, tmp_path, capsys):
+    """Every command that takes a band count rejects one below 2 through the
+    one band_count check, with the same stderr line."""
     files = _input_files(tmp_path)
-    taps = write(tmp_path / "taps.json", {"taps": jsonio.encode_cvector(haar_taps())})
-    for argv in (
-        ["mra", "cascade", "--taps", taps, "--N", band],
-        ["mra", "wavelet", "--taps", taps, "--N", band],
-        ["mra", "filterbank", "--signal", files["signal"], "--taps", files["haar_bank"], "--N", band],
-    ):
-        assert run(argv) == 2
+    files["one"] = write(tmp_path / "one.json", {"filters": [LaurentPoly(0, [1.0]).to_json()]})
+    files["taps"] = write(tmp_path / "taps.json", {"taps": jsonio.encode_cvector(haar_taps())})
+    for band in ("-1", "0", "1"):
+        argv = [a.format(band=band, **files) for a in BAND_COUNT_COMMANDS[name]]
+        assert run(argv) == 2, band
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "wavelab: band count must be >= 2\n"
 
@@ -1437,7 +1436,7 @@ def test_solenoid_dilation_fails_closed_on_one_nan_order(tmp_path, capsys, monke
     path = _path_file(tmp_path, [1.0, 2.0], orders=[0, 1])
     monkeypatch.setattr(
         cli.sol, "dilation_residuals",
-        lambda m, f, g, orders: [float("nan") if n else 0.0 for n in orders],
+        lambda m, f, g, orders, h: [float("nan") if n else 0.0 for n in orders],
     )
     code, result = run_json(capsys, ["solenoid", "dilation", "--file", path])
     assert result["residuals"]["order_0"] == 0.0 and np.isnan(result["residuals"]["order_1"])

@@ -349,7 +349,7 @@ def test_harmonic_solve_depth_two_weight(spec2, rng):
     # a genuinely nonconstant admissible weight: E W = 1 fails, but the
     # transfer operator still has a positive fixed density at depth 1
     w = CylinderFn(spec2, 2, [1.6, 0.4, 0.6, 1.4])
-    h = harmonic_solve(w, tol=1e-12)
+    h = harmonic_solve(w)
     assert h.depth == 1
     assert integrate(h) == pytest.approx(1.0, abs=1e-12)
     assert sup_distance(ruelle_apply(w, h), h) < 1e-11
@@ -371,11 +371,12 @@ def test_harmonic_solve_matches_power_loop_and_eig(n_branches, uniform, depth):
     spec = IfsSpec(n_branches) if uniform else IfsSpec(n_branches, tuple(p / p.sum()))
     raw = CylinderFn(spec, depth, rng.uniform(0.2, 1.8, spec.N**depth))
     W, h_eig = oracle.perron_normalised(raw)
-    h = harmonic_solve(W, tol=1e-13)
+    h = harmonic_solve(W)
     assert h.depth == depth - 1
     assert sup_distance(h, h_eig) < 1e-12
     assert sup_distance(h, oracle.power_harmonic(W, tol=1e-13, max_iter=2000)) < 1e-12
     assert sup_distance(ruelle_apply(W, h), h) < 1e-13
+    assert abs(integrate(h) - 1.0) < 1e-13
 
 
 SLOW_MIXING = [1.94, 0.06, 0.14, 1.86]  # R_W = [[0.97, 0.07], [0.03, 0.93]] on depth-1 functions
@@ -386,14 +387,14 @@ def test_harmonic_solve_on_slowly_mixing_weight(spec2):
     W = CylinderFn(spec2, 2, SLOW_MIXING)
     with pytest.raises(VerificationError, match="no fixed point"):
         oracle.power_harmonic(W, tol=1e-12)
-    h = harmonic_solve(W, tol=1e-12)
+    h = harmonic_solve(W)
     assert np.max(np.abs(h.values - [1.4, 0.6])) < 1e-14
 
 
 @pytest.mark.parametrize("depth", range(2, 13))
 def test_harmonic_solve_does_not_depend_on_how_deep_a_weight_is_written(spec2, depth):
     W = lift_cylinder(CylinderFn(spec2, 2, SLOW_MIXING), depth)
-    h = harmonic_solve(W, tol=1e-12)
+    h = harmonic_solve(W)
     want = lift_cylinder(CylinderFn(spec2, 1, [1.4, 0.6]), depth - 1)
     assert h.depth == depth - 1 and np.max(np.abs(h.values - want.values)) < 1e-13
 
@@ -403,9 +404,9 @@ def test_harmonic_solve_checks_its_matrix_against_the_cell_cap(monkeypatch, rng)
     W, h_eig = oracle.perron_normalised(raw)  # an 8 x 8 matrix: 64 cells
     monkeypatch.setenv("WAVELAB_MAX_CELLS", "63")
     with pytest.raises(InputError, match="^64 cells exceed the cap of 63; set WAVELAB_MAX_CELLS to raise it$"):
-        harmonic_solve(W, tol=1e-12)
+        harmonic_solve(W)
     monkeypatch.setenv("WAVELAB_MAX_CELLS", "64")
-    assert sup_distance(harmonic_solve(W, tol=1e-12), h_eig) < 1e-12
+    assert sup_distance(harmonic_solve(W), h_eig) < 1e-12
 
 
 def test_harmonic_solve_builds_its_system_in_place(spec2):
@@ -414,7 +415,7 @@ def test_harmonic_solve_builds_its_system_in_place(spec2):
     W = lift_cylinder(CylinderFn(spec2, 2, SLOW_MIXING), 11)
     tracemalloc.start()
     try:
-        harmonic_solve(W, tol=1e-12)
+        harmonic_solve(W)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -437,7 +438,7 @@ def test_harmonic_solve_rejects_a_signed_eigenvector(spec2):
     # eigenvalue-1 vector (-0.5, 2.5) solves the bordered system to 1e-16
     # but is no density
     with pytest.raises(VerificationError) as err:
-        harmonic_solve(CylinderFn(spec2, 2, [2.4, 1.0, 0.08, 2.2]), tol=1e-12)
+        harmonic_solve(CylinderFn(spec2, 2, [2.4, 1.0, 0.08, 2.2]))
     assert "Perron eigenvalue 1.3," in str(err.value)
 
 

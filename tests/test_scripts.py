@@ -20,25 +20,6 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_runs(script, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script)]
-        + [a.format(tmp=tmp_path) for a in SCRIPTS[script]],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
-
-
 def _check_orbit(out: str, tmp_path: Path) -> None:
     steps = re.findall(r"^step \d+: verified=(\w+) .* unitary_recovery=(\S+)$", out, re.M)
     assert steps and all(v == "True" and float(r) < 1e-12 for v, r in steps)
@@ -69,15 +50,22 @@ CHECKS = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(CHECKS))
-def test_script_prints_passing_checks(script, tmp_path):
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(script, tmp_path):
+    """The script exits 0, and what it prints and writes passes its check."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script)]
         + [a.format(tmp=tmp_path) for a in SCRIPTS[script]],
         cwd=tmp_path,
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
     CHECKS[script](proc.stdout, tmp_path)

@@ -130,7 +130,7 @@ def test_moment_all_ones_is_probability(spec2, spec3, indicator_weight):
     for spec in (spec2, spec3):
         for j in range(spec.N):
             w = build_indicator(spec).filters[j].abs2()
-            assert probability_residual(3, w) < 1e-13
+            assert probability_residual(3, w, harmonic_for(w)) < 1e-13
 
 
 def test_moment_deterministic_branch_oracle(spec2, indicator_weight, rng):
@@ -200,7 +200,7 @@ def test_measure_change_identity(spec2, rng):
         f = random_cylinder(rng, spec2, 1)
         g = random_cylinder(rng, spec2, 1)
         probe = PathCylinderFn.coordinate(0, f) * PathCylinderFn.coordinate(1, g)
-        assert measure_change_residual(probe, w) < 1e-13
+        assert measure_change_residual(probe, w, harmonic_for(w)) < 1e-13
 
 
 def test_w0_isometry(spec2, spec3, rng):
@@ -208,7 +208,7 @@ def test_w0_isometry(spec2, spec3, rng):
         w = build_indicator(spec).filters[0].abs2()
         f = random_cylinder(rng, spec, 2)
         g = random_cylinder(rng, spec, 1)
-        assert w0_isometry_residual(f, g, w) < 1e-13
+        assert w0_isometry_residual(f, g, w, harmonic_for(w)) < 1e-13
 
 
 def test_resolution_subspace_is_shift_invariant(spec2, rng):
@@ -235,7 +235,7 @@ def test_dilation_zero_order_is_plain_pairing(spec2, rng):
     m = build_indicator(spec2).filters[0]
     f = random_cylinder(rng, spec2, 1)
     g = random_cylinder(rng, spec2, 1)
-    assert dilation_residuals(m, f, g, [0])[0] < 1e-14
+    assert dilation_residuals(m, f, g, [0], harmonic_for(m.abs2()))[0] < 1e-14
 
 
 def test_dilation_expands_weighted_composition(spec2, rng):
@@ -252,7 +252,7 @@ def test_dilation_expands_weighted_composition(spec2, rng):
         h,
     )
     assert abs(lhs - rhs) < 1e-13
-    assert dilation_residuals(m, f, g, [1])[0] < 1e-13
+    assert dilation_residuals(m, f, g, [1], h)[0] < 1e-13
 
 
 def test_dilation_negative_order_with_trivial_weight(spec2, rng):
@@ -262,25 +262,27 @@ def test_dilation_negative_order_with_trivial_weight(spec2, rng):
     # m = 1: the adjoint power is the plain transfer average
     lhs = integrate(multiply(adjoint_sigma(f), g.conj()))
     assert abs(lhs - integrate(multiply(f, compose_sigma(g).conj()))) < 1e-13
-    assert dilation_residuals(one, f, g, [-1])[0] < 1e-13
+    assert dilation_residuals(one, f, g, [-1], harmonic_for(one.abs2()))[0] < 1e-13
 
 
 def test_dilation_orders_both_signs(spec2, spec3, rng):
     for spec in (spec2, spec3):
         bank = build_indicator(spec)
         m = bank.filters[rng.integers(spec.N)]
+        h = harmonic_for(m.abs2())
         for n in (-2, -1, 0, 1, 2):
             f = random_cylinder(rng, spec, 2)
             g = random_cylinder(rng, spec, 2)
-            assert dilation_residuals(m, f, g, [n])[0] < 1e-12
+            assert dilation_residuals(m, f, g, [n], h)[0] < 1e-12
 
 
 def test_dilation_with_roots_weights(spec3, rng):
     m = build_roots_of_unity(spec3).filters[0]
+    h = harmonic_for(m.abs2())
     for n in (-2, 1):
         f = random_cylinder(rng, spec3, 1)
         g = random_cylinder(rng, spec3, 1)
-        assert dilation_residuals(m, f, g, [n])[0] < 1e-12
+        assert dilation_residuals(m, f, g, [n], h)[0] < 1e-12
 
 
 def _dilation_multiplier(rng, spec, admissible: bool) -> CylinderFn:
@@ -314,7 +316,7 @@ def test_dilation_negative_orders_use_the_h_adjoint(spec_weighted, rng):
     f, g = random_cylinder(rng, spec_weighted, 1), random_cylinder(rng, spec_weighted, 1)
     h = harmonic_for(m.abs2())
     assert h.depth == 1 and abs(h.values[0] - h.values[1]) > 0.01
-    assert max(dilation_residuals(m, f, g, [-1, -2, -3])) < 1e-15
+    assert max(dilation_residuals(m, f, g, [-1, -2, -3], h)) < 1e-15
     # the L2(mu) adjoint S*(conj(m) f) misses the L2(h dmu) pairing at n = -1
     lhs = integrate(multiply(weighted_adjoint(m, f), multiply(g.conj(), h)))
     pf, pg = PathCylinderFn.coordinate(0, f), PathCylinderFn.coordinate(0, g)
