@@ -11,6 +11,8 @@ from wavelab.code_space import (
     CylinderFn,
     IfsSpec,
     Word,
+    _average,
+    _depth,
     adjoint_sigma,
     compose_sigma,
     harmonic_solve,
@@ -219,6 +221,28 @@ def test_adjoint_matches_oracle(rng, spec3, spec_weighted):
             spec, oracle.adjoint_shift(oracle.table_of(f), spec.N, spec.weights)
         )
         assert sup_distance(got, expected) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_average_is_the_weighted_sum_over_the_first_symbol(rng, n):
+    # S* along the last axis of a stack: sum_j p_j values[..., j v]
+    p = rng.dirichlet(np.ones(n))
+    values = rng.normal(size=(2, 3, n**3)) + 1j * rng.normal(size=(2, 3, n**3))
+    block = n**2
+    want = sum(p[j] * values[..., j * block:(j + 1) * block] for j in range(n))
+    got = _average(p, values)
+    assert got.shape == (2, 3, block)
+    assert np.max(np.abs(got - want)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_depth_of_a_stored_size_is_exact(n):
+    powers = {n**d: d for d in range(7)}
+    for size in range(1, n**6 + 2):
+        assert _depth(size, n) == powers.get(size, -1), size
+    # a size next to a large power is no power, which a float logarithm cannot tell
+    assert _depth(n**60, n) == 60
+    assert _depth(n**60 + 1, n) == -1 and _depth(n**60 - 1, n) == -1
 
 
 def test_sstar_s_identity_and_invariance(rng, spec2, spec3):
