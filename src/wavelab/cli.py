@@ -164,18 +164,23 @@ def _matrix_field(obj, spec: cs.IfsSpec) -> ifsf.MatrixField:
     return ifsf.MatrixField.from_json(obj)
 
 
-def _point_filters(obj, size: int) -> list[np.ndarray]:
+def _point_filters(obj, size: int) -> np.ndarray:
+    """The filters' values as one read-only (filter, point) array."""
     if isinstance(obj, dict) and "filters" in obj:
         obj = obj["filters"]
     if not isinstance(obj, list):
         raise InputError("filter file must hold a list of value vectors")
+    if not obj:
+        raise InputError("need at least one filter")
     filters = [jsonio.decode_cvector(values) for values in obj]
     for f in filters:
         if f.shape != (size,):
             raise InputError(
                 f"filter length {f.shape[0]} does not match the {size} points"
             )
-    return filters
+    values = np.array(filters)
+    values.setflags(write=False)
+    return values
 
 
 def _kernel(obj, size: int) -> rkhs.KernelMatrix:
@@ -378,13 +383,13 @@ def _circle_loop(args) -> tuple[dict, bool]:
     g_stack = g.eval(z**n)
     g_unitarity = float(np.max(circ.unitarity_residuals(g_stack)))
     unitarity = float(np.max(circ.unitarity_residuals(g_stack @ u.eval(z))))
-    # a non-unitary G (or a NaN residual) is reported as a warning and fails
-    warning = not g_unitarity <= args.tol
+    # G is a validated Blaschke product, unitary by construction: its residual
+    # and the warning are reported, and the verdict reads the result alone
     return {
-        "results": {"non_unitary_warning": warning},
+        "results": {"non_unitary_warning": not g_unitarity <= args.tol},
         "residuals": {"acting_map_unitarity": g_unitarity, "result_unitarity": unitarity},
         "tolerances": {"tol": args.tol},
-    }, _all_below(args.tol, unitarity) and not warning
+    }, _all_below(args.tol, unitarity)
 
 
 def _mra_cascade(args) -> tuple[dict, bool]:
@@ -472,10 +477,10 @@ def _mra_product(args) -> tuple[dict, bool]:
 
 def _solenoid_moment(args) -> tuple[dict, bool]:
     ms = _load(args.file, sol.MomentSpec.from_json)
-    if ms.h is None:  # "auto", solved once read: a solve over the cell cap is no malformed file
-        ms = sol.MomentSpec(ms.spec, ms.weight, sol.harmonic_for(ms.weight), ms.coords)
-    value = sol.moment(ms)
-    prob = sol.probability_residual(len(ms.coords) - 1, ms.weight, ms.h)
+    # "auto" is solved once read: a solve over the cell cap is no malformed file
+    h = sol.harmonic_for(ms.weight) if ms.h is None else ms.h
+    value = sol.moment(ms.coords, ms.weight, h)
+    prob = sol.probability_residual(len(ms.coords) - 1, ms.weight, h)
     return {
         "results": {"value": jsonio.encode_complex(value), "order": len(ms.coords) - 1},
         "residuals": {"probability_normalization": prob},
@@ -585,7 +590,7 @@ def _examples_fractal(args) -> tuple[dict, bool]:
         "residuals": {"max_abs_z": report.max_abs_z},
         "tolerances": {"z_bound": args.z_bound},
         "seed": args.seed,
-    }, report.passed(args.z_bound)
+    }, _all_below(args.z_bound, report.max_abs_z)
 
 
 # ---------------------------------------------------------------------------

@@ -286,12 +286,17 @@ def _lift(values: np.ndarray, n: int, depth: int) -> np.ndarray:
     return np.repeat(values, cells // size, axis=-1)
 
 
+def _integral(p: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The integrals of functions stored along the last axis: S* until one
+    value is left."""
+    while values.shape[-1] > 1:
+        values = _average(p, values)
+    return values[..., 0]
+
+
 def integrate(f: CylinderFn) -> complex:
     """Integral against the product measure: sum_w p_{w_1}..p_{w_L} f(w)."""
-    vals, p = f.values, f.spec.weight_array()
-    for _ in range(f.depth):
-        vals = _average(p, vals)
-    return complex(vals[0])
+    return complex(_integral(f.spec.weight_array(), f.values))
 
 
 def multiply(f: CylinderFn, g: CylinderFn) -> CylinderFn:

@@ -22,6 +22,9 @@ import numpy as np
 from .errors import InputError
 from . import jsonio
 
+# code_space.WEIGHT_SUM_TOL, the one rule for branch weights; named here, not
+# imported, so that the examples commands load no code_space
+WEIGHT_SUM_TOL = 1e-14
 CHAOS_BURN_IN = 64
 # rows per chaos-game block: a block, its branch images and its check
 # values stay in the CPU caches
@@ -83,7 +86,7 @@ class AffineIfs:
         w = tuple(float(p) for p in w)
         if len(w) != b.shape[0]:
             raise InputError("one weight per digit required")
-        if not (all(p > 0 for p in w) and abs(sum(w) - 1.0) <= 1e-12):  # NaN fails
+        if not (all(p > 0 for p in w) and abs(sum(w) - 1.0) < WEIGHT_SUM_TOL):  # NaN fails
             raise InputError("weights must be positive and sum to 1")
         a.setflags(write=False)
         b.setflags(write=False)
@@ -219,9 +222,6 @@ class InvarianceReport:
     def max_abs_z(self) -> float:
         """Largest |z|; NaN when any z is NaN (Python's max() would skip it)."""
         return float(np.max(np.abs([c.z for c in self.checks])))
-
-    def passed(self, z_bound: float = 4.0) -> bool:
-        return self.max_abs_z < z_bound
 
     def to_json(self) -> dict:
         return {

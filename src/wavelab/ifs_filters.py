@@ -36,7 +36,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, VerificationError
-from .code_space import CylinderFn, IfsSpec, _Fresh, _average, _check_cells, _depth, _lift
+from .code_space import (
+    CylinderFn, IfsSpec, _Fresh, _average, _check_cells, _depth, _integral, _lift,
+)
 from .code_space import multiply  # noqa: F401, the perfbench tracer test reads it here
 
 UNITARITY_TOL = 1e-13  # connecting_unitary: sup |U*U - I| of its field
@@ -311,15 +313,10 @@ def multires_reconstruct(bank: FilterBank, leaves: Sequence[np.ndarray]) -> Cyli
 
 
 def leaf_energies(spec: IfsSpec, leaves: Sequence[np.ndarray]) -> list[float]:
-    """int |leaf|^2 dmu of every leaf in leaf order, one stacked weight
-    average per depth step: bit for bit ``integrate(leaf.abs2())`` leaf by leaf."""
-    p, out = spec.weight_array(), []
-    for group in leaves:
-        vals = np.abs(group) ** 2 + 0j
-        while vals.shape[-1] > 1:
-            vals = _average(p, vals)
-        out += vals[:, 0].real.tolist()
-    return out
+    """int |leaf|^2 dmu of every leaf in leaf order, each group through the
+    stacked integral of ``integrate``: bit for bit ``integrate(leaf.abs2())``."""
+    p = spec.weight_array()
+    return [e for group in leaves for e in _integral(p, np.abs(group) ** 2 + 0j).real.tolist()]
 
 
 def tree_json(spec: IfsSpec, leaves: Sequence[np.ndarray]) -> dict:

@@ -11,6 +11,7 @@ identity:
   product_kernel        truncated product of filter Gram sums along orbits
   preimage_orthogonality  branch-averaged Gram of the filters at each fiber
 
+Filters are one (filter, point) array of their values at the points.
 Grids should be closed under the map: for z -> z**2, a geometric chain
 z0, z0**2, ... plus the fixed point 0.
 """
@@ -18,7 +19,6 @@ z0, z0**2, ... plus the fixed point 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -103,16 +103,6 @@ class KernelMatrix:
         return cls(jsonio.decode_cmatrix(obj["matrix"]))
 
 
-def _filter_values(m_list: Sequence[Sequence[complex]], size: int) -> np.ndarray:
-    """The filters' values as one (filter, point) array."""
-    values = [np.asarray(m, dtype=complex).ravel() for m in m_list]
-    if not values:
-        raise InputError("need at least one filter")
-    if any(v.shape != (size,) for v in values):
-        raise InputError(f"filter values must have length {size}")
-    return np.array(values)
-
-
 def _gram_sum(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """sum_n m_n(x) conj(m_n(y)) over the points idx: one outer product per
     filter, in filter order (a broadcast over the filter axis is slower)."""
@@ -123,26 +113,22 @@ def _gram_sum(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return gram
 
 
-def contraction_check(
-    kernel: KernelMatrix, m: Sequence[complex], pset: FinitePointSet
-) -> float:
-    """Smallest eigenvalue of K(x,y) - m(x) conj(m(y)) K(sigma x, sigma y).
+def contraction_check(kernel: KernelMatrix, m: np.ndarray, pset: FinitePointSet) -> float:
+    """Smallest eigenvalue of K(x,y) - m(x) conj(m(y)) K(sigma x, sigma y),
+    for the values m of one filter at the points.
 
     Nonnegative (within eigensolver tolerance) exactly when weighted
     composition by (m, sigma) is a contraction of the kernel space.
     """
-    (mv,) = _filter_values([m], pset.size)
     k = kernel.matrix
     pulled = k[np.ix_(pset.sigma, pset.sigma)]
-    diff = k - np.outer(mv, np.conj(mv)) * pulled
+    diff = k - np.outer(m, np.conj(m)) * pulled
     return float(np.min(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)))
 
 
-def refinement_residual(
-    kernel: KernelMatrix, m_list: Sequence[Sequence[complex]], pset: FinitePointSet
-) -> float:
+def refinement_residual(kernel: KernelMatrix, values: np.ndarray, pset: FinitePointSet) -> float:
     """max |K(x,y) - (sum_n m_n(x) conj(m_n(y))) K(sigma x, sigma y)|."""
-    gram = _gram_sum(_filter_values(m_list, pset.size), np.arange(pset.size))
+    gram = _gram_sum(values, np.arange(pset.size))
     pulled = kernel.matrix[np.ix_(pset.sigma, pset.sigma)]
     return float(np.max(np.abs(kernel.matrix - gram * pulled)))
 
@@ -154,9 +140,7 @@ class ProductKernelResult:
     orbits_reach_fixed_point: bool
 
 
-def product_kernel(
-    m_list: Sequence[Sequence[complex]], pset: FinitePointSet, terms: int
-) -> ProductKernelResult:
+def product_kernel(values: np.ndarray, pset: FinitePointSet, terms: int) -> ProductKernelResult:
     """Truncated product of filter Gram sums along the orbit of the map.
 
     Factor k, k = 0 .. terms - 1, is the one Gram matrix gathered at
@@ -168,7 +152,7 @@ def product_kernel(
     if terms < 0:
         raise InputError("term count must be >= 0")
     idx = np.arange(pset.size)
-    gram = _gram_sum(_filter_values(m_list, pset.size), idx)
+    gram = _gram_sum(values, idx)
     out = prev = np.ones((pset.size, pset.size), dtype=complex)
     for _ in range(terms):
         prev = out
@@ -183,7 +167,7 @@ def product_kernel(
 
 
 def preimage_orthogonality(
-    m_list: Sequence[Sequence[complex]], pset: FinitePointSet
+    values: np.ndarray, pset: FinitePointSet
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Residual matrix of the fiber-averaged Gram identity.
 
@@ -191,7 +175,7 @@ def preimage_orthogonality(
     conj(m_j(y)) - delta_ij| over points x with nonempty fibers; points
     without preimages are skipped and reported.
     """
-    values = _filter_values(m_list, pset.size).T  # (point, filter)
+    values = values.T  # (point, filter)
     n_filters, counts = values.shape[1], pset.preimage_counts()
     sums = np.zeros((pset.size, n_filters, n_filters), dtype=complex)
     np.add.at(sums, pset.sigma, values[:, :, None] * np.conj(values[:, None, :]))

@@ -161,7 +161,7 @@ def weighted_shift(f: PathCylinderFn, m: CylinderFn) -> PathCylinderFn:
     return PathCylinderFn.coordinate(0, m) * f.compose_shift()
 
 
-def _chain(fs: Sequence[CylinderFn], weight: CylinderFn, h: CylinderFn) -> complex:
+def moment(fs: Sequence[CylinderFn], weight: CylinderFn, h: CylinderFn) -> complex:
     """int f_0 R_W(f_1 R_W(... R_W(f_K h))) dmu, evaluated innermost first."""
     acc = multiply(fs[-1], h)
     for g in reversed(fs[:-1]):
@@ -175,7 +175,7 @@ def expectation(f: PathCylinderFn, weight: CylinderFn, h: CylinderFn) -> complex
         raise InputError("weight or density spec differs from path spec")
     total, one = 0.0 + 0.0j, CylinderFn.ones(f.spec)
     for c, s in f.terms:
-        total += c * _chain([one if g is None else g for g in s] or [one], weight, h)
+        total += c * moment([one if g is None else g for g in s] or [one], weight, h)
     return complex(total)
 
 
@@ -197,7 +197,8 @@ class MomentSpec:
     """Everything a path moment needs: weight, harmonic density, coordinates.
 
     Construction certifies h as a transfer-harmonic density of the weight;
-    None ("auto" in JSON) stands for harmonic_for(weight), solved when used.
+    None ("auto" in JSON) stands for harmonic_for(weight), which the caller
+    solves and passes to moment.
     """
 
     spec: IfsSpec
@@ -226,11 +227,6 @@ class MomentSpec:
         h = None if h_raw == "auto" else CylinderFn.from_json(h_raw)
         coords = tuple(CylinderFn.from_json(g) for g in obj.get("coords", []))
         return cls(spec, weight, h, coords)
-
-
-def moment(ms: MomentSpec) -> complex:
-    """int f_0 R_W(f_1 R_W(... R_W(f_K h))) dmu, evaluated innermost first."""
-    return _chain(ms.coords, ms.weight, harmonic_for(ms.weight) if ms.h is None else ms.h)
 
 
 def _walk(step, x, wanted: set[int]):
@@ -304,4 +300,4 @@ def measure_change_residual(f: PathCylinderFn, weight: CylinderFn, h: CylinderFn
 
 def probability_residual(order: int, weight: CylinderFn, h: CylinderFn) -> float:
     """All-ones moment minus 1: P is a probability measure."""
-    return abs(_chain([CylinderFn.ones(weight.spec)] * (order + 1), weight, h) - 1.0)
+    return abs(moment([CylinderFn.ones(weight.spec)] * (order + 1), weight, h) - 1.0)

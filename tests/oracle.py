@@ -963,7 +963,7 @@ def marginal_residual(f0: CylinderFn, order: int, weight: CylinderFn, h=None) ->
     """Moment with trailing all-ones coordinates minus int f_0 h dmu."""
     h = harmonic_for(weight) if h is None else h
     ones = CylinderFn.ones(f0.spec)
-    val = moment(MomentSpec(f0.spec, weight, h, (f0,) + (ones,) * order))
+    val = moment((f0,) + (ones,) * order, weight, h)
     return abs(val - cs.integrate(cs.multiply(f0, h)))
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import oracle
 from wavelab import jsonio
-from wavelab import cli
+from wavelab import cli, code_space, examples_geometry, solenoid
 from wavelab.cli import _all_below, run
 from wavelab import circle_filters as circ
 from wavelab.circle_filters import (
@@ -1009,6 +1009,8 @@ def _input_files(tmp_path) -> dict:
         "kernel4": write(tmp_path / "kernel4.json", {"matrix": jsonio.encode_cmatrix(np.eye(4))}),
         "blaschke2": write(tmp_path / "blaschke2.json", {"V": jsonio.encode_cmatrix(np.eye(2))}),
         "blaschke3": write(tmp_path / "blaschke3.json", {"V": jsonio.encode_cmatrix(np.eye(3))}),
+        "kernel3": write(tmp_path / "kernel3.json", {"matrix": jsonio.encode_cmatrix(np.eye(3))}),
+        "no_filters": write(tmp_path / "no_filters.json", {"filters": []}),
         "no_orders": write(tmp_path / "no_orders.json", {
             "m": bank.filters[0].to_json(), "f": bank.filters[1].to_json(),
             "g": bank.filters[1].to_json(), "orders": [],
@@ -1044,6 +1046,13 @@ MALFORMED = {
     "kernel does not fit the points": [
         "rkhs", "check", "--points", "{points3}", "--kernel", "{kernel4}", "--filters", "{filters3}",
     ],
+    # "need at least one filter" named no file
+    "filter list is empty (check)": [
+        "rkhs", "check", "--points", "{points3}", "--kernel", "{kernel3}", "--filters", "{no_filters}",
+    ],
+    "filter list is empty (product-kernel)": [
+        "rkhs", "product-kernel", "--points", "{points3}", "--filters", "{no_filters}",
+    ],
     "loop factors differ in size": [
         "circle", "loop-act", "--g-factors", "{blaschke2}", "--u-factors", "{blaschke3}", "--N", "2",
     ],
@@ -1057,7 +1066,8 @@ def test_malformed_input_exits_2(name, tmp_path, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err
-    bad_file = next((a for a in argv if a in (files["list"], files["string"], files["no_orders"])), None)
+    named = (files["list"], files["string"], files["no_orders"], files["no_filters"])
+    bad_file = next((a for a in argv if a in named), None)
     if bad_file:
         assert bad_file in captured.err
 
@@ -1179,6 +1189,23 @@ def test_band_counts_below_2_exit_2(name, tmp_path, capsys):
         assert run(argv) == 2, band
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "wavelab: band count must be >= 2\n"
+
+
+@pytest.mark.parametrize("command", ["ifs build-filter", "examples fractal"])
+def test_branch_weights_follow_one_rule(command, tmp_path, capsys):
+    """Weights 5e-13 past a sum of 1 are rejected by the IFS filters and the
+    affine fractals alike (the fractal accepted them under a 1e-12 rule)."""
+    assert examples_geometry.WEIGHT_SUM_TOL == code_space.WEIGHT_SUM_TOL
+    weights = [0.5, 0.5 + 5e-13]
+    if command == "ifs build-filter":
+        argv = ["ifs", "build-filter", "--kind", "indicator", "--N", "2",
+                "--weights", ",".join(map(repr, weights))]
+    else:
+        ifs = write(tmp_path / "ifs.json", {"A": [[2]], "digits": [[0], [1]], "weights": weights})
+        argv = ["examples", "fractal", "--ifs", ifs, "--samples", "10000", "--seed", "1"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "sum to 1" in captured.err
 
 
 @pytest.mark.parametrize("error",[KeyError, ValueError, TypeError])
@@ -1578,3 +1605,26 @@ def test_solenoid_moment_rejects_an_explicit_h_that_is_no_density(name, tmp_path
     captured = capsys.readouterr()
     assert captured.out == "" and path in captured.err
     assert "not a transfer-harmonic density" in captured.err and numbers in captured.err
+
+
+@pytest.mark.parametrize("weight, runs", [
+    ([0.8, 1.2], 1),  # R_W 1 = 1: the density is 1, certified once
+    ([1.6, 0.4, 0.6, 1.4], 2),  # solved, then certified inside harmonic_solve
+])
+def test_solenoid_moment_certifies_an_auto_h_once(weight, runs, tmp_path, capsys, monkeypatch):
+    calls, defect = [], code_space.density_defect
+
+    def counted(W, h):
+        calls.append(h)
+        return defect(W, h)
+
+    monkeypatch.setattr(code_space, "density_defect", counted)
+    monkeypatch.setattr(solenoid, "density_defect", counted)
+    spec = IfsSpec(2)
+    path = write(tmp_path / "moment.json", {
+        "spec": spec.to_json(), "W": CylinderFn(spec, len(weight) // 2, weight).to_json(),
+        "h": "auto", "coords": [CylinderFn(spec, 1, [1.0, 2.0]).to_json()] * 2,
+    })
+    code, result = run_json(capsys, ["solenoid", "moment", "--file", path])
+    assert code == 0 and result["residuals"]["probability_normalization"] < 1e-12
+    assert len(calls) == runs

@@ -175,7 +175,7 @@ def test_product_kernel_reports_wandering_orbits():
 
 def test_roots_data_on_covering(roots_covering):
     pts = roots_covering.points
-    filters = [np.ones(8), pts]
+    filters = np.array([np.ones(8), pts])
     residual, skipped = preimage_orthogonality(filters, roots_covering)
     assert residual.max() < 1e-15
     assert skipped == (1, 3, 5, 7)
@@ -187,22 +187,20 @@ def test_indicator_data_on_covering(roots_covering):
     m2 = np.zeros(8, dtype=complex)
     m1[:4] = np.sqrt(2)  # fibers over index 2l are {l, l+4}
     m2[4:] = np.sqrt(2)
-    residual, _ = preimage_orthogonality([m1, m2], roots_covering)
+    residual, _ = preimage_orthogonality(np.array([m1, m2]), roots_covering)
     assert residual.max() < 1e-15
     assert oracle.discrete_cuntz_residual([m1, m2], roots_covering.sigma) < 1e-15
 
 
 def test_constant_filters_fail_off_diagonal(roots_covering):
-    residual, _ = preimage_orthogonality(
-        [np.ones(8), np.ones(8)], roots_covering
-    )
+    residual, _ = preimage_orthogonality(np.ones((2, 8)), roots_covering)
     assert residual[0, 1] == pytest.approx(1.0)
     assert residual[0, 0] < 1e-15
 
 
 def test_two_cycle_has_no_skips():
     pset = FinitePointSet(np.array([0.5, -0.5], dtype=complex), np.array([1, 0]))
-    residual, skipped = preimage_orthogonality([np.ones(2)], pset)
+    residual, skipped = preimage_orthogonality(np.ones((1, 2)), pset)
     assert skipped == ()
     assert residual.max() < 1e-15  # one filter, one-point fibers: exact
 

@@ -123,7 +123,7 @@ def test_moment_reduces_to_base_integral(spec2, rng):
     f0 = random_cylinder(rng, spec2, 2)
     ones = CylinderFn.ones(spec2)
     ms = MomentSpec(spec2, oracle.lift_cylinder(ones, 1), ones, (f0,))
-    assert moment(ms) == pytest.approx(integrate(f0))
+    assert moment(ms.coords, ms.weight, ms.h) == pytest.approx(integrate(f0))
 
 
 def test_moment_all_ones_is_probability(spec2, spec3, indicator_weight):
@@ -139,7 +139,7 @@ def test_moment_deterministic_branch_oracle(spec2, indicator_weight, rng):
     f0 = random_cylinder(rng, spec2, 1)
     f1 = random_cylinder(rng, spec2, 1)
     h = harmonic_for(indicator_weight)
-    val = moment(MomentSpec(spec2, indicator_weight, h, (f0, f1)))
+    val = moment((f0, f1), indicator_weight, h)
     t0, t1 = oracle.table_of(f0), oracle.table_of(f1)
     expected = sum(
         oracle.measure(spec2.weights, w) * t0[w] * t1[(1,) + w[:0]]
@@ -155,7 +155,7 @@ def test_moment_nested_oracle_depth2(spec2, rng):
     weight = CylinderFn(spec2, 1, w_vals)
     h = harmonic_for(weight)
     fs = [random_cylinder(rng, spec2, 1) for _ in range(3)]
-    val = moment(MomentSpec(spec2, weight, h, tuple(fs)))
+    val = moment(fs, weight, h)
     total = 0.0
     for x0 in oracle.words(2, 1):
         mu = oracle.measure(spec2.weights, x0)
@@ -393,8 +393,11 @@ def test_moment_spec_json_roundtrip(spec2, rng, indicator_weight):
         h,
         (random_cylinder(rng, spec2, 1), random_cylinder(rng, spec2, 1)),
     )
+    want = moment(ms.coords, ms.weight, ms.h)
     back = MomentSpec.from_json(oracle.moment_spec_json(ms))
-    assert moment(back) == pytest.approx(moment(ms))
+    assert moment(back.coords, back.weight, back.h) == pytest.approx(want)
     auto = dict(oracle.moment_spec_json(ms))
     auto["h"] = "auto"
-    assert moment(MomentSpec.from_json(auto)) == pytest.approx(moment(ms))
+    solved = MomentSpec.from_json(auto)
+    assert solved.h is None
+    assert moment(solved.coords, solved.weight, harmonic_for(solved.weight)) == pytest.approx(want)
