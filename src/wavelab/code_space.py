@@ -19,8 +19,9 @@ identity below is exact up to float rounding at any finite depth:
 
 Depth bookkeeping: compose_sigma raises depth by one, adjoint_sigma
 lowers it by one, and products lift both operands to the larger depth.
-A lift inside a product is a broadcast view, not a copy: the shallower
-operand enters as an (N**shallow, 1) column.  The cap on cells (default
+A lift or shift inside a product is a broadcast view, not a copy: the
+operand has extent 1 on the trailing symbols it does not read, and f o
+sigma**k on the leading k symbols as well.  The cap on cells (default
 2**24, overridable through the WAVELAB_MAX_CELLS environment variable)
 counts the N**L cells of the product, and of every function that
 raising depth makes, against accidental blowup.
@@ -299,6 +300,20 @@ def integrate(f: CylinderFn) -> complex:
     return complex(_integral(f.spec.weight_array(), f.values))
 
 
+def _product(f: CylinderFn, g: CylinderFn, shifts: tuple[int, int]) -> CylinderFn:
+    """(f o sigma**j) * (g o sigma**k), (j, k) = shifts, into one new array: an
+    operand is a view with extent 1 on the blocks of symbols (cut at both
+    operands' ends) it does not read.  Checks the product's N**depth cells."""
+    _require_same_spec(f, g)
+    n, spans = f.spec.N, [(k, k + x.depth) for x, k in zip((f, g), shifts)]
+    cuts = sorted({0}.union(*spans))
+    _check_cells(n ** cuts[-1])
+    shape = [n ** (hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+    a, b = ([e if start <= lo < end else 1 for lo, e in zip(cuts, shape)] for start, end in spans)
+    out = np.multiply(f.values.reshape(a), g.values.reshape(b), out=np.empty(shape, complex))
+    return _new(f.spec, cuts[-1], out.reshape(-1))
+
+
 def multiply(f: CylinderFn, g: CylinderFn) -> CylinderFn:
     """Pointwise product at the common lifted depth."""
     a, b, depth = _align(f, g)
@@ -333,7 +348,7 @@ def shift_iterate(f: CylinderFn, k: int) -> CylinderFn:
 
 def weighted_compose(m: CylinderFn, f: CylinderFn) -> CylinderFn:
     """S_m f = m * (f o sigma)."""
-    return multiply(m, compose_sigma(f))
+    return _product(m, f, (0, 1))
 
 
 def weighted_adjoint(m: CylinderFn, f: CylinderFn) -> CylinderFn:

@@ -36,9 +36,10 @@ from .code_space import (
     integrate,
     multiply,
     ruelle_apply,
-    shift_iterate,
     weighted_adjoint,
     weighted_compose,
+    _check_cells,
+    _product,
     _require_weight,
 )
 
@@ -106,16 +107,6 @@ class PathCylinderFn:
         return PathCylinderFn(self.spec, terms)
 
     # -- shift actions -------------------------------------------------------
-    def compose_shift(self) -> "PathCylinderFn":
-        """F o shift: indices drop by one, coordinate 0 picks up sigma."""
-        terms = []
-        for c, s in self.terms:
-            if s:
-                head = None if s[0] is None else compose_sigma(s[0])
-                s = (_times(head, s[1]),) + s[2:] if len(s) > 1 else (head,)
-            terms.append((c, s))
-        return PathCylinderFn(self.spec, tuple(terms))
-
     def compose_shift_inverse(self) -> "PathCylinderFn":
         """F o shift^{-1}: every coordinate index rises by one."""
         terms = tuple((c, (None,) + s if s else s) for c, s in self.terms)
@@ -134,7 +125,7 @@ class PathCylinderFn:
             acc = CylinderFn.constant(self.spec, c)
             for n, g in enumerate(s):
                 if g is not None:
-                    acc = multiply(acc, shift_iterate(g, top - n))
+                    acc = _product(acc, g, (0, top - n))
             total = total + acc
         return top, total
 
@@ -155,10 +146,21 @@ def path_sup_distance(f: PathCylinderFn, g: PathCylinderFn) -> float:
 
 
 def weighted_shift(f: PathCylinderFn, m: CylinderFn) -> PathCylinderFn:
-    """The dilation F -> (m o pi_0) (F o shift) of S_m."""
+    """The dilation F -> (m o pi_0) (F o shift) of S_m: slots 2, 3, ... move
+    down by one, and slot 0 becomes m (g_0 o sigma) g_1, g_0 o sigma a view."""
     if m.spec != f.spec:
         raise InputError("weight spec differs from path spec")
-    return PathCylinderFn.coordinate(0, m) * f.compose_shift()
+    terms = []
+    for c, s in f.terms:
+        g0, g1 = (s + (None, None))[:2]
+        if g0 is None:
+            head = _times(m, g1)
+        elif g1 is None:
+            head = weighted_compose(m, g0)
+        else:
+            head = multiply(m, _product(g0, g1, (1, 0)))
+        terms.append((c, (head,) + s[2:]))
+    return PathCylinderFn(f.spec, tuple(terms))
 
 
 def moment(fs: Sequence[CylinderFn], weight: CylinderFn, h: CylinderFn) -> complex:
@@ -249,10 +251,15 @@ def dilation_residuals(
     divides by m.  h is the density of the weight |m|**2.  Each of the four
     powers is walked once, to its largest order.
     """
+    # step k of a walk is at depth max(m.depth + k - 1, x.depth + k): checking each depth,
+    # shallowest first as the walks would, fails an order past the cap before walking
+    up, down = {n for n in orders if n >= 0}, {-n for n in orders if n < 0}
+    k_f, k_g = max(up, default=0), max(down, default=0)
+    for depth in range(max(m.depth + max(k_f, k_g) - 1, f.depth + k_f, g.depth + k_g) + 1):
+        _check_cells(m.spec.N**depth)
     weight = m.abs2()
     gh = multiply(g.conj(), h)
     pf, pg = PathCylinderFn.coordinate(0, f), PathCylinderFn.coordinate(0, g)
-    up, down = {n for n in orders if n >= 0}, {-n for n in orders if n < 0}
     compose, shift = partial(weighted_compose, m), partial(weighted_shift, m=m)
     lhs = {k: integrate(multiply(x, gh)) for k, x in _walk(compose, f, up)}
     adjoints = _walk(lambda x: weighted_adjoint(m, multiply(h, x)) / h, f, down)

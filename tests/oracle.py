@@ -21,7 +21,9 @@ order-by-order dilation residual are the package's former path-space
 code, kept as the judge of the direct Perron solve and of the one-walk
 dilation residuals, and the gather-based cascade and the np.repeat
 lifting product are the package's former kernels, kept as the bit-for-bit
-judge of the in-place cascade and of the broadcast products.  The per-term
+judge of the in-place cascade and of the broadcast products, and the
+path shift and collapse that store each f o sigma**k are the judge of
+the shifted views.  The per-term
 product kernel and the per-entry complex JSON encoders and numpy-discovery
 decoders are the package's former code, kept as the bit-for-bit judge of
 the gathered Gram matrix and of the flat-pass codecs.  The final
@@ -805,7 +807,8 @@ def discrete_cuntz_residual(values, sigma) -> float:
 
 # ---------------------------------------------------------------------------
 # the cascade and cylinder products with full-length temporaries: an index
-# gather and a fresh array per tap and step, an np.repeat copy per lift
+# gather and a fresh array per tap and step, an np.repeat copy per lift, an
+# np.tile copy per shift
 # ---------------------------------------------------------------------------
 
 
@@ -860,6 +863,39 @@ def repeat_binary(f: CylinderFn, g: CylinderFn, op) -> np.ndarray:
 def bits(a) -> np.ndarray:
     """The int64 words of float or complex values: signed zeros and NaN payloads count."""
     return np.ascontiguousarray(np.asarray(a)).view(np.int64)
+
+
+def _times(a, b):
+    return b if a is None else a if b is None else cs.multiply(a, b)
+
+
+def path_compose_shift(f: PathCylinderFn) -> PathCylinderFn:
+    """F o shift: indices drop by one, coordinate 0 picks up a stored g_0 o sigma."""
+    terms = []
+    for c, s in f.terms:
+        if s:
+            head = None if s[0] is None else cs.compose_sigma(s[0])
+            s = (_times(head, s[1]),) + s[2:] if len(s) > 1 else (head,)
+        terms.append((c, s))
+    return PathCylinderFn(f.spec, tuple(terms))
+
+
+def stored_weighted_shift(f: PathCylinderFn, m: CylinderFn) -> PathCylinderFn:
+    """(m o pi_0) (F o shift) as a product of path functions."""
+    return PathCylinderFn.coordinate(0, m) * path_compose_shift(f)
+
+
+def stored_collapse(f: PathCylinderFn) -> tuple[int, CylinderFn]:
+    """The single pull through the top coordinate, each g o sigma^(M-n) stored."""
+    top = max([len(s) - 1 for _, s in f.terms] + [0])
+    total = CylinderFn.constant(f.spec, 0.0)
+    for c, s in f.terms:
+        acc = CylinderFn.constant(f.spec, c)
+        for n, g in enumerate(s):
+            if g is not None:
+                acc = cs.multiply(acc, cs.shift_iterate(g, top - n))
+        total = total + acc
+    return top, total
 
 
 # ---------------------------------------------------------------------------

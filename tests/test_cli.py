@@ -1506,6 +1506,74 @@ def test_solenoid_dilation_over_cell_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert run(argv) == 0
 
 
+def _admissible_dilation_file(tmp_path, orders) -> str:
+    """A depth-8 m with sum_n p_n |m(n v)|**2 = 1 at every tail v (so h = 1), f and g of depth 3."""
+    rng, p = np.random.default_rng(8), (0.375, 0.625)
+    raw = rng.uniform(0.2, 1.8, size=(2, 2**7))
+    m = (raw / np.sqrt(np.asarray(p) @ raw**2)).reshape(-1) * np.exp(2j * np.pi * rng.uniform(size=2**8))
+    spec = IfsSpec(2, p)
+    f, g = (CylinderFn(spec, 3, rng.normal(size=8) + 1j * rng.normal(size=8)) for _ in range(2))
+    obj = {"m": CylinderFn(spec, 8, m).to_json(), "f": f.to_json(), "g": g.to_json(), "orders": orders}
+    return write(tmp_path / "dilation.json", obj)
+
+
+def test_solenoid_dilation_stores_no_shifted_operand(tmp_path, capsys, monkeypatch):
+    # S_m and the weighted shift read f o sigma as a view, never as a stored copy
+    stored = []
+
+    def shift_iterate(f, k):
+        stored.append(k)
+        raise AssertionError("f o sigma**k was stored")
+
+    for module in (code_space, solenoid):
+        monkeypatch.setattr(module, "shift_iterate", shift_iterate, raising=False)
+    path = _admissible_dilation_file(tmp_path, list(range(-10, 11)))
+    code, result = run_json(capsys, ["solenoid", "dilation", "--file", path])
+    assert stored == [] and code == 0 and len(result["residuals"]) == 21
+
+
+def _count_walk_steps(monkeypatch) -> list:
+    """The arguments of every S_m and weighted-shift step dilation_residuals takes."""
+    calls = []
+    for name in ("weighted_compose", "weighted_shift"):
+        step = getattr(solenoid, name)
+        monkeypatch.setattr(solenoid, name, lambda *a, _step=step, **k: calls.append(a) or _step(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("orders", [[20], [-20], [0, 20, -3]])
+def test_solenoid_dilation_over_the_cap_fails_before_walking(tmp_path, capsys, monkeypatch, orders):
+    # order 20 on a depth-8 m reaches depth 27; the walks used to build
+    # products up to depth 25 (about 1 s and a 686 MB peak) before the cap stopped them
+    calls = _count_walk_steps(monkeypatch)
+    monkeypatch.delenv("WAVELAB_MAX_CELLS", raising=False)
+    assert run(["solenoid", "dilation", "--file", _admissible_dilation_file(tmp_path, orders)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    assert captured.err == (
+        "wavelab: 33554432 cells exceed the cap of 16777216; set WAVELAB_MAX_CELLS to raise it\n"
+    )
+
+
+@pytest.mark.parametrize("orders", [[-5], [5, -5], [-5, 4]])
+def test_solenoid_dilation_cap_check_is_exact(tmp_path, capsys, monkeypatch, orders):
+    # order 5 either way walks a depth-1 f or g to depth 6: 64 cells
+    argv = ["solenoid", "dilation", "--file", _path_file(tmp_path, [0.5, -1.0], orders=orders)]
+    calls = _count_walk_steps(monkeypatch)
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "63")
+    assert run(argv) == 2 and calls == []
+    assert capsys.readouterr().err == "wavelab: 64 cells exceed the cap of 63; set WAVELAB_MAX_CELLS to raise it\n"
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "64")
+    assert run(argv) == 0 and calls
+
+
+def test_solenoid_axioms_over_the_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # the weighted shift's and the collapse's shifted products count their cells
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "7")
+    assert run(["solenoid", "axioms", "--file", _path_file(tmp_path, [1.0, -1.0])]) == 2
+    assert capsys.readouterr().err == "wavelab: 8 cells exceed the cap of 7; set WAVELAB_MAX_CELLS to raise it\n"
+
+
 def _perron_normalised(rng, spec, depth):
     """A random positive weight divided by the Perron eigenvalue of R_W."""
     raw = CylinderFn(spec, depth, rng.uniform(0.2, 1.8, spec.N**depth))

@@ -13,6 +13,7 @@ from wavelab.code_space import (
     Word,
     _average,
     _depth,
+    _product,
     adjoint_sigma,
     compose_sigma,
     harmonic_solve,
@@ -20,11 +21,12 @@ from wavelab.code_space import (
     max_cells,
     multiply,
     ruelle_apply,
+    shift_iterate,
     sup_distance,
     weighted_adjoint,
     weighted_compose,
 )
-from wavelab.errors import InputError, VerificationError
+from wavelab.errors import CellCapError, InputError, VerificationError
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +156,66 @@ def test_broadcast_product_checks_the_cap(monkeypatch, spec2):
         multiply(one, f)
     with pytest.raises(InputError, match=message):
         f * one
+
+
+def _with_specials(rng, spec, depth) -> CylinderFn:
+    """A random cylinder whose first cell is -0.0 and last a NaN (one cell at depth 0)."""
+    values = random_cylinder(rng, spec, depth).values.copy()
+    values[0], values[-1] = -0.0, complex(np.nan, 1.0)
+    return CylinderFn(spec, depth, values)
+
+
+# (depth of f, depth of g, shifts): either operand shifted, both shifted with
+# a gap between them, depth-0 operands, and products on both sides of 256 KiB
+SHIFTED_CASES = {
+    2: [(2, 3, (1, 0)), (3, 2, (0, 1)), (0, 3, (2, 0)), (3, 0, (0, 4)), (0, 0, (1, 3)),
+        (2, 1, (0, 4)), (1, 2, (3, 1)), (12, 1, (0, 1)), (1, 13, (0, 2)), (14, 2, (1, 0))],
+    3: [(1, 2, (1, 0)), (2, 1, (0, 1)), (0, 2, (2, 0)), (2, 0, (0, 3)), (1, 1, (0, 3)),
+        (1, 2, (2, 1)), (7, 1, (0, 1)), (1, 8, (0, 1)), (2, 7, (0, 2))],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_shifted_product_matches_stored_shifts_bit_for_bit(n):
+    rng = np.random.default_rng(30 + n)
+    spec = IfsSpec(n)
+    for df, dg, (j, k) in SHIFTED_CASES[n]:
+        f, g = _with_specials(rng, spec, df), _with_specials(rng, spec, dg)
+        stored = shift_iterate(f, j), shift_iterate(g, k)
+        with np.errstate(all="ignore"):
+            got, want = _product(f, g, (j, k)), multiply(*stored)
+            copies = oracle.repeat_binary(*stored, lambda a, b: a * b)  # no _product inside
+        assert got.depth == want.depth == max(df + j, dg + k)
+        assert np.array_equal(oracle.bits(got.values), oracle.bits(want.values))
+        assert np.array_equal(oracle.bits(got.values), oracle.bits(copies))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_weighted_compose_matches_the_stored_shift_bit_for_bit(n):
+    # m shallower than, as deep as and deeper than f o sigma; both sides of 256 KiB
+    cases = {2: [(1, 3), (4, 3), (6, 2), (0, 2), (2, 0), (1, 12), (1, 14), (15, 3)],
+             3: [(1, 2), (3, 2), (5, 1), (0, 1), (1, 0), (1, 7), (1, 8), (9, 2)]}
+    rng = np.random.default_rng(40 + n)
+    spec = IfsSpec(n)
+    for dm, df in cases[n]:
+        m, f = _with_specials(rng, spec, dm), _with_specials(rng, spec, df)
+        with np.errstate(all="ignore"):
+            got, want = weighted_compose(m, f), multiply(m, shift_iterate(f, 1))
+        assert got.depth == want.depth == max(dm, df + 1)
+        assert np.array_equal(oracle.bits(got.values), oracle.bits(want.values))
+
+
+def test_shifted_product_checks_the_cap(monkeypatch, spec2):
+    # the shifted view stores nothing, but the product's 64 cells count
+    m, f = CylinderFn(spec2, 1, [1.0, 2.0]), CylinderFn(spec2, 5, np.arange(32.0))
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "63")
+    message = "^64 cells exceed the cap of 63; set WAVELAB_MAX_CELLS to raise it$"
+    with pytest.raises(CellCapError, match=message):
+        weighted_compose(m, f)
+    with pytest.raises(CellCapError, match=message):
+        _product(CylinderFn.ones(spec2), m, (6, 0))  # depth 6, though no operand reads past 1
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "64")
+    assert weighted_compose(m, f).depth == 6
 
 
 def test_spec_mismatch_rejected(spec2, spec_weighted):

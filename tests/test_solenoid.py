@@ -5,6 +5,7 @@ import oracle
 from conftest import random_cylinder
 from wavelab.code_space import (
     CylinderFn,
+    IfsSpec,
     adjoint_sigma,
     compose_sigma,
     integrate,
@@ -42,13 +43,13 @@ def indicator_weight(spec2):
 
 def test_coordinate_pull_and_shift(spec2, rng):
     g = random_cylinder(rng, spec2, 1)
-    f = PathCylinderFn.coordinate(2, g)
-    shifted = f.compose_shift()
+    f, one = PathCylinderFn.coordinate(2, g), CylinderFn.ones(spec2)
+    shifted = weighted_shift(f, one)  # F o shift, the weighted shift with m = 1
     top, collapsed = shifted.collapse()
     assert top == 1
     # pi_2 o shift = pi_1
     assert path_sup_distance(shifted, PathCylinderFn.coordinate(1, g)) == 0.0
-    zero_pull = PathCylinderFn.coordinate(0, g).compose_shift()
+    zero_pull = weighted_shift(PathCylinderFn.coordinate(0, g), one)
     assert path_sup_distance(
         zero_pull, PathCylinderFn.coordinate(0, compose_sigma(g))
     ) == 0.0
@@ -71,6 +72,58 @@ def test_path_algebra_is_linear(spec2, rng):
     lhs = (a + b) * (a - b)
     rhs = a * a - b * b + b * a - a * b
     assert path_sup_distance(lhs, rhs) < 1e-12
+
+
+def _assert_same_bits(p: PathCylinderFn, q: PathCylinderFn) -> None:
+    assert len(p.terms) == len(q.terms)
+    for (c, s), (d, t) in zip(p.terms, q.terms):
+        assert np.array_equal(oracle.bits(c), oracle.bits(d)) and len(s) == len(t)
+        for a, b in zip(s, t):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.depth == b.depth
+                assert np.array_equal(oracle.bits(a.values), oracle.bits(b.values))
+
+
+def _mixed_path(rng, spec, depths) -> PathCylinderFn:
+    """Multi-slot terms, None slots, a lone coordinate 1 and a constant term."""
+    a, b, c, d = (random_cylinder(rng, spec, k) for k in depths)
+    pull = PathCylinderFn.coordinate
+    return (
+        pull(0, a) * pull(1, b) + pull(1, b) + pull(0, a) * pull(2, c)
+        + PathCylinderFn.constant(spec, 0.5 + 2j) + pull(0, a)
+        - pull(0, a) * pull(1, b) * pull(3, d)
+    )
+
+
+# (N, depths of the four factors, depths of m): m shallower and deeper than
+# g_0 o sigma, products on both sides of 256 KiB
+MIXED_PATHS = [
+    (2, (2, 1, 3, 0), (1, 4)),
+    (3, (1, 2, 0, 1), (0, 3)),
+    (2, (12, 2, 1, 1), (1, 14)),
+    (2, (14, 1, 0, 2), (2,)),
+    (3, (8, 1, 1, 0), (1,)),
+]
+
+
+@pytest.mark.parametrize("n, depths, m_depths", MIXED_PATHS)
+def test_weighted_shift_and_collapse_match_stored_shifts_bit_for_bit(n, depths, m_depths):
+    rng = np.random.default_rng(sum(depths) + n)
+    spec = IfsSpec(n)
+    path = _mixed_path(rng, spec, depths)
+    top, total = path.collapse()
+    want_top, want = oracle.stored_collapse(path)
+    assert top == want_top == 3
+    assert np.array_equal(oracle.bits(total.values), oracle.bits(want.values))
+    for dm in m_depths:
+        m = random_cylinder(rng, spec, dm)
+        once = weighted_shift(path, m)
+        _assert_same_bits(once, oracle.stored_weighted_shift(path, m))
+        twice = oracle.stored_weighted_shift(once, m)
+        _assert_same_bits(weighted_shift(once, m), twice)
+        top, total = twice.collapse()
+        assert np.array_equal(oracle.bits(total.values), oracle.bits(oracle.stored_collapse(twice)[1].values))
 
 
 def test_weighted_shift_dilates_composition(spec2, rng):
