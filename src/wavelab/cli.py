@@ -100,10 +100,10 @@ def _write_csv(path: str, header: tuple[str, ...], *columns) -> None:
 # the compute functions, one per command: parsed arguments -> (payload, passed)
 # ---------------------------------------------------------------------------
 
-def _load(path: str, decode: Callable[[Any], Any]) -> Any:
+def _load(path: str, decode: Callable[[Any], Any], matrix: str = "") -> Any:
     """The JSON file at path, decoded; a malformed file is an InputError naming it."""
     try:
-        return jsonio.load_file(path, decode)
+        return jsonio.load_file(path, decode, matrix)
     except CellCapError as exc:  # a well-formed file too large for the cap
         raise InputError(f"{path}: {exc}") from None
     except (InputError, KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -314,9 +314,10 @@ def _circle_verify(args) -> tuple[dict, bool]:
     }, passed
 
 
-def _grid_scan(args, evaluate: Callable, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray, float]:
-    """(z, evaluate(z), max over z of |M M* - scale I|) on the --grid roots of
-    unity z; a command with --csv writes the per-point residuals there."""
+def _grid_scan(args, n: int, evaluate: Callable, scale=1.0) -> tuple[np.ndarray, np.ndarray, float]:
+    """(z, evaluate(z), max over z of |M M* - scale I|) for n x n matrices M on the --grid
+    roots of unity z; a command with --csv writes the per-point residuals there."""
+    cs._check_cells(args.grid * n * n)
     z = circ.unit_circle_grid(args.grid)
     stack = evaluate(z)
     per_point = circ.unitarity_residuals(stack, scale)
@@ -329,7 +330,7 @@ def _circle_cqf(args) -> tuple[dict, bool]:
     m0 = _load(args.m0, circ.LaurentPoly.from_json)
     matrix = circ.cqf_complete(m0)
     scale = 2.0 / circ._convention_scale(args.convention, 2)  # M M* = 2 I when averaged
-    unitarity = _grid_scan(args, lambda z: circ.evaluate_rows(matrix, z), scale)[2]
+    unitarity = _grid_scan(args, 2, lambda z: circ.evaluate_rows(matrix, z), scale)[2]
     power_sum = circ.power_sum_residual(m0, convention=args.convention)
     if args.out:
         jsonio.dump_file(args.out, {"filters": [matrix[0][0].to_json(), matrix[0][1].to_json()]})
@@ -346,7 +347,7 @@ def _circle_cqf(args) -> tuple[dict, bool]:
 def _circle_matrix(args) -> tuple[dict, bool]:
     filters = _load(args.filters, _circle_filters)
     eps = circ.root_of_unity(args.N)
-    z, stack, unitarity = _grid_scan(args, lambda z: circ.banded_matrix(filters, args.N, z))
+    z, stack, unitarity = _grid_scan(args, args.N, lambda z: circ.banded_matrix(filters, args.N, z))
     shift = circ.rotation_residual(stack, circ.banded_matrix(filters, args.N, eps * z), shift=1)
     return {
         "results": {"band": args.N, "grid": args.grid},
@@ -361,7 +362,7 @@ def _circle_blaschke(args) -> tuple[dict, bool]:
     if band is None:
         band = product.factors[0].power if product.factors else 2
     eps = circ.root_of_unity(band)
-    z, stack, unitarity = _grid_scan(args, product.eval)
+    z, stack, unitarity = _grid_scan(args, product.size, product.eval)
     periodicity = circ.rotation_residual(stack, product.eval(eps * z))
     return {
         "results": {"factor_count": len(product.factors), "band": band},
@@ -379,6 +380,7 @@ def _circle_loop(args) -> tuple[dict, bool]:
             f"{args.g_factors} is {g.size}x{g.size} but {args.u_factors} is {u.size}x{u.size}"
         )
     n = circ.band_count(args.N)
+    cs._check_cells(args.grid * g.size * g.size)
     z = circ.unit_circle_grid(args.grid)
     g_stack = g.eval(z**n)
     g_unitarity = float(np.max(circ.unitarity_residuals(g_stack)))
@@ -519,7 +521,8 @@ def _solenoid_axioms(args) -> tuple[dict, bool]:
 
 def _rkhs_check(args) -> tuple[dict, bool]:
     pset = _load(args.points, rkhs.FinitePointSet.from_json)
-    kernel = _load(args.kernel, lambda obj: _kernel(obj, pset.size))
+    cs._check_cells(pset.size**2)  # the kernel, before it is read or built
+    kernel = _load(args.kernel, lambda obj: _kernel(obj, pset.size), rkhs.KernelMatrix.MEMBER)
     filters = _load(args.filters, lambda obj: _point_filters(obj, pset.size))
     refinement = rkhs.refinement_residual(kernel, filters, pset)
     preimage, skipped = rkhs.preimage_orthogonality(filters, pset)
@@ -546,6 +549,7 @@ def _rkhs_check(args) -> tuple[dict, bool]:
 
 def _rkhs_product(args) -> tuple[dict, bool]:
     pset = _load(args.points, rkhs.FinitePointSet.from_json)
+    cs._check_cells(pset.size**2)  # the kernel, before it is read or built
     filters = _load(args.filters, lambda obj: _point_filters(obj, pset.size))
     result = rkhs.product_kernel(filters, pset, args.terms)
     if args.out:

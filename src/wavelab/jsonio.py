@@ -6,6 +6,11 @@ inputs produce byte-identical output.  Arrays are encoded with one
 ``tolist``; a vector of numeric pairs, or a regular matrix of them, is
 decoded in one flat pass, and anything else entry by entry by
 ``decode_complex``, which judges malformed input.
+
+``load_file`` can stream one matrix member of a top-level object: the
+scanner of ``json.loads`` walks the object and reads that member one row at
+a time, so its tree never exists.  Where the walk does not apply (another
+document, malformed rows, trailing data), ``json.loads`` reads the text.
 """
 
 from __future__ import annotations
@@ -85,6 +90,8 @@ def encode_cmatrix(m) -> list[list[list[float]]]:
 
 
 def decode_cmatrix(obj) -> np.ndarray:
+    if isinstance(obj, np.ndarray):  # a member that load_file decoded row by row
+        return obj
     if not isinstance(obj, (list, tuple)) or not obj:
         raise InputError("expected a nested list of [re, im] pairs")
     if all(isinstance(row, (list, tuple)) for row in obj) and len(set(map(len, obj))) == 1:
@@ -99,11 +106,42 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def load_file(path: str, decode: Callable[[Any], Any] = lambda obj: obj) -> Any:
-    """The file's JSON tree, passed through decode."""
+def _stream(text: str, matrix: str) -> dict | None:
+    """The top-level object of text, its member matrix stacked from rows that
+    decode_cvector decodes as the tree path does; None wherever the walk does
+    not apply, and json.loads then judges the text."""
+    scan, ws = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
+    out, i = {}, ws(text).end()
+    try:
+        while text[i] == ("," if out else "{"):  # one member a pass; a repeated key's last wins
+            key, i = scan(text, ws(text, i + 1).end())
+            i = ws(text, i).end()
+            if type(key) is not str or text[i] != ":":
+                return None
+            i = ws(text, i + 1).end()
+            if key != matrix:
+                out[key], i = scan(text, i)
+            else:
+                rows = []
+                while text[i] == ("," if rows else "["):
+                    row, i = scan(text, ws(text, i + 1).end())
+                    rows.append(decode_cvector(row))
+                    i = ws(text, i).end()
+                if text[i] != "]":
+                    return None
+                out[key], i = np.stack(rows), i + 1  # no rows, or ragged ones, raise
+            i = ws(text, i).end()
+        return out if text[i] == "}" and ws(text, i + 1).end() == len(text) else None
+    except (ValueError, IndexError, InputError, RecursionError):  # the tree path judges these
+        return None
+
+
+def load_file(path: str, decode: Callable[[Any], Any] = lambda obj: obj, matrix: str = "") -> Any:
+    """The file's JSON tree, passed through decode; with matrix, that member
+    of a top-level object arrives as one complex array (see ``_stream``)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    tree = json.loads(text)
+    tree = (_stream(text, matrix) if matrix else None) or json.loads(text)
     del text  # not held while decode builds its arrays
     return decode(tree)
 

@@ -83,6 +83,7 @@ class KernelMatrix:
     Symmetry is judged at the kernel's scale: max|K - K*| <= tol max(1, max|K|).
     """
 
+    MEMBER = "matrix"  # the member of a kernel file that holds the matrix
     matrix: np.ndarray
     tol: float = HERMITIAN_TOL
 
@@ -96,11 +97,11 @@ class KernelMatrix:
         object.__setattr__(self, "matrix", k)
 
     def to_json(self) -> dict:
-        return {"matrix": jsonio.encode_cmatrix(self.matrix)}
+        return {self.MEMBER: jsonio.encode_cmatrix(self.matrix)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "KernelMatrix":
-        return cls(jsonio.decode_cmatrix(obj["matrix"]))
+        return cls(jsonio.decode_cmatrix(obj[cls.MEMBER]))
 
 
 def _gram_sum(values: np.ndarray, idx: np.ndarray) -> np.ndarray:

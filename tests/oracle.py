@@ -86,11 +86,6 @@ def lift(table: dict, n: int, depth: int) -> dict:
     return out
 
 
-def compose_shift(table: dict, n: int) -> dict:
-    depth = len(next(iter(table)))
-    return {w: table[w[1:]] for w in words(n, depth + 1)}
-
-
 def adjoint_shift(table: dict, n: int, weights) -> dict:
     depth = len(next(iter(table)))
     if depth == 0:
@@ -105,19 +100,6 @@ def multiply(t1: dict, t2: dict, n: int) -> dict:
     depth = max(len(next(iter(t1))), len(next(iter(t2))))
     a, b = lift(t1, n, depth), lift(t2, n, depth)
     return {w: a[w] * b[w] for w in words(n, depth)}
-
-
-def inner(t1: dict, t2: dict, n: int, weights) -> complex:
-    depth = max(len(next(iter(t1))), len(next(iter(t2))))
-    a, b = lift(t1, n, depth), lift(t2, n, depth)
-    return sum(measure(weights, w) * a[w] * np.conj(b[w]) for w in words(n, depth))
-
-
-def random_table(rng, n: int, depth: int, scale: float = 1.0) -> dict:
-    return {
-        w: complex(rng.normal(0, scale), rng.normal(0, scale))
-        for w in words(n, depth)
-    }
 
 
 def dyadic_values(taps, dilation: int, resolution: int) -> np.ndarray:
@@ -607,12 +589,6 @@ class DictLaurent:
         self.coeffs = {
             int(k): complex(c) for k, c in (coeffs or {}).items() if not abs(complex(c)) <= self.PRUNE_TOL
         }
-
-    @classmethod
-    def of(cls, poly) -> "DictLaurent":
-        """The same polynomial as a package LaurentPoly."""
-        lo, values = poly.coefficients()
-        return cls({lo + i: c for i, c in enumerate(values)})
 
     def items(self):
         return sorted(self.coeffs.items())

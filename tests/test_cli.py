@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +458,32 @@ def test_circle_matrix_and_verify_fail_closed_on_nan_tap(tmp_path, capsys):
         assert code in (1, 2) and '"pass": true' not in out, argv
 
 
+def test_circle_grid_stacks_over_cell_cap_exit_2(tmp_path, capsys, monkeypatch):
+    # every grid command holds a stack of 16 matrices of 2 x 2: 64 cells
+    haar = oracle.haar_pair()
+    filters = write(tmp_path / "haar.json", {"filters": [m.to_json() for m in haar]})
+    m0 = write(tmp_path / "m0.json", haar[0].to_json())
+    product = write(
+        tmp_path / "u.json",
+        oracle.blaschke_json(oracle.blaschke_product([BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)])),
+    )
+    commands = [
+        ["circle", "cqf-complete", "--m0", m0, "--convention", "averaged"],
+        ["circle", "matrix", "--filters", filters, "--N", "2"],
+        ["circle", "blaschke", "--factors", product],
+        ["circle", "loop-act", "--g-factors", product, "--u-factors", product, "--N", "2"],
+    ]
+    for argv in commands:
+        monkeypatch.setenv("WAVELAB_MAX_CELLS", "63")
+        assert run(argv + ["--grid", "16"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "wavelab: 64 cells exceed the cap of 63; set WAVELAB_MAX_CELLS to raise it\n"
+        monkeypatch.setenv("WAVELAB_MAX_CELLS", "64")
+        assert run(argv + ["--grid", "16"]) == 0, argv
+        capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # mra group
 # ---------------------------------------------------------------------------
@@ -909,6 +936,84 @@ def test_rkhs_product_kernel_with_large_entries_is_not_a_usage_error(tmp_path, c
     assert code in (0, 1) and result["results"]["terms"] == 5
 
 
+def _rkhs_files(tmp_path) -> tuple[list[str], str]:
+    """(--points and --filters of a 12-point squaring chain with two filters, a Szego kernel file)."""
+    pset = oracle.squaring_chain(0.9 * np.exp(0.7j), 12)
+    points = write(tmp_path / "p.json", oracle.point_set_json(pset))
+    filters = write(
+        tmp_path / "m.json",
+        {"filters": [jsonio.encode_cvector(np.ones(12)), jsonio.encode_cvector(pset.points)]},
+    )
+    kernel = write(tmp_path / "k.json", oracle.szego_kernel(pset.points).to_json())
+    return ["--points", points, "--filters", filters], kernel
+
+
+def test_rkhs_kernel_over_cell_cap_exits_2_before_the_kernel_file_is_read(tmp_path, capsys, monkeypatch):
+    inputs, kernel = _rkhs_files(tmp_path)  # 12 points: a 144-cell kernel
+    missing = str(tmp_path / "missing.json")
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "143")
+    for argv in (["rkhs", "check", "--kernel", missing], ["rkhs", "product-kernel"]):
+        assert run(argv + inputs) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "wavelab: 144 cells exceed the cap of 143; set WAVELAB_MAX_CELLS to raise it\n"
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "144")
+    for argv in (["rkhs", "check", "--kernel", kernel], ["rkhs", "product-kernel"]):
+        assert run(argv + inputs) == 0, argv
+        capsys.readouterr()
+
+
+def _malformed_kernels(good: str) -> dict[str, str]:
+    """Kernel texts, one per way to break the file at good."""
+    obj = json.loads(good)
+    ragged, nan, string = (json.loads(good) for _ in range(3))
+    del ragged["matrix"][3][-1]
+    nan["matrix"][2][5][0] = float("nan")
+    string["matrix"][4][1][1] = "0.5"
+    return {
+        "truncated": good[: len(good) // 2],
+        "ragged": json.dumps(ragged),
+        "nan": json.dumps(nan),  # NaN literals parse; the kernel is then no Hermitian matrix
+        "string": json.dumps(string),
+        "bom": "\ufeff" + good,
+        "trailing": good + " []",
+        "no-object": json.dumps(obj["matrix"]),
+        "no-rows": '{"matrix": [], "tol": 1}',
+        "no-matrix": '{"tol": 1}',
+    }
+
+
+@pytest.mark.parametrize("case", ["truncated", "ragged", "nan", "string", "bom", "trailing",
+                                  "no-object", "no-rows", "no-matrix"])
+def test_a_malformed_kernel_fails_as_the_whole_tree_does(tmp_path, capsys, monkeypatch, case):
+    inputs, kernel = _rkhs_files(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(_malformed_kernels(Path(kernel).read_text(encoding="utf-8"))[case], encoding="utf-8")
+    argv = ["rkhs", "check", "--kernel", str(bad), *inputs]
+    streamed = run(argv), capsys.readouterr()
+    monkeypatch.setattr(jsonio, "_stream", lambda text, matrix: None)  # the tree path alone
+    tree = run(argv), capsys.readouterr()
+    assert streamed == tree
+    assert tree[0] in (1, 2) and tree[1].err.startswith("wavelab: ") == (tree[0] == 2)
+
+
+def test_the_kernel_file_loads_within_a_memory_budget(tmp_path):
+    """The 256-point kernel file, read through cli._load: its JSON tree would
+    peak at about 4.3 times the file's size; streamed, the text is the peak."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    kernel = write(tmp_path / "k.json", KernelMatrix(a + a.conj().T).to_json())
+    size = Path(kernel).stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = cli._load(kernel, lambda obj: cli._kernel(obj, 256), KernelMatrix.MEMBER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.matrix, a + a.conj().T)
+    assert peak < 2.5 * size, (peak, size)
+
+
 # ---------------------------------------------------------------------------
 # examples group
 # ---------------------------------------------------------------------------
@@ -1359,7 +1464,9 @@ def test_each_group_runs_only_its_own_modules(tmp_path):
             {"classic_mra", "circle_filters", "code_space"},
         ("solenoid", "axioms", "--file", _path_file(tmp_path, [1.0, -1.0])):
             {"code_space", "solenoid"},
-        ("rkhs", "product-kernel", "--points", points, "--filters", filters): {"rkhs_kernels"},
+        # the cell cap on the kernel runs code_space, as it does for mra
+        ("rkhs", "product-kernel", "--points", points, "--filters", filters):
+            {"code_space", "rkhs_kernels"},
         ("examples", "logistic", "--degree", "2", "--nodes", "4"): {"examples_geometry"},
     }
     assert {cmd[0] for cmd in launches} == set(cli.COMMANDS)

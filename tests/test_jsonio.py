@@ -199,3 +199,71 @@ def test_vector_decoder_matches_the_former_decoder(obj):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_matrix_decoder_matches_the_former_decoder(obj):
     same_outcome(jsonio.decode_cmatrix, oracle.decode_cmatrix, obj)
+
+
+# ---------------------------------------------------------------------------
+# a matrix member streamed row by row against the whole-tree decode
+# ---------------------------------------------------------------------------
+
+REALS = st.one_of(
+    st.floats(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 1e-310, 1e308, -1e308, 2**53 + 1]),  # subnormals
+)
+# a pair, booleans allowed, or a bare real (a bare boolean is malformed)
+ENTRIES = st.one_of(st.lists(st.one_of(REALS, st.booleans()), min_size=2, max_size=2), REALS)
+ROW_MATRICES = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(st.lists(ENTRIES, min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0])
+)
+OTHERS = st.tuples(
+    st.sampled_from(["tol", "", "matri", "matrix ", "é"]),
+    st.one_of(st.none(), st.integers(), st.sampled_from(["", 'a"b', "é\\n", "]}"]),
+              st.lists(st.integers(), max_size=2),
+              st.dictionaries(st.sampled_from(["matrix", "a"]), st.integers(), max_size=2)),
+)
+LAYOUTS = {  # (indent, separators) of json.dumps, and the object's own whitespace
+    "compact": (None, (",", ":"), ",", ":", "", ""),
+    "default": (None, (", ", ": "), ", ", ": ", "", ""),
+    "pretty": (2, (",", ": "), ",\n  ", ": ", "\n  ", "\n"),
+    "loose": (None, (" ,\t", " :\r\n"), " ,\t", " :\r\n", "\n\t ", " \r\n"),
+}
+
+
+def document(members, layout: str) -> str:
+    """members as a JSON object in one layout; a key may repeat, as json allows."""
+    indent, separators, comma, colon, opening, closing = LAYOUTS[layout]
+    body = comma.join(
+        json.dumps(key) + colon + json.dumps(value, indent=indent, separators=separators)
+        for key, value in members
+    )
+    return "{" + opening + body + closing + "}"
+
+
+@given(
+    st.lists(OTHERS, max_size=2),
+    st.lists(ROW_MATRICES, min_size=1, max_size=2),  # two: the last "matrix" wins
+    st.lists(OTHERS, max_size=2),
+    st.sampled_from(sorted(LAYOUTS)),
+)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_a_streamed_matrix_member_matches_the_tree(before, matrices, after, layout):
+    text = document([*before, *(("matrix", m) for m in matrices), *after], layout)
+    tree = json.loads(text)
+    streamed = jsonio._stream(text, "matrix")
+    assert streamed is not None, text  # the walk applies to every well-formed object here
+    assert list(streamed) == list(tree)
+    want = jsonio.decode_cmatrix(tree.pop("matrix"))
+    got = streamed.pop("matrix")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert jsonio.decode_cmatrix(got) is got  # the decoded member passes through
+    assert json.dumps(streamed) == json.dumps(tree)
+
+
+def test_load_file_streams_only_the_named_member(tmp_path):
+    path = tmp_path / "k.json"
+    path.write_text('{"matrix": [[[1, -0.0], 2]], "tol": [[3, 4]]}', encoding="utf-8")
+    got = jsonio.load_file(str(path), matrix="matrix")
+    assert got["tol"] == [[3, 4]] and got["matrix"].tolist() == [[1 - 0j, 2 + 0j]]
+    assert jsonio.load_file(str(path)) == json.loads(path.read_text(encoding="utf-8"))

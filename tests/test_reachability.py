@@ -1,4 +1,5 @@
-"""Every public name in ``src/wavelab`` is reached from ``src/`` or ``scripts/``.
+"""Every public name in ``src/wavelab`` is reached from ``src/`` or ``scripts/``,
+and every public name in ``tests/oracle.py`` from ``tests/``.
 
 The guard reads code, not text.  A name is reached when some node of the
 syntax tree outside every definition of that name uses it:
@@ -24,6 +25,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "wavelab").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+ORACLE = ROOT / "tests" / "oracle.py"
+TESTS = sorted(p for p in (ROOT / "tests").glob("*.py") if p != ORACLE)
 
 # paper content that a command is yet to expose
 KEPT = {}
@@ -107,6 +110,10 @@ def _texts(paths):
 
 def test_every_public_name_is_reached_or_kept():
     assert unreached(_texts(SOURCES), _texts(SCRIPTS)) == set(KEPT)
+
+
+def test_every_oracle_name_is_reached_from_the_tests():
+    assert unreached(_texts([ORACLE]), _texts(TESTS)) == set()
 
 
 def test_comments_docstrings_and_messages_do_not_reach():
