@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, band_count
 from . import jsonio
 
 PRUNE_TOL = 1e-15
@@ -165,13 +165,6 @@ def unit_circle_grid(n_points: int) -> np.ndarray:
     if n_points < 1:
         raise InputError("grid needs at least one point")
     return np.exp(2j * np.pi * np.arange(n_points) / n_points)
-
-
-def band_count(n: int) -> int:
-    """n, once checked: a bank splits into at least two bands."""
-    if n < 2:
-        raise InputError("band count must be >= 2")
-    return n
 
 
 def root_of_unity(n: int) -> complex:

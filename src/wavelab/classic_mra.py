@@ -9,7 +9,7 @@ slices, overwrites phi with the difference for the sup-norm, and swaps
 the two, so a step allocates nothing.  Real taps refine in float64: on a
 complex grid their imaginary parts stay exactly +0, so the float64
 iterates, turned into complex128 once at the end, carry the same bits.
-The grid counts against the cell cap of code_space.
+The grid counts against the cell cap (``errors.check_cells``).
 
 The analysis/synthesis pipeline mirrors the circle operators in sequence
 space with periodic boundary: analysis correlates with the conjugate taps
@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import InputError, VerificationError
-from .circle_filters import LaurentPoly, band_count
-from .code_space import _check_cells
+from .errors import InputError, VerificationError, band_count, check_cells
+
+if TYPE_CHECKING:
+    from .circle_filters import LaurentPoly
 
 TAP_SUM_TOL = 1e-12
 DIVERGENCE_RUN = 5
@@ -133,7 +134,7 @@ def cascade(
             f"taps must sum to sqrt({n}) = {np.sqrt(n):.15g}, got {tap_sum:.15g}"
         )
     out_len = (taps.shape[0] - 1) * resolution // (n - 1) + 1
-    _check_cells(out_len)
+    check_cells(out_len)
     work = taps if taps.imag.any() else taps.real
     phi = np.zeros(out_len, dtype=work.dtype)
     phi[: min(resolution, out_len)] = 1.0  # unit box on [0, 1)
@@ -175,7 +176,7 @@ def wavelet_detail(profile: ScalingProfile, detail_taps: Sequence[complex]) -> n
     n = profile.dilation
     res = profile.resolution
     out_len = ((d.shape[0] - 1) * res + profile.samples.shape[0] - 1) // n + 1
-    _check_cells(out_len)
+    check_cells(out_len)
     phi = profile.samples
     if not (d.imag.any() or phi.imag.any()):  # as in cascade: float64 gives the same bits
         phi, d = phi.real, d.real

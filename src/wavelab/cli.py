@@ -25,7 +25,9 @@ writes the result line, all with the cyclic garbage collector paused.
 A command runs only the modules of its own group: the domain modules are
 bound lazily (``_lazy``), so importing the CLI, ``--help`` and parsing run
 none of them, and each one's code runs when a command first uses it.  The
-parser of a launch fills in only the commands of the group its argv names.
+input rules that groups share (the cell cap, the band count, the branch
+weights) come from ``errors``, which every command runs.  The parser of a
+launch fills in only the commands of the group its argv names.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import jsonio
-from .errors import CellCapError, InputError, VerificationError
+from .errors import CellCapError, InputError, VerificationError, band_count, check_cells
 
 
 def _lazy(name: str) -> types.ModuleType:
@@ -317,7 +319,7 @@ def _circle_verify(args) -> tuple[dict, bool]:
 def _grid_scan(args, n: int, evaluate: Callable, scale=1.0) -> tuple[np.ndarray, np.ndarray, float]:
     """(z, evaluate(z), max over z of |M M* - scale I|) for n x n matrices M on the --grid
     roots of unity z; a command with --csv writes the per-point residuals there."""
-    cs._check_cells(args.grid * n * n)
+    check_cells(args.grid * n * n)
     z = circ.unit_circle_grid(args.grid)
     stack = evaluate(z)
     per_point = circ.unitarity_residuals(stack, scale)
@@ -379,11 +381,8 @@ def _circle_loop(args) -> tuple[dict, bool]:
         raise InputError(
             f"{args.g_factors} is {g.size}x{g.size} but {args.u_factors} is {u.size}x{u.size}"
         )
-    n = circ.band_count(args.N)
-    cs._check_cells(args.grid * g.size * g.size)
-    z = circ.unit_circle_grid(args.grid)
-    g_stack = g.eval(z**n)
-    g_unitarity = float(np.max(circ.unitarity_residuals(g_stack)))
+    n = band_count(args.N)
+    z, g_stack, g_unitarity = _grid_scan(args, g.size, lambda z: g.eval(z**n))
     unitarity = float(np.max(circ.unitarity_residuals(g_stack @ u.eval(z))))
     # G is a validated Blaschke product, unitary by construction: its residual
     # and the warning are reported, and the verdict reads the result alone
@@ -521,7 +520,7 @@ def _solenoid_axioms(args) -> tuple[dict, bool]:
 
 def _rkhs_check(args) -> tuple[dict, bool]:
     pset = _load(args.points, rkhs.FinitePointSet.from_json)
-    cs._check_cells(pset.size**2)  # the kernel, before it is read or built
+    check_cells(pset.size**2)  # the kernel, before it is read or built
     kernel = _load(args.kernel, lambda obj: _kernel(obj, pset.size), rkhs.KernelMatrix.MEMBER)
     filters = _load(args.filters, lambda obj: _point_filters(obj, pset.size))
     refinement = rkhs.refinement_residual(kernel, filters, pset)
@@ -549,7 +548,7 @@ def _rkhs_check(args) -> tuple[dict, bool]:
 
 def _rkhs_product(args) -> tuple[dict, bool]:
     pset = _load(args.points, rkhs.FinitePointSet.from_json)
-    cs._check_cells(pset.size**2)  # the kernel, before it is read or built
+    check_cells(pset.size**2)  # the kernel, before it is read or built
     filters = _load(args.filters, lambda obj: _point_filters(obj, pset.size))
     result = rkhs.product_kernel(filters, pset, args.terms)
     if args.out:

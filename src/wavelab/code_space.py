@@ -21,53 +21,24 @@ Depth bookkeeping: compose_sigma raises depth by one, adjoint_sigma
 lowers it by one, and products lift both operands to the larger depth.
 A lift or shift inside a product is a broadcast view, not a copy: the
 operand has extent 1 on the trailing symbols it does not read, and f o
-sigma**k on the leading k symbols as well.  The cap on cells (default
-2**24, overridable through the WAVELAB_MAX_CELLS environment variable)
-counts the N**L cells of the product, and of every function that
-raising depth makes, against accidental blowup.
+sigma**k on the leading k symbols as well.  The cell cap
+(``errors.check_cells``) counts the N**L cells of the product, and of
+every function that raising depth makes.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CellCapError, InputError, VerificationError
+from .errors import WEIGHT_SUM_TOL, InputError, VerificationError, branch_weights, check_cells
 from . import jsonio
 
-DEFAULT_MAX_CELLS = 2**24
-_CELLS_ENV = "WAVELAB_MAX_CELLS"
-
-WEIGHT_SUM_TOL = 1e-14
 TRANSFER_WEIGHT_TOL = 1e-12  # how far a transfer weight may stray from real and >= 0
 HARMONIC_TOL = 1e-12  # density_defect's bound on each of its four tests
 ARNOLDI_STEPS = 40  # harmonic_solve's spectrum estimate past 512 words
-
-
-def max_cells() -> int:
-    """Current cap on the number of stored values per cylinder function."""
-    raw = os.environ.get(_CELLS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_CELLS
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{_CELLS_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise InputError(f"{_CELLS_ENV} must be positive, got {cap}")
-    return cap
-
-
-def _check_cells(n_values: int) -> None:
-    cap = max_cells()
-    if n_values > cap:
-        raise CellCapError(
-            f"{n_values} cells exceed the cap of {cap}; "
-            f"set {_CELLS_ENV} to raise it"
-        )
 
 
 @dataclass(frozen=True)
@@ -75,7 +46,7 @@ class IfsSpec:
     """Branch count and branch weights of the symbol system.
 
     ``weights`` defaults to the uniform distribution; they must be positive
-    and sum to one within 1e-14, so NaN weights fail.
+    and sum to one within WEIGHT_SUM_TOL (``errors.branch_weights``).
     """
 
     N: int
@@ -84,17 +55,7 @@ class IfsSpec:
     def __post_init__(self):
         if not isinstance(self.N, int) or self.N < 2:
             raise InputError(f"branch count must be an integer >= 2, got {self.N}")
-        w = self.weights
-        if not w:
-            w = (1.0 / self.N,) * self.N
-        w = tuple(float(p) for p in w)
-        if len(w) != self.N:
-            raise InputError(f"expected {self.N} weights, got {len(w)}")
-        if not all(p > 0 for p in w):
-            raise InputError(f"branch weights must be positive, got {w}")
-        if not abs(sum(w) - 1.0) < WEIGHT_SUM_TOL:
-            raise InputError(f"branch weights must sum to 1, got {sum(w)!r}")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", branch_weights(self.weights, self.N))
 
     @property
     def uniform(self) -> bool:
@@ -168,7 +129,7 @@ class CylinderFn:
         else:
             if self.depth < 0:
                 raise InputError(f"depth must be >= 0, got {self.depth}")
-            _check_cells(size)
+            check_cells(size)
             vals = np.array(self.values, dtype=np.complex128).ravel()
         if vals.shape != (size,):
             raise InputError(
@@ -257,7 +218,7 @@ def _align(f: CylinderFn, g: CylinderFn) -> tuple[np.ndarray, np.ndarray, int]:
     _require_same_spec(f, g)
     shallow, depth = sorted((f.depth, g.depth))
     if shallow != depth:
-        _check_cells(f.spec.N**depth)
+        check_cells(f.spec.N**depth)
     rows = f.spec.N**shallow
     return f.values.reshape(rows, -1), g.values.reshape(rows, -1), depth
 
@@ -283,7 +244,7 @@ def _lift(values: np.ndarray, n: int, depth: int) -> np.ndarray:
         raise InputError(f"cannot lift {size} values down to depth {depth}")
     if cells == size:
         return values
-    _check_cells(cells)
+    check_cells(cells)
     return np.repeat(values, cells // size, axis=-1)
 
 
@@ -307,7 +268,7 @@ def _product(f: CylinderFn, g: CylinderFn, shifts: tuple[int, int]) -> CylinderF
     _require_same_spec(f, g)
     n, spans = f.spec.N, [(k, k + x.depth) for x, k in zip((f, g), shifts)]
     cuts = sorted({0}.union(*spans))
-    _check_cells(n ** cuts[-1])
+    check_cells(n ** cuts[-1])
     shape = [n ** (hi - lo) for lo, hi in zip(cuts, cuts[1:])]
     a, b = ([e if start <= lo < end else 1 for lo, e in zip(cuts, shape)] for start, end in spans)
     out = np.multiply(f.values.reshape(a), g.values.reshape(b), out=np.empty(shape, complex))
@@ -342,7 +303,7 @@ def shift_iterate(f: CylinderFn, k: int) -> CylinderFn:
     if k < 0:
         raise InputError("shift power must be >= 0")
     reps = f.spec.N**k
-    _check_cells(f.values.shape[0] * reps)
+    check_cells(f.values.shape[0] * reps)
     return _new(f.spec, f.depth + k, np.tile(f.values, reps))
 
 
@@ -399,7 +360,7 @@ def harmonic_solve(W: CylinderFn) -> CylinderFn:
     _require_weight(W)
     depth = max(W.depth - 1, 0)
     n, size = W.spec.N, W.spec.N**depth
-    _check_cells(size * size)
+    check_cells(size * size)
     p, word = W.spec.weight_array(), np.arange(n * size)  # the words n v
     cells = (word % size, word // n)
     weighted = np.repeat(p, size) * _lift(W.values, n, depth + 1).real

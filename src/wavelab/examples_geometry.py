@@ -19,12 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, branch_weights, check_cells
 from . import jsonio
 
-# code_space.WEIGHT_SUM_TOL, the one rule for branch weights; named here, not
-# imported, so that the examples commands load no code_space
-WEIGHT_SUM_TOL = 1e-14
 CHAOS_BURN_IN = 64
 # rows per chaos-game block: a block, its branch images and its check
 # values stay in the CPU caches
@@ -35,6 +32,7 @@ def chebyshev_nodes(n: int) -> np.ndarray:
     """Nodes of the n-point equal-weight quadrature exact for the arcsine measure on [0, 1]."""
     if n < 1:
         raise InputError("node count must be >= 1")
+    check_cells(n)
     j = np.arange(1, n + 1)
     return (1.0 - np.cos((2 * j - 1) * np.pi / (2 * n))) / 2.0
 
@@ -82,17 +80,11 @@ class AffineIfs:
                 q = inv @ (b[i] - b[j])
                 if np.max(np.abs(q - np.round(q))) < 1e-9:
                     raise InputError(f"digits {i} and {j} coincide modulo the matrix lattice")
-        w = self.weights or (1.0 / b.shape[0],) * b.shape[0]
-        w = tuple(float(p) for p in w)
-        if len(w) != b.shape[0]:
-            raise InputError("one weight per digit required")
-        if not (all(p > 0 for p in w) and abs(sum(w) - 1.0) < WEIGHT_SUM_TOL):  # NaN fails
-            raise InputError("weights must be positive and sum to 1")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "digits", b)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", branch_weights(self.weights, b.shape[0]))
 
     @property
     def dimension(self) -> int:
@@ -271,6 +263,7 @@ def strong_invariance_check(
         raise InputError("moment order must be 1 or 2")
     if keep < 0:
         raise InputError("cannot keep a negative number of points")
+    check_cells(min(keep, samples) * ifs.dimension)
     inv = ifs.inverse_matrix()
     p = np.asarray(ifs.weights)
     digits = ifs.digits.astype(float)

@@ -35,10 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, VerificationError
-from .code_space import (
-    CylinderFn, IfsSpec, _Fresh, _average, _check_cells, _depth, _integral, _lift,
-)
+from .errors import InputError, VerificationError, check_cells
+from .code_space import CylinderFn, IfsSpec, _Fresh, _average, _depth, _integral, _lift
 from .code_space import multiply  # noqa: F401, the perfbench tracer test reads it here
 
 UNITARITY_TOL = 1e-13  # connecting_unitary: sup |U*U - I| of its field
@@ -64,7 +62,7 @@ class _FunctionArray:
         size = vals.shape[-1] if vals.ndim else 0
         if vals.shape[:-1] != (n,) * self.AXES or _depth(size, n) < 0:
             raise InputError(f"expected shape {(n,) * self.AXES} + (N**depth,), got {vals.shape}")
-        _check_cells(size)
+        check_cells(size)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -184,7 +182,7 @@ def build_indicator(spec: IfsSpec) -> FilterBank:
 
 def _gram(spec: IfsSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """S*(conj(a_j) b_k), shape (J, K, T), from (function, first symbol, tail) views."""
-    _check_cells(len(a) * b.size)
+    check_cells(len(a) * b.size)
     prod = np.conj(a)[:, None] * b[None]
     return _average(spec.weight_array(), prod.reshape(len(a), len(b), -1))
 
@@ -198,7 +196,7 @@ def _act(bank: FilterBank, x: np.ndarray) -> tuple[int, np.ndarray]:
     depth.  The K functions made count against the cell cap."""
     n, k, width = bank.spec.N, x.shape[1], x.shape[-1]
     depth = max(bank.depth, _depth(width, n) + 1)
-    _check_cells(k * n**depth)
+    check_cells(k * n**depth)
     m = bank._by_symbol(max(bank.depth, 1))[..., None]
     acc = np.empty((k, n**depth), dtype=np.complex128)
     term = np.empty_like(acc)
@@ -217,7 +215,7 @@ def _tail_residual(bank: FilterBank, depth: int, f: CylinderFn | None = None) ->
     """max |sum_n m_n(a t) (f(t) p_b conj(m_n(b t))) - f(t) delta_ab| over a, b
     and tails t of length depth - 1, summed in bank order; f defaults to 1."""
     n = bank.spec.N
-    _check_cells(n ** (depth + 2))
+    check_cells(n ** (depth + 2))
     p = bank.spec.weight_array()[:, None]
     fv = 1.0 if f is None else _lift(f.values, n, depth - 1)
     m = bank._by_symbol(depth)
@@ -255,7 +253,7 @@ def analysis(bank: FilterBank, level: np.ndarray) -> np.ndarray:
     """
     n = bank.spec.N
     depth = max(bank.depth, _depth(level.shape[-1], n))
-    _check_cells(len(level) * n**depth)
+    check_cells(len(level) * n**depth)
     lifted = _lift(level, n, depth).reshape(len(level), n, -1)
     parts = _gram(bank.spec, bank._by_symbol(depth), lifted)  # (N, K, tail)
     return parts.transpose(1, 0, 2).reshape(-1, parts.shape[-1])

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_cells
 from .code_space import (
     CylinderFn,
     IfsSpec,
@@ -38,7 +38,6 @@ from .code_space import (
     ruelle_apply,
     weighted_adjoint,
     weighted_compose,
-    _check_cells,
     _product,
     _require_weight,
 )
@@ -256,7 +255,7 @@ def dilation_residuals(
     up, down = {n for n in orders if n >= 0}, {-n for n in orders if n < 0}
     k_f, k_g = max(up, default=0), max(down, default=0)
     for depth in range(max(m.depth + max(k_f, k_g) - 1, f.depth + k_f, g.depth + k_g) + 1):
-        _check_cells(m.spec.N**depth)
+        check_cells(m.spec.N**depth)
     weight = m.abs2()
     gh = multiply(g.conj(), h)
     pf, pg = PathCylinderFn.coordinate(0, f), PathCylinderFn.coordinate(0, g)

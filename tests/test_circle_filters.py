@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from wavelab import circle_filters as circ, jsonio
+from wavelab import jsonio
 from wavelab.circle_filters import (
     BlaschkeFactor,
     BlaschkeProduct,
@@ -22,7 +22,7 @@ from wavelab.circle_filters import (
     unitarity_residuals,
 )
 from wavelab.cli import run
-from wavelab.errors import InputError
+from wavelab.errors import InputError, band_count
 from oracle import coefficient, distance
 
 
@@ -150,7 +150,7 @@ def test_delayed_haar_is_valid_bank():
 @pytest.mark.parametrize("n", [-1, 0, 1])
 def test_band_count_below_2_is_an_input_error(n):
     for call in (
-        lambda: circ.band_count(n),
+        lambda: band_count(n),
         lambda: LaurentPoly(0, [1.0]).upsample(n),
         lambda: LaurentPoly(0, [1.0]).downsample(n),
         lambda: cuntz_residuals([LaurentPoly(0, [1.0])] * max(n, 0), n, "averaged"),

@@ -11,7 +11,7 @@ import pytest
 
 import oracle
 from wavelab import jsonio
-from wavelab import cli, code_space, examples_geometry, solenoid
+from wavelab import cli, code_space, solenoid
 from wavelab.cli import _all_below, run
 from wavelab import circle_filters as circ
 from wavelab.circle_filters import (
@@ -458,6 +458,19 @@ def test_circle_matrix_and_verify_fail_closed_on_nan_tap(tmp_path, capsys):
         assert code in (1, 2) and '"pass": true' not in out, argv
 
 
+def _exits_2_one_below_the_cap(argv, cells, capsys, monkeypatch):
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", str(cells - 1))
+    assert run(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"wavelab: {cells} cells exceed the cap of {cells - 1}; set WAVELAB_MAX_CELLS to raise it\n"
+    )
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", str(cells))
+    assert run(argv) == 0, argv
+    capsys.readouterr()
+
+
 def test_circle_grid_stacks_over_cell_cap_exit_2(tmp_path, capsys, monkeypatch):
     # every grid command holds a stack of 16 matrices of 2 x 2: 64 cells
     haar = oracle.haar_pair()
@@ -474,14 +487,7 @@ def test_circle_grid_stacks_over_cell_cap_exit_2(tmp_path, capsys, monkeypatch):
         ["circle", "loop-act", "--g-factors", product, "--u-factors", product, "--N", "2"],
     ]
     for argv in commands:
-        monkeypatch.setenv("WAVELAB_MAX_CELLS", "63")
-        assert run(argv + ["--grid", "16"]) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "wavelab: 64 cells exceed the cap of 63; set WAVELAB_MAX_CELLS to raise it\n"
-        monkeypatch.setenv("WAVELAB_MAX_CELLS", "64")
-        assert run(argv + ["--grid", "16"]) == 0, argv
-        capsys.readouterr()
+        _exits_2_one_below_the_cap(argv + ["--grid", "16"], 64, capsys, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
@@ -1045,6 +1051,20 @@ def test_examples_fractal_requires_seed(tmp_path, capsys):
     assert code == 2
 
 
+def test_examples_logistic_nodes_over_cell_cap_exit_2(capsys, monkeypatch):
+    argv = ["examples", "logistic", "--degree", "2", "--nodes", "101"]
+    _exits_2_one_below_the_cap(argv, 101, capsys, monkeypatch)
+
+
+def test_examples_fractal_kept_points_over_cell_cap_exit_2(tmp_path, capsys, monkeypatch):
+    # 1000 kept points of the 2-D Sierpinski gasket: 2000 cells
+    ifs_path = write(tmp_path / "s.json", oracle.affine_ifs_json(sierpinski_ifs()))
+    argv = ["examples", "fractal", "--ifs", ifs_path, "--samples", "10000", "--seed", "1",
+            "--points-out", str(tmp_path / "p.csv"), "--max-points", "1000"]
+    _exits_2_one_below_the_cap(argv, 2000, capsys, monkeypatch)
+    assert len((tmp_path / "p.csv").read_bytes().splitlines()) == 1000
+
+
 # ---------------------------------------------------------------------------
 # result format
 # ---------------------------------------------------------------------------
@@ -1296,21 +1316,31 @@ def test_band_counts_below_2_exit_2(name, tmp_path, capsys):
         assert captured.out == "" and captured.err == "wavelab: band count must be >= 2\n"
 
 
-@pytest.mark.parametrize("command", ["ifs build-filter", "examples fractal"])
-def test_branch_weights_follow_one_rule(command, tmp_path, capsys):
-    """Weights 5e-13 past a sum of 1 are rejected by the IFS filters and the
-    affine fractals alike (the fractal accepted them under a 1e-12 rule)."""
-    assert examples_geometry.WEIGHT_SUM_TOL == code_space.WEIGHT_SUM_TOL
-    weights = [0.5, 0.5 + 5e-13]
-    if command == "ifs build-filter":
-        argv = ["ifs", "build-filter", "--kind", "indicator", "--N", "2",
-                "--weights", ",".join(map(repr, weights))]
-    else:
-        ifs = write(tmp_path / "ifs.json", {"A": [[2]], "digits": [[0], [1]], "weights": weights})
-        argv = ["examples", "fractal", "--ifs", ifs, "--samples", "10000", "--seed", "1"]
-    assert run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "sum to 1" in captured.err
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([0.25, 0.25, 0.5], "expected 2 weights, got 3"),
+        ([0.0, 1.0], "branch weights must be positive, got (0.0, 1.0)"),
+        ([0.5, 0.5 + 5e-13], "branch weights must sum to 1, got 1.0000000000005"),
+    ],
+    ids=["count", "non-positive", "sum"],
+)
+def test_branch_weights_follow_one_rule(weights, message, tmp_path, capsys):
+    """The IFS filters and the affine fractals reject the same weights with
+    the same message (the fractal accepted a sum 5e-13 past 1 under a 1e-12
+    rule); the fractal's names its file, as every malformed file does."""
+    ifs = write(tmp_path / "ifs.json", {"A": [[2]], "digits": [[0], [1]], "weights": weights})
+    errors = []
+    for argv in (
+        ["ifs", "build-filter", "--kind", "indicator", "--N", "2",
+         "--weights", ",".join(map(repr, weights))],
+        ["examples", "fractal", "--ifs", ifs, "--samples", "10000", "--seed", "1"],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == [f"wavelab: {message}\n", f"wavelab: malformed {ifs}: InputError: {message}\n"]
 
 
 @pytest.mark.parametrize("error",[KeyError, ValueError, TypeError])
@@ -1449,7 +1479,7 @@ def test_import_and_help_run_no_domain_module(argv):
 
 
 def test_each_group_runs_only_its_own_modules(tmp_path):
-    haar = write(tmp_path / "haar.json", {"filters": [m.to_json() for m in oracle.haar_pair()]})
+    haar = write(tmp_path / "pair.json", {"filters": [m.to_json() for m in oracle.haar_pair()]})
     taps = write(tmp_path / "taps.json", {"taps": jsonio.encode_cvector(haar_taps())})
     pset = oracle.squaring_chain(0.9 * np.exp(0.7j), 12)
     points = write(tmp_path / "p.json", oracle.point_set_json(pset))
@@ -1457,16 +1487,17 @@ def test_each_group_runs_only_its_own_modules(tmp_path):
         tmp_path / "m.json",
         {"filters": [jsonio.encode_cvector(np.ones(12)), jsonio.encode_cvector(pset.points)]},
     )
+    files = _input_files(tmp_path)
     launches = {
         ("ifs", "build-filter", "--kind", "indicator", "--N", "2"): {"code_space", "ifs_filters"},
         ("circle", "verify", "--filters", haar, "--N", "2"): {"circle_filters"},
-        ("mra", "cascade", "--taps", taps, "--iters", "5", "--resolution", "64"):
-            {"classic_mra", "circle_filters", "code_space"},
+        ("circle", "matrix", "--filters", haar, "--N", "2"): {"circle_filters"},
+        ("mra", "cascade", "--taps", taps, "--iters", "5", "--resolution", "64"): {"classic_mra"},
+        ("mra", "filterbank", "--signal", files["signal"], "--taps", files["haar_bank"]):
+            {"classic_mra"},
         ("solenoid", "axioms", "--file", _path_file(tmp_path, [1.0, -1.0])):
             {"code_space", "solenoid"},
-        # the cell cap on the kernel runs code_space, as it does for mra
-        ("rkhs", "product-kernel", "--points", points, "--filters", filters):
-            {"code_space", "rkhs_kernels"},
+        ("rkhs", "product-kernel", "--points", points, "--filters", filters): {"rkhs_kernels"},
         ("examples", "logistic", "--degree", "2", "--nodes", "4"): {"examples_geometry"},
     }
     assert {cmd[0] for cmd in launches} == set(cli.COMMANDS)

@@ -18,7 +18,6 @@ from wavelab.code_space import (
     compose_sigma,
     harmonic_solve,
     integrate,
-    max_cells,
     multiply,
     ruelle_apply,
     shift_iterate,
@@ -26,7 +25,7 @@ from wavelab.code_space import (
     weighted_adjoint,
     weighted_compose,
 )
-from wavelab.errors import CellCapError, InputError, VerificationError
+from wavelab.errors import CellCapError, InputError, VerificationError, max_cells
 
 
 # ---------------------------------------------------------------------------
