@@ -44,15 +44,18 @@ def arcsine_moment(k: int) -> float:
     return math.comb(2 * k, k) / 4.0**k
 
 
-def logistic_invariance(max_degree: int = 8, nodes: int = 64) -> float:
-    """max_k |int (4x(1-x))**k dmu - int x**k dmu| over k <= max_degree."""
+def logistic_residuals(max_degree: int = 8, nodes: int = 64) -> tuple[float, float]:
+    """(invariance, quadrature) over k <= max_degree, on one set of nodes:
+    max_k |int (4x(1-x))**k dmu - int x**k dmu| and max_k |int x**k dmu - C(2k, k) / 4**k|."""
     if max_degree < 0:
         raise InputError("degree must be >= 0")
     if nodes <= max_degree:
         raise InputError("need more quadrature nodes than the top degree")
     x = chebyshev_nodes(nodes)
     s = 4.0 * x * (1.0 - x)
-    return float(max(abs(np.mean(s**k) - np.mean(x**k)) for k in range(max_degree + 1)))
+    means = [np.mean(x**k) for k in range(max_degree + 1)]
+    invariance = max(abs(np.mean(s**k) - m) for k, m in enumerate(means))
+    return float(invariance), float(max(abs(m - arcsine_moment(k)) for k, m in enumerate(means)))
 
 
 @dataclass(frozen=True)

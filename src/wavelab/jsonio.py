@@ -8,9 +8,10 @@ decoded in one flat pass, and anything else entry by entry by
 ``decode_complex``, which judges malformed input.
 
 ``load_file`` can stream one matrix member of a top-level object: the
-scanner of ``json.loads`` walks the object and reads that member one row at
-a time, so its tree never exists.  Where the walk does not apply (another
-document, malformed rows, trailing data), ``json.loads`` reads the text.
+scanner of ``json.loads`` walks a window of ``_CHUNK`` characters of the file
+and reads that member row by row into one array, so neither its tree nor the
+whole text exists.  Where the walk does not apply (another document,
+malformed rows, trailing data), ``json.loads`` reads the text.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import InputError
+
+_CHUNK = 2**18  # characters the kernel file's window reads at a time
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -106,32 +109,60 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _stream(text: str, matrix: str) -> dict | None:
-    """The top-level object of text, its member matrix stacked from rows that
-    decode_cvector decodes as the tree path does; None wherever the walk does
-    not apply, and json.loads then judges the text."""
+def _stream(fh, matrix: str) -> dict | None:
+    """The top-level object in fh, its member matrix decoded row by row by
+    decode_cvector into one array; None where the walk does not apply.  A token
+    counts once it ends over two characters before the window's end ('12', '1.'
+    or '1e+' may be cut) or at the end of fh; until then the window doubles."""
     scan, ws = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
-    out, i = {}, ws(text).end()
+    text, i, eof = "", 0, False
+
+    def take(char: bool = False) -> Any:
+        """The next non-whitespace character (char) or JSON value."""
+        nonlocal text, i, eof
+        size = _CHUNK if len(text) - i < _CHUNK // 2 else 0  # topped up, rarely scanned twice
+        while True:
+            if size and not eof:
+                text, i = text[i:], 0  # the text walked goes before more is read
+                more = fh.read(size)
+                text, eof = text + more, not more
+            try:
+                j = ws(text, i).end()
+                token, end = (text[j], j + 1) if char else scan(text, j)
+                if end + 2 < len(text) or eof:
+                    i = end
+                    return token
+            except (ValueError, IndexError):
+                if eof:
+                    raise
+            size = max(_CHUNK, len(text) - i)
+
     try:
-        while text[i] == ("," if out else "{"):  # one member a pass; a repeated key's last wins
-            key, i = scan(text, ws(text, i + 1).end())
-            i = ws(text, i).end()
-            if type(key) is not str or text[i] != ":":
+        out, c = {}, take(char=True)
+        while c == ("," if out else "{"):  # one member a pass; a repeated key's last wins
+            key = take()
+            if type(key) is not str or take(char=True) != ":":
                 return None
-            i = ws(text, i + 1).end()
             if key != matrix:
-                out[key], i = scan(text, i)
-            else:
-                rows = []
-                while text[i] == ("," if rows else "["):
-                    row, i = scan(text, ws(text, i + 1).end())
-                    rows.append(decode_cvector(row))
-                    i = ws(text, i).end()
-                if text[i] != "]":
+                out[key] = take()
+            else:  # the rows, into one array sized for a square matrix and doubled as they arrive
+                rows, count = None, 0
+                while (c := take(char=True)) == ("," if count else "["):
+                    row = decode_cvector(take())
+                    if rows is None:
+                        rows = np.empty((max(row.size, 1), row.size), dtype=np.complex128)
+                    elif row.shape != rows.shape[1:]:
+                        return None
+                    elif count == len(rows):
+                        rows.resize((2 * count, row.size), refcheck=False)  # no view of it exists
+                    rows[count], count = row, count + 1
+                if c != "]" or rows is None:
                     return None
-                out[key], i = np.stack(rows), i + 1  # no rows, or ragged ones, raise
-            i = ws(text, i).end()
-        return out if text[i] == "}" and ws(text, i + 1).end() == len(text) else None
+                rows.resize((count, rows.shape[1]), refcheck=False)
+                out[key] = rows
+            c = take(char=True)
+        rest = text[i:] + fh.read()
+        return out if c == "}" and ws(rest).end() == len(rest) else None
     except (ValueError, IndexError, InputError, RecursionError):  # the tree path judges these
         return None
 
@@ -140,9 +171,10 @@ def load_file(path: str, decode: Callable[[Any], Any] = lambda obj: obj, matrix:
     """The file's JSON tree, passed through decode; with matrix, that member
     of a top-level object arrives as one complex array (see ``_stream``)."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    tree = (_stream(text, matrix) if matrix else None) or json.loads(text)
-    del text  # not held while decode builds its arrays
+        tree = _stream(fh, matrix) if matrix else None
+        if tree is None:
+            fh.seek(0)
+            tree = json.loads(fh.read())  # the text is not held while decode builds its arrays
     return decode(tree)
 
 

@@ -14,6 +14,12 @@ identity:
 Filters are one (filter, point) array of their values at the points.
 Grids should be closed under the map: for z -> z**2, a geometric chain
 z0, z0**2, ... plus the fixed point 0.
+
+The Hermitian test, refinement_residual and product_kernel run in row blocks
+of _BLOCK_CELLS cells whose maxima meet in np.max, so a NaN reaches the result.
+numpy's complex multiply rounds the last bit by operand order, and the former
+whole-matrix ``out * <fresh gather>`` ran with its operands swapped from
+numpy's elision size of 256 KiB up; product_kernel keeps that order.
 """
 
 from __future__ import annotations
@@ -26,6 +32,17 @@ from .errors import InputError
 from . import jsonio
 
 HERMITIAN_TOL = 1e-13
+_BLOCK_CELLS = 2**13  # cells of one row block
+
+
+def _row_blocks(size: int) -> list[slice]:
+    """Consecutive row slices of a matrix with size columns, _BLOCK_CELLS cells or one row each."""
+    step = max(1, _BLOCK_CELLS // max(size, 1))
+    return [slice(r, min(r + step, size)) for r in range(0, size, step)]
+
+
+class _Fresh(tuple):
+    """(array,): an array its maker has just built, adopted without a copy."""
 
 
 @dataclass(frozen=True)
@@ -81,6 +98,7 @@ class KernelMatrix:
     """A Hermitian kernel over the point set, with its comparison tolerance.
 
     Symmetry is judged at the kernel's scale: max|K - K*| <= tol max(1, max|K|).
+    An array handed in is copied and frozen; a loaded or built one is frozen.
     """
 
     MEMBER = "matrix"  # the member of a kernel file that holds the matrix
@@ -88,10 +106,13 @@ class KernelMatrix:
     tol: float = HERMITIAN_TOL
 
     def __post_init__(self):
-        k = np.array(self.matrix, dtype=complex)
+        k = self.matrix
+        k = k[0] if isinstance(k, _Fresh) else np.array(k, dtype=complex)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise InputError("kernel must be a square matrix")
-        if np.max(np.abs(k - k.conj().T)) > self.tol * max(1.0, float(np.max(np.abs(k)))):
+        asym, top = np.max([(np.abs(k[r] - k[:, r].conj().T).max(), np.abs(k[r]).max())
+                            for r in _row_blocks(len(k))], axis=0)
+        if asym > self.tol * max(1.0, float(top)):
             raise InputError("kernel must be Hermitian")
         k.setflags(write=False)
         object.__setattr__(self, "matrix", k)
@@ -101,16 +122,16 @@ class KernelMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KernelMatrix":
-        return cls(jsonio.decode_cmatrix(obj[cls.MEMBER]))
+        return cls(_Fresh((jsonio.decode_cmatrix(obj[cls.MEMBER]),)))  # new, or load_file's
 
 
-def _gram_sum(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """sum_n m_n(x) conj(m_n(y)) over the points idx: one outer product per
-    filter, in filter order (a broadcast over the filter axis is slower)."""
-    gram = np.zeros((idx.size, idx.size), dtype=complex)
+def _gram_sum(values: np.ndarray, rows: slice, size: int) -> np.ndarray:
+    """sum_n m_n(x) conj(m_n(y)) for the points x in rows and all size points
+    y: one outer product per filter, in filter order (a broadcast over the
+    filter axis is slower)."""
+    gram = np.zeros((rows.stop - rows.start, size), dtype=complex)
     for v in values:
-        pulled = v[idx]
-        gram += np.outer(pulled, np.conj(pulled))
+        gram += np.outer(v[rows], np.conj(v))
     return gram
 
 
@@ -129,9 +150,13 @@ def contraction_check(kernel: KernelMatrix, m: np.ndarray, pset: FinitePointSet)
 
 def refinement_residual(kernel: KernelMatrix, values: np.ndarray, pset: FinitePointSet) -> float:
     """max |K(x,y) - (sum_n m_n(x) conj(m_n(y))) K(sigma x, sigma y)|."""
-    gram = _gram_sum(values, np.arange(pset.size))
-    pulled = kernel.matrix[np.ix_(pset.sigma, pset.sigma)]
-    return float(np.max(np.abs(kernel.matrix - gram * pulled)))
+    k, sigma, maxima = kernel.matrix, pset.sigma, []
+    for rows in _row_blocks(pset.size):
+        block = _gram_sum(values, rows, pset.size)
+        np.multiply(block, k[np.ix_(sigma[rows], sigma)], out=block)
+        np.subtract(k[rows], block, out=block)
+        maxima.append(np.max(np.abs(block)))
+    return float(np.max(maxima))
 
 
 @dataclass(frozen=True)
@@ -152,19 +177,22 @@ def product_kernel(values: np.ndarray, pset: FinitePointSet, terms: int) -> Prod
     """
     if terms < 0:
         raise InputError("term count must be >= 0")
-    idx = np.arange(pset.size)
-    gram = _gram_sum(values, idx)
-    out = prev = np.ones((pset.size, pset.size), dtype=complex)
-    for _ in range(terms):
-        prev = out
-        # keep a fresh temporary on the right: from 256 KiB numpy multiplies into
-        # it with the operands swapped, and the last bits follow that order
-        out = out * gram[np.ix_(idx, idx)]
+    size, idx = pset.size, np.arange(pset.size)
+    gram = _gram_sum(values, slice(0, size), size)
+    out = np.ones((size, size), dtype=complex)
+    gather_first = out.nbytes >= 256 * 1024  # the former product's order (module docstring)
+    tails = [0.0]
+    for term in range(terms):
+        for rows in _row_blocks(size):
+            factor, block = gram[np.ix_(idx[rows], idx)], out[rows]
+            np.multiply(*((factor, block) if gather_first else (block, factor)), out=factor)
+            if term == terms - 1:
+                tails.append(np.max(np.abs(np.subtract(block, factor, out=block))))
+            block[...] = factor
         idx = pset.sigma[idx]
-    tail = float(np.max(np.abs(out - prev))) if terms > 0 else 0.0
-    return ProductKernelResult(
-        KernelMatrix(out, tol=1e-10), tail, pset.orbits_reach_fixed_point()
-    )
+    del gram  # not held while the kernel is checked
+    kernel = KernelMatrix(_Fresh((out,)), tol=1e-10)
+    return ProductKernelResult(kernel, float(np.max(tails)), pset.orbits_reach_fixed_point())
 
 
 def preimage_orthogonality(

@@ -24,9 +24,12 @@ lifting product are the package's former kernels, kept as the bit-for-bit
 judge of the in-place cascade and of the broadcast products, and the
 path shift and collapse that store each f o sigma**k are the judge of
 the shifted views.  The per-term
-product kernel and the per-entry complex JSON encoders and numpy-discovery
-decoders are the package's former code, kept as the bit-for-bit judge of
-the gathered Gram matrix and of the flat-pass codecs.  The final
+product kernel, the whole-matrix refinement residual and Hermitian test,
+and the per-entry complex JSON encoders and numpy-discovery decoders are
+the package's former code, kept as the bit-for-bit judge of the gathered
+Gram matrix, of the row blocks and of the flat-pass codecs.  The dict
+loop of ``dict_laurent_product`` is the judge of ``DictLaurent``'s
+one-scatter product.  The final
 section holds the input builders and judges that only the tests use,
 moved out of the package, among them the module Gram-Schmidt and the
 inverse weighted shift, which no command reaches.
@@ -619,13 +622,21 @@ class DictLaurent:
         return self + (-other)
 
     def __mul__(self, other):
+        """One scatter of the outer product, each degree summed in the order
+        of dict_laurent_product's loop; numpy's complex multiply may round a
+        term's last bit differently from Python's."""
         if isinstance(other, (int, float, complex)):
             return DictLaurent({k: c * other for k, c in self.coeffs.items()})
-        out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
-        return DictLaurent(out)
+        if not (self.coeffs and other.coeffs):
+            return DictLaurent()
+        (k1, c1), (k2, c2) = (
+            (np.array(list(p.coeffs)), np.array(list(p.coeffs.values()))) for p in (self, other)
+        )
+        degrees = (k1[:, None] + k2[None, :]).ravel()
+        lo = degrees.min()
+        out = np.zeros(degrees.max() - lo + 1, dtype=complex)
+        np.add.at(out, degrees - lo, (c1[:, None] * c2[None, :]).ravel())
+        return DictLaurent({lo + k: c for k, c in enumerate(out)})  # the zeros are pruned
 
     __rmul__ = __mul__
 
@@ -647,6 +658,15 @@ class DictLaurent:
         for k, c in self.coeffs.items():
             out = out + c * z**k
         return out
+
+
+def dict_laurent_product(a: DictLaurent, b: DictLaurent) -> DictLaurent:
+    """The former DictLaurent product: one dict update per pair of terms."""
+    out = {}
+    for k1, c1 in a.coeffs.items():
+        for k2, c2 in b.coeffs.items():
+            out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
+    return DictLaurent(out)
 
 
 def dict_cuntz_residuals(filters, n: int, scale: float = 1.0) -> tuple[float, float]:
@@ -743,6 +763,19 @@ def product_kernel_per_term(values, sigma, terms: int) -> np.ndarray:
         out = out * fresh_gram(values, idx)
         idx = np.asarray(sigma)[idx]
     return out
+
+
+def refinement_residual_whole(kernel: np.ndarray, values, sigma) -> float:
+    """The package's former residual over the whole matrix: the Gram sum times
+    the pulled kernel as two named arrays, an order no elision changes."""
+    gram = fresh_gram(values, np.arange(len(sigma)))
+    pulled = kernel[np.ix_(sigma, sigma)]
+    return float(np.max(np.abs(kernel - gram * pulled)))
+
+
+def hermitian_verdict(k: np.ndarray, tol: float) -> bool:
+    """The package's former whole-matrix Hermitian test of a kernel."""
+    return not np.max(np.abs(k - k.conj().T)) > tol * max(1.0, float(np.max(np.abs(k))))
 
 
 def preimage_orthogonality(values, sigma) -> tuple[np.ndarray, tuple[int, ...]]:

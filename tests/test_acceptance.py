@@ -45,7 +45,7 @@ from wavelab.examples_geometry import (
     arcsine_moment,
     chaos_game,
     chebyshev_nodes,
-    logistic_invariance,
+    logistic_residuals,
     sierpinski_ifs,
     strong_invariance_check,
     AffineIfs,
@@ -372,7 +372,7 @@ def test_criterion_09_kernels():
 
 def test_criterion_10_geometry():
     start = time.perf_counter()
-    logistic = logistic_invariance(8, 64)
+    logistic = logistic_residuals(8, 64)[0]
     x = chebyshev_nodes(64)
     quad = float(np.max([abs(float(np.mean(x**k)) - arcsine_moment(k)) for k in range(64)]))
     sierpinski = strong_invariance_check(sierpinski_ifs(), 1_000_000, seed=7)

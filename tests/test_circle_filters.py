@@ -626,6 +626,26 @@ def test_products_and_sums_within_rounding(lo_b):
             assert np.all(diff[~nan] <= 4 * EPS * scale[~nan]), (name, other)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dict_oracle_product_matches_its_former_loop():
+    rng = np.random.default_rng(50)
+    cases = list(laurent_cases(rng, lengths=(1, 50), min_degrees=(-3, 2)))
+    for name, values, lo in cases:
+        for other, w, lo_w in cases:
+            (_, da), (_, db) = as_pair(values, lo), as_pair(w, lo_w)
+            got, want = da * db, oracle.dict_laurent_product(da, db)
+            if not (da.coeffs and db.coeffs):
+                assert not got.coeffs and not want.coeffs
+                continue
+            scale = np.convolve(np.abs(values), np.abs(w))
+            degrees = range(lo + lo_w, lo + lo_w + scale.size)
+            assert set(got.coeffs) <= set(degrees) and set(want.coeffs) <= set(degrees)
+            diff = np.abs(dense(got, degrees) - dense(want, degrees))
+            nan = np.isnan(dense(want, degrees))
+            assert np.array_equal(np.isnan(diff), nan), (name, other)
+            assert np.all(diff[~nan] <= 4 * EPS * scale[~nan]), (name, other)
+
+
 def test_product_of_long_filters_is_a_convolution():
     rng = np.random.default_rng(9)
     a, b = (rng.normal(size=400) + 1j * rng.normal(size=400) for _ in range(2))

@@ -17,7 +17,7 @@ from wavelab.examples_geometry import (
     arcsine_moment,
     chaos_game,
     chebyshev_nodes,
-    logistic_invariance,
+    logistic_residuals,
     sierpinski_ifs,
     strong_invariance_check,
 )
@@ -59,17 +59,17 @@ def test_logistic_invariance_small_degrees():
     x = chebyshev_nodes(16)
     lhs = np.mean(4 * x * (1 - x))
     assert lhs == pytest.approx(0.5, abs=1e-14)
-    assert logistic_invariance(0, 4) < 1e-15
-    assert logistic_invariance(4, 64) < 1e-13
+    assert logistic_residuals(0, 4)[0] < 1e-15
+    assert logistic_residuals(4, 64)[0] < 1e-13
 
 
 def test_logistic_invariance_degree_eight():
-    assert logistic_invariance(8, 64) < 1e-12
+    assert logistic_residuals(8, 64)[0] < 1e-12
 
 
 def test_logistic_invariance_needs_enough_nodes():
     with pytest.raises(InputError):
-        logistic_invariance(8, 8)
+        logistic_residuals(8, 8)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ def test_negative_seed_and_degree_are_input_errors():
     with pytest.raises(InputError):
         chaos_game(sierpinski_ifs(), 10, seed=-1)
     with pytest.raises(InputError):
-        logistic_invariance(-1, 4)
+        logistic_residuals(-1, 4)[0]
 
 
 def test_strong_invariance_rejects_small_samples():

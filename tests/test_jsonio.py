@@ -1,7 +1,9 @@
 """Array codecs of complex JSON against the per-entry paths and the former
 numpy-discovery decoders they replace."""
 
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -240,17 +242,27 @@ def document(members, layout: str) -> str:
     return "{" + opening + body + closing + "}"
 
 
+# windows of 1, 2 and 7 characters put a window's edge inside every token
+CHUNKS = (1, 2, 7, jsonio._CHUNK)
+
+
+def stream(text: str, chunk: int) -> dict | None:
+    with mock.patch.object(jsonio, "_CHUNK", chunk):
+        return jsonio._stream(io.StringIO(text), "matrix")
+
+
 @given(
     st.lists(OTHERS, max_size=2),
     st.lists(ROW_MATRICES, min_size=1, max_size=2),  # two: the last "matrix" wins
     st.lists(OTHERS, max_size=2),
     st.sampled_from(sorted(LAYOUTS)),
+    st.sampled_from(CHUNKS),
 )
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-def test_a_streamed_matrix_member_matches_the_tree(before, matrices, after, layout):
+def test_a_streamed_matrix_member_matches_the_tree(before, matrices, after, layout, chunk):
     text = document([*before, *(("matrix", m) for m in matrices), *after], layout)
     tree = json.loads(text)
-    streamed = jsonio._stream(text, "matrix")
+    streamed = stream(text, chunk)
     assert streamed is not None, text  # the walk applies to every well-formed object here
     assert list(streamed) == list(tree)
     want = jsonio.decode_cmatrix(tree.pop("matrix"))
@@ -267,3 +279,14 @@ def test_load_file_streams_only_the_named_member(tmp_path):
     got = jsonio.load_file(str(path), matrix="matrix")
     assert got["tol"] == [[3, 4]] and got["matrix"].tolist() == [[1 - 0j, 2 + 0j]]
     assert jsonio.load_file(str(path)) == json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("scalar", ["12345", "-12.25e-3", "1.5E+10", "-Infinity", "true", '"a\\u00e9b"'])
+def test_a_scalar_cut_at_any_window_edge_decodes_whole(scalar):
+    text = '{"tol": ' + scalar + ', "matrix": [[[1, 2]]], "b": ' + scalar + "}"
+    tree = json.loads(text)
+    for chunk in range(1, len(text) + 1):
+        streamed = stream(text, chunk)
+        assert streamed is not None, chunk
+        assert streamed.pop("matrix").tolist() == [[1 + 2j]]
+        assert json.dumps(streamed) == json.dumps({"tol": tree["tol"], "b": tree["b"]}), chunk

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracle
+from wavelab import rkhs_kernels
 from wavelab.errors import InputError
 from wavelab.rkhs_kernels import (
+    HERMITIAN_TOL,
     FinitePointSet,
     KernelMatrix,
     contraction_check,
@@ -153,12 +157,77 @@ def test_product_kernel_past_the_elision_threshold(size):
     assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
-def test_gathered_gram_is_bit_equal_to_one_gram_sum_per_term():
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# below and at numpy's elision size of 256 KiB, a partial last row block, the benchmark's size
+KERNEL_SIZES = [127, 128, 210, 256]
+
+
+def test_a_kernel_size_ends_in_a_partial_row_block():
+    blocks = rkhs_kernels._row_blocks(210)
+    assert len(blocks) > 1 and blocks[-1].stop - blocks[-1].start < blocks[0].stop - blocks[0].start
+
+
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+def test_gathered_gram_is_bit_equal_to_one_gram_sum_per_term(size):
     # the former loop, written the same way, is the bit-for-bit judge
-    pset, values = doubling_roots(256, 3)
+    pset, values = doubling_roots(size, 3)
     for terms in (1, 2, 8, 9, 30):
         got = product_kernel(values, pset, terms).kernel.matrix
-        assert np.array_equal(got, oracle.product_kernel_per_term(values, pset.sigma, terms))
+        assert same_bits(got, oracle.product_kernel_per_term(values, pset.sigma, terms)), terms
+
+
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+def test_row_blocks_are_bit_equal_to_the_whole_matrix(size):
+    pset, values = doubling_roots(size, 5)
+    rng = np.random.default_rng(size)
+    a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    hermitian, skew = a + a.conj().T, a - a.conj().T
+    # K -> gram * K(sigma., sigma.) iterated for the plain Haar pair, gram first: at a
+    # power of two the residual is then exactly 0 in that operand order, not in the other
+    z = pset.points
+    haar = np.array([(1 + z) / 2, (1 - z) / 2])
+    gram, fixed = oracle.fresh_gram(haar, np.arange(size)), np.ones((size, size), dtype=complex)
+    for _ in range(size.bit_length() + 1):
+        pulled = fixed[np.ix_(pset.sigma, pset.sigma)]
+        fixed = gram * pulled
+    for k, filters in ((product_kernel(values, pset, 30).kernel.matrix, values),
+                       (fixed, haar), (hermitian, values)):
+        want = oracle.refinement_residual_whole(k, filters, pset.sigma)
+        assert same_bits(refinement_residual(KernelMatrix(k), filters, pset), want)
+    verdicts = []
+    for eps in np.geomspace(1e-15, 1e-12, 31):  # across the edge of the tolerance
+        k = hermitian + eps * skew
+        try:
+            KernelMatrix(k)
+            verdicts.append(True)
+        except InputError:
+            verdicts.append(False)
+        assert verdicts[-1] == oracle.hermitian_verdict(k, HERMITIAN_TOL), eps
+    assert True in verdicts and False in verdicts
+    k = hermitian.copy()
+    k[-1, 3] = np.nan  # in the last row block; a NaN passes the Hermitian test, as it did
+    assert oracle.hermitian_verdict(k, HERMITIAN_TOL)
+    assert np.isnan(refinement_residual(KernelMatrix(k), values, pset))
+    assert np.isnan(oracle.refinement_residual_whole(k, values, pset.sigma))
+
+
+def test_product_then_refinement_within_a_memory_budget():
+    """At 256 points product_kernel holds its Gram matrix and the product,
+    and refinement_residual the kernel, each besides small row blocks; the
+    whole-matrix forms peaked at about 6.1 kernel matrices."""
+    pset, values = doubling_roots(256, 3)
+    tracemalloc.start()
+    try:
+        result = product_kernel(values, pset, 30)
+        refinement_residual(result.kernel, values, pset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 256**2 * 16, peak
 
 
 def test_product_kernel_reports_wandering_orbits():
