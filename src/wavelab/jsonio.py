@@ -7,11 +7,12 @@ inputs produce byte-identical output.  Arrays are encoded with one
 decoded in one flat pass, and anything else entry by entry by
 ``decode_complex``, which judges malformed input.
 
-``load_file`` can stream one matrix member of a top-level object: the
-scanner of ``json.loads`` walks a window of ``_CHUNK`` characters of the file
-and reads that member row by row into one array, so neither its tree nor the
-whole text exists.  Where the walk does not apply (another document,
-malformed rows, trailing data), ``json.loads`` reads the text.
+``load_file`` can stream one square matrix member of a top-level object:
+the scanner of ``json.loads`` walks a window of ``_CHUNK`` characters of the
+file and reads that member's rows into one array sized from the first row,
+so neither its tree nor the whole text exists.  Where the walk does not apply
+(another document, malformed rows, trailing data, a matrix not square or
+over the cell cap), ``json.loads`` reads the text.
 """
 
 from __future__ import annotations
@@ -23,9 +24,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_cells
 
 _CHUNK = 2**18  # characters the kernel file's window reads at a time
+
+
+class Fresh(np.ndarray):
+    """A view of an array its maker has just built: its reader adopts it without a copy."""
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -93,7 +98,7 @@ def encode_cmatrix(m) -> list[list[list[float]]]:
 
 
 def decode_cmatrix(obj) -> np.ndarray:
-    if isinstance(obj, np.ndarray):  # a member that load_file decoded row by row
+    if isinstance(obj, np.ndarray):  # a Fresh member, or a caller's array
         return obj
     if not isinstance(obj, (list, tuple)) or not obj:
         raise InputError("expected a nested list of [re, im] pairs")
@@ -110,8 +115,8 @@ def dumps(obj: Any) -> str:
 
 
 def _stream(fh, matrix: str) -> dict | None:
-    """The top-level object in fh, its member matrix decoded row by row by
-    decode_cvector into one array; None where the walk does not apply.  A token
+    """The top-level object in fh, its square member matrix decoded row by row
+    by decode_cvector into one array; None where the walk does not apply.  A token
     counts once it ends over two characters before the window's end ('12', '1.'
     or '1e+' may be cut) or at the end of fh; until then the window doubles."""
     scan, ws = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
@@ -145,21 +150,19 @@ def _stream(fh, matrix: str) -> dict | None:
                 return None
             if key != matrix:
                 out[key] = take()
-            else:  # the rows, into one array sized for a square matrix and doubled as they arrive
+            else:  # the rows, into one square array sized from the first row
                 rows, count = None, 0
                 while (c := take(char=True)) == ("," if count else "["):
                     row = decode_cvector(take())
                     if rows is None:
-                        rows = np.empty((max(row.size, 1), row.size), dtype=np.complex128)
-                    elif row.shape != rows.shape[1:]:
+                        check_cells(row.size * row.size)  # the file sets this size
+                        rows = np.empty((row.size, row.size), dtype=np.complex128)
+                    if row.shape != rows.shape[1:] or count == len(rows):
                         return None
-                    elif count == len(rows):
-                        rows.resize((2 * count, row.size), refcheck=False)  # no view of it exists
                     rows[count], count = row, count + 1
-                if c != "]" or rows is None:
+                if c != "]" or rows is None or count < len(rows):
                     return None
-                rows.resize((count, rows.shape[1]), refcheck=False)
-                out[key] = rows
+                out[key] = rows.view(Fresh)
             c = take(char=True)
         rest = text[i:] + fh.read()
         return out if c == "}" and ws(rest).end() == len(rest) else None
@@ -169,7 +172,7 @@ def _stream(fh, matrix: str) -> dict | None:
 
 def load_file(path: str, decode: Callable[[Any], Any] = lambda obj: obj, matrix: str = "") -> Any:
     """The file's JSON tree, passed through decode; with matrix, that member
-    of a top-level object arrives as one complex array (see ``_stream``)."""
+    of a top-level object arrives as one Fresh array (see ``_stream``)."""
     with open(path, "r", encoding="utf-8") as fh:
         tree = _stream(fh, matrix) if matrix else None
         if tree is None:

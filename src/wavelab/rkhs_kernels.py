@@ -41,10 +41,6 @@ def _row_blocks(size: int) -> list[slice]:
     return [slice(r, min(r + step, size)) for r in range(0, size, step)]
 
 
-class _Fresh(tuple):
-    """(array,): an array its maker has just built, adopted without a copy."""
-
-
 @dataclass(frozen=True)
 class FinitePointSet:
     """Point labels with coordinates plus the index form of the self-map.
@@ -98,7 +94,7 @@ class KernelMatrix:
     """A Hermitian kernel over the point set, with its comparison tolerance.
 
     Symmetry is judged at the kernel's scale: max|K - K*| <= tol max(1, max|K|).
-    An array handed in is copied and frozen; a loaded or built one is frozen.
+    A jsonio.Fresh array, loaded or built, is adopted, any other copied; both are frozen.
     """
 
     MEMBER = "matrix"  # the member of a kernel file that holds the matrix
@@ -107,7 +103,7 @@ class KernelMatrix:
 
     def __post_init__(self):
         k = self.matrix
-        k = k[0] if isinstance(k, _Fresh) else np.array(k, dtype=complex)
+        k = k.view(np.ndarray) if isinstance(k, jsonio.Fresh) else np.array(k, dtype=complex)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise InputError("kernel must be a square matrix")
         asym, top = np.max([(np.abs(k[r] - k[:, r].conj().T).max(), np.abs(k[r]).max())
@@ -122,13 +118,13 @@ class KernelMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KernelMatrix":
-        return cls(_Fresh((jsonio.decode_cmatrix(obj[cls.MEMBER]),)))  # new, or load_file's
+        k = jsonio.decode_cmatrix(raw := obj[cls.MEMBER])  # new from lists, or load_file's
+        return cls(k if k is raw else k.view(jsonio.Fresh))  # a caller's array is copied
 
 
 def _gram_sum(values: np.ndarray, rows: slice, size: int) -> np.ndarray:
-    """sum_n m_n(x) conj(m_n(y)) for the points x in rows and all size points
-    y: one outer product per filter, in filter order (a broadcast over the
-    filter axis is slower)."""
+    """sum_n m_n(x) conj(m_n(y)) for x in rows and all size points y: one outer
+    product per filter, in filter order (a broadcast over the filter axis is slower)."""
     gram = np.zeros((rows.stop - rows.start, size), dtype=complex)
     for v in values:
         gram += np.outer(v[rows], np.conj(v))
@@ -191,7 +187,7 @@ def product_kernel(values: np.ndarray, pset: FinitePointSet, terms: int) -> Prod
             block[...] = factor
         idx = pset.sigma[idx]
     del gram  # not held while the kernel is checked
-    kernel = KernelMatrix(_Fresh((out,)), tol=1e-10)
+    kernel = KernelMatrix(out.view(jsonio.Fresh), tol=1e-10)
     return ProductKernelResult(kernel, float(np.max(tails)), pset.orbits_reach_fixed_point())
 
 

@@ -1006,6 +1006,27 @@ def test_a_malformed_kernel_fails_as_the_whole_tree_does(tmp_path, capsys, monke
     assert tree[0] in (1, 2) and tree[1].err.startswith("wavelab: ") == (tree[0] == 2)
 
 
+def test_a_wide_kernel_row_is_judged_within_the_cell_cap(tmp_path, capsys, monkeypatch):
+    """A one-row kernel of 4,000 entries sizes no 4,000-square array: it
+    fails as the tree path fails it, and the load stays small."""
+    inputs, _ = _rkhs_files(tmp_path)
+    wide = write(tmp_path / "wide.json", {"matrix": [[[1.0, 0.0]] * 4000]})
+    argv = ["rkhs", "check", "--kernel", wide, *inputs]
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "144")  # the 12 points' kernel
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    streamed = code, capsys.readouterr()
+    monkeypatch.setattr(jsonio, "_stream", lambda fh, matrix: None)  # the tree path alone
+    assert streamed == (run(argv), capsys.readouterr())
+    assert code == 2 and streamed[1].out == ""
+    assert streamed[1].err == f"wavelab: malformed {wide}: InputError: kernel must be a square matrix\n"
+    assert peak < 16 * 4000**2 / 100, peak
+
+
 @pytest.mark.parametrize("block_cells", [12, 2**13])  # a row a block, and one block
 def test_a_nan_in_a_later_row_block_fails_the_rkhs_verdicts(tmp_path, capsys, monkeypatch, block_cells):
     """A NaN kernel entry gives "refinement": NaN, and a NaN filter value

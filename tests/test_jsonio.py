@@ -214,9 +214,8 @@ REALS = st.one_of(
 )
 # a pair, booleans allowed, or a bare real (a bare boolean is malformed)
 ENTRIES = st.one_of(st.lists(st.one_of(REALS, st.booleans()), min_size=2, max_size=2), REALS)
-ROW_MATRICES = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
-    lambda shape: st.lists(st.lists(ENTRIES, min_size=shape[1], max_size=shape[1]),
-                           min_size=shape[0], max_size=shape[0])
+SQUARE_MATRICES = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
 )
 OTHERS = st.tuples(
     st.sampled_from(["tol", "", "matri", "matrix ", "é"]),
@@ -253,7 +252,7 @@ def stream(text: str, chunk: int) -> dict | None:
 
 @given(
     st.lists(OTHERS, max_size=2),
-    st.lists(ROW_MATRICES, min_size=1, max_size=2),  # two: the last "matrix" wins
+    st.lists(SQUARE_MATRICES, min_size=1, max_size=2),  # two: the last "matrix" wins
     st.lists(OTHERS, max_size=2),
     st.sampled_from(sorted(LAYOUTS)),
     st.sampled_from(CHUNKS),
@@ -273,11 +272,28 @@ def test_a_streamed_matrix_member_matches_the_tree(before, matrices, after, layo
     assert json.dumps(streamed) == json.dumps(tree)
 
 
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2]], [[1, 2], [3, 4], [5, 6]], [[]], []])
+def test_a_matrix_that_is_not_square_is_left_to_the_tree(matrix, chunk):
+    text = json.dumps({"matrix": matrix, "tol": 1})
+    assert stream(text, chunk) is None
+
+
+def test_the_first_row_is_checked_against_the_cell_cap_before_the_array_exists(monkeypatch):
+    text = json.dumps({"matrix": [[[1, 0]] * 3] * 3})
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "8")
+    with mock.patch.object(np, "empty", wraps=np.empty) as empty:
+        assert stream(text, jsonio._CHUNK) is None  # the tree path judges it
+    assert all(call.args[0] != (3, 3) for call in empty.call_args_list)
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "9")
+    assert stream(text, jsonio._CHUNK)["matrix"].shape == (3, 3)
+
+
 def test_load_file_streams_only_the_named_member(tmp_path):
     path = tmp_path / "k.json"
-    path.write_text('{"matrix": [[[1, -0.0], 2]], "tol": [[3, 4]]}', encoding="utf-8")
+    path.write_text('{"matrix": [[[1, -0.0], 2], [2, 3]], "tol": [[3, 4]]}', encoding="utf-8")
     got = jsonio.load_file(str(path), matrix="matrix")
-    assert got["tol"] == [[3, 4]] and got["matrix"].tolist() == [[1 - 0j, 2 + 0j]]
+    assert got["tol"] == [[3, 4]] and got["matrix"].tolist() == [[1 - 0j, 2 + 0j], [2, 3]]
     assert jsonio.load_file(str(path)) == json.loads(path.read_text(encoding="utf-8"))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from wavelab import rkhs_kernels
+from wavelab import jsonio, rkhs_kernels
 from wavelab.errors import InputError
 from wavelab.rkhs_kernels import (
     HERMITIAN_TOL,
@@ -290,6 +290,23 @@ def test_json_roundtrips(disk_chain):
     k = oracle.szego_kernel(disk_chain.points)
     back_k = KernelMatrix.from_json(k.to_json())
     assert np.allclose(back_k.matrix, k.matrix)
+
+
+def test_from_json_adopts_only_the_arrays_it_decoded(tmp_path):
+    """A caller's array is copied, and a real one made complex; the member
+    that load_file streamed, and an array decoded from lists, are adopted."""
+    for given in (np.eye(3), np.eye(3, dtype=complex)):
+        k = KernelMatrix.from_json({"matrix": given})
+        assert k.matrix.dtype == complex and not np.shares_memory(k.matrix, given)
+        assert given.flags.writeable
+    path = tmp_path / "k.json"
+    jsonio.dump_file(str(path), KernelMatrix(np.eye(3)).to_json())
+    tree = jsonio.load_file(str(path), matrix=KernelMatrix.MEMBER)
+    member = tree[KernelMatrix.MEMBER]
+    adopted = KernelMatrix.from_json(tree).matrix
+    assert np.shares_memory(adopted, member) and not adopted.flags.writeable
+    for k in (adopted, KernelMatrix.from_json(jsonio.load_file(str(path))).matrix):
+        assert type(k) is np.ndarray and np.array_equal(k, np.eye(3))
 
 
 # ---------------------------------------------------------------------------
