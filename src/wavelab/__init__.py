@@ -11,11 +11,11 @@ Subpackages by theme:
 - ``examples_geometry``: logistic-map quadrature and affine fractal sampling
 - ``cli``: the ``wavelab`` command-line front end
 
-The names in ``__all__`` come from ``code_space``, which is imported on
+The two names in ``__all__`` come from ``code_space``, which is imported on
 their first use, so that ``import wavelab.cli`` does not run it.
 """
 
-__all__ = ["CylinderFn", "IfsSpec", "Word"]
+__all__ = ["CylinderFn", "IfsSpec"]
 __version__ = "0.1.0"
 
 

@@ -46,7 +46,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import jsonio
-from .errors import CellCapError, InputError, VerificationError, band_count, check_cells
+from .errors import CellCapError, InputError, VerificationError, band_count, check_cells, max_cells
 
 
 def _lazy(name: str) -> types.ModuleType:
@@ -550,18 +550,16 @@ def _rkhs_product(args) -> tuple[dict, bool]:
     pset = _load(args.points, rkhs.FinitePointSet.from_json)
     check_cells(pset.size**2)  # the kernel, before it is read or built
     filters = _load(args.filters, lambda obj: _point_filters(obj, pset.size))
-    result = rkhs.product_kernel(filters, pset, args.terms)
+    kernel, tail_bound = rkhs.product_kernel(filters, pset, args.terms)
     if args.out:
-        jsonio.dump_file(args.out, result.kernel.to_json())
-    refinement = rkhs.refinement_residual(result.kernel, filters, pset)
+        jsonio.dump_file(args.out, kernel.to_json())
+    refinement = rkhs.refinement_residual(kernel, filters, pset)
+    settles = pset.orbits_reach_fixed_point()
     return {
-        "results": {
-            "terms": args.terms,
-            "orbits_reach_fixed_point": result.orbits_reach_fixed_point,
-        },
-        "residuals": {"tail_bound": result.tail_bound, "refinement": refinement},
+        "results": {"terms": args.terms, "orbits_reach_fixed_point": settles},
+        "residuals": {"tail_bound": tail_bound, "refinement": refinement},
         "tolerances": {"tail_bound": args.tol},
-    }, _all_below(args.tol, result.tail_bound) and result.orbits_reach_fixed_point
+    }, _all_below(args.tol, tail_bound) and settles
 
 
 def _examples_logistic(args) -> tuple[dict, bool]:
@@ -585,7 +583,7 @@ def _examples_fractal(args) -> tuple[dict, bool]:
         # the first rows of a draw are a shorter draw with the same seed
         _write_csv(args.points_out, (), *report.points.T)
     return {
-        "results": report.to_json(),
+        "results": {**report.to_json(), "samples": args.samples, "seed": args.seed},
         "residuals": {"max_abs_z": report.max_abs_z},
         "tolerances": {"z_bound": args.z_bound},
         "seed": args.seed,
@@ -760,6 +758,7 @@ def run(argv: list[str] | None = None) -> int:
             return int(exc.code or 0)
         start = time.perf_counter()
         try:
+            max_cells()  # a bad WAVELAB_MAX_CELLS fails every command before any file is read
             with np.errstate(all="ignore"):  # non-finite values reach and fail the residuals
                 payload, passed = args.compute(args)
         except VerificationError as exc:

@@ -75,39 +75,8 @@ class IfsSpec:
         return cls(jsonio.decode_int(obj["N"], "N"), weights)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite string of symbols from {1..N}, canonically indexable."""
-
-    symbols: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def validate(self, n_branches: int) -> "Word":
-        for s in self.symbols:
-            if not 1 <= s <= n_branches:
-                raise InputError(f"symbol {s} outside 1..{n_branches}")
-        return self
-
-    def index(self, n_branches: int) -> int:
-        """Canonical index, first symbol most significant."""
-        self.validate(n_branches)
-        i = 0
-        for s in self.symbols:
-            i = i * n_branches + (s - 1)
-        return i
-
-
-class _Fresh(tuple):
-    """(array,): the new array of a code-space operation, adopted without a copy."""
-
-
 def _new(spec: IfsSpec, depth: int, values: np.ndarray) -> "CylinderFn":
-    return CylinderFn(spec, depth, _Fresh((values,)))
+    return CylinderFn(spec, depth, values.view(jsonio.Fresh))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +84,8 @@ class CylinderFn:
     """A complex function of the first ``depth`` symbols.
 
     ``values`` holds one entry per word of length ``depth`` in canonical
-    order.  An array handed in is copied and frozen; an operation's own is frozen.
+    order.  An array handed in is copied and frozen; an operation's own, a
+    ``jsonio.Fresh`` view, is frozen without a copy.
     """
 
     spec: IfsSpec
@@ -124,8 +94,8 @@ class CylinderFn:
 
     def __post_init__(self):
         size = self.spec.N**self.depth
-        if isinstance(self.values, _Fresh):  # its operation checked the cap already
-            vals = self.values[0]
+        if isinstance(self.values, jsonio.Fresh):  # its operation checked the cap already
+            vals = self.values.view(np.ndarray)
         else:
             if self.depth < 0:
                 raise InputError(f"depth must be >= 0, got {self.depth}")
@@ -287,8 +257,11 @@ def sup_distance(f: CylinderFn, g: CylinderFn) -> float:
 
 
 def compose_sigma(f: CylinderFn) -> CylinderFn:
-    """The isometry S: precompose with the shift, raising depth by one."""
-    return shift_iterate(f, 1)
+    """The isometry S: precompose with the shift, raising depth by one.  The
+    result is stored (one np.tile); inside a product, _product reads f o sigma
+    as a view instead."""
+    check_cells(f.values.shape[0] * f.spec.N)
+    return _new(f.spec, f.depth + 1, np.tile(f.values, f.spec.N))
 
 
 def adjoint_sigma(f: CylinderFn) -> CylinderFn:
@@ -296,15 +269,6 @@ def adjoint_sigma(f: CylinderFn) -> CylinderFn:
     if f.depth == 0:
         return f
     return _new(f.spec, f.depth - 1, _average(f.spec.weight_array(), f.values))
-
-
-def shift_iterate(f: CylinderFn, k: int) -> CylinderFn:
-    """f o sigma^k, raising depth by k."""
-    if k < 0:
-        raise InputError("shift power must be >= 0")
-    reps = f.spec.N**k
-    check_cells(f.values.shape[0] * reps)
-    return _new(f.spec, f.depth + k, np.tile(f.values, reps))
 
 
 def weighted_compose(m: CylinderFn, f: CylinderFn) -> CylinderFn:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -197,20 +197,10 @@ class MomentCheck:
     expected: float
     z: float
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "expected": self.expected,
-            "z": self.z,
-        }
-
 
 @dataclass(frozen=True)
 class InvarianceReport:
     checks: tuple[MomentCheck, ...]
-    samples: int
-    seed: int
     points: np.ndarray = field(repr=False, compare=False)  # the first rows of the sample
 
     @property
@@ -219,12 +209,7 @@ class InvarianceReport:
         return float(np.max(np.abs([c.z for c in self.checks])))
 
     def to_json(self) -> dict:
-        return {
-            "checks": [c.to_json() for c in self.checks],
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_abs_z": self.max_abs_z,
-        }
+        return {"checks": [asdict(c) for c in self.checks], "max_abs_z": self.max_abs_z}
 
 
 def _block_stats(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -258,7 +243,8 @@ def strong_invariance_check(
     zero under the invariance law, and the first moments should match the
     analytic fixed point of the affine recursion.  The sample is scored one
     chaos-game block at a time, so memory does not grow with samples; the
-    report keeps the first `keep` rows of it.
+    report holds the checks and the first `keep` rows of the sample, not the
+    samples and seed its caller passed.
     """
     if samples < 10_000:
         raise InputError("use at least 1e4 samples for a meaningful z-score")
@@ -300,4 +286,4 @@ def strong_invariance_check(
     for name, mean, m2, target in zip(names, means, m2s, targets):
         stat, z = _z_score(n, float(mean), float(m2), target)
         checks.append(MomentCheck(name, stat, target, z))
-    return InvarianceReport(tuple(checks), samples, int(seed), points)
+    return InvarianceReport(tuple(checks), points)

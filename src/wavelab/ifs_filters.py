@@ -36,7 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, VerificationError, check_cells
-from .code_space import CylinderFn, IfsSpec, _Fresh, _average, _depth, _integral, _lift
+from . import jsonio
+from .code_space import CylinderFn, IfsSpec, _average, _depth, _integral, _lift
 from .code_space import multiply  # noqa: F401, the perfbench tracer test reads it here
 
 UNITARITY_TOL = 1e-13  # connecting_unitary: sup |U*U - I| of its field
@@ -47,7 +48,7 @@ RECOMBINATION_TOL = 1e-12  # connecting_unitary: sup |U . bank - target|
 class _FunctionArray:
     """Cylinder functions of one depth, stored read-only with shape
     (N,) * AXES + (N**depth,).  An array handed in is copied and frozen; an
-    operation's own, wrapped in ``_Fresh``, is frozen without a copy."""
+    operation's own, a ``jsonio.Fresh`` view, is frozen without a copy."""
 
     spec: IfsSpec
     values: np.ndarray
@@ -55,10 +56,8 @@ class _FunctionArray:
 
     def __post_init__(self):
         n = self.spec.N
-        if isinstance(self.values, _Fresh):
-            vals = self.values[0]
-        else:
-            vals = np.array(self.values, dtype=np.complex128)
+        v = self.values
+        vals = v.view(np.ndarray) if isinstance(v, jsonio.Fresh) else np.array(v, dtype=complex)
         size = vals.shape[-1] if vals.ndim else 0
         if vals.shape[:-1] != (n,) * self.AXES or _depth(size, n) < 0:
             raise InputError(f"expected shape {(n,) * self.AXES} + (N**depth,), got {vals.shape}")
@@ -374,7 +373,7 @@ def apply_loop_group(bank: FilterBank, field: MatrixField) -> FilterBank:
         raise InputError("field spec differs from bank spec")
     if not np.all(np.isfinite(field.values)):
         raise InputError("matrix field entries must be finite")
-    return FilterBank(bank.spec, _Fresh((_act(bank, field.values)[1],)))
+    return FilterBank(bank.spec, _act(bank, field.values)[1].view(jsonio.Fresh))
 
 
 def endomorphism_check(bank: FilterBank, f: CylinderFn, probe_depth: int = 2) -> float:

@@ -30,7 +30,8 @@ _CHUNK = 2**18  # characters the kernel file's window reads at a time
 
 
 class Fresh(np.ndarray):
-    """A view of an array its maker has just built: its reader adopts it without a copy."""
+    """A view of an array its maker has just built: its reader adopts it without a
+    copy, as a plain read-only ndarray (CylinderFn, a bank's arrays, KernelMatrix)."""
 
 
 def encode_complex(z: complex) -> list[float]:

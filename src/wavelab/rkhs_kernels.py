@@ -16,7 +16,9 @@ Grids should be closed under the map: for z -> z**2, a geometric chain
 z0, z0**2, ... plus the fixed point 0.
 
 The Hermitian test, refinement_residual and product_kernel run in row blocks
-of _BLOCK_CELLS cells whose maxima meet in np.max, so a NaN reaches the result.
+of _BLOCK_CELLS cells whose maxima meet in np.max, so a NaN reaches the result;
+contraction_check writes refinement_residual's blocks for its one filter into
+one matrix for the eigensolver.
 numpy's complex multiply rounds the last bit by operand order, and the former
 whole-matrix ``out * <fresh gather>`` ran with its operands swapped from
 numpy's elision size of 256 KiB up; product_kernel keeps that order.
@@ -131,6 +133,16 @@ def _gram_sum(values: np.ndarray, rows: slice, size: int) -> np.ndarray:
     return gram
 
 
+def _residual_blocks(kernel: KernelMatrix, values: np.ndarray, pset: FinitePointSet):
+    """(rows, K - (sum_n m_n conj(m_n)) K(sigma., sigma.) on those rows), block by block,
+    each block a new array."""
+    k, sigma = kernel.matrix, pset.sigma
+    for rows in _row_blocks(pset.size):
+        block = _gram_sum(values, rows, pset.size)
+        np.multiply(block, k[np.ix_(sigma[rows], sigma)], out=block)
+        yield rows, np.subtract(k[rows], block, out=block)
+
+
 def contraction_check(kernel: KernelMatrix, m: np.ndarray, pset: FinitePointSet) -> float:
     """Smallest eigenvalue of K(x,y) - m(x) conj(m(y)) K(sigma x, sigma y),
     for the values m of one filter at the points.
@@ -138,38 +150,33 @@ def contraction_check(kernel: KernelMatrix, m: np.ndarray, pset: FinitePointSet)
     Nonnegative (within eigensolver tolerance) exactly when weighted
     composition by (m, sigma) is a contraction of the kernel space.
     """
-    k = kernel.matrix
-    pulled = k[np.ix_(pset.sigma, pset.sigma)]
-    diff = k - np.outer(m, np.conj(m)) * pulled
-    return float(np.min(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)))
+    diff = np.empty(kernel.matrix.shape, dtype=complex)
+    for rows, block in _residual_blocks(kernel, np.asarray(m)[None], pset):
+        diff[rows] = block
+    hermitian = diff.conj().T
+    np.add(diff, hermitian, out=hermitian)  # diff + diff*, in that order, without a third matrix
+    del diff
+    hermitian /= 2.0
+    return float(np.min(np.linalg.eigvalsh(hermitian)))
 
 
 def refinement_residual(kernel: KernelMatrix, values: np.ndarray, pset: FinitePointSet) -> float:
     """max |K(x,y) - (sum_n m_n(x) conj(m_n(y))) K(sigma x, sigma y)|."""
-    k, sigma, maxima = kernel.matrix, pset.sigma, []
-    for rows in _row_blocks(pset.size):
-        block = _gram_sum(values, rows, pset.size)
-        np.multiply(block, k[np.ix_(sigma[rows], sigma)], out=block)
-        np.subtract(k[rows], block, out=block)
-        maxima.append(np.max(np.abs(block)))
-    return float(np.max(maxima))
+    blocks = _residual_blocks(kernel, values, pset)
+    return float(np.max([np.max(np.abs(block)) for _, block in blocks]))
 
 
-@dataclass(frozen=True)
-class ProductKernelResult:
-    kernel: KernelMatrix
-    tail_bound: float
-    orbits_reach_fixed_point: bool
-
-
-def product_kernel(values: np.ndarray, pset: FinitePointSet, terms: int) -> ProductKernelResult:
-    """Truncated product of filter Gram sums along the orbit of the map.
+def product_kernel(
+    values: np.ndarray, pset: FinitePointSet, terms: int
+) -> tuple[KernelMatrix, float]:
+    """(kernel, tail bound): the truncated product of filter Gram sums along
+    the orbit of the map.
 
     Factor k, k = 0 .. terms - 1, is the one Gram matrix gathered at
     sigma**k of each point; zero terms yield the constant kernel 1.  The
-    tail bound is the entrywise change contributed by the last factor.
-    When some orbit never settles on a fixed point the truncation cannot
-    stabilize; that is reported through the flag, never hidden.
+    tail bound is the entrywise change contributed by the last factor; it
+    means nothing unless every orbit settles on a fixed point
+    (``FinitePointSet.orbits_reach_fixed_point``), which the caller checks.
     """
     if terms < 0:
         raise InputError("term count must be >= 0")
@@ -187,8 +194,7 @@ def product_kernel(values: np.ndarray, pset: FinitePointSet, terms: int) -> Prod
             block[...] = factor
         idx = pset.sigma[idx]
     del gram  # not held while the kernel is checked
-    kernel = KernelMatrix(out.view(jsonio.Fresh), tol=1e-10)
-    return ProductKernelResult(kernel, float(np.max(tails)), pset.orbits_reach_fixed_point())
+    return KernelMatrix(out.view(jsonio.Fresh), tol=1e-10), float(np.max(tails))
 
 
 def preimage_orthogonality(

@@ -22,17 +22,17 @@ code, kept as the judge of the direct Perron solve and of the one-walk
 dilation residuals, and the gather-based cascade and the np.repeat
 lifting product are the package's former kernels, kept as the bit-for-bit
 judge of the in-place cascade and of the broadcast products, and the
-path shift and collapse that store each f o sigma**k are the judge of
-the shifted views.  The per-term
-product kernel, the whole-matrix refinement residual and Hermitian test,
+path shift and collapse that store each f o sigma**k (``shift_iterate``)
+are the judge of the shifted views.  The per-term product kernel, the
+whole-matrix refinement residual, contraction check and Hermitian test,
 and the per-entry complex JSON encoders and numpy-discovery decoders are
 the package's former code, kept as the bit-for-bit judge of the gathered
 Gram matrix, of the row blocks and of the flat-pass codecs.  The dict
 loop of ``dict_laurent_product`` is the judge of ``DictLaurent``'s
-one-scatter product.  The final
-section holds the input builders and judges that only the tests use,
-moved out of the package, among them the module Gram-Schmidt and the
-inverse weighted shift, which no command reaches.
+one-scatter product.  ``Word``, the canonical index of a symbol
+string, and the final section hold the input builders and judges that
+only the tests use, moved out of the package, among them the module
+Gram-Schmidt and the inverse weighted shift, which no command reaches.
 """
 
 import csv
@@ -46,13 +46,40 @@ import numpy as np
 
 from wavelab import code_space as cs, jsonio
 from wavelab.circle_filters import BlaschkeProduct, LaurentPoly, unit_circle_grid
-from wavelab.code_space import CylinderFn, Word
+from wavelab.code_space import CylinderFn
 from wavelab.errors import InputError, VerificationError
 from wavelab.ifs_filters import FilterBank, MatrixField, analysis, synthesis
 from wavelab.rkhs_kernels import FinitePointSet, KernelMatrix
 from wavelab.solenoid import MomentSpec, PathCylinderFn, harmonic_for, moment, pairing, weighted_shift
 from wavelab.examples_geometry import CHAOS_BURN_IN
 from wavelab.classic_mra import DIVERGENCE_RUN
+
+
+@dataclass(frozen=True)
+class Word:
+    """A finite string of symbols from {1..N}, canonically indexable."""
+
+    symbols: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def validate(self, n_branches: int) -> "Word":
+        for s in self.symbols:
+            if not 1 <= s <= n_branches:
+                raise InputError(f"symbol {s} outside 1..{n_branches}")
+        return self
+
+    def index(self, n_branches: int) -> int:
+        """Canonical index, first symbol most significant."""
+        self.validate(n_branches)
+        i = 0
+        for s in self.symbols:
+            i = i * n_branches + (s - 1)
+        return i
 
 
 def words(n: int, length: int):
@@ -773,6 +800,13 @@ def refinement_residual_whole(kernel: np.ndarray, values, sigma) -> float:
     return float(np.max(np.abs(kernel - gram * pulled)))
 
 
+def contraction_check_whole(kernel: np.ndarray, m, sigma) -> float:
+    """The package's former contraction check over the whole matrix."""
+    pulled = kernel[np.ix_(sigma, sigma)]
+    diff = kernel - np.outer(m, np.conj(m)) * pulled
+    return float(np.min(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)))
+
+
 def hermitian_verdict(k: np.ndarray, tol: float) -> bool:
     """The package's former whole-matrix Hermitian test of a kernel."""
     return not np.max(np.abs(k - k.conj().T)) > tol * max(1.0, float(np.max(np.abs(k))))
@@ -878,6 +912,14 @@ def _times(a, b):
     return b if a is None else a if b is None else cs.multiply(a, b)
 
 
+def shift_iterate(f: CylinderFn, k: int) -> CylinderFn:
+    """f o sigma^k stored, raising depth by k: N**k tiles of f's values through
+    the public constructor, sharing no code with the package's shifted views."""
+    if k < 0:
+        raise InputError("shift power must be >= 0")
+    return CylinderFn(f.spec, f.depth + k, np.tile(f.values, f.spec.N**k))
+
+
 def path_compose_shift(f: PathCylinderFn) -> PathCylinderFn:
     """F o shift: indices drop by one, coordinate 0 picks up a stored g_0 o sigma."""
     terms = []
@@ -902,7 +944,7 @@ def stored_collapse(f: PathCylinderFn) -> tuple[int, CylinderFn]:
         acc = CylinderFn.constant(f.spec, c)
         for n, g in enumerate(s):
             if g is not None:
-                acc = cs.multiply(acc, cs.shift_iterate(g, top - n))
+                acc = cs.multiply(acc, shift_iterate(g, top - n))
         total = total + acc
     return top, total
 

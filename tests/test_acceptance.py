@@ -353,8 +353,8 @@ def test_criterion_09_kernels():
     filters = np.array([np.ones(12), pset.points])
     kernel = oracle.szego_kernel(pset.points)
     refinement = refinement_residual(kernel, filters, pset)
-    truncated = product_kernel(filters, pset, 30)
-    product_err = float(np.max(np.abs(truncated.kernel.matrix - kernel.matrix)))
+    truncated, _ = product_kernel(filters, pset, 30)
+    product_err = float(np.max(np.abs(truncated.matrix - kernel.matrix)))
     roots_pts = np.exp(2j * np.pi * np.arange(8) / 8)
     covering = FinitePointSet(roots_pts, (2 * np.arange(8)) % 8)
     fiber_residual, _ = preimage_orthogonality(np.array([np.ones(8), roots_pts]), covering)

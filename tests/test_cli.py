@@ -144,6 +144,21 @@ def test_decompose_and_endo(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["build-filter", "verify-filter", "apply-unitary", "endo-check"])
+def test_probe_depth_zero_exits_2(tmp_path, capsys, command):
+    bank = write(tmp_path / "bank.json", build_indicator(IfsSpec(2)).to_json())
+    unitary = write(tmp_path / "u.json", {"matrix": jsonio.encode_cmatrix(np.eye(2))})
+    fn = write(tmp_path / "fn.json", CylinderFn(IfsSpec(2), 1, [1.0, 2.0]).to_json())
+    inputs = {
+        "build-filter": ["--kind", "indicator", "--N", "2"],
+        "verify-filter": ["--bank", bank],
+        "apply-unitary": ["--bank", bank, "--unitary", unitary],
+        "endo-check": ["--bank", bank, "--fn", fn],
+    }
+    assert run(["ifs", command, *inputs[command], "--depth", "0"]) == 2
+    assert capsys.readouterr() == ("", "wavelab: probe depth must be >= 1\n")
+
+
 def test_decompose_writes_a_tree_that_reconstructs(tmp_path, capsys):
     bank_path = tmp_path / "bank.json"
     run(["ifs", "build-filter", "--kind", "roots", "--N", "2", "--out", str(bank_path)])
@@ -457,6 +472,28 @@ def test_circle_matrix_and_verify_fail_closed_on_nan_tap(tmp_path, capsys):
         code = run(argv + ["--filters", path, "--N", "2"])
         out = capsys.readouterr().out
         assert code in (1, 2) and '"pass": true' not in out, argv
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("0", "WAVELAB_MAX_CELLS must be positive, got 0"),
+    ("abc", "WAVELAB_MAX_CELLS must be an integer, got 'abc'"),
+])
+def test_a_bad_cell_cap_is_one_usage_error_for_every_command(tmp_path, capsys, monkeypatch, raw, message):
+    # judged after parsing and before any input file is read: none of these files exists
+    missing = str(tmp_path / "missing.json")
+    commands = [
+        ["ifs", "verify-filter", "--bank", missing],
+        ["circle", "verify", "--filters", missing, "--N", "2"],
+        ["mra", "product", "--m0", missing, "--t", "0.5"],
+        ["solenoid", "moment", "--file", missing],
+        ["rkhs", "check", "--points", missing, "--kernel", missing, "--filters", missing],
+        ["examples", "logistic"],
+    ]
+    assert {argv[0] for argv in commands} == set(cli.COMMANDS)
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", raw)
+    for argv in commands:
+        assert run(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"wavelab: {message}\n"), argv
 
 
 def _exits_2_one_below_the_cap(argv, cells, capsys, monkeypatch):
@@ -987,12 +1024,14 @@ def _malformed_kernels(good: str) -> dict[str, str]:
         "no-object": json.dumps(obj["matrix"]),
         "no-rows": '{"matrix": [], "tol": 1}',
         "no-matrix": '{"tol": 1}',
+        "int-key": '{1: 2}',
+        "no-colon": '{"matrix" 1}',
     }
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7, jsonio._CHUNK])  # a window's edge inside every token
 @pytest.mark.parametrize("case", ["truncated", "ragged", "nan", "string", "bom", "trailing",
-                                  "no-object", "no-rows", "no-matrix"])
+                                  "no-object", "no-rows", "no-matrix", "int-key", "no-colon"])
 def test_a_malformed_kernel_fails_as_the_whole_tree_does(tmp_path, capsys, monkeypatch, case, chunk):
     inputs, kernel = _rkhs_files(tmp_path)
     bad = tmp_path / "bad.json"
@@ -1552,10 +1591,10 @@ def test_package_names_load_code_space_on_use():
         "import sys, types\n"
         "import wavelab.cli\n"
         "assert type(sys.modules['wavelab.code_space']) is not types.ModuleType\n"
-        "from wavelab import CylinderFn, IfsSpec, Word\n"
+        "from wavelab import CylinderFn, IfsSpec\n"
         "cs = wavelab.code_space\n"
-        "assert (CylinderFn, IfsSpec, Word) == (cs.CylinderFn, cs.IfsSpec, cs.Word)\n"
-        "assert wavelab.__all__ == ['CylinderFn', 'IfsSpec', 'Word']\n"
+        "assert (CylinderFn, IfsSpec) == (cs.CylinderFn, cs.IfsSpec)\n"
+        "assert wavelab.__all__ == ['CylinderFn', 'IfsSpec']\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -1701,12 +1740,12 @@ def test_solenoid_dilation_stores_no_shifted_operand(tmp_path, capsys, monkeypat
     # S_m and the weighted shift read f o sigma as a view, never as a stored copy
     stored = []
 
-    def shift_iterate(f, k):
-        stored.append(k)
-        raise AssertionError("f o sigma**k was stored")
+    def compose_sigma(f):
+        stored.append(f)
+        raise AssertionError("f o sigma was stored")
 
     for module in (code_space, solenoid):
-        monkeypatch.setattr(module, "shift_iterate", shift_iterate, raising=False)
+        monkeypatch.setattr(module, "compose_sigma", compose_sigma)
     path = _admissible_dilation_file(tmp_path, list(range(-10, 11)))
     code, result = run_json(capsys, ["solenoid", "dilation", "--file", path])
     assert stored == [] and code == 0 and len(result["residuals"]) == 21

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import random_cylinder
-from oracle import conditional_expectation, lift_cylinder
+from oracle import Word, conditional_expectation, lift_cylinder, shift_iterate
 from wavelab.code_space import (
     CylinderFn,
     IfsSpec,
-    Word,
     _average,
     _depth,
     _product,
@@ -20,7 +19,6 @@ from wavelab.code_space import (
     integrate,
     multiply,
     ruelle_apply,
-    shift_iterate,
     sup_distance,
     weighted_adjoint,
     weighted_compose,

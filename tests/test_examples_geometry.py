@@ -265,7 +265,7 @@ def test_blocked_z_scores_match_whole_sample_statistics():
 def test_invariance_verdict_fails_closed_on_a_nan_z():
     # max(1.0, nan) is 1.0, so a max(|z|) < bound verdict passed here
     checks = (MomentCheck("mean[0]", 0.5, 0.5, 1.0), MomentCheck("mean[1]", 0.5, 0.5, math.nan))
-    report = InvarianceReport(checks, 10_000, 1, np.empty((0, 2)))
+    report = InvarianceReport(checks, np.empty((0, 2)))
     assert not _all_below(4.0, report.max_abs_z)  # examples fractal's verdict
     assert math.isnan(report.max_abs_z)  # the reported residual agrees with the verdict
 

@@ -11,9 +11,7 @@ syntax tree outside every definition of that name uses it:
   table of builder names or ``__all__``.
 
 Comments, docstrings and the literal text of messages (f-strings
-included) are not uses.  A class that only an ``__all__`` list reaches
-(``Word``) is exported for library users as a whole, so its methods count
-as reached with it; the methods of a class that code uses must be used
+included) are not uses, and the methods of a class must be used
 themselves.  Names that only tests reach belong in ``tests/oracle.py``;
 the few kept on purpose are listed in ``KEPT`` with their reason.
 """
@@ -85,23 +83,17 @@ def unreached(sources, scripts):
     trees = {label: ast.parse(text) for label, text in {**sources, **scripts}.items()}
     definitions = defaultdict(set)  # name -> (label, line) inside a definition of it
     owners = defaultdict(set)  # name -> the classes that define it, None at module level
-    exports = set()  # (label, line) of every __all__ list
     for label in sources:
         for name, node, owner in public_definitions(trees[label]):
             if not name.startswith("_"):
                 definitions[name] |= _lines(label, node)
                 owners[name].add(owner)
-        for node in trees[label].body:
-            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-                exports |= _lines(label, node)
     module_names = {name for name, classes in owners.items() if None in classes}
     used = defaultdict(set)  # name -> (label, line) of its uses
     for label, tree in trees.items():
         for name, line in uses(tree, module_names):
             used[name].add((label, line))
-    outside = {name: used[name] - inside for name, inside in definitions.items()}
-    library = {name for name, where in outside.items() if where and where <= exports}
-    return {name for name, where in outside.items() if not where and not owners[name] & library}
+    return {name for name, inside in definitions.items() if not used[name] - inside}
 
 
 def _texts(paths):
@@ -118,8 +110,6 @@ def test_every_oracle_name_is_reached_from_the_tests():
 
 def test_comments_docstrings_and_messages_do_not_reach():
     library = (
-        '__all__ = ["Exported"]\n'
-        "\n"
         "def orphan():\n"
         "    return 1\n"
         "\n"
@@ -132,10 +122,6 @@ def test_comments_docstrings_and_messages_do_not_reach():
         "class Holder:\n"
         "    def member(self):\n"
         "        return 4\n"
-        "\n"
-        "class Exported:\n"
-        "    def method(self):\n"
-        "        return 5\n"
     )
     user = (
         '"""orphan"""\n'
@@ -152,5 +138,3 @@ def test_comments_docstrings_and_messages_do_not_reach():
     # the same names in code reach them
     reaching = user + "\nrun(orphan)\nHolder().member()\n"
     assert unreached({"library.py": library}, {"user.py": reaching}) == set()
-    # an exported class that code also uses is no longer reached as a whole
-    assert unreached({"library.py": library}, {"user.py": reaching + "Exported()\n"}) == {"method"}

@@ -10,7 +10,6 @@ from wavelab.code_space import (
     compose_sigma,
     integrate,
     multiply,
-    shift_iterate,
     weighted_adjoint,
     weighted_compose,
 )
@@ -425,7 +424,7 @@ def test_state_moment_matches_path_pairing(spec2, rng):
     cocycle = CylinderFn.ones(spec2)  # m (m o sigma) ... (m o sigma^(k-1))
     for k in (0, 1, 2, 3):
         direct = integrate(multiply(multiply(cocycle, f), h))
-        cocycle = multiply(cocycle, shift_iterate(m, k))
+        cocycle = multiply(cocycle, oracle.shift_iterate(m, k))
         acc = PathCylinderFn.constant(spec2, 1.0)
         for _ in range(k):
             acc = weighted_shift(acc, m)
