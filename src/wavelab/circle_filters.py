@@ -277,13 +277,12 @@ class BlaschkeFactor:
     power: int
 
     def __post_init__(self):
-        p = np.array(self.projection, dtype=complex)
+        p = jsonio.frozen(self.projection)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise InputError("projection must be a square matrix")
         # written so that a non-finite P fails
         if not (np.max(np.abs(p - p.conj().T)) <= 1e-13 and np.max(np.abs(p @ p - p)) <= 1e-13):
             raise InputError("projection must satisfy P = P* = P^2")
-        p.setflags(write=False)
         object.__setattr__(self, "projection", p)
         if self.a is not None:
             a = complex(self.a)
@@ -320,12 +319,11 @@ class BlaschkeProduct:
     factors: tuple[BlaschkeFactor, ...]
 
     def __post_init__(self):
-        v = np.array(self.left_unitary, dtype=complex)
+        v = jsonio.frozen(self.left_unitary)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InputError("left unitary must be a square matrix")
         if not np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) <= 1e-12:
             raise InputError("left factor must be unitary")
-        v.setflags(write=False)
         object.__setattr__(self, "left_unitary", v)
         object.__setattr__(self, "factors", tuple(self.factors))
         for f in self.factors:

@@ -177,12 +177,8 @@ def _point_filters(obj, size: int) -> np.ndarray:
     filters = [jsonio.decode_cvector(values) for values in obj]
     for f in filters:
         if f.shape != (size,):
-            raise InputError(
-                f"filter length {f.shape[0]} does not match the {size} points"
-            )
-    values = np.array(filters)
-    values.setflags(write=False)
-    return values
+            raise InputError(f"filter length {f.shape[0]} does not match the {size} points")
+    return jsonio.frozen(filters)
 
 
 def _kernel(obj, size: int) -> rkhs.KernelMatrix:
@@ -227,7 +223,8 @@ def _verify_report(args, bank: ifsf.FilterBank, results: dict | None = None) -> 
     report = ifsf.verify_filter(bank, probe_depth=args.depth, tol=args.tol)
     if getattr(args, "out", None):  # verify-filter has no --out
         jsonio.dump_file(args.out, bank.to_json())
-    payload = {"residuals": report.to_json(), "tolerances": {"tol": args.tol}}
+    residuals = {**report.to_json(), "tol": args.tol, "probe_depth": args.depth}
+    payload = {"residuals": residuals, "tolerances": {"tol": args.tol}}
     return (payload if results is None else {"results": results, **payload}), report.passed
 
 

@@ -84,8 +84,8 @@ class CylinderFn:
     """A complex function of the first ``depth`` symbols.
 
     ``values`` holds one entry per word of length ``depth`` in canonical
-    order.  An array handed in is copied and frozen; an operation's own, a
-    ``jsonio.Fresh`` view, is frozen without a copy.
+    order, taken by ``jsonio.frozen``: an operation's own 1-D ``Fresh`` view
+    (cap checked) is adopted; any other is checked, copied and flattened.
     """
 
     spec: IfsSpec
@@ -94,19 +94,18 @@ class CylinderFn:
 
     def __post_init__(self):
         size = self.spec.N**self.depth
-        if isinstance(self.values, jsonio.Fresh):  # its operation checked the cap already
-            vals = self.values.view(np.ndarray)
-        else:
+        if not isinstance(self.values, jsonio.Fresh):
             if self.depth < 0:
                 raise InputError(f"depth must be >= 0, got {self.depth}")
             check_cells(size)
-            vals = np.array(self.values, dtype=np.complex128).ravel()
+        vals = jsonio.frozen(self.values)
+        if vals.ndim != 1:  # a caller's nested values, flattened as a view of the copy
+            vals = vals.reshape(-1)
         if vals.shape != (size,):
             raise InputError(
                 f"depth {self.depth} over {self.spec.N} branches needs "
                 f"{size} values, got {vals.shape[0]}"
             )
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     # -- constructors --------------------------------------------------------
@@ -173,11 +172,12 @@ class CylinderFn:
         return cls(spec, depth, jsonio.decode_cvector(obj["values"]))
 
 
-def _require_same_spec(f: CylinderFn, g: CylinderFn) -> None:
-    if f.spec != g.spec:
-        raise InputError(
-            f"operands live over different systems: {f.spec} vs {g.spec}"
-        )
+def _require_same_spec(spec: IfsSpec, *others: IfsSpec) -> None:
+    """The one check that operands share an IFS: each of others is spec.  It runs
+    on every product, so the same object passes before any comparison."""
+    for other in others:
+        if other is not spec and other != spec:
+            raise InputError(f"operands live over different systems: {spec} vs {other}")
 
 
 def _align(f: CylinderFn, g: CylinderFn) -> tuple[np.ndarray, np.ndarray, int]:
@@ -185,7 +185,7 @@ def _align(f: CylinderFn, g: CylinderFn) -> tuple[np.ndarray, np.ndarray, int]:
 
     The shallower one is (N**shallow, 1), so it broadcasts as its lift
     would; a product of unequal depths checks its N**depth cells."""
-    _require_same_spec(f, g)
+    _require_same_spec(f.spec, g.spec)
     shallow, depth = sorted((f.depth, g.depth))
     if shallow != depth:
         check_cells(f.spec.N**depth)
@@ -235,7 +235,7 @@ def _product(f: CylinderFn, g: CylinderFn, shifts: tuple[int, int]) -> CylinderF
     """(f o sigma**j) * (g o sigma**k), (j, k) = shifts, into one new array: an
     operand is a view with extent 1 on the blocks of symbols (cut at both
     operands' ends) it does not read.  Checks the product's N**depth cells."""
-    _require_same_spec(f, g)
+    _require_same_spec(f.spec, g.spec)
     n, spans = f.spec.N, [(k, k + x.depth) for x, k in zip((f, g), shifts)]
     cuts = sorted({0}.union(*spans))
     check_cells(n ** cuts[-1])
@@ -337,7 +337,7 @@ def harmonic_solve(W: CylinderFn) -> CylinderFn:
     except np.linalg.LinAlgError:  # a ValueError, which the CLI reads as bad input
         vals = np.full(size, np.nan)
     h = _new(W.spec, depth, vals + 0j)
-    residual, defect = density_defect(W, h)
+    defect = density_defect(W, h)[1]
     if not defect:
         return h
     mat[:] = 0.0  # R_W again, in the same buffer
@@ -351,7 +351,7 @@ def harmonic_solve(W: CylinderFn) -> CylinderFn:
         spectrum = f"Perron eigenvalue {eigs[0]:.6g}, |lambda_2/lambda_1| {ratio:.3g}"
         spectrum += " (Arnoldi estimates)" if estimated else ""
     msg = f"no transfer-harmonic density ({defect}; {spectrum})"
-    raise VerificationError(msg, residual=residual)
+    raise VerificationError(msg)
 
 
 def _arnoldi(mat: np.ndarray) -> np.ndarray:

@@ -22,14 +22,7 @@ class CellCapError(InputError):
 
 
 class VerificationError(Exception):
-    """A check, a precondition or an iterative solve failed on well-formed input: exit 1.
-
-    ``residual`` carries the residual of a solve whose result failed its check.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """A check, a precondition or an iterative solve failed on well-formed input: exit 1."""
 
 
 def max_cells() -> int:

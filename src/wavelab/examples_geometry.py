@@ -67,11 +67,11 @@ class AffineIfs:
     weights: tuple[float, ...] = ()
 
     def __post_init__(self):
-        a = np.array(self.matrix, dtype=int)
+        a = jsonio.frozen(self.matrix, dtype=int)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError("matrix must be square")
         d = a.shape[0]
-        b = np.array(self.digits, dtype=int)
+        b = jsonio.frozen(self.digits, dtype=int)
         if b.ndim != 2 or b.shape[1] != d or b.shape[0] < 1:
             raise InputError(f"digits must be row vectors of dimension {d}")
         eigs = np.linalg.eigvals(a.astype(float))
@@ -83,8 +83,6 @@ class AffineIfs:
                 q = inv @ (b[i] - b[j])
                 if np.max(np.abs(q - np.round(q))) < 1e-9:
                     raise InputError(f"digits {i} and {j} coincide modulo the matrix lattice")
-        a.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "digits", b)
         object.__setattr__(self, "weights", branch_weights(self.weights, b.shape[0]))

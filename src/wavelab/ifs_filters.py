@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InputError, VerificationError, check_cells
 from . import jsonio
-from .code_space import CylinderFn, IfsSpec, _average, _depth, _integral, _lift
+from .code_space import CylinderFn, IfsSpec, _average, _depth, _integral, _lift, _require_same_spec
 from .code_space import multiply  # noqa: F401, the perfbench tracer test reads it here
 
 UNITARITY_TOL = 1e-13  # connecting_unitary: sup |U*U - I| of its field
@@ -47,22 +47,19 @@ RECOMBINATION_TOL = 1e-12  # connecting_unitary: sup |U . bank - target|
 @dataclass(frozen=True, eq=False)
 class _FunctionArray:
     """Cylinder functions of one depth, stored read-only with shape
-    (N,) * AXES + (N**depth,).  An array handed in is copied and frozen; an
-    operation's own, a ``jsonio.Fresh`` view, is frozen without a copy."""
+    (N,) * AXES + (N**depth,) through ``jsonio.frozen``: an operation's own
+    ``jsonio.Fresh`` view is adopted, any other array copied."""
 
     spec: IfsSpec
     values: np.ndarray
     AXES = 1
 
     def __post_init__(self):
-        n = self.spec.N
-        v = self.values
-        vals = v.view(np.ndarray) if isinstance(v, jsonio.Fresh) else np.array(v, dtype=complex)
+        n, vals = self.spec.N, jsonio.frozen(self.values)
         size = vals.shape[-1] if vals.ndim else 0
         if vals.shape[:-1] != (n,) * self.AXES or _depth(size, n) < 0:
             raise InputError(f"expected shape {(n,) * self.AXES} + (N**depth,), got {vals.shape}")
         check_cells(size)
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -74,8 +71,7 @@ class _FunctionArray:
         """N**AXES cylinder functions in row-major order, lifted to their common depth."""
         if len(fns) != spec.N**cls.AXES:
             raise InputError(f"expected {spec.N**cls.AXES} functions, got {len(fns)}")
-        if any(f.spec != spec for f in fns):
-            raise InputError("function spec differs from the bank or field spec")
+        _require_same_spec(spec, *[f.spec for f in fns])
         depth = max(f.depth for f in fns)
         values = np.array([_lift(f.values, spec.N, depth) for f in fns])
         return cls(spec, values.reshape((spec.N,) * cls.AXES + (-1,)))
@@ -142,8 +138,6 @@ class FilterReport:
     orthonormality: np.ndarray  # (N, N) max-abs residual of S*(conj(m_j) m_k) - delta
     completeness: float
     passed: bool
-    tol: float
-    probe_depth: int
 
     @property
     def orthonormality_residual(self) -> float:
@@ -155,8 +149,6 @@ class FilterReport:
             "orthonormality_residual": self.orthonormality_residual,
             "completeness_residual": float(self.completeness),
             "pass": bool(self.passed),
-            "tol": float(self.tol),
-            "probe_depth": int(self.probe_depth),
         }
 
 
@@ -239,7 +231,7 @@ def verify_filter(bank: FilterBank, probe_depth: int = 3, tol: float = 1e-12) ->
     orth = np.max(np.abs(gram - np.eye(n)[:, :, None]), axis=2)
     comp = _tail_residual(bank, depth)
     passed = bool(orth.max() < tol and comp < tol)
-    return FilterReport(orth, comp, passed, tol, probe_depth)
+    return FilterReport(orth, comp, passed)
 
 
 def analysis(bank: FilterBank, level: np.ndarray) -> np.ndarray:
@@ -285,8 +277,7 @@ def multires_decompose(
         raise InputError("levels must be >= 0")
     if levels > f.depth:
         raise InputError(f"cannot run {levels} levels on a depth-{f.depth} function")
-    if f.spec != bank.spec:
-        raise InputError("function spec differs from bank spec")
+    _require_same_spec(bank.spec, f.spec)
     level, details = f.values[None], []
     for _ in range(levels):
         level = analysis(bank, level)
@@ -339,8 +330,7 @@ def connecting_unitary(bank: FilterBank, target: FilterBank, tol: float = 1e-10)
     Both banks must verify; the result is checked to be pointwise unitary
     and to recombine the target exactly.
     """
-    if bank.spec != target.spec:
-        raise InputError("banks over different systems")
+    _require_same_spec(bank.spec, target.spec)
     for b in (bank, target):
         report = verify_filter(b, probe_depth=max(1, b.depth), tol=tol)
         if not report.passed:
@@ -369,8 +359,7 @@ def apply_loop_group(bank: FilterBank, field: MatrixField) -> FilterBank:
     For a pointwise-unitary field the image verifies again; the caller is
     expected to check otherwise.
     """
-    if bank.spec != field.spec:
-        raise InputError("field spec differs from bank spec")
+    _require_same_spec(bank.spec, field.spec)
     if not np.all(np.isfinite(field.values)):
         raise InputError("matrix field entries must be finite")
     return FilterBank(bank.spec, _act(bank, field.values)[1].view(jsonio.Fresh))
@@ -385,8 +374,7 @@ def endomorphism_check(bank: FilterBank, f: CylinderFn, probe_depth: int = 2) ->
     a t of depth max(bank depth, f.depth + 1); ``probe_depth`` changes
     neither the result nor the cost.
     """
-    if f.spec != bank.spec:
-        raise InputError("function spec differs from bank spec")
+    _require_same_spec(bank.spec, f.spec)
     if probe_depth < 1:
         raise InputError("probe depth must be >= 1")
     return _tail_residual(bank, max(bank.depth, f.depth + 1), f)

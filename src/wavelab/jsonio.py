@@ -1,4 +1,4 @@
-"""Complex-valued JSON plumbing.
+"""Complex-valued JSON plumbing, and the one way a record takes an array.
 
 Every file format in this package serializes a complex number as a
 two-element ``[re, im]`` list.  ``dumps`` sorts keys so that identical
@@ -13,6 +13,9 @@ file and reads that member's rows into one array sized from the first row,
 so neither its tree nor the whole text exists.  Where the walk does not apply
 (another document, malformed rows, trailing data, a matrix not square or
 over the cell cap), ``json.loads`` reads the text.
+
+Records store their arrays read-only through ``frozen``: a ``Fresh`` view,
+which its maker has just built, is adopted, and anything else copied.
 """
 
 from __future__ import annotations
@@ -30,8 +33,15 @@ _CHUNK = 2**18  # characters the kernel file's window reads at a time
 
 
 class Fresh(np.ndarray):
-    """A view of an array its maker has just built: its reader adopts it without a
-    copy, as a plain read-only ndarray (CylinderFn, a bank's arrays, KernelMatrix)."""
+    """A view of an array its maker has just built and hands over: ``frozen``
+    adopts it without a copy, as a plain read-only ndarray."""
+
+
+def frozen(values, dtype=complex) -> np.ndarray:
+    """values as a read-only ndarray: a Fresh view as it is, anything else copied as dtype."""
+    out = values.view(np.ndarray) if isinstance(values, Fresh) else np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 def encode_complex(z: complex) -> list[float]:

@@ -55,16 +55,14 @@ class FinitePointSet:
     sigma: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points)
+        pts = jsonio.frozen(self.points, dtype=None)
         if pts.ndim not in (1, 2) or pts.shape[0] == 0:
             raise InputError("points must be a nonempty vector or matrix")
-        sig = np.array(self.sigma, dtype=int)
+        sig = jsonio.frozen(self.sigma, dtype=int)
         if sig.shape != (pts.shape[0],):
             raise InputError("sigma must give one target index per point")
         if np.any(sig < 0) or np.any(sig >= pts.shape[0]):
             raise InputError("sigma indices out of range")
-        pts.setflags(write=False)
-        sig.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "sigma", sig)
 
@@ -96,7 +94,7 @@ class KernelMatrix:
     """A Hermitian kernel over the point set, with its comparison tolerance.
 
     Symmetry is judged at the kernel's scale: max|K - K*| <= tol max(1, max|K|).
-    A jsonio.Fresh array, loaded or built, is adopted, any other copied; both are frozen.
+    ``jsonio.frozen`` takes the matrix: a Fresh one, loaded or built, is adopted, any other copied.
     """
 
     MEMBER = "matrix"  # the member of a kernel file that holds the matrix
@@ -104,15 +102,13 @@ class KernelMatrix:
     tol: float = HERMITIAN_TOL
 
     def __post_init__(self):
-        k = self.matrix
-        k = k.view(np.ndarray) if isinstance(k, jsonio.Fresh) else np.array(k, dtype=complex)
+        k = jsonio.frozen(self.matrix)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise InputError("kernel must be a square matrix")
         asym, top = np.max([(np.abs(k[r] - k[:, r].conj().T).max(), np.abs(k[r]).max())
                             for r in _row_blocks(len(k))], axis=0)
         if asym > self.tol * max(1.0, float(top)):
             raise InputError("kernel must be Hermitian")
-        k.setflags(write=False)
         object.__setattr__(self, "matrix", k)
 
     def to_json(self) -> dict:
@@ -148,7 +144,8 @@ def contraction_check(kernel: KernelMatrix, m: np.ndarray, pset: FinitePointSet)
     for the values m of one filter at the points.
 
     Nonnegative (within eigensolver tolerance) exactly when weighted
-    composition by (m, sigma) is a contraction of the kernel space.
+    composition by (m, sigma) is a contraction of the kernel space.  NaN when
+    the Hermitian part is not finite, which the eigensolver rejects.
     """
     diff = np.empty(kernel.matrix.shape, dtype=complex)
     for rows, block in _residual_blocks(kernel, np.asarray(m)[None], pset):
@@ -157,6 +154,8 @@ def contraction_check(kernel: KernelMatrix, m: np.ndarray, pset: FinitePointSet)
     np.add(diff, hermitian, out=hermitian)  # diff + diff*, in that order, without a third matrix
     del diff
     hermitian /= 2.0
+    if not np.isfinite(hermitian).all():
+        return float("nan")
     return float(np.min(np.linalg.eigvalsh(hermitian)))
 
 

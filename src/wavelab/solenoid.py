@@ -39,6 +39,7 @@ from .code_space import (
     weighted_adjoint,
     weighted_compose,
     _product,
+    _require_same_spec,
     _require_weight,
 )
 
@@ -57,10 +58,7 @@ class PathCylinderFn:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        for _, slots in self.terms:
-            for g in slots:
-                if g is not None and g.spec != self.spec:
-                    raise InputError("factor spec differs from path spec")
+        _require_same_spec(self.spec, *[g.spec for _, s in self.terms for g in s if g is not None])
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -76,8 +74,7 @@ class PathCylinderFn:
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "PathCylinderFn") -> "PathCylinderFn":
-        if self.spec != other.spec:
-            raise InputError("path functions over different systems")
+        _require_same_spec(self.spec, other.spec)
         return PathCylinderFn(self.spec, self.terms + other.terms)
 
     def __sub__(self, other: "PathCylinderFn") -> "PathCylinderFn":
@@ -87,8 +84,7 @@ class PathCylinderFn:
         if isinstance(other, (int, float, complex)):
             terms = tuple((complex(c * other), s) for c, s in self.terms)
             return PathCylinderFn(self.spec, terms)
-        if self.spec != other.spec:
-            raise InputError("path functions over different systems")
+        _require_same_spec(self.spec, other.spec)
         terms = tuple(
             (c * d, tuple(map(_times, s, t)) + s[len(t) :] + t[len(s) :])
             for c, s in self.terms
@@ -137,9 +133,7 @@ def _times(a: CylinderFn | None, b: CylinderFn | None) -> CylinderFn | None:
 
 
 def path_sup_distance(f: PathCylinderFn, g: PathCylinderFn) -> float:
-    """Sup distance of the collapsed normal forms (pointwise, not only a.e.)."""
-    if f.spec != g.spec:
-        raise InputError("path functions over different systems")
+    """Sup distance of the collapsed normal forms (pointwise, not only a.e.); f - g checks specs."""
     _, a = (f - g).collapse()
     return a.sup_norm()
 
@@ -147,8 +141,7 @@ def path_sup_distance(f: PathCylinderFn, g: PathCylinderFn) -> float:
 def weighted_shift(f: PathCylinderFn, m: CylinderFn) -> PathCylinderFn:
     """The dilation F -> (m o pi_0) (F o shift) of S_m: slots 2, 3, ... move
     down by one, and slot 0 becomes m (g_0 o sigma) g_1, g_0 o sigma a view."""
-    if m.spec != f.spec:
-        raise InputError("weight spec differs from path spec")
+    _require_same_spec(f.spec, m.spec)
     terms = []
     for c, s in f.terms:
         g0, g1 = (s + (None, None))[:2]
@@ -172,8 +165,7 @@ def moment(fs: Sequence[CylinderFn], weight: CylinderFn, h: CylinderFn) -> compl
 
 def expectation(f: PathCylinderFn, weight: CylinderFn, h: CylinderFn) -> complex:
     """E_P[F] by the nested transfer formula, term by term."""
-    if weight.spec != f.spec or h.spec != f.spec:
-        raise InputError("weight or density spec differs from path spec")
+    _require_same_spec(f.spec, weight.spec, h.spec)
     total, one = 0.0 + 0.0j, CylinderFn.ones(f.spec)
     for c, s in f.terms:
         total += c * moment([one if g is None else g for g in s] or [one], weight, h)
@@ -211,9 +203,8 @@ class MomentSpec:
         object.__setattr__(self, "coords", tuple(self.coords))
         if not self.coords:
             raise InputError("moment spec needs at least the coordinate-0 function")
-        for g in (self.weight, self.h, *self.coords):
-            if g is not None and g.spec != self.spec:
-                raise InputError("moment component spec mismatch")
+        parts = (self.weight, self.h, *self.coords)
+        _require_same_spec(self.spec, *[g.spec for g in parts if g is not None])
         defect = self.h is not None and density_defect(self.weight, self.h)[1]
         if defect:
             raise InputError(f"h is not a transfer-harmonic density: {defect}")

@@ -565,18 +565,17 @@ def power_harmonic(W: CylinderFn, depth=None, tol: float = 1e-10, max_iter: int 
     if depth is None:
         depth = max(W.depth - 1, 0)
     h = lift_cylinder(CylinderFn.ones(W.spec), depth)
-    residual = None
     for _ in range(max_iter):
         nxt = lift_cylinder(cs.ruelle_apply(W, h), depth)
         total = cs.integrate(nxt)
         if abs(total) < 1e-300:
-            raise VerificationError("transfer iterate vanished", residual=residual)
+            raise VerificationError("transfer iterate vanished")
         nxt = nxt / total
         residual = cs.sup_distance(lift_cylinder(cs.ruelle_apply(W, nxt), depth), nxt)
         h = nxt
         if residual < tol:
             return h
-    raise VerificationError(f"no fixed point after {max_iter} iterations", residual=residual)
+    raise VerificationError(f"no fixed point after {max_iter} iterations")
 
 
 def dilation_check(m: CylinderFn, f: CylinderFn, g: CylinderFn, n: int, h: CylinderFn) -> float:

@@ -211,7 +211,7 @@ def test_decompose_rejects_a_function_over_another_system(tmp_path, capsys, leve
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "function spec differs from bank spec" in captured.err
+        assert f"operands live over different systems: {bank.spec} vs {fn.spec}" in captured.err
 
 
 def test_decompose_level_over_cell_cap_exits_2(tmp_path, capsys, monkeypatch):
@@ -916,6 +916,96 @@ def test_numeric_fields_must_be_json_numbers(name, tmp_path, capsys):
     assert captured.out == "" and path in captured.err
 
 
+def _input_rule_files(name) -> list:
+    """The JSON files of one INPUT_RULES case: the command's first file, then its second."""
+    bank2, bank3 = build_indicator(IfsSpec(2)).to_json(), build_indicator(IfsSpec(3)).to_json()
+    haar = [jsonio.encode_cvector(haar_taps()), jsonio.encode_cvector([2**-0.5, -(2**-0.5)])]
+    factor = BlaschkeFactor(np.diag([1.0, 0.0]), 0.5, 2)
+    product = oracle.blaschke_json(oracle.blaschke_product([factor]))
+    row, one = [[[1.0, 0.0], [0.0, 0.0]]], [[[1.0, 0.0]]]  # a 1 x 2 and a 1 x 1 matrix
+
+    def with_factor(**edit):
+        return {**product, "factors": [{**product["factors"][0], **edit}]}
+
+    other_weights = {**bank2["filters"][1], "weights": [0.25, 0.75]}
+    moment = {"spec": {"N": 3}, "W": CylinderFn.ones(IfsSpec(3)).to_json(), "h": "auto",
+              "coords": [CylinderFn.ones(IfsSpec(2)).to_json()]}
+    return {
+        "field NaN": [bank2, {"matrix": [[[np.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}],
+        "field N=3": [bank2, MatrixField.from_matrix(IfsSpec(3), np.eye(3)).to_json()],
+        "connect N=2 N=3": [bank2, bank3],
+        "filter weights": [{**bank2, "filters": [bank2["filters"][0], other_weights]}],
+        "two analysis one synthesis": [{"analysis": haar, "synthesis": haar[:1]}],
+        "one offset two banks": [{"analysis": haar, "analysis_offsets": [0]}],
+        "circle filters 3": [{"filters": 3}],
+        "rkhs filters 5": [{"filters": 5}],
+        "filter length 2": [{"filters": [jsonio.encode_cvector([1.0, 1.0])]}],
+        "sigma of 2": [{**oracle.point_set_json(oracle.squaring_chain(0.5, 3)), "sigma": [0, 0]}],
+        "P 1x2": [with_factor(P=row)],
+        "power 1": [with_factor(power=1)],
+        "V 1x2": [{**product, "V": row}],
+        "P 1x1 under V 2x2": [with_factor(P=one)],
+        "A 1x2": [{"A": [[2, 0]], "digits": [[0], [1]]}],
+        "digits 1-d": [{"A": [[2, 0], [0, 2]], "digits": [0, 1]}],
+        "moment N=2 in N=3": [moment],
+    }[name]
+
+
+def _input_rule_argv(tmp_path, name) -> list[str]:
+    paths = [write(tmp_path / f"{k}.json", obj) for k, obj in enumerate(_input_rule_files(name))]
+    a, b = paths[0], paths[-1]
+    pset = oracle.squaring_chain(0.5, 3)
+    points = write(tmp_path / "p.json", oracle.point_set_json(pset))
+    kernel = write(tmp_path / "k.json", KernelMatrix(np.eye(pset.size)).to_json())
+    filters = write(tmp_path / "m.json", {"filters": [jsonio.encode_cvector(np.ones(3))]})
+    command = INPUT_RULES[name][0]
+    return command.split() + {
+        "ifs apply-unitary": ["--bank", a, "--unitary", b],
+        "ifs connect": ["--bank", a, "--target", b],
+        "ifs verify-filter": ["--bank", a],
+        "mra filterbank": ["--signal", _signal_file(tmp_path / "x.csv", np.arange(8.0)), "--taps", a],
+        "circle verify": ["--filters", a, "--N", "2"],
+        "rkhs check": ["--points", points, "--kernel", kernel, "--filters", a],
+        "rkhs product-kernel": ["--points", a, "--filters", filters],
+        "circle blaschke": ["--factors", a],
+        "examples fractal": ["--ifs", a, "--samples", "10", "--seed", "1"],
+        "solenoid moment": ["--file", a],
+    }[command]
+
+
+def _specs_differ(spec, other) -> str:
+    return f"operands live over different systems: {spec} vs {other}"
+
+
+# name -> (command, its message): input rules that exit 2 before any output
+INPUT_RULES = {
+    "field NaN": ("ifs apply-unitary", "matrix field entries must be finite"),
+    "field N=3": ("ifs apply-unitary", _specs_differ(IfsSpec(2), IfsSpec(3))),
+    "connect N=2 N=3": ("ifs connect", _specs_differ(IfsSpec(2), IfsSpec(3))),
+    "filter weights": ("ifs verify-filter", _specs_differ(IfsSpec(2), IfsSpec(2, (0.25, 0.75)))),
+    "two analysis one synthesis": ("mra filterbank", "analysis and synthesis bank counts differ"),
+    "one offset two banks": ("mra filterbank", "offset count differs from bank count"),
+    "circle filters 3": ("circle verify", "circle filter file must hold a list of Laurent polynomials"),
+    "rkhs filters 5": ("rkhs check", "filter file must hold a list of value vectors"),
+    "filter length 2": ("rkhs check", "filter length 2 does not match the 3 points"),
+    "sigma of 2": ("rkhs product-kernel", "sigma must give one target index per point"),
+    "P 1x2": ("circle blaschke", "projection must be a square matrix"),
+    "power 1": ("circle blaschke", "factor power must be >= 2"),
+    "V 1x2": ("circle blaschke", "left unitary must be a square matrix"),
+    "P 1x1 under V 2x2": ("circle blaschke", "factor size differs from the left unitary"),
+    "A 1x2": ("examples fractal", "matrix must be square"),
+    "digits 1-d": ("examples fractal", "digits must be row vectors of dimension 2"),
+    "moment N=2 in N=3": ("solenoid moment", _specs_differ(IfsSpec(3), IfsSpec(2))),
+}
+
+
+@pytest.mark.parametrize("name", list(INPUT_RULES))
+def test_input_rules_exit_2(name, tmp_path, capsys):
+    assert run(_input_rule_argv(tmp_path, name)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and INPUT_RULES[name][1] in captured.err
+
+
 # ---------------------------------------------------------------------------
 # rkhs group
 # ---------------------------------------------------------------------------
@@ -963,6 +1053,23 @@ def test_rkhs_check_with_one_filter_reports_the_contraction(tmp_path, capsys):
     assert code == 1 and result["results"]["filter_count"] == 1
     expected = contraction_check(kernel, pset.points, pset)
     assert result["results"]["contraction_min_eigenvalue"] == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rkhs_check_with_a_non_finite_filter_fails_its_verdict(tmp_path, capsys, bad):
+    # the eigensolver rejects a non-finite matrix: the contraction reads NaN, not a traceback
+    pset = oracle.squaring_chain(0.9 * np.exp(0.7j), 8)
+    m = np.full(pset.size, 0.5, dtype=complex)
+    m[3] = bad
+    points = write(tmp_path / "p.json", oracle.point_set_json(pset))
+    kernel = write(tmp_path / "k.json", KernelMatrix(np.eye(pset.size)).to_json())
+    filters = write(tmp_path / "m.json", {"filters": [jsonio.encode_cvector(m)]})
+    assert run(["rkhs", "check", "--points", points, "--kernel", kernel, "--filters", filters]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count("\n") == 1
+    result = json.loads(captured.out)
+    assert result["pass"] is False and math.isnan(result["results"]["contraction_min_eigenvalue"])
+    assert not result["residuals"]["refinement"] < 1e-12
 
 
 def test_rkhs_product_kernel_with_large_entries_is_not_a_usage_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -438,11 +439,16 @@ def test_harmonic_solve_depth_two_weight(spec2, rng):
     assert sup_distance(ruelle_apply(w, h), h) < 1e-11
 
 
+def message_residual(err) -> float:
+    """sup|R_W h - h| as the message of a failed harmonic_solve prints it."""
+    return float(re.search(r"sup\|R_W h - h\| (\S+),", str(err.value)).group(1))
+
+
 def test_harmonic_solve_failure_reports_residual(spec2):
     w = CylinderFn(spec2, 1, [1.0, 0.0])  # S* W = 1/2: no fixed constant
     with pytest.raises(VerificationError, match="no transfer-harmonic density") as err:
         harmonic_solve(w)
-    assert err.value.residual is not None and err.value.residual > 0.1
+    assert message_residual(err) > 0.1
 
 
 @pytest.mark.parametrize("n_branches", [2, 3])
@@ -513,7 +519,7 @@ def test_harmonic_solve_estimates_the_spectrum_of_a_large_matrix(spec2):
     assert str(err.value).endswith(
         "; Perron eigenvalue 1.3, |lambda_2/lambda_1| 0.9 (Arnoldi estimates))"
     )
-    assert err.value.residual > 0.1
+    assert message_residual(err) > 0.1
 
 
 def test_harmonic_solve_rejects_a_signed_eigenvector(spec2):
@@ -530,7 +536,7 @@ def test_harmonic_solve_failure_names_the_spectrum(spec2):
     with pytest.raises(VerificationError) as err:
         harmonic_solve(W)
     assert "Perron eigenvalue 1.3," in str(err.value) and "|lambda_2/lambda_1| 0.9" in str(err.value)
-    assert err.value.residual > 0.1
+    assert message_residual(err) > 0.1
 
 
 def test_harmonic_solve_singular_system_is_a_convergence_error(spec2):

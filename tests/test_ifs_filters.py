@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import oracle
 from conftest import random_cylinder
 from wavelab import jsonio
+from wavelab.cli import run
 from wavelab.code_space import (
     CylinderFn,
     IfsSpec,
@@ -172,15 +174,23 @@ def test_closed_forms_equal_probe_oracle(spec, kind):
                 assert (got < 1e-13) == (kind == "verified")
 
 
-def test_residuals_flat_in_probe_depth(rng, spec3):
-    """Probe depth 20 would need 3**40 probe cells; the per-tail array needs 3**3."""
+def test_residuals_flat_in_probe_depth(rng, spec3, tmp_path, capsys):
+    """Probe depth 20 would need 3**40 probe cells; the per-tail array needs 3**3.
+    The CLI echoes --depth beside the residuals, which do not move."""
     bank = _oracle_bank(rng, spec3, "random", 2)
     f = random_cylinder(rng, spec3, 1)
     shallow, deep = verify_filter(bank, 3), verify_filter(bank, 20)
     assert deep.completeness == shallow.completeness
     assert np.array_equal(deep.orthonormality, shallow.orthonormality)
-    assert deep.probe_depth == 20
     assert endomorphism_check(bank, f, 20) == endomorphism_check(bank, f, 3)
+    path = str(tmp_path / "bank.json")
+    jsonio.dump_file(path, bank.to_json())
+    printed = {}
+    for depth in ("1", "20"):
+        run(["ifs", "verify-filter", "--bank", path, "--depth", depth])
+        printed[depth] = json.loads(capsys.readouterr().out)["residuals"]
+    assert printed["20"].pop("probe_depth") == 20 and printed["1"].pop("probe_depth") == 1
+    assert printed["20"] == printed["1"]
 
 
 def test_verify_respects_cell_cap(monkeypatch, spec2):
@@ -284,7 +294,7 @@ def test_multires_checks_the_spec_before_the_first_level(spec2, rng):
     bank = build_indicator(spec2)
     other = random_cylinder(rng, IfsSpec(2, (0.25, 0.75)), 1)
     for levels in (0, 1):
-        with pytest.raises(InputError, match="function spec differs from bank spec"):
+        with pytest.raises(InputError, match="^operands live over different systems: "):
             multires_decompose(bank, other, levels)
 
 
