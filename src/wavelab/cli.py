@@ -299,13 +299,8 @@ def _circle_verify(args) -> tuple[dict, bool]:
     orthonormality, completeness = circ.cuntz_residuals(
         filters, args.N, convention=args.convention
     )
-    # a short filter list can be a family of isometries but never a bank;
-    # the residuals may equal tol (written so that NaN fails)
-    passed = (
-        len(filters) == args.N
-        and orthonormality <= args.tol
-        and completeness <= args.tol
-    )
+    # a short filter list can be a family of isometries but never a bank
+    passed = len(filters) == args.N and _all_below(args.tol, orthonormality, completeness)
     return {
         "results": {"filter_count": len(filters), "band": args.N},
         "residuals": {"orthonormality": orthonormality, "completeness": completeness},

@@ -136,6 +136,8 @@ class CylinderFn:
         return self._binary(other, lambda a, b: b - a)
 
     def __mul__(self, other):
+        if isinstance(other, CylinderFn):
+            return multiply(self, other)
         return self._binary(other, lambda a, b: a * b)
 
     __rmul__ = __mul__
@@ -181,10 +183,11 @@ def _require_same_spec(spec: IfsSpec, *others: IfsSpec) -> None:
 
 
 def _align(f: CylinderFn, g: CylinderFn) -> tuple[np.ndarray, np.ndarray, int]:
-    """Both operands as (N**shallow, -1) views and the deeper depth.
+    """Both operands as (N**shallow, -1) views and the deeper depth, for the
+    binary operations other than the product (``_mul``).
 
     The shallower one is (N**shallow, 1), so it broadcasts as its lift
-    would; a product of unequal depths checks its N**depth cells."""
+    would; a result of unequal depths checks its N**depth cells."""
     _require_same_spec(f.spec, g.spec)
     shallow, depth = sorted((f.depth, g.depth))
     if shallow != depth:
@@ -245,10 +248,22 @@ def _product(f: CylinderFn, g: CylinderFn, shifts: tuple[int, int]) -> CylinderF
     return _new(f.spec, cuts[-1], out.reshape(-1))
 
 
+def _mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a * b, the one pointwise product, on values over one N: the shallower, of
+    rows values, is read as (rows, 1), broadcast as its lift would be.  Unequal
+    depths check the cells; out (the caller's, maybe an operand) takes the
+    product if it has the product's size, else the product is a new array."""
+    rows, cells = sorted((a.size, b.size))
+    if rows != cells:
+        check_cells(cells)
+    out = None if out is None or out.size != cells else out.reshape(rows, -1)
+    return np.multiply(a.reshape(rows, -1), b.reshape(rows, -1), out=out).reshape(-1)
+
+
 def multiply(f: CylinderFn, g: CylinderFn) -> CylinderFn:
     """Pointwise product at the common lifted depth."""
-    a, b, depth = _align(f, g)
-    return _new(f.spec, depth, (a * b).reshape(-1))
+    _require_same_spec(f.spec, g.spec)
+    return _new(f.spec, max(f.depth, g.depth), _mul(f.values, g.values))
 
 
 def sup_distance(f: CylinderFn, g: CylinderFn) -> float:

@@ -35,9 +35,11 @@ from .code_space import (
     harmonic_solve,
     integrate,
     multiply,
-    ruelle_apply,
     weighted_adjoint,
     weighted_compose,
+    _average,
+    _integral,
+    _mul,
     _product,
     _require_same_spec,
     _require_weight,
@@ -156,11 +158,16 @@ def weighted_shift(f: PathCylinderFn, m: CylinderFn) -> PathCylinderFn:
 
 
 def moment(fs: Sequence[CylinderFn], weight: CylinderFn, h: CylinderFn) -> complex:
-    """int f_0 R_W(f_1 R_W(... R_W(f_K h))) dmu, evaluated innermost first."""
-    acc = multiply(fs[-1], h)
+    """int f_0 R_W(f_1 R_W(... R_W(f_K h))) dmu, evaluated innermost first in
+    one loop over value arrays: each step is ruelle_apply's products and average."""
+    _require_weight(weight)
+    _require_same_spec(weight.spec, h.spec, *[g.spec for g in fs])
+    p, w = weight.spec.weight_array(), weight.values
+    acc = _mul(fs[-1].values, h.values)
     for g in reversed(fs[:-1]):
-        acc = multiply(g, ruelle_apply(weight, acc))
-    return integrate(acc)
+        acc = _mul(w, acc)
+        acc = _mul(g.values, _average(p, acc) if acc.size > 1 else acc)
+    return complex(_integral(p, acc))
 
 
 def expectation(f: PathCylinderFn, weight: CylinderFn, h: CylinderFn) -> complex:
@@ -221,13 +228,15 @@ class MomentSpec:
         return cls(spec, weight, h, coords)
 
 
-def _walk(step, x, wanted: set[int]):
-    """(k, step^k(x)) for every k in wanted, in order, from one pass of step."""
+def _integrals(step, x, wanted: set[int], p: np.ndarray, *integrands) -> dict[int, list[complex]]:
+    """{k: [int u(v) dmu for each integrand u]}, v the values of step^k(x), k in wanted,
+    from one pass of step, in a frame of its own: its arrays go when it returns."""
+    out = {}
     for k in range(max(wanted, default=0) + 1):
-        if k:
-            x = step(x)
+        x = step(x) if k else x
         if k in wanted:
-            yield k, x
+            out[k] = [complex(_integral(p, u(x.values))) for u in integrands]
+    return out
 
 
 def dilation_residuals(
@@ -238,8 +247,10 @@ def dilation_residuals(
     n >= 0 compares <S_m^n f, g> with <U^n (f o pi_0), g o pi_0>_P; n < 0
     compares the power of the L2(h dmu) adjoint S*(conj(m) h f) / h against
     <f o pi_0, U^{|n|} (g o pi_0)>_P, the unitary pairing, which never
-    divides by m.  h is the density of the weight |m|**2.  Each of the four
-    powers is walked once, to its largest order.
+    divides by m.  h is the density of the weight |m|**2.  As U^k (x o pi_0) =
+    (S_m^k x) o pi_0, a pairing <a o pi_0, b o pi_0>_P is int (a conj(b)) h dmu,
+    its products written in place.  Three powers are walked once each, to the
+    largest order: S_m^k f for n >= 0, the adjoint power and S_m^k g for n < 0.
     """
     # step k of a walk is at depth max(m.depth + k - 1, x.depth + k): checking each depth,
     # shallowest first as the walks would, fails an order past the cap before walking
@@ -247,16 +258,22 @@ def dilation_residuals(
     k_f, k_g = max(up, default=0), max(down, default=0)
     for depth in range(max(m.depth + max(k_f, k_g) - 1, f.depth + k_f, g.depth + k_g) + 1):
         check_cells(m.spec.N**depth)
-    weight = m.abs2()
-    gh = multiply(g.conj(), h)
-    pf, pg = PathCylinderFn.coordinate(0, f), PathCylinderFn.coordinate(0, g)
-    compose, shift = partial(weighted_compose, m), partial(weighted_shift, m=m)
-    lhs = {k: integrate(multiply(x, gh)) for k, x in _walk(compose, f, up)}
-    adjoints = _walk(lambda x: weighted_adjoint(m, multiply(h, x)) / h, f, down)
-    lhs.update({-k: integrate(multiply(x, gh)) for k, x in adjoints})
-    rhs = {k: pairing(F, pg, weight, h) for k, F in _walk(shift, pf, up)}
-    rhs.update({-k: pairing(pf, G, weight, h) for k, G in _walk(shift, pg, down)})
-    return [abs(lhs[n] - rhs[n]) for n in orders]
+    _require_same_spec(g.spec, h.spec, m.spec, f.spec)
+    p, gc, hv = m.spec.weight_array(), np.conj(g.values), h.values
+    gh = _mul(gc, hv)
+
+    def path(t: np.ndarray) -> np.ndarray:  # t h into t, t = a conj(b) a new product
+        return _mul(t, hv, out=t)
+
+    def pulled(y: np.ndarray) -> np.ndarray:  # f conj(y) into conj(y), then h
+        return path(_mul(f.values, c := np.conj(y), out=c))
+
+    compose, base = partial(weighted_compose, m), partial(_mul, b=gh)  # base: x conj(g) h
+    forward = _integrals(compose, f, up, p, base, lambda x: path(_mul(x, gc)))
+    adjoint = _integrals(lambda x: weighted_adjoint(m, multiply(h, x)) / h, f, down, p, base)
+    backward = _integrals(compose, g, down, p, pulled)
+    sides = forward | {-k: adjoint[k] + backward[k] for k in down}
+    return [abs(lhs - rhs) for lhs, rhs in map(sides.get, orders)]
 
 
 def shift_covariance_check(m: CylinderFn, f: CylinderFn, g: CylinderFn) -> tuple[float, float]:

@@ -19,8 +19,12 @@ one-call CSV reader and writer, and the whole-run prefix scan is the
 former chaos game, kept as the bit-for-bit judge of the blocked one.  Then the power iteration and the
 order-by-order dilation residual are the package's former path-space
 code, kept as the judge of the direct Perron solve and of the one-walk
-dilation residuals, and the gather-based cascade and the np.repeat
-lifting product are the package's former kernels, kept as the bit-for-bit
+dilation residuals.  The stepwise moment, a CylinderFn per transfer step,
+and the four-walk dilation, whose path pairings are stepwise expectations,
+are the package's former code too, kept as the bit-for-bit judge of the
+moment loop and of the three walks on value arrays.  The gather-based
+cascade and the np.repeat lifting product are the package's former
+kernels, kept as the bit-for-bit
 judge of the in-place cascade and of the broadcast products, and the
 path shift and collapse that store each f o sigma**k (``shift_iterate``)
 are the judge of the shifted views.  The per-term product kernel, the
@@ -602,6 +606,49 @@ def dilation_check(m: CylinderFn, f: CylinderFn, g: CylinderFn, n: int, h: Cylin
             pg = weighted_shift(pg, m)
         rhs = pairing(PathCylinderFn.coordinate(0, f), pg, weight, h)
     return abs(lhs - rhs)
+
+
+def stepwise_moment(fs, weight: CylinderFn, h: CylinderFn) -> complex:
+    """The former moment: a multiply and a ruelle_apply, each a new CylinderFn, per step."""
+    acc = cs.multiply(fs[-1], h)
+    for g in reversed(fs[:-1]):
+        acc = cs.multiply(g, cs.ruelle_apply(weight, acc))
+    return cs.integrate(acc)
+
+
+def stepwise_expectation(f: PathCylinderFn, weight: CylinderFn, h: CylinderFn) -> complex:
+    """E_P[F] term by term through stepwise_moment, a 1 in each empty slot."""
+    total, one = 0.0 + 0.0j, CylinderFn.ones(f.spec)
+    for c, s in f.terms:
+        total += c * stepwise_moment([one if g is None else g for g in s] or [one], weight, h)
+    return complex(total)
+
+
+def four_walk_dilation(m: CylinderFn, f: CylinderFn, g: CylinderFn, orders, h) -> list[float]:
+    """The former dilation residuals: S_m^k f, the adjoint power, and the weighted
+    shift of f o pi_0 and of g o pi_0, each walked to its largest order, with
+    every path pairing a stepwise_expectation of F conj(G)."""
+
+    def powers(step, x, wanted) -> dict:
+        out = {}
+        for k in range(max(wanted, default=0) + 1):
+            x = step(x) if k else x
+            if k in wanted:
+                out[k] = x
+        return out
+
+    up, down = {n for n in orders if n >= 0}, {-n for n in orders if n < 0}
+    weight, gh = m.abs2(), cs.multiply(g.conj(), h)
+    pf, pg = PathCylinderFn.coordinate(0, f), PathCylinderFn.coordinate(0, g)
+    compose = powers(lambda x: cs.weighted_compose(m, x), f, up)
+    adjoint = powers(lambda x: cs.weighted_adjoint(m, cs.multiply(h, x)) / h, f, down)
+    lhs = {k: cs.integrate(cs.multiply(x, gh)) for k, x in compose.items()}
+    lhs.update({-k: cs.integrate(cs.multiply(x, gh)) for k, x in adjoint.items()})
+    shifts = powers(lambda x: weighted_shift(x, m), pf, up)
+    rhs = {k: stepwise_expectation(F * pg.conj(), weight, h) for k, F in shifts.items()}
+    shifts = powers(lambda x: weighted_shift(x, m), pg, down)
+    rhs.update({-k: stepwise_expectation(pf * G.conj(), weight, h) for k, G in shifts.items()})
+    return [abs(lhs[n] - rhs[n]) for n in orders]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from wavelab.solenoid import (
     MomentSpec,
     PathCylinderFn,
     dilation_residuals,
+    expectation,
     harmonic_for,
     measure_change_residual,
     moment,
@@ -337,18 +340,19 @@ def test_dilation_with_roots_weights(spec3, rng):
         assert dilation_residuals(m, f, g, [n], h)[0] < 1e-12
 
 
-def _dilation_multiplier(rng, spec, admissible: bool) -> CylinderFn:
-    """A depth-2 multiplier m: admissible (h = 1), or with |m|^2 a positive
-    weight divided by the Perron eigenvalue of R_W (non-constant h)."""
-    phases = np.exp(2j * np.pi * rng.uniform(size=spec.N**2))
-    raw = rng.uniform(0.2, 1.8, size=(spec.N, spec.N))  # raw[n, v] = |m(n v)|^2 before scaling
+def _dilation_multiplier(rng, spec, admissible: bool, depth: int = 2) -> CylinderFn:
+    """A multiplier m: admissible (h = 1), or with |m|^2 a positive weight
+    divided by the Perron eigenvalue of R_W (non-constant h)."""
+    phases = np.exp(2j * np.pi * rng.uniform(size=spec.N**depth))
+    # raw[n, v] = |m(n v)|^2 before scaling
+    raw = rng.uniform(0.2, 1.8, size=(spec.N, spec.N ** (depth - 1)))
     p = spec.weight_array()
     if admissible:  # sum_n p_n |m(n v)|^2 = 1 at every tail v
         scale = p @ raw
     else:  # the Perron eigenvalue of R_W
-        mat = oracle.transfer_matrix(CylinderFn(spec, 2, raw.ravel()))
+        mat = oracle.transfer_matrix(CylinderFn(spec, depth, raw.ravel()))
         scale = np.max(np.linalg.eigvals(mat).real)
-    return CylinderFn(spec, 2, np.sqrt(raw / scale).ravel() * phases)
+    return CylinderFn(spec, depth, np.sqrt(raw / scale).ravel() * phases)
 
 
 @pytest.mark.parametrize("admissible", [True, False])
@@ -361,6 +365,67 @@ def test_dilation_walk_equals_order_by_order_oracle(spec2, spec_weighted, rng, a
         orders = list(range(-5, 6))
         walk = dilation_residuals(m, f, g, orders, h)
         assert walk == [oracle.dilation_check(m, f, g, n, h) for n in orders]
+
+
+# the former formulations in the oracle judge the loops on value arrays, bit for
+# bit: nonuniform weights, coordinates shallower and deeper than W (depth 3)
+# and h (depth 2, or 0 for an admissible weight)
+ORACLE_SPECS = [IfsSpec(2, (0.25, 0.75)), IfsSpec(3, (0.2, 0.3, 0.5))]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["N=2", "N=3"])
+@pytest.mark.parametrize("admissible", [True, False])
+def test_moment_loop_matches_the_stepwise_oracle_bit_for_bit(spec, admissible):
+    rng = np.random.default_rng(spec.N + 10 * admissible)
+    weight = _dilation_multiplier(rng, spec, admissible, depth=3).abs2()
+    h = harmonic_for(weight)
+    assert h.depth == (0 if admissible else 2)
+    fs = [random_cylinder(rng, spec, d) for d in (0, 4, 1, 5, 2, 3)]
+    for k in range(1, len(fs) + 1):
+        got, want = moment(fs[:k], weight, h), oracle.stepwise_moment(fs[:k], weight, h)
+        assert oracle.bits(got).tolist() == oracle.bits(want).tolist()
+    a, b = (_mixed_path(rng, spec, depths) for depths in ((4, 0, 2, 5), (1, 3, 0, 2)))
+    assert expectation(a, weight, h) == oracle.stepwise_expectation(a, weight, h)
+    assert pairing(a, b, weight, h) == oracle.stepwise_expectation(a * b.conj(), weight, h)
+    for order in (0, 3):
+        ones = [CylinderFn.ones(spec)] * (order + 1)
+        want = abs(oracle.stepwise_moment(ones, weight, h) - 1.0)
+        assert probability_residual(order, weight, h) == want
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["N=2", "N=3"])
+@pytest.mark.parametrize("admissible", [True, False])
+@pytest.mark.parametrize(
+    "orders", [[0, 2, 1, 3], [-1, -3, -2], [-3, 0, 2, -1, 2, 1]], ids=["up", "down", "mixed"]
+)
+def test_dilation_walks_match_the_four_walk_oracle_bit_for_bit(spec, admissible, orders):
+    rng = np.random.default_rng(spec.N + 10 * admissible + len(orders))
+    m = _dilation_multiplier(rng, spec, admissible, depth=3)
+    h = harmonic_for(m.abs2())
+    for df, dg in ((1, 4), (4, 0)):  # f and g shallower and deeper than m and h
+        f, g = random_cylinder(rng, spec, df), random_cylinder(rng, spec, dg)
+        want = oracle.four_walk_dilation(m, f, g, orders, h)
+        assert dilation_residuals(m, f, g, orders, h) == want
+
+
+@pytest.mark.parametrize("admissible", [True, False])
+def test_dilation_memory_peak_at_the_benchmark_shapes(admissible):
+    # N = 2, m of depth 8, f and g of depth 3, orders -10..10: the deepest
+    # array is 2**17 cells (2 MiB).  With the pairing products written in
+    # place the peak is 5.01 MiB; pairings through pairing(), which holds
+    # conj(S_m^k g) and two products at once, peak at 7.52 MiB
+    spec = IfsSpec(2, (0.375, 0.625))
+    rng = np.random.default_rng(8)
+    m = _dilation_multiplier(rng, spec, admissible, depth=8)
+    h = harmonic_for(m.abs2())
+    f, g = random_cylinder(rng, spec, 3), random_cylinder(rng, spec, 3)
+    tracemalloc.start()
+    try:
+        dilation_residuals(m, f, g, list(range(-10, 11)), h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 2**20
 
 
 def test_dilation_negative_orders_use_the_h_adjoint(spec_weighted, rng):
