@@ -122,11 +122,7 @@ class LaurentPoly:
         return LaurentPoly(self._lo, self._coeffs * signs)
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for k, c in enumerate(self._coeffs.tolist(), self._lo):
-            if c != 0:
-                out = out + c * z**k
+        out = _values([self], z)[0]
         return complex(out) if out.ndim == 0 else out
 
     # -- multirate -----------------------------------------------------------
@@ -159,6 +155,21 @@ def _as_poly(x) -> LaurentPoly:
     if isinstance(x, (int, float, complex)):
         return LaurentPoly(0, [x])
     raise InputError(f"cannot coerce {type(x).__name__} to a Laurent polynomial")
+
+
+def _values(polys: Sequence[LaurentPoly], z) -> list:
+    """Each polynomial's value at z, of z's shape: one loop over degrees, lowest first,
+    computes each z**k once for all of them and holds one power at a time; each
+    value adds its terms in degree order, so its bits are its polynomial's alone."""
+    z = np.asarray(z, dtype=complex)
+    terms = sorted((k, i, c) for i, poly in enumerate(polys)  # (k, i) are unique: no c is compared
+                   for k, c in enumerate(poly._coeffs.tolist(), poly._lo) if c != 0)  # NaN != 0
+    sums, degree = [np.zeros_like(z)] * len(polys), None  # rebound below, never written in place
+    for k, i, c in terms:
+        if k != degree:
+            power, degree = z**k, k
+        sums[i] = sums[i] + c * power
+    return sums
 
 
 def unit_circle_grid(n_points: int) -> np.ndarray:
@@ -227,7 +238,8 @@ def power_sum_residual(m0: LaurentPoly, convention: str) -> float:
 
 def evaluate_rows(rows: Sequence[Sequence[LaurentPoly]], z) -> np.ndarray:
     """A matrix of Laurent entries at z, shape z.shape + (rows, cols)."""
-    values = np.array([[e(z) for e in row] for row in rows], dtype=complex)
+    values = _values([e for row in rows for e in row], z)
+    values = np.reshape(values, (len(rows), -1) + np.shape(z))
     return np.moveaxis(values, (0, 1), (-2, -1))
 
 
@@ -237,7 +249,7 @@ def banded_matrix(filters: Sequence[LaurentPoly], n: int, z) -> np.ndarray:
     if len(filters) != n:
         raise InputError(f"expected {n} filters, got {len(filters)}")
     cols = np.asarray(z, dtype=complex)[..., None] * np.array([eps**k for k in range(n)])
-    return np.stack([m(cols) for m in filters], axis=-2) / np.sqrt(n)
+    return np.stack(_values(filters, cols), axis=-2) / np.sqrt(n)
 
 
 def grid_residuals(stack: np.ndarray) -> np.ndarray:

@@ -46,7 +46,8 @@ from typing import Any, Callable
 import numpy as np
 
 from . import jsonio
-from .errors import CellCapError, InputError, VerificationError, band_count, check_cells, max_cells
+from .errors import (CellCapError, InputError, VerificationError, band_count, check_cells,
+                     held_cell_cap)
 
 
 def _lazy(name: str) -> types.ModuleType:
@@ -750,8 +751,9 @@ def run(argv: list[str] | None = None) -> int:
             return int(exc.code or 0)
         start = time.perf_counter()
         try:
-            max_cells()  # a bad WAVELAB_MAX_CELLS fails every command before any file is read
-            with np.errstate(all="ignore"):  # non-finite values reach and fail the residuals
+            # a bad WAVELAB_MAX_CELLS fails every command before any file is read;
+            # non-finite values reach and fail the residuals
+            with held_cell_cap(), np.errstate(all="ignore"):
                 payload, passed = args.compute(args)
         except VerificationError as exc:
             payload, passed = {"error": str(exc)}, False

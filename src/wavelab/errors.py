@@ -1,16 +1,19 @@
 """The exception types, one per failing exit code of the CLI, and the input
 rules that more than one command group shares, here because every command
 runs this module: the cell cap of every large allocation (``check_cells``;
-2**24 cells unless WAVELAB_MAX_CELLS sets it), the band count of a bank
-(``band_count``, at least 2) and the branch weights of an IFS
-(``branch_weights``: positive, summing to 1 within WEIGHT_SUM_TOL).
+2**24 cells unless WAVELAB_MAX_CELLS sets it, read once per CLI run), the
+band count of a bank (``band_count``, at least 2) and the branch weights of
+an IFS (``branch_weights``: positive, summing to 1 within WEIGHT_SUM_TOL).
 """
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 DEFAULT_MAX_CELLS = 2**24
 _CELLS_ENV = "WAVELAB_MAX_CELLS"
 WEIGHT_SUM_TOL = 1e-14
+_HELD_CAP: ContextVar[int | None] = ContextVar("held_cell_cap", default=None)  # set in a CLI run
 
 
 class InputError(Exception):
@@ -26,7 +29,9 @@ class VerificationError(Exception):
 
 
 def max_cells() -> int:
-    """Current cap on the number of values one allocation may hold."""
+    """Cap on the values one allocation may hold: a CLI run's, else the environment's."""
+    if (held := _HELD_CAP.get()) is not None:
+        return held
     raw = os.environ.get(_CELLS_ENV)
     if raw is None:
         return DEFAULT_MAX_CELLS
@@ -37,6 +42,16 @@ def max_cells() -> int:
     if cap < 1:
         raise InputError(f"{_CELLS_ENV} must be positive, got {cap}")
     return cap
+
+
+@contextmanager
+def held_cell_cap():
+    """Read the cap once, failing here on a bad value, and hold it for the body."""
+    token = _HELD_CAP.set(max_cells())
+    try:
+        yield
+    finally:
+        _HELD_CAP.reset(token)
 
 
 def check_cells(n_values: int) -> None:

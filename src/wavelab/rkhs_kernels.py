@@ -19,9 +19,10 @@ The Hermitian test, refinement_residual and product_kernel run in row blocks
 of _BLOCK_CELLS cells whose maxima meet in np.max, so a NaN reaches the result;
 contraction_check writes refinement_residual's blocks for its one filter into
 one matrix for the eigensolver.
-numpy's complex multiply rounds the last bit by operand order, and the former
-whole-matrix ``out * <fresh gather>`` ran with its operands swapped from
-numpy's elision size of 256 KiB up; product_kernel keeps that order.
+Blocks are gathered by np.take, rows then columns.  numpy's complex multiply
+rounds the last bit by operand order, and the former whole-matrix
+``out * <fresh gather>`` ran with its operands swapped from numpy's elision
+size of 256 KiB up; product_kernel keeps that order.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def _residual_blocks(kernel: KernelMatrix, values: np.ndarray, pset: FinitePoint
     k, sigma = kernel.matrix, pset.sigma
     for rows in _row_blocks(pset.size):
         block = _gram_sum(values, rows, pset.size)
-        np.multiply(block, k[np.ix_(sigma[rows], sigma)], out=block)
+        np.multiply(block, k.take(sigma[rows], axis=0).take(sigma, axis=1), out=block)
         yield rows, np.subtract(k[rows], block, out=block)
 
 
@@ -186,11 +187,13 @@ def product_kernel(
     tails = [0.0]
     for term in range(terms):
         for rows in _row_blocks(size):
-            factor, block = gram[np.ix_(idx[rows], idx)], out[rows]
-            np.multiply(*((factor, block) if gather_first else (block, factor)), out=factor)
-            if term == terms - 1:
+            factor, block = gram.take(idx[rows], axis=0).take(idx, axis=1), out[rows]
+            last = term == terms - 1  # its change to the old block is the tail bound
+            np.multiply(*((factor, block) if gather_first else (block, factor)),
+                        out=factor if last else block)
+            if last:
                 tails.append(np.max(np.abs(np.subtract(block, factor, out=block))))
-            block[...] = factor
+                block[...] = factor
         idx = pset.sigma[idx]
     del gram  # not held while the kernel is checked
     return KernelMatrix(out.view(jsonio.Fresh), tol=1e-10), float(np.max(tails))

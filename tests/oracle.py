@@ -419,6 +419,18 @@ def multiband_point(filters, n: int, z: complex) -> np.ndarray:
     return np.array([[m(c) for c in cols] for m in filters], dtype=complex) / np.sqrt(n)
 
 
+def laurent_value(poly, z):
+    """The package's former evaluation of one polynomial: out + c z**k for each
+    nonzero coefficient, degree by degree, each power computed afresh."""
+    lo, coeffs = poly.coefficients()
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros_like(z)
+    for k, c in enumerate(coeffs.tolist(), lo):
+        if c != 0:
+            out = out + c * z**k
+    return complex(out) if out.ndim == 0 else out
+
+
 def rows_point(rows, z: complex) -> np.ndarray:
     return np.array([[e(z) for e in row] for row in rows], dtype=complex)
 

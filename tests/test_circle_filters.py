@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -531,6 +532,71 @@ def test_nan_entry_gives_nan_residual():
     assert np.isnan(per_point[5]) and np.all(per_point[np.arange(8) != 5] == 0.0)
     assert np.isnan(worst_unitarity(stack))
     assert np.isnan(rotation_residual(np.eye(2), stack)) and np.isnan(rotation_residual(stack, np.eye(2)))
+
+
+def grid_entries():
+    """Entries with disjoint, overlapping and equal degree ranges, negative
+    degrees, interior zeros, a NaN and the zero polynomial."""
+    rng = np.random.default_rng(11)
+
+    def entry(lo, length):
+        return LaurentPoly(lo, rng.normal(size=length) + 1j * rng.normal(size=length))
+
+    a, b = entry(-4, 3), entry(2, 5)  # disjoint
+    c = LaurentPoly(-2, [0.5, 0.0, 0.0, -1.5j, 0.0, 2.0])  # interior zeros
+    d = LaurentPoly(-4, a.coefficients()[1][::-1])  # a's degree range
+    e = LaurentPoly(-1, [1.0, np.nan, 0.5j])
+    return [a, b, c, d, e, LaurentPoly(), entry(-9, 20), entry(0, 1)]
+
+
+def same_array(got, want) -> bool:
+    """Equal shapes, strides and bits, NaNs and signed zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    bits = (np.ascontiguousarray(x).reshape(-1).view(np.int64) for x in (got, want))
+    return got.shape == want.shape and got.strides == want.strides and np.array_equal(*bits)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (33,), (3, 4)])
+def test_grid_evaluation_is_bit_equal_to_one_entry_at_a_time(shape):
+    # each power of z is computed once for all entries; each entry still adds its
+    # terms in degree order, so every value keeps its bits
+    rng = np.random.default_rng(len(shape))
+    z = np.exp(2j * np.pi * rng.uniform(size=shape)) * rng.uniform(0.5, 1.5, size=shape)
+    entries = grid_entries()
+    for p in entries:
+        assert same_array(p(z), oracle.laurent_value(p, z))
+        assert type(p(z)) is type(oracle.laurent_value(p, z))
+    for rows in ([entries[:2], entries[2:4]], [entries[4:7], entries[5:8], entries[:3]]):
+        got = evaluate_rows(rows, z)
+        want = np.array([[oracle.laurent_value(e, z) for e in row] for row in rows], dtype=complex)
+        assert same_array(got, np.moveaxis(want, (0, 1), (-2, -1)))
+        for j, row in enumerate(rows):
+            for k, e in enumerate(row):
+                assert same_array(got[..., j, k], e(z) if shape else np.asarray(e(z)))
+    for n in (2, 3, 4):
+        filters = entries[2 * n - 4 : 3 * n - 4]
+        cols = np.asarray(z)[..., None] * np.array([root_of_unity(n) ** k for k in range(n)])
+        want = np.stack([oracle.laurent_value(m, cols) for m in filters], axis=-2) / np.sqrt(n)
+        assert same_array(banded_matrix(filters, n, z), want), n
+    nan_at = evaluate_rows([[entries[4]]], z)
+    assert np.all(np.isnan(nan_at))
+
+
+def test_grid_evaluation_holds_one_power_at_a_time():
+    """A 200-tap bank at 2**14 points peaks at a small multiple of its result,
+    about as a 20-tap bank does; a table of every power would hold 200 grids."""
+    rng = np.random.default_rng(3)
+    z = unit_circle_grid(2**14)
+    for taps in (20, 200):
+        bank = [LaurentPoly(-taps // 2, rng.normal(size=taps) + 0j) for _ in range(2)]
+        for evaluate in (lambda: banded_matrix(bank, 2, z), lambda: evaluate_rows(cqf_complete(bank[0]), z)):
+            tracemalloc.start()
+            try:
+                nbytes = evaluate().nbytes
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert nbytes == 2**14 * 4 * 16 and peak < 3 * nbytes, (taps, peak)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -1891,6 +1892,33 @@ def test_solenoid_dilation_cap_check_is_exact(tmp_path, capsys, monkeypatch, ord
     assert capsys.readouterr().err == "wavelab: 64 cells exceed the cap of 63; set WAVELAB_MAX_CELLS to raise it\n"
     monkeypatch.setenv("WAVELAB_MAX_CELLS", "64")
     assert run(argv) == 0 and calls
+
+
+def test_a_run_reads_the_cell_cap_once(tmp_path, capsys, monkeypatch):
+    # the walks check the cells of every product of unequal depths; a run reads the
+    # cap once, before any file, and a library call outside a run reads it each time
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(os, "environ", Environ(os.environ, WAVELAB_MAX_CELLS="4096"))
+    path = _admissible_dilation_file(tmp_path, list(range(-4, 5)))
+    obj = json.loads(Path(path).read_text())
+    m, f = (CylinderFn.from_json(obj[key]) for key in "mf")
+    reads.clear()
+    code, result = run_json(capsys, ["solenoid", "dilation", "--file", path])
+    assert code == 0 and len(result["residuals"]) == 9
+    assert reads.count("WAVELAB_MAX_CELLS") == 1
+    for _ in range(3):
+        code_space.multiply(m, f)  # depths 8 and 3
+    assert reads.count("WAVELAB_MAX_CELLS") == 4
 
 
 def test_solenoid_axioms_over_the_cap_exits_2(tmp_path, capsys, monkeypatch):

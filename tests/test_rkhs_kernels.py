@@ -178,6 +178,47 @@ def test_gathered_gram_is_bit_equal_to_one_gram_sum_per_term(size):
         assert same_bits(got, oracle.product_kernel_per_term(values, pset.sigma, terms)), terms
 
 
+def general_map(size: int, seed: int):
+    """A random self-map with three fixed points, a 2-cycle and a 3-cycle, every
+    other point hanging in trees off them (so some orbits never settle), and
+    three random filters with a few zero values."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(size)
+    sigma = np.empty(size, dtype=int)
+    sigma[order[:3]] = order[:3]
+    sigma[order[3:5]] = order[[4, 3]]
+    sigma[order[5:8]] = order[[6, 7, 5]]
+    for j in range(8, size):
+        sigma[order[j]] = order[rng.integers(0, j)]
+    values = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
+    values[:, rng.integers(0, size, 5)] = 0.0
+    return FinitePointSet(np.exp(2j * np.pi * rng.uniform(size=size)), sigma), values / 2
+
+
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+def test_gathers_on_a_general_map_are_bit_equal_to_the_whole_matrix(size):
+    # the former whole-matrix and per-term forms judge product_kernel, its tail
+    # bound, refinement_residual and contraction_check away from the doubling map
+    pset, values = general_map(size, size)
+    assert not pset.orbits_reach_fixed_point()
+    assert np.any(pset.sigma == np.arange(size))
+    sigma = pset.sigma
+    for terms in (0, 1, 2, 9, 30):
+        kernel, tail = product_kernel(values, pset, terms)
+        want = oracle.product_kernel_per_term(values, sigma, terms)
+        assert same_bits(kernel.matrix, want), terms
+        if terms:
+            before = oracle.product_kernel_per_term(values, sigma, terms - 1)
+            assert same_bits(tail, np.max(np.abs(want - before))), terms
+        else:
+            assert tail == 0.0
+        assert same_bits(refinement_residual(kernel, values, pset),
+                         oracle.refinement_residual_whole(want, values, sigma)), terms
+    for m in values:  # on the 30-term kernel
+        assert same_bits(contraction_check(kernel, m, pset),
+                         oracle.contraction_check_whole(kernel.matrix, m, sigma))
+
+
 @pytest.mark.parametrize("size", KERNEL_SIZES)
 def test_row_blocks_are_bit_equal_to_the_whole_matrix(size):
     pset, values = doubling_roots(size, 5)
