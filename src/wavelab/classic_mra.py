@@ -13,7 +13,8 @@ The grid counts against the cell cap (``errors.check_cells``).
 
 The analysis/synthesis pipeline mirrors the circle operators in sequence
 space with periodic boundary: analysis correlates with the conjugate taps
-and decimates, synthesis zero-stuffs and convolves.  For taps from a bank
+and decimates, synthesis zero-stuffs and convolves, both on the phase
+lattice of the signal (sample N k + r at [k, r]).  For taps from a bank
 that satisfies the averaged filter conditions the round trip reconstructs
 the input exactly.
 """
@@ -229,7 +230,10 @@ def filterbank_roundtrip(
     Band b computes sub[k] = sum_u conj(a_b[u]) x[N k + u + off], the
     sequence form of the adjoint weighted composition; synthesis applies
     the weighted composition itself.  Offsets let taps start at a nonzero
-    degree.
+    degree.  Both run on the phase lattice, sample N k + r at [k, r]: a tap
+    at u + off = N q + r (mod L) reads or writes column r rolled by q, so
+    the zero-stuffed samples are never made.  They only added c * 0 = +-0
+    to a reconstruction that is never -0, or NaN when c is not finite.
     """
     x = np.asarray(signal, dtype=complex)
     if x.ndim != 1 or x.shape[0] < 1:
@@ -246,18 +250,21 @@ def filterbank_roundtrip(
     if len(a_off) != len(a_banks) or len(s_off) != len(s_banks):
         raise InputError("offset count differs from bank count")
 
-    base = n * np.arange(length // n)
-    subbands = []
+    rows = length // n
     recon = np.zeros(length, dtype=complex)
+    lattice, out = x.reshape(rows, n), recon.reshape(rows, n)
+    subbands = []
     for a, s, oa, os in zip(a_banks, s_banks, a_off, s_off):
-        sub = np.zeros(length // n, dtype=complex)
+        sub = np.zeros(rows, dtype=complex)
         for u, c in enumerate(a):
-            sub += np.conj(c) * x[(base + u + oa) % length]
+            q, r = divmod((u + oa) % length, n)
+            sub += np.conj(c) * np.roll(lattice[:, r], -q)
         subbands.append(sub)
-        up = np.zeros(length, dtype=complex)
-        up[::n] = sub
         for v, c in enumerate(s):
-            recon += c * np.roll(up, v + os)
+            q, r = divmod((v + os) % length, n)
+            out[:, r] += c * np.roll(sub, q)
+            if not np.isfinite(c):  # c * 0 is NaN: the zero-stuffed samples take it
+                out[:, np.arange(n) != r] += np.multiply(c, 0j)
     pr_error = float(np.max(np.abs(recon - x)))
     energy_in = float(np.sum(np.abs(x) ** 2))
     energy_sub = float(sum(np.sum(np.abs(s) ** 2) for s in subbands))

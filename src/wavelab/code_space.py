@@ -234,17 +234,21 @@ def integrate(f: CylinderFn) -> complex:
     return complex(_integral(f.spec.weight_array(), f.values))
 
 
-def _product(f: CylinderFn, g: CylinderFn, shifts: tuple[int, int]) -> CylinderFn:
-    """(f o sigma**j) * (g o sigma**k), (j, k) = shifts, into one new array: an
-    operand is a view with extent 1 on the blocks of symbols (cut at both
-    operands' ends) it does not read.  Checks the product's N**depth cells."""
+def _product(
+    f: CylinderFn, g: CylinderFn, shifts: tuple[int, int], out: np.ndarray | None = None
+) -> CylinderFn:
+    """(f o sigma**j) * (g o sigma**k), (j, k) = shifts, into one new array, or
+    into out (the caller's, of the product's N**depth cells): an operand is a
+    view with extent 1 on the blocks of symbols (cut at both operands' ends)
+    it does not read.  Checks the product's N**depth cells."""
     _require_same_spec(f.spec, g.spec)
     n, spans = f.spec.N, [(k, k + x.depth) for x, k in zip((f, g), shifts)]
     cuts = sorted({0}.union(*spans))
     check_cells(n ** cuts[-1])
     shape = [n ** (hi - lo) for lo, hi in zip(cuts, cuts[1:])]
     a, b = ([e if start <= lo < end else 1 for lo, e in zip(cuts, shape)] for start, end in spans)
-    out = np.multiply(f.values.reshape(a), g.values.reshape(b), out=np.empty(shape, complex))
+    out = np.empty(shape, complex) if out is None else out.reshape(shape)
+    out = np.multiply(f.values.reshape(a), g.values.reshape(b), out=out)
     return _new(f.spec, cuts[-1], out.reshape(-1))
 
 
@@ -286,9 +290,9 @@ def adjoint_sigma(f: CylinderFn) -> CylinderFn:
     return _new(f.spec, f.depth - 1, _average(f.spec.weight_array(), f.values))
 
 
-def weighted_compose(m: CylinderFn, f: CylinderFn) -> CylinderFn:
-    """S_m f = m * (f o sigma)."""
-    return _product(m, f, (0, 1))
+def weighted_compose(m: CylinderFn, f: CylinderFn, out: np.ndarray | None = None) -> CylinderFn:
+    """S_m f = m * (f o sigma), into out if given (as _product)."""
+    return _product(m, f, (0, 1), out)
 
 
 def weighted_adjoint(m: CylinderFn, f: CylinderFn) -> CylinderFn:

@@ -228,17 +228,6 @@ class MomentSpec:
         return cls(spec, weight, h, coords)
 
 
-def _integrals(step, x, wanted: set[int], p: np.ndarray, *integrands) -> dict[int, list[complex]]:
-    """{k: [int u(v) dmu for each integrand u]}, v the values of step^k(x), k in wanted,
-    from one pass of step, in a frame of its own: its arrays go when it returns."""
-    out = {}
-    for k in range(max(wanted, default=0) + 1):
-        x = step(x) if k else x
-        if k in wanted:
-            out[k] = [complex(_integral(p, u(x.values))) for u in integrands]
-    return out
-
-
 def dilation_residuals(
     m: CylinderFn, f: CylinderFn, g: CylinderFn, orders: Sequence[int], h: CylinderFn
 ) -> list[float]:
@@ -248,31 +237,62 @@ def dilation_residuals(
     compares the power of the L2(h dmu) adjoint S*(conj(m) h f) / h against
     <f o pi_0, U^{|n|} (g o pi_0)>_P, the unitary pairing, which never
     divides by m.  h is the density of the weight |m|**2.  As U^k (x o pi_0) =
-    (S_m^k x) o pi_0, a pairing <a o pi_0, b o pi_0>_P is int (a conj(b)) h dmu,
-    its products written in place.  Three powers are walked once each, to the
-    largest order: S_m^k f for n >= 0, the adjoint power and S_m^k g for n < 0.
+    (S_m^k x) o pi_0, a pairing <a o pi_0, b o pi_0>_P is int (a conj(b)) h dmu.
+    Three powers are walked once each, to the largest order: S_m^k f for
+    n >= 0, the adjoint power and S_m^k g for n < 0.
+
+    The walks share one workspace, allocated once per call: walk buffers of
+    the deepest product's cells and of 1/N of them, and an integrand scratch.
+    A walk to order K writes step k into the buffer of parity K - k, the one
+    it is not reading; each integral averages from the scratch into the free
+    walk buffer and back.  The depth loop checks each view's cells, not the
+    workspace's.
     """
     # step k of a walk is at depth max(m.depth + k - 1, x.depth + k): checking each depth,
     # shallowest first as the walks would, fails an order past the cap before walking
     up, down = {n for n in orders if n >= 0}, {-n for n in orders if n < 0}
     k_f, k_g = max(up, default=0), max(down, default=0)
-    for depth in range(max(m.depth + max(k_f, k_g) - 1, f.depth + k_f, g.depth + k_g) + 1):
+    top = max(m.depth + max(k_f, k_g) - 1, f.depth + k_f, g.depth + k_g)
+    for depth in range(top + 1):
         check_cells(m.spec.N**depth)
     _require_same_spec(g.spec, h.spec, m.spec, f.spec)
-    p, gc, hv = m.spec.weight_array(), np.conj(g.values), h.values
+    n, p, gc, hv = m.spec.N, m.spec.weight_array(), np.conj(g.values), h.values
     gh = _mul(gc, hv)
+    cells = n ** max(top, h.depth)  # h deeper than every walk sizes the integrands
+    work = np.empty(2 * cells + cells // n, complex)
+    large, small, scratch = np.split(work, [cells, cells + cells // n])
 
-    def path(t: np.ndarray) -> np.ndarray:  # t h into t, t = a conj(b) a new product
-        return _mul(t, hv, out=t)
+    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # a b into the scratch, a or b maybe in it
+        return _mul(a, b, out=scratch[: max(a.size, b.size)])
 
-    def pulled(y: np.ndarray) -> np.ndarray:  # f conj(y) into conj(y), then h
-        return path(_mul(f.values, c := np.conj(y), out=c))
+    def integral(u: np.ndarray, spare: np.ndarray) -> complex:  # _integral, u in the scratch
+        into, other = spare, scratch
+        while u.size > 1:
+            u = np.matmul(p, u.reshape(n, -1), out=into[: u.size // n])
+            into, other = other, into
+        return complex(u[0])
 
-    compose, base = partial(weighted_compose, m), partial(_mul, b=gh)  # base: x conj(g) h
-    forward = _integrals(compose, f, up, p, base, lambda x: path(_mul(x, gc)))
-    adjoint = _integrals(lambda x: weighted_adjoint(m, multiply(h, x)) / h, f, down, p, base)
-    backward = _integrals(compose, g, down, p, pulled)
-    sides = forward | {-k: adjoint[k] + backward[k] for k in down}
+    def walk(step, x: CylinderFn, wanted: set[int], *integrands) -> dict[int, list[complex]]:
+        """{k: [int u(v) dmu for each integrand u]}, v the values of step^k(x), k in wanted."""
+        last, out = max(wanted, default=0), {}
+        for k in range(last + 1):
+            into, spare = (large, small) if (last - k) % 2 == 0 else (small, large)
+            x = step(x, into) if k else x
+            if k in wanted:
+                out[k] = [integral(u(x.values), spare) for u in integrands]
+        return out
+
+    def compose(x: CylinderFn, into: np.ndarray) -> CylinderFn:  # S_m x into a view of into
+        return weighted_compose(m, x, out=into[: max(m.values.size, n * x.values.size)])
+
+    def pulled(y: np.ndarray) -> np.ndarray:  # f conj(y) h
+        return mul(mul(f.values, np.conj(y, out=scratch[: y.size])), hv)
+
+    base = partial(mul, b=gh)  # x conj(g) h
+    forward = walk(compose, f, up, base, lambda v: mul(mul(v, gc), hv))
+    lower = walk(lambda x, _: weighted_adjoint(m, multiply(h, x)) / h, f, down, base)
+    backward = walk(compose, g, down, pulled)
+    sides = forward | {-k: lower[k] + backward[k] for k in down}
     return [abs(lhs - rhs) for lhs, rhs in map(sides.get, orders)]
 
 

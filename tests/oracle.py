@@ -23,9 +23,10 @@ dilation residuals.  The stepwise moment, a CylinderFn per transfer step,
 and the four-walk dilation, whose path pairings are stepwise expectations,
 are the package's former code too, kept as the bit-for-bit judge of the
 moment loop and of the three walks on value arrays.  The gather-based
-cascade and the np.repeat lifting product are the package's former
-kernels, kept as the bit-for-bit
-judge of the in-place cascade and of the broadcast products, and the
+cascade, the zero-stuffed filter-bank round trip and the np.repeat lifting
+product are the package's former kernels, kept as the bit-for-bit judge of
+the in-place cascade, of the phase-lattice round trip and of the broadcast
+products, and the
 path shift and collapse that store each f o sigma**k (``shift_iterate``)
 are the judge of the shifted views.  The per-term product kernel, the
 whole-matrix refinement residual, contraction check and Hermitian test,
@@ -907,9 +908,10 @@ def discrete_cuntz_residual(values, sigma) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the cascade and cylinder products with full-length temporaries: an index
-# gather and a fresh array per tap and step, an np.repeat copy per lift, an
-# np.tile copy per shift
+# the cascade, the filter bank and cylinder products with full-length
+# temporaries: an index gather and a fresh array per tap and step, a
+# zero-stuffed copy per band, an np.repeat copy per lift, an np.tile copy
+# per shift
 # ---------------------------------------------------------------------------
 
 
@@ -953,6 +955,28 @@ def cascade_gather(taps, n: int, iterations: int, res: int) -> tuple[np.ndarray,
 def detail_gather(phi: np.ndarray, detail_taps, n: int, res: int) -> np.ndarray:
     out_len = ((len(detail_taps) - 1) * res + phi.shape[0] - 1) // n + 1
     return refine_gather(phi, out_len, np.asarray(detail_taps, dtype=complex), n, res)
+
+
+def filterbank_zero_stuffed(signal, analysis_taps, synthesis_taps, n: int, a_off=None, s_off=None):
+    """(subbands, reconstruction) of the former filter-bank round trip: analysis
+    gathers x[(N k + u + off) % L], synthesis rolls a zero-stuffed length-L copy."""
+    x = np.asarray(signal, dtype=complex)
+    length = x.shape[0]
+    a_off = list(a_off or [0] * len(analysis_taps))
+    s_off = list(s_off or [0] * len(synthesis_taps))
+    base = n * np.arange(length // n)
+    subbands = []
+    recon = np.zeros(length, dtype=complex)
+    for a, s, oa, os in zip(analysis_taps, synthesis_taps, a_off, s_off):
+        sub = np.zeros(length // n, dtype=complex)
+        for u, c in enumerate(np.asarray(a, dtype=complex)):
+            sub += np.conj(c) * x[(base + u + oa) % length]
+        subbands.append(sub)
+        up = np.zeros(length, dtype=complex)
+        up[::n] = sub
+        for v, c in enumerate(np.asarray(s, dtype=complex)):
+            recon += c * np.roll(up, v + os)
+    return subbands, recon
 
 
 def repeat_binary(f: CylinderFn, g: CylinderFn, op) -> np.ndarray:
@@ -1110,6 +1134,29 @@ def marginal_residual(f0: CylinderFn, order: int, weight: CylinderFn, h=None) ->
     ones = CylinderFn.ones(f0.spec)
     val = moment((f0,) + (ones,) * order, weight, h)
     return abs(val - cs.integrate(cs.multiply(f0, h)))
+
+
+def filterbank_cases(count: int, seed: int):
+    """(signal, analysis, synthesis, N, analysis offsets, synthesis offsets):
+    random complex banks of 1..N+1 bands, 1..6 taps and offsets -5..8, with a
+    NaN or inf tap or sample put into every third case."""
+    rng = np.random.default_rng(seed)
+    bad = [np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(0.0, np.inf)]
+
+    def cvec(size: int) -> np.ndarray:
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    for case in range(count):
+        n = int(rng.integers(2, 5))
+        bands = int(rng.integers(1, n + 2))
+        x = cvec(n * int(rng.integers(1, 9)))
+        banks = [[cvec(int(rng.integers(1, 7))) for _ in range(bands)] for _ in range(2)]
+        offsets = [[int(o) for o in rng.integers(-5, 9, size=bands)] for _ in range(2)]
+        if case % 3 == 2:  # a non-finite synthesis tap, analysis tap or sample
+            z, where = bad[case % len(bad)], case % 9 // 3
+            target = banks[1 - where % 2][0] if where < 2 else x
+            target[int(rng.integers(target.shape[0]))] = z
+        yield x, banks[0], banks[1], n, offsets[0], offsets[1]
 
 
 def haar_pair() -> list[LaurentPoly]:

@@ -677,6 +677,27 @@ def test_mra_filterbank_still_fails_a_broken_bank_or_nan(tmp_path, capsys):
     assert code == 1 and result["pass"] is False
 
 
+def test_mra_filterbank_out_matches_the_zero_stuffed_oracle_bytes(tmp_path, capsys):
+    # random banks and offsets, some with a NaN or inf tap or sample: --out
+    # holds the former round trip's reconstruction, byte for byte
+    for k, (x, a, s, n, oa, os) in enumerate(oracle.filterbank_cases(30, 22)):
+        bank = {
+            "analysis": [jsonio.encode_cvector(t) for t in a],
+            "synthesis": [jsonio.encode_cvector(t) for t in s],
+            "analysis_offsets": oa,
+            "synthesis_offsets": os,
+        }
+        signal, taps = _signal_file(tmp_path / f"x{k}.csv", x), write(tmp_path / f"bank{k}.json", bank)
+        out, want = tmp_path / f"recon{k}.csv", tmp_path / f"want{k}.csv"
+        argv = ["mra", "filterbank", "--signal", signal, "--taps", taps, "--N", str(n), "--out", str(out)]
+        assert run(argv) in (0, 1)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            recon = oracle.filterbank_zero_stuffed(x, a, s, n, oa, os)[1]
+        oracle.write_rows(str(want), (), zip(recon.real, recon.imag))
+        assert out.read_bytes() == want.read_bytes()
+
+
 SIGNAL_FIXTURES = {
     "blank lines": "\n1.5,-2\n\n\n0.25,3\n\n",
     "one column": "1.5\n-0\n2.75\n",

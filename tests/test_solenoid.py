@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -426,6 +427,28 @@ def test_dilation_memory_peak_at_the_benchmark_shapes(admissible):
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * 2**20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults as Linux reports them")
+@pytest.mark.parametrize("admissible", [True, False])
+def test_a_warm_dilation_maps_no_fresh_pages(admissible):
+    # the walks run in one workspace per call, which the allocator keeps
+    # between calls: the first call maps it, the second grows the heap to hold
+    # it, and from then on a call touches pages it already has.  A new array
+    # per walk step, handed back to the system each time, cost about 2,800
+    # minor faults a call at these shapes
+    import resource
+
+    spec = IfsSpec(2, (0.375, 0.625))
+    rng = np.random.default_rng(8)
+    m = _dilation_multiplier(rng, spec, admissible, depth=8)
+    h = harmonic_for(m.abs2())
+    f, g = random_cylinder(rng, spec, 3), random_cylinder(rng, spec, 3)
+    orders = list(range(-10, 11))
+    want = [dilation_residuals(m, f, g, orders, h) for _ in range(2)][-1]
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert dilation_residuals(m, f, g, orders, h) == want
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 256
 
 
 def test_dilation_negative_orders_use_the_h_adjoint(spec_weighted, rng):
