@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, band_count
+from .errors import InputError, band_count, below, check_cells
 from . import jsonio
 
 PRUNE_TOL = 1e-15
@@ -128,6 +128,7 @@ class LaurentPoly:
     # -- multirate -----------------------------------------------------------
     def upsample(self, n: int) -> "LaurentPoly":
         n = band_count(n)
+        check_cells(n * self._coeffs.size)
         out = np.zeros(n * self._coeffs.size, dtype=complex)  # trailing zeros are trimmed
         out[::n] = self._coeffs
         return LaurentPoly(n * self._lo, out)
@@ -292,13 +293,12 @@ class BlaschkeFactor:
         p = jsonio.frozen(self.projection)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise InputError("projection must be a square matrix")
-        # written so that a non-finite P fails
-        if not (np.max(np.abs(p - p.conj().T)) <= 1e-13 and np.max(np.abs(p @ p - p)) <= 1e-13):
+        if not below(1e-13, np.max(np.abs(p - p.conj().T)), np.max(np.abs(p @ p - p))):
             raise InputError("projection must satisfy P = P* = P^2")
         object.__setattr__(self, "projection", p)
         if self.a is not None:
             a = complex(self.a)
-            if not (np.isfinite(a) and abs(abs(a) - 1.0) >= 1e-12):
+            if not np.isfinite(a) or below(1e-12, abs(abs(a) - 1.0)):
                 raise InputError("Moebius parameter must be finite with |a| != 1")
             object.__setattr__(self, "a", a)
         if self.power < 2:
@@ -334,7 +334,7 @@ class BlaschkeProduct:
         v = jsonio.frozen(self.left_unitary)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise InputError("left unitary must be a square matrix")
-        if not np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) <= 1e-12:
+        if not below(1e-12, np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0])))):
             raise InputError("left factor must be unitary")
         object.__setattr__(self, "left_unitary", v)
         object.__setattr__(self, "factors", tuple(self.factors))

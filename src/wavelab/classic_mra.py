@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import InputError, VerificationError, band_count, check_cells
+from .errors import InputError, VerificationError, band_count, below, check_cells
 
 if TYPE_CHECKING:
     from .circle_filters import LaurentPoly
@@ -130,7 +130,7 @@ def cascade(
     if resolution < 1:
         raise InputError("resolution must be a positive integer")
     tap_sum = complex(taps.sum())
-    if not abs(tap_sum - np.sqrt(n)) <= TAP_SUM_TOL:  # written so that NaN fails
+    if not below(TAP_SUM_TOL, abs(tap_sum - np.sqrt(n))):
         raise VerificationError(
             f"taps must sum to sqrt({n}) = {np.sqrt(n):.15g}, got {tap_sum:.15g}"
         )
@@ -155,7 +155,7 @@ def cascade(
         diverged = growing >= DIVERGENCE_RUN or not math.isfinite(diff)
         if diverged:
             break
-    converged = not diverged and _tail_bound(sup_diffs) < tol
+    converged = not diverged and below(tol, _tail_bound(sup_diffs))
     phi = phi.astype(complex, copy=False)
     phi.setflags(write=False)
     return ScalingProfile(
@@ -194,7 +194,7 @@ def fourier_product(m0: LaurentPoly, t: float, terms: int) -> tuple[complex, flo
     """
     if terms < 0:
         raise InputError("term count must be >= 0")
-    if not abs(m0(1.0) - np.sqrt(2.0)) <= 1e-12:  # written so that NaN fails
+    if not below(1e-12, abs(m0(1.0) - np.sqrt(2.0))):
         raise VerificationError("m0(1) must equal sqrt(2) for the product to converge")
     value = 1.0 + 0.0j
     prev = value

@@ -25,8 +25,9 @@ writes the result line, all with the cyclic garbage collector paused.
 A command runs only the modules of its own group: the domain modules are
 bound lazily (``_lazy``), so importing the CLI, ``--help`` and parsing run
 none of them, and each one's code runs when a command first uses it.  The
-input rules that groups share (the cell cap, the band count, the branch
-weights) come from ``errors``, which every command runs.  The parser of a
+rules that groups share (``below``, the one comparison of a residual with its
+bound; the cell cap, the band count, the branch weights) come from
+``errors``, which every command runs.  The parser of a
 launch fills in only the commands of the group its argv names.
 """
 
@@ -46,8 +47,8 @@ from typing import Any, Callable
 import numpy as np
 
 from . import jsonio
-from .errors import (CellCapError, InputError, VerificationError, band_count, check_cells,
-                     held_cell_cap)
+from .errors import (CellCapError, InputError, VerificationError, band_count, below,
+                     check_cells, held_cell_cap)
 
 
 def _lazy(name: str) -> types.ModuleType:
@@ -79,11 +80,6 @@ sol = _lazy("solenoid")
 # malformed input files, bad options and sizes over the cell cap: exit 2
 _USAGE_ERRORS = (InputError, OSError)
 _CSV_CHUNK_ROWS = 1 << 14  # one format string per chunk keeps the peak memory flat
-
-
-def _all_below(tol: float, *residuals: float) -> bool:
-    """True when every residual is below tol; a NaN residual is never below."""
-    return all(r < tol for r in residuals)
 
 
 def _write_csv(path: str, header: tuple[str, ...], *columns) -> None:
@@ -241,7 +237,7 @@ def _ifs_verify(args) -> tuple[dict, bool]:
 def _ifs_connect(args) -> tuple[dict, bool]:
     bank = _load(args.bank, ifsf.FilterBank.from_json)
     target = _load(args.target, ifsf.FilterBank.from_json)
-    field = ifsf.connecting_unitary(bank, target, tol=args.tol)
+    field = ifsf.connecting_unitary(bank, target, tol=args.tol)  # the verdict: it raises on failure
     resid = field.unitarity_residual()
     if args.out:
         jsonio.dump_file(args.out, field.to_json())
@@ -249,7 +245,7 @@ def _ifs_connect(args) -> tuple[dict, bool]:
         "results": {"unitary": field.to_json()},
         "residuals": {"unitarity": resid},
         "tolerances": {"unitarity": ifsf.UNITARITY_TOL},
-    }, _all_below(ifsf.UNITARITY_TOL, resid)
+    }, True
 
 
 def _ifs_apply(args) -> tuple[dict, bool]:
@@ -282,7 +278,7 @@ def _ifs_decompose(args) -> tuple[dict, bool]:
             "energy": abs(energy_in - energy_leaves),
         },
         "tolerances": {"roundtrip": args.tol},
-    }, _all_below(args.tol, roundtrip)
+    }, below(args.tol, roundtrip)
 
 
 def _ifs_endo(args) -> tuple[dict, bool]:
@@ -292,7 +288,7 @@ def _ifs_endo(args) -> tuple[dict, bool]:
     return {
         "residuals": {"endomorphism": resid},
         "tolerances": {"endomorphism": args.tol},
-    }, _all_below(args.tol, resid)
+    }, below(args.tol, resid)
 
 
 def _circle_verify(args) -> tuple[dict, bool]:
@@ -301,7 +297,7 @@ def _circle_verify(args) -> tuple[dict, bool]:
         filters, args.N, convention=args.convention
     )
     # a short filter list can be a family of isometries but never a bank
-    passed = len(filters) == args.N and _all_below(args.tol, orthonormality, completeness)
+    passed = len(filters) == args.N and below(args.tol, orthonormality, completeness)
     return {
         "results": {"filter_count": len(filters), "band": args.N},
         "residuals": {"orthonormality": orthonormality, "completeness": completeness},
@@ -336,7 +332,7 @@ def _circle_cqf(args) -> tuple[dict, bool]:
         },
         "residuals": {"grid_unitarity": unitarity, "power_sum": power_sum},
         "tolerances": {"grid_unitarity": args.tol},
-    }, _all_below(args.tol, unitarity, power_sum)
+    }, below(args.tol, unitarity, power_sum)
 
 
 def _circle_matrix(args) -> tuple[dict, bool]:
@@ -348,7 +344,7 @@ def _circle_matrix(args) -> tuple[dict, bool]:
         "results": {"band": args.N, "grid": args.grid},
         "residuals": {"grid_unitarity": unitarity, "shift_relation": shift},
         "tolerances": {"tol": args.tol},
-    }, _all_below(args.tol, unitarity, shift)
+    }, below(args.tol, unitarity, shift)
 
 
 def _circle_blaschke(args) -> tuple[dict, bool]:
@@ -363,7 +359,7 @@ def _circle_blaschke(args) -> tuple[dict, bool]:
         "results": {"factor_count": len(product.factors), "band": band},
         "residuals": {"grid_unitarity": unitarity, "periodicity": periodicity},
         "tolerances": {"tol": args.tol},
-    }, _all_below(args.tol, unitarity, periodicity)
+    }, below(args.tol, unitarity, periodicity)
 
 
 def _circle_loop(args) -> tuple[dict, bool]:
@@ -380,10 +376,10 @@ def _circle_loop(args) -> tuple[dict, bool]:
     # G is a validated Blaschke product, unitary by construction: its residual
     # and the warning are reported, and the verdict reads the result alone
     return {
-        "results": {"non_unitary_warning": not g_unitarity <= args.tol},
+        "results": {"non_unitary_warning": not below(args.tol, g_unitarity)},
         "residuals": {"acting_map_unitarity": g_unitarity, "result_unitarity": unitarity},
         "tolerances": {"tol": args.tol},
-    }, _all_below(args.tol, unitarity)
+    }, below(args.tol, unitarity)
 
 
 def _mra_cascade(args) -> tuple[dict, bool]:
@@ -429,7 +425,7 @@ def _mra_wavelet(args) -> tuple[dict, bool]:
         "results": {"iterations": profile.iterations, "converged": profile.converged},
         "residuals": {"detail_mean": float(mean)},
         "tolerances": {"detail_mean": 1e-8},
-    }, profile.converged and _all_below(1e-8, mean)
+    }, profile.converged and below(1e-8, mean)
 
 
 def _mra_filterbank(args) -> tuple[dict, bool]:
@@ -441,8 +437,8 @@ def _mra_filterbank(args) -> tuple[dict, bool]:
     # both residuals scale with the signal, so the bounds do too
     peak = float(np.max(np.abs(signal)))
     passed = (
-        _all_below(args.tol * max(1.0, peak), result.pr_error)
-        and _all_below(args.tol * max(1.0, result.energy_in), result.energy_error)
+        below(args.tol * max(1.0, peak), result.pr_error)
+        and below(args.tol * max(1.0, result.energy_in), result.energy_error)
     )
     return {
         "results": {
@@ -479,7 +475,7 @@ def _solenoid_moment(args) -> tuple[dict, bool]:
         "results": {"value": jsonio.encode_complex(value), "order": len(ms.coords) - 1},
         "residuals": {"probability_normalization": prob},
         "tolerances": {"probability_normalization": args.tol},
-    }, _all_below(args.tol, prob)
+    }, below(args.tol, prob)
 
 
 def _solenoid_dilation(args) -> tuple[dict, bool]:
@@ -489,7 +485,7 @@ def _solenoid_dilation(args) -> tuple[dict, bool]:
     return {
         "residuals": residuals,
         "tolerances": {"dilation": args.tol},
-    }, _all_below(args.tol, *residuals.values())
+    }, below(args.tol, *residuals.values())
 
 
 def _solenoid_axioms(args) -> tuple[dict, bool]:
@@ -508,7 +504,7 @@ def _solenoid_axioms(args) -> tuple[dict, bool]:
     return {
         "residuals": extras,
         "tolerances": {"axioms": args.tol},
-    }, _all_below(args.tol, *extras.values())
+    }, below(args.tol, *extras.values())
 
 
 def _rkhs_check(args) -> tuple[dict, bool]:
@@ -536,7 +532,7 @@ def _rkhs_check(args) -> tuple[dict, bool]:
         "results": results,
         "residuals": residuals,
         "tolerances": {"tol": args.tol},
-    }, _all_below(args.tol, *residuals.values())
+    }, below(args.tol, *residuals.values())
 
 
 def _rkhs_product(args) -> tuple[dict, bool]:
@@ -552,7 +548,7 @@ def _rkhs_product(args) -> tuple[dict, bool]:
         "results": {"terms": args.terms, "orbits_reach_fixed_point": settles},
         "residuals": {"tail_bound": tail_bound, "refinement": refinement},
         "tolerances": {"tail_bound": args.tol},
-    }, _all_below(args.tol, tail_bound) and settles
+    }, below(args.tol, tail_bound) and settles
 
 
 def _examples_logistic(args) -> tuple[dict, bool]:
@@ -561,7 +557,7 @@ def _examples_logistic(args) -> tuple[dict, bool]:
         "results": {"degree": args.degree, "nodes": args.nodes},
         "residuals": {"invariance": invariance, "quadrature": quadrature},
         "tolerances": {"invariance": args.tol},
-    }, _all_below(args.tol, invariance, quadrature)
+    }, below(args.tol, invariance, quadrature)
 
 
 def _examples_fractal(args) -> tuple[dict, bool]:
@@ -580,7 +576,7 @@ def _examples_fractal(args) -> tuple[dict, bool]:
         "residuals": {"max_abs_z": report.max_abs_z},
         "tolerances": {"z_bound": args.z_bound},
         "seed": args.seed,
-    }, _all_below(args.z_bound, report.max_abs_z)
+    }, below(args.z_bound, report.max_abs_z)
 
 
 # ---------------------------------------------------------------------------

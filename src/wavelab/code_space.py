@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WEIGHT_SUM_TOL, InputError, VerificationError, branch_weights, check_cells
+from .errors import (WEIGHT_SUM_TOL, InputError, VerificationError, below, branch_weights,
+                     check_cells)
 from . import jsonio
 
 TRANSFER_WEIGHT_TOL = 1e-12  # how far a transfer weight may stray from real and >= 0
@@ -59,7 +60,7 @@ class IfsSpec:
 
     @property
     def uniform(self) -> bool:
-        return all(abs(p - 1.0 / self.N) < WEIGHT_SUM_TOL for p in self.weights)
+        return below(WEIGHT_SUM_TOL, *(abs(p - 1.0 / self.N) for p in self.weights))
 
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
@@ -120,8 +121,9 @@ class CylinderFn:
     # -- pointwise arithmetic --------------------------------------------------
     def _binary(self, other, op):
         if isinstance(other, CylinderFn):
-            a, b, depth = _align(self, other)
-            return _new(self.spec, depth, op(a, b).reshape(-1))
+            _require_same_spec(self.spec, other.spec)
+            depth = max(self.depth, other.depth)
+            return _new(self.spec, depth, op(*_rows(self.values, other.values)).reshape(-1))
         return _new(self.spec, self.depth, op(self.values, complex(other)))
 
     def __add__(self, other):
@@ -182,18 +184,14 @@ def _require_same_spec(spec: IfsSpec, *others: IfsSpec) -> None:
             raise InputError(f"operands live over different systems: {spec} vs {other}")
 
 
-def _align(f: CylinderFn, g: CylinderFn) -> tuple[np.ndarray, np.ndarray, int]:
-    """Both operands as (N**shallow, -1) views and the deeper depth, for the
-    binary operations other than the product (``_mul``).
-
-    The shallower one is (N**shallow, 1), so it broadcasts as its lift
-    would; a result of unequal depths checks its N**depth cells."""
-    _require_same_spec(f.spec, g.spec)
-    shallow, depth = sorted((f.depth, g.depth))
-    if shallow != depth:
-        check_cells(f.spec.N**depth)
-    rows = f.spec.N**shallow
-    return f.values.reshape(rows, -1), g.values.reshape(rows, -1), depth
+def _rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one lift rule of a binary operation on values over one N: both as
+    (rows, -1) views, the shallower, of rows values, as (rows, 1), broadcast
+    as its lift would be.  Unequal sizes check the deeper's cells."""
+    rows, cells = sorted((a.size, b.size))
+    if rows != cells:
+        check_cells(cells)
+    return a.reshape(rows, -1), b.reshape(rows, -1)
 
 
 def _depth(size: int, n: int) -> int:
@@ -253,26 +251,21 @@ def _product(
 
 
 def _mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a * b, the one pointwise product, on values over one N: the shallower, of
-    rows values, is read as (rows, 1), broadcast as its lift would be.  Unequal
-    depths check the cells; out (the caller's, maybe an operand) takes the
-    product if it has the product's size, else the product is a new array."""
-    rows, cells = sorted((a.size, b.size))
-    if rows != cells:
-        check_cells(cells)
-    out = None if out is None or out.size != cells else out.reshape(rows, -1)
-    return np.multiply(a.reshape(rows, -1), b.reshape(rows, -1), out=out).reshape(-1)
+    """a * b, the one pointwise product, lifted by _rows; out (the caller's, maybe
+    an operand) takes it if it has its size, else it is a new array."""
+    a, b = _rows(a, b)
+    out = None if out is None or out.size != max(a.size, b.size) else out.reshape(len(a), -1)
+    return np.multiply(a, b, out=out).reshape(-1)
 
 
 def multiply(f: CylinderFn, g: CylinderFn) -> CylinderFn:
     """Pointwise product at the common lifted depth."""
-    _require_same_spec(f.spec, g.spec)
-    return _new(f.spec, max(f.depth, g.depth), _mul(f.values, g.values))
+    return f._binary(g, np.multiply)
 
 
 def sup_distance(f: CylinderFn, g: CylinderFn) -> float:
-    a, b, _ = _align(f, g)
-    return float(np.max(np.abs(a - b)))
+    _require_same_spec(f.spec, g.spec)
+    return float(np.max(np.abs(np.subtract(*_rows(f.values, g.values)))))
 
 
 def compose_sigma(f: CylinderFn) -> CylinderFn:
@@ -301,6 +294,7 @@ def weighted_adjoint(m: CylinderFn, f: CylinderFn) -> CylinderFn:
 
 
 def _require_weight(W: CylinderFn) -> None:
+    # not below(): a NaN weight is no bad input, and fails harmonic_solve's verdict instead
     if float(np.max(np.abs(W.values.imag))) > TRANSFER_WEIGHT_TOL:
         raise InputError("transfer weight must be real")
     if float(np.min(W.values.real)) < -TRANSFER_WEIGHT_TOL:
@@ -317,13 +311,13 @@ def density_defect(W: CylinderFn, h: CylinderFn) -> tuple[float, str]:
     """(sup|R_W h - h|, why h is no transfer-harmonic density of W, or "").
 
     h is one when R_W h = h, int h dmu = 1 and h >= 0 (Im h = 0), each
-    within HARMONIC_TOL; a NaN anywhere fails.
+    strictly within HARMONIC_TOL (``errors.below``); a NaN anywhere fails.
     """
     tol = HARMONIC_TOL
     residual = sup_distance(ruelle_apply(W, h), h)  # at the deeper depth
     deviation = abs(integrate(h) - 1.0)
     low, imag = float(h.values.real.min()), float(np.abs(h.values.imag).max())
-    if residual < tol and deviation < tol and low >= -tol and imag <= tol:
+    if below(tol, residual, deviation, -low, imag):
         return residual, ""
     return residual, (
         f"sup|R_W h - h| {residual:.3e}, min Re h {low:.3e}, max |Im h| {imag:.3e}, "
@@ -346,7 +340,7 @@ def harmonic_solve(W: CylinderFn) -> CylinderFn:
     check_cells(size * size)
     p, word = W.spec.weight_array(), np.arange(n * size)  # the words n v
     cells = (word % size, word // n)
-    weighted = np.repeat(p, size) * _lift(W.values, n, depth + 1).real
+    weighted = (p[:, None] * W.values.real.reshape(-1, size)).reshape(-1)  # W lifted by broadcast
     mat = np.zeros((size, size))
     np.add.at(mat, cells, weighted)
     mat.flat[:: size + 1] -= 1  # R_W - I + 1 mu^T, in place

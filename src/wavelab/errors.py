@@ -1,11 +1,13 @@
-"""The exception types, one per failing exit code of the CLI, and the input
-rules that more than one command group shares, here because every command
-runs this module: the cell cap of every large allocation (``check_cells``;
-2**24 cells unless WAVELAB_MAX_CELLS sets it, read once per CLI run), the
-band count of a bank (``band_count``, at least 2) and the branch weights of
-an IFS (``branch_weights``: positive, summing to 1 within WEIGHT_SUM_TOL).
+"""The exception types, one per failing exit code of the CLI, and the rules
+that more than one command group shares, here because every command runs
+this module: ``below``, the one comparison of every verdict and tolerance
+precondition (strictly below: equality and NaN fail), the cell cap of every
+large allocation (``check_cells``; 2**24 cells unless WAVELAB_MAX_CELLS sets
+it, read once per CLI run), the band count (``band_count``, at least 2) and
+the branch weights (``branch_weights``: positive, fsum within WEIGHT_SUM_TOL of 1).
 """
 
+import math
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -26,6 +28,11 @@ class CellCapError(InputError):
 
 class VerificationError(Exception):
     """A check, a precondition or an iterative solve failed on well-formed input: exit 1."""
+
+
+def below(bound: float, *values: float) -> bool:
+    """True when every value is strictly below bound; equality and NaN fail."""
+    return all(v < bound for v in values)
 
 
 def max_cells() -> int:
@@ -71,12 +78,14 @@ def band_count(n: int) -> int:
 
 
 def branch_weights(weights, count: int) -> tuple[float, ...]:
-    """The weights as floats, uniform when empty; NaN weights fail."""
+    """The weights as floats, uniform when empty; NaN weights fail; the sum is exact."""
+    if not weights:
+        check_cells(count)  # the uniform tuple's cells
     w = tuple(float(p) for p in weights) if weights else (1.0 / count,) * count
     if len(w) != count:
         raise InputError(f"expected {count} weights, got {len(w)}")
     if not all(p > 0 for p in w):
         raise InputError(f"branch weights must be positive, got {w}")
-    if not abs(sum(w) - 1.0) < WEIGHT_SUM_TOL:
-        raise InputError(f"branch weights must sum to 1, got {sum(w)!r}")
+    if not below(WEIGHT_SUM_TOL, abs((total := math.fsum(w)) - 1.0)):
+        raise InputError(f"branch weights must sum to 1, got {total!r}")
     return w

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InputError, branch_weights, check_cells
+from .errors import InputError, below, branch_weights, check_cells
 from . import jsonio
 
 CHAOS_BURN_IN = 64
@@ -75,13 +75,13 @@ class AffineIfs:
         if b.ndim != 2 or b.shape[1] != d or b.shape[0] < 1:
             raise InputError(f"digits must be row vectors of dimension {d}")
         eigs = np.linalg.eigvals(a.astype(float))
-        if np.min(np.abs(eigs)) <= 1.0 + 1e-12:
+        if not below(-1.0 - 1e-12, -np.min(np.abs(eigs))):  # min |eig| > 1 + 1e-12
             raise InputError("matrix spectrum must lie strictly outside the unit circle")
         inv = np.linalg.inv(a.astype(float))
         for i in range(b.shape[0]):
             for j in range(i + 1, b.shape[0]):
                 q = inv @ (b[i] - b[j])
-                if np.max(np.abs(q - np.round(q))) < 1e-9:
+                if below(1e-9, np.max(np.abs(q - np.round(q)))):
                     raise InputError(f"digits {i} and {j} coincide modulo the matrix lattice")
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "digits", b)

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, VerificationError, check_cells
+from .errors import InputError, VerificationError, below, check_cells
 from . import jsonio
 from .code_space import CylinderFn, IfsSpec, _average, _depth, _integral, _lift, _require_same_spec
 from .code_space import multiply  # noqa: F401, the perfbench tracer test reads it here
@@ -230,8 +230,7 @@ def verify_filter(bank: FilterBank, probe_depth: int = 3, tol: float = 1e-12) ->
     gram = _gram(bank.spec, bank._by_symbol(depth), bank._by_symbol(depth))
     orth = np.max(np.abs(gram - np.eye(n)[:, :, None]), axis=2)
     comp = _tail_residual(bank, depth)
-    passed = bool(orth.max() < tol and comp < tol)
-    return FilterReport(orth, comp, passed)
+    return FilterReport(orth, comp, below(tol, orth.max(), comp))
 
 
 def analysis(bank: FilterBank, level: np.ndarray) -> np.ndarray:
@@ -328,7 +327,7 @@ def connecting_unitary(bank: FilterBank, target: FilterBank, tol: float = 1e-10)
     """The matrix field U_jk = S*(conj(m_j) m~_k) carrying bank onto target.
 
     Both banks must verify; the result is checked to be pointwise unitary
-    and to recombine the target exactly.
+    and to recombine the target exactly, each below its bound (a NaN fails).
     """
     _require_same_spec(bank.spec, target.spec)
     for b in (bank, target):
@@ -343,12 +342,12 @@ def connecting_unitary(bank: FilterBank, target: FilterBank, tol: float = 1e-10)
     gram = _gram(bank.spec, bank._by_symbol(depth), target._by_symbol(depth))
     field = MatrixField(bank.spec, gram)
     resid = field.unitarity_residual()
-    if resid > UNITARITY_TOL:
+    if not below(UNITARITY_TOL, resid):
         raise VerificationError(f"connecting field not pointwise unitary: {resid:.3e}")
     recombined = apply_loop_group(bank, field)  # at depth max(L, L~)
     lifted = _lift(target.values, bank.spec.N, recombined.depth)
     recomb = float(np.max(np.abs(recombined.values - lifted)))
-    if recomb > RECOMBINATION_TOL:
+    if not below(RECOMBINATION_TOL, recomb):
         raise VerificationError(f"connecting field fails to recombine target: {recomb:.3e}")
     return field
 

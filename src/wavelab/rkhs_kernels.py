@@ -108,6 +108,7 @@ class KernelMatrix:
             raise InputError("kernel must be a square matrix")
         asym, top = np.max([(np.abs(k[r] - k[:, r].conj().T).max(), np.abs(k[r]).max())
                             for r in _row_blocks(len(k))], axis=0)
+        # not below(): a NaN kernel is no bad input, and fails the verdict instead
         if asym > self.tol * max(1.0, float(top)):
             raise InputError("kernel must be Hermitian")
         object.__setattr__(self, "matrix", k)

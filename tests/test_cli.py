@@ -14,7 +14,8 @@ import pytest
 import oracle
 from wavelab import jsonio
 from wavelab import cli, code_space, rkhs_kernels, solenoid
-from wavelab.cli import _all_below, run
+from wavelab.cli import run
+from wavelab.errors import below, branch_weights
 from wavelab import circle_filters as circ
 from wavelab.circle_filters import (
     BlaschkeFactor,
@@ -438,9 +439,10 @@ def test_each_grid_check_evaluates_its_matrix_function_once(tmp_path, capsys, mo
 def test_verdict_is_false_on_any_nan():
     nan = float("nan")
     # max(0.0, nan) is 0.0, so the former max(a, b) < tol passed here
-    assert not _all_below(1.0, 0.0, nan)
-    assert not _all_below(1.0, nan, 0.0)
-    assert _all_below(1.0, 0.0, 0.5) and not _all_below(1.0, 0.0, 1.0)
+    assert not below(1.0, 0.0, nan)
+    assert not below(1.0, nan, 0.0)
+    assert below(1.0, 0.0, 0.5) and not below(1.0, 0.0, 1.0)
+    assert below(1.0)  # no residual: nothing fails
 
 
 def _nan_blaschke(tmp_path, key):
@@ -1551,6 +1553,72 @@ def test_branch_weights_follow_one_rule(weights, message, tmp_path, capsys):
         assert captured.out == ""
         errors.append(captured.err)
     assert errors == [f"wavelab: {message}\n", f"wavelab: malformed {ifs}: InputError: {message}\n"]
+
+
+def test_uniform_weights_pass_at_any_branch_count(tmp_path, capsys):
+    """The uniform weights' sum is judged exactly: summed naively, 400 of them
+    are 0.9999999999999897, and the 400-digit fractal exited 2."""
+    assert branch_weights((), 400) == (1 / 400,) * 400
+    assert all(branch_weights((), n) for n in (399, 1000, 4097, 19_999))
+    digits = [[i % 20, i // 20] for i in range(400)]
+    ifs = write(tmp_path / "ifs.json", {"A": [[21, 0], [0, 21]], "digits": digits})
+    assert run(["examples", "fractal", "--ifs", ifs, "--samples", "10000", "--seed", "1"]) == 0
+    capsys.readouterr()
+
+
+def test_a_uniform_branch_count_over_the_cap_exits_2(monkeypatch, capsys):
+    # the uniform tuple of 1e20 weights raised an OverflowError, a traceback
+    monkeypatch.delenv("WAVELAB_MAX_CELLS", raising=False)
+    n = 10**20
+    assert run(["ifs", "build-filter", "--kind", "indicator", "--N", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"wavelab: {n} cells exceed the cap of 16777216; set WAVELAB_MAX_CELLS to raise it\n"
+    )
+
+
+def test_circle_verify_upsamples_within_the_cap(tmp_path, monkeypatch, capsys):
+    # each low band is upsampled to N cells: --N 3000000000 asked for 44.7 GiB
+    s = 2**-0.5
+    filters = write(tmp_path / "haar.json", {"filters": [LaurentPoly(0, [s, s]).to_json(),
+                                                         LaurentPoly(0, [s, -s]).to_json()]})
+    argv = ["circle", "verify", "--filters", filters, "--N", "101"]
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "100")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wavelab: 101 cells exceed the cap of 100; set WAVELAB_MAX_CELLS to raise it\n"
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "101")
+    assert run(argv) == 1  # two filters for 101 bands
+    capsys.readouterr()
+
+
+def test_fractal_max_points_is_read_only_with_points_out(tmp_path, capsys):
+    ifs = write(tmp_path / "s.json", oracle.affine_ifs_json(sierpinski_ifs()))
+    argv = ["examples", "fractal", "--ifs", ifs, "--samples", "10000", "--seed", "1",
+            "--max-points", "0"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(argv + ["--points-out", str(tmp_path / "p.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "wavelab: --max-points must be >= 1\n"
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("obj", ["filters", {"values": []}], ids=["string", "dict"])
+def test_filter_files_must_hold_a_list(obj, tmp_path, capsys):
+    """A string (even "filters") or a dict without "filters" is no filter list."""
+    files = _input_files(tmp_path)
+    bad = write(tmp_path / "bad.json", obj)
+    for argv, message in (
+        (["rkhs", "product-kernel", "--points", files["points3"], "--filters", bad],
+         "filter file must hold a list of value vectors"),
+        (["circle", "verify", "--filters", bad, "--N", "2"],
+         "circle filter file must hold a list of Laurent polynomials"),
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"wavelab: malformed {bad}: InputError: {message}\n"
 
 
 @pytest.mark.parametrize("error",[KeyError, ValueError, TypeError])

@@ -6,8 +6,7 @@ import pytest
 
 import oracle
 from wavelab import examples_geometry
-from wavelab.cli import _all_below
-from wavelab.errors import InputError
+from wavelab.errors import InputError, below
 from wavelab.examples_geometry import (
     CHAOS_BLOCK,
     AffineIfs,
@@ -202,7 +201,7 @@ def test_chaos_game_stays_on_attractor():
 
 def test_strong_invariance_sierpinski():
     report = strong_invariance_check(sierpinski_ifs(), 200_000, seed=7)
-    assert _all_below(4.0, report.max_abs_z)
+    assert below(4.0, report.max_abs_z)
     names = {c.name for c in report.checks}
     assert "mean[0]" in names and "self_similarity[0,1]" in names
 
@@ -216,7 +215,7 @@ def test_strong_invariance_uniform_binary():
     z2 = (sq.mean() - 1 / 3) / (sq.std(ddof=1) / np.sqrt(n))
     assert abs(z1) < 4 and abs(z2) < 4
     report = strong_invariance_check(ifs, 100_000, seed=12)
-    assert _all_below(4.0, report.max_abs_z)
+    assert below(4.0, report.max_abs_z)
 
 
 def test_strong_invariance_report_keeps_its_sample():
@@ -266,7 +265,7 @@ def test_invariance_verdict_fails_closed_on_a_nan_z():
     # max(1.0, nan) is 1.0, so a max(|z|) < bound verdict passed here
     checks = (MomentCheck("mean[0]", 0.5, 0.5, 1.0), MomentCheck("mean[1]", 0.5, 0.5, math.nan))
     report = InvarianceReport(checks, np.empty((0, 2)))
-    assert not _all_below(4.0, report.max_abs_z)  # examples fractal's verdict
+    assert not below(4.0, report.max_abs_z)  # examples fractal's verdict
     assert math.isnan(report.max_abs_z)  # the reported residual agrees with the verdict
 
 

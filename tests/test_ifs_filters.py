@@ -412,6 +412,14 @@ def test_connecting_unitary_requires_verified_banks(spec2):
         connecting_unitary(broken_bank(spec2), build_indicator(spec2))
 
 
+def test_connecting_unitary_fails_closed_on_a_nan_residual(spec2, monkeypatch):
+    # the former resid > UNITARITY_TOL let a NaN through
+    monkeypatch.setattr(MatrixField, "unitarity_residual", lambda self: float("nan"))
+    bank = build_indicator(spec2)
+    with pytest.raises(VerificationError, match="not pointwise unitary: nan"):
+        connecting_unitary(bank, bank)
+
+
 def test_loop_group_identity_and_hadamard(spec2):
     bank = build_indicator(spec2)
     assert all(

@@ -18,8 +18,10 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from test_golden_cli import SUITES, _golden, run_case
+from test_golden_cli import SUITES, _golden, _values, run_case
 from wavelab import cli
+from wavelab.code_space import CylinderFn, IfsSpec
+from wavelab.ifs_filters import FilterBank
 
 _FILTER_REPORT = {"orthonormality_residual", "completeness_residual"}
 _FILTER_REPORT_INFO = {
@@ -165,6 +167,15 @@ def _aliased_m0() -> dict:
     return {"min_degree": 0, "coeffs": coeffs.tolist()}
 
 
+def _non_bank_decompose() -> dict:
+    """An N = 2, depth-2 bank that is no filter bank, and a depth-3 f."""
+    spec = IfsSpec(2)
+    return {
+        "bank": FilterBank(spec, [_values(4, s) for s in range(2)]).to_json(),
+        "f": CylinderFn(spec, 3, _values(8, 5)).to_json(),
+    }
+
+
 def _golden_at_tol(suite: str, name: str, tol: str) -> tuple[list[str], Callable[[], dict]]:
     """A golden case's argv and inputs, rerun at another --tol."""
     return SUITES[suite][0][name] + ["--tol", tol], functools.partial(_inputs, suite)
@@ -182,6 +193,32 @@ LIVE_CASES = {
     # completeness is 0.6875 there: a residual equal to tol fails, as in every verdict
     "circle verify skewed N=2 at tol 0.6875": (
         *_golden_at_tol("circle_rkhs_default", "circle verify skewed N=2", "0.6875"), 1,
+    ),
+    # each case below fails on one clause alone, which no golden case does
+    # one filter for N = 2, an isometry: only len(filters) == N fails at tol 10
+    "circle verify short at tol 10": (
+        *_golden_at_tol("circle_rkhs_default", "circle verify short", "10"), 1,
+    ),
+    # converged at 40 steps, but the Haar low pass as detail taps sums to sqrt(2), not 0
+    "wavelet d4 with a nonzero detail sum": (
+        ["mra", "wavelet", "--taps", "{d4_taps}", "--detail-taps", "{haar_taps}", "--iters", "40",
+         "--resolution", "4"],
+        functools.partial(_inputs, "mra_examples_default"),
+        1,
+    ),
+    # a 2-cycle never reaches a fixed point, while its tail_bound is 0
+    "product-kernel on a 2-cycle": (
+        ["rkhs", "product-kernel", "--points", "{points}", "--filters", "{filters}"],
+        lambda: {
+            "points": {"points": [[1.0, 0.0], [-1.0, 0.0]], "sigma": [1, 0]},
+            "filters": {"filters": [[[1.0, 0.0], [1.0, 0.0]]]},
+        },
+        1,
+    ),
+    "decompose a non-bank": (
+        ["ifs", "decompose", "--bank", "{bank}", "--fn", "{f}", "--levels", "2"],
+        _non_bank_decompose,
+        1,
     ),
 }
 
