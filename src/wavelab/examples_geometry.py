@@ -23,8 +23,8 @@ from .errors import InputError, below, branch_weights, check_cells
 from . import jsonio
 
 CHAOS_BURN_IN = 64
-# rows per chaos-game block: a block, its branch images and its check
-# values stay in the CPU caches
+# rows per chaos-game block: a block of d coordinate rows, one branch
+# image and the check values stay in the CPU caches
 CHAOS_BLOCK = 2**13
 
 
@@ -78,11 +78,13 @@ class AffineIfs:
         if not below(-1.0 - 1e-12, -np.min(np.abs(eigs))):  # min |eig| > 1 + 1e-12
             raise InputError("matrix spectrum must lie strictly outside the unit circle")
         inv = np.linalg.inv(a.astype(float))
-        for i in range(b.shape[0]):
-            for j in range(i + 1, b.shape[0]):
-                q = inv @ (b[i] - b[j])
-                if below(1e-9, np.max(np.abs(q - np.round(q)))):
-                    raise InputError(f"digits {i} and {j} coincide modulo the matrix lattice")
+        cols = b.T.copy()
+        for i in range(b.shape[0] - 1):
+            # digit i against every later digit at once; NaN never coincides
+            q = inv @ (cols[:, i:i + 1] - cols[:, i + 1:])
+            same = np.flatnonzero(np.max(np.abs(q - np.round(q)), axis=0) < 1e-9)
+            if same.size:
+                raise InputError(f"digits {i} and {i + 1 + same[0]} coincide modulo the matrix lattice")
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "digits", b)
         object.__setattr__(self, "weights", branch_weights(self.weights, b.shape[0]))
@@ -144,23 +146,24 @@ def chaos_game(
 def _chaos_blocks(
     ifs: AffineIfs, total: int, burn_in: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
-    """The kept rows of each block of a run of total rows (see chaos_game)."""
+    """The kept rows of each block of a run of total rows (see chaos_game), as
+    views of a coordinate-major block: the scan reads each coordinate contiguously."""
     inv = ifs.inverse_matrix()
-    shifts = ifs.digits.astype(float) @ inv.T
+    shifts = (ifs.digits.astype(float) @ inv.T).T.copy()
     powers = _scan_powers(inv, total)
     halo = 2 ** len(powers) - 1
     step = CHAOS_BLOCK if halo < CHAOS_BLOCK else total
-    front = shifts[:0]  # the shift rows before the block: none, then the halo
+    front = shifts[:, :0]  # the shift columns before the block: none, then the halo
     for start in range(0, total, step):
         # consecutive draws from one generator continue a single longer draw
         picks = rng.choice(ifs.branch_count, size=min(step, total - start), p=ifs.weights)
-        x = np.concatenate([front, shifts[picks]])
-        kept = front.shape[0] + max(burn_in - start, 0)
+        x = np.concatenate([front, shifts[:, picks]], axis=1)
+        kept = front.shape[1] + max(burn_in - start, 0)
         if start + step < total:
-            front = x[x.shape[0] - halo:].copy()
+            front = x[:, x.shape[1] - halo:].copy()
         _affine_scan(x, powers)
-        if kept < x.shape[0]:
-            yield x[kept:]
+        if kept < x.shape[1]:
+            yield x[:, kept:].T
 
 
 def _scan_powers(m: np.ndarray, n: int) -> list[np.ndarray]:
@@ -181,11 +184,13 @@ def _scan_powers(m: np.ndarray, n: int) -> list[np.ndarray]:
 
 
 def _affine_scan(x: np.ndarray, powers: list[np.ndarray]) -> None:
-    """Turn rows s_i of x into x_i = M x_{i-1} + s_i = sum_k M^k s_{i-k} in place."""
+    """Turn columns s_i of x into x_i = M x_{i-1} + s_i = sum_k M^k s_{i-k} in place."""
     for k, power in enumerate(powers):
         j = 2**k
-        # einsum, not @: the --points-out goldens pin its bits, which @ moves at d >= 2
-        x[j:] += np.einsum("nc,rc->nr", x[:-j], power)
+        # einsum sums each coordinate's terms in index order from 0, as the
+        # one-step loop does, and so keeps the --points-out goldens' bits,
+        # which @ moves at d >= 2
+        x[:, j:] += np.einsum("rc,cn->rn", power, x[:, :-j])
 
 
 @dataclass(frozen=True)
@@ -261,19 +266,26 @@ def strong_invariance_check(
         ]
     points = np.empty((min(keep, samples), ifs.dimension))
     stats = (0, 0.0, 0.0)
-    for pts in chaos_game(ifs, samples, seed):
+    buffer = np.empty((ifs.dimension + len(monomials), 0))
+    for block in chaos_game(ifs, samples, seed):
         done = stats[0]
         if done < points.shape[0]:
-            points[done:done + pts.shape[0]] = pts[: points.shape[0] - done]
-        branch_pts = [(pts + digits[n]) @ inv.T for n in range(ifs.branch_count)]
-        values = [pts[:, r] for r in range(ifs.dimension)] + [
-            math.prod(pts[:, a] for a in mono) - sum(
-                p[n] * math.prod(branch_pts[n][:, a] for a in mono)
-                for n in range(ifs.branch_count)
-            )
-            for mono in monomials
-        ]
-        stats = _merge_stats(stats, _block_stats(np.stack(values)))
+            points[done:done + block.shape[0]] = block[: points.shape[0] - done]
+        pts = block.T  # coordinate-major
+        if buffer.shape[1] < pts.shape[1]:
+            buffer = np.empty((buffer.shape[0], pts.shape[1]))
+        # the mean rows, then each monomial's branch sum, started from 0 as
+        # sum() starts, one branch image at a time
+        values = buffer[:, : pts.shape[1]]
+        values[: ifs.dimension], values[ifs.dimension:] = pts, 0.0
+        sums = list(zip(values[ifs.dimension:], monomials))
+        for n in range(ifs.branch_count):
+            image = inv @ (pts + digits[n][:, None])
+            for row, mono in sums:
+                row += p[n] * math.prod(image[a] for a in mono)
+        for row, mono in sums:
+            np.subtract(math.prod(pts[a] for a in mono), row, out=row)
+        stats = _merge_stats(stats, _block_stats(values))
     n, means, m2s = stats
 
     names = [f"mean[{r}]" for r in range(ifs.dimension)] + [

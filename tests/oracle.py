@@ -16,7 +16,12 @@ the judge of the one-array-per-level loop.  At the end, the
 chaos-game loop and the row-by-row ``csv`` reader and writer are the
 package's former code, kept as the judge of the prefix scan and of the
 one-call CSV reader and writer, and the whole-run prefix scan is the
-former chaos game, kept as the bit-for-bit judge of the blocked one.  Then the power iteration and the
+former chaos game, kept as the bit-for-bit judge of the blocked one at
+d <= 2 and on sparse systems; a whole-run coordinate-major scan, its
+terms summed in index order, judges it bit for bit on every system.  The
+row-major invariance statistics, every branch image held at once, are the
+former scoring code, kept as the bit-for-bit judge of the one-branch-at-a-
+time sums.  Then the power iteration and the
 order-by-order dilation residual are the package's former path-space
 code, kept as the judge of the direct Perron solve and of the one-walk
 dilation residuals.  The stepwise moment, a CylinderFn per transfer step,
@@ -56,7 +61,9 @@ from wavelab.errors import InputError, VerificationError
 from wavelab.ifs_filters import FilterBank, MatrixField, analysis, synthesis
 from wavelab.rkhs_kernels import FinitePointSet, KernelMatrix
 from wavelab.solenoid import MomentSpec, PathCylinderFn, harmonic_for, moment, pairing, weighted_shift
-from wavelab.examples_geometry import CHAOS_BURN_IN
+from wavelab.examples_geometry import (
+    CHAOS_BURN_IN, MomentCheck, _block_stats, _merge_stats, _z_score, chaos_game,
+)
 from wavelab.classic_mra import DIVERGENCE_RUN
 
 
@@ -528,6 +535,58 @@ def affine_scan(x: np.ndarray, m: np.ndarray) -> int:
         x[j:] += np.einsum("nc,rc->nr", x[:-j], power)
         power, j, passes = power @ power, 2 * j, passes + 1
     return passes
+
+
+def chaos_game_columns(ifs, samples: int, seed: int, burn_in: int = CHAOS_BURN_IN) -> np.ndarray:
+    """The whole run drawn at once and scanned coordinate-major, then the burn-in dropped.
+
+    Each pass adds sum_c P[r, c] * x[c, i - j] to coordinate r of sample i,
+    its terms summed in index order from 0, as the one-step loop sums them.
+    """
+    rng = np.random.default_rng(int(seed))
+    inv = ifs.inverse_matrix()
+    shifts = ifs.digits.astype(float) @ inv.T
+    x = shifts[rng.choice(ifs.branch_count, size=samples + burn_in, p=ifs.weights)].T.copy()
+    power, j, d = inv, 1, ifs.dimension
+    while j < x.shape[1] and np.max(np.sum(np.abs(power), axis=1)) > np.finfo(float).eps / 2:
+        x[:, j:] += np.array([sum(power[r, c] * x[c, :-j] for c in range(d)) for r in range(d)])
+        power, j = power @ power, 2 * j
+    return x[:, burn_in:].T
+
+
+def strong_invariance_rows(ifs, samples: int, seed: int, moment_order: int = 2) -> tuple:
+    """The checks of strong_invariance_check, scored on row-major blocks with every
+    branch image held at once and the check values stacked."""
+    inv = ifs.inverse_matrix()
+    p = np.asarray(ifs.weights)
+    digits = ifs.digits.astype(float)
+    monomials = [(r,) for r in range(ifs.dimension)]
+    if moment_order >= 2:
+        monomials += [
+            (r, s) for r in range(ifs.dimension) for s in range(r, ifs.dimension)
+        ]
+    stats = (0, 0.0, 0.0)
+    for block in chaos_game(ifs, samples, seed):
+        pts = np.ascontiguousarray(block)  # row-major, as the former blocks were
+        branch_pts = [(pts + digits[n]) @ inv.T for n in range(ifs.branch_count)]
+        values = [pts[:, r] for r in range(ifs.dimension)] + [
+            math.prod(pts[:, a] for a in mono) - sum(
+                p[n] * math.prod(branch_pts[n][:, a] for a in mono)
+                for n in range(ifs.branch_count)
+            )
+            for mono in monomials
+        ]
+        stats = _merge_stats(stats, _block_stats(np.stack(values)))
+    n, means, m2s = stats
+    names = [f"mean[{r}]" for r in range(ifs.dimension)] + [
+        "self_similarity[" + ",".join(str(a) for a in mono) + "]" for mono in monomials
+    ]
+    targets = [float(t) for t in ifs.mean_fixed_point()] + [0.0] * len(monomials)
+    checks = []
+    for name, mean, m2, target in zip(names, means, m2s, targets):
+        stat, z = _z_score(n, float(mean), float(m2), target)
+        checks.append(MomentCheck(name, stat, target, z))
+    return tuple(checks)
 
 
 def read_signal_rows(path: str) -> np.ndarray:

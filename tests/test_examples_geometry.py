@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,30 @@ def test_affine_ifs_validation():
         AffineIfs(2 * np.eye(2, dtype=int), np.array([[0, 0], [1, 0]]), (0.5, 0.6))
 
 
+def test_coinciding_digits_name_the_first_pair():
+    # 0 ~ 3 and 1 ~ 4 modulo 2Z^2, then 1 ~ 2 ~ 3: the message names the
+    # pair first in (i, j) order
+    for digits, pair in (
+        ([[0, 0], [1, 0], [1, 1], [2, 0], [3, 0]], "0 and 3"),
+        ([[0, 0], [1, 0], [3, 0], [5, 2]], "1 and 2"),
+    ):
+        with pytest.raises(InputError, match=rf"^digits {pair} coincide modulo the matrix lattice$"):
+            AffineIfs(2 * np.eye(2, dtype=int), np.array(digits))
+
+
+def _grid_ifs(k: int, side: int) -> AffineIfs:
+    """A = k I with the side**2 digits (i % side, i // side)."""
+    i = np.arange(side * side)
+    return AffineIfs(k * np.eye(2, dtype=int), np.stack([i % side, i // side], axis=1))
+
+
+def test_many_digits_are_checked_in_linear_passes():
+    # one pass per digit over all the later ones: a pair per Python step took 47 s here
+    start = time.perf_counter()
+    assert _grid_ifs(61, 60).branch_count == 3600
+    assert time.perf_counter() - start < 1.0
+
+
 def test_sierpinski_moments():
     ifs = sierpinski_ifs()
     assert np.allclose(ifs.mean_fixed_point(), [1 / 3, 1 / 3])
@@ -114,11 +139,27 @@ SCAN_IFS = {
     "single branch": AffineIfs(np.array([[3]]), np.array([[1]])),
 }
 
+# dense systems at d >= 3, where the former row-major scan summed each
+# coordinate's terms in another order: its bits differ from the loop's order
+DENSE_IFS = {
+    "dense 3-d": AffineIfs(
+        np.array([[3, 1, 1], [1, 3, 1], [1, 1, 4]]),
+        np.vstack([np.zeros(3, dtype=int), np.eye(3, dtype=int)]),
+        (0.1, 0.2, 0.3, 0.4),
+    ),
+    "dense 4-d": AffineIfs(
+        np.array([[3, 1, 1, 0], [1, 3, 1, 1], [1, 1, 4, 1], [0, 1, 1, 3]]),
+        np.vstack([np.zeros(4, dtype=int), np.eye(4, dtype=int)]),
+        (0.1, 0.15, 0.2, 0.25, 0.3),
+    ),
+}
+ALL_IFS = {**SCAN_IFS, **DENSE_IFS}
+
 
 @pytest.mark.parametrize("samples, burn_in", [(1, 64), (1, 0), (7, 0), (3000, 64), (20_000, 0)])
-@pytest.mark.parametrize("name", sorted(SCAN_IFS))
+@pytest.mark.parametrize("name", sorted(ALL_IFS))
 def test_chaos_game_scan_matches_loop(name, samples, burn_in):
-    ifs = SCAN_IFS[name]
+    ifs = ALL_IFS[name]
     got = sample(ifs, samples, seed=samples + burn_in, burn_in=burn_in)
     want = oracle.chaos_game_loop(ifs, samples, seed=samples + burn_in, burn_in=burn_in)
     assert got.shape == want.shape == (samples, ifs.dimension)
@@ -174,6 +215,23 @@ def test_small_blocks_and_the_one_block_fallback_equal_the_whole_run_scan(
         assert len(blocks) > 1 and max(b.shape[0] for b in blocks) <= block
     want = oracle.chaos_game_scan(ifs, 1000 - burn_in, seed=9, burn_in=burn_in)
     assert np.array_equal(np.concatenate(blocks), want)
+
+
+@pytest.mark.parametrize("burn_in", [0, 64])
+@pytest.mark.parametrize("name", sorted(ALL_IFS))
+def test_blocked_chaos_game_equals_the_column_scan(name, burn_in, monkeypatch):
+    # bit for bit, signed zeros included, against a whole-run scan that sums
+    # each coordinate's terms in index order, with the default blocks and
+    # with blocks of 100 rows (one block for the twin dragon's 127-row halo)
+    ifs = ALL_IFS[name]
+    for rows in _BLOCK_EDGES + (burn_in + 1,):
+        got = sample(ifs, rows - burn_in, seed=rows, burn_in=burn_in)
+        want = oracle.chaos_game_columns(ifs, rows - burn_in, seed=rows, burn_in=burn_in)
+        assert np.array_equal(oracle.bits(got), oracle.bits(want)), rows
+    monkeypatch.setattr(examples_geometry, "CHAOS_BLOCK", 100)
+    got = sample(ifs, 1000 - burn_in, seed=9, burn_in=burn_in)
+    want = oracle.chaos_game_columns(ifs, 1000 - burn_in, seed=9, burn_in=burn_in)
+    assert np.array_equal(oracle.bits(got), oracle.bits(want))
 
 
 def test_block_draws_continue_one_draw():
@@ -243,6 +301,36 @@ def test_strong_invariance_memory_does_not_grow_with_samples():
 
     small, large = peak(20_000), peak(200_000)
     assert large <= 1.2 * small, (small, large)
+
+
+def test_strong_invariance_memory_does_not_grow_with_branches():
+    def peak(ifs) -> int:
+        tracemalloc.start()
+        try:
+            strong_invariance_check(ifs, 20_000, seed=7)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(_grid_ifs(4, 4)), peak(_grid_ifs(20, 20))
+    assert many <= 1.2 * few, (few, many)
+
+
+@pytest.mark.parametrize("block", [CHAOS_BLOCK, 32, 100])
+@pytest.mark.parametrize("moment_order", [1, 2])
+@pytest.mark.parametrize("name", sorted(SCAN_IFS))
+def test_invariance_statistics_equal_the_row_major_ones(name, moment_order, block, monkeypatch):
+    # the one-branch-at-a-time sums against every branch image held at once
+    # and the values stacked, bit for bit, on every d <= 2 system and the
+    # sparse 3-d one; 32-row blocks are below every halo, so one block
+    monkeypatch.setattr(examples_geometry, "CHAOS_BLOCK", block)
+    ifs = SCAN_IFS[name]
+    got = strong_invariance_check(ifs, 10_000, seed=5, moment_order=moment_order).checks
+    want = oracle.strong_invariance_rows(ifs, 10_000, seed=5, moment_order=moment_order)
+    assert [c.name for c in got] == [c.name for c in want]
+    for field in ("statistic", "expected", "z"):
+        values = [[getattr(c, field) for c in checks] for checks in (got, want)]
+        assert np.array_equal(*map(oracle.bits, values)), field
 
 
 def test_blocked_z_scores_match_whole_sample_statistics():
