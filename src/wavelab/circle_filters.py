@@ -197,7 +197,9 @@ def cuntz_residuals(filters: Sequence[LaurentPoly], n: int, convention: str) -> 
 
     Orthonormality: scale * (m_j.conj_reflect() m_k).downsample(N) - delta.
     Completeness: reconstruction of the monomial probes z**t, t < N, which
-    generate all of L2 under the band structure.
+    generate all of L2 under the band structure.  A probe reaches a filter
+    only through a coefficient of degree t mod N; one no filter reaches
+    reconstructs to 0, with residual 1, counted once.
     """
     scale = _convention_scale(convention, band_count(n))
     orth = []
@@ -205,8 +207,10 @@ def cuntz_residuals(filters: Sequence[LaurentPoly], n: int, convention: str) -> 
         for k, mk in enumerate(filters):
             entry = scale * (mj.conj_reflect() * mk).downsample(n)
             orth.append((entry - 1.0 if j == k else entry).max_abs())
-    comp = []
-    for t in range(n):
+    # NaN counts as nonzero
+    phases = sorted({k % n for m in filters for k in (np.flatnonzero(m._coeffs) + m._lo).tolist()})
+    comp = [] if len(phases) == n else [1.0]
+    for t in phases:
         probe = LaurentPoly.monomial(t)
         lows = [(m.conj_reflect() * probe).downsample(n) for m in filters]
         recon = sum((m * low.upsample(n) for m, low in zip(filters, lows)), LaurentPoly())

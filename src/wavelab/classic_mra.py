@@ -239,6 +239,7 @@ def filterbank_roundtrip(
     if x.ndim != 1 or x.shape[0] < 1:
         raise InputError("signal must be a nonempty 1-d sequence")
     length = x.shape[0]
+    check_cells(length)  # each band's and the reconstruction's cells
     if length % band_count(n) != 0:
         raise InputError(f"signal length {length} not divisible by {n}")
     a_banks = [np.asarray(t, dtype=complex) for t in analysis_taps]

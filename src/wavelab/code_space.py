@@ -185,13 +185,13 @@ def _require_same_spec(spec: IfsSpec, *others: IfsSpec) -> None:
 
 
 def _rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one lift rule of a binary operation on values over one N: both as
-    (rows, -1) views, the shallower, of rows values, as (rows, 1), broadcast
-    as its lift would be.  Unequal sizes check the deeper's cells."""
-    rows, cells = sorted((a.size, b.size))
+    """The one lift rule of a binary operation on values over one N, along the last
+    axis: both as (..., rows, -1) views, the shallower, of rows values, as (..., rows, 1),
+    broadcast as its lift would be.  Unequal sizes check the deeper's cells."""
+    rows, cells = sorted((a.shape[-1], b.shape[-1]))
     if rows != cells:
         check_cells(cells)
-    return a.reshape(rows, -1), b.reshape(rows, -1)
+    return a.reshape(a.shape[:-1] + (rows, -1)), b.reshape(b.shape[:-1] + (rows, -1))
 
 
 def _depth(size: int, n: int) -> int:

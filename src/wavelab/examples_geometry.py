@@ -157,6 +157,7 @@ def _chaos_blocks(
     for start in range(0, total, step):
         # consecutive draws from one generator continue a single longer draw
         picks = rng.choice(ifs.branch_count, size=min(step, total - start), p=ifs.weights)
+        check_cells(ifs.dimension * (front.shape[1] + picks.size))
         x = np.concatenate([front, shifts[:, picks]], axis=1)
         kept = front.shape[1] + max(burn_in - start, 0)
         if start + step < total:
@@ -273,6 +274,7 @@ def strong_invariance_check(
             points[done:done + block.shape[0]] = block[: points.shape[0] - done]
         pts = block.T  # coordinate-major
         if buffer.shape[1] < pts.shape[1]:
+            check_cells(buffer.shape[0] * pts.shape[1])
             buffer = np.empty((buffer.shape[0], pts.shape[1]))
         # the mean rows, then each monomial's branch sum, started from 0 as
         # sum() starts, one branch image at a time

@@ -21,6 +21,9 @@ m~_k), pointwise unitary, and the group of pointwise-unitary matrix
 fields acts on banks by m~_k = sum_j m_j (U_jk o sigma).  Orthonormality,
 the connecting field and analysis are the Gram array S*(conj(a_j) b_k);
 sums over the filter axis run in bank order, bit for bit as filter by filter.
+An operand of another depth than the bank's (a function, level or target)
+meets it through code_space._rows: the shallower of the two is read as a
+broadcast view, never copied up to the deeper depth.
 
 A multiresolution level is one (K, N**d) array of K functions in leaf
 order.  Analysis maps it to the (K*N, ...) array of their subbands with
@@ -37,7 +40,8 @@ import numpy as np
 
 from .errors import InputError, VerificationError, below, check_cells
 from . import jsonio
-from .code_space import CylinderFn, IfsSpec, _average, _depth, _integral, _lift, _require_same_spec
+from .code_space import (CylinderFn, IfsSpec, _average, _depth, _integral, _lift,
+                         _require_same_spec, _rows)
 from .code_space import multiply  # noqa: F401, the perfbench tracer test reads it here
 
 UNITARITY_TOL = 1e-13  # connecting_unitary: sup |U*U - I| of its field
@@ -85,9 +89,10 @@ class FilterBank(_FunctionArray):
         """The rows as cylinder functions, for callers that take single filters."""
         return tuple(CylinderFn(self.spec, self.depth, m) for m in self.values)
 
-    def _by_symbol(self, depth: int) -> np.ndarray:
-        """(filter, first symbol, tail) view of the bank lifted to depth >= 1."""
-        return _lift(self.values, self.spec.N, depth).reshape(self.spec.N, self.spec.N, -1)
+    def _by_symbol(self) -> np.ndarray:
+        """(filter, first symbol, tail) view of the bank; a depth-0 bank is lifted to depth 1."""
+        values = self.values if self.depth else _lift(self.values, self.spec.N, 1)
+        return values.reshape(self.spec.N, self.spec.N, -1)
 
     def to_json(self) -> dict:
         return {
@@ -172,8 +177,10 @@ def build_indicator(spec: IfsSpec) -> FilterBank:
 
 
 def _gram(spec: IfsSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """S*(conj(a_j) b_k), shape (J, K, T), from (function, first symbol, tail) views."""
-    check_cells(len(a) * b.size)
+    """S*(conj(a_j) b_k), shape (J, K, T), from (function, first symbol, tail) views,
+    the shallower tails read through _rows: T is the deeper's.  Checks the product's cells."""
+    check_cells(len(a) * len(b) * spec.N * max(a.shape[-1], b.shape[-1]))
+    a, b = _rows(a, b)
     prod = np.conj(a)[:, None] * b[None]
     return _average(spec.weight_array(), prod.reshape(len(a), len(b), -1))
 
@@ -188,7 +195,7 @@ def _act(bank: FilterBank, x: np.ndarray) -> tuple[int, np.ndarray]:
     n, k, width = bank.spec.N, x.shape[1], x.shape[-1]
     depth = max(bank.depth, _depth(width, n) + 1)
     check_cells(k * n**depth)
-    m = bank._by_symbol(max(bank.depth, 1))[..., None]
+    m = bank._by_symbol()[..., None]
     acc = np.empty((k, n**depth), dtype=np.complex128)
     term = np.empty_like(acc)
     for j, (m_j, x_j) in enumerate(zip(m, x)):
@@ -202,15 +209,14 @@ def _act(bank: FilterBank, x: np.ndarray) -> tuple[int, np.ndarray]:
     return depth, acc
 
 
-def _tail_residual(bank: FilterBank, depth: int, f: CylinderFn | None = None) -> float:
+def _tail_residual(bank: FilterBank, f: CylinderFn | None = None) -> float:
     """max |sum_n m_n(a t) (f(t) p_b conj(m_n(b t))) - f(t) delta_ab| over a, b
-    and tails t of length depth - 1, summed in bank order; f defaults to 1."""
-    n = bank.spec.N
-    check_cells(n ** (depth + 2))
-    p = bank.spec.weight_array()[:, None]
-    fv = 1.0 if f is None else _lift(f.values, n, depth - 1)
-    m = bank._by_symbol(depth)
-    low = fv * (p * np.conj(m))
+    and tails t, summed in bank order; f defaults to 1.  The shallower of the
+    bank's tails and f is read through _rows: t is as long as the deeper."""
+    n, m = bank.spec.N, bank._by_symbol()
+    check_cells(n**3 * max(m.shape[-1], 1 if f is None else f.values.size))
+    m, fv = (m[:, :, None], 1.0) if f is None else _rows(m, f.values)
+    low = fv * (bank.spec.weight_array()[:, None, None] * np.conj(m))
     out = (m[:, :, None] * low[:, None]).sum(axis=0)
     out[np.diag_indices(n)] -= fv
     return float(np.max(np.abs(out)))
@@ -226,10 +232,9 @@ def verify_filter(bank: FilterBank, probe_depth: int = 3, tol: float = 1e-12) ->
     """
     if probe_depth < 1:
         raise InputError("probe depth must be >= 1")
-    n, depth = bank.spec.N, max(bank.depth, 1)
-    gram = _gram(bank.spec, bank._by_symbol(depth), bank._by_symbol(depth))
-    orth = np.max(np.abs(gram - np.eye(n)[:, :, None]), axis=2)
-    comp = _tail_residual(bank, depth)
+    m = bank._by_symbol()
+    orth = np.max(np.abs(_gram(bank.spec, m, m) - np.eye(bank.spec.N)[:, :, None]), axis=2)
+    comp = _tail_residual(bank)
     return FilterReport(orth, comp, below(tol, orth.max(), comp))
 
 
@@ -237,15 +242,12 @@ def analysis(bank: FilterBank, level: np.ndarray) -> np.ndarray:
     """Subbands of a level of K functions of one depth, one depth lower.
 
     Row k*N + n of the (K*N, N**(d-1)) result is S*(conj(m_n) f_k), where
-    f_k is row k of the (K, N**D) level and d = max(bank depth, D): a bank
-    deeper than the level lifts it first.  The lifted level and the Gram
-    product count against the cell cap.
+    f_k is row k of the (K, N**D) level and d = max(bank depth, D): the
+    shallower of bank and level is read lifted to d, as a view; a depth-0
+    level is (K, 1, 1).  The Gram product counts against the cell cap.
     """
-    n = bank.spec.N
-    depth = max(bank.depth, _depth(level.shape[-1], n))
-    check_cells(len(level) * n**depth)
-    lifted = _lift(level, n, depth).reshape(len(level), n, -1)
-    parts = _gram(bank.spec, bank._by_symbol(depth), lifted)  # (N, K, tail)
+    tails = level.reshape(len(level), min(bank.spec.N, level.shape[-1]), -1)
+    parts = _gram(bank.spec, bank._by_symbol(), tails)  # (N, K, tail)
     return parts.transpose(1, 0, 2).reshape(-1, parts.shape[-1])
 
 
@@ -338,15 +340,12 @@ def connecting_unitary(bank: FilterBank, target: FilterBank, tol: float = 1e-10)
                 f"(orthonormality {report.orthonormality_residual:.3e}, "
                 f"completeness {report.completeness:.3e})"
             )
-    depth = max(bank.depth, target.depth, 1)
-    gram = _gram(bank.spec, bank._by_symbol(depth), target._by_symbol(depth))
-    field = MatrixField(bank.spec, gram)
+    field = MatrixField(bank.spec, _gram(bank.spec, bank._by_symbol(), target._by_symbol()))
     resid = field.unitarity_residual()
     if not below(UNITARITY_TOL, resid):
         raise VerificationError(f"connecting field not pointwise unitary: {resid:.3e}")
-    recombined = apply_loop_group(bank, field)  # at depth max(L, L~)
-    lifted = _lift(target.values, bank.spec.N, recombined.depth)
-    recomb = float(np.max(np.abs(recombined.values - lifted)))
+    recombined = apply_loop_group(bank, field).values  # at depth max(L, L~, 1)
+    recomb = float(np.max(np.abs(np.subtract(*_rows(recombined, target.values)))))
     if not below(RECOMBINATION_TOL, recomb):
         raise VerificationError(f"connecting field fails to recombine target: {recomb:.3e}")
     return field
@@ -376,4 +375,4 @@ def endomorphism_check(bank: FilterBank, f: CylinderFn, probe_depth: int = 2) ->
     _require_same_spec(bank.spec, f.spec)
     if probe_depth < 1:
         raise InputError("probe depth must be >= 1")
-    return _tail_residual(bank, max(bank.depth, f.depth + 1), f)
+    return _tail_residual(bank, f)

@@ -721,6 +721,35 @@ def test_product_of_long_filters_is_a_convolution():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_completeness_runs_only_the_probes_a_filter_reaches(monkeypatch):
+    """A probe z**t meets a filter only through a coefficient of degree t mod N:
+    the probes none reaches reconstruct to 0, residual 1, and are not run."""
+    calls, upsample = [], LaurentPoly.upsample
+    monkeypatch.setattr(LaurentPoly, "upsample", lambda self, n: calls.append(n) or upsample(self, n))
+    rng = np.random.default_rng(36)
+    for trial in range(60):
+        n, count = int(rng.integers(5, 13)), int(rng.integers(1, 5))
+        bank = []
+        for _ in range(count):
+            taps = rng.normal(size=int(rng.integers(1, 4))) + 1j * rng.normal(size=1)
+            taps[rng.random(taps.size) < 0.3] = rng.choice([0.0, np.nan, 1e-16])
+            bank.append(taps * (1e-16 if rng.random() < 0.1 else 1.0))
+        pairs = [as_pair(v, int(rng.integers(-6, 6))) for v in bank]
+        filters, dicts = [p for p, _ in pairs], [d for _, d in pairs]
+        reached = {(lo + k) % n for lo, c in map(LaurentPoly.coefficients, filters)
+                   for k in np.flatnonzero(c).tolist()}
+        for convention, scale in (("averaged", 1.0), ("unit-sum", float(n))):
+            calls.clear()
+            got_orth, got_comp = cuntz_residuals(filters, n, convention)
+            orth, comp = oracle.dict_cuntz_residuals(dicts, n, scale)
+            assert close(got_orth, orth) and close(got_comp, comp), (trial, convention)
+            assert len(calls) == len(reached) * count, trial
+    calls.clear()
+    assert cuntz_residuals(oracle.haar_pair(), 16000, "averaged") == (0.0, 1.0)
+    assert len(calls) == 2 * 2  # the probes z**0 and z**1, one upsample per filter
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("length", [1, 2, 50, 400])
 def test_filter_residuals_match_dict_oracle(n, length):

@@ -234,6 +234,21 @@ def test_decompose_level_over_cell_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.err == "wavelab: 128 cells exceed the cap of 100; set WAVELAB_MAX_CELLS to raise it\n"
 
 
+@pytest.mark.parametrize("bank_depth, fn_depth, levels, cells", [(1, 5, 1, 64), (5, 2, 2, 128)])
+def test_decompose_counts_the_gram_product_at_the_deeper_depth(
+    tmp_path, capsys, monkeypatch, bank_depth, fn_depth, levels, cells
+):
+    # the Gram product of a level of K nodes holds N * K * N**d cells, d the
+    # deeper of the bank and the level, whichever of the two is read as a view
+    spec = IfsSpec(2)
+    bank = FilterBank(spec, np.repeat(build_indicator(spec).values, 2 ** (bank_depth - 1), axis=-1))
+    bank_path = write(tmp_path / "bank.json", bank.to_json())
+    fn = CylinderFn(spec, fn_depth, np.arange(2.0**fn_depth))
+    fn_path = write(tmp_path / "fn.json", fn.to_json())
+    argv = ["ifs", "decompose", "--bank", bank_path, "--fn", fn_path, "--levels", str(levels)]
+    _exits_2_one_below_the_cap(argv, cells, capsys, monkeypatch)
+
+
 def test_apply_unitary_counts_every_recombined_filter_against_the_cap(tmp_path, capsys, monkeypatch):
     # a depth-5 identity field makes two depth-6 filters: 2 * 64 = 128 cells,
     # though each filter alone fits a cap of 64
@@ -654,6 +669,18 @@ def _d4_bank(tmp_path, scale_detail: float = 1.0) -> str:
 def _signal_file(path, values) -> str:
     path.write_text("".join(f"{z.real!r},{z.imag!r}\n" for z in np.asarray(values).tolist()))
     return str(path)
+
+
+def test_mra_filterbank_signal_counts_against_the_cap(tmp_path, capsys, monkeypatch):
+    # 2^16 samples: each band and the reconstruction are made from their cells
+    argv = ["mra", "filterbank", "--signal", _signal_file(tmp_path / "x.csv", np.ones(2**16)),
+            "--taps", _d4_bank(tmp_path), "--N", "2"]
+    _exits_2_one_below_the_cap(argv, 2**16, capsys, monkeypatch)
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", "4096")
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "wavelab: 65536 cells exceed the cap of 4096; set WAVELAB_MAX_CELLS to raise it\n"
+    )
 
 
 def test_mra_filterbank_verdict_scales_with_the_signal(tmp_path, capsys):
@@ -1269,12 +1296,33 @@ def test_examples_logistic_nodes_over_cell_cap_exit_2(capsys, monkeypatch):
 
 
 def test_examples_fractal_kept_points_over_cell_cap_exit_2(tmp_path, capsys, monkeypatch):
-    # 1000 kept points of the 2-D Sierpinski gasket: 2000 cells
+    # 30000 kept points of the 2-D Sierpinski gasket: 60000 cells, more than
+    # a chaos-game block (2 x 8255) or its statistics (7 x 8128) hold
     ifs_path = write(tmp_path / "s.json", oracle.affine_ifs_json(sierpinski_ifs()))
-    argv = ["examples", "fractal", "--ifs", ifs_path, "--samples", "10000", "--seed", "1",
-            "--points-out", str(tmp_path / "p.csv"), "--max-points", "1000"]
-    _exits_2_one_below_the_cap(argv, 2000, capsys, monkeypatch)
-    assert len((tmp_path / "p.csv").read_bytes().splitlines()) == 1000
+    argv = ["examples", "fractal", "--ifs", ifs_path, "--samples", "30000", "--seed", "1",
+            "--points-out", str(tmp_path / "p.csv"), "--max-points", "30000"]
+    _exits_2_one_below_the_cap(argv, 60000, capsys, monkeypatch)
+    assert len((tmp_path / "p.csv").read_bytes().splitlines()) == 30000
+
+
+def test_examples_fractal_blocks_count_against_the_cap(tmp_path, capsys, monkeypatch):
+    # the companion matrix of x^30 - 2, digits 0 and e1: the first
+    # chaos-game block is 30 x 8192 cells, its statistics (30 + 30 + 465) x 8128
+    a = np.eye(30, k=-1, dtype=int)
+    a[0, -1] = 2
+    ifs_path = write(tmp_path / "c.json", {"A": a.tolist(), "digits": np.eye(2, 30, dtype=int).tolist()})
+    argv = ["examples", "fractal", "--ifs", ifs_path, "--samples", "10000", "--seed", "1"]
+    for cap, cells in ((200_000, 30 * 8192), (1_000_000, 525 * 8128)):
+        monkeypatch.setenv("WAVELAB_MAX_CELLS", str(cap))
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"wavelab: {cells} cells exceed the cap of {cap}; set WAVELAB_MAX_CELLS to raise it\n"
+        )
+    monkeypatch.setenv("WAVELAB_MAX_CELLS", str(525 * 8128))
+    assert run(argv) == 0
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

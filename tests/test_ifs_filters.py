@@ -6,7 +6,7 @@ import pytest
 
 import oracle
 from conftest import random_cylinder
-from wavelab import jsonio
+from wavelab import ifs_filters, jsonio
 from wavelab.cli import run
 from wavelab.code_space import (
     CylinderFn,
@@ -560,6 +560,56 @@ def test_array_forms_equal_tuple_oracle(spec, depth):
         target = apply_loop_group(verified, _random_unitary_field(rng, spec, depth))
         want = oracle.stacked(oracle.tuple_connecting(verified.filters, target.filters))
         assert np.array_equal(connecting_unitary(verified, target).values, want)
+
+
+@pytest.mark.parametrize("spec", [IfsSpec(2, (0.3, 0.7)), IfsSpec(3, (0.5, 0.125, 0.375))],
+                         ids=lambda s: f"N{s.N}")
+def test_products_read_every_shallower_operand_as_a_view(monkeypatch, spec):
+    """No product copies an operand up to a working depth: with the copying
+    lift gone, banks of depth 1 and 3 meet deeper and shallower functions,
+    levels (a depth-0 level too) and targets, bit for bit as the oracle's
+    lifted copies."""
+    rng = np.random.default_rng(spec.N)
+    banks = [apply_loop_group(build_indicator(spec), _random_unitary_field(rng, spec, depth - 1))
+             for depth in (1, 3)]
+    monkeypatch.setattr(ifs_filters, "_lift", lambda *args: pytest.fail("a product lifted a copy"))
+    for bank, other in zip(banks, banks[::-1]):
+        m = bank.filters
+        report = verify_filter(bank)
+        assert np.array_equal(report.orthonormality, oracle.tuple_orthonormality(m))
+        assert report.completeness == oracle.tuple_tail_residual(m, bank.depth)
+        fns = [random_cylinder(rng, spec, depth) for depth in (0, 1, 2, 5)]
+        for f in fns:
+            want = oracle.tuple_tail_residual(m, max(bank.depth, f.depth + 1), f)
+            assert endomorphism_check(bank, f) == want, f.depth
+            level = np.array([f.values, 2 * f.values])  # a level of K = 2
+            want = [part for g in (f, f * 2) for part in oracle.tuple_analysis(m, g)]
+            assert np.array_equal(analysis(bank, level), oracle.stacked(want)), f.depth
+        want = oracle.stacked(oracle.tuple_connecting(m, other.filters))
+        assert np.array_equal(connecting_unitary(bank, other).values, want)
+
+
+def test_products_hold_no_lifted_bank(spec2):
+    """A depth-1 bank against a depth-14 function: the endomorphism check's
+    product holds N**3 * 2**14 cells and its peak stays under 2.1 products
+    (2.5 when the bank was lifted to the function's depth first); a 3-level
+    decomposition and reconstruction peaks under 5 functions' cells (6 when
+    analysis lifted each level)."""
+    spec = IfsSpec(2, (0.3, 0.7))
+    bank, cells = build_indicator(spec), 16 * 2**14  # bytes of the function
+    f = random_cylinder(np.random.default_rng(14), spec, 14)
+    runs = {
+        "endomorphism": (lambda: endomorphism_check(bank, f), 2.1 * 8 * cells),
+        "multires": (lambda: multires_reconstruct(bank, multires_decompose(bank, f, 3)), 5 * cells),
+    }
+    for name, (call, bound) in runs.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (name, peak / cells)
 
 
 def test_mixed_depth_bank_loads_at_common_depth(spec_weighted):
